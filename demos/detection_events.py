@@ -47,18 +47,20 @@ def main() -> None:
     detector = DetectorConfig(c=0.5)
     state = change_basis(assemble(GEOM, GRID, build_uqsd(detector)), SYMMETRIC)
     propagated = propagate_all(state, GEOM, UNITS)
-    events = sample_events(propagated, args.count, args.seed)
+    codes, xs = sample_events(propagated, args.count, args.seed)
+    fired = {o: codes == i for i, o in enumerate(propagated.basis.outcomes)}
 
     print(f"{args.count} events, seed {args.seed}:")
     for outcome in (Outcome.Q_PLUS, Outcome.Q_MINUS, Outcome.Q3):
-        n = sum(1 for e in events if e.outcome is outcome)
+        n = int(np.count_nonzero(fired[outcome]))
         print(f"  {outcome.value:8s} {n:7d}  ({n / args.count:.4f})")
     print()
 
     lo, hi = fringe_window(GEOM, UNITS)
     print(f"landing histograms inside the fringe window [{lo:.2f}, {hi:.2f}]:")
+    in_window = (xs >= lo) & (xs <= hi)
     rows = {
-        o: histogram_row([e.x for e in events if e.outcome is o and lo <= e.x <= hi], lo, hi)
+        o: histogram_row(xs[fired[o] & in_window], lo, hi)
         for o in (Outcome.Q_PLUS, Outcome.Q_MINUS, Outcome.Q3)
     }
     header = f"{'x':>8}  {'q_plus':<42}{'q_minus':<42}{'q3':<42}"

@@ -41,6 +41,10 @@ from .verify import run_suite
 
 __all__ = ["main", "cmd_run", "cmd_scan", "cmd_sample", "cmd_verify"]
 
+#: Events formatted per write to events.csv; keeps the writer's memory
+#: independent of sampling.count.
+_EVENT_CHUNK = 1 << 16
+
 
 def _fmt(value: float | None) -> str:
     if value is None:
@@ -56,6 +60,11 @@ def _atomic_write(path: Path, write_fn) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             write_fn(fh)
+        # mkstemp creates the file 0600 and os.replace keeps that mode; give
+        # it the mode a plain open() would have had.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -172,26 +181,27 @@ def cmd_sample(cfg: RunConfig, out_dir: Path) -> int:
     coeffs = build_uqsd(cfg.detector)
     state0 = change_basis(assemble(cfg.geometry, cfg.grid, coeffs), cfg.basis)
     propagated = propagate_all(state0, cfg.geometry, cfg.units)
-    events = sample_events(propagated, cfg.sample_count, cfg.seed)
-
-    _atomic_write(
-        out_dir / "events.csv",
-        lambda fh: fh.writelines(
-            ["outcome,x\n"] + [f"{e.outcome.value},{_fmt(e.x)}\n" for e in events]
-        ),
-    )
+    codes, xs = sample_events(propagated, cfg.sample_count, cfg.seed)
 
     outcomes = propagated.basis.outcomes
+    labels = [o.value for o in outcomes]
+
+    def write_events(fh) -> None:
+        fh.write("outcome,x\n")
+        for start in range(0, xs.size, _EVENT_CHUNK):
+            stop = start + _EVENT_CHUNK
+            pairs = zip(codes[start:stop].tolist(), xs[start:stop].tolist())
+            fh.write("".join(["%s,%.17g\n" % (labels[c], x) for c, x in pairs]))
+
+    _atomic_write(out_dir / "events.csv", write_events)
+
     probs = propagated.branch_probabilities()
-    counts = {o: 0 for o in outcomes}
-    for e in events:
-        counts[e.outcome] += 1
-    lines = [f"count={len(events)}\n", f"seed={cfg.seed}\n"]
-    for o, p in zip(outcomes, probs):
-        freq = counts[o] / len(events) if events else 0.0
-        lines.append(f"{o.value}: n={counts[o]} freq={freq:.6f} prob={_fmt(p)}\n")
-    if len(events) >= 500:
-        xs = np.array([e.x for e in events])
+    counts = np.bincount(codes, minlength=3).tolist()
+    lines = [f"count={xs.size}\n", f"seed={cfg.seed}\n"]
+    for o, n, p in zip(outcomes, counts, probs):
+        freq = n / xs.size if xs.size else 0.0
+        lines.append(f"{o.value}: n={n} freq={freq:.6f} prob={_fmt(p)}\n")
+    if xs.size >= 500:
         stat, pvalue = screen_goodness_of_fit(xs, screen_density(propagated))
         lines.append(f"chi_square={_fmt(stat)}\n")
         lines.append(f"chi_square_p={_fmt(pvalue)}\n")

@@ -57,7 +57,15 @@ class RunConfig:
     out_dir: str | None
 
     def with_seed(self, seed: int) -> "RunConfig":
-        return replace(self, seed=int(seed))
+        return replace(self, seed=_check_seed(int(seed)))
+
+
+def _check_seed(seed: int) -> int:
+    # numpy.random.default_rng rejects negative seeds; catch them before
+    # any file is written.
+    if seed < 0:
+        raise ConfigurationError(f"sampling.seed must be non-negative, got {seed}")
+    return seed
 
 
 def _parse_basis(text: str) -> Basis:
@@ -102,7 +110,7 @@ def _build(values: dict[str, object]) -> RunConfig:
         detector=DetectorConfig(c=values["detector.c"], theta=values["detector.theta"]),
         basis=_parse_basis(str(values["basis"])),
         sample_count=count,
-        seed=int(values["sampling.seed"]),  # type: ignore[arg-type]
+        seed=_check_seed(int(values["sampling.seed"])),  # type: ignore[arg-type]
         out_dir=values["output.dir"],  # type: ignore[arg-type]
     )
 

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 import scipy.fft
-import scipy.stats
+import scipy.special
 
 from .errors import ConfigurationError, DomainError, EmptyBranchError
 from .hilbert import (
@@ -53,7 +53,6 @@ __all__ = [
     "FringeAnalysis",
     "KickReport",
     "StoreyBound",
-    "EventSample",
     "reference_state",
     "assemble",
     "change_basis",
@@ -160,14 +159,6 @@ class StoreyBound:
     lhs: float
     rhs: float
     satisfied: bool
-
-
-@dataclass(frozen=True)
-class EventSample:
-    """One detection: which outcome fired and where the particle landed."""
-
-    outcome: Outcome
-    x: float
 
 
 def reference_state(geom: SlitGeometry, grid: GridSpec) -> Wavefunction:
@@ -554,13 +545,15 @@ def _cell_cdf(pattern_values: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, n
     return cdf / total, edges
 
 
-def sample_events(state: BranchState, count: int, seed: int) -> list[EventSample]:
+def sample_events(state: BranchState, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Draw detection events from a (propagated) branch state.
 
-    Outcomes follow the branch probabilities; positions are drawn from the
-    selected branch's conditional density by inverting its piecewise-linear
-    CDF.  The generator is ``numpy.random.default_rng(seed)`` (PCG64), so a
-    fixed seed reproduces the event list bit for bit on any platform.
+    Returns ``(codes, xs)``: for each event, the index of the outcome that
+    fired in ``state.basis.outcomes`` and the landing position.  Outcomes
+    follow the branch probabilities; positions are drawn from the selected
+    branch's conditional density by inverting its piecewise-linear CDF.
+    The generator is ``numpy.random.default_rng(seed)`` (PCG64), so a fixed
+    seed reproduces the events bit for bit on any platform.
     """
     if count < 0:
         raise DomainError(f"event count must be non-negative, got {count}")
@@ -568,16 +561,15 @@ def sample_events(state: BranchState, count: int, seed: int) -> list[EventSample
     cum = np.cumsum(probs)
     rng = np.random.default_rng(seed)
     u = rng.random((count, 2))
-    branch_idx = np.minimum(np.searchsorted(cum, u[:, 0], side="right"), 2)
+    codes = np.minimum(np.searchsorted(cum, u[:, 0], side="right"), 2)
     xs = np.empty(count)
     for i in range(3):
-        mask = branch_idx == i
+        mask = codes == i
         if not mask.any():
             continue
         cdf, edges = _cell_cdf(state.branches[i].density(), state.grid)
         xs[mask] = np.interp(u[mask, 1], cdf, edges)
-    outcomes = state.basis.outcomes
-    return [EventSample(outcomes[int(b)], float(x)) for b, x in zip(branch_idx, xs)]
+    return codes, xs
 
 
 def screen_goodness_of_fit(
@@ -586,9 +578,17 @@ def screen_goodness_of_fit(
     """Chi-square goodness of fit of sampled positions against a pattern.
 
     Bins are equal-probability quantiles of the pattern's cell-wise CDF, so
-    every bin expects ``len(xs)/n_bins`` counts.  Returns ``(statistic,
-    p_value)``.  Meant for strictly positive patterns such as propagated
-    totals; exact zero-density stretches would collapse quantile bins.
+    every bin expects ``len(xs)/n_bins`` counts.  Returns Pearson's
+    ``(statistic, p_value)`` with ``n_bins - 1`` degrees of freedom, the same
+    numbers ``scipy.stats.chisquare`` gives.  Meant for strictly positive
+    patterns such as propagated totals; exact zero-density stretches would
+    collapse quantile bins.
+
+    Raises
+    ------
+    DomainError
+        If there are fewer than ``10*n_bins`` samples, or if some fall
+        outside the pattern's bins.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.size < 10 * n_bins:
@@ -597,6 +597,12 @@ def screen_goodness_of_fit(
     quantiles = np.linspace(0.0, 1.0, n_bins + 1)
     bin_edges = np.interp(quantiles, cdf, edges)
     observed, _ = np.histogram(xs, bins=bin_edges)
+    missing = xs.size - int(observed.sum())
+    if missing:
+        raise DomainError(f"{missing} of {xs.size} samples fall outside the pattern's bins")
     expected = np.full(n_bins, xs.size / n_bins)
-    stat, pvalue = scipy.stats.chisquare(observed, f_exp=expected)
+    stat = np.sum((observed.astype(np.float64) - expected) ** 2 / expected)
+    # chdtrc is the chi-square survival function scipy.stats uses; calling
+    # it directly keeps the slow scipy.stats import out of the CLI.
+    pvalue = scipy.special.chdtrc(n_bins - 1, stat)
     return float(stat), float(pvalue)

@@ -175,12 +175,6 @@ class Basis:
             raise DomainError("only tilted bases carry a nonzero angle")
 
     @property
-    def labels(self) -> tuple[str, str, str]:
-        if self.kind == "computational":
-            return ("q1", "q2", "q3")
-        return ("q+", "q-", "q3")
-
-    @property
     def outcomes(self) -> tuple[Outcome, Outcome, Outcome]:
         """Measurement outcome labels for the three branches, in order."""
         if self.kind == "computational":

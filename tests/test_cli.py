@@ -1,12 +1,20 @@
 """End-to-end command-line runs on a reduced grid, plus the check suite."""
 
 import filecmp
+import hashlib
 import io
 import math
+import os
+import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kickscope
+from kickscope import cli
 from kickscope.cli import main
 from kickscope.config import default_config, load_config
 from kickscope.verify import run_suite
@@ -114,6 +122,32 @@ class TestSample:
         assert not filecmp.cmp(a / "events.csv", b / "events.csv", shallow=False)
         assert filecmp.cmp(a / "events.csv", c / "events.csv", shallow=False)
 
+    @pytest.mark.parametrize("chunk", [None, 7])
+    def test_output_bytes_are_pinned(self, cfg_path, tmp_path, monkeypatch, chunk):
+        # sha256 of the REDUCED run (seed 7, 2000 events) as written when
+        # events were still built one object at a time.  chunk = 7 puts
+        # writer chunk boundaries inside the event stream.
+        if chunk is not None:
+            monkeypatch.setattr(cli, "_EVENT_CHUNK", chunk)
+        golden = {
+            "events.csv": "7f35eceff57984db6879b16056c1e98fe014df6fab087cac5bed728ec4289885",
+            "sample_summary.txt": "da19047506ad5d8b01f82bfe33d36c48c7f7aad93a67f496b0eec119798a6243",
+        }
+        out = tmp_path / "out"
+        assert main(["sample", "--config", cfg_path, "--out", str(out)]) == 0
+        for name, digest in golden.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+    def test_outputs_honour_the_umask(self, cfg_path, tmp_path):
+        out = tmp_path / "out"
+        old = os.umask(0o027)
+        try:
+            assert main(["sample", "--config", cfg_path, "--out", str(out)]) == 0
+        finally:
+            os.umask(old)
+        for name in ("events.csv", "sample_summary.txt"):
+            assert stat.S_IMODE((out / name).stat().st_mode) == 0o640, name
+
 
 class TestOutputResolution:
     def test_flag_beats_config_and_env(self, cfg_path, tmp_path, monkeypatch):
@@ -146,6 +180,12 @@ class TestFailureModes:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_flag_exits_2_with_no_outputs(self, cfg_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["sample", "--config", cfg_path, "--out", str(out), "--seed", "-1"]) == 2
+        assert "sampling.seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_key_reports_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("# comment\ngrid.m = 4\n")
@@ -155,6 +195,19 @@ class TestFailureModes:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
         assert "cannot read" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = str(Path(kickscope.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import kickscope.cli; "
+        "print('scipy.stats' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, src], capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 class TestVerifyCommand:

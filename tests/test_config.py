@@ -73,6 +73,7 @@ class TestParsing:
             ("basis = diagonal", "unknown basis"),
             ("basis = tilted:fast", "angle"),
             ("sampling.count = -3", "non-negative"),
+            ("sampling.seed = -1", "sampling.seed"),
         ],
     )
     def test_hard_errors(self, line, fragment):
@@ -93,6 +94,10 @@ class TestParsing:
         cfg = default_config().with_seed(7)
         assert cfg.seed == 7
         assert cfg.grid == default_config().grid
+
+    def test_with_seed_rejects_negative(self):
+        with pytest.raises(ConfigurationError, match="sampling.seed"):
+            default_config().with_seed(-1)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError, match="cannot read"):

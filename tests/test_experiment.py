@@ -361,51 +361,86 @@ class TestStoreyBound:
 class TestSampling:
     def test_same_seed_same_events(self, geom, grid, units):
         state = propagate_all(make_state(geom, grid, c=0.5), geom, units)
-        a = sample_events(state, 2000, seed=11)
-        b = sample_events(state, 2000, seed=11)
-        assert [e.outcome for e in a] == [e.outcome for e in b]
-        assert [e.x for e in a] == [e.x for e in b]
+        codes_a, xs_a = sample_events(state, 2000, seed=11)
+        codes_b, xs_b = sample_events(state, 2000, seed=11)
+        assert np.array_equal(codes_a, codes_b)
+        assert np.array_equal(xs_a, xs_b)
 
     def test_different_seed_different_events(self, geom, grid, units):
         state = propagate_all(make_state(geom, grid, c=0.5), geom, units)
-        a = sample_events(state, 2000, seed=11)
-        b = sample_events(state, 2000, seed=12)
-        assert [e.x for e in a] != [e.x for e in b]
+        _, xs_a = sample_events(state, 2000, seed=11)
+        _, xs_b = sample_events(state, 2000, seed=12)
+        assert not np.array_equal(xs_a, xs_b)
+
+    def test_events_are_outcome_indices_and_positions(self, geom, grid, units):
+        state = propagate_all(make_state(geom, grid, c=0.5), geom, units)
+        codes, xs = sample_events(state, 2000, seed=11)
+        assert codes.shape == xs.shape == (2000,)
+        assert codes.dtype.kind == "i" and xs.dtype == np.float64
+        assert set(np.unique(codes).tolist()) == {0, 1, 2}
 
     def test_outcome_frequencies(self, geom, grid, units):
         state = propagate_all(make_state(geom, grid, c=0.5), geom, units)
         count = 20000
-        events = sample_events(state, count, seed=20260819)
-        for outcome, prob in zip(state.basis.outcomes, (0.25, 0.25, 0.5)):
-            freq = sum(1 for e in events if e.outcome is outcome) / count
+        codes, _ = sample_events(state, count, seed=20260819)
+        for i, prob in enumerate((0.25, 0.25, 0.5)):
+            freq = np.count_nonzero(codes == i) / count
             sigma = math.sqrt(prob * (1.0 - prob) / count)
             assert abs(freq - prob) <= 4.0 * sigma
 
     def test_positions_stay_on_grid(self, geom, grid, units):
         state = propagate_all(make_state(geom, grid, c=0.5), geom, units)
-        xs = np.array([e.x for e in sample_events(state, 2000, seed=3)])
+        _, xs = sample_events(state, 2000, seed=3)
         assert xs.min() >= grid.x_min and xs.max() <= grid.x_max
 
     def test_certain_failure_yields_only_failures(self, geom, grid, units):
         state = propagate_all(make_state(geom, grid, c=1.0), geom, units)
-        events = sample_events(state, 500, seed=5)
-        assert all(e.outcome is Outcome.Q3 for e in events)
+        codes, _ = sample_events(state, 500, seed=5)
+        assert np.all(codes == state.basis.outcomes.index(Outcome.Q3))
 
     def test_positions_follow_the_pattern(self, geom, grid, units):
         state = propagate_all(make_state(geom, grid, c=0.5), geom, units)
-        events = sample_events(state, 20000, seed=20260819)
-        xs = np.array([e.x for e in events])
+        _, xs = sample_events(state, 20000, seed=20260819)
         _, pvalue = screen_goodness_of_fit(xs, screen_density(state))
         assert pvalue > 0.01
 
     def test_goodness_of_fit_needs_enough_samples(self, geom, grid, units):
         state = propagate_all(make_state(geom, grid, c=0.5), geom, units)
-        xs = np.array([e.x for e in sample_events(state, 400, seed=3)])
+        _, xs = sample_events(state, 400, seed=3)
         with pytest.raises(DomainError):
             screen_goodness_of_fit(xs, screen_density(state), n_bins=50)
+
+    def test_goodness_of_fit_matches_scipy_chisquare(self, geom, grid, units):
+        from scipy.stats import chisquare  # the oracle; the package avoids this import
+
+        from kickscope.experiment import _cell_cdf
+
+        pattern = screen_density(propagate_all(make_state(geom, grid, c=0.5), geom, units))
+        misfit = screen_density(propagate_all(make_state(geom, grid, c=0.7), geom, units))
+        cdf, edges = _cell_cdf(pattern.values, grid)
+        for seed in (1, 2, 3):
+            rng = np.random.default_rng(seed)
+            # Draws from the c = 0.7 pattern push p down to ~1e-30.
+            for source in (pattern, misfit):
+                source_cdf, _ = _cell_cdf(source.values, grid)
+                for count, n_bins in ((2000, 50), (20000, 50), (5000, 17)):
+                    xs = np.interp(rng.random(count), source_cdf, edges)
+                    bins = np.interp(np.linspace(0.0, 1.0, n_bins + 1), cdf, edges)
+                    observed, _ = np.histogram(xs, bins=bins)
+                    oracle = chisquare(observed, f_exp=np.full(n_bins, count / n_bins))
+                    got = screen_goodness_of_fit(xs, pattern, n_bins=n_bins)
+                    assert got == (float(oracle.statistic), float(oracle.pvalue))
+
+    def test_goodness_of_fit_rejects_samples_off_the_pattern(self, geom, grid, units):
+        state = propagate_all(make_state(geom, grid, c=0.5), geom, units)
+        _, xs = sample_events(state, 2000, seed=3)
+        xs[0] = grid.x_max + 1.0
+        with pytest.raises(DomainError, match="outside"):
+            screen_goodness_of_fit(xs, screen_density(state))
 
     def test_rejects_negative_count(self, geom, grid, units):
         state = propagate_all(make_state(geom, grid, c=0.5), geom, units)
         with pytest.raises(DomainError):
             sample_events(state, -5, seed=1)
-        assert sample_events(state, 0, seed=1) == []
+        codes, xs = sample_events(state, 0, seed=1)
+        assert codes.size == 0 and xs.size == 0
