@@ -22,7 +22,6 @@ from kickscope import (
     change_basis,
     kick_report,
     tilted_relative_kick,
-    to_momentum,
 )
 
 GEOM = SlitGeometry(d=1.0, sigma=0.02)
@@ -50,8 +49,9 @@ def main() -> None:
     print(f"kicked fraction                = {rep.F_k_branch:.4f}  (theory {rep.F_k_theory})")
     print()
 
-    plus_peaks = comb_peaks(to_momentum(state.branches[0]))
-    minus_peaks = comb_peaks(to_momentum(state.branches[1]))
+    plus, minus, _ = state.spectra(UNITS.hbar)
+    plus_peaks = comb_peaks(plus)
+    minus_peaks = comb_peaks(minus)
     print("first momentum-comb maxima at p >= 0 (comb period 2*p0):")
     print("  q+ branch:", "  ".join(f"{p:8.4f}" for p in plus_peaks))
     print("  q- branch:", "  ".join(f"{p:8.4f}" for p in minus_peaks))

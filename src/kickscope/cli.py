@@ -25,7 +25,6 @@ import numpy as np
 from .config import RunConfig, default_config, load_config, parse_c_values
 from .errors import KickscopeError
 from .hilbert import SYMMETRIC, DetectorConfig, build_uqsd
-from .wavepacket import to_momentum
 from .experiment import (
     assemble,
     change_basis,
@@ -99,22 +98,24 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
     state0 = change_basis(assemble(cfg.geometry, cfg.grid, coeffs), cfg.basis)
     propagated = propagate_all(state0, cfg.geometry, cfg.units)
 
-    branch_rho = [b.density() for b in propagated.branches]
+    branch_rho = [propagated.branch(i).density() for i in range(3)]
     total = branch_rho[0] + branch_rho[1] + branch_rho[2]
     _write_table(
         out_dir / "pattern.csv",
         ["x", "rho_total", "rho_branch1", "rho_branch2", "rho_branch3"],
         [cfg.grid.x, total] + branch_rho,
     )
+    del branch_rho, total  # each table's columns are freed before the next is built
 
     # Spectra are reported at emission time; free flight only changes the
     # phases, not these densities.
-    spectra = [to_momentum(b, hbar=cfg.units.hbar) for b in state0.branches]
+    spectra = state0.spectra(cfg.units.hbar)
     _write_table(
         out_dir / "momentum.csv",
         ["p", "spec_branch1", "spec_branch2", "spec_branch3"],
         [spectra[0].p] + [s.density() for s in spectra],
     )
+    del spectra
 
     sym = state0 if cfg.basis == SYMMETRIC else change_basis(state0, SYMMETRIC)
     report = kick_report(sym, cfg.geometry, cfg.units, cfg.detector)

@@ -78,7 +78,7 @@ def _parse_basis(text: str) -> Basis:
         try:
             return tilted(float(name.split(":", 1)[1]))
         except ValueError as exc:
-            raise ConfigurationError(f"bad tilted-basis angle in {text!r}") from exc
+            raise ConfigurationError(f"bad tilted-basis angle in {text!r}: {exc}") from exc
     raise ConfigurationError(
         f"unknown basis {text!r}; use computational, symmetric, or tilted:<angle>"
     )

@@ -1,14 +1,15 @@
 """Branch-resolved two-slit interference with a which-way detector.
 
-A run of the experiment is represented as a `BranchState`: three spatial
-wavefunctions, one per detector basis vector, on a common grid.  In the
-computational basis the branches are the two flagged paths and the
-discrimination failure; rotating to the symmetric basis ``q+- = (q1 +-
-q2)/sqrt(2)`` re-expresses the same state as an un-kicked branch, a branch
-carrying an apparent momentum kick of half a fringe period, and the
-failure branch.  Everything observable - screen densities, fringe
-visibility, momentum-kick estimates, detection events - is extracted from
-a `BranchState` by the functions in this module.
+A run of the experiment is represented as a `BranchState`: the slit pair
+``psi1``, ``psi2`` and a 3x2 complex matrix whose row ``i`` makes branch
+``i`` as ``coeffs[i, 0]*psi1 + coeffs[i, 1]*psi2``, one row per detector
+basis vector.  In the computational basis the branches are the two flagged
+paths and the discrimination failure; rotating to the symmetric basis
+``q+- = (q1 +- q2)/sqrt(2)`` re-expresses the same state as an un-kicked
+branch, a branch carrying an apparent momentum kick of half a fringe
+period, and the failure branch.  Basis changes act on the matrix and free
+flight on the pair alone.  Everything observable is extracted from a
+`BranchState` by the functions in this module.
 
 Momentum-shift estimates are cross-correlation arguments of the maximum.
 Because a shift of exactly half a momentum-fringe period is indistinguishable
@@ -19,7 +20,8 @@ toward the non-negative shift; see :func:`momentum_shift`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -48,6 +50,7 @@ from .wavepacket import (
 )
 
 __all__ = [
+    "SlitPair",
     "BranchState",
     "ScreenPattern",
     "FringeAnalysis",
@@ -77,24 +80,91 @@ EMPTY_BRANCH_TOL = 1e-14
 
 
 @dataclass(frozen=True, eq=False)
-class BranchState:
-    """Three branch wavefunctions tagged with the detector basis they live in."""
+class SlitPair:
+    """The slit wavefunctions ``psi1`` and ``psi2`` on one grid.
 
-    basis: Basis
-    branches: tuple[Wavefunction, Wavefunction, Wavefunction]
+    The pair keeps its latest propagation, so every detector setting built
+    on it shares one per (geometry, units).
+    """
+
+    psi1: Wavefunction
+    psi2: Wavefunction
+    _last: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        grids = {b.grid for b in self.branches}
-        if len(grids) != 1:
-            raise ConfigurationError("all branches must share one grid")
+        if self.psi1.grid != self.psi2.grid:
+            raise ConfigurationError("both slit states must share one grid")
 
     @property
     def grid(self) -> GridSpec:
-        return self.branches[0].grid
+        return self.psi1.grid
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """The 2x2 overlap matrix ``<psi_i|psi_j> dx``."""
+        a, b = self.psi1.amplitudes, self.psi2.amplitudes
+        g = np.array([[np.vdot(a, a), np.vdot(a, b)], [np.vdot(b, a), np.vdot(b, b)]])
+        g *= self.grid.dx
+        g.setflags(write=False)  # memoized pairs are shared by every caller
+        return g
+
+    def propagated(self, geom: SlitGeometry, units: PhysicalUnits) -> "SlitPair":
+        """Both states evolved freely for ``units.t``."""
+        if self._last is None or self._last[0] != (geom, units):
+            pair = SlitPair(*(propagate_fft(psi, geom, units) for psi in (self.psi1, self.psi2)))
+            object.__setattr__(self, "_last", ((geom, units), pair))
+        return self._last[1]
+
+    def spectra(self, rows: np.ndarray, hbar: float) -> list[MomentumSpectrum]:
+        """Momentum spectra of ``a*psi1 + b*psi2``, one per row ``(a, b)``."""
+        phi1, phi2 = (to_momentum(psi, hbar=hbar).amplitudes for psi in (self.psi1, self.psi2))
+        return [MomentumSpectrum(self.grid, a * phi1 + b * phi2, hbar=hbar) for a, b in rows]
+
+
+@lru_cache(maxsize=8)
+def _slit_pair(geom: SlitGeometry, grid: GridSpec) -> SlitPair:
+    # Room for a few side geometries (verify's kick_identity uses four)
+    # without evicting the main pair and its propagation.
+    return SlitPair(slit_state(geom, grid, 1), slit_state(geom, grid, 2))
+
+
+@dataclass(frozen=True, eq=False)
+class BranchState:
+    """Branch ``i`` (outcome ``basis.outcomes[i]``) is ``coeffs[i] @ (psi1, psi2)``."""
+
+    basis: Basis
+    coeffs: np.ndarray
+    pair: SlitPair
+
+    def __post_init__(self) -> None:
+        coeffs = np.array(self.coeffs, dtype=np.complex128)
+        if coeffs.shape != (3, 2):
+            raise ConfigurationError(f"coefficients have shape {coeffs.shape}, expected (3, 2)")
+        coeffs.setflags(write=False)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    @property
+    def grid(self) -> GridSpec:
+        return self.pair.grid
+
+    def branch(self, i: int) -> Wavefunction:
+        """Branch ``i`` on the grid, computed on each call."""
+        (a, b), pair = self.coeffs[i], self.pair
+        return Wavefunction(self.grid, a * pair.psi1.amplitudes + b * pair.psi2.amplitudes)
+
+    @property
+    def branches(self) -> tuple[Wavefunction, Wavefunction, Wavefunction]:
+        """All three branches on the grid, computed on each access."""
+        return (self.branch(0), self.branch(1), self.branch(2))
+
+    def spectra(self, hbar: float) -> list[MomentumSpectrum]:
+        """Momentum spectra of the three branches."""
+        return self.pair.spectra(self.coeffs, hbar)
 
     def branch_probabilities(self) -> np.ndarray:
         """Probability carried by each branch (its squared norm)."""
-        return np.array([b.norm() for b in self.branches])
+        c = self.coeffs
+        return np.einsum("ij,jk,ik->i", c.conj(), self.pair.gram, c).real
 
     def total_probability(self) -> float:
         return float(self.branch_probabilities().sum())
@@ -163,9 +233,8 @@ class StoreyBound:
 
 def reference_state(geom: SlitGeometry, grid: GridSpec) -> Wavefunction:
     """The detector-free superposition ``(psi1 + psi2)/sqrt(2)``."""
-    psi1 = slit_state(geom, grid, 1)
-    psi2 = slit_state(geom, grid, 2)
-    return Wavefunction(grid, (psi1.amplitudes + psi2.amplitudes) / math.sqrt(2.0))
+    pair = _slit_pair(geom, grid)
+    return Wavefunction(grid, (pair.psi1.amplitudes + pair.psi2.amplitudes) / math.sqrt(2.0))
 
 
 def assemble(geom: SlitGeometry, grid: GridSpec, coeffs: UqsdCoefficients) -> BranchState:
@@ -177,13 +246,9 @@ def assemble(geom: SlitGeometry, grid: GridSpec, coeffs: UqsdCoefficients) -> Br
 
     whose branch probabilities are ``(1-c)/2, (1-c)/2, c``.
     """
-    psi1 = slit_state(geom, grid, 1)
-    psi2 = slit_state(geom, grid, 2)
     s = 1.0 / math.sqrt(2.0)
-    b1 = Wavefunction(grid, coeffs.alpha * s * psi1.amplitudes)
-    b2 = Wavefunction(grid, coeffs.gamma * s * psi2.amplitudes)
-    b3 = Wavefunction(grid, s * (coeffs.beta * psi1.amplitudes + coeffs.delta * psi2.amplitudes))
-    return BranchState(COMPUTATIONAL, (b1, b2, b3))
+    rows = [[coeffs.alpha * s, 0.0], [0.0, coeffs.gamma * s], [s * coeffs.beta, s * coeffs.delta]]
+    return BranchState(COMPUTATIONAL, rows, _slit_pair(geom, grid))
 
 
 def change_basis(state: BranchState, to: Basis) -> BranchState:
@@ -192,39 +257,30 @@ def change_basis(state: BranchState, to: Basis) -> BranchState:
     The transform is unitary, so branch probabilities re-distribute while
     the summed screen density stays exactly the same.
     """
-    m = basis_matrix(state.basis, to)
-    grid = state.grid
-    amps = [b.amplitudes for b in state.branches]
-    new = tuple(
-        Wavefunction(grid, m[i, 0] * amps[0] + m[i, 1] * amps[1] + m[i, 2] * amps[2])
-        for i in range(3)
-    )
-    return BranchState(to, new)
+    return BranchState(to, basis_matrix(state.basis, to) @ state.coeffs, state.pair)
 
 
 def propagate_all(state: BranchState, geom: SlitGeometry, units: PhysicalUnits) -> BranchState:
     """Propagate every branch freely for ``units.t``.
 
-    Propagation is linear, so it commutes with :func:`change_basis`.
-    Branches that are exactly empty are passed through untouched.
+    Propagation is linear, so it acts on the slit pair alone and commutes
+    with :func:`change_basis`.
     """
-    out = []
-    for b in state.branches:
-        if float(np.vdot(b.amplitudes, b.amplitudes).real) == 0.0:
-            out.append(b)
-        else:
-            out.append(propagate_fft(b, geom, units))
-    return BranchState(state.basis, tuple(out))
+    return BranchState(state.basis, state.coeffs, state.pair.propagated(geom, units))
 
 
 def screen_density(state: BranchState) -> ScreenPattern:
     """Total screen density: the incoherent sum of branch densities.
 
-    Independent of the detector basis, since basis changes are unitary.
+    With ``M = coeffs^H coeffs`` it is ``M00 |psi1|^2 + M11 |psi2|^2 +
+    2 Re(M01 conj(psi1) psi2)``.  Independent of the detector basis, since
+    basis changes are unitary and leave ``M`` alone.
     """
-    rho = np.zeros(state.grid.n)
-    for b in state.branches:
-        rho += b.density()
+    m = state.coeffs.conj().T @ state.coeffs
+    psi1, psi2 = state.pair.psi1.amplitudes, state.pair.psi2.amplitudes
+    cross = np.conj(psi1) * psi2
+    cross *= 2.0 * m[0, 1]
+    rho = m[0, 0].real * np.abs(psi1) ** 2 + m[1, 1].real * np.abs(psi2) ** 2 + cross.real
     return ScreenPattern(state.grid, rho)
 
 
@@ -241,11 +297,11 @@ def conditional_density(state: BranchState, outcome: Outcome) -> tuple[float, Sc
     outcomes = state.basis.outcomes
     if outcome not in outcomes:
         raise DomainError(f"outcome {outcome} is not measurable in the {state.basis.kind} basis")
-    branch = state.branches[outcomes.index(outcome)]
-    prob = branch.norm()
+    i = outcomes.index(outcome)
+    prob = float(state.branch_probabilities()[i])
     if prob < EMPTY_BRANCH_TOL:
         raise EmptyBranchError(f"branch {outcome} has zero probability; no pattern")
-    return prob, ScreenPattern(state.grid, branch.density() / prob)
+    return prob, ScreenPattern(state.grid, state.branch(i).density() / prob)
 
 
 def fringe_window(geom: SlitGeometry, units: PhysicalUnits) -> tuple[float, float]:
@@ -362,13 +418,11 @@ def kick_identity_residual(geom: SlitGeometry, grid: GridSpec) -> float:
     factor is nearly constant across each slit and the residual scales like
     ``pi*sigma/d``; it vanishes only in the zero-width limit.
     """
-    psi1 = slit_state(geom, grid, 1)
-    psi2 = slit_state(geom, grid, 2)
+    pair = _slit_pair(geom, grid)
+    psi1, psi2 = pair.psi1.amplitudes, pair.psi2.amplitudes
     s = 1.0 / math.sqrt(2.0)
     phase = np.exp(1j * math.pi * grid.x / geom.d)
-    diff = s * (psi1.amplitudes - psi2.amplitudes) - phase * s * (
-        psi1.amplitudes + psi2.amplitudes
-    )
+    diff = s * (psi1 - psi2) - phase * s * (psi1 + psi2)
     return float(math.sqrt(np.vdot(diff, diff).real * grid.dx))
 
 
@@ -463,17 +517,14 @@ def kick_report(
     """
     if state.basis.kind != "symmetric":
         raise DomainError("kick analysis requires the symmetric basis")
-    q_plus, q_minus = state.branches[0], state.branches[1]
-    f_branch = q_minus.norm()
+    probs = state.branch_probabilities()
+    f_branch = float(probs[1])
     p0 = math.pi * units.hbar / geom.d
-    if f_branch < EMPTY_BRANCH_TOL or q_plus.norm() < EMPTY_BRANCH_TOL:
+    if f_branch < EMPTY_BRANCH_TOL or probs[0] < EMPTY_BRANCH_TOL:
         measured = None
     else:
-        measured = _comb_shift(
-            to_momentum(q_minus, hbar=units.hbar),
-            to_momentum(q_plus, hbar=units.hbar),
-            geom.d,
-        )
+        q_plus, q_minus = state.pair.spectra(state.coeffs[:2], units.hbar)
+        measured = _comb_shift(q_minus, q_plus, geom.d)
     return KickReport(
         p0=p0,
         p0_measured=measured,
@@ -492,13 +543,11 @@ def phase_kick_shift(state: BranchState, geom: SlitGeometry, units: PhysicalUnit
     shift of its momentum density relative to the ``theta = 0`` failure
     spectrum, which equals ``theta*hbar/d`` up to momentum-bin rounding.
     """
-    q3 = state.branches[2]
-    if q3.norm() < EMPTY_BRANCH_TOL:
+    if state.branch_probabilities()[2] < EMPTY_BRANCH_TOL:
         raise EmptyBranchError("failure branch is empty; no phase kick to measure")
-    ref = reference_state(geom, state.grid)
-    return _comb_shift(
-        to_momentum(q3, hbar=units.hbar), to_momentum(ref, hbar=units.hbar), geom.d
-    )
+    s = 1.0 / math.sqrt(2.0)
+    q3, ref = state.pair.spectra([state.coeffs[2], (s, s)], units.hbar)
+    return _comb_shift(q3, ref, geom.d)
 
 
 def tilted_relative_kick(
@@ -512,12 +561,10 @@ def tilted_relative_kick(
     relative displacement stays at half a fringe, ``pi*hbar/d``.
     """
     rotated = change_basis(state, tilted(theta_prime))
-    q_plus, q_minus = rotated.branches[0], rotated.branches[1]
-    if q_plus.norm() < EMPTY_BRANCH_TOL or q_minus.norm() < EMPTY_BRANCH_TOL:
+    if rotated.branch_probabilities()[:2].min() < EMPTY_BRANCH_TOL:
         raise EmptyBranchError("tilted branches are empty; no relative kick")
-    return _comb_shift(
-        to_momentum(q_minus, hbar=units.hbar), to_momentum(q_plus, hbar=units.hbar), geom.d
-    )
+    q_plus, q_minus = rotated.pair.spectra(rotated.coeffs[:2], units.hbar)
+    return _comb_shift(q_minus, q_plus, geom.d)
 
 
 def storey_bound_report(visibility: float) -> StoreyBound:
@@ -567,7 +614,7 @@ def sample_events(state: BranchState, count: int, seed: int) -> tuple[np.ndarray
         mask = codes == i
         if not mask.any():
             continue
-        cdf, edges = _cell_cdf(state.branches[i].density(), state.grid)
+        cdf, edges = _cell_cdf(state.branch(i).density(), state.grid)
         xs[mask] = np.interp(u[mask, 1], cdf, edges)
     return codes, xs
 

@@ -150,9 +150,6 @@ class DetectorVector:
     def norm(self) -> float:
         return math.sqrt(self.inner(self).real)
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.amplitudes, dtype=np.complex128)
-
 
 @dataclass(frozen=True)
 class Basis:
@@ -173,6 +170,8 @@ class Basis:
             raise DomainError(f"unknown basis kind: {self.kind!r}")
         if self.kind != "tilted" and self.angle != 0.0:
             raise DomainError("only tilted bases carry a nonzero angle")
+        if not math.isfinite(self.angle):
+            raise DomainError(f"tilted-basis angle must be finite, got {self.angle}")
 
     @property
     def outcomes(self) -> tuple[Outcome, Outcome, Outcome]:

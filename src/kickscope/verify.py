@@ -101,35 +101,20 @@ class CheckResult:
 
 
 class _Workbench:
-    """Caches the expensive propagated objects shared between checks."""
+    """States the checks share; `experiment` memoizes the propagated slit pair."""
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
-        self._states: dict[tuple[float, float], BranchState] = {}
-        self._propagated: dict[tuple[float, float], BranchState] = {}
-        self._patterns: dict[tuple[float, float], ScreenPattern] = {}
 
     def state(self, c: float, theta: float = 0.0) -> BranchState:
-        key = (c, theta)
-        if key not in self._states:
-            coeffs = build_uqsd(DetectorConfig(c=c, theta=theta))
-            sym = change_basis(assemble(self.cfg.geometry, self.cfg.grid, coeffs), SYMMETRIC)
-            self._states[key] = sym
-        return self._states[key]
+        coeffs = build_uqsd(DetectorConfig(c=c, theta=theta))
+        return change_basis(assemble(self.cfg.geometry, self.cfg.grid, coeffs), SYMMETRIC)
 
     def propagated(self, c: float, theta: float = 0.0) -> BranchState:
-        key = (c, theta)
-        if key not in self._propagated:
-            self._propagated[key] = propagate_all(
-                self.state(c, theta), self.cfg.geometry, self.cfg.units
-            )
-        return self._propagated[key]
+        return propagate_all(self.state(c, theta), self.cfg.geometry, self.cfg.units)
 
     def pattern(self, c: float, theta: float = 0.0) -> ScreenPattern:
-        key = (c, theta)
-        if key not in self._patterns:
-            self._patterns[key] = screen_density(self.propagated(c, theta))
-        return self._patterns[key]
+        return screen_density(self.propagated(c, theta))
 
     def visibility(self, c: float, theta: float = 0.0) -> float:
         fr = fringe_analysis(self.pattern(c, theta), self.cfg.geometry, self.cfg.units)
@@ -138,6 +123,10 @@ class _Workbench:
     def momentum_bin(self) -> float:
         g = self.cfg.grid
         return 2.0 * math.pi * self.cfg.units.hbar / (g.n * g.dx)
+
+
+def _verdict(name: str, ok: bool, detail: str) -> CheckResult:
+    return CheckResult(name, "PASS" if ok else "FAIL", detail)
 
 
 CheckFn = Callable[["_Workbench", float], CheckResult]
@@ -165,8 +154,7 @@ def _chk_hilbert_norm(bench: _Workbench, tol: float) -> CheckResult:
                 abs(d2.norm() - 1.0),
                 abs(d1.inner(d2) - cfg.overlap),
             )
-    ok = worst <= tol
-    return CheckResult("hilbert.normalization", "PASS" if ok else "FAIL", f"max dev {worst:.3g}")
+    return _verdict("hilbert.normalization", worst <= tol, f"max dev {worst:.3g}")
 
 
 @_check("hilbert.unitarity")
@@ -184,8 +172,7 @@ def _chk_hilbert_unitarity(bench: _Workbench, tol: float) -> CheckResult:
         m = basis_matrix(COMPUTATIONAL, b)
         worst = max(worst, float(np.abs(m[:, 2] - eye[:, 2]).max()))
         worst = max(worst, float(np.abs(m[2, :] - eye[2, :]).max()))
-    ok = worst <= tol
-    return CheckResult("hilbert.unitarity", "PASS" if ok else "FAIL", f"max dev {worst:.3g}")
+    return _verdict("hilbert.unitarity", worst <= tol, f"max dev {worst:.3g}")
 
 
 @_check("wavepacket.normalization")
@@ -194,8 +181,7 @@ def _chk_wp_norm(bench: _Workbench, tol: float) -> CheckResult:
     worst = max(
         abs(slit_state(cfg.geometry, cfg.grid, s).norm() - 1.0) for s in (1, 2)
     )
-    ok = worst <= tol
-    return CheckResult("wavepacket.normalization", "PASS" if ok else "FAIL", f"max dev {worst:.3g}")
+    return _verdict("wavepacket.normalization", worst <= tol, f"max dev {worst:.3g}")
 
 
 @_check("wavepacket.momentum_oracle")
@@ -209,8 +195,7 @@ def _chk_wp_momentum(bench: _Workbench, tol: float) -> CheckResult:
     )
     worst = float(np.abs(spec.amplitudes - oracle).max())
     worst = max(worst, abs(spec.norm() - 1.0))
-    ok = worst <= tol
-    return CheckResult("wavepacket.momentum_oracle", "PASS" if ok else "FAIL", f"max dev {worst:.3g}")
+    return _verdict("wavepacket.momentum_oracle", worst <= tol, f"max dev {worst:.3g}")
 
 
 @_check("wavepacket.roundtrip")
@@ -219,8 +204,7 @@ def _chk_wp_roundtrip(bench: _Workbench, tol: float) -> CheckResult:
     psi = slit_state(cfg.geometry, cfg.grid, 2)
     back = to_position(to_momentum(psi, hbar=cfg.units.hbar))
     worst = float(np.abs(back.amplitudes - psi.amplitudes).max())
-    ok = worst <= tol
-    return CheckResult("wavepacket.roundtrip", "PASS" if ok else "FAIL", f"max dev {worst:.3g}")
+    return _verdict("wavepacket.roundtrip", worst <= tol, f"max dev {worst:.3g}")
 
 
 @_check("wavepacket.propagator_agreement")
@@ -231,10 +215,7 @@ def _chk_wp_propagators(bench: _Workbench, tol: float) -> CheckResult:
         via_fft = propagate_fft(slit_state(cfg.geometry, cfg.grid, slit), cfg.geometry, cfg.units)
         closed = propagate_analytic(cfg.geometry, cfg.grid, cfg.units, slit)
         worst = max(worst, float(np.abs(via_fft.amplitudes - closed.amplitudes).max()))
-    ok = worst <= tol
-    return CheckResult(
-        "wavepacket.propagator_agreement", "PASS" if ok else "FAIL", f"max abs diff {worst:.3g}"
-    )
+    return _verdict("wavepacket.propagator_agreement", worst <= tol, f"max abs diff {worst:.3g}")
 
 
 @_check("wavepacket.kick_displacement")
@@ -252,10 +233,7 @@ def _chk_wp_kick(bench: _Workbench, tol: float) -> CheckResult:
         mean0 = float(np.sum(spec0.p * spec0.density()) * spec0.dp)
         mean1 = float(np.sum(spec1.p * spec1.density()) * spec1.dp)
         worst = max(worst, abs(mean1 - mean0 - p))
-    ok = worst <= tol
-    return CheckResult(
-        "wavepacket.kick_displacement", "PASS" if ok else "FAIL", f"mean off by {worst:.3g}"
-    )
+    return _verdict("wavepacket.kick_displacement", worst <= tol, f"mean off by {worst:.3g}")
 
 
 @_check("experiment.branch_probabilities")
@@ -270,10 +248,7 @@ def _chk_exp_probs(bench: _Workbench, tol: float) -> CheckResult:
             probs = st.branch_probabilities()
             worst = max(worst, float(np.abs(probs - expected).max()))
             worst = max(worst, abs(probs.sum() - 1.0))
-    ok = worst <= tol
-    return CheckResult(
-        "experiment.branch_probabilities", "PASS" if ok else "FAIL", f"max dev {worst:.3g}"
-    )
+    return _verdict("experiment.branch_probabilities", worst <= tol, f"max dev {worst:.3g}")
 
 
 @_check("experiment.failure_probability")
@@ -281,11 +256,8 @@ def _chk_exp_fail(bench: _Workbench, tol: float) -> CheckResult:
     cfg = bench.cfg
     c = cfg.detector.c
     state = bench.state(c, cfg.detector.theta)
-    dev = abs(state.branches[2].norm() - c)
-    ok = dev <= tol
-    return CheckResult(
-        "experiment.failure_probability", "PASS" if ok else "FAIL", f"|P(fail) - c| = {dev:.3g}"
-    )
+    dev = abs(state.branch_probabilities()[2] - c)
+    return _verdict("experiment.failure_probability", dev <= tol, f"|P(fail) - c| = {dev:.3g}")
 
 
 @_check("experiment.basis_invariance")
@@ -297,10 +269,7 @@ def _chk_exp_basis(bench: _Workbench, tol: float) -> CheckResult:
     worst = 0.0
     for b in (SYMMETRIC, tilted(math.pi / 4)):
         worst = max(worst, float(np.abs(screen_density(change_basis(state, b)).values - rho_comp).max()))
-    ok = worst <= tol
-    return CheckResult(
-        "experiment.basis_invariance", "PASS" if ok else "FAIL", f"max abs diff {worst:.3g}"
-    )
+    return _verdict("experiment.basis_invariance", worst <= tol, f"max abs diff {worst:.3g}")
 
 
 @_check("experiment.density_formula")
@@ -317,10 +286,7 @@ def _chk_exp_density(bench: _Workbench, tol: float) -> CheckResult:
     )
     rho = bench.pattern(det.c, det.theta).values
     worst = float(np.abs(rho - direct).max())
-    ok = worst <= tol
-    return CheckResult(
-        "experiment.density_formula", "PASS" if ok else "FAIL", f"max abs diff {worst:.3g}"
-    )
+    return _verdict("experiment.density_formula", worst <= tol, f"max abs diff {worst:.3g}")
 
 
 @_check("experiment.visibility_law")
@@ -328,35 +294,26 @@ def _chk_exp_visibility(bench: _Workbench, tol: float) -> CheckResult:
     worst = 0.0
     for c in _C_GRID:
         worst = max(worst, abs(bench.visibility(c) - c))
-    ok = worst <= tol
-    return CheckResult(
-        "experiment.visibility_law", "PASS" if ok else "FAIL", f"max |V - c| = {worst:.3g}"
-    )
+    return _verdict("experiment.visibility_law", worst <= tol, f"max |V - c| = {worst:.3g}")
 
 
 @_check("experiment.kick_fraction")
 def _chk_exp_fraction(bench: _Workbench, tol: float) -> CheckResult:
     worst = 0.0
     for c in _C_GRID:
-        f_branch = bench.state(c).branches[1].norm()
+        f_branch = bench.state(c).branch_probabilities()[1]
         worst = max(worst, abs(f_branch - (1.0 - c) / 2.0))
-    ok = worst <= tol
-    return CheckResult(
-        "experiment.kick_fraction", "PASS" if ok else "FAIL", f"max |F_k - (1-c)/2| = {worst:.3g}"
-    )
+    return _verdict("experiment.kick_fraction", worst <= tol, f"max |F_k - (1-c)/2| = {worst:.3g}")
 
 
 @_check("experiment.kick_fraction_vs_visibility")
 def _chk_exp_fraction_vis(bench: _Workbench, tol: float) -> CheckResult:
     worst = 0.0
     for c in _C_GRID:
-        f_branch = bench.state(c).branches[1].norm()
+        f_branch = bench.state(c).branch_probabilities()[1]
         worst = max(worst, abs(f_branch - (1.0 - bench.visibility(c)) / 2.0))
-    ok = worst <= tol
-    return CheckResult(
-        "experiment.kick_fraction_vs_visibility",
-        "PASS" if ok else "FAIL",
-        f"max |F_k - (1-V)/2| = {worst:.3g}",
+    return _verdict(
+        "experiment.kick_fraction_vs_visibility", worst <= tol, f"max |F_k - (1-V)/2| = {worst:.3g}"
     )
 
 
@@ -370,10 +327,7 @@ def _chk_exp_kick(bench: _Workbench, tol: float) -> CheckResult:
         report = kick_report(bench.state(c), cfg.geometry, cfg.units, DetectorConfig(c=c))
         assert report.p0_measured is not None
         worst = max(worst, abs(report.p0_measured - p0) / dp)
-    ok = worst <= tol
-    return CheckResult(
-        "experiment.kick_magnitude", "PASS" if ok else "FAIL", f"worst offset {worst:.3g} bins"
-    )
+    return _verdict("experiment.kick_magnitude", worst <= tol, f"worst offset {worst:.3g} bins")
 
 
 @_check("experiment.detector_kick")
@@ -385,17 +339,16 @@ def _chk_exp_detector_kick(bench: _Workbench, tol: float) -> CheckResult:
     )
     if det.c == 1.0:
         ok = report.p0_measured is None
-        return CheckResult(
+        return _verdict(
             "experiment.detector_kick",
-            "PASS" if ok else "FAIL",
+            ok,
             "kicked branch empty at c = 1; no estimate (as expected)"
             if ok
             else "expected no kick estimate at c = 1",
         )
     dp = bench.momentum_bin()
     off = abs(report.p0_measured - report.p0) / dp
-    ok = off <= tol
-    return CheckResult("experiment.detector_kick", "PASS" if ok else "FAIL", f"off by {off:.3g} bins")
+    return _verdict("experiment.detector_kick", off <= tol, f"off by {off:.3g} bins")
 
 
 @_check("experiment.tilted_kick")
@@ -413,10 +366,7 @@ def _chk_exp_tilted(bench: _Workbench, tol: float) -> CheckResult:
         worst = max(
             worst, abs(tilted_relative_kick(state, cfg.geometry, cfg.units, tp) - p0) / dp
         )
-    ok = worst <= tol
-    return CheckResult(
-        "experiment.tilted_kick", "PASS" if ok else "FAIL", f"worst offset {worst:.3g} bins"
-    )
+    return _verdict("experiment.tilted_kick", worst <= tol, f"worst offset {worst:.3g} bins")
 
 
 @_check("experiment.kick_identity")
@@ -432,9 +382,8 @@ def _chk_exp_identity(bench: _Workbench, tol: float) -> CheckResult:
         worst = max(worst, abs(measured - oracle) / oracle)
         monotone = monotone and measured > last
         last = measured
-    ok = worst <= tol and monotone
     detail = f"max rel dev {worst:.3g}" + ("" if monotone else "; NOT monotone in sigma/d")
-    return CheckResult("experiment.kick_identity", "PASS" if ok else "FAIL", detail)
+    return _verdict("experiment.kick_identity", worst <= tol and monotone, detail)
 
 
 @_check("experiment.phase_kick")
@@ -447,19 +396,15 @@ def _chk_exp_phase(bench: _Workbench, tol: float) -> CheckResult:
         shift = phase_kick_shift(state, cfg.geometry, cfg.units)
         expected = theta * cfg.units.hbar / cfg.geometry.d
         worst = max(worst, abs(shift - expected) / dp)
-    ok = worst <= tol
-    return CheckResult(
-        "experiment.phase_kick", "PASS" if ok else "FAIL", f"worst offset {worst:.3g} bins"
-    )
+    return _verdict("experiment.phase_kick", worst <= tol, f"worst offset {worst:.3g} bins")
 
 
 @_check("experiment.phase_visibility")
 def _chk_exp_phase_vis(bench: _Workbench, tol: float) -> CheckResult:
     v0 = bench.visibility(0.5, 0.0)
     worst = max(abs(bench.visibility(0.5, theta) - v0) for theta in _PHASE_GRID)
-    ok = worst <= tol
-    return CheckResult(
-        "experiment.phase_visibility", "PASS" if ok else "FAIL", f"max |V(theta) - V(0)| = {worst:.3g}"
+    return _verdict(
+        "experiment.phase_visibility", worst <= tol, f"max |V(theta) - V(0)| = {worst:.3g}"
     )
 
 
@@ -494,10 +439,7 @@ def _chk_exp_sampler(bench: _Workbench, tol: float) -> CheckResult:
             worst = max(worst, 0.0 if abs(freq - p) < 1e-9 else math.inf)
         else:
             worst = max(worst, abs(freq - p) / sigma)
-    ok = worst <= tol
-    return CheckResult(
-        "experiment.sampler_outcomes", "PASS" if ok else "FAIL", f"worst {worst:.3g} sigma"
-    )
+    return _verdict("experiment.sampler_outcomes", worst <= tol, f"worst {worst:.3g} sigma")
 
 
 @_check("experiment.sampler_gof")
@@ -508,8 +450,7 @@ def _chk_exp_gof(bench: _Workbench, tol: float) -> CheckResult:
     count = max(cfg.sample_count, 10_000)
     _, xs = sample_events(state, count, cfg.seed)
     _, pvalue = screen_goodness_of_fit(xs, bench.pattern(det.c, det.theta))
-    ok = pvalue > tol
-    return CheckResult("experiment.sampler_gof", "PASS" if ok else "FAIL", f"p = {pvalue:.4f}")
+    return _verdict("experiment.sampler_gof", pvalue > tol, f"p = {pvalue:.4f}")
 
 
 @_check("experiment.sampler_determinism")
@@ -520,9 +461,9 @@ def _chk_exp_determinism(bench: _Workbench, tol: float) -> CheckResult:
     codes_a, xs_a = sample_events(state, 512, cfg.seed)
     codes_b, xs_b = sample_events(state, 512, cfg.seed)
     identical = np.array_equal(codes_a, codes_b) and np.array_equal(xs_a, xs_b)
-    return CheckResult(
+    return _verdict(
         "experiment.sampler_determinism",
-        "PASS" if identical else "FAIL",
+        identical,
         "same seed reproduces events exactly" if identical else "event streams diverged",
     )
 

@@ -17,7 +17,8 @@ multiplies the momentum amplitudes by ``exp(-i*p^2*t/(2*m*hbar))`` and
 `propagate_analytic` evaluates the closed-form spreading Gaussian with the
 complex width ``B(t) = sigma^2 + i*hbar*t/(2*m)``.  The two routes are
 independent checks of each other and must agree to high accuracy on any
-grid with enough headroom.
+grid with enough headroom.  Both refuse a box that the evolved packet would
+reach with more than `WRAPAROUND_TOL` of its peak amplitude.
 """
 
 from __future__ import annotations
@@ -51,6 +52,13 @@ __all__ = [
 #: degrades noticeably; crossing it triggers a warning, not an error.
 NARROW_SLIT_RATIO = 0.05
 
+#: Largest amplitude, relative to the peak, that the evolved packet may
+#: still carry at the box edge, where the periodic FFT box folds it back.
+WRAPAROUND_TOL = 1e-10
+# |psi(x, t)| falls off as exp(-x^2/(4*sigma_t^2)), which is WRAPAROUND_TOL
+# at k*sigma_t with k = 2*sqrt(ln(1/WRAPAROUND_TOL)), about 9.6.
+_HEADROOM_WIDTHS = 2.0 * math.sqrt(math.log(1.0 / WRAPAROUND_TOL))
+
 
 @dataclass(frozen=True)
 class SlitGeometry:
@@ -60,10 +68,10 @@ class SlitGeometry:
     sigma: float
 
     def __post_init__(self) -> None:
-        if self.d <= 0:
-            raise DomainError(f"slit separation d must be positive, got {self.d}")
-        if self.sigma <= 0:
-            raise DomainError(f"slit width sigma must be positive, got {self.sigma}")
+        if not (math.isfinite(self.d) and self.d > 0):
+            raise DomainError(f"slit separation d must be positive and finite, got {self.d}")
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise DomainError(f"slit width sigma must be positive and finite, got {self.sigma}")
         if self.sigma / self.d > NARROW_SLIT_RATIO:
             warnings.warn(
                 "sigma/d = %.3g exceeds %.2g; the narrow-slit (half-fringe kick) "
@@ -93,8 +101,11 @@ class GridSpec:
     def __post_init__(self) -> None:
         if self.n < 16 or (self.n & (self.n - 1)) != 0:
             raise ConfigurationError(f"grid size must be a power of two >= 16, got {self.n}")
-        if not self.x_max > self.x_min:
-            raise ConfigurationError("grid extent is empty: x_max must exceed x_min")
+        finite = math.isfinite(self.x_min) and math.isfinite(self.x_max)
+        if not (finite and self.x_max > self.x_min):
+            raise ConfigurationError(
+                f"grid extent [{self.x_min}, {self.x_max}) must be finite and non-empty"
+            )
 
     @property
     def dx(self) -> float:
@@ -120,10 +131,11 @@ class PhysicalUnits:
     t: float = 5.0
 
     def __post_init__(self) -> None:
-        if self.hbar <= 0 or self.mass <= 0:
-            raise DomainError("hbar and mass must be positive")
-        if self.t < 0:
-            raise DomainError(f"flight time t must be non-negative, got {self.t}")
+        for name, value in (("hbar", self.hbar), ("mass", self.mass)):
+            if not (math.isfinite(value) and value > 0):
+                raise DomainError(f"{name} must be positive and finite, got {value}")
+        if not (math.isfinite(self.t) and self.t >= 0):
+            raise DomainError(f"flight time t must be non-negative and finite, got {self.t}")
 
 
 def _adopt(arr: np.ndarray, n: int) -> np.ndarray:
@@ -231,36 +243,27 @@ def to_momentum(psi: Wavefunction, hbar: float = 1.0) -> MomentumSpectrum:
         Amplitudes ``Phi(p_k)`` with ``sum |Phi|^2 dp = sum |psi|^2 dx``.
     """
     grid = psi.grid
-    n = grid.n
-    # Shifting the DFT index by n/2 centers the momentum grid; in position
-    # space that shift is the alternating sign (-1)^j.
-    signs = np.ones(n)
-    signs[1::2] = -1.0
-    inner = scipy.fft.fft(psi.amplitudes * signs)
-    spec = MomentumSpectrum(grid, inner, hbar=hbar)  # temporary, for the p grid
+    # fftshift centers the momentum grid on p = 0; the phase moves the
+    # position origin from x_min to 0.
+    spec = MomentumSpectrum(grid, scipy.fft.fftshift(scipy.fft.fft(psi.amplitudes)), hbar=hbar)
     phase = np.exp(-1j * spec.p * (grid.x_min / hbar))
-    amps = (grid.dx / math.sqrt(2.0 * math.pi * hbar)) * phase * inner
+    amps = (grid.dx / math.sqrt(2.0 * math.pi * hbar)) * phase * spec.amplitudes
     return MomentumSpectrum(grid, amps, hbar=hbar)
 
 
 def to_position(spec: MomentumSpectrum) -> Wavefunction:
     """Inverse of :func:`to_momentum` on the same grid."""
-    grid = spec.grid
-    n = grid.n
-    hbar = spec.hbar
+    grid, hbar = spec.grid, spec.hbar
     phased = spec.amplitudes * np.exp(1j * spec.p * (grid.x_min / hbar))
-    inner = scipy.fft.ifft(phased)
-    signs = np.ones(n)
-    signs[1::2] = -1.0
-    amps = (math.sqrt(2.0 * math.pi * hbar) / grid.dx) * signs * inner
+    amps = (math.sqrt(2.0 * math.pi * hbar) / grid.dx) * scipy.fft.ifft(scipy.fft.ifftshift(phased))
     return Wavefunction(grid, amps)
 
 
 def _check_headroom(grid: GridSpec, geom: SlitGeometry, units: PhysicalUnits) -> None:
-    # Free spreading reaches a half-width W = hbar*t/(2*m*sigma); anything
-    # narrower than [-3W, d+3W] would alias around the periodic FFT box.
+    # W is the spreading half-width and sqrt(sigma^2 + W^2) the evolved width.
     w = units.hbar * units.t / (2.0 * units.mass * geom.sigma)
-    lo, hi = -3.0 * w, geom.d + 3.0 * w
+    margin = _HEADROOM_WIDTHS * math.hypot(geom.sigma, w)
+    lo, hi = -margin, geom.d + margin
     if grid.x_min > lo or grid.x_max < hi:
         raise ConfigurationError(
             "grid extent [%g, %g] cannot hold the evolved state: need [%g, %g]; "
@@ -271,14 +274,20 @@ def _check_headroom(grid: GridSpec, geom: SlitGeometry, units: PhysicalUnits) ->
 def propagate_fft(psi: Wavefunction, geom: SlitGeometry, units: PhysicalUnits) -> Wavefunction:
     """Evolve ``psi`` freely for time ``units.t`` via the momentum representation.
 
-    The grid must satisfy the wraparound bound (extent covering
-    ``[-3W, d+3W]`` with ``W = hbar*t/(2*m*sigma)``); violating it raises
-    ``ConfigurationError`` rather than silently aliasing.
+    Computes ``ifft(K * fft(psi))`` with ``K = exp(-i*p^2*t/(2*m*hbar))``:
+    the ``x_min`` phases and centering shifts of :func:`to_momentum` and
+    :func:`to_position` cancel between the two.  A grid without the
+    wraparound headroom (see `WRAPAROUND_TOL`) raises ``ConfigurationError``.
     """
-    _check_headroom(psi.grid, geom, units)
-    spec = to_momentum(psi, hbar=units.hbar)
-    kinetic = np.exp(-1j * spec.p**2 * (units.t / (2.0 * units.mass * units.hbar)))
-    return to_position(MomentumSpectrum(psi.grid, spec.amplitudes * kinetic, hbar=units.hbar))
+    grid = psi.grid
+    _check_headroom(grid, geom, units)
+    # MomentumSpectrum.p's values in FFT order; K's phase p^2*t/(2*m*hbar)
+    # turns an ulp of difference in p into visible changes downstream.
+    dp = 2.0 * math.pi * units.hbar / (grid.n * grid.dx)
+    p = scipy.fft.ifftshift((np.arange(grid.n) - grid.n // 2) * dp)
+    spec = scipy.fft.fft(psi.amplitudes)
+    spec *= np.exp(-1j * p**2 * (units.t / (2.0 * units.mass * units.hbar)))
+    return Wavefunction(grid, scipy.fft.ifft(spec, overwrite_x=True))
 
 
 def propagate_analytic(

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 import kickscope
-from kickscope import cli
+from kickscope import cli, experiment
+from kickscope import verify as verify_module
 from kickscope.cli import main
 from kickscope.config import default_config, load_config
 from kickscope.verify import run_suite
@@ -124,14 +125,16 @@ class TestSample:
 
     @pytest.mark.parametrize("chunk", [None, 7])
     def test_output_bytes_are_pinned(self, cfg_path, tmp_path, monkeypatch, chunk):
-        # sha256 of the REDUCED run (seed 7, 2000 events) as written when
-        # events were still built one object at a time.  chunk = 7 puts
-        # writer chunk boundaries inside the event stream.
+        # sha256 of the REDUCED run (seed 7, 2000 events), recorded when the
+        # branches became combinations of one propagated slit pair.  Against
+        # the earlier three-branch propagation every outcome and count is the
+        # same and positions moved by at most 2.1e-14*max(1, |x|).  chunk = 7
+        # puts writer chunk boundaries inside the event stream.
         if chunk is not None:
             monkeypatch.setattr(cli, "_EVENT_CHUNK", chunk)
         golden = {
-            "events.csv": "7f35eceff57984db6879b16056c1e98fe014df6fab087cac5bed728ec4289885",
-            "sample_summary.txt": "da19047506ad5d8b01f82bfe33d36c48c7f7aad93a67f496b0eec119798a6243",
+            "events.csv": "a22168d8ffc0dc6d19076c2b68f55cdfcd1f1151918d5c82f43d6206974bdebc",
+            "sample_summary.txt": "4a3f0602a7ca8c7eb38cb39085390f3992282f9b47cef4a3e1603330e75c20fb",
         }
         out = tmp_path / "out"
         assert main(["sample", "--config", cfg_path, "--out", str(out)]) == 0
@@ -186,6 +189,24 @@ class TestFailureModes:
         assert "sampling.seed" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "line,name",
+        [
+            ("geometry.sigma = inf", "sigma"),
+            ("units.hbar = nan", "hbar"),
+            ("basis = tilted:nan", "angle"),
+        ],
+    )
+    def test_non_finite_input_exits_2_with_no_outputs(self, tmp_path, capsys, line, name):
+        path = tmp_path / "bad.cfg"
+        path.write_text(REDUCED + line + "\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and name in err and "finite" in err
+        assert list(out.iterdir()) == []
+
     def test_unknown_key_reports_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("# comment\ngrid.m = 4\n")
@@ -238,6 +259,29 @@ class TestVerifyCommand:
     def test_rejects_unknown_override_names(self, cfg_path):
         with pytest.raises(KeyError):
             run_suite(load_config(cfg_path), tolerance_overrides={"no.such.check": 1.0})
+
+
+def test_scan_and_verify_propagate_the_slit_pair_once(cfg_path, tmp_path, monkeypatch):
+    # Every c shares one slit pair, so scan propagates two states however
+    # many c-values it sweeps; verify adds only the two propagations that
+    # wavepacket.propagator_agreement makes on purpose.
+    calls = []
+    real = experiment.propagate_fft
+
+    def counting(psi, geom, units):
+        calls.append(psi.grid.n)
+        return real(psi, geom, units)
+
+    monkeypatch.setattr(experiment, "propagate_fft", counting)
+    monkeypatch.setattr(verify_module, "propagate_fft", counting)
+    experiment._slit_pair.cache_clear()
+    argv = ["scan", "--config", cfg_path, "--out", str(tmp_path), "--c-values", "0,0.25,0.5,0.75,1"]
+    assert main(argv) == 0
+    assert len(calls) == 2
+    calls.clear()
+    experiment._slit_pair.cache_clear()
+    assert main(["verify", "--config", cfg_path]) == 0
+    assert len(calls) <= 4
 
 
 class TestVerifyAtDeskScale:

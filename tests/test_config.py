@@ -80,6 +80,24 @@ class TestParsing:
         with pytest.raises(ConfigurationError, match=fragment):
             parse_config_text(line)
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "geometry.d = nan",
+            "geometry.sigma = inf",
+            "units.hbar = nan",
+            "units.mass = inf",
+            "units.t = nan",
+            "grid.x_min = -inf",
+            "grid.x_max = nan",
+            "basis = tilted:nan",
+            "basis = tilted:inf",
+        ],
+    )
+    def test_non_finite_values_are_rejected(self, line):
+        with pytest.raises((ConfigurationError, DomainError), match="finite"):
+            parse_config_text(line)
+
     def test_error_reports_line_number(self):
         with pytest.raises(ConfigurationError, match="line 3"):
             parse_config_text("detector.c = 0.5\n# fine\ngrid.m = 4\n")

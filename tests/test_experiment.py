@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from kickscope import (
+    COMPUTATIONAL,
     SYMMETRIC,
     ConfigurationError,
     DetectorConfig,
@@ -16,8 +17,10 @@ from kickscope import (
     Outcome,
     PhysicalUnits,
     SlitGeometry,
+    Wavefunction,
     apply_kick,
     assemble,
+    basis_matrix,
     build_uqsd,
     change_basis,
     conditional_density,
@@ -29,6 +32,7 @@ from kickscope import (
     phase_kick_shift,
     propagate_all,
     propagate_analytic,
+    propagate_fft,
     reference_state,
     sample_events,
     screen_density,
@@ -39,7 +43,7 @@ from kickscope import (
     tilted_relative_kick,
     to_momentum,
 )
-from kickscope.experiment import BranchState
+from kickscope.experiment import SlitPair
 
 # Frozen closed forms.  The identity residual is
 # sqrt(2*(1 - exp(-pi^2 (sigma/d)^2 / 2))), evaluated independently.
@@ -93,11 +97,54 @@ class TestAssembly:
             assert np.max(np.abs(br_a.amplitudes - br_b.amplitudes)) <= 1e-12
 
     def test_branches_must_share_grid(self, geom, grid):
+        # Every branch is built from one slit pair, so the pair carries the
+        # one-grid invariant.
         other = GridSpec(n=grid.n, x_min=grid.x_min - 1.0, x_max=grid.x_max - 1.0)
         psi = slit_state(geom, grid, 1)
-        stray = slit_state(geom, other, 1)
+        stray = slit_state(geom, other, 2)
         with pytest.raises(ConfigurationError):
-            BranchState(basis=SYMMETRIC, branches=(psi, stray, psi))
+            SlitPair(psi, stray)
+
+
+class TestSlitPairOracle:
+    @pytest.mark.parametrize(
+        "basis",
+        [COMPUTATIONAL, SYMMETRIC, tilted(0.7)],
+        ids=["computational", "symmetric", "tilted"],
+    )
+    @pytest.mark.parametrize("theta", [0.0, 2.0])
+    @pytest.mark.parametrize("c", [0.0, 0.5, 1.0])
+    def test_matches_three_propagated_branch_arrays(self, geom, grid, units, c, theta, basis):
+        # The three-array algorithm, run here as the oracle: every branch is
+        # built on the grid, rotated array by array and propagated by itself.
+        coeffs = build_uqsd(DetectorConfig(c=c, theta=theta))
+        psi1 = slit_state(geom, grid, 1).amplitudes
+        psi2 = slit_state(geom, grid, 2).amplitudes
+        s = 1.0 / math.sqrt(2.0)
+        comp = [
+            coeffs.alpha * s * psi1,
+            coeffs.gamma * s * psi2,
+            s * (coeffs.beta * psi1 + coeffs.delta * psi2),
+        ]
+        m = basis_matrix(COMPUTATIONAL, basis)
+        emitted = [
+            Wavefunction(grid, m[i, 0] * comp[0] + m[i, 1] * comp[1] + m[i, 2] * comp[2])
+            for i in range(3)
+        ]
+        landed = [propagate_fft(b, geom, units) for b in emitted]
+
+        state = change_basis(assemble(geom, grid, coeffs), basis)
+        propagated = propagate_all(state, geom, units)
+        for st, oracle in ((state, emitted), (propagated, landed)):
+            assert_allclose(
+                st.branch_probabilities(), [b.norm() for b in oracle], rtol=0, atol=1e-12
+            )
+            assert_allclose(
+                screen_density(st).values, sum(b.density() for b in oracle), rtol=0, atol=1e-12
+            )
+            for got, branch in zip(st.spectra(units.hbar), oracle):
+                want = to_momentum(branch, hbar=units.hbar).amplitudes
+                assert_allclose(got.amplitudes, want, rtol=0, atol=1e-12)
 
 
 class TestScreenDensity:

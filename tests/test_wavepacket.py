@@ -20,6 +20,7 @@ from kickscope import (
     to_momentum,
     to_position,
 )
+from kickscope.wavepacket import WRAPAROUND_TOL
 
 # Independent closed forms, frozen:
 GAUSSIAN_OVERLAP_D1_S005 = 1.9287498479639315e-22  # exp(-1/(8*0.05^2))
@@ -47,6 +48,13 @@ class TestGridSpec:
         with pytest.raises(ConfigurationError):
             GridSpec(n=64, x_min=1.0, x_max=1.0)
 
+    @pytest.mark.parametrize(
+        "x_min,x_max", [(-math.inf, 1.0), (0.0, math.inf), (math.nan, 1.0), (0.0, math.nan)]
+    )
+    def test_rejects_non_finite_bounds(self, x_min, x_max):
+        with pytest.raises(ConfigurationError, match="finite"):
+            GridSpec(n=64, x_min=x_min, x_max=x_max)
+
     def test_axis_is_read_only(self, grid):
         with pytest.raises(ValueError):
             grid.x[0] = 99.0
@@ -64,7 +72,17 @@ class TestSlitGeometry:
         SlitGeometry(d=1.0, sigma=0.05)
         assert len(recwarn) == 0
 
-    @pytest.mark.parametrize("kwargs", [dict(d=0.0, sigma=0.01), dict(d=1.0, sigma=-0.1)])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(d=0.0, sigma=0.01),
+            dict(d=1.0, sigma=-0.1),
+            dict(d=math.inf, sigma=0.01),
+            dict(d=math.nan, sigma=0.01),
+            dict(d=1.0, sigma=math.inf),
+            dict(d=1.0, sigma=math.nan),
+        ],
+    )
     def test_rejects_non_positive_scales(self, kwargs):
         with pytest.raises(DomainError):
             SlitGeometry(**kwargs)
@@ -186,6 +204,32 @@ class TestPropagation:
         with pytest.raises(ConfigurationError):
             propagate_analytic(geom, grid, PhysicalUnits(t=0.4), slit=1)
 
+    def test_guard_rejects_a_box_four_widths_out(self, geom):
+        # W = hbar*t/(2*m*sigma) = 10: an edge at 4W leaves exp(-4) of the
+        # peak amplitude to fold back, a 1.8% error against the closed form.
+        box = GridSpec(n=16384, x_min=-40.0, x_max=41.0)
+        units = PhysicalUnits(t=0.4)
+        with pytest.raises(ConfigurationError):
+            propagate_fft(slit_state(geom, box, 1), geom, units)
+        with pytest.raises(ConfigurationError):
+            propagate_analytic(geom, box, units, slit=1)
+
+    def test_error_at_the_guard_margin_is_bounded(self, geom):
+        # The smallest box the guard accepts keeps the aliasing error at the
+        # amplitude it lets reach the edge, WRAPAROUND_TOL of the peak (the
+        # factor 2 is room for rounding, not for aliasing).
+        units = PhysicalUnits(t=0.4)
+        margin = 2.0 * math.sqrt(math.log(1.0 / WRAPAROUND_TOL)) * math.hypot(0.02, 10.0)
+        box = GridSpec(n=65536, x_min=-margin - 0.01, x_max=1.0 + margin + 0.01)
+        for slit in (1, 2):
+            via_fft = propagate_fft(slit_state(geom, box, slit), geom, units).amplitudes
+            closed = propagate_analytic(geom, box, units, slit=slit).amplitudes
+            rel = np.max(np.abs(via_fft - closed)) / np.max(np.abs(closed))
+            assert rel <= 2.0 * WRAPAROUND_TOL
+        narrower = GridSpec(n=65536, x_min=-margin + 0.5, x_max=1.0 + margin + 0.01)
+        with pytest.raises(ConfigurationError):
+            propagate_fft(slit_state(geom, narrower, 1), geom, units)
+
 
 class TestKicks:
     def test_kick_moves_mean_momentum(self, geom, grid):
@@ -215,7 +259,19 @@ class TestUnits:
         units = PhysicalUnits()
         assert units.hbar == 1.0 and units.mass == 1.0
 
-    @pytest.mark.parametrize("kwargs", [dict(hbar=0.0), dict(mass=-1.0), dict(t=-0.5)])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(hbar=0.0),
+            dict(mass=-1.0),
+            dict(t=-0.5),
+            dict(hbar=math.nan),
+            dict(hbar=math.inf),
+            dict(mass=math.nan),
+            dict(t=math.nan),
+            dict(t=math.inf),
+        ],
+    )
     def test_rejects_bad_scales(self, kwargs):
         with pytest.raises(DomainError):
             PhysicalUnits(**kwargs)
