@@ -98,6 +98,12 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
     state0 = change_basis(assemble(cfg.geometry, cfg.grid, coeffs), cfg.basis)
     propagated = propagate_all(state0, cfg.geometry, cfg.units)
 
+    # Analyse before the first write, so an analysis error leaves no files.
+    sym = state0 if cfg.basis == SYMMETRIC else change_basis(state0, SYMMETRIC)
+    report = kick_report(sym, cfg.geometry, cfg.units, cfg.detector)
+    fringes = fringe_analysis(screen_density(propagated), cfg.geometry, cfg.units)
+    storey = storey_bound_report(fringes.visibility)
+
     branch_rho = [propagated.branch(i).density() for i in range(3)]
     total = branch_rho[0] + branch_rho[1] + branch_rho[2]
     _write_table(
@@ -116,11 +122,6 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
         [spectra[0].p] + [s.density() for s in spectra],
     )
     del spectra
-
-    sym = state0 if cfg.basis == SYMMETRIC else change_basis(state0, SYMMETRIC)
-    report = kick_report(sym, cfg.geometry, cfg.units, cfg.detector)
-    fringes = fringe_analysis(screen_density(propagated), cfg.geometry, cfg.units)
-    storey = storey_bound_report(fringes.visibility)
 
     lines = [
         ("V_theory", _fmt(cfg.detector.c)),

@@ -33,7 +33,6 @@ from .hilbert import (
     COMPUTATIONAL,
     Basis,
     DetectorConfig,
-    Outcome,
     UqsdCoefficients,
     basis_matrix,
     tilted,
@@ -56,12 +55,10 @@ __all__ = [
     "FringeAnalysis",
     "KickReport",
     "StoreyBound",
-    "reference_state",
     "assemble",
     "change_basis",
     "propagate_all",
     "screen_density",
-    "conditional_density",
     "fringe_window",
     "fringe_analysis",
     "kick_identity_residual",
@@ -74,8 +71,7 @@ __all__ = [
     "screen_goodness_of_fit",
 ]
 
-#: Branch probabilities below this are treated as empty (no conditional
-#: pattern, no kick estimate).
+#: Branch probabilities below this are treated as empty (no kick estimate).
 EMPTY_BRANCH_TOL = 1e-14
 
 
@@ -152,11 +148,6 @@ class BranchState:
         (a, b), pair = self.coeffs[i], self.pair
         return Wavefunction(self.grid, a * pair.psi1.amplitudes + b * pair.psi2.amplitudes)
 
-    @property
-    def branches(self) -> tuple[Wavefunction, Wavefunction, Wavefunction]:
-        """All three branches on the grid, computed on each access."""
-        return (self.branch(0), self.branch(1), self.branch(2))
-
     def spectra(self, hbar: float) -> list[MomentumSpectrum]:
         """Momentum spectra of the three branches."""
         return self.pair.spectra(self.coeffs, hbar)
@@ -165,9 +156,6 @@ class BranchState:
         """Probability carried by each branch (its squared norm)."""
         c = self.coeffs
         return np.einsum("ij,jk,ik->i", c.conj(), self.pair.gram, c).real
-
-    def total_probability(self) -> float:
-        return float(self.branch_probabilities().sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,10 +173,6 @@ class ScreenPattern:
             )
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-
-    def total(self) -> float:
-        """Integrated probability ``sum rho dx``."""
-        return float(self.values.sum() * self.grid.dx)
 
 
 @dataclass(frozen=True)
@@ -229,12 +213,6 @@ class StoreyBound:
     lhs: float
     rhs: float
     satisfied: bool
-
-
-def reference_state(geom: SlitGeometry, grid: GridSpec) -> Wavefunction:
-    """The detector-free superposition ``(psi1 + psi2)/sqrt(2)``."""
-    pair = _slit_pair(geom, grid)
-    return Wavefunction(grid, (pair.psi1.amplitudes + pair.psi2.amplitudes) / math.sqrt(2.0))
 
 
 def assemble(geom: SlitGeometry, grid: GridSpec, coeffs: UqsdCoefficients) -> BranchState:
@@ -284,26 +262,6 @@ def screen_density(state: BranchState) -> ScreenPattern:
     return ScreenPattern(state.grid, rho)
 
 
-def conditional_density(state: BranchState, outcome: Outcome) -> tuple[float, ScreenPattern]:
-    """Probability of ``outcome`` and the normalized pattern given it.
-
-    Raises
-    ------
-    DomainError
-        If the outcome does not belong to the state's basis.
-    EmptyBranchError
-        If the branch carries (numerically) zero probability.
-    """
-    outcomes = state.basis.outcomes
-    if outcome not in outcomes:
-        raise DomainError(f"outcome {outcome} is not measurable in the {state.basis.kind} basis")
-    i = outcomes.index(outcome)
-    prob = float(state.branch_probabilities()[i])
-    if prob < EMPTY_BRANCH_TOL:
-        raise EmptyBranchError(f"branch {outcome} has zero probability; no pattern")
-    return prob, ScreenPattern(state.grid, state.branch(i).density() / prob)
-
-
 def fringe_window(geom: SlitGeometry, units: PhysicalUnits) -> tuple[float, float]:
     """Default analysis window: two far-field fringe periods around x = d/2."""
     period = 2.0 * math.pi * units.hbar * units.t / (units.mass * geom.d)
@@ -326,7 +284,6 @@ def fringe_analysis(
     geom: SlitGeometry,
     units: PhysicalUnits,
     window: tuple[float, float] | None = None,
-    reference: ScreenPattern | None = None,
 ) -> FringeAnalysis:
     """Measure visibility from adjacent extrema inside an analysis window.
 
@@ -338,10 +295,6 @@ def fringe_analysis(
         Used for the default window and the fallback period estimate.
     window : (float, float), optional
         Analysis interval; defaults to :func:`fringe_window`.
-    reference : ScreenPattern, optional
-        Pattern whose central maximum defines the zero of
-        ``central_fringe_shift``.  Defaults to the ideal fringe center at
-        ``x = d/2``.
 
     Returns
     -------
@@ -396,16 +349,10 @@ def fringe_analysis(
             _refine_extremum(xs, vals, i, dx)[0] if 0 < i < len(vals) - 1 else float(xs[i])
         )
 
-    if reference is not None:
-        ref = fringe_analysis(reference, geom, units, window=window)
-        ref_center = ref.central_fringe_shift + geom.d / 2.0
-    else:
-        ref_center = geom.d / 2.0
-
     return FringeAnalysis(
         visibility=float(visibility),
         fringe_period=float(period),
-        central_fringe_shift=float(central_max - ref_center),
+        central_fringe_shift=float(central_max - geom.d / 2.0),
         window=(float(lo), float(hi)),
     )
 

@@ -2,8 +2,11 @@
 
 Each named check compares a computed quantity against an independent
 expectation (closed-form oracle, algebraic identity, or statistical bound)
-at a named tolerance.  ``run_suite`` prints one PASS/FAIL/SKIP line per
-check and returns a process exit code: 0 when nothing failed, 1 otherwise.
+at a named tolerance.  The registry is the one place a claim is written
+down: ``run_checks`` returns one `CheckResult` per check, in
+``TOLERANCES`` order, and the desk-scale acceptance tests assert on those
+results.  ``run_suite`` prints one PASS/FAIL/SKIP line per result and
+returns a process exit code: 0 when nothing failed, 1 otherwise.
 
 Tolerances can be overridden per check name through the
 ``tolerance_overrides`` mapping; that exists so tests can inject an
@@ -57,9 +60,9 @@ from .experiment import (
     tilted_relative_kick,
 )
 
-__all__ = ["CheckResult", "run_suite", "TOLERANCES"]
+__all__ = ["CheckResult", "run_checks", "run_suite", "TOLERANCES"]
 
-#: Default tolerance per check name.  Overridable through run_suite.
+#: Default tolerance per check name.  Overridable through run_checks.
 TOLERANCES: dict[str, float] = {
     "hilbert.normalization": 1e-12,
     "hilbert.unitarity": 1e-12,
@@ -100,36 +103,33 @@ class CheckResult:
     detail: str
 
 
-class _Workbench:
-    """States the checks share; `experiment` memoizes the propagated slit pair."""
+# The states the checks share; `experiment` memoizes the propagated slit pair.
+def _state(cfg: RunConfig, c: float, theta: float = 0.0) -> BranchState:
+    coeffs = build_uqsd(DetectorConfig(c=c, theta=theta))
+    return change_basis(assemble(cfg.geometry, cfg.grid, coeffs), SYMMETRIC)
 
-    def __init__(self, cfg: RunConfig):
-        self.cfg = cfg
 
-    def state(self, c: float, theta: float = 0.0) -> BranchState:
-        coeffs = build_uqsd(DetectorConfig(c=c, theta=theta))
-        return change_basis(assemble(self.cfg.geometry, self.cfg.grid, coeffs), SYMMETRIC)
+def _propagated(cfg: RunConfig, c: float, theta: float = 0.0) -> BranchState:
+    return propagate_all(_state(cfg, c, theta), cfg.geometry, cfg.units)
 
-    def propagated(self, c: float, theta: float = 0.0) -> BranchState:
-        return propagate_all(self.state(c, theta), self.cfg.geometry, self.cfg.units)
 
-    def pattern(self, c: float, theta: float = 0.0) -> ScreenPattern:
-        return screen_density(self.propagated(c, theta))
+def _pattern(cfg: RunConfig, c: float, theta: float = 0.0) -> ScreenPattern:
+    return screen_density(_propagated(cfg, c, theta))
 
-    def visibility(self, c: float, theta: float = 0.0) -> float:
-        fr = fringe_analysis(self.pattern(c, theta), self.cfg.geometry, self.cfg.units)
-        return fr.visibility
 
-    def momentum_bin(self) -> float:
-        g = self.cfg.grid
-        return 2.0 * math.pi * self.cfg.units.hbar / (g.n * g.dx)
+def _visibility(cfg: RunConfig, c: float, theta: float = 0.0) -> float:
+    return fringe_analysis(_pattern(cfg, c, theta), cfg.geometry, cfg.units).visibility
+
+
+def _momentum_bin(cfg: RunConfig) -> float:
+    return 2.0 * math.pi * cfg.units.hbar / (cfg.grid.n * cfg.grid.dx)
 
 
 def _verdict(name: str, ok: bool, detail: str) -> CheckResult:
     return CheckResult(name, "PASS" if ok else "FAIL", detail)
 
 
-CheckFn = Callable[["_Workbench", float], CheckResult]
+CheckFn = Callable[[RunConfig, float], CheckResult]
 _CHECKS: list[tuple[str, CheckFn]] = []
 
 
@@ -142,23 +142,23 @@ def _check(name: str):
 
 
 @_check("hilbert.normalization")
-def _chk_hilbert_norm(bench: _Workbench, tol: float) -> CheckResult:
+def _chk_hilbert_norm(cfg: RunConfig, tol: float) -> CheckResult:
     worst = 0.0
     for c in _C_GRID:
-        for theta in (0.0, math.pi / 3, bench.cfg.detector.theta):
-            cfg = DetectorConfig(c=c, theta=theta)
-            d1, d2 = detector_states(build_uqsd(cfg))
+        for theta in (0.0, math.pi / 3, cfg.detector.theta):
+            det = DetectorConfig(c=c, theta=theta)
+            d1, d2 = detector_states(build_uqsd(det))
             worst = max(
                 worst,
                 abs(d1.norm() - 1.0),
                 abs(d2.norm() - 1.0),
-                abs(d1.inner(d2) - cfg.overlap),
+                abs(d1.inner(d2) - det.overlap),
             )
     return _verdict("hilbert.normalization", worst <= tol, f"max dev {worst:.3g}")
 
 
 @_check("hilbert.unitarity")
-def _chk_hilbert_unitarity(bench: _Workbench, tol: float) -> CheckResult:
+def _chk_hilbert_unitarity(cfg: RunConfig, tol: float) -> CheckResult:
     eye = np.eye(3)
     worst = 0.0
     bases = [COMPUTATIONAL, SYMMETRIC, tilted(math.pi / 4), tilted(math.pi / 2), tilted(1.0)]
@@ -176,8 +176,7 @@ def _chk_hilbert_unitarity(bench: _Workbench, tol: float) -> CheckResult:
 
 
 @_check("wavepacket.normalization")
-def _chk_wp_norm(bench: _Workbench, tol: float) -> CheckResult:
-    cfg = bench.cfg
+def _chk_wp_norm(cfg: RunConfig, tol: float) -> CheckResult:
     worst = max(
         abs(slit_state(cfg.geometry, cfg.grid, s).norm() - 1.0) for s in (1, 2)
     )
@@ -185,8 +184,7 @@ def _chk_wp_norm(bench: _Workbench, tol: float) -> CheckResult:
 
 
 @_check("wavepacket.momentum_oracle")
-def _chk_wp_momentum(bench: _Workbench, tol: float) -> CheckResult:
-    cfg = bench.cfg
+def _chk_wp_momentum(cfg: RunConfig, tol: float) -> CheckResult:
     hbar = cfg.units.hbar
     sigma = cfg.geometry.sigma
     spec = to_momentum(slit_state(cfg.geometry, cfg.grid, 1), hbar=hbar)
@@ -199,8 +197,7 @@ def _chk_wp_momentum(bench: _Workbench, tol: float) -> CheckResult:
 
 
 @_check("wavepacket.roundtrip")
-def _chk_wp_roundtrip(bench: _Workbench, tol: float) -> CheckResult:
-    cfg = bench.cfg
+def _chk_wp_roundtrip(cfg: RunConfig, tol: float) -> CheckResult:
     psi = slit_state(cfg.geometry, cfg.grid, 2)
     back = to_position(to_momentum(psi, hbar=cfg.units.hbar))
     worst = float(np.abs(back.amplitudes - psi.amplitudes).max())
@@ -208,8 +205,7 @@ def _chk_wp_roundtrip(bench: _Workbench, tol: float) -> CheckResult:
 
 
 @_check("wavepacket.propagator_agreement")
-def _chk_wp_propagators(bench: _Workbench, tol: float) -> CheckResult:
-    cfg = bench.cfg
+def _chk_wp_propagators(cfg: RunConfig, tol: float) -> CheckResult:
     worst = 0.0
     for slit in (1, 2):
         via_fft = propagate_fft(slit_state(cfg.geometry, cfg.grid, slit), cfg.geometry, cfg.units)
@@ -219,13 +215,12 @@ def _chk_wp_propagators(bench: _Workbench, tol: float) -> CheckResult:
 
 
 @_check("wavepacket.kick_displacement")
-def _chk_wp_kick(bench: _Workbench, tol: float) -> CheckResult:
+def _chk_wp_kick(cfg: RunConfig, tol: float) -> CheckResult:
     # A kick by p must move the spectral mean by exactly p (the spectrum
     # translates rigidly), for whole and fractional numbers of bins alike.
-    cfg = bench.cfg
     hbar = cfg.units.hbar
     psi = slit_state(cfg.geometry, cfg.grid, 1)
-    boost = 12.25 * bench.momentum_bin()
+    boost = 12.25 * _momentum_bin(cfg)
     worst = 0.0
     for p in (boost, -3.0 * boost):
         spec0 = to_momentum(psi, hbar=hbar)
@@ -237,44 +232,47 @@ def _chk_wp_kick(bench: _Workbench, tol: float) -> CheckResult:
 
 
 @_check("experiment.branch_probabilities")
-def _chk_exp_probs(bench: _Workbench, tol: float) -> CheckResult:
-    cfg = bench.cfg
+def _chk_exp_probs(cfg: RunConfig, tol: float) -> CheckResult:
     worst = 0.0
     for c in _C_GRID:
-        coeffs = build_uqsd(DetectorConfig(c=c, theta=cfg.detector.theta))
-        state = assemble(cfg.geometry, cfg.grid, coeffs)
         expected = np.array([(1.0 - c) / 2.0, (1.0 - c) / 2.0, c])
-        for st in (state, change_basis(state, SYMMETRIC)):
-            probs = st.branch_probabilities()
-            worst = max(worst, float(np.abs(probs - expected).max()))
-            worst = max(worst, abs(probs.sum() - 1.0))
+        for theta in (cfg.detector.theta, 1.0):
+            state = assemble(cfg.geometry, cfg.grid, build_uqsd(DetectorConfig(c=c, theta=theta)))
+            for st in (state, change_basis(state, SYMMETRIC)):
+                probs = st.branch_probabilities()
+                worst = max(worst, float(np.abs(probs - expected).max()))
+                worst = max(worst, abs(probs.sum() - 1.0))
     return _verdict("experiment.branch_probabilities", worst <= tol, f"max dev {worst:.3g}")
 
 
 @_check("experiment.failure_probability")
-def _chk_exp_fail(bench: _Workbench, tol: float) -> CheckResult:
-    cfg = bench.cfg
+def _chk_exp_fail(cfg: RunConfig, tol: float) -> CheckResult:
     c = cfg.detector.c
-    state = bench.state(c, cfg.detector.theta)
+    state = _state(cfg, c, cfg.detector.theta)
     dev = abs(state.branch_probabilities()[2] - c)
     return _verdict("experiment.failure_probability", dev <= tol, f"|P(fail) - c| = {dev:.3g}")
 
 
 @_check("experiment.basis_invariance")
-def _chk_exp_basis(bench: _Workbench, tol: float) -> CheckResult:
-    cfg = bench.cfg
-    coeffs = build_uqsd(cfg.detector)
-    state = assemble(cfg.geometry, cfg.grid, coeffs)
-    rho_comp = screen_density(state).values
+def _chk_exp_basis(cfg: RunConfig, tol: float) -> CheckResult:
+    # The configured state at emission, and a phased one after free flight.
+    emitted = assemble(cfg.geometry, cfg.grid, build_uqsd(cfg.detector))
+    phased = assemble(cfg.geometry, cfg.grid, build_uqsd(DetectorConfig(c=0.5, theta=0.8)))
+    landed = propagate_all(phased, cfg.geometry, cfg.units)
     worst = 0.0
-    for b in (SYMMETRIC, tilted(math.pi / 4)):
-        worst = max(worst, float(np.abs(screen_density(change_basis(state, b)).values - rho_comp).max()))
+    for state, bases in (
+        (emitted, (SYMMETRIC, tilted(math.pi / 4))),
+        (landed, (SYMMETRIC, tilted(1.1))),
+    ):
+        rho = screen_density(state).values
+        for b in bases:
+            rho_b = screen_density(change_basis(state, b)).values
+            worst = max(worst, float(np.abs(rho_b - rho).max()))
     return _verdict("experiment.basis_invariance", worst <= tol, f"max abs diff {worst:.3g}")
 
 
 @_check("experiment.density_formula")
-def _chk_exp_density(bench: _Workbench, tol: float) -> CheckResult:
-    cfg = bench.cfg
+def _chk_exp_density(cfg: RunConfig, tol: float) -> CheckResult:
     det = cfg.detector
     psi1 = propagate_analytic(cfg.geometry, cfg.grid, cfg.units, 1).amplitudes
     psi2 = propagate_analytic(cfg.geometry, cfg.grid, cfg.units, 2).amplitudes
@@ -284,58 +282,56 @@ def _chk_exp_density(bench: _Workbench, tol: float) -> CheckResult:
         + np.abs(psi2) ** 2
         + 2.0 * np.real(overlap * np.conj(psi1) * psi2)
     )
-    rho = bench.pattern(det.c, det.theta).values
+    rho = _pattern(cfg, det.c, det.theta).values
     worst = float(np.abs(rho - direct).max())
     return _verdict("experiment.density_formula", worst <= tol, f"max abs diff {worst:.3g}")
 
 
 @_check("experiment.visibility_law")
-def _chk_exp_visibility(bench: _Workbench, tol: float) -> CheckResult:
+def _chk_exp_visibility(cfg: RunConfig, tol: float) -> CheckResult:
     worst = 0.0
     for c in _C_GRID:
-        worst = max(worst, abs(bench.visibility(c) - c))
+        worst = max(worst, abs(_visibility(cfg, c) - c))
     return _verdict("experiment.visibility_law", worst <= tol, f"max |V - c| = {worst:.3g}")
 
 
 @_check("experiment.kick_fraction")
-def _chk_exp_fraction(bench: _Workbench, tol: float) -> CheckResult:
+def _chk_exp_fraction(cfg: RunConfig, tol: float) -> CheckResult:
     worst = 0.0
     for c in _C_GRID:
-        f_branch = bench.state(c).branch_probabilities()[1]
+        f_branch = _state(cfg, c).branch_probabilities()[1]
         worst = max(worst, abs(f_branch - (1.0 - c) / 2.0))
     return _verdict("experiment.kick_fraction", worst <= tol, f"max |F_k - (1-c)/2| = {worst:.3g}")
 
 
 @_check("experiment.kick_fraction_vs_visibility")
-def _chk_exp_fraction_vis(bench: _Workbench, tol: float) -> CheckResult:
+def _chk_exp_fraction_vis(cfg: RunConfig, tol: float) -> CheckResult:
     worst = 0.0
     for c in _C_GRID:
-        f_branch = bench.state(c).branch_probabilities()[1]
-        worst = max(worst, abs(f_branch - (1.0 - bench.visibility(c)) / 2.0))
+        f_branch = _state(cfg, c).branch_probabilities()[1]
+        worst = max(worst, abs(f_branch - (1.0 - _visibility(cfg, c)) / 2.0))
     return _verdict(
         "experiment.kick_fraction_vs_visibility", worst <= tol, f"max |F_k - (1-V)/2| = {worst:.3g}"
     )
 
 
 @_check("experiment.kick_magnitude")
-def _chk_exp_kick(bench: _Workbench, tol: float) -> CheckResult:
-    cfg = bench.cfg
-    dp = bench.momentum_bin()
+def _chk_exp_kick(cfg: RunConfig, tol: float) -> CheckResult:
+    dp = _momentum_bin(cfg)
     p0 = math.pi * cfg.units.hbar / cfg.geometry.d
     worst = 0.0
     for c in _KICK_C_GRID:
-        report = kick_report(bench.state(c), cfg.geometry, cfg.units, DetectorConfig(c=c))
+        report = kick_report(_state(cfg, c), cfg.geometry, cfg.units, DetectorConfig(c=c))
         assert report.p0_measured is not None
         worst = max(worst, abs(report.p0_measured - p0) / dp)
     return _verdict("experiment.kick_magnitude", worst <= tol, f"worst offset {worst:.3g} bins")
 
 
 @_check("experiment.detector_kick")
-def _chk_exp_detector_kick(bench: _Workbench, tol: float) -> CheckResult:
-    cfg = bench.cfg
+def _chk_exp_detector_kick(cfg: RunConfig, tol: float) -> CheckResult:
     det = cfg.detector
     report = kick_report(
-        bench.state(det.c, det.theta), cfg.geometry, cfg.units, det
+        _state(cfg, det.c, det.theta), cfg.geometry, cfg.units, det
     )
     if det.c == 1.0:
         ok = report.p0_measured is None
@@ -346,22 +342,21 @@ def _chk_exp_detector_kick(bench: _Workbench, tol: float) -> CheckResult:
             if ok
             else "expected no kick estimate at c = 1",
         )
-    dp = bench.momentum_bin()
+    dp = _momentum_bin(cfg)
     off = abs(report.p0_measured - report.p0) / dp
     return _verdict("experiment.detector_kick", off <= tol, f"off by {off:.3g} bins")
 
 
 @_check("experiment.tilted_kick")
-def _chk_exp_tilted(bench: _Workbench, tol: float) -> CheckResult:
-    cfg = bench.cfg
+def _chk_exp_tilted(cfg: RunConfig, tol: float) -> CheckResult:
     if cfg.detector.c == 1.0:
         return CheckResult(
             "experiment.tilted_kick", "SKIP", "interfering branches empty at c = 1"
         )
-    dp = bench.momentum_bin()
+    dp = _momentum_bin(cfg)
     p0 = math.pi * cfg.units.hbar / cfg.geometry.d
     worst = 0.0
-    state = bench.state(cfg.detector.c, cfg.detector.theta)
+    state = _state(cfg, cfg.detector.c, cfg.detector.theta)
     for tp in _TILT_GRID:
         worst = max(
             worst, abs(tilted_relative_kick(state, cfg.geometry, cfg.units, tp) - p0) / dp
@@ -370,7 +365,7 @@ def _chk_exp_tilted(bench: _Workbench, tol: float) -> CheckResult:
 
 
 @_check("experiment.kick_identity")
-def _chk_exp_identity(bench: _Workbench, tol: float) -> CheckResult:
+def _chk_exp_identity(cfg: RunConfig, tol: float) -> CheckResult:
     worst = 0.0
     last = -1.0
     monotone = True
@@ -387,12 +382,11 @@ def _chk_exp_identity(bench: _Workbench, tol: float) -> CheckResult:
 
 
 @_check("experiment.phase_kick")
-def _chk_exp_phase(bench: _Workbench, tol: float) -> CheckResult:
-    cfg = bench.cfg
-    dp = bench.momentum_bin()
+def _chk_exp_phase(cfg: RunConfig, tol: float) -> CheckResult:
+    dp = _momentum_bin(cfg)
     worst = 0.0
     for theta in _PHASE_GRID:
-        state = bench.state(0.5, theta)
+        state = _state(cfg, 0.5, theta)
         shift = phase_kick_shift(state, cfg.geometry, cfg.units)
         expected = theta * cfg.units.hbar / cfg.geometry.d
         worst = max(worst, abs(shift - expected) / dp)
@@ -400,16 +394,16 @@ def _chk_exp_phase(bench: _Workbench, tol: float) -> CheckResult:
 
 
 @_check("experiment.phase_visibility")
-def _chk_exp_phase_vis(bench: _Workbench, tol: float) -> CheckResult:
-    v0 = bench.visibility(0.5, 0.0)
-    worst = max(abs(bench.visibility(0.5, theta) - v0) for theta in _PHASE_GRID)
+def _chk_exp_phase_vis(cfg: RunConfig, tol: float) -> CheckResult:
+    v0 = _visibility(cfg, 0.5, 0.0)
+    worst = max(abs(_visibility(cfg, 0.5, theta) - v0) for theta in _PHASE_GRID)
     return _verdict(
         "experiment.phase_visibility", worst <= tol, f"max |V(theta) - V(0)| = {worst:.3g}"
     )
 
 
 @_check("experiment.storey_bound")
-def _chk_exp_storey(bench: _Workbench, tol: float) -> CheckResult:
+def _chk_exp_storey(cfg: RunConfig, tol: float) -> CheckResult:
     for v in np.arange(0.0, 1.0 + 1e-9, 0.1):
         rep = storey_bound_report(float(v))
         if not rep.satisfied or abs(rep.lhs - math.pi) > tol + 1e-15:
@@ -420,10 +414,9 @@ def _chk_exp_storey(bench: _Workbench, tol: float) -> CheckResult:
 
 
 @_check("experiment.sampler_outcomes")
-def _chk_exp_sampler(bench: _Workbench, tol: float) -> CheckResult:
-    cfg = bench.cfg
+def _chk_exp_sampler(cfg: RunConfig, tol: float) -> CheckResult:
     det = cfg.detector
-    state = bench.propagated(det.c, det.theta)
+    state = _propagated(cfg, det.c, det.theta)
     count = max(cfg.sample_count, 10_000)
     codes, _ = sample_events(state, count, cfg.seed)
     probs = state.branch_probabilities()
@@ -443,21 +436,19 @@ def _chk_exp_sampler(bench: _Workbench, tol: float) -> CheckResult:
 
 
 @_check("experiment.sampler_gof")
-def _chk_exp_gof(bench: _Workbench, tol: float) -> CheckResult:
-    cfg = bench.cfg
+def _chk_exp_gof(cfg: RunConfig, tol: float) -> CheckResult:
     det = cfg.detector
-    state = bench.propagated(det.c, det.theta)
+    state = _propagated(cfg, det.c, det.theta)
     count = max(cfg.sample_count, 10_000)
     _, xs = sample_events(state, count, cfg.seed)
-    _, pvalue = screen_goodness_of_fit(xs, bench.pattern(det.c, det.theta))
+    _, pvalue = screen_goodness_of_fit(xs, _pattern(cfg, det.c, det.theta))
     return _verdict("experiment.sampler_gof", pvalue > tol, f"p = {pvalue:.4f}")
 
 
 @_check("experiment.sampler_determinism")
-def _chk_exp_determinism(bench: _Workbench, tol: float) -> CheckResult:
-    cfg = bench.cfg
+def _chk_exp_determinism(cfg: RunConfig, tol: float) -> CheckResult:
     det = cfg.detector
-    state = bench.propagated(det.c, det.theta)
+    state = _propagated(cfg, det.c, det.theta)
     codes_a, xs_a = sample_events(state, 512, cfg.seed)
     codes_b, xs_b = sample_events(state, 512, cfg.seed)
     identical = np.array_equal(codes_a, codes_b) and np.array_equal(xs_a, xs_b)
@@ -468,6 +459,30 @@ def _chk_exp_determinism(bench: _Workbench, tol: float) -> CheckResult:
     )
 
 
+def run_checks(
+    cfg: RunConfig, tolerance_overrides: Mapping[str, float] | None = None
+) -> list[CheckResult]:
+    """One result per check, in registry order, at the overridden ``TOLERANCES``.
+
+    An override that names no check raises ``KeyError``.
+    """
+    tols = dict(TOLERANCES)
+    if tolerance_overrides:
+        unknown = set(tolerance_overrides) - set(tols)
+        if unknown:
+            raise KeyError(f"unknown check names in overrides: {sorted(unknown)}")
+        tols.update(tolerance_overrides)
+    results: list[CheckResult] = []
+    for name, fn in _CHECKS:
+        try:
+            results.append(fn(cfg, tols[name]))
+        except EmptyBranchError as exc:
+            results.append(CheckResult(name, "SKIP", f"not applicable: {exc}"))
+        except Exception as exc:  # surface, don't crash the rest of the table
+            results.append(CheckResult(name, "FAIL", f"raised {type(exc).__name__}: {exc}"))
+    return results
+
+
 def run_suite(
     cfg: RunConfig,
     tolerance_overrides: Mapping[str, float] | None = None,
@@ -475,21 +490,7 @@ def run_suite(
 ) -> int:
     """Run every check; print one line each; return 0 iff none failed."""
     out = stream if stream is not None else sys.stdout
-    tols = dict(TOLERANCES)
-    if tolerance_overrides:
-        unknown = set(tolerance_overrides) - set(tols)
-        if unknown:
-            raise KeyError(f"unknown check names in overrides: {sorted(unknown)}")
-        tols.update(tolerance_overrides)
-    bench = _Workbench(cfg)
-    results: list[CheckResult] = []
-    for name, fn in _CHECKS:
-        try:
-            results.append(fn(bench, tols[name]))
-        except EmptyBranchError as exc:
-            results.append(CheckResult(name, "SKIP", f"not applicable: {exc}"))
-        except Exception as exc:  # surface, don't crash the rest of the table
-            results.append(CheckResult(name, "FAIL", f"raised {type(exc).__name__}: {exc}"))
+    results = run_checks(cfg, tolerance_overrides)
     width = max(len(r.name) for r in results)
     for r in results:
         print(f"[{r.status:^4}] {r.name:<{width}}  {r.detail}", file=out)

@@ -16,6 +16,7 @@ from kickscope import (
     GridSpec,
     Outcome,
     PhysicalUnits,
+    ScreenPattern,
     SlitGeometry,
     Wavefunction,
     apply_kick,
@@ -23,7 +24,6 @@ from kickscope import (
     basis_matrix,
     build_uqsd,
     change_basis,
-    conditional_density,
     fringe_analysis,
     fringe_window,
     kick_identity_residual,
@@ -33,7 +33,6 @@ from kickscope import (
     propagate_all,
     propagate_analytic,
     propagate_fft,
-    reference_state,
     sample_events,
     screen_density,
     screen_goodness_of_fit,
@@ -67,7 +66,7 @@ class TestAssembly:
         assert_allclose(
             state.branch_probabilities(), [0.32, 0.32, 0.36], rtol=0, atol=1e-12
         )
-        assert_allclose(state.total_probability(), 1.0, rtol=0, atol=1e-12)
+        assert_allclose(state.branch_probabilities().sum(), 1.0, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("theta", [0.0, math.pi / 3, -1.0])
     def test_probabilities_survive_basis_changes(self, geom, grid, theta):
@@ -86,15 +85,17 @@ class TestAssembly:
     def test_basis_round_trip(self, geom, grid):
         state = assemble(geom, grid, build_uqsd(DetectorConfig(c=0.36, theta=0.9)))
         back = change_basis(change_basis(state, tilted(0.7)), state.basis)
-        for a, b in zip(back.branches, state.branches):
-            assert_allclose(a.amplitudes, b.amplitudes, rtol=0, atol=1e-12)
+        for i in range(3):
+            assert_allclose(
+                back.branch(i).amplitudes, state.branch(i).amplitudes, rtol=0, atol=1e-12
+            )
 
     def test_propagation_commutes_with_basis_change(self, geom, grid, units):
         state = assemble(geom, grid, build_uqsd(DetectorConfig(c=0.5, theta=0.4)))
         a = change_basis(propagate_all(state, geom, units), SYMMETRIC)
         b = propagate_all(change_basis(state, SYMMETRIC), geom, units)
-        for br_a, br_b in zip(a.branches, b.branches):
-            assert np.max(np.abs(br_a.amplitudes - br_b.amplitudes)) <= 1e-12
+        for i in range(3):
+            assert np.max(np.abs(a.branch(i).amplitudes - b.branch(i).amplitudes)) <= 1e-12
 
     def test_branches_must_share_grid(self, geom, grid):
         # Every branch is built from one slit pair, so the pair carries the
@@ -173,7 +174,12 @@ class TestScreenDensity:
     def test_pattern_total_is_one(self, geom, grid, units):
         state = make_state(geom, grid, c=0.3)
         pattern = screen_density(propagate_all(state, geom, units))
-        assert_allclose(pattern.total(), 1.0, rtol=0, atol=1e-12)
+        assert_allclose(pattern.values.sum() * grid.dx, 1.0, rtol=0, atol=1e-12)
+
+
+def conditional_pattern(state, i):
+    """Branch ``i``'s screen pattern given that its outcome fired."""
+    return ScreenPattern(state.grid, state.branch(i).density() / state.branch_probabilities()[i])
 
 
 class TestConditionalDensity:
@@ -181,38 +187,25 @@ class TestConditionalDensity:
         # At theta = 0 both the q+ and failure branches hold the same
         # symmetric superposition, so their patterns are identical.
         state = propagate_all(make_state(geom, grid, c=0.5), geom, units)
-        p_plus, rho_plus = conditional_density(state, Outcome.Q_PLUS)
-        p_fail, rho_fail = conditional_density(state, Outcome.Q3)
+        p_plus, _, p_fail = state.branch_probabilities()
+        rho_plus = conditional_pattern(state, 0)
+        rho_fail = conditional_pattern(state, 2)
         assert_allclose(p_plus, 0.25, rtol=0, atol=1e-12)
         assert_allclose(p_fail, 0.5, rtol=0, atol=1e-12)
         assert np.max(np.abs(rho_plus.values - rho_fail.values)) <= 1e-10
 
     def test_kicked_branch_is_half_period_out_of_step(self, geom, grid, units):
         state = propagate_all(make_state(geom, grid, c=0.5), geom, units)
-        _, rho_minus = conditional_density(state, Outcome.Q_MINUS)
-        fr = fringe_analysis(rho_minus, geom, units)
+        fr = fringe_analysis(conditional_pattern(state, 1), geom, units)
         assert_allclose(
             abs(fr.central_fringe_shift), FRINGE_PERIOD_T005 / 2.0, atol=2 * grid.dx
         )
 
     def test_conditioned_patterns_are_normalized(self, geom, grid, units):
         state = propagate_all(make_state(geom, grid, c=0.36, theta=1.0), geom, units)
-        for outcome in state.basis.outcomes:
-            _, rho = conditional_density(state, outcome)
-            assert_allclose(rho.total(), 1.0, rtol=0, atol=1e-12)
-
-    def test_rejects_foreign_outcome(self, geom, grid, units):
-        state = propagate_all(make_state(geom, grid, c=0.5), geom, units)
-        with pytest.raises(DomainError):
-            conditional_density(state, Outcome.PATH_1)
-
-    def test_empty_branch_raises(self, geom, grid, units):
-        no_fail = propagate_all(make_state(geom, grid, c=0.0), geom, units)
-        with pytest.raises(EmptyBranchError):
-            conditional_density(no_fail, Outcome.Q3)
-        all_fail = propagate_all(make_state(geom, grid, c=1.0), geom, units)
-        with pytest.raises(EmptyBranchError):
-            conditional_density(all_fail, Outcome.Q_MINUS)
+        for i in range(3):
+            rho = conditional_pattern(state, i)
+            assert_allclose(rho.values.sum() * grid.dx, 1.0, rtol=0, atol=1e-12)
 
 
 class TestFringes:
@@ -233,12 +226,6 @@ class TestFringes:
         assert fr.visibility >= 0.995
         assert_allclose(fr.fringe_period, FRINGE_PERIOD_T005, rtol=0.02)
         assert abs(fr.central_fringe_shift) <= grid.dx
-
-    def test_reference_pattern_defines_zero_shift(self, geom, grid, units):
-        state = propagate_all(make_state(geom, grid, c=0.8), geom, units)
-        pattern = screen_density(state)
-        fr = fringe_analysis(pattern, geom, units, reference=pattern)
-        assert fr.central_fringe_shift == 0.0
 
     def test_rejects_malformed_window(self, geom, grid, units):
         state = propagate_all(make_state(geom, grid, c=1.0), geom, units)
@@ -268,7 +255,7 @@ class TestKickIdentity:
 
 class TestMomentumShift:
     def test_recovers_whole_bin_shifts(self, geom, grid):
-        psi = reference_state(geom, grid)
+        psi = slit_state(geom, grid, 1)
         spec = to_momentum(psi)
         for bins in (7, -4, 0):
             kicked = to_momentum(apply_kick(psi, bins * spec.dp))
@@ -300,7 +287,7 @@ class TestKickReport:
         c = 0.36
         state = make_state(geom, grid, c=c, theta=math.pi / 3)
         report = kick_report(state, geom, units, DetectorConfig(c=c, theta=math.pi / 3))
-        dp = to_momentum(state.branches[0]).dp
+        dp = to_momentum(state.branch(0)).dp
         assert_allclose(report.p0, math.pi, rtol=0, atol=1e-15)
         assert_allclose(report.F_k_theory, 0.32, rtol=0, atol=1e-15)
         assert_allclose(report.F_k_branch, 0.32, rtol=0, atol=1e-12)
@@ -312,7 +299,7 @@ class TestKickReport:
     def test_measured_kick_within_one_bin(self, geom, grid, units, c):
         state = make_state(geom, grid, c=c)
         report = kick_report(state, geom, units, DetectorConfig(c=c))
-        dp = to_momentum(state.branches[0]).dp
+        dp = to_momentum(state.branch(0)).dp
         assert abs(report.p0_measured - math.pi) <= dp
 
     def test_kick_survives_propagation(self, geom, grid, units):
@@ -342,7 +329,7 @@ class TestPhaseKick:
     def test_failure_branch_shift_is_theta_over_d(self, geom, grid, units, theta):
         state = make_state(geom, grid, c=0.5, theta=theta)
         shift = phase_kick_shift(state, geom, units)
-        dp = to_momentum(state.branches[2]).dp
+        dp = to_momentum(state.branch(2)).dp
         assert abs(shift - theta) <= dp
 
     def test_no_phase_no_kick(self, geom, grid, units):
@@ -374,7 +361,7 @@ class TestTiltedKick:
     def test_relative_kick_is_always_half_a_fringe(self, geom, grid, units, theta_prime):
         state = make_state(geom, grid, c=0.5)
         shift = tilted_relative_kick(state, geom, units, theta_prime)
-        dp = to_momentum(state.branches[0]).dp
+        dp = to_momentum(state.branch(0)).dp
         assert abs(shift - math.pi) <= dp
 
     @pytest.mark.parametrize("theta_prime", [math.pi / 4, math.pi / 2])
@@ -382,8 +369,10 @@ class TestTiltedKick:
         # Each tilted branch individually shifts by -theta'*hbar/d (mod a
         # full momentum fringe); only the relative kick is tilt-free.
         state = change_basis(make_state(geom, grid, c=0.5), tilted(theta_prime))
-        ref = to_momentum(reference_state(geom, grid))
-        shift = momentum_shift(to_momentum(state.branches[0]), ref)
+        # The detector-free superposition (psi1 + psi2)/sqrt2.
+        psi1, psi2 = (slit_state(geom, grid, s).amplitudes for s in (1, 2))
+        ref = to_momentum(Wavefunction(grid, (psi1 + psi2) / math.sqrt(2.0)))
+        shift = momentum_shift(to_momentum(state.branch(0)), ref)
         dp = ref.dp
         assert abs(shift + theta_prime) <= dp
 

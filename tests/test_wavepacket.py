@@ -13,14 +13,13 @@ from kickscope import (
     PhysicalUnits,
     SlitGeometry,
     apply_kick,
-    gaussian_state,
     propagate_analytic,
     propagate_fft,
     slit_state,
     to_momentum,
     to_position,
 )
-from kickscope.wavepacket import WRAPAROUND_TOL
+from kickscope.wavepacket import WRAPAROUND_TOL, gaussian_state
 
 # Independent closed forms, frozen:
 GAUSSIAN_OVERLAP_D1_S005 = 1.9287498479639315e-22  # exp(-1/(8*0.05^2))
