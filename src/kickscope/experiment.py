@@ -11,10 +11,12 @@ period, and the failure branch.  Basis changes act on the matrix and free
 flight on the pair alone.  Everything observable is extracted from a
 `BranchState` by the functions in this module.
 
-Momentum-shift estimates are cross-correlation arguments of the maximum.
-Because a shift of exactly half a momentum-fringe period is indistinguishable
-from its negative, ties are resolved toward the smallest magnitude and then
-toward the non-negative shift; see :func:`momentum_shift`.
+Momentum kicks are read off the slit pair's 2x2 comb matrix ``A`` (see
+`SlitPair.comb`): the comb phase of a coefficient row ``r`` is the
+argument of ``conj(r) @ A @ r``, and the kick between two rows follows
+from the difference of their comb phases.  It lies in ``(-p0, p0]`` with
+``p0 = pi*hbar/d``; a shift of exactly half a momentum fringe is its own
+mirror image and is reported as ``+p0``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
-import scipy.fft
 import scipy.special
 
 from .errors import ConfigurationError, DomainError, EmptyBranchError
@@ -62,7 +63,6 @@ __all__ = [
     "fringe_window",
     "fringe_analysis",
     "kick_identity_residual",
-    "momentum_shift",
     "kick_report",
     "phase_kick_shift",
     "tilted_relative_kick",
@@ -79,13 +79,15 @@ EMPTY_BRANCH_TOL = 1e-14
 class SlitPair:
     """The slit wavefunctions ``psi1`` and ``psi2`` on one grid.
 
-    The pair keeps its latest propagation, so every detector setting built
-    on it shares one per (geometry, units).
+    The pair keeps its latest propagation and its latest comb matrix, so
+    every detector setting built on it shares one of each per (geometry,
+    units) and per (hbar, d).
     """
 
     psi1: Wavefunction
     psi2: Wavefunction
     _last: tuple | None = field(default=None, init=False, repr=False)
+    _comb: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.psi1.grid != self.psi2.grid:
@@ -110,6 +112,28 @@ class SlitPair:
             pair = SlitPair(*(propagate_fft(psi, geom, units) for psi in (self.psi1, self.psi2)))
             object.__setattr__(self, "_last", ((geom, units), pair))
         return self._last[1]
+
+    def comb(self, hbar: float, d: float) -> np.ndarray:
+        """The 2x2 comb matrix ``A_ij = sum_p conj(phi_i) phi_j exp(-i*p*d/hbar)``.
+
+        ``phi_i`` is slit ``i``'s momentum spectrum.  For a row ``r = (a,
+        b)``, ``conj(r) @ A @ r`` is the projection of the momentum density
+        ``|a*phi1 + b*phi2|^2`` at the fringe frequency ``d/hbar``, whose
+        argument is that row's comb phase.  Costs two FFTs per (hbar, d);
+        the spectra themselves are not kept.
+        """
+        if self._comb is None or self._comb[0] != (hbar, d):
+            spec1 = to_momentum(self.psi1, hbar=hbar)
+            phis = (spec1.amplitudes, to_momentum(self.psi2, hbar=hbar).amplitudes)
+            w = np.exp(-1j * spec1.p * (d / hbar))
+            w_phi = np.empty_like(w)
+            a = np.empty((2, 2), dtype=np.complex128)
+            for j, phi_j in enumerate(phis):
+                np.multiply(w, phi_j, out=w_phi)
+                a[:, j] = [np.vdot(phi_i, w_phi) for phi_i in phis]
+            a.setflags(write=False)
+            object.__setattr__(self, "_comb", ((hbar, d), a))
+        return self._comb[1]
 
     def spectra(self, rows: np.ndarray, hbar: float) -> list[MomentumSpectrum]:
         """Momentum spectra of ``a*psi1 + b*psi2``, one per row ``(a, b)``."""
@@ -190,12 +214,12 @@ class KickReport:
     """Momentum-kick summary for a symmetric-basis branch state.
 
     ``p0`` is the half-fringe kick ``pi*hbar/d`` expected from the
-    branch algebra; ``p0_measured`` is the cross-correlation estimate from
-    the q- and q+ momentum spectra (``None`` when the kicked branch is
-    empty, i.e. c = 1).  ``F_k_branch`` is the probability of the kicked
-    branch and ``F_k_theory = (1 - c)/2``.  ``p_e = theta*hbar/d`` is the
-    deterministic kick carried by the failure branch when the detector
-    overlap has a phase.
+    branch algebra; ``p0_measured`` is the displacement of the q- momentum
+    comb against the q+ comb, read from their comb phases, in ``(-p0, p0]``
+    (``None`` when the kicked branch is empty, i.e. c = 1).  ``F_k_branch``
+    is the probability of the kicked branch and ``F_k_theory = (1 - c)/2``.
+    ``p_e = theta*hbar/d`` is the deterministic kick carried by the failure
+    branch when the detector overlap has a phase.
     """
 
     p0: float
@@ -357,13 +381,15 @@ def fringe_analysis(
     )
 
 
+@lru_cache(maxsize=8)
 def kick_identity_residual(geom: SlitGeometry, grid: GridSpec) -> float:
     """How far the path-difference state is from a kicked path-sum state.
 
     Returns the L2 norm of ``(psi1 - psi2)/sqrt2 - exp(i*pi*x/d) * (psi1 +
     psi2)/sqrt2``.  For slits much narrower than their separation the phase
     factor is nearly constant across each slit and the residual scales like
-    ``pi*sigma/d``; it vanishes only in the zero-width limit.
+    ``pi*sigma/d``; it vanishes only in the zero-width limit.  It does not
+    depend on the detector, so it is memoized per (geometry, grid).
     """
     pair = _slit_pair(geom, grid)
     psi1, psi2 = pair.psi1.amplitudes, pair.psi2.amplitudes
@@ -373,70 +399,34 @@ def kick_identity_residual(geom: SlitGeometry, grid: GridSpec) -> float:
     return float(math.sqrt(np.vdot(diff, diff).real * grid.dx))
 
 
-def momentum_shift(
-    spec_a: MomentumSpectrum, spec_b: MomentumSpectrum, tie_rel_tol: float = 1e-9
+def _comb_offset(
+    pair: SlitPair, row_a: np.ndarray, row_b: np.ndarray, hbar: float, d: float
 ) -> float:
-    """Displacement of spectrum ``a`` relative to ``b`` in momentum.
+    """Momentum displacement of row ``a``'s fringe comb against row ``b``'s.
 
-    Computed as the argmax of the circular cross-correlation of the two
-    momentum densities.  A displacement of exactly half a momentum-fringe
-    period correlates equally well at the opposite sign, so candidates
-    within ``tie_rel_tol`` of the maximum are tied and the tie is broken
-    toward the smallest magnitude, then toward the non-negative shift.
+    Slit 2's spectrum is slit 1's times ``exp(-i*p*d/hbar)``, so ``|phi2| =
+    |phi1|`` and every row's momentum density is ``|phi1|^2 |a +
+    b*exp(-i*p*d/hbar)|^2``: a comb of period ``2*p0 = 2*pi*hbar/d`` under
+    one shared envelope.  Two such combs differ only by their comb phases,
+    so the displacement is fixed by the phase difference, in ``(-p0, p0]``,
+    with no whole fringe left to resolve.  A half-turn is reported as
+    ``+p0``.
 
     Raises
     ------
     EmptyBranchError
-        If either spectrum carries no probability.
-    ConfigurationError
-        If the spectra live on different grids.
+        If either row has no fringe comb (a vanishing comb projection).
     """
-    if spec_a.grid != spec_b.grid or spec_a.hbar != spec_b.hbar:
-        raise ConfigurationError("spectra must share one momentum grid")
-    a = spec_a.density()
-    b = spec_b.density()
-    if a.sum() < EMPTY_BRANCH_TOL or b.sum() < EMPTY_BRANCH_TOL:
-        raise EmptyBranchError("cannot estimate a shift from an empty spectrum")
-    n = spec_a.grid.n
-    corr = scipy.fft.irfft(scipy.fft.rfft(a) * np.conj(scipy.fft.rfft(b)), n)
-    cmax = corr.max()
-    ties = np.flatnonzero(corr >= cmax - tie_rel_tol * abs(cmax))
-    # Map to signed bins; the Nyquist bin n//2 stays positive so the
-    # tie-break below can prefer the non-negative half-turn.
-    signed = np.where(ties > n // 2, ties - n, ties)
-    best = min(signed, key=lambda s: (abs(int(s)), int(s) < 0))
-    return float(best * spec_a.dp)
-
-
-def _comb_projection(spec: MomentumSpectrum, d: float) -> complex:
-    """Single-frequency transform of the momentum density at the fringe
-    frequency ``d/hbar``; its argument is the comb phase."""
-    rho = spec.density()
-    return complex(np.sum(rho * np.exp(-1j * spec.p * (d / spec.hbar))))
-
-
-def _comb_shift(spec_a: MomentumSpectrum, spec_b: MomentumSpectrum, d: float) -> float:
-    """Relative displacement of two fringe-comb spectra, to sub-bin accuracy.
-
-    Two-path spectra are combs of period ``2*p0 = 2*pi*hbar/d`` under a
-    smooth envelope.  A bare cross-correlation argmax is limited to one
-    momentum bin and is pulled toward zero by the envelope, so instead the
-    comb phase is read off exactly from the projection at the fringe
-    frequency; the argmax only resolves the integer fringe branch.  Half-turn
-    displacements are reported as ``+p0``, matching :func:`momentum_shift`.
-    """
-    p0 = math.pi * spec_a.hbar / d
-    z_a = _comb_projection(spec_a, d)
-    z_b = _comb_projection(spec_b, d)
+    comb = pair.comb(hbar, d)
+    z_a, z_b = (np.vdot(r, comb @ r) for r in (row_a, row_b))
     if min(abs(z_a), abs(z_b)) < EMPTY_BRANCH_TOL:
-        # No comb structure to read a phase from; fall back to the argmax.
-        return momentum_shift(spec_a, spec_b)
-    offset = -np.angle(z_a * np.conj(z_b)) * spec_a.hbar / d
+        raise EmptyBranchError("no fringe comb to read a phase from")
+    p0 = math.pi * hbar / d
+    offset = -np.angle(z_a * np.conj(z_b)) * hbar / d
+    # Rounding can land an exact half-turn a hair inside -p0.
     if offset <= -p0 * (1.0 - 1e-12):
         offset += 2.0 * p0
-    coarse = momentum_shift(spec_a, spec_b)
-    branch = round((coarse - offset) / (2.0 * p0))
-    return float(offset + 2.0 * p0 * branch)
+    return float(offset)
 
 
 def kick_report(
@@ -459,8 +449,9 @@ def kick_report(
     Notes
     -----
     Free evolution only multiplies momentum amplitudes by a phase, so the
-    spectra (and the estimated shift) are the same whether ``state`` is
-    propagated or not.
+    estimated shift is the same whether ``state`` is propagated or not; a
+    propagated state's pair computes its own comb matrix, though, at the
+    cost of two more FFTs.
     """
     if state.basis.kind != "symmetric":
         raise DomainError("kick analysis requires the symmetric basis")
@@ -470,8 +461,8 @@ def kick_report(
     if f_branch < EMPTY_BRANCH_TOL or probs[0] < EMPTY_BRANCH_TOL:
         measured = None
     else:
-        q_plus, q_minus = state.pair.spectra(state.coeffs[:2], units.hbar)
-        measured = _comb_shift(q_minus, q_plus, geom.d)
+        q_plus, q_minus = state.coeffs[:2]
+        measured = _comb_offset(state.pair, q_minus, q_plus, units.hbar, geom.d)
     return KickReport(
         p0=p0,
         p0_measured=measured,
@@ -486,15 +477,14 @@ def phase_kick_shift(state: BranchState, geom: SlitGeometry, units: PhysicalUnit
     """Momentum displacement of the failure branch against the phase-free one.
 
     The failure branch ``(beta*psi1 + delta*psi2)/sqrt2`` is common to all
-    three bases, so any basis is accepted.  Returns the cross-correlation
-    shift of its momentum density relative to the ``theta = 0`` failure
-    spectrum, which equals ``theta*hbar/d`` up to momentum-bin rounding.
+    three bases, so any basis is accepted.  Returns the displacement of its
+    momentum comb against the ``theta = 0`` failure spectrum's, which is
+    ``theta*hbar/d`` for ``theta`` in ``(-pi, pi]``.
     """
     if state.branch_probabilities()[2] < EMPTY_BRANCH_TOL:
         raise EmptyBranchError("failure branch is empty; no phase kick to measure")
-    s = 1.0 / math.sqrt(2.0)
-    q3, ref = state.pair.spectra([state.coeffs[2], (s, s)], units.hbar)
-    return _comb_shift(q3, ref, geom.d)
+    phase_free = np.full(2, 1.0 / math.sqrt(2.0))
+    return _comb_offset(state.pair, state.coeffs[2], phase_free, units.hbar, geom.d)
 
 
 def tilted_relative_kick(
@@ -503,15 +493,15 @@ def tilted_relative_kick(
     """Relative momentum kick between the two tilted interfering branches.
 
     Re-expresses ``state`` in the tilted basis with angle ``theta_prime``
-    and estimates the shift of the q- spectrum against the q+ spectrum.
-    The individual branch spectra slide with ``theta_prime`` but their
-    relative displacement stays at half a fringe, ``pi*hbar/d``.
+    and measures the displacement of the q- momentum comb against the q+
+    comb.  The individual branch spectra slide with ``theta_prime`` but
+    their relative displacement stays at half a fringe, ``pi*hbar/d``.
     """
     rotated = change_basis(state, tilted(theta_prime))
     if rotated.branch_probabilities()[:2].min() < EMPTY_BRANCH_TOL:
         raise EmptyBranchError("tilted branches are empty; no relative kick")
-    q_plus, q_minus = rotated.pair.spectra(rotated.coeffs[:2], units.hbar)
-    return _comb_shift(q_minus, q_plus, geom.d)
+    q_plus, q_minus = rotated.coeffs[:2]
+    return _comb_offset(rotated.pair, q_minus, q_plus, units.hbar, geom.d)
 
 
 def storey_bound_report(visibility: float) -> StoreyBound:

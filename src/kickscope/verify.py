@@ -78,11 +78,11 @@ TOLERANCES: dict[str, float] = {
     "experiment.visibility_law": 0.02,
     "experiment.kick_fraction": 1e-10,
     "experiment.kick_fraction_vs_visibility": 0.01,
-    "experiment.kick_magnitude": 1.0,  # momentum bins
-    "experiment.detector_kick": 1.0,  # momentum bins
-    "experiment.tilted_kick": 1.0,  # momentum bins
+    "experiment.kick_magnitude": 1e-9,  # momentum bins
+    "experiment.detector_kick": 1e-9,  # momentum bins
+    "experiment.tilted_kick": 1e-9,  # momentum bins
     "experiment.kick_identity": 1e-6,
-    "experiment.phase_kick": 1.0,  # momentum bins
+    "experiment.phase_kick": 1e-9,  # momentum bins
     "experiment.phase_visibility": 0.01,
     "experiment.storey_bound": 0.0,
     "experiment.sampler_outcomes": 3.0,  # binomial sigmas

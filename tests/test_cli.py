@@ -1,5 +1,6 @@
 """End-to-end command-line runs on a reduced grid, plus the check suite."""
 
+import cmath
 import filecmp
 import hashlib
 import io
@@ -18,7 +19,8 @@ from kickscope import cli, experiment
 from kickscope import verify as verify_module
 from kickscope.cli import main
 from kickscope.config import load_config
-from kickscope.verify import run_suite
+from kickscope.hilbert import Basis
+from kickscope.verify import _CHECKS, TOLERANCES, run_suite
 
 # 2^17 points keep every subcommand comfortably under two seconds while
 # leaving the propagated envelope (sigma(t) = 25) far from the box edges.
@@ -269,6 +271,29 @@ class TestVerifyCommand:
         assert rc == 1
         assert "[FAIL] experiment.visibility_law" in stream.getvalue()
 
+    @pytest.mark.parametrize("error, at_one_bin", [(1e-6, "FAIL"), (-1e-6, "PASS")])
+    def test_tilt_phase_defect_turns_tilted_kick_red(
+        self, cfg_path, monkeypatch, error, at_one_bin
+    ):
+        # A 1e-6 rad error in the q- row's tilt phase moves the relative
+        # kick by about 3e-4 momentum bins on this grid.  Outward it carries
+        # the half-fringe kick past p0, where it reads as -p0 + 3e-4 bins;
+        # inward it stays within one bin, and only the tightened tolerance
+        # sees it.
+        real = Basis.matrix_from_computational
+
+        def defective(basis):
+            m = real(basis)
+            if basis.kind != "computational":
+                m[1, 1] *= cmath.exp(1j * error)
+            return m
+
+        monkeypatch.setattr(Basis, "matrix_from_computational", defective)
+        check = dict(_CHECKS)["experiment.tilted_kick"]
+        cfg = load_config(cfg_path)
+        assert check(cfg, TOLERANCES["experiment.tilted_kick"]).status == "FAIL"
+        assert check(cfg, 1.0).status == at_one_bin
+
     def test_rejects_unknown_override_names(self, cfg_path):
         with pytest.raises(KeyError):
             run_suite(load_config(cfg_path), tolerance_overrides={"no.such.check": 1.0})
@@ -296,3 +321,30 @@ def test_scan_and_verify_propagate_the_slit_pair_once(cfg_path, tmp_path, monkey
     assert main(["verify", "--config", cfg_path]) == 0
     assert len(calls) <= 4
 
+
+def test_kick_analysis_transforms_the_slit_pair_once(cfg_path, tmp_path, monkeypatch):
+    # Kicks are read off the pair's comb matrix, which costs one transform
+    # per slit; no detector setting adds a full-grid FFT of its own.
+    calls = []
+    real = experiment.to_momentum
+
+    def counting(psi, hbar=1.0):
+        calls.append(psi.grid.n)
+        return real(psi, hbar=hbar)
+
+    monkeypatch.setattr(experiment, "to_momentum", counting)
+    experiment._slit_pair.cache_clear()
+    argv = ["scan", "--config", cfg_path, "--out", str(tmp_path), "--c-values", "0,0.25,0.5,0.75,1"]
+    assert main(argv) == 0
+    assert len(calls) == 2
+    calls.clear()
+    experiment._slit_pair.cache_clear()
+    assert main(["verify", "--config", cfg_path]) == 0
+    assert len(calls) <= 2
+
+
+def test_scan_computes_the_kick_identity_residual_once(cfg_path, tmp_path):
+    experiment.kick_identity_residual.cache_clear()
+    argv = ["scan", "--config", cfg_path, "--out", str(tmp_path), "--c-values", "0,0.25,0.5,0.75,1"]
+    assert main(argv) == 0
+    assert experiment.kick_identity_residual.cache_info().misses == 1

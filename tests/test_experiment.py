@@ -1,9 +1,13 @@
 """Branch bookkeeping, screen patterns, kick estimates, and sampling."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from comb_oracle import _comb_projection, _comb_shift, momentum_shift
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from kickscope import (
@@ -28,7 +32,6 @@ from kickscope import (
     fringe_window,
     kick_identity_residual,
     kick_report,
-    momentum_shift,
     phase_kick_shift,
     propagate_all,
     propagate_analytic,
@@ -42,7 +45,7 @@ from kickscope import (
     tilted_relative_kick,
     to_momentum,
 )
-from kickscope.experiment import SlitPair
+from kickscope.experiment import SlitPair, _comb_offset
 
 # Frozen closed forms.  The identity residual is
 # sqrt(2*(1 - exp(-pi^2 (sigma/d)^2 / 2))), evaluated independently.
@@ -280,6 +283,57 @@ class TestMomentumShift:
         zero = to_momentum(Wavefunction(grid, np.zeros(grid.n, dtype=complex)))
         with pytest.raises(EmptyBranchError):
             momentum_shift(to_momentum(psi), zero)
+
+
+# The (c, theta, basis) grid the comb forms are held to; tilt 0.0 is the
+# symmetric basis and theta = pi the half-turn.
+ORACLE_C = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9)
+ORACLE_THETA = (0.0, 1.0, math.pi / 4, math.pi / 2, math.pi, -2.5)
+ORACLE_TILTS = (0.0, math.pi / 4, math.pi / 2, 1.0)
+ROW_AMPLITUDE = st.builds(cmath.rect, st.floats(0.1, 1.0), st.floats(-math.pi, math.pi))
+
+
+class TestCombForms:
+    """The comb-matrix kick estimates against the full-grid oracle."""
+
+    @pytest.mark.parametrize("theta", ORACLE_THETA)
+    @pytest.mark.parametrize("c", ORACLE_C)
+    def test_kicks_match_the_full_grid_oracle(self, geom, grid, units, c, theta):
+        state = make_state(geom, grid, c=c, theta=theta)
+        hbar, d, s = units.hbar, geom.d, 1.0 / math.sqrt(2.0)
+        q_plus, q_minus, _ = state.spectra(hbar)
+        report = kick_report(state, geom, units, DetectorConfig(c=c, theta=theta))
+        assert abs(report.p0_measured - _comb_shift(q_minus, q_plus, d)) <= 1e-12
+        for tilt in ORACLE_TILTS:
+            rotated = change_basis(state, tilted(tilt))
+            q_plus, q_minus, _ = rotated.spectra(hbar)
+            shift = tilted_relative_kick(state, geom, units, tilt)
+            assert abs(shift - _comb_shift(q_minus, q_plus, d)) <= 1e-12
+            if c == 0.0:
+                with pytest.raises(EmptyBranchError):
+                    phase_kick_shift(rotated, geom, units)
+                continue
+            q3, phase_free = rotated.pair.spectra([rotated.coeffs[2], (s, s)], hbar)
+            shift = phase_kick_shift(rotated, geom, units)
+            assert abs(shift - _comb_shift(q3, phase_free, d)) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=ROW_AMPLITUDE, b=ROW_AMPLITUDE)
+    def test_comb_phase_form_matches_full_grid_projection(self, a, b):
+        geom = SlitGeometry(d=1.0, sigma=0.02)
+        grid = GridSpec(n=8192, x_min=0.5 - 20.48, x_max=0.5 + 20.48)
+        pair = make_state(geom, grid, c=0.5).pair
+        row = np.array([a, b])
+        form = np.vdot(row, pair.comb(1.0, geom.d) @ row)
+        oracle = _comb_projection(pair.spectra([row], 1.0)[0], geom.d)
+        assert abs(form - oracle) <= 1e-12 * abs(oracle)
+
+    def test_a_row_without_fringes_raises(self, geom, grid, units):
+        # One slit alone has a smooth spectrum: no comb, so no phase.
+        pair = make_state(geom, grid, c=0.5).pair
+        one_slit, both = np.array([1.0, 0.0]), np.full(2, 1.0 / math.sqrt(2.0))
+        with pytest.raises(EmptyBranchError):
+            _comb_offset(pair, one_slit, both, units.hbar, geom.d)
 
 
 class TestKickReport:
