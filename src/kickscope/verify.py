@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import sys
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable, Mapping, TextIO
 
@@ -117,8 +118,21 @@ def _pattern(cfg: RunConfig, c: float, theta: float = 0.0) -> ScreenPattern:
     return screen_density(_propagated(cfg, c, theta))
 
 
+# V(c, theta) by (c, theta) for the run_checks call in progress, which runs
+# every check on one config; unset outside such a call.
+_visibilities: ContextVar[dict[tuple[float, float], float] | None] = ContextVar(
+    "_visibilities", default=None
+)
+
+
 def _visibility(cfg: RunConfig, c: float, theta: float = 0.0) -> float:
-    return fringe_analysis(_pattern(cfg, c, theta), cfg.geometry, cfg.units).visibility
+    memo = _visibilities.get()
+    if memo is not None and (c, theta) in memo:
+        return memo[c, theta]
+    v = fringe_analysis(_pattern(cfg, c, theta), cfg.geometry, cfg.units).visibility
+    if memo is not None:
+        memo[c, theta] = v
+    return v
 
 
 def _momentum_bin(cfg: RunConfig) -> float:
@@ -221,13 +235,15 @@ def _chk_wp_kick(cfg: RunConfig, tol: float) -> CheckResult:
     hbar = cfg.units.hbar
     psi = slit_state(cfg.geometry, cfg.grid, 1)
     boost = 12.25 * _momentum_bin(cfg)
+
+    def mean_momentum(state):
+        spec = to_momentum(state, hbar=hbar)
+        return float(np.sum(spec.p * spec.density()) * spec.dp)
+
+    mean0 = mean_momentum(psi)
     worst = 0.0
     for p in (boost, -3.0 * boost):
-        spec0 = to_momentum(psi, hbar=hbar)
-        spec1 = to_momentum(apply_kick(psi, p, hbar=hbar), hbar=hbar)
-        mean0 = float(np.sum(spec0.p * spec0.density()) * spec0.dp)
-        mean1 = float(np.sum(spec1.p * spec1.density()) * spec1.dp)
-        worst = max(worst, abs(mean1 - mean0 - p))
+        worst = max(worst, abs(mean_momentum(apply_kick(psi, p, hbar=hbar)) - mean0 - p))
     return _verdict("wavepacket.kick_displacement", worst <= tol, f"mean off by {worst:.3g}")
 
 
@@ -473,13 +489,17 @@ def run_checks(
             raise KeyError(f"unknown check names in overrides: {sorted(unknown)}")
         tols.update(tolerance_overrides)
     results: list[CheckResult] = []
-    for name, fn in _CHECKS:
-        try:
-            results.append(fn(cfg, tols[name]))
-        except EmptyBranchError as exc:
-            results.append(CheckResult(name, "SKIP", f"not applicable: {exc}"))
-        except Exception as exc:  # surface, don't crash the rest of the table
-            results.append(CheckResult(name, "FAIL", f"raised {type(exc).__name__}: {exc}"))
+    token = _visibilities.set({})
+    try:
+        for name, fn in _CHECKS:
+            try:
+                results.append(fn(cfg, tols[name]))
+            except EmptyBranchError as exc:
+                results.append(CheckResult(name, "SKIP", f"not applicable: {exc}"))
+            except Exception as exc:  # surface, don't crash the rest of the table
+                results.append(CheckResult(name, "FAIL", f"raised {type(exc).__name__}: {exc}"))
+    finally:
+        _visibilities.reset(token)
     return results
 
 

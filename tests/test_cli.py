@@ -9,6 +9,7 @@ import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +52,11 @@ def read_summary(path):
     return out
 
 
+def assert_digests(out, golden):
+    for name, digest in golden.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
 class TestRun:
     def test_writes_pattern_momentum_summary(self, cfg_path, tmp_path):
         out = tmp_path / "out"
@@ -82,6 +88,24 @@ class TestRun:
         for name in ("pattern.csv", "momentum.csv", "summary.txt"):
             assert filecmp.cmp(a / name, b / name, shallow=False)
 
+    @pytest.mark.parametrize("block", [None, 7])
+    def test_output_bytes_are_pinned(self, cfg_path, tmp_path, monkeypatch, block):
+        # sha256 of the REDUCED run, recorded with the np.savetxt writer that
+        # the block writer replaced.  block = 7 puts block boundaries inside
+        # each table.
+        if block is not None:
+            monkeypatch.setattr(cli, "_BLOCK_ROWS", block)
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
+        assert_digests(
+            out,
+            {
+                "pattern.csv": "6d04fa7b1c3caac607fde2036852deed3757fee2850b66b14113cdb2858caad5",
+                "momentum.csv": "e0a013cf590ad308d0831863e91936b3fc7ff21e235abc7309f8e6fc1693457b",
+                "summary.txt": "79904b332576d938c2780c989809f9be54833449d0b41eb96789d36ff8f26362",
+            },
+        )
+
 
 class TestScan:
     def test_scan_rows(self, cfg_path, tmp_path):
@@ -97,6 +121,19 @@ class TestScan:
         np.testing.assert_allclose(data[:, 2], [0.5, 0.25, 0.0], rtol=0, atol=1e-10)
         assert np.isnan(data[2, 3])  # no interfering branches left at c = 1
         assert abs(data[1, 3] - math.pi) <= 2.0 * math.pi / (131072 * 0.005)
+
+    @pytest.mark.parametrize("block", [None, 7])
+    def test_output_bytes_are_pinned(self, cfg_path, tmp_path, monkeypatch, block):
+        # Recorded like TestRun's pins; nine rows, so block = 7 splits them.
+        if block is not None:
+            monkeypatch.setattr(cli, "_BLOCK_ROWS", block)
+        out = tmp_path / "out"
+        c_values = "0,0.125,0.25,0.375,0.5,0.625,0.75,0.875,1"
+        argv = ["scan", "--config", cfg_path, "--out", str(out), "--c-values", c_values]
+        assert main(argv) == 0
+        assert_digests(
+            out, {"scan.csv": "1651a131cbf9a6b1e2a77abfc85bf1a153c2e28f7b751535e662f513dfef5b08"}
+        )
 
     def test_rejects_bad_c_list(self, cfg_path, tmp_path, capsys):
         rc = main(["scan", "--config", cfg_path, "--out", str(tmp_path), "--c-values", "0,2"])
@@ -125,23 +162,24 @@ class TestSample:
         assert not filecmp.cmp(a / "events.csv", b / "events.csv", shallow=False)
         assert filecmp.cmp(a / "events.csv", c / "events.csv", shallow=False)
 
-    @pytest.mark.parametrize("chunk", [None, 7])
-    def test_output_bytes_are_pinned(self, cfg_path, tmp_path, monkeypatch, chunk):
+    @pytest.mark.parametrize("block", [None, 7])
+    def test_output_bytes_are_pinned(self, cfg_path, tmp_path, monkeypatch, block):
         # sha256 of the REDUCED run (seed 7, 2000 events), recorded when the
         # branches became combinations of one propagated slit pair.  Against
         # the earlier three-branch propagation every outcome and count is the
-        # same and positions moved by at most 2.1e-14*max(1, |x|).  chunk = 7
-        # puts writer chunk boundaries inside the event stream.
-        if chunk is not None:
-            monkeypatch.setattr(cli, "_EVENT_CHUNK", chunk)
-        golden = {
-            "events.csv": "a22168d8ffc0dc6d19076c2b68f55cdfcd1f1151918d5c82f43d6206974bdebc",
-            "sample_summary.txt": "4a3f0602a7ca8c7eb38cb39085390f3992282f9b47cef4a3e1603330e75c20fb",
-        }
+        # same and positions moved by at most 2.1e-14*max(1, |x|).  block = 7
+        # puts writer block boundaries inside the event stream.
+        if block is not None:
+            monkeypatch.setattr(cli, "_BLOCK_ROWS", block)
         out = tmp_path / "out"
         assert main(["sample", "--config", cfg_path, "--out", str(out)]) == 0
-        for name, digest in golden.items():
-            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+        assert_digests(
+            out,
+            {
+                "events.csv": "a22168d8ffc0dc6d19076c2b68f55cdfcd1f1151918d5c82f43d6206974bdebc",
+                "sample_summary.txt": "4a3f0602a7ca8c7eb38cb39085390f3992282f9b47cef4a3e1603330e75c20fb",
+            },
+        )
 
     def test_outputs_honour_the_umask(self, cfg_path, tmp_path):
         out = tmp_path / "out"
@@ -152,6 +190,55 @@ class TestSample:
             os.umask(old)
         for name in ("events.csv", "sample_summary.txt"):
             assert stat.S_IMODE((out / name).stat().st_mode) == 0o640, name
+
+
+class TestBlockWriter:
+    EDGES = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308]
+
+    @pytest.mark.parametrize("n_rows", [1, cli._BLOCK_ROWS, cli._BLOCK_ROWS + 1])
+    def test_matches_savetxt(self, n_rows):
+        # np.savetxt(fmt="%.17g") is the oracle: every table the CLI wrote
+        # before the block writer came from it.
+        rng = np.random.default_rng(n_rows)
+        columns = []
+        for j in range(len(self.EDGES)):
+            col = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows)
+            edges = np.roll(self.EDGES, j)
+            col[: len(edges)] = edges[:n_rows]
+            col[-len(edges) :] = edges[-n_rows:]
+            columns.append(col)
+        expected = io.StringIO()
+        np.savetxt(expected, np.column_stack(columns), fmt="%.17g", delimiter=",")
+        got = io.StringIO()
+        cli._write_rows(got, ",".join(["%.17g"] * len(columns)) + "\n", columns)
+        assert got.getvalue() == expected.getvalue()
+
+    @pytest.mark.parametrize("n_rows", [1, cli._BLOCK_ROWS, cli._BLOCK_ROWS + 1])
+    def test_labels_match_the_per_event_format(self, n_rows):
+        labels = ["q_plus", "q_minus", "q3"]
+        rng = np.random.default_rng(n_rows)
+        codes = rng.integers(0, 3, n_rows)
+        xs = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows)
+        xs[: len(self.EDGES)] = self.EDGES[:n_rows]
+        expected = "".join("%s,%.17g\n" % (labels[c], x) for c, x in zip(codes, xs))
+        got = io.StringIO()
+        cli._write_rows(got, "%s,%.17g\n", [codes, xs], np.array(labels, dtype=object))
+        assert got.getvalue() == expected
+
+    def test_memory_is_one_block_not_the_table(self, tmp_path):
+        # 2^16-row blocks of this table peak near 21 MB of Python floats and
+        # text; 2^12-row blocks near 1.4 MB.
+        n = 1 << 17
+        rng = np.random.default_rng(0)
+        columns = [rng.standard_normal(n) for _ in range(5)]
+        stacked_nbytes = n * len(columns) * 8
+        tracemalloc.start()
+        try:
+            cli._write_table(tmp_path / "t.csv", list("abcde"), columns)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= stacked_nbytes + 4 * 2**20
 
 
 class TestOutputResolution:
@@ -348,3 +435,34 @@ def test_scan_computes_the_kick_identity_residual_once(cfg_path, tmp_path):
     argv = ["scan", "--config", cfg_path, "--out", str(tmp_path), "--c-values", "0,0.25,0.5,0.75,1"]
     assert main(argv) == 0
     assert experiment.kick_identity_residual.cache_info().misses == 1
+
+
+def test_verify_computes_each_visibility_once(cfg_path, monkeypatch):
+    # visibility_law, kick_fraction_vs_visibility and phase_visibility share
+    # V(c, theta) within one run: five c at theta = 0 plus three more thetas.
+    calls = []
+    real = verify_module.fringe_analysis
+
+    def counting(pattern, geom, units):
+        calls.append(pattern)
+        return real(pattern, geom, units)
+
+    monkeypatch.setattr(verify_module, "fringe_analysis", counting)
+    assert main(["verify", "--config", cfg_path]) == 0
+    assert len(calls) == 8
+    assert verify_module._visibilities.get() is None
+
+
+def test_kick_displacement_transforms_the_unkicked_state_once(cfg_path, monkeypatch):
+    calls = []
+    real = verify_module.to_momentum
+
+    def counting(psi, hbar=1.0):
+        calls.append(psi)
+        return real(psi, hbar=hbar)
+
+    monkeypatch.setattr(verify_module, "to_momentum", counting)
+    check = dict(_CHECKS)["wavepacket.kick_displacement"]
+    tol = TOLERANCES["wavepacket.kick_displacement"]
+    assert check(load_config(cfg_path), tol).status == "PASS"
+    assert len(calls) == 3  # the unkicked state and one per boost
