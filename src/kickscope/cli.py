@@ -10,7 +10,8 @@ reads back as the same float64, and tables are formatted in fixed blocks
 of rows, so the writer's memory does not grow with the grid.
 
 Exit codes: 0 on success, 1 when verification fails, 2 on a configuration
-or usage error.
+or usage error (from every command, ``verify`` included) or when the
+configured arrays do not fit in memory.
 """
 
 from __future__ import annotations
@@ -276,11 +277,14 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "scan":
             return cmd_scan(cfg, out_dir, parse_c_values(args.c_values))
         return cmd_sample(cfg, out_dir)
-    except KickscopeError as exc:
+    except (KickscopeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError as exc:
+        print(
+            f"error: out of memory ({exc}); grid.n and sampling.count set the array sizes",
+            file=sys.stderr,
+        )
         return 2
 
 

@@ -74,6 +74,9 @@ __all__ = [
 #: Branch probabilities below this are treated as empty (no kick estimate).
 EMPTY_BRANCH_TOL = 1e-14
 
+#: Equal-probability bins in `screen_goodness_of_fit`.
+GOF_BINS = 50
+
 
 @dataclass(frozen=True, eq=False)
 class SlitPair:
@@ -206,7 +209,6 @@ class FringeAnalysis:
     visibility: float
     fringe_period: float
     central_fringe_shift: float
-    window: tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -286,9 +288,13 @@ def screen_density(state: BranchState) -> ScreenPattern:
     return ScreenPattern(state.grid, rho)
 
 
+def _far_field_period(geom: SlitGeometry, units: PhysicalUnits) -> float:
+    return 2.0 * math.pi * units.hbar * units.t / (units.mass * geom.d)
+
+
 def fringe_window(geom: SlitGeometry, units: PhysicalUnits) -> tuple[float, float]:
-    """Default analysis window: two far-field fringe periods around x = d/2."""
-    period = 2.0 * math.pi * units.hbar * units.t / (units.mass * geom.d)
+    """Analysis window: two far-field fringe periods around x = d/2."""
+    period = _far_field_period(geom, units)
     center = geom.d / 2.0
     return (center - period, center + period)
 
@@ -304,21 +310,16 @@ def _refine_extremum(x: np.ndarray, v: np.ndarray, i: int, dx: float) -> tuple[f
 
 
 def fringe_analysis(
-    pattern: ScreenPattern,
-    geom: SlitGeometry,
-    units: PhysicalUnits,
-    window: tuple[float, float] | None = None,
+    pattern: ScreenPattern, geom: SlitGeometry, units: PhysicalUnits
 ) -> FringeAnalysis:
-    """Measure visibility from adjacent extrema inside an analysis window.
+    """Measure visibility from adjacent extrema inside :func:`fringe_window`.
 
     Parameters
     ----------
     pattern : ScreenPattern
         Far-field screen density.
     geom, units : SlitGeometry, PhysicalUnits
-        Used for the default window and the fallback period estimate.
-    window : (float, float), optional
-        Analysis interval; defaults to :func:`fringe_window`.
+        Set the analysis window and the fallback period estimate.
 
     Returns
     -------
@@ -330,13 +331,11 @@ def fringe_analysis(
         and the period falls back to the far-field estimate
         ``2*pi*hbar*t/(m*d)`` so it stays positive.
     """
-    if window is None:
-        window = fringe_window(geom, units)
-    lo, hi = window
+    lo, hi = fringe_window(geom, units)
     x = pattern.grid.x
     sel = (x >= lo) & (x <= hi)
     if lo >= hi or int(sel.sum()) < 5:
-        raise ConfigurationError(f"analysis window {window} is malformed for this grid")
+        raise ConfigurationError(f"analysis window {(lo, hi)} is malformed for this grid")
     xs = x[sel]
     vals = pattern.values[sel]
     dx = pattern.grid.dx
@@ -349,8 +348,6 @@ def fringe_analysis(
 
     maxima = [_refine_extremum(xs, vals, i, dx) for i in max_idx]
     minima = [_refine_extremum(xs, vals, i, dx) for i in min_idx]
-
-    period_estimate = 2.0 * math.pi * units.hbar * units.t / (units.mass * geom.d)
 
     if maxima and minima:
         x_max, v_max = min(maxima, key=lambda mv: abs(mv[0] - center))
@@ -367,7 +364,7 @@ def fringe_analysis(
         v_max = float(vals.max())
         v_min = float(vals.min())
         visibility = (v_max - v_min) / (v_max + v_min)
-        period = period_estimate
+        period = _far_field_period(geom, units)
         i = int(np.argmax(vals))
         central_max = (
             _refine_extremum(xs, vals, i, dx)[0] if 0 < i < len(vals) - 1 else float(xs[i])
@@ -377,7 +374,6 @@ def fringe_analysis(
         visibility=float(visibility),
         fringe_period=float(period),
         central_fringe_shift=float(central_max - geom.d / 2.0),
-        window=(float(lo), float(hi)),
     )
 
 
@@ -557,36 +553,36 @@ def sample_events(state: BranchState, count: int, seed: int) -> tuple[np.ndarray
 
 
 def screen_goodness_of_fit(
-    xs: Sequence[float] | np.ndarray, pattern: ScreenPattern, n_bins: int = 50
+    xs: Sequence[float] | np.ndarray, pattern: ScreenPattern
 ) -> tuple[float, float]:
     """Chi-square goodness of fit of sampled positions against a pattern.
 
-    Bins are equal-probability quantiles of the pattern's cell-wise CDF, so
-    every bin expects ``len(xs)/n_bins`` counts.  Returns Pearson's
-    ``(statistic, p_value)`` with ``n_bins - 1`` degrees of freedom, the same
-    numbers ``scipy.stats.chisquare`` gives.  Meant for strictly positive
-    patterns such as propagated totals; exact zero-density stretches would
-    collapse quantile bins.
+    Bins are ``GOF_BINS`` equal-probability quantiles of the pattern's
+    cell-wise CDF, so every bin expects ``len(xs)/GOF_BINS`` counts.
+    Returns Pearson's ``(statistic, p_value)`` with ``GOF_BINS - 1``
+    degrees of freedom, the same numbers ``scipy.stats.chisquare`` gives.
+    Meant for strictly positive patterns such as propagated totals; exact
+    zero-density stretches would collapse quantile bins.
 
     Raises
     ------
     DomainError
-        If there are fewer than ``10*n_bins`` samples, or if some fall
+        If there are fewer than ``10*GOF_BINS`` samples, or if some fall
         outside the pattern's bins.
     """
     xs = np.asarray(xs, dtype=np.float64)
-    if xs.size < 10 * n_bins:
+    if xs.size < 10 * GOF_BINS:
         raise DomainError("too few samples for a meaningful binned test")
     cdf, edges = _cell_cdf(pattern.values, pattern.grid)
-    quantiles = np.linspace(0.0, 1.0, n_bins + 1)
+    quantiles = np.linspace(0.0, 1.0, GOF_BINS + 1)
     bin_edges = np.interp(quantiles, cdf, edges)
     observed, _ = np.histogram(xs, bins=bin_edges)
     missing = xs.size - int(observed.sum())
     if missing:
         raise DomainError(f"{missing} of {xs.size} samples fall outside the pattern's bins")
-    expected = np.full(n_bins, xs.size / n_bins)
+    expected = np.full(GOF_BINS, xs.size / GOF_BINS)
     stat = np.sum((observed.astype(np.float64) - expected) ** 2 / expected)
     # chdtrc is the chi-square survival function scipy.stats uses; calling
     # it directly keeps the slow scipy.stats import out of the CLI.
-    pvalue = scipy.special.chdtrc(n_bins - 1, stat)
+    pvalue = scipy.special.chdtrc(GOF_BINS - 1, stat)
     return float(stat), float(pvalue)

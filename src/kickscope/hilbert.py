@@ -118,16 +118,6 @@ class UqsdCoefficients:
             if abs(norm - 1.0) > ALGEBRA_TOL:
                 raise DomainError(f"detector state {name} is not normalized: {norm!r}")
 
-    @property
-    def c(self) -> float:
-        """Failure probability / overlap magnitude recovered from ``beta``."""
-        return self.beta**2
-
-    @property
-    def overlap(self) -> complex:
-        """Overlap ``<d1|d2>`` reconstructed from the coefficients."""
-        return self.beta * self.delta
-
 
 @dataclass(frozen=True)
 class DetectorVector:

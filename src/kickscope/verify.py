@@ -2,29 +2,30 @@
 
 Each named check compares a computed quantity against an independent
 expectation (closed-form oracle, algebraic identity, or statistical bound)
-at a named tolerance.  The registry is the one place a claim is written
-down: ``run_checks`` returns one `CheckResult` per check, in
+at its tolerance in ``TOLERANCES``.  The registry is the one place a claim
+is written down: ``run_checks`` returns one `CheckResult` per check, in
 ``TOLERANCES`` order, and the desk-scale acceptance tests assert on those
 results.  ``run_suite`` prints one PASS/FAIL/SKIP line per result and
 returns a process exit code: 0 when nothing failed, 1 otherwise.
 
-Tolerances can be overridden per check name through the
-``tolerance_overrides`` mapping; that exists so tests can inject an
-impossible tolerance and watch the suite fail honestly.
+A check that raises ``EmptyBranchError`` is a SKIP (nothing to measure at
+this setting), and one that raises any other error is a FAIL.  The
+exceptions are ``ConfigurationError`` and ``MemoryError``: the config
+itself cannot be checked, so they propagate and ``kickscope verify``
+exits 2 without printing a table.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Callable, Mapping, TextIO
+from typing import Callable
 
 import numpy as np
 
 from .config import RunConfig
-from .errors import EmptyBranchError
+from .errors import ConfigurationError, EmptyBranchError
 from .hilbert import (
     COMPUTATIONAL,
     SYMMETRIC,
@@ -63,7 +64,7 @@ from .experiment import (
 
 __all__ = ["CheckResult", "run_checks", "run_suite", "TOLERANCES"]
 
-#: Default tolerance per check name.  Overridable through run_checks.
+#: Tolerance per check name, read when the checks run.
 TOLERANCES: dict[str, float] = {
     "hilbert.normalization": 1e-12,
     "hilbert.unitarity": 1e-12,
@@ -139,24 +140,32 @@ def _momentum_bin(cfg: RunConfig) -> float:
     return 2.0 * math.pi * cfg.units.hbar / (cfg.grid.n * cfg.grid.dx)
 
 
-def _verdict(name: str, ok: bool, detail: str) -> CheckResult:
-    return CheckResult(name, "PASS" if ok else "FAIL", detail)
-
-
-CheckFn = Callable[[RunConfig, float], CheckResult]
-_CHECKS: list[tuple[str, CheckFn]] = []
+_CHECKS: list[tuple[str, Callable[[RunConfig, float], CheckResult]]] = []
 
 
 def _check(name: str):
-    def wrap(fn: CheckFn) -> CheckFn:
-        _CHECKS.append((name, fn))
-        return fn
+    # Register fn(cfg, tol) -> (ok, detail) as check `name`.  The registered
+    # callable makes its CheckResult, with the SKIP/FAIL rule stated above.
+    def wrap(fn: Callable[[RunConfig, float], tuple[bool, str]]):
+        def check(cfg: RunConfig, tol: float) -> CheckResult:
+            try:
+                ok, detail = fn(cfg, tol)
+            except EmptyBranchError as exc:
+                return CheckResult(name, "SKIP", str(exc))
+            except (ConfigurationError, MemoryError):
+                raise
+            except Exception as exc:
+                return CheckResult(name, "FAIL", f"raised {type(exc).__name__}: {exc}")
+            return CheckResult(name, "PASS" if ok else "FAIL", detail)
+
+        _CHECKS.append((name, check))
+        return check
 
     return wrap
 
 
 @_check("hilbert.normalization")
-def _chk_hilbert_norm(cfg: RunConfig, tol: float) -> CheckResult:
+def _chk_hilbert_norm(cfg: RunConfig, tol: float) -> tuple[bool, str]:
     worst = 0.0
     for c in _C_GRID:
         for theta in (0.0, math.pi / 3, cfg.detector.theta):
@@ -168,11 +177,11 @@ def _chk_hilbert_norm(cfg: RunConfig, tol: float) -> CheckResult:
                 abs(d2.norm() - 1.0),
                 abs(d1.inner(d2) - det.overlap),
             )
-    return _verdict("hilbert.normalization", worst <= tol, f"max dev {worst:.3g}")
+    return worst <= tol, f"max dev {worst:.3g}"
 
 
 @_check("hilbert.unitarity")
-def _chk_hilbert_unitarity(cfg: RunConfig, tol: float) -> CheckResult:
+def _chk_hilbert_unitarity(cfg: RunConfig, tol: float) -> tuple[bool, str]:
     eye = np.eye(3)
     worst = 0.0
     bases = [COMPUTATIONAL, SYMMETRIC, tilted(math.pi / 4), tilted(math.pi / 2), tilted(1.0)]
@@ -186,19 +195,19 @@ def _chk_hilbert_unitarity(cfg: RunConfig, tol: float) -> CheckResult:
         m = basis_matrix(COMPUTATIONAL, b)
         worst = max(worst, float(np.abs(m[:, 2] - eye[:, 2]).max()))
         worst = max(worst, float(np.abs(m[2, :] - eye[2, :]).max()))
-    return _verdict("hilbert.unitarity", worst <= tol, f"max dev {worst:.3g}")
+    return worst <= tol, f"max dev {worst:.3g}"
 
 
 @_check("wavepacket.normalization")
-def _chk_wp_norm(cfg: RunConfig, tol: float) -> CheckResult:
+def _chk_wp_norm(cfg: RunConfig, tol: float) -> tuple[bool, str]:
     worst = max(
         abs(slit_state(cfg.geometry, cfg.grid, s).norm() - 1.0) for s in (1, 2)
     )
-    return _verdict("wavepacket.normalization", worst <= tol, f"max dev {worst:.3g}")
+    return worst <= tol, f"max dev {worst:.3g}"
 
 
 @_check("wavepacket.momentum_oracle")
-def _chk_wp_momentum(cfg: RunConfig, tol: float) -> CheckResult:
+def _chk_wp_momentum(cfg: RunConfig, tol: float) -> tuple[bool, str]:
     hbar = cfg.units.hbar
     sigma = cfg.geometry.sigma
     spec = to_momentum(slit_state(cfg.geometry, cfg.grid, 1), hbar=hbar)
@@ -207,29 +216,29 @@ def _chk_wp_momentum(cfg: RunConfig, tol: float) -> CheckResult:
     )
     worst = float(np.abs(spec.amplitudes - oracle).max())
     worst = max(worst, abs(spec.norm() - 1.0))
-    return _verdict("wavepacket.momentum_oracle", worst <= tol, f"max dev {worst:.3g}")
+    return worst <= tol, f"max dev {worst:.3g}"
 
 
 @_check("wavepacket.roundtrip")
-def _chk_wp_roundtrip(cfg: RunConfig, tol: float) -> CheckResult:
+def _chk_wp_roundtrip(cfg: RunConfig, tol: float) -> tuple[bool, str]:
     psi = slit_state(cfg.geometry, cfg.grid, 2)
     back = to_position(to_momentum(psi, hbar=cfg.units.hbar))
     worst = float(np.abs(back.amplitudes - psi.amplitudes).max())
-    return _verdict("wavepacket.roundtrip", worst <= tol, f"max dev {worst:.3g}")
+    return worst <= tol, f"max dev {worst:.3g}"
 
 
 @_check("wavepacket.propagator_agreement")
-def _chk_wp_propagators(cfg: RunConfig, tol: float) -> CheckResult:
+def _chk_wp_propagators(cfg: RunConfig, tol: float) -> tuple[bool, str]:
     worst = 0.0
     for slit in (1, 2):
         via_fft = propagate_fft(slit_state(cfg.geometry, cfg.grid, slit), cfg.geometry, cfg.units)
         closed = propagate_analytic(cfg.geometry, cfg.grid, cfg.units, slit)
         worst = max(worst, float(np.abs(via_fft.amplitudes - closed.amplitudes).max()))
-    return _verdict("wavepacket.propagator_agreement", worst <= tol, f"max abs diff {worst:.3g}")
+    return worst <= tol, f"max abs diff {worst:.3g}"
 
 
 @_check("wavepacket.kick_displacement")
-def _chk_wp_kick(cfg: RunConfig, tol: float) -> CheckResult:
+def _chk_wp_kick(cfg: RunConfig, tol: float) -> tuple[bool, str]:
     # A kick by p must move the spectral mean by exactly p (the spectrum
     # translates rigidly), for whole and fractional numbers of bins alike.
     hbar = cfg.units.hbar
@@ -244,11 +253,11 @@ def _chk_wp_kick(cfg: RunConfig, tol: float) -> CheckResult:
     worst = 0.0
     for p in (boost, -3.0 * boost):
         worst = max(worst, abs(mean_momentum(apply_kick(psi, p, hbar=hbar)) - mean0 - p))
-    return _verdict("wavepacket.kick_displacement", worst <= tol, f"mean off by {worst:.3g}")
+    return worst <= tol, f"mean off by {worst:.3g}"
 
 
 @_check("experiment.branch_probabilities")
-def _chk_exp_probs(cfg: RunConfig, tol: float) -> CheckResult:
+def _chk_exp_probs(cfg: RunConfig, tol: float) -> tuple[bool, str]:
     worst = 0.0
     for c in _C_GRID:
         expected = np.array([(1.0 - c) / 2.0, (1.0 - c) / 2.0, c])
@@ -258,19 +267,19 @@ def _chk_exp_probs(cfg: RunConfig, tol: float) -> CheckResult:
                 probs = st.branch_probabilities()
                 worst = max(worst, float(np.abs(probs - expected).max()))
                 worst = max(worst, abs(probs.sum() - 1.0))
-    return _verdict("experiment.branch_probabilities", worst <= tol, f"max dev {worst:.3g}")
+    return worst <= tol, f"max dev {worst:.3g}"
 
 
 @_check("experiment.failure_probability")
-def _chk_exp_fail(cfg: RunConfig, tol: float) -> CheckResult:
+def _chk_exp_fail(cfg: RunConfig, tol: float) -> tuple[bool, str]:
     c = cfg.detector.c
     state = _state(cfg, c, cfg.detector.theta)
     dev = abs(state.branch_probabilities()[2] - c)
-    return _verdict("experiment.failure_probability", dev <= tol, f"|P(fail) - c| = {dev:.3g}")
+    return dev <= tol, f"|P(fail) - c| = {dev:.3g}"
 
 
 @_check("experiment.basis_invariance")
-def _chk_exp_basis(cfg: RunConfig, tol: float) -> CheckResult:
+def _chk_exp_basis(cfg: RunConfig, tol: float) -> tuple[bool, str]:
     # The configured state at emission, and a phased one after free flight.
     emitted = assemble(cfg.geometry, cfg.grid, build_uqsd(cfg.detector))
     phased = assemble(cfg.geometry, cfg.grid, build_uqsd(DetectorConfig(c=0.5, theta=0.8)))
@@ -284,11 +293,11 @@ def _chk_exp_basis(cfg: RunConfig, tol: float) -> CheckResult:
         for b in bases:
             rho_b = screen_density(change_basis(state, b)).values
             worst = max(worst, float(np.abs(rho_b - rho).max()))
-    return _verdict("experiment.basis_invariance", worst <= tol, f"max abs diff {worst:.3g}")
+    return worst <= tol, f"max abs diff {worst:.3g}"
 
 
 @_check("experiment.density_formula")
-def _chk_exp_density(cfg: RunConfig, tol: float) -> CheckResult:
+def _chk_exp_density(cfg: RunConfig, tol: float) -> tuple[bool, str]:
     det = cfg.detector
     psi1 = propagate_analytic(cfg.geometry, cfg.grid, cfg.units, 1).amplitudes
     psi2 = propagate_analytic(cfg.geometry, cfg.grid, cfg.units, 2).amplitudes
@@ -300,39 +309,37 @@ def _chk_exp_density(cfg: RunConfig, tol: float) -> CheckResult:
     )
     rho = _pattern(cfg, det.c, det.theta).values
     worst = float(np.abs(rho - direct).max())
-    return _verdict("experiment.density_formula", worst <= tol, f"max abs diff {worst:.3g}")
+    return worst <= tol, f"max abs diff {worst:.3g}"
 
 
 @_check("experiment.visibility_law")
-def _chk_exp_visibility(cfg: RunConfig, tol: float) -> CheckResult:
+def _chk_exp_visibility(cfg: RunConfig, tol: float) -> tuple[bool, str]:
     worst = 0.0
     for c in _C_GRID:
         worst = max(worst, abs(_visibility(cfg, c) - c))
-    return _verdict("experiment.visibility_law", worst <= tol, f"max |V - c| = {worst:.3g}")
+    return worst <= tol, f"max |V - c| = {worst:.3g}"
 
 
 @_check("experiment.kick_fraction")
-def _chk_exp_fraction(cfg: RunConfig, tol: float) -> CheckResult:
+def _chk_exp_fraction(cfg: RunConfig, tol: float) -> tuple[bool, str]:
     worst = 0.0
     for c in _C_GRID:
         f_branch = _state(cfg, c).branch_probabilities()[1]
         worst = max(worst, abs(f_branch - (1.0 - c) / 2.0))
-    return _verdict("experiment.kick_fraction", worst <= tol, f"max |F_k - (1-c)/2| = {worst:.3g}")
+    return worst <= tol, f"max |F_k - (1-c)/2| = {worst:.3g}"
 
 
 @_check("experiment.kick_fraction_vs_visibility")
-def _chk_exp_fraction_vis(cfg: RunConfig, tol: float) -> CheckResult:
+def _chk_exp_fraction_vis(cfg: RunConfig, tol: float) -> tuple[bool, str]:
     worst = 0.0
     for c in _C_GRID:
         f_branch = _state(cfg, c).branch_probabilities()[1]
         worst = max(worst, abs(f_branch - (1.0 - _visibility(cfg, c)) / 2.0))
-    return _verdict(
-        "experiment.kick_fraction_vs_visibility", worst <= tol, f"max |F_k - (1-V)/2| = {worst:.3g}"
-    )
+    return worst <= tol, f"max |F_k - (1-V)/2| = {worst:.3g}"
 
 
 @_check("experiment.kick_magnitude")
-def _chk_exp_kick(cfg: RunConfig, tol: float) -> CheckResult:
+def _chk_exp_kick(cfg: RunConfig, tol: float) -> tuple[bool, str]:
     dp = _momentum_bin(cfg)
     p0 = math.pi * cfg.units.hbar / cfg.geometry.d
     worst = 0.0
@@ -340,35 +347,31 @@ def _chk_exp_kick(cfg: RunConfig, tol: float) -> CheckResult:
         report = kick_report(_state(cfg, c), cfg.geometry, cfg.units, DetectorConfig(c=c))
         assert report.p0_measured is not None
         worst = max(worst, abs(report.p0_measured - p0) / dp)
-    return _verdict("experiment.kick_magnitude", worst <= tol, f"worst offset {worst:.3g} bins")
+    return worst <= tol, f"worst offset {worst:.3g} bins"
 
 
 @_check("experiment.detector_kick")
-def _chk_exp_detector_kick(cfg: RunConfig, tol: float) -> CheckResult:
+def _chk_exp_detector_kick(cfg: RunConfig, tol: float) -> tuple[bool, str]:
     det = cfg.detector
     report = kick_report(
         _state(cfg, det.c, det.theta), cfg.geometry, cfg.units, det
     )
     if det.c == 1.0:
         ok = report.p0_measured is None
-        return _verdict(
-            "experiment.detector_kick",
-            ok,
+        return ok, (
             "kicked branch empty at c = 1; no estimate (as expected)"
             if ok
-            else "expected no kick estimate at c = 1",
+            else "expected no kick estimate at c = 1"
         )
     dp = _momentum_bin(cfg)
     off = abs(report.p0_measured - report.p0) / dp
-    return _verdict("experiment.detector_kick", off <= tol, f"off by {off:.3g} bins")
+    return off <= tol, f"off by {off:.3g} bins"
 
 
 @_check("experiment.tilted_kick")
-def _chk_exp_tilted(cfg: RunConfig, tol: float) -> CheckResult:
+def _chk_exp_tilted(cfg: RunConfig, tol: float) -> tuple[bool, str]:
     if cfg.detector.c == 1.0:
-        return CheckResult(
-            "experiment.tilted_kick", "SKIP", "interfering branches empty at c = 1"
-        )
+        raise EmptyBranchError("interfering branches empty at c = 1")
     dp = _momentum_bin(cfg)
     p0 = math.pi * cfg.units.hbar / cfg.geometry.d
     worst = 0.0
@@ -377,11 +380,11 @@ def _chk_exp_tilted(cfg: RunConfig, tol: float) -> CheckResult:
         worst = max(
             worst, abs(tilted_relative_kick(state, cfg.geometry, cfg.units, tp) - p0) / dp
         )
-    return _verdict("experiment.tilted_kick", worst <= tol, f"worst offset {worst:.3g} bins")
+    return worst <= tol, f"worst offset {worst:.3g} bins"
 
 
 @_check("experiment.kick_identity")
-def _chk_exp_identity(cfg: RunConfig, tol: float) -> CheckResult:
+def _chk_exp_identity(cfg: RunConfig, tol: float) -> tuple[bool, str]:
     worst = 0.0
     last = -1.0
     monotone = True
@@ -394,11 +397,11 @@ def _chk_exp_identity(cfg: RunConfig, tol: float) -> CheckResult:
         monotone = monotone and measured > last
         last = measured
     detail = f"max rel dev {worst:.3g}" + ("" if monotone else "; NOT monotone in sigma/d")
-    return _verdict("experiment.kick_identity", worst <= tol and monotone, detail)
+    return worst <= tol and monotone, detail
 
 
 @_check("experiment.phase_kick")
-def _chk_exp_phase(cfg: RunConfig, tol: float) -> CheckResult:
+def _chk_exp_phase(cfg: RunConfig, tol: float) -> tuple[bool, str]:
     dp = _momentum_bin(cfg)
     worst = 0.0
     for theta in _PHASE_GRID:
@@ -406,31 +409,27 @@ def _chk_exp_phase(cfg: RunConfig, tol: float) -> CheckResult:
         shift = phase_kick_shift(state, cfg.geometry, cfg.units)
         expected = theta * cfg.units.hbar / cfg.geometry.d
         worst = max(worst, abs(shift - expected) / dp)
-    return _verdict("experiment.phase_kick", worst <= tol, f"worst offset {worst:.3g} bins")
+    return worst <= tol, f"worst offset {worst:.3g} bins"
 
 
 @_check("experiment.phase_visibility")
-def _chk_exp_phase_vis(cfg: RunConfig, tol: float) -> CheckResult:
+def _chk_exp_phase_vis(cfg: RunConfig, tol: float) -> tuple[bool, str]:
     v0 = _visibility(cfg, 0.5, 0.0)
     worst = max(abs(_visibility(cfg, 0.5, theta) - v0) for theta in _PHASE_GRID)
-    return _verdict(
-        "experiment.phase_visibility", worst <= tol, f"max |V(theta) - V(0)| = {worst:.3g}"
-    )
+    return worst <= tol, f"max |V(theta) - V(0)| = {worst:.3g}"
 
 
 @_check("experiment.storey_bound")
-def _chk_exp_storey(cfg: RunConfig, tol: float) -> CheckResult:
+def _chk_exp_storey(cfg: RunConfig, tol: float) -> tuple[bool, str]:
     for v in np.arange(0.0, 1.0 + 1e-9, 0.1):
         rep = storey_bound_report(float(v))
         if not rep.satisfied or abs(rep.lhs - math.pi) > tol + 1e-15:
-            return CheckResult(
-                "experiment.storey_bound", "FAIL", f"bound violated at V = {v:.1f}"
-            )
-    return CheckResult("experiment.storey_bound", "PASS", "lhs = pi >= 1 - V on the whole V grid")
+            return False, f"bound violated at V = {v:.1f}"
+    return True, "lhs = pi >= 1 - V on the whole V grid"
 
 
 @_check("experiment.sampler_outcomes")
-def _chk_exp_sampler(cfg: RunConfig, tol: float) -> CheckResult:
+def _chk_exp_sampler(cfg: RunConfig, tol: float) -> tuple[bool, str]:
     det = cfg.detector
     state = _propagated(cfg, det.c, det.theta)
     count = max(cfg.sample_count, 10_000)
@@ -448,74 +447,48 @@ def _chk_exp_sampler(cfg: RunConfig, tol: float) -> CheckResult:
             worst = max(worst, 0.0 if abs(freq - p) < 1e-9 else math.inf)
         else:
             worst = max(worst, abs(freq - p) / sigma)
-    return _verdict("experiment.sampler_outcomes", worst <= tol, f"worst {worst:.3g} sigma")
+    return worst <= tol, f"worst {worst:.3g} sigma"
 
 
 @_check("experiment.sampler_gof")
-def _chk_exp_gof(cfg: RunConfig, tol: float) -> CheckResult:
+def _chk_exp_gof(cfg: RunConfig, tol: float) -> tuple[bool, str]:
     det = cfg.detector
     state = _propagated(cfg, det.c, det.theta)
     count = max(cfg.sample_count, 10_000)
     _, xs = sample_events(state, count, cfg.seed)
     _, pvalue = screen_goodness_of_fit(xs, _pattern(cfg, det.c, det.theta))
-    return _verdict("experiment.sampler_gof", pvalue > tol, f"p = {pvalue:.4f}")
+    return pvalue > tol, f"p = {pvalue:.4f}"
 
 
 @_check("experiment.sampler_determinism")
-def _chk_exp_determinism(cfg: RunConfig, tol: float) -> CheckResult:
+def _chk_exp_determinism(cfg: RunConfig, tol: float) -> tuple[bool, str]:
     det = cfg.detector
     state = _propagated(cfg, det.c, det.theta)
     codes_a, xs_a = sample_events(state, 512, cfg.seed)
     codes_b, xs_b = sample_events(state, 512, cfg.seed)
     identical = np.array_equal(codes_a, codes_b) and np.array_equal(xs_a, xs_b)
-    return _verdict(
-        "experiment.sampler_determinism",
-        identical,
-        "same seed reproduces events exactly" if identical else "event streams diverged",
+    return identical, (
+        "same seed reproduces events exactly" if identical else "event streams diverged"
     )
 
 
-def run_checks(
-    cfg: RunConfig, tolerance_overrides: Mapping[str, float] | None = None
-) -> list[CheckResult]:
-    """One result per check, in registry order, at the overridden ``TOLERANCES``.
-
-    An override that names no check raises ``KeyError``.
-    """
-    tols = dict(TOLERANCES)
-    if tolerance_overrides:
-        unknown = set(tolerance_overrides) - set(tols)
-        if unknown:
-            raise KeyError(f"unknown check names in overrides: {sorted(unknown)}")
-        tols.update(tolerance_overrides)
-    results: list[CheckResult] = []
+def run_checks(cfg: RunConfig) -> list[CheckResult]:
+    """One result per check, in registry order, at the current ``TOLERANCES``."""
     token = _visibilities.set({})
     try:
-        for name, fn in _CHECKS:
-            try:
-                results.append(fn(cfg, tols[name]))
-            except EmptyBranchError as exc:
-                results.append(CheckResult(name, "SKIP", f"not applicable: {exc}"))
-            except Exception as exc:  # surface, don't crash the rest of the table
-                results.append(CheckResult(name, "FAIL", f"raised {type(exc).__name__}: {exc}"))
+        return [check(cfg, TOLERANCES[name]) for name, check in _CHECKS]
     finally:
         _visibilities.reset(token)
-    return results
 
 
-def run_suite(
-    cfg: RunConfig,
-    tolerance_overrides: Mapping[str, float] | None = None,
-    stream: TextIO | None = None,
-) -> int:
+def run_suite(cfg: RunConfig) -> int:
     """Run every check; print one line each; return 0 iff none failed."""
-    out = stream if stream is not None else sys.stdout
-    results = run_checks(cfg, tolerance_overrides)
+    results = run_checks(cfg)
     width = max(len(r.name) for r in results)
     for r in results:
-        print(f"[{r.status:^4}] {r.name:<{width}}  {r.detail}", file=out)
+        print(f"[{r.status:^4}] {r.name:<{width}}  {r.detail}")
     n_pass = sum(r.status == "PASS" for r in results)
     n_fail = sum(r.status == "FAIL" for r in results)
     n_skip = sum(r.status == "SKIP" for r in results)
-    print(f"{n_pass} passed, {n_fail} failed, {n_skip} skipped", file=out)
+    print(f"{n_pass} passed, {n_fail} failed, {n_skip} skipped")
     return 0 if n_fail == 0 else 1

@@ -36,6 +36,10 @@ sampling.count = 2000
 sampling.seed = 7
 """
 
+# A valid grid whose spacing is wider than the two-period fringe window at
+# t = 1e-6; only fringe_analysis notices.
+LATE_WINDOW = "units.t = 1e-6\ngrid.n = 4096\ngrid.x_min = -4.62\ngrid.x_max = 5.62\n"
+
 
 @pytest.fixture
 def cfg_path(tmp_path):
@@ -297,17 +301,59 @@ class TestFailureModes:
         assert list(out.iterdir()) == []
 
     def test_late_analysis_error_exits_2_with_no_outputs(self, tmp_path, capsys):
-        # A valid grid whose spacing is wider than the two-period fringe
-        # window at t = 1e-6; only fringe_analysis notices.
         path = tmp_path / "late.cfg"
-        path.write_text(
-            REDUCED + "units.t = 1e-6\ngrid.n = 4096\ngrid.x_min = -4.62\ngrid.x_max = 5.62\n"
-        )
+        path.write_text(REDUCED + LATE_WINDOW)
         out = tmp_path / "out"
         out.mkdir()
         assert main(["run", "--config", str(path), "--out", str(out)]) == 2
         assert "analysis window" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "text,cause",
+        [
+            # dx = 0.32 on the default extent, against sigma/4 = 0.0025.
+            ("grid.n = 16384\n", "too coarse"),
+            (REDUCED + "grid.x_min = -5\ngrid.x_max = 6\n", "wraparound"),
+            (REDUCED + LATE_WINDOW, "analysis window"),
+        ],
+        ids=["coarse", "headroom", "window"],
+    )
+    def test_verify_config_error_exits_2(self, tmp_path, capsys, text, cause):
+        # A config no check can run on is a usage error, as in run and scan,
+        # not a table of failed checks.
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        assert main(["verify", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and cause in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_unallocatable_grid_exits_2(self, tmp_path, command):
+        # 2^40 points pass validation but need terabytes.  The child caps its
+        # own address space at 3 GB before it imports anything, so the
+        # allocation fails at once whatever the machine's overcommit policy.
+        path = tmp_path / "huge.cfg"
+        path.write_text("grid.n = 1099511627776\n")
+        out = tmp_path / "out"
+        code = (
+            "import resource, sys; "
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]; "
+            "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, hard)); "
+            "from kickscope.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        argv = [sys.executable, "-c", code, command, "--config", str(path)]
+        if command == "run":
+            argv += ["--out", str(out)]
+        src = str(Path(kickscope.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+        done = subprocess.run(argv, capture_output=True, text=True, timeout=120, env=env)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("error: out of memory") and "grid.n" in done.stderr
+        assert len(done.stderr.splitlines()) == 1
+        assert done.stdout == ""
+        assert not out.exists()
 
     def test_unknown_key_reports_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -346,17 +392,29 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "[SKIP]" in out and "0 failed" in out
 
-    def test_tightened_tolerance_turns_the_suite_red(self, cfg_path):
+    def test_tightened_tolerance_turns_the_suite_red(self, cfg_path, monkeypatch, capsys):
         # Injecting an unreachable tolerance must flip the exit code; this
         # guards against the suite passing vacuously.
-        stream = io.StringIO()
-        rc = run_suite(
-            load_config(cfg_path),
-            tolerance_overrides={"experiment.visibility_law": 1e-6},
-            stream=stream,
-        )
-        assert rc == 1
-        assert "[FAIL] experiment.visibility_law" in stream.getvalue()
+        monkeypatch.setitem(TOLERANCES, "experiment.visibility_law", 1e-6)
+        assert run_suite(load_config(cfg_path)) == 1
+        assert "[FAIL] experiment.visibility_law" in capsys.readouterr().out
+
+    def test_a_raising_check_is_a_fail_row(self, cfg_path, monkeypatch, capsys):
+        # An error inside one check fails that check's row; the rest of the
+        # table still runs.  kick_magnitude and detector_kick call kick_report.
+        def broken(*args):
+            raise RuntimeError("no comb today")
+
+        monkeypatch.setattr(verify_module, "kick_report", broken)
+        assert main(["verify", "--config", cfg_path]) == 1
+        *rows, tally = capsys.readouterr().out.splitlines()
+        status = {row[7:].split()[0]: (row[1:5], row[7:].split(None, 1)[1]) for row in rows}
+        assert list(status) == list(TOLERANCES)
+        assert status["experiment.kick_magnitude"] == ("FAIL", "raised RuntimeError: no comb today")
+        assert status["experiment.detector_kick"][0] == "FAIL"
+        others = set(status) - {"experiment.kick_magnitude", "experiment.detector_kick"}
+        assert all(status[name][0] == "PASS" for name in others)
+        assert tally == "22 passed, 2 failed, 0 skipped"
 
     @pytest.mark.parametrize("error, at_one_bin", [(1e-6, "FAIL"), (-1e-6, "PASS")])
     def test_tilt_phase_defect_turns_tilted_kick_red(
@@ -380,10 +438,6 @@ class TestVerifyCommand:
         cfg = load_config(cfg_path)
         assert check(cfg, TOLERANCES["experiment.tilted_kick"]).status == "FAIL"
         assert check(cfg, 1.0).status == at_one_bin
-
-    def test_rejects_unknown_override_names(self, cfg_path):
-        with pytest.raises(KeyError):
-            run_suite(load_config(cfg_path), tolerance_overrides={"no.such.check": 1.0})
 
 
 def test_scan_and_verify_propagate_the_slit_pair_once(cfg_path, tmp_path, monkeypatch):

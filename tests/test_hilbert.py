@@ -63,8 +63,8 @@ class TestUqsdDecomposition:
 
     def test_recovers_config(self):
         coeffs = build_uqsd(DetectorConfig(c=C_REF, theta=THETA_REF))
-        assert_allclose(coeffs.c, C_REF, rtol=0, atol=1e-15)
-        assert_allclose(coeffs.overlap, OVERLAP_REF, rtol=0, atol=1e-15)
+        assert_allclose(coeffs.beta**2, C_REF, rtol=0, atol=1e-15)
+        assert_allclose(coeffs.beta * coeffs.delta, OVERLAP_REF, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("c", [0.0, 0.25, 0.5, 1.0])
     def test_detector_states_are_normalized(self, c):
