@@ -29,6 +29,7 @@ from .config import RunConfig, default_config, load_config, parse_c_values
 from .errors import KickscopeError
 from .hilbert import SYMMETRIC, DetectorConfig, build_uqsd
 from .experiment import (
+    GOF_MIN_SAMPLES,
     assemble,
     change_basis,
     fringe_analysis,
@@ -220,7 +221,7 @@ def cmd_sample(cfg: RunConfig, out_dir: Path) -> int:
     for o, n, p in zip(outcomes, counts, probs):
         freq = n / xs.size if xs.size else 0.0
         lines.append(f"{o.value}: n={n} freq={freq:.6f} prob={_fmt(p)}\n")
-    if xs.size >= 500:
+    if xs.size >= GOF_MIN_SAMPLES:
         stat, pvalue = screen_goodness_of_fit(xs, screen_density(propagated))
         lines.append(f"chi_square={_fmt(stat)}\n")
         lines.append(f"chi_square_p={_fmt(pvalue)}\n")

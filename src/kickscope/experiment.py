@@ -27,7 +27,6 @@ from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
-import scipy.special
 
 from .errors import ConfigurationError, DomainError, EmptyBranchError
 from .hilbert import (
@@ -76,6 +75,9 @@ EMPTY_BRANCH_TOL = 1e-14
 
 #: Equal-probability bins in `screen_goodness_of_fit`.
 GOF_BINS = 50
+
+#: Fewest samples `screen_goodness_of_fit` accepts: ten expected per bin.
+GOF_MIN_SAMPLES = 10 * GOF_BINS
 
 
 @dataclass(frozen=True, eq=False)
@@ -567,11 +569,11 @@ def screen_goodness_of_fit(
     Raises
     ------
     DomainError
-        If there are fewer than ``10*GOF_BINS`` samples, or if some fall
+        If there are fewer than `GOF_MIN_SAMPLES` samples, or if some fall
         outside the pattern's bins.
     """
     xs = np.asarray(xs, dtype=np.float64)
-    if xs.size < 10 * GOF_BINS:
+    if xs.size < GOF_MIN_SAMPLES:
         raise DomainError("too few samples for a meaningful binned test")
     cdf, edges = _cell_cdf(pattern.values, pattern.grid)
     quantiles = np.linspace(0.0, 1.0, GOF_BINS + 1)
@@ -583,6 +585,10 @@ def screen_goodness_of_fit(
     expected = np.full(GOF_BINS, xs.size / GOF_BINS)
     stat = np.sum((observed.astype(np.float64) - expected) ** 2 / expected)
     # chdtrc is the chi-square survival function scipy.stats uses; calling
-    # it directly keeps the slow scipy.stats import out of the CLI.
-    pvalue = scipy.special.chdtrc(GOF_BINS - 1, stat)
+    # it directly keeps the slow scipy.stats import out of the CLI.  It is
+    # imported here, not at module level, because importing scipy.special
+    # costs about 0.3 s and 24 MB, which `run` and `scan` never need.
+    from scipy.special import chdtrc
+
+    pvalue = chdtrc(GOF_BINS - 1, stat)
     return float(stat), float(pvalue)

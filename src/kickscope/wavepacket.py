@@ -10,7 +10,8 @@ discretized as ``Phi(p_k) = dx/sqrt(2*pi*hbar) * sum_j psi(x_j)
 exp(-i*p_k*x_j/hbar)`` on the centered momentum grid ``p_k = (k - n/2)*dp``
 with ``dp = 2*pi*hbar/(n*dx)``.  With this convention a state centered at
 ``x_c`` picks up the phase ``exp(-i*p*x_c/hbar)`` and Parseval's identity
-``sum |psi|^2 dx = sum |Phi|^2 dp`` holds to rounding error.
+``sum |psi|^2 dx = sum |Phi|^2 dp`` holds to rounding error.  The
+transforms are ``numpy.fft``'s, so no command needs scipy to move a state.
 
 Free propagation is implemented twice on purpose: `propagate_fft`
 multiplies the momentum amplitudes by ``exp(-i*p^2*t/(2*m*hbar))`` and
@@ -29,7 +30,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.fft
 
 from .errors import ConfigurationError, DomainError
 
@@ -245,7 +245,7 @@ def to_momentum(psi: Wavefunction, hbar: float = 1.0) -> MomentumSpectrum:
     grid = psi.grid
     # fftshift centers the momentum grid on p = 0; the phase moves the
     # position origin from x_min to 0.
-    spec = MomentumSpectrum(grid, scipy.fft.fftshift(scipy.fft.fft(psi.amplitudes)), hbar=hbar)
+    spec = MomentumSpectrum(grid, np.fft.fftshift(np.fft.fft(psi.amplitudes)), hbar=hbar)
     phase = np.exp(-1j * spec.p * (grid.x_min / hbar))
     amps = (grid.dx / math.sqrt(2.0 * math.pi * hbar)) * phase * spec.amplitudes
     return MomentumSpectrum(grid, amps, hbar=hbar)
@@ -255,7 +255,7 @@ def to_position(spec: MomentumSpectrum) -> Wavefunction:
     """Inverse of :func:`to_momentum` on the same grid."""
     grid, hbar = spec.grid, spec.hbar
     phased = spec.amplitudes * np.exp(1j * spec.p * (grid.x_min / hbar))
-    amps = (math.sqrt(2.0 * math.pi * hbar) / grid.dx) * scipy.fft.ifft(scipy.fft.ifftshift(phased))
+    amps = (math.sqrt(2.0 * math.pi * hbar) / grid.dx) * np.fft.ifft(np.fft.ifftshift(phased))
     return Wavefunction(grid, amps)
 
 
@@ -284,10 +284,10 @@ def propagate_fft(psi: Wavefunction, geom: SlitGeometry, units: PhysicalUnits) -
     # MomentumSpectrum.p's values in FFT order; K's phase p^2*t/(2*m*hbar)
     # turns an ulp of difference in p into visible changes downstream.
     dp = 2.0 * math.pi * units.hbar / (grid.n * grid.dx)
-    p = scipy.fft.ifftshift((np.arange(grid.n) - grid.n // 2) * dp)
-    spec = scipy.fft.fft(psi.amplitudes)
+    p = np.fft.ifftshift((np.arange(grid.n) - grid.n // 2) * dp)
+    spec = np.fft.fft(psi.amplitudes)
     spec *= np.exp(-1j * p**2 * (units.t / (2.0 * units.mass * units.hbar)))
-    return Wavefunction(grid, scipy.fft.ifft(spec, overwrite_x=True))
+    return Wavefunction(grid, np.fft.ifft(spec, out=spec))
 
 
 def propagate_analytic(

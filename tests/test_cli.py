@@ -4,6 +4,7 @@ import cmath
 import filecmp
 import hashlib
 import io
+import json
 import math
 import os
 import stat
@@ -366,6 +367,46 @@ class TestFailureModes:
         assert "cannot read" in capsys.readouterr().err
 
 
+# A 2^12 desk grid (dx = sigma/4) on which run, scan and sample all succeed;
+# sampling.count sits exactly at the goodness-of-fit floor.
+SMALL = """
+geometry.sigma = 0.01
+units.t = 0.008
+grid.n = 4096
+grid.x_min = -4.62
+grid.x_max = 5.62
+sampling.count = 500
+"""
+
+
+@pytest.mark.parametrize("command", ["import", "run", "scan", "sample"])
+def test_scipy_stays_off_the_command_path(command, tmp_path):
+    # Transforms use numpy.fft; only the chi-square p-value of `sample`
+    # (and of verify's sampler_gof) loads scipy.special.
+    path = tmp_path / "small.cfg"
+    path.write_text(SMALL)
+    code = (
+        "import json, sys; sys.path.insert(0, sys.argv.pop(1)); from kickscope.cli import main; "
+        "rc = main(sys.argv[1:]) if len(sys.argv) > 1 else 0; "
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')), "
+        "file=sys.stderr); "
+        "sys.exit(rc)"
+    )
+    src = str(Path(kickscope.__file__).resolve().parents[1])
+    argv = [sys.executable, "-c", code, src]
+    if command != "import":
+        argv += [command, "--config", str(path), "--out", str(tmp_path / "out")]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stderr.splitlines()[-1])
+    if command == "sample":
+        assert "chi_square_p=" in (tmp_path / "out" / "sample_summary.txt").read_text()
+        assert "scipy.special" in loaded
+        assert not [m for m in loaded if m == "scipy.fft" or m.startswith("scipy.fft.")]
+    else:
+        assert loaded == []
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     src = str(Path(kickscope.__file__).resolve().parents[1])
     code = (
@@ -384,6 +425,10 @@ class TestVerifyCommand:
         assert main(["verify", "--config", cfg_path]) == 0
         out = capsys.readouterr().out
         assert "[PASS]" in out and "0 failed" in out
+        # Every detail line prints a measured value, so an ulp-level change
+        # in a transform shows here first.
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "31d8bdb09b18a639cd2b8aa3ef0dc73b2d1a1ed18b9dc71b00ec57a04d2a57ed"
 
     def test_skips_kick_checks_at_full_overlap(self, tmp_path, capsys):
         path = tmp_path / "c1.cfg"
@@ -391,6 +436,8 @@ class TestVerifyCommand:
         assert main(["verify", "--config", str(path)]) == 0
         out = capsys.readouterr().out
         assert "[SKIP]" in out and "0 failed" in out
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "ac3e81addae1707b8abcb7d3dd2dfff9919e20a90e17e0af30a39829aeacba92"
 
     def test_tightened_tolerance_turns_the_suite_red(self, cfg_path, monkeypatch, capsys):
         # Injecting an unreachable tolerance must flip the exit code; this
@@ -442,8 +489,8 @@ class TestVerifyCommand:
 
 def test_scan_and_verify_propagate_the_slit_pair_once(cfg_path, tmp_path, monkeypatch):
     # Every c shares one slit pair, so scan propagates two states however
-    # many c-values it sweeps; verify adds only the two propagations that
-    # wavepacket.propagator_agreement makes on purpose.
+    # many c-values it sweeps, and so does verify: propagator_agreement
+    # compares the closed form with that same propagated pair.
     calls = []
     real = experiment.propagate_fft
 
@@ -452,7 +499,7 @@ def test_scan_and_verify_propagate_the_slit_pair_once(cfg_path, tmp_path, monkey
         return real(psi, geom, units)
 
     monkeypatch.setattr(experiment, "propagate_fft", counting)
-    monkeypatch.setattr(verify_module, "propagate_fft", counting)
+    monkeypatch.setattr(verify_module, "propagate_fft", counting, raising=False)
     experiment._slit_pair.cache_clear()
     argv = ["scan", "--config", cfg_path, "--out", str(tmp_path), "--c-values", "0,0.25,0.5,0.75,1"]
     assert main(argv) == 0
@@ -460,7 +507,7 @@ def test_scan_and_verify_propagate_the_slit_pair_once(cfg_path, tmp_path, monkey
     calls.clear()
     experiment._slit_pair.cache_clear()
     assert main(["verify", "--config", cfg_path]) == 0
-    assert len(calls) <= 4
+    assert len(calls) == 2
 
 
 def test_kick_analysis_transforms_the_slit_pair_once(cfg_path, tmp_path, monkeypatch):
