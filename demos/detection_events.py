@@ -19,7 +19,6 @@ from kickscope import (
     PhysicalUnits,
     SlitGeometry,
     assemble,
-    build_uqsd,
     change_basis,
     fringe_window,
     propagate_all,
@@ -45,7 +44,7 @@ def main() -> None:
 
     print(__doc__)
     detector = DetectorConfig(c=0.5)
-    state = change_basis(assemble(GEOM, GRID, build_uqsd(detector)), SYMMETRIC)
+    state = change_basis(assemble(GEOM, GRID, detector), SYMMETRIC)
     propagated = propagate_all(state, GEOM, UNITS)
     codes, xs = sample_events(propagated, args.count, args.seed)
     fired = {o: codes == i for i, o in enumerate(propagated.basis.outcomes)}

@@ -18,7 +18,6 @@ from kickscope import (
     PhysicalUnits,
     SlitGeometry,
     assemble,
-    build_uqsd,
     change_basis,
     kick_report,
     tilted_relative_kick,
@@ -41,7 +40,7 @@ def comb_peaks(spec, count=3):
 
 def main() -> None:
     print(__doc__)
-    state = change_basis(assemble(GEOM, GRID, build_uqsd(DETECTOR)), SYMMETRIC)
+    state = change_basis(assemble(GEOM, GRID, DETECTOR), SYMMETRIC)
     rep = kick_report(state, GEOM, UNITS, DETECTOR)
 
     print(f"expected kick   p0 = pi*hbar/d = {rep.p0:.6f}")
@@ -49,7 +48,7 @@ def main() -> None:
     print(f"kicked fraction                = {rep.F_k_branch:.4f}  (theory {rep.F_k_theory})")
     print()
 
-    plus, minus, _ = state.spectra(UNITS.hbar)
+    plus, minus, _ = state.pair.spectra(state.coeffs, UNITS.hbar)
     plus_peaks = comb_peaks(plus)
     minus_peaks = comb_peaks(minus)
     print("first momentum-comb maxima at p >= 0 (comb period 2*p0):")

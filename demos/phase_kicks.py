@@ -15,7 +15,6 @@ from kickscope import (
     PhysicalUnits,
     SlitGeometry,
     assemble,
-    build_uqsd,
     change_basis,
     fringe_analysis,
     phase_kick_shift,
@@ -33,7 +32,7 @@ def main() -> None:
     print(f"{'theta':>9} {'p_e = theta*hbar/d':>19} {'measured':>10} {'V':>8}")
     for theta in (0.0, math.pi / 6, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi):
         detector = DetectorConfig(c=0.5, theta=theta)
-        state = change_basis(assemble(GEOM, GRID, build_uqsd(detector)), SYMMETRIC)
+        state = change_basis(assemble(GEOM, GRID, detector), SYMMETRIC)
         shift = phase_kick_shift(state, GEOM, UNITS)
         pattern = screen_density(propagate_all(state, GEOM, UNITS))
         visibility = fringe_analysis(pattern, GEOM, UNITS).visibility

@@ -21,7 +21,6 @@ from kickscope import (
     PhysicalUnits,
     SlitGeometry,
     assemble,
-    build_uqsd,
     change_basis,
     fringe_analysis,
     kick_report,
@@ -39,7 +38,7 @@ def main() -> None:
     print(f"{'c':>6} {'V':>8} {'F_k':>8} {'(1-V)/2':>9} {'kick/p0':>8}")
     for c in np.linspace(0.0, 1.0, 11):
         detector = DetectorConfig(c=float(c))
-        state = change_basis(assemble(GEOM, GRID, build_uqsd(detector)), SYMMETRIC)
+        state = change_basis(assemble(GEOM, GRID, detector), SYMMETRIC)
         pattern = screen_density(propagate_all(state, GEOM, UNITS))
         fringes = fringe_analysis(pattern, GEOM, UNITS)
         rep = kick_report(state, GEOM, UNITS, detector)

@@ -3,101 +3,17 @@
 The package decomposes the detector into unambiguous path flags plus a
 discrimination-failure state, and shows how the resulting branches carry
 the loss of fringe visibility as random half-fringe momentum kicks.
+
+The package exports every public name of its library modules, as each
+module's ``__all__`` lists it.
 """
 
-from .errors import ConfigurationError, DomainError, EmptyBranchError, KickscopeError
-from .hilbert import (
-    COMPUTATIONAL,
-    SYMMETRIC,
-    Basis,
-    DetectorConfig,
-    DetectorVector,
-    Outcome,
-    UqsdCoefficients,
-    basis_matrix,
-    build_uqsd,
-    detector_states,
-    tilted,
-)
-from .wavepacket import (
-    GridSpec,
-    MomentumSpectrum,
-    PhysicalUnits,
-    SlitGeometry,
-    Wavefunction,
-    apply_kick,
-    propagate_analytic,
-    propagate_fft,
-    slit_state,
-    to_momentum,
-    to_position,
-)
-from .experiment import (
-    BranchState,
-    FringeAnalysis,
-    KickReport,
-    ScreenPattern,
-    StoreyBound,
-    assemble,
-    change_basis,
-    fringe_analysis,
-    fringe_window,
-    kick_identity_residual,
-    kick_report,
-    phase_kick_shift,
-    propagate_all,
-    sample_events,
-    screen_density,
-    screen_goodness_of_fit,
-    storey_bound_report,
-    tilted_relative_kick,
-)
+from . import errors, experiment, hilbert, wavepacket
+from .errors import *  # noqa: F401,F403
+from .hilbert import *  # noqa: F401,F403
+from .wavepacket import *  # noqa: F401,F403
+from .experiment import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConfigurationError",
-    "DomainError",
-    "EmptyBranchError",
-    "KickscopeError",
-    "COMPUTATIONAL",
-    "SYMMETRIC",
-    "Basis",
-    "DetectorConfig",
-    "DetectorVector",
-    "Outcome",
-    "UqsdCoefficients",
-    "basis_matrix",
-    "build_uqsd",
-    "detector_states",
-    "tilted",
-    "GridSpec",
-    "MomentumSpectrum",
-    "PhysicalUnits",
-    "SlitGeometry",
-    "Wavefunction",
-    "apply_kick",
-    "propagate_analytic",
-    "propagate_fft",
-    "slit_state",
-    "to_momentum",
-    "to_position",
-    "BranchState",
-    "FringeAnalysis",
-    "KickReport",
-    "ScreenPattern",
-    "StoreyBound",
-    "assemble",
-    "change_basis",
-    "fringe_analysis",
-    "fringe_window",
-    "kick_identity_residual",
-    "kick_report",
-    "phase_kick_shift",
-    "propagate_all",
-    "sample_events",
-    "screen_density",
-    "screen_goodness_of_fit",
-    "storey_bound_report",
-    "tilted_relative_kick",
-]
+__all__ = [*errors.__all__, *hilbert.__all__, *wavepacket.__all__, *experiment.__all__]

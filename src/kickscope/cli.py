@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import RunConfig, default_config, load_config, parse_c_values
 from .errors import KickscopeError
-from .hilbert import SYMMETRIC, DetectorConfig, build_uqsd
+from .hilbert import SYMMETRIC, DetectorConfig
 from .experiment import (
     GOF_MIN_SAMPLES,
     assemble,
@@ -115,8 +115,7 @@ def _resolve_out(flag_value: str | None, cfg: RunConfig) -> Path:
 
 def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
     """Simulate once; write pattern.csv, momentum.csv, and summary.txt."""
-    coeffs = build_uqsd(cfg.detector)
-    state0 = change_basis(assemble(cfg.geometry, cfg.grid, coeffs), cfg.basis)
+    state0 = change_basis(assemble(cfg.geometry, cfg.grid, cfg.detector), cfg.basis)
     propagated = propagate_all(state0, cfg.geometry, cfg.units)
 
     # Analyse before the first write, so an analysis error leaves no files.
@@ -136,7 +135,7 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
 
     # Spectra are reported at emission time; free flight only changes the
     # phases, not these densities.
-    spectra = state0.spectra(cfg.units.hbar)
+    spectra = state0.pair.spectra(state0.coeffs, cfg.units.hbar)
     _write_table(
         out_dir / "momentum.csv",
         ["p", "spec_branch1", "spec_branch2", "spec_branch3"],
@@ -172,7 +171,7 @@ def cmd_scan(cfg: RunConfig, out_dir: Path, c_values: list[float]) -> int:
     rows = []
     for c in c_values:
         det = DetectorConfig(c=c, theta=cfg.detector.theta)
-        sym = change_basis(assemble(cfg.geometry, cfg.grid, build_uqsd(det)), SYMMETRIC)
+        sym = change_basis(assemble(cfg.geometry, cfg.grid, det), SYMMETRIC)
         propagated = propagate_all(sym, cfg.geometry, cfg.units)
         fringes = fringe_analysis(screen_density(propagated), cfg.geometry, cfg.units)
         report = kick_report(sym, cfg.geometry, cfg.units, det)
@@ -201,8 +200,7 @@ def cmd_scan(cfg: RunConfig, out_dir: Path, c_values: list[float]) -> int:
 
 def cmd_sample(cfg: RunConfig, out_dir: Path) -> int:
     """Draw detection events; write events.csv and sample_summary.txt."""
-    coeffs = build_uqsd(cfg.detector)
-    state0 = change_basis(assemble(cfg.geometry, cfg.grid, coeffs), cfg.basis)
+    state0 = change_basis(assemble(cfg.geometry, cfg.grid, cfg.detector), cfg.basis)
     propagated = propagate_all(state0, cfg.geometry, cfg.units)
     codes, xs = sample_events(propagated, cfg.sample_count, cfg.seed)
 

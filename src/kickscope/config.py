@@ -116,8 +116,9 @@ def _build(values: dict[str, object]) -> RunConfig:
 
 
 def parse_config_text(text: str) -> RunConfig:
-    """Parse config text; unknown keys and malformed values are hard errors."""
+    """Parse config text; unknown, repeated and malformed keys are hard errors."""
     values = dict(_DEFAULTS)
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -127,6 +128,11 @@ def parse_config_text(text: str) -> RunConfig:
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in _DEFAULTS:
             raise ConfigurationError(f"line {lineno}: unknown config key {key!r}")
+        if key in first_line:
+            raise ConfigurationError(
+                f"line {lineno}: config key {key!r} repeats line {first_line[key]}"
+            )
+        first_line[key] = lineno
         values[key] = _parse_value(key, raw)
     return _build(values)
 

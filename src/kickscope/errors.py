@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["KickscopeError", "DomainError", "ConfigurationError", "EmptyBranchError"]
+
 
 class KickscopeError(Exception):
     """Base class for all package-specific errors."""

@@ -33,8 +33,8 @@ from .hilbert import (
     COMPUTATIONAL,
     Basis,
     DetectorConfig,
-    UqsdCoefficients,
     basis_matrix,
+    detector_states,
     tilted,
 )
 from .wavepacket import (
@@ -177,10 +177,6 @@ class BranchState:
         (a, b), pair = self.coeffs[i], self.pair
         return Wavefunction(self.grid, a * pair.psi1.amplitudes + b * pair.psi2.amplitudes)
 
-    def spectra(self, hbar: float) -> list[MomentumSpectrum]:
-        """Momentum spectra of the three branches."""
-        return self.pair.spectra(self.coeffs, hbar)
-
     def branch_probabilities(self) -> np.ndarray:
         """Probability carried by each branch (its squared norm)."""
         c = self.coeffs
@@ -243,17 +239,17 @@ class StoreyBound:
     satisfied: bool
 
 
-def assemble(geom: SlitGeometry, grid: GridSpec, coeffs: UqsdCoefficients) -> BranchState:
-    """Entangle the slit states with the decomposed detector.
+def assemble(geom: SlitGeometry, grid: GridSpec, detector: DetectorConfig) -> BranchState:
+    """Entangle the slit states with the detector.
 
-    Returns the computational-basis branch state
+    The run is ``(psi1*d1 + psi2*d2)/sqrt2``, so the coefficient matrix is
+    `detector_states` over ``sqrt2``: the computational-basis branches
 
-        (alpha*psi1/sqrt2, gamma*psi2/sqrt2, (beta*psi1 + delta*psi2)/sqrt2)
+        (alpha*psi1/sqrt2, alpha*psi2/sqrt2, (beta*psi1 + delta*psi2)/sqrt2)
 
-    whose branch probabilities are ``(1-c)/2, (1-c)/2, c``.
+    with branch probabilities ``(1-c)/2, (1-c)/2, c``.
     """
-    s = 1.0 / math.sqrt(2.0)
-    rows = [[coeffs.alpha * s, 0.0], [0.0, coeffs.gamma * s], [s * coeffs.beta, s * coeffs.delta]]
+    rows = detector_states(detector) * (1.0 / math.sqrt(2.0))
     return BranchState(COMPUTATIONAL, rows, _slit_pair(geom, grid))
 
 

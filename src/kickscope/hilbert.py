@@ -7,11 +7,13 @@ are decomposed so that ``q1``/``q2`` flag an unambiguous path identification
 and ``q3`` collects the discrimination failures:
 
     d1 = alpha*q1 + beta*q3
-    d2 = gamma*q2 + delta*q3
+    d2 = alpha*q2 + delta*q3
 
-With ``alpha = gamma = sqrt(1 - c)`` and ``|beta|^2 = |delta|^2 = c`` the
-failure probability equals ``c = |<d1|d2>|``, which is the optimum allowed
-for unambiguous discrimination of two equally likely pure states.
+With ``alpha = sqrt(1 - c)`` and ``|beta|^2 = |delta|^2 = c`` the failure
+probability equals ``c = |<d1|d2>|``, the optimum for unambiguous
+discrimination of two equally likely pure states (Peres, Phys. Lett. A 128,
+19 (1988)).  `detector_states` returns the whole detector as the 3x2 matrix
+whose columns are ``d1`` and ``d2``.
 
 Conventions
 -----------
@@ -34,21 +36,13 @@ from .errors import DomainError
 __all__ = [
     "Outcome",
     "DetectorConfig",
-    "UqsdCoefficients",
-    "DetectorVector",
     "Basis",
     "COMPUTATIONAL",
     "SYMMETRIC",
     "tilted",
-    "build_uqsd",
     "detector_states",
     "basis_matrix",
 ]
-
-#: Tolerance for algebraic identities in this module (normalization,
-#: unitarity, overlap reconstruction).
-ALGEBRA_TOL = 1e-12
-
 
 @unique
 class Outcome(Enum):
@@ -90,55 +84,6 @@ class DetectorConfig:
     def overlap(self) -> complex:
         """The complex overlap ``<d1|d2> = c * exp(i*theta)``."""
         return self.c * cmath.exp(1j * self.theta)
-
-
-@dataclass(frozen=True)
-class UqsdCoefficients:
-    """Coefficients of the unambiguous-discrimination decomposition.
-
-    Invariants: ``alpha = gamma = sqrt(1 - c)`` real non-negative,
-    ``beta = sqrt(c)`` real non-negative, ``delta = beta * exp(i*theta)``,
-    and both detector states are normalized.
-    """
-
-    alpha: float
-    gamma: float
-    beta: float
-    delta: complex
-
-    def __post_init__(self) -> None:
-        if self.alpha < 0 or self.beta < 0:
-            raise DomainError("alpha and beta must be real and non-negative")
-        if abs(self.alpha - self.gamma) > ALGEBRA_TOL:
-            raise DomainError("symmetric decomposition requires alpha == gamma")
-        for name, norm in (
-            ("d1", self.alpha**2 + self.beta**2),
-            ("d2", self.gamma**2 + abs(self.delta) ** 2),
-        ):
-            if abs(norm - 1.0) > ALGEBRA_TOL:
-                raise DomainError(f"detector state {name} is not normalized: {norm!r}")
-
-
-@dataclass(frozen=True)
-class DetectorVector:
-    """A detector state as three complex amplitudes in a fixed basis."""
-
-    amplitudes: tuple[complex, complex, complex]
-
-    def __post_init__(self) -> None:
-        amps = tuple(complex(a) for a in np.asarray(self.amplitudes).ravel())
-        if len(amps) != 3:
-            raise DomainError(f"detector vectors have 3 amplitudes, got {len(amps)}")
-        object.__setattr__(self, "amplitudes", amps)
-
-    def inner(self, other: "DetectorVector") -> complex:
-        """Hermitian inner product ``<self|other>``."""
-        return sum(
-            a.conjugate() * b for a, b in zip(self.amplitudes, other.amplitudes)
-        )
-
-    def norm(self) -> float:
-        return math.sqrt(self.inner(self).real)
 
 
 @dataclass(frozen=True)
@@ -198,34 +143,22 @@ def tilted(angle: float) -> Basis:
     return Basis("tilted", float(angle))
 
 
-def build_uqsd(config: DetectorConfig) -> UqsdCoefficients:
-    """Build the optimal unambiguous-discrimination decomposition.
+def detector_states(detector: DetectorConfig) -> np.ndarray:
+    """The two detector states as the columns of a read-only 3x2 matrix.
 
-    Parameters
-    ----------
-    config : DetectorConfig
-        Overlap magnitude ``c`` and phase ``theta`` of the two detector
-        states.
-
-    Returns
-    -------
-    UqsdCoefficients
-        ``alpha = gamma = sqrt(1 - c)``, ``beta = sqrt(c)`` and
-        ``delta = sqrt(c) * exp(i*theta)``.  The failure probability
-        ``|beta|^2 = c`` saturates the optimal-discrimination bound
-        ``|beta||delta| >= |<d1|d2>|`` with equality.
+    Rows are the computational basis ``q1, q2, q3``: column 0 is ``d1 =
+    (alpha, 0, beta)`` and column 1 is ``d2 = (0, alpha, delta)``, with
+    ``alpha = sqrt(1 - c)``, ``beta = sqrt(c)`` and ``delta = beta *
+    exp(i*theta)``.  So ``<d1|d2> = c*exp(i*theta)``, and the failure
+    weight ``|beta|^2 = c`` meets the optimal-discrimination bound
+    ``|beta||delta| >= |<d1|d2>|`` with equality.
     """
-    alpha = math.sqrt(1.0 - config.c)
-    beta = math.sqrt(config.c)
-    delta = beta * cmath.exp(1j * config.theta)
-    return UqsdCoefficients(alpha=alpha, gamma=alpha, beta=beta, delta=delta)
-
-
-def detector_states(coeffs: UqsdCoefficients) -> tuple[DetectorVector, DetectorVector]:
-    """The two detector states as amplitude vectors in the computational basis."""
-    d1 = DetectorVector((complex(coeffs.alpha), 0j, complex(coeffs.beta)))
-    d2 = DetectorVector((0j, complex(coeffs.gamma), coeffs.delta))
-    return d1, d2
+    alpha = math.sqrt(1.0 - detector.c)
+    beta = math.sqrt(detector.c)
+    delta = beta * cmath.exp(1j * detector.theta)
+    states = np.array([[alpha, 0.0], [0.0, alpha], [beta, delta]], dtype=np.complex128)
+    states.setflags(write=False)
+    return states
 
 
 def basis_matrix(frm: Basis, to: Basis) -> np.ndarray:

@@ -31,7 +31,6 @@ from .hilbert import (
     SYMMETRIC,
     DetectorConfig,
     basis_matrix,
-    build_uqsd,
     detector_states,
     tilted,
 )
@@ -106,8 +105,8 @@ class CheckResult:
 
 # The states the checks share; `experiment` memoizes the propagated slit pair.
 def _state(cfg: RunConfig, c: float, theta: float = 0.0) -> BranchState:
-    coeffs = build_uqsd(DetectorConfig(c=c, theta=theta))
-    return change_basis(assemble(cfg.geometry, cfg.grid, coeffs), SYMMETRIC)
+    state = assemble(cfg.geometry, cfg.grid, DetectorConfig(c=c, theta=theta))
+    return change_basis(state, SYMMETRIC)
 
 
 def _propagated(cfg: RunConfig, c: float, theta: float = 0.0) -> BranchState:
@@ -133,10 +132,6 @@ def _visibility(cfg: RunConfig, c: float, theta: float = 0.0) -> float:
     if memo is not None:
         memo[c, theta] = v
     return v
-
-
-def _momentum_bin(cfg: RunConfig) -> float:
-    return 2.0 * math.pi * cfg.units.hbar / (cfg.grid.n * cfg.grid.dx)
 
 
 _CHECKS: list[tuple[str, Callable[[RunConfig, float], CheckResult]]] = []
@@ -169,13 +164,10 @@ def _chk_hilbert_norm(cfg: RunConfig, tol: float) -> tuple[bool, str]:
     for c in _C_GRID:
         for theta in (0.0, math.pi / 3, cfg.detector.theta):
             det = DetectorConfig(c=c, theta=theta)
-            d1, d2 = detector_states(build_uqsd(det))
-            worst = max(
-                worst,
-                abs(d1.norm() - 1.0),
-                abs(d2.norm() - 1.0),
-                abs(d1.inner(d2) - det.overlap),
-            )
+            d = detector_states(det)
+            gram = d.conj().T @ d  # <d_i|d_j>
+            norms = np.sqrt(gram.diagonal().real)
+            worst = max(worst, float(np.abs(norms - 1.0).max()), abs(gram[0, 1] - det.overlap))
     return worst <= tol, f"max dev {worst:.3g}"
 
 
@@ -243,7 +235,7 @@ def _chk_wp_kick(cfg: RunConfig, tol: float) -> tuple[bool, str]:
     # translates rigidly), for whole and fractional numbers of bins alike.
     hbar = cfg.units.hbar
     psi = slit_state(cfg.geometry, cfg.grid, 1)
-    boost = 12.25 * _momentum_bin(cfg)
+    boost = 12.25 * cfg.grid.dp(cfg.units.hbar)
 
     def mean_momentum(state):
         spec = to_momentum(state, hbar=hbar)
@@ -262,7 +254,7 @@ def _chk_exp_probs(cfg: RunConfig, tol: float) -> tuple[bool, str]:
     for c in _C_GRID:
         expected = np.array([(1.0 - c) / 2.0, (1.0 - c) / 2.0, c])
         for theta in (cfg.detector.theta, 1.0):
-            state = assemble(cfg.geometry, cfg.grid, build_uqsd(DetectorConfig(c=c, theta=theta)))
+            state = assemble(cfg.geometry, cfg.grid, DetectorConfig(c=c, theta=theta))
             for st in (state, change_basis(state, SYMMETRIC)):
                 probs = st.branch_probabilities()
                 worst = max(worst, float(np.abs(probs - expected).max()))
@@ -281,8 +273,8 @@ def _chk_exp_fail(cfg: RunConfig, tol: float) -> tuple[bool, str]:
 @_check("experiment.basis_invariance")
 def _chk_exp_basis(cfg: RunConfig, tol: float) -> tuple[bool, str]:
     # The configured state at emission, and a phased one after free flight.
-    emitted = assemble(cfg.geometry, cfg.grid, build_uqsd(cfg.detector))
-    phased = assemble(cfg.geometry, cfg.grid, build_uqsd(DetectorConfig(c=0.5, theta=0.8)))
+    emitted = assemble(cfg.geometry, cfg.grid, cfg.detector)
+    phased = assemble(cfg.geometry, cfg.grid, DetectorConfig(c=0.5, theta=0.8))
     landed = propagate_all(phased, cfg.geometry, cfg.units)
     worst = 0.0
     for state, bases in (
@@ -340,7 +332,7 @@ def _chk_exp_fraction_vis(cfg: RunConfig, tol: float) -> tuple[bool, str]:
 
 @_check("experiment.kick_magnitude")
 def _chk_exp_kick(cfg: RunConfig, tol: float) -> tuple[bool, str]:
-    dp = _momentum_bin(cfg)
+    dp = cfg.grid.dp(cfg.units.hbar)
     p0 = math.pi * cfg.units.hbar / cfg.geometry.d
     worst = 0.0
     for c in _KICK_C_GRID:
@@ -363,7 +355,7 @@ def _chk_exp_detector_kick(cfg: RunConfig, tol: float) -> tuple[bool, str]:
             if ok
             else "expected no kick estimate at c = 1"
         )
-    dp = _momentum_bin(cfg)
+    dp = cfg.grid.dp(cfg.units.hbar)
     off = abs(report.p0_measured - report.p0) / dp
     return off <= tol, f"off by {off:.3g} bins"
 
@@ -372,7 +364,7 @@ def _chk_exp_detector_kick(cfg: RunConfig, tol: float) -> tuple[bool, str]:
 def _chk_exp_tilted(cfg: RunConfig, tol: float) -> tuple[bool, str]:
     if cfg.detector.c == 1.0:
         raise EmptyBranchError("interfering branches empty at c = 1")
-    dp = _momentum_bin(cfg)
+    dp = cfg.grid.dp(cfg.units.hbar)
     p0 = math.pi * cfg.units.hbar / cfg.geometry.d
     worst = 0.0
     state = _state(cfg, cfg.detector.c, cfg.detector.theta)
@@ -402,7 +394,7 @@ def _chk_exp_identity(cfg: RunConfig, tol: float) -> tuple[bool, str]:
 
 @_check("experiment.phase_kick")
 def _chk_exp_phase(cfg: RunConfig, tol: float) -> tuple[bool, str]:
-    dp = _momentum_bin(cfg)
+    dp = cfg.grid.dp(cfg.units.hbar)
     worst = 0.0
     for theta in _PHASE_GRID:
         state = _state(cfg, 0.5, theta)

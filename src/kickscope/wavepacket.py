@@ -118,6 +118,19 @@ class GridSpec:
         x.setflags(write=False)
         return x
 
+    def dp(self, hbar: float) -> float:
+        """Momentum-grid step ``2*pi*hbar/(n*dx)``."""
+        return 2.0 * math.pi * hbar / (self.n * self.dx)
+
+    def momenta(self, hbar: float) -> np.ndarray:
+        """Centered momentum grid ``p_k = (k - n/2)*dp``, a new array.
+
+        Every momentum grid in the package comes from here: the phase
+        ``p^2*t/(2*m*hbar)`` of `propagate_fft` turns an ulp of difference
+        in ``p`` into visible changes downstream.
+        """
+        return (np.arange(self.n) - self.n // 2) * self.dp(hbar)
+
 
 @dataclass(frozen=True)
 class PhysicalUnits:
@@ -177,12 +190,12 @@ class MomentumSpectrum:
 
     @property
     def dp(self) -> float:
-        return 2.0 * math.pi * self.hbar / (self.grid.n * self.grid.dx)
+        return self.grid.dp(self.hbar)
 
     @cached_property
     def p(self) -> np.ndarray:
         """Momentum grid ``p_k = (k - n/2)*dp``, read-only."""
-        p = (np.arange(self.grid.n) - self.grid.n // 2) * self.dp
+        p = self.grid.momenta(self.hbar)
         p.setflags(write=False)
         return p
 
@@ -245,9 +258,9 @@ def to_momentum(psi: Wavefunction, hbar: float = 1.0) -> MomentumSpectrum:
     grid = psi.grid
     # fftshift centers the momentum grid on p = 0; the phase moves the
     # position origin from x_min to 0.
-    spec = MomentumSpectrum(grid, np.fft.fftshift(np.fft.fft(psi.amplitudes)), hbar=hbar)
-    phase = np.exp(-1j * spec.p * (grid.x_min / hbar))
-    amps = (grid.dx / math.sqrt(2.0 * math.pi * hbar)) * phase * spec.amplitudes
+    spec = np.fft.fftshift(np.fft.fft(psi.amplitudes))
+    phase = np.exp(-1j * grid.momenta(hbar) * (grid.x_min / hbar))
+    amps = (grid.dx / math.sqrt(2.0 * math.pi * hbar)) * phase * spec
     return MomentumSpectrum(grid, amps, hbar=hbar)
 
 
@@ -281,10 +294,7 @@ def propagate_fft(psi: Wavefunction, geom: SlitGeometry, units: PhysicalUnits) -
     """
     grid = psi.grid
     _check_headroom(grid, geom, units)
-    # MomentumSpectrum.p's values in FFT order; K's phase p^2*t/(2*m*hbar)
-    # turns an ulp of difference in p into visible changes downstream.
-    dp = 2.0 * math.pi * units.hbar / (grid.n * grid.dx)
-    p = np.fft.ifftshift((np.arange(grid.n) - grid.n // 2) * dp)
+    p = np.fft.ifftshift(grid.momenta(units.hbar))
     spec = np.fft.fft(psi.amplitudes)
     spec *= np.exp(-1j * p**2 * (units.t / (2.0 * units.mass * units.hbar)))
     return Wavefunction(grid, np.fft.ifft(spec, out=spec))

@@ -42,6 +42,13 @@ sampling.seed = 7
 LATE_WINDOW = "units.t = 1e-6\ngrid.n = 4096\ngrid.x_min = -4.62\ngrid.x_max = 5.62\n"
 
 
+def _reduced_with(extra: str) -> str:
+    """REDUCED with every key that ``extra`` sets taken from ``extra``."""
+    keys = {line.split("=")[0].strip() for line in extra.splitlines()}
+    kept = [line for line in REDUCED.splitlines() if line.split("=")[0].strip() not in keys]
+    return "\n".join(kept) + "\n" + extra
+
+
 @pytest.fixture
 def cfg_path(tmp_path):
     path = tmp_path / "reduced.cfg"
@@ -293,7 +300,7 @@ class TestFailureModes:
     )
     def test_non_finite_input_exits_2_with_no_outputs(self, tmp_path, capsys, line, name):
         path = tmp_path / "bad.cfg"
-        path.write_text(REDUCED + line + "\n")
+        path.write_text(_reduced_with(line + "\n"))
         out = tmp_path / "out"
         out.mkdir()
         assert main(["run", "--config", str(path), "--out", str(out)]) == 2
@@ -301,9 +308,21 @@ class TestFailureModes:
         assert "error:" in err and name in err and "finite" in err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["run", "scan", "sample", "verify"])
+    def test_repeated_key_exits_2_with_no_outputs(self, tmp_path, capsys, command):
+        path = tmp_path / "twice.cfg"
+        path.write_text(REDUCED + "detector.c = 0.25\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = [command, "--config", str(path)]
+        assert main(argv if command == "verify" else argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "line 10: config key 'detector.c' repeats line 7" in captured.err
+        assert captured.out == "" and list(out.iterdir()) == []
+
     def test_late_analysis_error_exits_2_with_no_outputs(self, tmp_path, capsys):
         path = tmp_path / "late.cfg"
-        path.write_text(REDUCED + LATE_WINDOW)
+        path.write_text(_reduced_with(LATE_WINDOW))
         out = tmp_path / "out"
         out.mkdir()
         assert main(["run", "--config", str(path), "--out", str(out)]) == 2
@@ -315,8 +334,8 @@ class TestFailureModes:
         [
             # dx = 0.32 on the default extent, against sigma/4 = 0.0025.
             ("grid.n = 16384\n", "too coarse"),
-            (REDUCED + "grid.x_min = -5\ngrid.x_max = 6\n", "wraparound"),
-            (REDUCED + LATE_WINDOW, "analysis window"),
+            (_reduced_with("grid.x_min = -5\ngrid.x_max = 6\n"), "wraparound"),
+            (_reduced_with(LATE_WINDOW), "analysis window"),
         ],
         ids=["coarse", "headroom", "window"],
     )

@@ -26,7 +26,6 @@ from kickscope import (
     apply_kick,
     assemble,
     basis_matrix,
-    build_uqsd,
     change_basis,
     fringe_analysis,
     fringe_window,
@@ -59,13 +58,13 @@ FRINGE_PERIOD_T005 = 0.3141592653589793  # 2*pi*hbar*t/(m*d) at t = 0.05
 
 
 def make_state(geom, grid, c, theta=0.0, basis=SYMMETRIC):
-    state = assemble(geom, grid, build_uqsd(DetectorConfig(c=c, theta=theta)))
+    state = assemble(geom, grid, DetectorConfig(c=c, theta=theta))
     return change_basis(state, basis)
 
 
 class TestAssembly:
     def test_branch_probabilities(self, geom, grid):
-        state = assemble(geom, grid, build_uqsd(DetectorConfig(c=0.36)))
+        state = assemble(geom, grid, DetectorConfig(c=0.36))
         assert_allclose(
             state.branch_probabilities(), [0.32, 0.32, 0.36], rtol=0, atol=1e-12
         )
@@ -82,11 +81,11 @@ class TestAssembly:
 
     def test_failure_probability_equals_c(self, geom, grid):
         for c in (0.0, 0.25, 0.7, 1.0):
-            state = assemble(geom, grid, build_uqsd(DetectorConfig(c=c)))
+            state = assemble(geom, grid, DetectorConfig(c=c))
             assert_allclose(state.branch_probabilities()[2], c, rtol=0, atol=1e-12)
 
     def test_basis_round_trip(self, geom, grid):
-        state = assemble(geom, grid, build_uqsd(DetectorConfig(c=0.36, theta=0.9)))
+        state = assemble(geom, grid, DetectorConfig(c=0.36, theta=0.9))
         back = change_basis(change_basis(state, tilted(0.7)), state.basis)
         for i in range(3):
             assert_allclose(
@@ -94,7 +93,7 @@ class TestAssembly:
             )
 
     def test_propagation_commutes_with_basis_change(self, geom, grid, units):
-        state = assemble(geom, grid, build_uqsd(DetectorConfig(c=0.5, theta=0.4)))
+        state = assemble(geom, grid, DetectorConfig(c=0.5, theta=0.4))
         a = change_basis(propagate_all(state, geom, units), SYMMETRIC)
         b = propagate_all(change_basis(state, SYMMETRIC), geom, units)
         for i in range(3):
@@ -121,15 +120,13 @@ class TestSlitPairOracle:
     def test_matches_three_propagated_branch_arrays(self, geom, grid, units, c, theta, basis):
         # The three-array algorithm, run here as the oracle: every branch is
         # built on the grid, rotated array by array and propagated by itself.
-        coeffs = build_uqsd(DetectorConfig(c=c, theta=theta))
+        detector = DetectorConfig(c=c, theta=theta)
+        alpha, beta = math.sqrt(1.0 - c), math.sqrt(c)
+        delta = beta * cmath.exp(1j * theta)
         psi1 = slit_state(geom, grid, 1).amplitudes
         psi2 = slit_state(geom, grid, 2).amplitudes
         s = 1.0 / math.sqrt(2.0)
-        comp = [
-            coeffs.alpha * s * psi1,
-            coeffs.gamma * s * psi2,
-            s * (coeffs.beta * psi1 + coeffs.delta * psi2),
-        ]
+        comp = [alpha * s * psi1, alpha * s * psi2, s * (beta * psi1 + delta * psi2)]
         m = basis_matrix(COMPUTATIONAL, basis)
         emitted = [
             Wavefunction(grid, m[i, 0] * comp[0] + m[i, 1] * comp[1] + m[i, 2] * comp[2])
@@ -137,7 +134,7 @@ class TestSlitPairOracle:
         ]
         landed = [propagate_fft(b, geom, units) for b in emitted]
 
-        state = change_basis(assemble(geom, grid, coeffs), basis)
+        state = change_basis(assemble(geom, grid, detector), basis)
         propagated = propagate_all(state, geom, units)
         for st, oracle in ((state, emitted), (propagated, landed)):
             assert_allclose(
@@ -146,14 +143,14 @@ class TestSlitPairOracle:
             assert_allclose(
                 screen_density(st).values, sum(b.density() for b in oracle), rtol=0, atol=1e-12
             )
-            for got, branch in zip(st.spectra(units.hbar), oracle):
+            for got, branch in zip(st.pair.spectra(st.coeffs, units.hbar), oracle):
                 want = to_momentum(branch, hbar=units.hbar).amplitudes
                 assert_allclose(got.amplitudes, want, rtol=0, atol=1e-12)
 
 
 class TestScreenDensity:
     def test_basis_invariance(self, geom, grid, units):
-        state = assemble(geom, grid, build_uqsd(DetectorConfig(c=0.5, theta=0.8)))
+        state = assemble(geom, grid, DetectorConfig(c=0.5, theta=0.8))
         propagated = propagate_all(state, geom, units)
         rho_comp = screen_density(propagated).values
         for basis in (SYMMETRIC, tilted(1.1)):
@@ -303,12 +300,12 @@ class TestCombForms:
     def test_kicks_match_the_full_grid_oracle(self, geom, grid, units, c, theta):
         state = make_state(geom, grid, c=c, theta=theta)
         hbar, d, s = units.hbar, geom.d, 1.0 / math.sqrt(2.0)
-        q_plus, q_minus, _ = state.spectra(hbar)
+        q_plus, q_minus, _ = state.pair.spectra(state.coeffs, hbar)
         report = kick_report(state, geom, units, DetectorConfig(c=c, theta=theta))
         assert abs(report.p0_measured - _comb_shift(q_minus, q_plus, d)) <= 1e-12
         for tilt in ORACLE_TILTS:
             rotated = change_basis(state, tilted(tilt))
-            q_plus, q_minus, _ = rotated.spectra(hbar)
+            q_plus, q_minus, _ = rotated.pair.spectra(rotated.coeffs, hbar)
             shift = tilted_relative_kick(state, geom, units, tilt)
             assert abs(shift - _comb_shift(q_minus, q_plus, d)) <= 1e-12
             if c == 0.0:

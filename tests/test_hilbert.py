@@ -11,12 +11,9 @@ from kickscope import (
     SYMMETRIC,
     Basis,
     DetectorConfig,
-    DetectorVector,
     DomainError,
     Outcome,
-    UqsdCoefficients,
     basis_matrix,
-    build_uqsd,
     detector_states,
     tilted,
 )
@@ -54,54 +51,36 @@ class TestDetectorConfig:
 
 
 class TestUqsdDecomposition:
+    """``detector_states`` has columns d1 = (alpha, 0, beta), d2 = (0, alpha, delta)."""
+
     def test_frozen_coefficients(self):
-        coeffs = build_uqsd(DetectorConfig(c=C_REF, theta=THETA_REF))
-        assert_allclose(coeffs.alpha, ALPHA_REF, rtol=0, atol=1e-15)
-        assert_allclose(coeffs.gamma, ALPHA_REF, rtol=0, atol=1e-15)
-        assert_allclose(coeffs.beta, BETA_REF, rtol=0, atol=1e-15)
-        assert_allclose(coeffs.delta, DELTA_REF, rtol=0, atol=1e-15)
+        d = detector_states(DetectorConfig(c=C_REF, theta=THETA_REF))
+        assert d.shape == (3, 2) and d.dtype == np.complex128
+        expected = [[ALPHA_REF, 0.0], [0.0, ALPHA_REF], [BETA_REF, DELTA_REF]]
+        assert_allclose(d, expected, rtol=0, atol=1e-15)
+        assert not d.flags.writeable
 
     def test_recovers_config(self):
-        coeffs = build_uqsd(DetectorConfig(c=C_REF, theta=THETA_REF))
-        assert_allclose(coeffs.beta**2, C_REF, rtol=0, atol=1e-15)
-        assert_allclose(coeffs.beta * coeffs.delta, OVERLAP_REF, rtol=0, atol=1e-15)
+        d = detector_states(DetectorConfig(c=C_REF, theta=THETA_REF))
+        assert_allclose(d[2, 0] ** 2, C_REF, rtol=0, atol=1e-15)
+        assert_allclose(d[2, 0] * d[2, 1], OVERLAP_REF, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("c", [0.0, 0.25, 0.5, 1.0])
     def test_detector_states_are_normalized(self, c):
-        d1, d2 = detector_states(build_uqsd(DetectorConfig(c=c, theta=0.7)))
-        assert_allclose(d1.norm(), 1.0, rtol=0, atol=1e-15)
-        assert_allclose(d2.norm(), 1.0, rtol=0, atol=1e-15)
+        d = detector_states(DetectorConfig(c=c, theta=0.7))
+        assert_allclose(np.linalg.norm(d, axis=0), [1.0, 1.0], rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("theta", [0.0, math.pi / 3, -2.0, math.pi])
     def test_state_overlap_matches_config(self, theta):
         # The whole point of the decomposition: <d1|d2> = c * exp(i*theta).
         cfg = DetectorConfig(c=0.41, theta=theta)
-        d1, d2 = detector_states(build_uqsd(cfg))
-        assert_allclose(d1.inner(d2), cfg.overlap, rtol=0, atol=1e-15)
+        d = detector_states(cfg)
+        assert_allclose(np.vdot(d[:, 0], d[:, 1]), cfg.overlap, rtol=0, atol=1e-15)
 
     def test_failure_weight_is_c(self):
-        coeffs = build_uqsd(DetectorConfig(c=C_REF, theta=THETA_REF))
-        assert_allclose(abs(coeffs.beta) ** 2, C_REF, rtol=0, atol=1e-15)
-        assert_allclose(abs(coeffs.delta) ** 2, C_REF, rtol=0, atol=1e-14)
-
-    def test_rejects_unnormalized_coefficients(self):
-        with pytest.raises(DomainError):
-            UqsdCoefficients(alpha=0.8, gamma=0.8, beta=0.5, delta=0.5)
-
-    def test_rejects_mismatched_failure_amplitudes(self):
-        with pytest.raises(DomainError):
-            UqsdCoefficients(alpha=0.8, gamma=0.6, beta=0.6, delta=0.8)
-
-
-class TestDetectorVector:
-    def test_inner_conjugates_first_argument(self):
-        u = DetectorVector(np.array([1j, 0.0, 0.0]))
-        v = DetectorVector(np.array([1.0, 0.0, 0.0]))
-        assert_allclose(u.inner(v), -1j, rtol=0, atol=1e-15)
-
-    def test_rejects_wrong_length(self):
-        with pytest.raises(DomainError):
-            DetectorVector(np.array([1.0, 0.0]))
+        d = detector_states(DetectorConfig(c=C_REF, theta=THETA_REF))
+        assert_allclose(abs(d[2, 0]) ** 2, C_REF, rtol=0, atol=1e-15)
+        assert_allclose(abs(d[2, 1]) ** 2, C_REF, rtol=0, atol=1e-14)
 
 
 class TestBases:
