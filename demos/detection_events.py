@@ -45,7 +45,7 @@ def main() -> None:
     print(__doc__)
     detector = DetectorConfig(c=0.5)
     state = change_basis(assemble(GEOM, GRID, detector), SYMMETRIC)
-    propagated = propagate_all(state, GEOM, UNITS)
+    propagated = propagate_all(state, UNITS)
     codes, xs = sample_events(propagated, args.count, args.seed)
     fired = {o: codes == i for i, o in enumerate(propagated.basis.outcomes)}
 

@@ -41,7 +41,7 @@ def comb_peaks(spec, count=3):
 def main() -> None:
     print(__doc__)
     state = change_basis(assemble(GEOM, GRID, DETECTOR), SYMMETRIC)
-    rep = kick_report(state, GEOM, UNITS, DETECTOR)
+    rep = kick_report(state, UNITS)
 
     print(f"expected kick   p0 = pi*hbar/d = {rep.p0:.6f}")
     print(f"measured kick        q- vs q+  = {rep.p0_measured:.6f}")
@@ -58,7 +58,7 @@ def main() -> None:
 
     print("relative kick measured in tilted readout bases:")
     for tp in (0.0, math.pi / 6, math.pi / 4, math.pi / 2):
-        shift = tilted_relative_kick(state, GEOM, UNITS, tp)
+        shift = tilted_relative_kick(state, UNITS, tp)
         print(f"  tilt {tp:8.5f} rad -> kick {shift:.6f}")
     print()
     print("Half of the no-click events took a kick of exactly p0; none of")

@@ -33,8 +33,8 @@ def main() -> None:
     for theta in (0.0, math.pi / 6, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi):
         detector = DetectorConfig(c=0.5, theta=theta)
         state = change_basis(assemble(GEOM, GRID, detector), SYMMETRIC)
-        shift = phase_kick_shift(state, GEOM, UNITS)
-        pattern = screen_density(propagate_all(state, GEOM, UNITS))
+        shift = phase_kick_shift(state, UNITS)
+        pattern = screen_density(propagate_all(state, UNITS))
         visibility = fringe_analysis(pattern, GEOM, UNITS).visibility
         print(f"{theta:9.5f} {theta * UNITS.hbar / GEOM.d:19.6f} {shift:10.6f} {visibility:8.4f}")
     print()

@@ -39,9 +39,9 @@ def main() -> None:
     for c in np.linspace(0.0, 1.0, 11):
         detector = DetectorConfig(c=float(c))
         state = change_basis(assemble(GEOM, GRID, detector), SYMMETRIC)
-        pattern = screen_density(propagate_all(state, GEOM, UNITS))
+        pattern = screen_density(propagate_all(state, UNITS))
         fringes = fringe_analysis(pattern, GEOM, UNITS)
-        rep = kick_report(state, GEOM, UNITS, detector)
+        rep = kick_report(state, UNITS)
         kick = "--" if rep.p0_measured is None else f"{rep.p0_measured / rep.p0:8.5f}"
         print(
             f"{c:6.2f} {fringes.visibility:8.4f} {rep.F_k_branch:8.4f} "

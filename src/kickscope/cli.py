@@ -116,11 +116,10 @@ def _resolve_out(flag_value: str | None, cfg: RunConfig) -> Path:
 def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
     """Simulate once; write pattern.csv, momentum.csv, and summary.txt."""
     state0 = change_basis(assemble(cfg.geometry, cfg.grid, cfg.detector), cfg.basis)
-    propagated = propagate_all(state0, cfg.geometry, cfg.units)
+    propagated = propagate_all(state0, cfg.units)
 
     # Analyse before the first write, so an analysis error leaves no files.
-    sym = state0 if cfg.basis == SYMMETRIC else change_basis(state0, SYMMETRIC)
-    report = kick_report(sym, cfg.geometry, cfg.units, cfg.detector)
+    report = kick_report(state0, cfg.units)
     fringes = fringe_analysis(screen_density(propagated), cfg.geometry, cfg.units)
     storey = storey_bound_report(fringes.visibility)
 
@@ -172,9 +171,9 @@ def cmd_scan(cfg: RunConfig, out_dir: Path, c_values: list[float]) -> int:
     for c in c_values:
         det = DetectorConfig(c=c, theta=cfg.detector.theta)
         sym = change_basis(assemble(cfg.geometry, cfg.grid, det), SYMMETRIC)
-        propagated = propagate_all(sym, cfg.geometry, cfg.units)
+        propagated = propagate_all(sym, cfg.units)
         fringes = fringe_analysis(screen_density(propagated), cfg.geometry, cfg.units)
-        report = kick_report(sym, cfg.geometry, cfg.units, det)
+        report = kick_report(sym, cfg.units)
         rows.append(
             (
                 c,
@@ -201,7 +200,7 @@ def cmd_scan(cfg: RunConfig, out_dir: Path, c_values: list[float]) -> int:
 def cmd_sample(cfg: RunConfig, out_dir: Path) -> int:
     """Draw detection events; write events.csv and sample_summary.txt."""
     state0 = change_basis(assemble(cfg.geometry, cfg.grid, cfg.detector), cfg.basis)
-    propagated = propagate_all(state0, cfg.geometry, cfg.units)
+    propagated = propagate_all(state0, cfg.units)
     codes, xs = sample_events(propagated, cfg.sample_count, cfg.seed)
 
     outcomes = propagated.basis.outcomes

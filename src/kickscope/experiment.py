@@ -9,20 +9,23 @@ paths and the discrimination failure; rotating to the symmetric basis
 branch, a branch carrying an apparent momentum kick of half a fringe
 period, and the failure branch.  Basis changes act on the matrix and free
 flight on the pair alone.  Everything observable is extracted from a
-`BranchState` by the functions in this module.
+`BranchState` by the functions in this module, from the state and the
+`PhysicalUnits` alone: the pair keeps its `SlitGeometry` and the state
+its `DetectorConfig`.
 
 Momentum kicks are read off the slit pair's 2x2 comb matrix ``A`` (see
 `SlitPair.comb`): the comb phase of a coefficient row ``r`` is the
 argument of ``conj(r) @ A @ r``, and the kick between two rows follows
 from the difference of their comb phases.  It lies in ``(-p0, p0]`` with
-``p0 = pi*hbar/d``; a shift of exactly half a momentum fringe is its own
-mirror image and is reported as ``+p0``.
+``p0 = pi*hbar/d`` and ``d`` the pair's slit separation; a shift of
+exactly half a momentum fringe is its own mirror image and is reported
+as ``+p0``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from typing import Sequence
 
@@ -31,6 +34,7 @@ import numpy as np
 from .errors import ConfigurationError, DomainError, EmptyBranchError
 from .hilbert import (
     COMPUTATIONAL,
+    SYMMETRIC,
     Basis,
     DetectorConfig,
     basis_matrix,
@@ -82,15 +86,16 @@ GOF_MIN_SAMPLES = 10 * GOF_BINS
 
 @dataclass(frozen=True, eq=False)
 class SlitPair:
-    """The slit wavefunctions ``psi1`` and ``psi2`` on one grid.
+    """The slit wavefunctions ``psi1`` and ``psi2`` of ``geom`` on one grid.
 
-    The pair keeps its latest propagation and its latest comb matrix, so
-    every detector setting built on it shares one of each per (geometry,
-    units) and per (hbar, d).
+    Propagation keeps ``geom``.  The pair keeps its latest propagation and
+    its latest comb matrix, so every detector setting built on it shares
+    one of each per units and per hbar.
     """
 
     psi1: Wavefunction
     psi2: Wavefunction
+    geom: SlitGeometry
     _last: tuple | None = field(default=None, init=False, repr=False)
     _comb: tuple | None = field(default=None, init=False, repr=False)
 
@@ -111,33 +116,33 @@ class SlitPair:
         g.setflags(write=False)  # memoized pairs are shared by every caller
         return g
 
-    def propagated(self, geom: SlitGeometry, units: PhysicalUnits) -> "SlitPair":
+    def propagated(self, units: PhysicalUnits) -> "SlitPair":
         """Both states evolved freely for ``units.t``."""
-        if self._last is None or self._last[0] != (geom, units):
-            pair = SlitPair(*(propagate_fft(psi, geom, units) for psi in (self.psi1, self.psi2)))
-            object.__setattr__(self, "_last", ((geom, units), pair))
+        if self._last is None or self._last[0] != units:
+            psis = (propagate_fft(psi, self.geom, units) for psi in (self.psi1, self.psi2))
+            object.__setattr__(self, "_last", (units, SlitPair(*psis, self.geom)))
         return self._last[1]
 
-    def comb(self, hbar: float, d: float) -> np.ndarray:
+    def comb(self, hbar: float) -> np.ndarray:
         """The 2x2 comb matrix ``A_ij = sum_p conj(phi_i) phi_j exp(-i*p*d/hbar)``.
 
-        ``phi_i`` is slit ``i``'s momentum spectrum.  For a row ``r = (a,
-        b)``, ``conj(r) @ A @ r`` is the projection of the momentum density
-        ``|a*phi1 + b*phi2|^2`` at the fringe frequency ``d/hbar``, whose
-        argument is that row's comb phase.  Costs two FFTs per (hbar, d);
-        the spectra themselves are not kept.
+        ``phi_i`` is slit ``i``'s momentum spectrum and ``d`` the pair's slit
+        separation.  For a row ``r = (a, b)``, ``conj(r) @ A @ r`` is the
+        projection of the momentum density ``|a*phi1 + b*phi2|^2`` at the
+        fringe frequency ``d/hbar``, whose argument is that row's comb phase.
+        Costs two FFTs per hbar; the spectra themselves are not kept.
         """
-        if self._comb is None or self._comb[0] != (hbar, d):
+        if self._comb is None or self._comb[0] != hbar:
             spec1 = to_momentum(self.psi1, hbar=hbar)
             phis = (spec1.amplitudes, to_momentum(self.psi2, hbar=hbar).amplitudes)
-            w = np.exp(-1j * spec1.p * (d / hbar))
+            w = np.exp(-1j * spec1.p * (self.geom.d / hbar))
             w_phi = np.empty_like(w)
             a = np.empty((2, 2), dtype=np.complex128)
             for j, phi_j in enumerate(phis):
                 np.multiply(w, phi_j, out=w_phi)
                 a[:, j] = [np.vdot(phi_i, w_phi) for phi_i in phis]
             a.setflags(write=False)
-            object.__setattr__(self, "_comb", ((hbar, d), a))
+            object.__setattr__(self, "_comb", (hbar, a))
         return self._comb[1]
 
     def spectra(self, rows: np.ndarray, hbar: float) -> list[MomentumSpectrum]:
@@ -150,7 +155,7 @@ class SlitPair:
 def _slit_pair(geom: SlitGeometry, grid: GridSpec) -> SlitPair:
     # Room for a few side geometries (verify's kick_identity uses four)
     # without evicting the main pair and its propagation.
-    return SlitPair(slit_state(geom, grid, 1), slit_state(geom, grid, 2))
+    return SlitPair(slit_state(geom, grid, 1), slit_state(geom, grid, 2), geom)
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,6 +165,7 @@ class BranchState:
     basis: Basis
     coeffs: np.ndarray
     pair: SlitPair
+    detector: DetectorConfig
 
     def __post_init__(self) -> None:
         coeffs = np.array(self.coeffs, dtype=np.complex128)
@@ -211,15 +217,17 @@ class FringeAnalysis:
 
 @dataclass(frozen=True)
 class KickReport:
-    """Momentum-kick summary for a symmetric-basis branch state.
+    """Momentum-kick summary for a branch state, read in the symmetric basis.
 
-    ``p0`` is the half-fringe kick ``pi*hbar/d`` expected from the
-    branch algebra; ``p0_measured`` is the displacement of the q- momentum
-    comb against the q+ comb, read from their comb phases, in ``(-p0, p0]``
-    (``None`` when the kicked branch is empty, i.e. c = 1).  ``F_k_branch``
-    is the probability of the kicked branch and ``F_k_theory = (1 - c)/2``.
-    ``p_e = theta*hbar/d`` is the deterministic kick carried by the failure
-    branch when the detector overlap has a phase.
+    ``d`` is the slit separation of the state's pair, and ``c`` and
+    ``theta`` are its detector's.  ``p0`` is the half-fringe kick
+    ``pi*hbar/d`` expected from the branch algebra; ``p0_measured`` is the
+    displacement of the q- momentum comb against the q+ comb, read from
+    their comb phases, in ``(-p0, p0]`` (``None`` when the kicked branch is
+    empty, i.e. c = 1).  ``F_k_branch`` is the probability of the kicked
+    branch and ``F_k_theory = (1 - c)/2``.  ``p_e = theta*hbar/d`` is the
+    deterministic kick carried by the failure branch when the detector
+    overlap has a phase.
     """
 
     p0: float
@@ -250,7 +258,7 @@ def assemble(geom: SlitGeometry, grid: GridSpec, detector: DetectorConfig) -> Br
     with branch probabilities ``(1-c)/2, (1-c)/2, c``.
     """
     rows = detector_states(detector) * (1.0 / math.sqrt(2.0))
-    return BranchState(COMPUTATIONAL, rows, _slit_pair(geom, grid))
+    return BranchState(COMPUTATIONAL, rows, _slit_pair(geom, grid), detector)
 
 
 def change_basis(state: BranchState, to: Basis) -> BranchState:
@@ -259,16 +267,17 @@ def change_basis(state: BranchState, to: Basis) -> BranchState:
     The transform is unitary, so branch probabilities re-distribute while
     the summed screen density stays exactly the same.
     """
-    return BranchState(to, basis_matrix(state.basis, to) @ state.coeffs, state.pair)
+    return replace(state, basis=to, coeffs=basis_matrix(state.basis, to) @ state.coeffs)
 
 
-def propagate_all(state: BranchState, geom: SlitGeometry, units: PhysicalUnits) -> BranchState:
+def propagate_all(state: BranchState, units: PhysicalUnits) -> BranchState:
     """Propagate every branch freely for ``units.t``.
 
     Propagation is linear, so it acts on the slit pair alone and commutes
-    with :func:`change_basis`.
+    with :func:`change_basis`.  The wraparound guard reads the pair's own
+    geometry.
     """
-    return BranchState(state.basis, state.coeffs, state.pair.propagated(geom, units))
+    return replace(state, pair=state.pair.propagated(units))
 
 
 def screen_density(state: BranchState) -> ScreenPattern:
@@ -393,9 +402,7 @@ def kick_identity_residual(geom: SlitGeometry, grid: GridSpec) -> float:
     return float(math.sqrt(np.vdot(diff, diff).real * grid.dx))
 
 
-def _comb_offset(
-    pair: SlitPair, row_a: np.ndarray, row_b: np.ndarray, hbar: float, d: float
-) -> float:
+def _comb_offset(pair: SlitPair, row_a: np.ndarray, row_b: np.ndarray, hbar: float) -> float:
     """Momentum displacement of row ``a``'s fringe comb against row ``b``'s.
 
     Slit 2's spectrum is slit 1's times ``exp(-i*p*d/hbar)``, so ``|phi2| =
@@ -411,7 +418,8 @@ def _comb_offset(
     EmptyBranchError
         If either row has no fringe comb (a vanishing comb projection).
     """
-    comb = pair.comb(hbar, d)
+    d = pair.geom.d
+    comb = pair.comb(hbar)
     z_a, z_b = (np.vdot(r, comb @ r) for r in (row_a, row_b))
     if min(abs(z_a), abs(z_b)) < EMPTY_BRANCH_TOL:
         raise EmptyBranchError("no fringe comb to read a phase from")
@@ -423,22 +431,17 @@ def _comb_offset(
     return float(offset)
 
 
-def kick_report(
-    state: BranchState,
-    geom: SlitGeometry,
-    units: PhysicalUnits,
-    detector: DetectorConfig,
-) -> KickReport:
-    """Momentum-kick bookkeeping for a symmetric-basis state.
+def kick_report(state: BranchState, units: PhysicalUnits) -> KickReport:
+    """Momentum-kick bookkeeping, read in the symmetric basis.
 
     Parameters
     ----------
     state : BranchState
-        Must be in the symmetric basis (use :func:`change_basis` first).
-    geom, units : SlitGeometry, PhysicalUnits
-        Geometry and scales; set ``p0 = pi*hbar/d``.
-    detector : DetectorConfig
-        Supplies ``c`` and ``theta`` for the theory-side entries.
+        In any basis; the report re-expresses it in the symmetric one.  Its
+        pair's ``d`` sets ``p0 = pi*hbar/d`` and its detector supplies ``c``
+        and ``theta`` for the theory-side entries.
+    units : PhysicalUnits
+        Supplies ``hbar``.
 
     Notes
     -----
@@ -447,16 +450,16 @@ def kick_report(
     propagated state's pair computes its own comb matrix, though, at the
     cost of two more FFTs.
     """
-    if state.basis.kind != "symmetric":
-        raise DomainError("kick analysis requires the symmetric basis")
-    probs = state.branch_probabilities()
+    sym = state if state.basis == SYMMETRIC else change_basis(state, SYMMETRIC)
+    geom, detector = state.pair.geom, state.detector
+    probs = sym.branch_probabilities()
     f_branch = float(probs[1])
     p0 = math.pi * units.hbar / geom.d
     if f_branch < EMPTY_BRANCH_TOL or probs[0] < EMPTY_BRANCH_TOL:
         measured = None
     else:
-        q_plus, q_minus = state.coeffs[:2]
-        measured = _comb_offset(state.pair, q_minus, q_plus, units.hbar, geom.d)
+        q_plus, q_minus = sym.coeffs[:2]
+        measured = _comb_offset(sym.pair, q_minus, q_plus, units.hbar)
     return KickReport(
         p0=p0,
         p0_measured=measured,
@@ -467,23 +470,21 @@ def kick_report(
     )
 
 
-def phase_kick_shift(state: BranchState, geom: SlitGeometry, units: PhysicalUnits) -> float:
+def phase_kick_shift(state: BranchState, units: PhysicalUnits) -> float:
     """Momentum displacement of the failure branch against the phase-free one.
 
     The failure branch ``(beta*psi1 + delta*psi2)/sqrt2`` is common to all
     three bases, so any basis is accepted.  Returns the displacement of its
     momentum comb against the ``theta = 0`` failure spectrum's, which is
-    ``theta*hbar/d`` for ``theta`` in ``(-pi, pi]``.
+    ``theta*hbar/d`` for ``theta`` in ``(-pi, pi]``, ``d`` the pair's.
     """
     if state.branch_probabilities()[2] < EMPTY_BRANCH_TOL:
         raise EmptyBranchError("failure branch is empty; no phase kick to measure")
     phase_free = np.full(2, 1.0 / math.sqrt(2.0))
-    return _comb_offset(state.pair, state.coeffs[2], phase_free, units.hbar, geom.d)
+    return _comb_offset(state.pair, state.coeffs[2], phase_free, units.hbar)
 
 
-def tilted_relative_kick(
-    state: BranchState, geom: SlitGeometry, units: PhysicalUnits, theta_prime: float
-) -> float:
+def tilted_relative_kick(state: BranchState, units: PhysicalUnits, theta_prime: float) -> float:
     """Relative momentum kick between the two tilted interfering branches.
 
     Re-expresses ``state`` in the tilted basis with angle ``theta_prime``
@@ -495,7 +496,7 @@ def tilted_relative_kick(
     if rotated.branch_probabilities()[:2].min() < EMPTY_BRANCH_TOL:
         raise EmptyBranchError("tilted branches are empty; no relative kick")
     q_plus, q_minus = rotated.coeffs[:2]
-    return _comb_offset(rotated.pair, q_minus, q_plus, units.hbar, geom.d)
+    return _comb_offset(rotated.pair, q_minus, q_plus, units.hbar)
 
 
 def storey_bound_report(visibility: float) -> StoreyBound:

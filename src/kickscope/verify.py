@@ -110,7 +110,7 @@ def _state(cfg: RunConfig, c: float, theta: float = 0.0) -> BranchState:
 
 
 def _propagated(cfg: RunConfig, c: float, theta: float = 0.0) -> BranchState:
-    return propagate_all(_state(cfg, c, theta), cfg.geometry, cfg.units)
+    return propagate_all(_state(cfg, c, theta), cfg.units)
 
 
 def _pattern(cfg: RunConfig, c: float, theta: float = 0.0) -> ScreenPattern:
@@ -275,7 +275,7 @@ def _chk_exp_basis(cfg: RunConfig, tol: float) -> tuple[bool, str]:
     # The configured state at emission, and a phased one after free flight.
     emitted = assemble(cfg.geometry, cfg.grid, cfg.detector)
     phased = assemble(cfg.geometry, cfg.grid, DetectorConfig(c=0.5, theta=0.8))
-    landed = propagate_all(phased, cfg.geometry, cfg.units)
+    landed = propagate_all(phased, cfg.units)
     worst = 0.0
     for state, bases in (
         (emitted, (SYMMETRIC, tilted(math.pi / 4))),
@@ -336,7 +336,7 @@ def _chk_exp_kick(cfg: RunConfig, tol: float) -> tuple[bool, str]:
     p0 = math.pi * cfg.units.hbar / cfg.geometry.d
     worst = 0.0
     for c in _KICK_C_GRID:
-        report = kick_report(_state(cfg, c), cfg.geometry, cfg.units, DetectorConfig(c=c))
+        report = kick_report(_state(cfg, c), cfg.units)
         assert report.p0_measured is not None
         worst = max(worst, abs(report.p0_measured - p0) / dp)
     return worst <= tol, f"worst offset {worst:.3g} bins"
@@ -345,9 +345,7 @@ def _chk_exp_kick(cfg: RunConfig, tol: float) -> tuple[bool, str]:
 @_check("experiment.detector_kick")
 def _chk_exp_detector_kick(cfg: RunConfig, tol: float) -> tuple[bool, str]:
     det = cfg.detector
-    report = kick_report(
-        _state(cfg, det.c, det.theta), cfg.geometry, cfg.units, det
-    )
+    report = kick_report(_state(cfg, det.c, det.theta), cfg.units)
     if det.c == 1.0:
         ok = report.p0_measured is None
         return ok, (
@@ -356,7 +354,7 @@ def _chk_exp_detector_kick(cfg: RunConfig, tol: float) -> tuple[bool, str]:
             else "expected no kick estimate at c = 1"
         )
     dp = cfg.grid.dp(cfg.units.hbar)
-    off = abs(report.p0_measured - report.p0) / dp
+    off = abs(report.p0_measured - math.pi * cfg.units.hbar / cfg.geometry.d) / dp
     return off <= tol, f"off by {off:.3g} bins"
 
 
@@ -369,9 +367,7 @@ def _chk_exp_tilted(cfg: RunConfig, tol: float) -> tuple[bool, str]:
     worst = 0.0
     state = _state(cfg, cfg.detector.c, cfg.detector.theta)
     for tp in _TILT_GRID:
-        worst = max(
-            worst, abs(tilted_relative_kick(state, cfg.geometry, cfg.units, tp) - p0) / dp
-        )
+        worst = max(worst, abs(tilted_relative_kick(state, cfg.units, tp) - p0) / dp)
     return worst <= tol, f"worst offset {worst:.3g} bins"
 
 
@@ -398,7 +394,7 @@ def _chk_exp_phase(cfg: RunConfig, tol: float) -> tuple[bool, str]:
     worst = 0.0
     for theta in _PHASE_GRID:
         state = _state(cfg, 0.5, theta)
-        shift = phase_kick_shift(state, cfg.geometry, cfg.units)
+        shift = phase_kick_shift(state, cfg.units)
         expected = theta * cfg.units.hbar / cfg.geometry.d
         worst = max(worst, abs(shift - expected) / dp)
     return worst <= tol, f"worst offset {worst:.3g} bins"

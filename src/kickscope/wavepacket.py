@@ -183,7 +183,7 @@ class MomentumSpectrum:
 
     grid: GridSpec
     amplitudes: np.ndarray
-    hbar: float = 1.0
+    hbar: float
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "amplitudes", _adopt(self.amplitudes, self.grid.n))
@@ -240,7 +240,7 @@ def slit_state(geom: SlitGeometry, grid: GridSpec, slit: int) -> Wavefunction:
     return gaussian_state(grid, center, geom.sigma)
 
 
-def to_momentum(psi: Wavefunction, hbar: float = 1.0) -> MomentumSpectrum:
+def to_momentum(psi: Wavefunction, hbar: float) -> MomentumSpectrum:
     """Momentum representation of ``psi`` on the centered momentum grid.
 
     Parameters
@@ -323,7 +323,7 @@ def propagate_analytic(
     return Wavefunction(grid, amp)
 
 
-def apply_kick(psi: Wavefunction, p: float, hbar: float = 1.0) -> Wavefunction:
+def apply_kick(psi: Wavefunction, p: float, hbar: float) -> Wavefunction:
     """Impart a momentum boost ``p``: multiply by ``exp(i*p*x/hbar)``.
 
     Displaces the momentum spectrum by ``+p`` and leaves the position

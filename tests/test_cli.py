@@ -535,7 +535,7 @@ def test_kick_analysis_transforms_the_slit_pair_once(cfg_path, tmp_path, monkeyp
     calls = []
     real = experiment.to_momentum
 
-    def counting(psi, hbar=1.0):
+    def counting(psi, hbar):
         calls.append(psi.grid.n)
         return real(psi, hbar=hbar)
 
@@ -577,7 +577,7 @@ def test_kick_displacement_transforms_the_unkicked_state_once(cfg_path, monkeypa
     calls = []
     real = verify_module.to_momentum
 
-    def counting(psi, hbar=1.0):
+    def counting(psi, hbar):
         calls.append(psi)
         return real(psi, hbar=hbar)
 

@@ -1,5 +1,6 @@
-"""The demos run end to end against the current library API."""
+"""The demos and the README example run end to end against the current library API."""
 
+import math
 import os
 import subprocess
 import sys
@@ -36,3 +37,15 @@ def test_demo_runs(demo):
     )
     assert done.returncode == 0, done.stderr
     assert line in done.stdout.splitlines()
+
+
+def test_readme_library_example_runs():
+    # The README's Library block, run as written, so the docs cannot drift
+    # from the API.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    names = {}
+    exec(compile(block, "README.md", "exec"), names)
+    assert names["report"].p0 == math.pi
+    assert abs(names["fringes"].visibility - 0.5) <= 0.02
+    assert names["codes"].shape == names["xs"].shape == (100_000,)

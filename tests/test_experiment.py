@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from numpy.testing import assert_allclose
 from kickscope import (
     COMPUTATIONAL,
     SYMMETRIC,
+    Basis,
     ConfigurationError,
     DetectorConfig,
     DomainError,
@@ -94,8 +96,8 @@ class TestAssembly:
 
     def test_propagation_commutes_with_basis_change(self, geom, grid, units):
         state = assemble(geom, grid, DetectorConfig(c=0.5, theta=0.4))
-        a = change_basis(propagate_all(state, geom, units), SYMMETRIC)
-        b = propagate_all(change_basis(state, SYMMETRIC), geom, units)
+        a = change_basis(propagate_all(state, units), SYMMETRIC)
+        b = propagate_all(change_basis(state, SYMMETRIC), units)
         for i in range(3):
             assert np.max(np.abs(a.branch(i).amplitudes - b.branch(i).amplitudes)) <= 1e-12
 
@@ -106,7 +108,7 @@ class TestAssembly:
         psi = slit_state(geom, grid, 1)
         stray = slit_state(geom, other, 2)
         with pytest.raises(ConfigurationError):
-            SlitPair(psi, stray)
+            SlitPair(psi, stray, geom)
 
 
 class TestSlitPairOracle:
@@ -135,7 +137,7 @@ class TestSlitPairOracle:
         landed = [propagate_fft(b, geom, units) for b in emitted]
 
         state = change_basis(assemble(geom, grid, detector), basis)
-        propagated = propagate_all(state, geom, units)
+        propagated = propagate_all(state, units)
         for st, oracle in ((state, emitted), (propagated, landed)):
             assert_allclose(
                 st.branch_probabilities(), [b.norm() for b in oracle], rtol=0, atol=1e-12
@@ -151,7 +153,7 @@ class TestSlitPairOracle:
 class TestScreenDensity:
     def test_basis_invariance(self, geom, grid, units):
         state = assemble(geom, grid, DetectorConfig(c=0.5, theta=0.8))
-        propagated = propagate_all(state, geom, units)
+        propagated = propagate_all(state, units)
         rho_comp = screen_density(propagated).values
         for basis in (SYMMETRIC, tilted(1.1)):
             rho = screen_density(change_basis(propagated, basis)).values
@@ -162,7 +164,7 @@ class TestScreenDensity:
         # rho = (|psi1|^2 + |psi2|^2)/2 + Re[<d1|d2> psi1* psi2] needs no
         # branch decomposition at all; the three-branch sum must agree.
         state = make_state(geom, grid, c=c, theta=theta)
-        rho = screen_density(propagate_all(state, geom, units)).values
+        rho = screen_density(propagate_all(state, units)).values
         psi1 = propagate_analytic(geom, grid, units, slit=1).amplitudes
         psi2 = propagate_analytic(geom, grid, units, slit=2).amplitudes
         overlap = c * np.exp(1j * theta)
@@ -173,7 +175,7 @@ class TestScreenDensity:
 
     def test_pattern_total_is_one(self, geom, grid, units):
         state = make_state(geom, grid, c=0.3)
-        pattern = screen_density(propagate_all(state, geom, units))
+        pattern = screen_density(propagate_all(state, units))
         assert_allclose(pattern.values.sum() * grid.dx, 1.0, rtol=0, atol=1e-12)
 
 
@@ -186,7 +188,7 @@ class TestConditionalDensity:
     def test_success_and_failure_agree_when_phase_free(self, geom, grid, units):
         # At theta = 0 both the q+ and failure branches hold the same
         # symmetric superposition, so their patterns are identical.
-        state = propagate_all(make_state(geom, grid, c=0.5), geom, units)
+        state = propagate_all(make_state(geom, grid, c=0.5), units)
         p_plus, _, p_fail = state.branch_probabilities()
         rho_plus = conditional_pattern(state, 0)
         rho_fail = conditional_pattern(state, 2)
@@ -195,14 +197,14 @@ class TestConditionalDensity:
         assert np.max(np.abs(rho_plus.values - rho_fail.values)) <= 1e-10
 
     def test_kicked_branch_is_half_period_out_of_step(self, geom, grid, units):
-        state = propagate_all(make_state(geom, grid, c=0.5), geom, units)
+        state = propagate_all(make_state(geom, grid, c=0.5), units)
         fr = fringe_analysis(conditional_pattern(state, 1), geom, units)
         assert_allclose(
             abs(fr.central_fringe_shift), FRINGE_PERIOD_T005 / 2.0, atol=2 * grid.dx
         )
 
     def test_conditioned_patterns_are_normalized(self, geom, grid, units):
-        state = propagate_all(make_state(geom, grid, c=0.36, theta=1.0), geom, units)
+        state = propagate_all(make_state(geom, grid, c=0.36, theta=1.0), units)
         for i in range(3):
             rho = conditional_pattern(state, i)
             assert_allclose(rho.values.sum() * grid.dx, 1.0, rtol=0, atol=1e-12)
@@ -216,12 +218,12 @@ class TestFringes:
 
     @pytest.mark.parametrize("c", [0.0, 0.25, 0.5, 0.75, 1.0])
     def test_visibility_tracks_overlap(self, geom, grid, units, c):
-        state = propagate_all(make_state(geom, grid, c=c), geom, units)
+        state = propagate_all(make_state(geom, grid, c=c), units)
         fr = fringe_analysis(screen_density(state), geom, units)
         assert abs(fr.visibility - c) <= 0.02
 
     def test_full_visibility_pattern(self, geom, grid, units):
-        state = propagate_all(make_state(geom, grid, c=1.0), geom, units)
+        state = propagate_all(make_state(geom, grid, c=1.0), units)
         fr = fringe_analysis(screen_density(state), geom, units)
         assert fr.visibility >= 0.995
         assert_allclose(fr.fringe_period, FRINGE_PERIOD_T005, rtol=0.02)
@@ -258,9 +260,9 @@ class TestKickIdentity:
 class TestMomentumShift:
     def test_recovers_whole_bin_shifts(self, geom, grid):
         psi = slit_state(geom, grid, 1)
-        spec = to_momentum(psi)
+        spec = to_momentum(psi, hbar=1.0)
         for bins in (7, -4, 0):
-            kicked = to_momentum(apply_kick(psi, bins * spec.dp))
+            kicked = to_momentum(apply_kick(psi, bins * spec.dp, hbar=1.0), hbar=1.0)
             assert_allclose(
                 momentum_shift(kicked, spec), bins * spec.dp, rtol=0, atol=1e-12
             )
@@ -269,8 +271,8 @@ class TestMomentumShift:
         # A shift of exactly half the box is its own mirror image; the
         # estimator must pick the non-negative candidate, deterministically.
         psi = slit_state(geom, grid, 1)
-        spec = to_momentum(psi)
-        kicked = to_momentum(apply_kick(psi, (grid.n // 2) * spec.dp))
+        spec = to_momentum(psi, hbar=1.0)
+        kicked = to_momentum(apply_kick(psi, (grid.n // 2) * spec.dp, hbar=1.0), hbar=1.0)
         assert_allclose(
             momentum_shift(kicked, spec), (grid.n // 2) * spec.dp, rtol=0, atol=1e-12
         )
@@ -279,9 +281,9 @@ class TestMomentumShift:
         from kickscope import Wavefunction
 
         psi = slit_state(geom, grid, 1)
-        zero = to_momentum(Wavefunction(grid, np.zeros(grid.n, dtype=complex)))
+        zero = to_momentum(Wavefunction(grid, np.zeros(grid.n, dtype=complex)), hbar=1.0)
         with pytest.raises(EmptyBranchError):
-            momentum_shift(to_momentum(psi), zero)
+            momentum_shift(to_momentum(psi, hbar=1.0), zero)
 
 
 # The (c, theta, basis) grid the comb forms are held to; tilt 0.0 is the
@@ -301,19 +303,19 @@ class TestCombForms:
         state = make_state(geom, grid, c=c, theta=theta)
         hbar, d, s = units.hbar, geom.d, 1.0 / math.sqrt(2.0)
         q_plus, q_minus, _ = state.pair.spectra(state.coeffs, hbar)
-        report = kick_report(state, geom, units, DetectorConfig(c=c, theta=theta))
+        report = kick_report(state, units)
         assert abs(report.p0_measured - _comb_shift(q_minus, q_plus, d)) <= 1e-12
         for tilt in ORACLE_TILTS:
             rotated = change_basis(state, tilted(tilt))
             q_plus, q_minus, _ = rotated.pair.spectra(rotated.coeffs, hbar)
-            shift = tilted_relative_kick(state, geom, units, tilt)
+            shift = tilted_relative_kick(state, units, tilt)
             assert abs(shift - _comb_shift(q_minus, q_plus, d)) <= 1e-12
             if c == 0.0:
                 with pytest.raises(EmptyBranchError):
-                    phase_kick_shift(rotated, geom, units)
+                    phase_kick_shift(rotated, units)
                 continue
             q3, phase_free = rotated.pair.spectra([rotated.coeffs[2], (s, s)], hbar)
-            shift = phase_kick_shift(rotated, geom, units)
+            shift = phase_kick_shift(rotated, units)
             assert abs(shift - _comb_shift(q3, phase_free, d)) <= 1e-12
 
     @settings(max_examples=60, deadline=None)
@@ -323,7 +325,7 @@ class TestCombForms:
         grid = GridSpec(n=8192, x_min=0.5 - 20.48, x_max=0.5 + 20.48)
         pair = make_state(geom, grid, c=0.5).pair
         row = np.array([a, b])
-        form = np.vdot(row, pair.comb(1.0, geom.d) @ row)
+        form = np.vdot(row, pair.comb(1.0) @ row)
         oracle = _comb_projection(pair.spectra([row], 1.0)[0], geom.d)
         assert abs(form - oracle) <= 1e-12 * abs(oracle)
 
@@ -332,15 +334,15 @@ class TestCombForms:
         pair = make_state(geom, grid, c=0.5).pair
         one_slit, both = np.array([1.0, 0.0]), np.full(2, 1.0 / math.sqrt(2.0))
         with pytest.raises(EmptyBranchError):
-            _comb_offset(pair, one_slit, both, units.hbar, geom.d)
+            _comb_offset(pair, one_slit, both, units.hbar)
 
 
 class TestKickReport:
     def test_report_against_theory(self, geom, grid, units):
         c = 0.36
         state = make_state(geom, grid, c=c, theta=math.pi / 3)
-        report = kick_report(state, geom, units, DetectorConfig(c=c, theta=math.pi / 3))
-        dp = to_momentum(state.branch(0)).dp
+        report = kick_report(state, units)
+        dp = to_momentum(state.branch(0), hbar=units.hbar).dp
         assert_allclose(report.p0, math.pi, rtol=0, atol=1e-15)
         assert_allclose(report.F_k_theory, 0.32, rtol=0, atol=1e-15)
         assert_allclose(report.F_k_branch, 0.32, rtol=0, atol=1e-12)
@@ -351,53 +353,92 @@ class TestKickReport:
     @pytest.mark.parametrize("c", [0.1, 0.5, 0.9])
     def test_measured_kick_within_one_bin(self, geom, grid, units, c):
         state = make_state(geom, grid, c=c)
-        report = kick_report(state, geom, units, DetectorConfig(c=c))
-        dp = to_momentum(state.branch(0)).dp
+        report = kick_report(state, units)
+        dp = to_momentum(state.branch(0), hbar=units.hbar).dp
         assert abs(report.p0_measured - math.pi) <= dp
 
     def test_kick_survives_propagation(self, geom, grid, units):
         # |Phi|^2 is invariant under free flight, so the estimate is too.
         state = make_state(geom, grid, c=0.5)
-        before = kick_report(state, geom, units, DetectorConfig(c=0.5))
-        after = kick_report(
-            propagate_all(state, geom, units), geom, units, DetectorConfig(c=0.5)
-        )
+        before = kick_report(state, units)
+        after = kick_report(propagate_all(state, units), units)
         assert before.p0_measured == after.p0_measured
 
     def test_everything_fails_at_full_overlap(self, geom, grid, units):
-        report = kick_report(
-            make_state(geom, grid, c=1.0), geom, units, DetectorConfig(c=1.0)
-        )
+        report = kick_report(make_state(geom, grid, c=1.0), units)
         assert report.p0_measured is None
         assert report.F_k_branch == pytest.approx(0.0, abs=1e-12)
 
-    def test_requires_symmetric_basis(self, geom, grid, units):
-        state = make_state(geom, grid, c=0.5, basis=tilted(0.3))
-        with pytest.raises(DomainError):
-            kick_report(state, geom, units, DetectorConfig(c=0.5))
+    @pytest.mark.parametrize(
+        "basis",
+        [COMPUTATIONAL, tilted(0.3), Basis("tilted", 0.0)],
+        ids=["computational", "tilted", "tilted-zero"],
+    )
+    def test_reads_any_basis_as_the_symmetric_one(self, geom, grid, units, basis):
+        # Basis("tilted", 0.0) is the symmetric basis under another name.
+        want = astuple(kick_report(make_state(geom, grid, c=0.36, theta=1.0), units))
+        got = astuple(kick_report(make_state(geom, grid, c=0.36, theta=1.0, basis=basis), units))
+        if basis == COMPUTATIONAL:
+            assert got == want  # the same basis change, so the same bits
+        else:
+            assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+class TestStateCarriesItsSetup:
+    """Analyses read the geometry and detector off the state they are given."""
+
+    def test_wraparound_guard_reads_the_pairs_width(self):
+        # At t = 1 a sigma = 0.01 packet spreads to a width of 50, which this
+        # 2^17-point box cannot hold; a sigma = 0.04 pair fits on the same grid.
+        grid = GridSpec(n=2**17, x_min=0.5 - 163.84, x_max=0.5 + 163.84)
+        units = PhysicalUnits(t=1.0)
+        narrow = make_state(SlitGeometry(d=1.0, sigma=0.01), grid, c=0.5)
+        with pytest.raises(ConfigurationError, match="wraparound"):
+            propagate_all(narrow, units)
+        wide = make_state(SlitGeometry(d=1.0, sigma=0.04), grid, c=0.5)
+        assert propagate_all(wide, units).pair.geom == wide.pair.geom
+
+    def test_kicks_read_the_pairs_separation(self, units):
+        # A pair built at d = 2 has its fringe comb at d/hbar = 2.
+        d, theta, s = 2.0, math.pi / 3, 1.0 / math.sqrt(2.0)
+        grid = GridSpec(n=8192, x_min=d / 2 - 20.48, x_max=d / 2 + 20.48)
+        state = make_state(SlitGeometry(d=d, sigma=0.02), grid, c=0.5, theta=theta)
+        hbar, tol = units.hbar, 1e-9 * grid.dp(units.hbar)
+        report = kick_report(state, units)
+        assert report.p0 == math.pi * hbar / d
+        assert report.p_e == theta * hbar / d
+        q_plus, q_minus, q3, phase_free = state.pair.spectra([*state.coeffs, (s, s)], hbar)
+        assert abs(report.p0_measured - _comb_shift(q_minus, q_plus, d)) <= tol
+        assert abs(report.p0_measured - report.p0) <= tol
+        assert abs(phase_kick_shift(state, units) - _comb_shift(q3, phase_free, d)) <= tol
+        for tilt in (math.pi / 4, 1.0):
+            rotated = change_basis(state, tilted(tilt))
+            t_plus, t_minus, _ = rotated.pair.spectra(rotated.coeffs, hbar)
+            shift = tilted_relative_kick(state, units, tilt)
+            assert abs(shift - _comb_shift(t_minus, t_plus, d)) <= tol
 
 
 class TestPhaseKick:
     @pytest.mark.parametrize("theta", [math.pi / 4, math.pi / 2, math.pi])
     def test_failure_branch_shift_is_theta_over_d(self, geom, grid, units, theta):
         state = make_state(geom, grid, c=0.5, theta=theta)
-        shift = phase_kick_shift(state, geom, units)
-        dp = to_momentum(state.branch(2)).dp
+        shift = phase_kick_shift(state, units)
+        dp = to_momentum(state.branch(2), hbar=units.hbar).dp
         assert abs(shift - theta) <= dp
 
     def test_no_phase_no_kick(self, geom, grid, units):
         state = make_state(geom, grid, c=0.5)
-        assert abs(phase_kick_shift(state, geom, units)) <= 1e-15
+        assert abs(phase_kick_shift(state, units)) <= 1e-15
 
     def test_phase_leaves_visibility_alone(self, geom, grid, units):
         base = fringe_analysis(
-            screen_density(propagate_all(make_state(geom, grid, c=0.5), geom, units)),
+            screen_density(propagate_all(make_state(geom, grid, c=0.5), units)),
             geom,
             units,
         )
         shifted = fringe_analysis(
             screen_density(
-                propagate_all(make_state(geom, grid, c=0.5, theta=2.0), geom, units)
+                propagate_all(make_state(geom, grid, c=0.5, theta=2.0), units)
             ),
             geom,
             units,
@@ -406,15 +447,15 @@ class TestPhaseKick:
 
     def test_empty_failure_branch_raises(self, geom, grid, units):
         with pytest.raises(EmptyBranchError):
-            phase_kick_shift(make_state(geom, grid, c=0.0), geom, units)
+            phase_kick_shift(make_state(geom, grid, c=0.0), units)
 
 
 class TestTiltedKick:
     @pytest.mark.parametrize("theta_prime", [0.0, math.pi / 4, math.pi / 2])
     def test_relative_kick_is_always_half_a_fringe(self, geom, grid, units, theta_prime):
         state = make_state(geom, grid, c=0.5)
-        shift = tilted_relative_kick(state, geom, units, theta_prime)
-        dp = to_momentum(state.branch(0)).dp
+        shift = tilted_relative_kick(state, units, theta_prime)
+        dp = to_momentum(state.branch(0), hbar=units.hbar).dp
         assert abs(shift - math.pi) <= dp
 
     @pytest.mark.parametrize("theta_prime", [math.pi / 4, math.pi / 2])
@@ -424,14 +465,14 @@ class TestTiltedKick:
         state = change_basis(make_state(geom, grid, c=0.5), tilted(theta_prime))
         # The detector-free superposition (psi1 + psi2)/sqrt2.
         psi1, psi2 = (slit_state(geom, grid, s).amplitudes for s in (1, 2))
-        ref = to_momentum(Wavefunction(grid, (psi1 + psi2) / math.sqrt(2.0)))
-        shift = momentum_shift(to_momentum(state.branch(0)), ref)
+        ref = to_momentum(Wavefunction(grid, (psi1 + psi2) / math.sqrt(2.0)), hbar=units.hbar)
+        shift = momentum_shift(to_momentum(state.branch(0), hbar=units.hbar), ref)
         dp = ref.dp
         assert abs(shift + theta_prime) <= dp
 
     def test_empty_branches_raise(self, geom, grid, units):
         with pytest.raises(EmptyBranchError):
-            tilted_relative_kick(make_state(geom, grid, c=1.0), geom, units, 0.5)
+            tilted_relative_kick(make_state(geom, grid, c=1.0), units, 0.5)
 
 
 class TestStoreyBound:
@@ -449,27 +490,27 @@ class TestStoreyBound:
 
 class TestSampling:
     def test_same_seed_same_events(self, geom, grid, units):
-        state = propagate_all(make_state(geom, grid, c=0.5), geom, units)
+        state = propagate_all(make_state(geom, grid, c=0.5), units)
         codes_a, xs_a = sample_events(state, 2000, seed=11)
         codes_b, xs_b = sample_events(state, 2000, seed=11)
         assert np.array_equal(codes_a, codes_b)
         assert np.array_equal(xs_a, xs_b)
 
     def test_different_seed_different_events(self, geom, grid, units):
-        state = propagate_all(make_state(geom, grid, c=0.5), geom, units)
+        state = propagate_all(make_state(geom, grid, c=0.5), units)
         _, xs_a = sample_events(state, 2000, seed=11)
         _, xs_b = sample_events(state, 2000, seed=12)
         assert not np.array_equal(xs_a, xs_b)
 
     def test_events_are_outcome_indices_and_positions(self, geom, grid, units):
-        state = propagate_all(make_state(geom, grid, c=0.5), geom, units)
+        state = propagate_all(make_state(geom, grid, c=0.5), units)
         codes, xs = sample_events(state, 2000, seed=11)
         assert codes.shape == xs.shape == (2000,)
         assert codes.dtype.kind == "i" and xs.dtype == np.float64
         assert set(np.unique(codes).tolist()) == {0, 1, 2}
 
     def test_outcome_frequencies(self, geom, grid, units):
-        state = propagate_all(make_state(geom, grid, c=0.5), geom, units)
+        state = propagate_all(make_state(geom, grid, c=0.5), units)
         count = 20000
         codes, _ = sample_events(state, count, seed=20260819)
         for i, prob in enumerate((0.25, 0.25, 0.5)):
@@ -478,23 +519,23 @@ class TestSampling:
             assert abs(freq - prob) <= 4.0 * sigma
 
     def test_positions_stay_on_grid(self, geom, grid, units):
-        state = propagate_all(make_state(geom, grid, c=0.5), geom, units)
+        state = propagate_all(make_state(geom, grid, c=0.5), units)
         _, xs = sample_events(state, 2000, seed=3)
         assert xs.min() >= grid.x_min and xs.max() <= grid.x_max
 
     def test_certain_failure_yields_only_failures(self, geom, grid, units):
-        state = propagate_all(make_state(geom, grid, c=1.0), geom, units)
+        state = propagate_all(make_state(geom, grid, c=1.0), units)
         codes, _ = sample_events(state, 500, seed=5)
         assert np.all(codes == state.basis.outcomes.index(Outcome.Q3))
 
     def test_positions_follow_the_pattern(self, geom, grid, units):
-        state = propagate_all(make_state(geom, grid, c=0.5), geom, units)
+        state = propagate_all(make_state(geom, grid, c=0.5), units)
         _, xs = sample_events(state, 20000, seed=20260819)
         _, pvalue = screen_goodness_of_fit(xs, screen_density(state))
         assert pvalue > 0.01
 
     def test_goodness_of_fit_needs_enough_samples(self, geom, grid, units):
-        state = propagate_all(make_state(geom, grid, c=0.5), geom, units)
+        state = propagate_all(make_state(geom, grid, c=0.5), units)
         _, xs = sample_events(state, 400, seed=3)
         with pytest.raises(DomainError):
             screen_goodness_of_fit(xs, screen_density(state))
@@ -504,8 +545,8 @@ class TestSampling:
 
         from kickscope.experiment import _cell_cdf
 
-        pattern = screen_density(propagate_all(make_state(geom, grid, c=0.5), geom, units))
-        misfit = screen_density(propagate_all(make_state(geom, grid, c=0.7), geom, units))
+        pattern = screen_density(propagate_all(make_state(geom, grid, c=0.5), units))
+        misfit = screen_density(propagate_all(make_state(geom, grid, c=0.7), units))
         cdf, edges = _cell_cdf(pattern.values, grid)
         for seed in (1, 2, 3):
             rng = np.random.default_rng(seed)
@@ -521,14 +562,14 @@ class TestSampling:
                     assert got == (float(oracle.statistic), float(oracle.pvalue))
 
     def test_goodness_of_fit_rejects_samples_off_the_pattern(self, geom, grid, units):
-        state = propagate_all(make_state(geom, grid, c=0.5), geom, units)
+        state = propagate_all(make_state(geom, grid, c=0.5), units)
         _, xs = sample_events(state, 2000, seed=3)
         xs[0] = grid.x_max + 1.0
         with pytest.raises(DomainError, match="outside"):
             screen_goodness_of_fit(xs, screen_density(state))
 
     def test_rejects_negative_count(self, geom, grid, units):
-        state = propagate_all(make_state(geom, grid, c=0.5), geom, units)
+        state = propagate_all(make_state(geom, grid, c=0.5), units)
         with pytest.raises(DomainError):
             sample_events(state, -5, seed=1)
         codes, xs = sample_events(state, 0, seed=1)

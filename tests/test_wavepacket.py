@@ -130,7 +130,7 @@ class TestMomentumTransform:
         # A packet at x_c has spectrum (2 s^2/(pi hb^2))^(1/4)
         # * exp(-s^2 p^2/hb^2) * exp(-i p x_c/hb); check modulus and phase.
         x_c, sigma = 0.5, 0.02
-        spec = to_momentum(gaussian_state(grid, center=x_c, sigma=sigma))
+        spec = to_momentum(gaussian_state(grid, center=x_c, sigma=sigma), hbar=1.0)
         expected_mod = (2.0 * sigma**2 / math.pi) ** 0.25 * np.exp(-(sigma**2) * spec.p**2)
         assert_allclose(np.abs(spec.amplitudes), expected_mod, rtol=0, atol=1e-12)
         core = np.abs(spec.p) < 3.0 / sigma  # phase is noise where the modulus is ~0
@@ -138,18 +138,18 @@ class TestMomentumTransform:
         assert_allclose(residual_phase, 0.0, rtol=0, atol=1e-9)
 
     def test_momentum_axis(self, grid):
-        spec = to_momentum(gaussian_state(grid, center=0.5, sigma=0.02))
+        spec = to_momentum(gaussian_state(grid, center=0.5, sigma=0.02), hbar=1.0)
         assert_allclose(spec.dp, DP_UNIT_GRID, rtol=0, atol=1e-15)
         assert spec.p[grid.n // 2] == 0.0
         assert_allclose(np.diff(spec.p), spec.dp, rtol=0, atol=1e-12)
 
     def test_parseval(self, grid):
         psi = gaussian_state(grid, center=0.3, sigma=0.05)
-        assert_allclose(to_momentum(psi).norm(), psi.norm(), rtol=0, atol=1e-10)
+        assert_allclose(to_momentum(psi, hbar=1.0).norm(), psi.norm(), rtol=0, atol=1e-10)
 
     def test_round_trip(self, geom, grid):
         psi = slit_state(geom, grid, 2)
-        back = to_position(to_momentum(psi))
+        back = to_position(to_momentum(psi, hbar=1.0))
         assert_allclose(back.amplitudes, psi.amplitudes, rtol=0, atol=1e-12)
 
     def test_hbar_scales_the_axis(self, grid):
@@ -192,8 +192,8 @@ class TestPropagation:
     def test_spectrum_density_is_conserved(self, geom, grid, units):
         # Free flight only rotates momentum phases.
         psi0 = slit_state(geom, grid, 1)
-        before = to_momentum(psi0).density()
-        after = to_momentum(propagate_fft(psi0, geom, units)).density()
+        before = to_momentum(psi0, hbar=units.hbar).density()
+        after = to_momentum(propagate_fft(psi0, geom, units), hbar=units.hbar).density()
         assert_allclose(after, before, rtol=0, atol=1e-12)
 
     def test_guards_against_wraparound(self, geom, grid):
@@ -234,14 +234,14 @@ class TestKicks:
     def test_kick_moves_mean_momentum(self, geom, grid):
         psi = slit_state(geom, grid, 1)
         kick = 7.25  # need not be a whole number of bins
-        spec = to_momentum(apply_kick(psi, kick))
+        spec = to_momentum(apply_kick(psi, kick, hbar=1.0), hbar=1.0)
         mean_p = np.sum(spec.p * spec.density()) * spec.dp
         assert_allclose(mean_p, kick, rtol=0, atol=1e-9)
 
     def test_whole_bin_kick_shifts_spectrum_exactly(self, geom, grid):
         psi = slit_state(geom, grid, 1)
-        spec0 = to_momentum(psi)
-        kicked = to_momentum(apply_kick(psi, 7 * spec0.dp))
+        spec0 = to_momentum(psi, hbar=1.0)
+        kicked = to_momentum(apply_kick(psi, 7 * spec0.dp, hbar=1.0), hbar=1.0)
         assert_allclose(
             kicked.density(), np.roll(spec0.density(), 7), rtol=0, atol=1e-12
         )
@@ -249,7 +249,7 @@ class TestKicks:
     def test_kick_leaves_position_density_alone(self, geom, grid):
         psi = slit_state(geom, grid, 1)
         assert_allclose(
-            apply_kick(psi, 3.0).density(), psi.density(), rtol=0, atol=1e-12
+            apply_kick(psi, 3.0, hbar=1.0).density(), psi.density(), rtol=0, atol=1e-12
         )
 
 
