@@ -23,6 +23,7 @@ from kickscope import (
     fringe_window,
     propagate_all,
     sample_events,
+    screen_density,
 )
 
 GEOM = SlitGeometry(d=1.0, sigma=0.02)
@@ -55,7 +56,7 @@ def main() -> None:
         print(f"  {outcome.value:8s} {n:7d}  ({n / args.count:.4f})")
     print()
 
-    lo, hi = fringe_window(GEOM, UNITS)
+    lo, hi = fringe_window(screen_density(propagated))
     print(f"landing histograms inside the fringe window [{lo:.2f}, {hi:.2f}]:")
     in_window = (xs >= lo) & (xs <= hi)
     rows = {

@@ -35,7 +35,7 @@ def main() -> None:
         state = change_basis(assemble(GEOM, GRID, detector), SYMMETRIC)
         shift = phase_kick_shift(state, UNITS)
         pattern = screen_density(propagate_all(state, UNITS))
-        visibility = fringe_analysis(pattern, GEOM, UNITS).visibility
+        visibility = fringe_analysis(pattern).visibility
         print(f"{theta:9.5f} {theta * UNITS.hbar / GEOM.d:19.6f} {shift:10.6f} {visibility:8.4f}")
     print()
     print("The failed events are boosted by exactly theta*hbar/d; the")

@@ -40,7 +40,7 @@ def main() -> None:
         detector = DetectorConfig(c=float(c))
         state = change_basis(assemble(GEOM, GRID, detector), SYMMETRIC)
         pattern = screen_density(propagate_all(state, UNITS))
-        fringes = fringe_analysis(pattern, GEOM, UNITS)
+        fringes = fringe_analysis(pattern)
         rep = kick_report(state, UNITS)
         kick = "--" if rep.p0_measured is None else f"{rep.p0_measured / rep.p0:8.5f}"
         print(

@@ -1,13 +1,12 @@
 """Command-line tools: run, scan, sample, and verify.
 
 All commands read a flat ``key = value`` config file (every key optional;
-see `kickscope.config`) and write plain CSV/text outputs into an output
-directory resolved from ``--out``, the config's ``output.dir``, the
-``KICKSCOPE_OUT`` environment variable, or the working directory, in that
-order.  Outputs are deterministic: the same config and seed produce
-byte-identical files.  Every number in a CSV is written ``%.17g``, which
-reads back as the same float64, and tables are formatted in fixed blocks
-of rows, so the writer's memory does not grow with the grid.
+see `kickscope.config`) and write plain CSV/text outputs into ``--out``,
+or into the working directory without it.  Outputs are deterministic: the
+same config and seed produce byte-identical files.  Every number in a CSV
+is written ``%.17g``, which reads back as the same float64, and tables are
+formatted in fixed blocks of rows, so the writer's memory does not grow
+with the grid.
 
 Exit codes: 0 on success, 1 when verification fails, 2 on a configuration
 or usage error (from every command, ``verify`` included) or when the
@@ -102,17 +101,6 @@ def _write_table(path: Path, header: list[str], columns: list[np.ndarray]) -> No
     _atomic_write(path, write)
 
 
-def _resolve_out(flag_value: str | None, cfg: RunConfig) -> Path:
-    if flag_value:
-        return Path(flag_value)
-    if cfg.out_dir:
-        return Path(cfg.out_dir)
-    env = os.environ.get("KICKSCOPE_OUT")
-    if env:
-        return Path(env)
-    return Path(".")
-
-
 def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
     """Simulate once; write pattern.csv, momentum.csv, and summary.txt."""
     state0 = change_basis(assemble(cfg.geometry, cfg.grid, cfg.detector), cfg.basis)
@@ -120,7 +108,7 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
 
     # Analyse before the first write, so an analysis error leaves no files.
     report = kick_report(state0, cfg.units)
-    fringes = fringe_analysis(screen_density(propagated), cfg.geometry, cfg.units)
+    fringes = fringe_analysis(screen_density(propagated))
     storey = storey_bound_report(fringes.visibility)
 
     branch_rho = [propagated.branch(i).density() for i in range(3)]
@@ -172,7 +160,7 @@ def cmd_scan(cfg: RunConfig, out_dir: Path, c_values: list[float]) -> int:
         det = DetectorConfig(c=c, theta=cfg.detector.theta)
         sym = change_basis(assemble(cfg.geometry, cfg.grid, det), SYMMETRIC)
         propagated = propagate_all(sym, cfg.units)
-        fringes = fringe_analysis(screen_density(propagated), cfg.geometry, cfg.units)
+        fringes = fringe_analysis(screen_density(propagated))
         report = kick_report(sym, cfg.units)
         rows.append(
             (
@@ -248,7 +236,9 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", metavar="PATH", help="key=value config file")
         if name != "verify":
-            cmd.add_argument("--out", metavar="DIR", help="output directory")
+            cmd.add_argument(
+                "--out", default=".", metavar="DIR", help="output directory (default: %(default)s)"
+            )
         if name in ("run", "sample"):
             cmd.add_argument("--seed", type=int, help="override sampling.seed")
         if name == "scan":
@@ -269,7 +259,7 @@ def main(argv: list[str] | None = None) -> int:
             cfg = cfg.with_seed(args.seed)
         if args.command == "verify":
             return cmd_verify(cfg)
-        out_dir = _resolve_out(args.out, cfg)
+        out_dir = Path(args.out)
         if args.command == "run":
             return cmd_run(cfg, out_dir)
         if args.command == "scan":

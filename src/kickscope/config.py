@@ -36,11 +36,9 @@ _DEFAULTS: dict[str, object] = {
     "basis": "symmetric",
     "sampling.count": 100_000,
     "sampling.seed": 42,
-    "output.dir": None,
 }
 
 _INT_KEYS = {"grid.n", "sampling.count", "sampling.seed"}
-_STR_KEYS = {"basis", "output.dir"}
 
 
 @dataclass(frozen=True)
@@ -54,7 +52,6 @@ class RunConfig:
     basis: Basis
     sample_count: int
     seed: int
-    out_dir: str | None
 
     def with_seed(self, seed: int) -> "RunConfig":
         return replace(self, seed=_check_seed(int(seed)))
@@ -85,7 +82,7 @@ def _parse_basis(text: str) -> Basis:
 
 
 def _parse_value(key: str, raw: str) -> object:
-    if key in _STR_KEYS:
+    if key == "basis":
         return raw
     try:
         if key in _INT_KEYS:
@@ -111,7 +108,6 @@ def _build(values: dict[str, object]) -> RunConfig:
         basis=_parse_basis(str(values["basis"])),
         sample_count=count,
         seed=_check_seed(int(values["sampling.seed"])),  # type: ignore[arg-type]
-        out_dir=values["output.dir"],  # type: ignore[arg-type]
     )
 
 

@@ -11,7 +11,7 @@ period, and the failure branch.  Basis changes act on the matrix and free
 flight on the pair alone.  Everything observable is extracted from a
 `BranchState` by the functions in this module, from the state and the
 `PhysicalUnits` alone: the pair keeps its `SlitGeometry` and the state
-its `DetectorConfig`.
+its `DetectorConfig`; a landed pair and its `ScreenPattern` keep their flight.
 
 Momentum kicks are read off the slit pair's 2x2 comb matrix ``A`` (see
 `SlitPair.comb`): the comb phase of a coefficient row ``r`` is the
@@ -88,15 +88,16 @@ GOF_MIN_SAMPLES = 10 * GOF_BINS
 class SlitPair:
     """The slit wavefunctions ``psi1`` and ``psi2`` of ``geom`` on one grid.
 
-    Propagation keeps ``geom``.  The pair keeps its latest propagation and
-    its latest comb matrix, so every detector setting built on it shares
-    one of each per units and per hbar.
+    ``units`` is its flight, ``None`` at emission.  The pair keeps its
+    latest propagation and its latest comb matrix, so every detector
+    setting built on it shares one of each per units and per hbar.
     """
 
     psi1: Wavefunction
     psi2: Wavefunction
     geom: SlitGeometry
-    _last: tuple | None = field(default=None, init=False, repr=False)
+    units: PhysicalUnits | None = None
+    _last: SlitPair | None = field(default=None, init=False, repr=False)
     _comb: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -117,11 +118,13 @@ class SlitPair:
         return g
 
     def propagated(self, units: PhysicalUnits) -> "SlitPair":
-        """Both states evolved freely for ``units.t``."""
-        if self._last is None or self._last[0] != units:
+        """Both states evolved freely for ``units.t``; a pair that has flown refuses."""
+        if self.units is not None:
+            raise ConfigurationError(f"this slit pair has already flown for t = {self.units.t}")
+        if self._last is None or self._last.units != units:
             psis = (propagate_fft(psi, self.geom, units) for psi in (self.psi1, self.psi2))
-            object.__setattr__(self, "_last", (units, SlitPair(*psis, self.geom)))
-        return self._last[1]
+            object.__setattr__(self, "_last", SlitPair(*psis, self.geom, units))
+        return self._last
 
     def comb(self, hbar: float) -> np.ndarray:
         """The 2x2 comb matrix ``A_ij = sum_p conj(phi_i) phi_j exp(-i*p*d/hbar)``.
@@ -191,10 +194,12 @@ class BranchState:
 
 @dataclass(frozen=True, eq=False)
 class ScreenPattern:
-    """A probability density on the screen (position grid)."""
+    """A density on the screen grid, with its pair's geometry and flight (``None`` at emission)."""
 
     grid: GridSpec
     values: np.ndarray
+    geom: SlitGeometry
+    units: PhysicalUnits | None
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=np.float64)
@@ -275,7 +280,7 @@ def propagate_all(state: BranchState, units: PhysicalUnits) -> BranchState:
 
     Propagation is linear, so it acts on the slit pair alone and commutes
     with :func:`change_basis`.  The wraparound guard reads the pair's own
-    geometry.
+    geometry; a state that has already flown raises ``ConfigurationError``.
     """
     return replace(state, pair=state.pair.propagated(units))
 
@@ -292,17 +297,20 @@ def screen_density(state: BranchState) -> ScreenPattern:
     cross = np.conj(psi1) * psi2
     cross *= 2.0 * m[0, 1]
     rho = m[0, 0].real * np.abs(psi1) ** 2 + m[1, 1].real * np.abs(psi2) ** 2 + cross.real
-    return ScreenPattern(state.grid, rho)
+    return ScreenPattern(state.grid, rho, state.pair.geom, state.pair.units)
 
 
-def _far_field_period(geom: SlitGeometry, units: PhysicalUnits) -> float:
+def _far_field_period(pattern: ScreenPattern) -> float:
+    geom, units = pattern.geom, pattern.units
+    if units is None:
+        raise ConfigurationError("the pattern never flew, so it has no far-field fringes")
     return 2.0 * math.pi * units.hbar * units.t / (units.mass * geom.d)
 
 
-def fringe_window(geom: SlitGeometry, units: PhysicalUnits) -> tuple[float, float]:
+def fringe_window(pattern: ScreenPattern) -> tuple[float, float]:
     """Analysis window: two far-field fringe periods around x = d/2."""
-    period = _far_field_period(geom, units)
-    center = geom.d / 2.0
+    period = _far_field_period(pattern)
+    center = pattern.geom.d / 2.0
     return (center - period, center + period)
 
 
@@ -316,17 +324,15 @@ def _refine_extremum(x: np.ndarray, v: np.ndarray, i: int, dx: float) -> tuple[f
     return float(x[i] + delta * dx), float(v0 - 0.25 * (vm - vp) * delta)
 
 
-def fringe_analysis(
-    pattern: ScreenPattern, geom: SlitGeometry, units: PhysicalUnits
-) -> FringeAnalysis:
+def fringe_analysis(pattern: ScreenPattern) -> FringeAnalysis:
     """Measure visibility from adjacent extrema inside :func:`fringe_window`.
 
     Parameters
     ----------
     pattern : ScreenPattern
-        Far-field screen density.
-    geom, units : SlitGeometry, PhysicalUnits
-        Set the analysis window and the fallback period estimate.
+        Far-field screen density.  Its geometry and flight set the window,
+        the fallback period and the centre ``d/2``; one that never flew
+        raises ``ConfigurationError``.
 
     Returns
     -------
@@ -338,7 +344,7 @@ def fringe_analysis(
         and the period falls back to the far-field estimate
         ``2*pi*hbar*t/(m*d)`` so it stays positive.
     """
-    lo, hi = fringe_window(geom, units)
+    lo, hi = fringe_window(pattern)
     x = pattern.grid.x
     sel = (x >= lo) & (x <= hi)
     if lo >= hi or int(sel.sum()) < 5:
@@ -371,7 +377,7 @@ def fringe_analysis(
         v_max = float(vals.max())
         v_min = float(vals.min())
         visibility = (v_max - v_min) / (v_max + v_min)
-        period = _far_field_period(geom, units)
+        period = _far_field_period(pattern)
         i = int(np.argmax(vals))
         central_max = (
             _refine_extremum(xs, vals, i, dx)[0] if 0 < i < len(vals) - 1 else float(xs[i])
@@ -380,7 +386,7 @@ def fringe_analysis(
     return FringeAnalysis(
         visibility=float(visibility),
         fringe_period=float(period),
-        central_fringe_shift=float(central_max - geom.d / 2.0),
+        central_fringe_shift=float(central_max - pattern.geom.d / 2.0),
     )
 
 

@@ -128,7 +128,7 @@ def _visibility(cfg: RunConfig, c: float, theta: float = 0.0) -> float:
     memo = _visibilities.get()
     if memo is not None and (c, theta) in memo:
         return memo[c, theta]
-    v = fringe_analysis(_pattern(cfg, c, theta), cfg.geometry, cfg.units).visibility
+    v = fringe_analysis(_pattern(cfg, c, theta)).visibility
     if memo is not None:
         memo[c, theta] = v
     return v

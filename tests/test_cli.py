@@ -253,29 +253,20 @@ class TestBlockWriter:
         assert peak <= stacked_nbytes + 4 * 2**20
 
 
-class TestOutputResolution:
-    def test_flag_beats_config_and_env(self, cfg_path, tmp_path, monkeypatch):
-        monkeypatch.setenv("KICKSCOPE_OUT", str(tmp_path / "env"))
-        flagged = tmp_path / "flagged"
-        main(["sample", "--config", cfg_path, "--out", str(flagged)])
-        assert (flagged / "events.csv").exists()
-        assert not (tmp_path / "env").exists()
-
-    def test_env_var_fallback(self, cfg_path, tmp_path, monkeypatch):
-        monkeypatch.setenv("KICKSCOPE_OUT", str(tmp_path / "env"))
-        main(["sample", "--config", cfg_path])
-        assert (tmp_path / "env" / "events.csv").exists()
-
-    def test_config_dir_beats_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("KICKSCOPE_OUT", str(tmp_path / "env"))
+class TestFailureModes:
+    def test_output_dir_key_is_unknown(self, tmp_path, monkeypatch, capsys):
+        # Outputs go to --out or the working directory; a config cannot
+        # name a directory of its own.
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
         path = tmp_path / "cfg"
         path.write_text(REDUCED + f"output.dir = {tmp_path / 'fromcfg'}\n")
-        main(["sample", "--config", str(path)])
-        assert (tmp_path / "fromcfg" / "events.csv").exists()
-        assert not (tmp_path / "env").exists()
+        assert main(["run", "--config", str(path)]) == 2
+        assert "unknown config key 'output.dir'" in capsys.readouterr().err
+        assert not (tmp_path / "fromcfg").exists()
+        assert list(work.iterdir()) == []
 
-
-class TestFailureModes:
     def test_bad_config_exits_2_with_no_outputs(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("detector.c = 1.5\n")
@@ -563,9 +554,9 @@ def test_verify_computes_each_visibility_once(cfg_path, monkeypatch):
     calls = []
     real = verify_module.fringe_analysis
 
-    def counting(pattern, geom, units):
+    def counting(pattern):
         calls.append(pattern)
-        return real(pattern, geom, units)
+        return real(pattern)
 
     monkeypatch.setattr(verify_module, "fringe_analysis", counting)
     assert main(["verify", "--config", cfg_path]) == 0

@@ -27,7 +27,6 @@ class TestDefaults:
         assert cfg.detector.c == 0.5 and cfg.detector.theta == 0.0
         assert cfg.basis == SYMMETRIC
         assert cfg.sample_count == 100_000 and cfg.seed == 42
-        assert cfg.out_dir is None
 
     def test_empty_text_gives_defaults(self):
         assert parse_config_text("") == default_config()
@@ -47,7 +46,6 @@ class TestParsing:
             basis = computational
             sampling.count = 5000
             sampling.seed = 9
-            output.dir = out/here
             """
         )
         assert cfg.geometry.sigma == 0.02
@@ -55,7 +53,6 @@ class TestParsing:
         assert cfg.detector.c == 0.25 and cfg.detector.theta == 1.5
         assert cfg.basis == COMPUTATIONAL
         assert cfg.sample_count == 5000 and cfg.seed == 9
-        assert cfg.out_dir == "out/here"
 
     def test_tilted_basis(self):
         cfg = parse_config_text("basis = tilted:0.7853981633974483")

@@ -181,7 +181,8 @@ class TestScreenDensity:
 
 def conditional_pattern(state, i):
     """Branch ``i``'s screen pattern given that its outcome fired."""
-    return ScreenPattern(state.grid, state.branch(i).density() / state.branch_probabilities()[i])
+    rho = state.branch(i).density() / state.branch_probabilities()[i]
+    return ScreenPattern(state.grid, rho, state.pair.geom, state.pair.units)
 
 
 class TestConditionalDensity:
@@ -198,7 +199,7 @@ class TestConditionalDensity:
 
     def test_kicked_branch_is_half_period_out_of_step(self, geom, grid, units):
         state = propagate_all(make_state(geom, grid, c=0.5), units)
-        fr = fringe_analysis(conditional_pattern(state, 1), geom, units)
+        fr = fringe_analysis(conditional_pattern(state, 1))
         assert_allclose(
             abs(fr.central_fringe_shift), FRINGE_PERIOD_T005 / 2.0, atol=2 * grid.dx
         )
@@ -211,30 +212,31 @@ class TestConditionalDensity:
 
 
 class TestFringes:
-    def test_window_brackets_two_periods(self, geom, units):
-        lo, hi = fringe_window(geom, units)
+    def test_window_brackets_two_periods(self, geom, grid, units):
+        lo, hi = fringe_window(screen_density(propagate_all(make_state(geom, grid, c=0.5), units)))
         assert_allclose(lo, 0.5 - FRINGE_PERIOD_T005, rtol=0, atol=1e-15)
         assert_allclose(hi, 0.5 + FRINGE_PERIOD_T005, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("c", [0.0, 0.25, 0.5, 0.75, 1.0])
     def test_visibility_tracks_overlap(self, geom, grid, units, c):
         state = propagate_all(make_state(geom, grid, c=c), units)
-        fr = fringe_analysis(screen_density(state), geom, units)
+        fr = fringe_analysis(screen_density(state))
         assert abs(fr.visibility - c) <= 0.02
 
     def test_full_visibility_pattern(self, geom, grid, units):
         state = propagate_all(make_state(geom, grid, c=1.0), units)
-        fr = fringe_analysis(screen_density(state), geom, units)
+        fr = fringe_analysis(screen_density(state))
         assert fr.visibility >= 0.995
         assert_allclose(fr.fringe_period, FRINGE_PERIOD_T005, rtol=0.02)
         assert abs(fr.central_fringe_shift) <= grid.dx
 
     def test_rejects_malformed_window(self, geom, grid):
         # At t = 0 the far-field period is zero, so the window is empty.
-        at_slits = PhysicalUnits(t=0.0)
-        assert fringe_window(geom, at_slits) == (0.5, 0.5)
+        landed = propagate_all(make_state(geom, grid, c=1.0), PhysicalUnits(t=0.0))
+        pattern = screen_density(landed)
+        assert fringe_window(pattern) == (0.5, 0.5)
         with pytest.raises(ConfigurationError, match="analysis window"):
-            fringe_analysis(screen_density(make_state(geom, grid, c=1.0)), geom, at_slits)
+            fringe_analysis(pattern)
 
 
 class TestKickIdentity:
@@ -418,6 +420,33 @@ class TestStateCarriesItsSetup:
             assert abs(shift - _comb_shift(t_minus, t_plus, d)) <= tol
 
 
+class TestPatternCarriesItsFlight:
+    """A landed pattern reads d and (hbar, m, t) off the pair that made it."""
+
+    def test_fringes_read_the_pairs_separation(self):
+        # The demos' 2^17 grid at t = 1, with the slits 1.05 apart.
+        d, units = 1.05, PhysicalUnits(t=1.0)
+        grid = GridSpec(n=2**17, x_min=-327.18, x_max=328.18)
+        state = make_state(SlitGeometry(d=d, sigma=0.02), grid, c=0.5)
+        fr = fringe_analysis(screen_density(propagate_all(state, units)))
+        assert abs(fr.central_fringe_shift) <= 2 * grid.dx
+        period = 2.0 * math.pi * units.hbar * units.t / (units.mass * d)
+        assert_allclose(fr.fringe_period, period, rtol=0.01)
+
+    def test_emission_pattern_has_no_window(self, geom, grid):
+        pattern = screen_density(make_state(geom, grid, c=0.5))
+        assert pattern.units is None
+        for analysis in (fringe_window, fringe_analysis):
+            with pytest.raises(ConfigurationError, match="never flew"):
+                analysis(pattern)
+
+    def test_a_landed_state_cannot_fly_again(self, geom, grid, units):
+        landed = propagate_all(make_state(geom, grid, c=0.5), units)
+        assert landed.pair.units == units
+        with pytest.raises(ConfigurationError, match="already flown"):
+            propagate_all(landed, units)
+
+
 class TestPhaseKick:
     @pytest.mark.parametrize("theta", [math.pi / 4, math.pi / 2, math.pi])
     def test_failure_branch_shift_is_theta_over_d(self, geom, grid, units, theta):
@@ -432,16 +461,10 @@ class TestPhaseKick:
 
     def test_phase_leaves_visibility_alone(self, geom, grid, units):
         base = fringe_analysis(
-            screen_density(propagate_all(make_state(geom, grid, c=0.5), units)),
-            geom,
-            units,
+            screen_density(propagate_all(make_state(geom, grid, c=0.5), units))
         )
         shifted = fringe_analysis(
-            screen_density(
-                propagate_all(make_state(geom, grid, c=0.5, theta=2.0), units)
-            ),
-            geom,
-            units,
+            screen_density(propagate_all(make_state(geom, grid, c=0.5, theta=2.0), units))
         )
         assert abs(shifted.visibility - base.visibility) <= 0.01
 
