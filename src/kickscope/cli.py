@@ -2,11 +2,12 @@
 
 All commands read a flat ``key = value`` config file (every key optional;
 see `kickscope.config`) and write plain CSV/text outputs into ``--out``,
-or into the working directory without it.  Outputs are deterministic: the
-same config and seed produce byte-identical files.  Every number in a CSV
-is written ``%.17g``, which reads back as the same float64, and tables are
-formatted in fixed blocks of rows, so the writer's memory does not grow
-with the grid.
+or into the working directory without it.  A command commits its files as
+one set: it writes all of them or, if anything fails first, none.  Outputs
+are deterministic: the same config and seed produce byte-identical files.
+Every number in a CSV is written ``%.17g``, which reads back as the same
+float64, and tables are formatted in fixed blocks of rows, so the writer's
+memory does not grow with the grid.
 
 Exit codes: 0 on success, 1 when verification fails, 2 on a configuration
 or usage error (from every command, ``verify`` included) or when the
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -55,24 +57,27 @@ def _fmt(value: float | None) -> str:
     return "%.17g" % value
 
 
-def _atomic_write(path: Path, write_fn) -> None:
-    # Write into a sibling temp file, then rename; partially written files
-    # never appear under the final name.
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+def _commit(out_dir: Path, files: dict) -> None:
+    """Write a command's output files as one set: all of them, or none.
+
+    ``files`` maps each output name to a writer ``fn(fh)``.  Every file is
+    written into one temporary directory inside ``out_dir``; only after
+    every writer has returned is each renamed into place, in order, and
+    reported.  A writer that raises leaves ``out_dir`` as it was.  What
+    stays open is a rename failing part way through that final loop, which
+    can still leave a mixed set.
+    """
+    out_dir.mkdir(parents=True, exist_ok=True)
+    tmp = Path(tempfile.mkdtemp(prefix=".kickscope-", dir=out_dir))
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            write_fn(fh)
-        # mkstemp creates the file 0600 and os.replace keeps that mode; give
-        # it the mode a plain open() would have had.
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        for name, write in files.items():
+            with open(tmp / name, "w", encoding="utf-8", newline="\n") as fh:
+                write(fh)
+        for name in files:
+            os.replace(tmp / name, out_dir / name)
+            print(f"wrote {out_dir / name}")
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
 
 
 def _write_rows(
@@ -93,43 +98,18 @@ def _write_rows(
         fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
-def _write_table(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    def write(fh) -> None:
-        fh.write(",".join(header) + "\n")
-        _write_rows(fh, ",".join(["%.17g"] * len(columns)) + "\n", columns)
-
-    _atomic_write(path, write)
+def _write_table(fh, header: list[str], columns: list[np.ndarray]) -> None:
+    fh.write(",".join(header) + "\n")
+    _write_rows(fh, ",".join(["%.17g"] * len(columns)) + "\n", columns)
 
 
 def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
     """Simulate once; write pattern.csv, momentum.csv, and summary.txt."""
     state0 = change_basis(assemble(cfg.geometry, cfg.grid, cfg.detector), cfg.basis)
     propagated = propagate_all(state0, cfg.units)
-
-    # Analyse before the first write, so an analysis error leaves no files.
     report = kick_report(state0, cfg.units)
     fringes = fringe_analysis(screen_density(propagated))
     storey = storey_bound_report(fringes.visibility)
-
-    branch_rho = [propagated.branch(i).density() for i in range(3)]
-    total = branch_rho[0] + branch_rho[1] + branch_rho[2]
-    _write_table(
-        out_dir / "pattern.csv",
-        ["x", "rho_total", "rho_branch1", "rho_branch2", "rho_branch3"],
-        [cfg.grid.x, total] + branch_rho,
-    )
-    del branch_rho, total  # each table's columns are freed before the next is built
-
-    # Spectra are reported at emission time; free flight only changes the
-    # phases, not these densities.
-    spectra = state0.pair.spectra(state0.coeffs, cfg.units.hbar)
-    _write_table(
-        out_dir / "momentum.csv",
-        ["p", "spec_branch1", "spec_branch2", "spec_branch3"],
-        [spectra[0].p] + [s.density() for s in spectra],
-    )
-    del spectra
-
     lines = [
         ("V_theory", _fmt(cfg.detector.c)),
         ("V_measured", _fmt(fringes.visibility)),
@@ -144,12 +124,35 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
         ("storey_lhs", _fmt(storey.lhs)),
         ("storey_rhs", _fmt(storey.rhs)),
     ]
-    _atomic_write(
-        out_dir / "summary.txt",
-        lambda fh: fh.writelines(f"{k}={v}\n" for k, v in lines),
+
+    # Each table's columns live only inside its writer, one table at a time.
+    def write_pattern(fh) -> None:
+        branch_rho = [propagated.branch(i).density() for i in range(3)]
+        total = branch_rho[0] + branch_rho[1] + branch_rho[2]
+        _write_table(
+            fh,
+            ["x", "rho_total", "rho_branch1", "rho_branch2", "rho_branch3"],
+            [cfg.grid.x, total] + branch_rho,
+        )
+
+    def write_momentum(fh) -> None:
+        # Spectra are reported at emission time; free flight only changes
+        # the phases, not these densities.
+        spectra = state0.pair.spectra(state0.coeffs, cfg.units.hbar)
+        _write_table(
+            fh,
+            ["p", "spec_branch1", "spec_branch2", "spec_branch3"],
+            [spectra[0].p] + [s.density() for s in spectra],
+        )
+
+    _commit(
+        out_dir,
+        {
+            "pattern.csv": write_pattern,
+            "momentum.csv": write_momentum,
+            "summary.txt": lambda fh: fh.writelines(f"{k}={v}\n" for k, v in lines),
+        },
     )
-    for name in ("pattern.csv", "momentum.csv", "summary.txt"):
-        print(f"wrote {out_dir / name}")
     return 0
 
 
@@ -176,12 +179,9 @@ def cmd_scan(cfg: RunConfig, out_dir: Path, c_values: list[float]) -> int:
             f"F_k = {report.F_k_branch:.4f}"
         )
     arr = np.array(rows)
-    _write_table(
-        out_dir / "scan.csv",
-        ["c", "V_measured", "F_k_branch", "p0_measured", "kick_identity_residual"],
-        [arr[:, i] for i in range(arr.shape[1])],
-    )
-    print(f"wrote {out_dir / 'scan.csv'}")
+    header = ["c", "V_measured", "F_k_branch", "p0_measured", "kick_identity_residual"]
+    columns = [arr[:, i] for i in range(arr.shape[1])]
+    _commit(out_dir, {"scan.csv": lambda fh: _write_table(fh, header, columns)})
     return 0
 
 
@@ -192,14 +192,6 @@ def cmd_sample(cfg: RunConfig, out_dir: Path) -> int:
     codes, xs = sample_events(propagated, cfg.sample_count, cfg.seed)
 
     outcomes = propagated.basis.outcomes
-    labels = np.array([o.value for o in outcomes], dtype=object)
-
-    def write_events(fh) -> None:
-        fh.write("outcome,x\n")
-        _write_rows(fh, "%s,%.17g\n", [codes, xs], labels)
-
-    _atomic_write(out_dir / "events.csv", write_events)
-
     probs = propagated.branch_probabilities()
     counts = np.bincount(codes, minlength=3).tolist()
     lines = [f"count={xs.size}\n", f"seed={cfg.seed}\n"]
@@ -210,9 +202,16 @@ def cmd_sample(cfg: RunConfig, out_dir: Path) -> int:
         stat, pvalue = screen_goodness_of_fit(xs, screen_density(propagated))
         lines.append(f"chi_square={_fmt(stat)}\n")
         lines.append(f"chi_square_p={_fmt(pvalue)}\n")
-    _atomic_write(out_dir / "sample_summary.txt", lambda fh: fh.writelines(lines))
-    print(f"wrote {out_dir / 'events.csv'}")
-    print(f"wrote {out_dir / 'sample_summary.txt'}")
+    labels = np.array([o.value for o in outcomes], dtype=object)
+
+    def write_events(fh) -> None:
+        fh.write("outcome,x\n")
+        _write_rows(fh, "%s,%.17g\n", [codes, xs], labels)
+
+    _commit(
+        out_dir,
+        {"events.csv": write_events, "sample_summary.txt": lambda fh: fh.writelines(lines)},
+    )
     return 0
 
 

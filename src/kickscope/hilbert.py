@@ -18,8 +18,9 @@ whose columns are ``d1`` and ``d2``.
 Conventions
 -----------
 ``beta`` is taken real and non-negative; the full overlap phase ``theta``
-sits on ``delta = beta * exp(i*theta)``.  Bases are represented by `Basis`
-values and amplitude vectors transform with `basis_matrix`.
+sits on ``delta = beta * exp(i*theta)``.  A readout `Basis` is
+`COMPUTATIONAL` or a tilt angle, and amplitude vectors transform with
+`basis_matrix`.
 """
 
 from __future__ import annotations
@@ -88,40 +89,33 @@ class DetectorConfig:
 
 @dataclass(frozen=True)
 class Basis:
-    """One of the three detector bases used for branch bookkeeping.
+    """A detector readout basis: the computational one, or a tilt angle.
 
-    ``computational`` is ``{q1, q2, q3}``, ``symmetric`` uses
-    ``q+- = (q1 +- q2)/sqrt(2)``, and ``tilted`` uses
-    ``q+- = (q1 +- exp(i*angle)*q2)/sqrt(2)``.  ``q3`` is common to all
-    three.  Construct tilted bases through :func:`tilted`, which folds
-    ``angle = 0`` back onto the symmetric basis.
+    ``tilt = None`` is the computational basis ``{q1, q2, q3}``.  A finite
+    ``tilt`` is the basis ``q+- = (q1 +- exp(i*tilt)*q2)/sqrt(2)``, and tilt
+    0 is the symmetric basis.  ``q3`` is common to all of them.
     """
 
-    kind: str
-    angle: float = 0.0
+    tilt: float | None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("computational", "symmetric", "tilted"):
-            raise DomainError(f"unknown basis kind: {self.kind!r}")
-        if self.kind != "tilted" and self.angle != 0.0:
-            raise DomainError("only tilted bases carry a nonzero angle")
-        if not math.isfinite(self.angle):
-            raise DomainError(f"tilted-basis angle must be finite, got {self.angle}")
+        if self.tilt is not None and not math.isfinite(self.tilt):
+            raise DomainError(f"tilted-basis angle must be finite, got {self.tilt}")
 
     @property
     def outcomes(self) -> tuple[Outcome, Outcome, Outcome]:
         """Measurement outcome labels for the three branches, in order."""
-        if self.kind == "computational":
+        if self.tilt is None:
             return (Outcome.PATH_1, Outcome.PATH_2, Outcome.FAIL)
         return (Outcome.Q_PLUS, Outcome.Q_MINUS, Outcome.Q3)
 
     def matrix_from_computational(self) -> np.ndarray:
         """Amplitude transform from the computational basis to this one."""
-        if self.kind == "computational":
+        if self.tilt is None:
             return np.eye(3, dtype=np.complex128)
         # Row i is <e'_i| expressed in the computational basis, so the
         # tilt phase enters conjugated.
-        w = cmath.exp(-1j * self.angle)
+        w = cmath.exp(-1j * self.tilt)
         s = 1.0 / math.sqrt(2.0)
         return np.array(
             [[s, s * w, 0.0], [s, -s * w, 0.0], [0.0, 0.0, 1.0]],
@@ -129,18 +123,13 @@ class Basis:
         )
 
 
-COMPUTATIONAL = Basis("computational")
-SYMMETRIC = Basis("symmetric")
+COMPUTATIONAL = Basis(None)
+SYMMETRIC = Basis(0.0)
 
 
 def tilted(angle: float) -> Basis:
-    """The tilted basis ``q+- = (q1 +- exp(i*angle)*q2)/sqrt(2)``.
-
-    ``tilted(0.0)`` is the symmetric basis and returns it outright.
-    """
-    if angle == 0.0:
-        return SYMMETRIC
-    return Basis("tilted", float(angle))
+    """The tilted basis ``q+- = (q1 +- exp(i*angle)*q2)/sqrt(2)``; ``tilted(0.0) == SYMMETRIC``."""
+    return Basis(float(angle))
 
 
 def detector_states(detector: DetectorConfig) -> np.ndarray:

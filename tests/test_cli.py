@@ -1,6 +1,7 @@
 """End-to-end command-line runs on a reduced grid, plus the check suite."""
 
 import cmath
+import errno
 import filecmp
 import hashlib
 import io
@@ -21,7 +22,7 @@ from kickscope import cli, experiment
 from kickscope import verify as verify_module
 from kickscope.cli import main
 from kickscope.config import load_config
-from kickscope.hilbert import Basis
+from kickscope.hilbert import COMPUTATIONAL, Basis
 from kickscope.verify import _CHECKS, TOLERANCES, run_suite
 
 # 2^17 points keep every subcommand comfortably under two seconds while
@@ -246,11 +247,52 @@ class TestBlockWriter:
         stacked_nbytes = n * len(columns) * 8
         tracemalloc.start()
         try:
-            cli._write_table(tmp_path / "t.csv", list("abcde"), columns)
+            with open(tmp_path / "t.csv", "w", encoding="utf-8") as fh:
+                cli._write_table(fh, list("abcde"), columns)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= stacked_nbytes + 4 * 2**20
+
+
+def _disk_full(*args, **kwargs):
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class TestCommitAsASet:
+    # A command writes all of its files or none: a rerun that fails part
+    # way leaves the previous set as it was, and no temporary directory.
+
+    @staticmethod
+    def _contents(out):
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    @pytest.mark.parametrize(
+        "command,target,name",
+        [
+            # run fails while building momentum.csv, after pattern.csv.
+            ("run", experiment.SlitPair, "spectra"),
+            # sample fails in the summary's fit, after drawing the events.
+            ("sample", cli, "screen_goodness_of_fit"),
+        ],
+        ids=["run", "sample"],
+    )
+    def test_failed_rerun_keeps_the_previous_set(
+        self, cfg_path, tmp_path, monkeypatch, capsys, command, target, name
+    ):
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg_path, "--out", str(out)]) == 0
+        before = self._contents(out)
+        path = tmp_path / "c025.cfg"
+        path.write_text(_reduced_with("detector.c = 0.25\n"))
+        monkeypatch.setattr(target, name, _disk_full)
+        capsys.readouterr()
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "No space left on device" in captured.err and "wrote" not in captured.out
+        # The same names (so no leftover .kickscope-* directory), the same bytes.
+        assert sorted(p.name for p in out.iterdir()) == sorted(before)
+        assert self._contents(out) == before
 
 
 class TestFailureModes:
@@ -486,7 +528,7 @@ class TestVerifyCommand:
 
         def defective(basis):
             m = real(basis)
-            if basis.kind != "computational":
+            if basis != COMPUTATIONAL:
                 m[1, 1] *= cmath.exp(1j * error)
             return m
 

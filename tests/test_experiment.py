@@ -14,7 +14,6 @@ from numpy.testing import assert_allclose
 from kickscope import (
     COMPUTATIONAL,
     SYMMETRIC,
-    Basis,
     ConfigurationError,
     DetectorConfig,
     DomainError,
@@ -71,6 +70,24 @@ class TestAssembly:
             state.branch_probabilities(), [0.32, 0.32, 0.36], rtol=0, atol=1e-12
         )
         assert_allclose(state.branch_probabilities().sum(), 1.0, rtol=0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        basis=st.one_of(
+            st.just(COMPUTATIONAL),
+            st.builds(tilted, st.floats(allow_nan=False, allow_infinity=False)),
+        ),
+        c=st.floats(0.0, 1.0),
+        theta=st.floats(-math.pi, math.pi, exclude_min=True),
+    )
+    def test_branch_probabilities_in_any_basis(self, basis, c, theta):
+        # The conftest grid; the packets do not overlap, so every basis
+        # splits the success sector into two equal halves.
+        geom = SlitGeometry(d=1.0, sigma=0.02)
+        grid = GridSpec(n=8192, x_min=0.5 - 20.48, x_max=0.5 + 20.48)
+        state = make_state(geom, grid, c=c, theta=theta, basis=basis)
+        want = [(1.0 - c) / 2.0, (1.0 - c) / 2.0, c]
+        assert_allclose(state.branch_probabilities(), want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("theta", [0.0, math.pi / 3, -1.0])
     def test_probabilities_survive_basis_changes(self, geom, grid, theta):
@@ -373,11 +390,11 @@ class TestKickReport:
 
     @pytest.mark.parametrize(
         "basis",
-        [COMPUTATIONAL, tilted(0.3), Basis("tilted", 0.0)],
+        [COMPUTATIONAL, tilted(0.3), tilted(-0.0)],
         ids=["computational", "tilted", "tilted-zero"],
     )
     def test_reads_any_basis_as_the_symmetric_one(self, geom, grid, units, basis):
-        # Basis("tilted", 0.0) is the symmetric basis under another name.
+        # tilted(-0.0) is the symmetric basis under another name.
         want = astuple(kick_report(make_state(geom, grid, c=0.36, theta=1.0), units))
         got = astuple(kick_report(make_state(geom, grid, c=0.36, theta=1.0, basis=basis), units))
         if basis == COMPUTATIONAL:

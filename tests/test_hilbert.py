@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from kickscope import (
     COMPUTATIONAL,
     SYMMETRIC,
-    Basis,
     DetectorConfig,
     DomainError,
     Outcome,
@@ -25,6 +26,11 @@ ALPHA_REF = 0.8  # sqrt(1 - 0.36)
 BETA_REF = 0.6  # sqrt(0.36)
 DELTA_REF = 0.30000000000000004 + 0.5196152422706631j  # 0.6 * exp(i*pi/3)
 OVERLAP_REF = 0.18000000000000002 + 0.31176914536239786j  # 0.36 * exp(i*pi/3)
+
+# COMPUTATIONAL or any finite tilt.
+ANY_BASIS = st.one_of(
+    st.just(COMPUTATIONAL), st.builds(tilted, st.floats(allow_nan=False, allow_infinity=False))
+)
 
 
 class TestDetectorConfig:
@@ -102,12 +108,20 @@ class TestBases:
         assert_allclose(m[2], [0.0, 0.0, 1.0], rtol=0, atol=0)
 
     def test_tilted_zero_is_symmetric(self):
-        assert tilted(0.0) == SYMMETRIC
+        assert tilted(0.0) == tilted(-0.0) == SYMMETRIC
+        assert hash(tilted(-0.0)) == hash(SYMMETRIC)
 
     @pytest.mark.parametrize("angle", [0.0, 0.3, math.pi / 2, -1.2])
     def test_unitarity(self, angle):
         m = tilted(angle).matrix_from_computational()
         assert_allclose(m @ m.conj().T, np.eye(3), rtol=0, atol=1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=ANY_BASIS, b=ANY_BASIS)
+    def test_basis_matrix_is_unitary_and_inverts(self, a, b):
+        m = basis_matrix(a, b)
+        assert_allclose(m @ m.conj().T, np.eye(3), rtol=0, atol=1e-15)
+        assert_allclose(basis_matrix(b, a) @ m, np.eye(3), rtol=0, atol=1e-15)
 
     def test_basis_matrix_round_trip(self):
         a, b = tilted(0.7), SYMMETRIC
@@ -131,7 +145,3 @@ class TestBases:
         assert SYMMETRIC.outcomes == (Outcome.Q_PLUS, Outcome.Q_MINUS, Outcome.Q3)
         assert Outcome.Q_MINUS.value == "q_minus"
         assert Outcome.FAIL.value == "fail"
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(DomainError):
-            Basis(kind="diagonal")
