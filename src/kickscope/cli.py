@@ -238,7 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
             cmd.add_argument(
                 "--out", default=".", metavar="DIR", help="output directory (default: %(default)s)"
             )
-        if name in ("run", "sample"):
+        if name == "sample":
             cmd.add_argument("--seed", type=int, help="override sampling.seed")
         if name == "scan":
             cmd.add_argument(

@@ -14,7 +14,8 @@ flight on the pair alone.  Everything observable is extracted from a
 its `DetectorConfig`; a landed pair and its `ScreenPattern` keep their flight.
 
 Momentum kicks are read off the slit pair's 2x2 comb matrix ``A`` (see
-`SlitPair.comb`): the comb phase of a coefficient row ``r`` is the
+`SlitPair.comb`), which free flight cannot change: a landed pair reads its
+emission pair's.  The comb phase of a coefficient row ``r`` is the
 argument of ``conj(r) @ A @ r``, and the kick between two rows follows
 from the difference of their comb phases.  It lies in ``(-p0, p0]`` with
 ``p0 = pi*hbar/d`` and ``d`` the pair's slit separation; a shift of
@@ -65,7 +66,6 @@ __all__ = [
     "screen_density",
     "fringe_window",
     "fringe_analysis",
-    "kick_identity_residual",
     "kick_report",
     "phase_kick_shift",
     "tilted_relative_kick",
@@ -88,15 +88,18 @@ GOF_MIN_SAMPLES = 10 * GOF_BINS
 class SlitPair:
     """The slit wavefunctions ``psi1`` and ``psi2`` of ``geom`` on one grid.
 
-    ``units`` is its flight, ``None`` at emission.  The pair keeps its
-    latest propagation and its latest comb matrix, so every detector
-    setting built on it shares one of each per units and per hbar.
+    ``units`` is its flight and ``emitted`` the pair it flew from (set by
+    `propagated`), both ``None`` at emission; a landed pair asks ``emitted``
+    about momentum.  The pair keeps its latest propagation and comb matrix,
+    so every detector setting built on it shares one of each per units and
+    per hbar.
     """
 
     psi1: Wavefunction
     psi2: Wavefunction
     geom: SlitGeometry
     units: PhysicalUnits | None = None
+    emitted: SlitPair | None = field(default=None, init=False, repr=False)
     _last: SlitPair | None = field(default=None, init=False, repr=False)
     _comb: tuple | None = field(default=None, init=False, repr=False)
 
@@ -124,6 +127,7 @@ class SlitPair:
         if self._last is None or self._last.units != units:
             psis = (propagate_fft(psi, self.geom, units) for psi in (self.psi1, self.psi2))
             object.__setattr__(self, "_last", SlitPair(*psis, self.geom, units))
+            object.__setattr__(self._last, "emitted", self)
         return self._last
 
     def comb(self, hbar: float) -> np.ndarray:
@@ -133,8 +137,11 @@ class SlitPair:
         separation.  For a row ``r = (a, b)``, ``conj(r) @ A @ r`` is the
         projection of the momentum density ``|a*phi1 + b*phi2|^2`` at the
         fringe frequency ``d/hbar``, whose argument is that row's comb phase.
-        Costs two FFTs per hbar; the spectra themselves are not kept.
+        A landed pair returns its emission pair's.  Two FFTs per hbar; the
+        spectra themselves are not kept.
         """
+        if self.emitted is not None:
+            return self.emitted.comb(hbar)
         if self._comb is None or self._comb[0] != hbar:
             spec1 = to_momentum(self.psi1, hbar=hbar)
             phis = (spec1.amplitudes, to_momentum(self.psi2, hbar=hbar).amplitudes)
@@ -148,16 +155,32 @@ class SlitPair:
             object.__setattr__(self, "_comb", (hbar, a))
         return self._comb[1]
 
+    @cached_property
+    def kick_identity_residual(self) -> float:
+        """How far the path-difference state is from a kicked path-sum state.
+
+        The L2 norm of ``(psi1 - psi2)/sqrt2 - exp(i*pi*x/d) * (psi1 +
+        psi2)/sqrt2`` at emission.  For slits much narrower than their
+        separation the phase factor is nearly constant across each slit and
+        the residual scales like ``pi*sigma/d``; it vanishes only in the
+        zero-width limit.  A landed pair returns its emission pair's value.
+        """
+        if self.emitted is not None:
+            return self.emitted.kick_identity_residual
+        psi1, psi2 = self.psi1.amplitudes, self.psi2.amplitudes
+        s = 1.0 / math.sqrt(2.0)
+        phase = np.exp(1j * math.pi * self.grid.x / self.geom.d)
+        diff = s * (psi1 - psi2) - phase * s * (psi1 + psi2)
+        return float(math.sqrt(np.vdot(diff, diff).real * self.grid.dx))
+
     def spectra(self, rows: np.ndarray, hbar: float) -> list[MomentumSpectrum]:
         """Momentum spectra of ``a*psi1 + b*psi2``, one per row ``(a, b)``."""
         phi1, phi2 = (to_momentum(psi, hbar=hbar).amplitudes for psi in (self.psi1, self.psi2))
         return [MomentumSpectrum(self.grid, a * phi1 + b * phi2, hbar=hbar) for a, b in rows]
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def _slit_pair(geom: SlitGeometry, grid: GridSpec) -> SlitPair:
-    # Room for a few side geometries (verify's kick_identity uses four)
-    # without evicting the main pair and its propagation.
     return SlitPair(slit_state(geom, grid, 1), slit_state(geom, grid, 2), geom)
 
 
@@ -390,24 +413,6 @@ def fringe_analysis(pattern: ScreenPattern) -> FringeAnalysis:
     )
 
 
-@lru_cache(maxsize=8)
-def kick_identity_residual(geom: SlitGeometry, grid: GridSpec) -> float:
-    """How far the path-difference state is from a kicked path-sum state.
-
-    Returns the L2 norm of ``(psi1 - psi2)/sqrt2 - exp(i*pi*x/d) * (psi1 +
-    psi2)/sqrt2``.  For slits much narrower than their separation the phase
-    factor is nearly constant across each slit and the residual scales like
-    ``pi*sigma/d``; it vanishes only in the zero-width limit.  It does not
-    depend on the detector, so it is memoized per (geometry, grid).
-    """
-    pair = _slit_pair(geom, grid)
-    psi1, psi2 = pair.psi1.amplitudes, pair.psi2.amplitudes
-    s = 1.0 / math.sqrt(2.0)
-    phase = np.exp(1j * math.pi * grid.x / geom.d)
-    diff = s * (psi1 - psi2) - phase * s * (psi1 + psi2)
-    return float(math.sqrt(np.vdot(diff, diff).real * grid.dx))
-
-
 def _comb_offset(pair: SlitPair, row_a: np.ndarray, row_b: np.ndarray, hbar: float) -> float:
     """Momentum displacement of row ``a``'s fringe comb against row ``b``'s.
 
@@ -448,13 +453,6 @@ def kick_report(state: BranchState, units: PhysicalUnits) -> KickReport:
         and ``theta`` for the theory-side entries.
     units : PhysicalUnits
         Supplies ``hbar``.
-
-    Notes
-    -----
-    Free evolution only multiplies momentum amplitudes by a phase, so the
-    estimated shift is the same whether ``state`` is propagated or not; a
-    propagated state's pair computes its own comb matrix, though, at the
-    cost of two more FFTs.
     """
     sym = state if state.basis == SYMMETRIC else change_basis(state, SYMMETRIC)
     geom, detector = state.pair.geom, state.detector
@@ -471,7 +469,7 @@ def kick_report(state: BranchState, units: PhysicalUnits) -> KickReport:
         p0_measured=measured,
         F_k_theory=(1.0 - detector.c) / 2.0,
         F_k_branch=f_branch,
-        kick_identity_residual=kick_identity_residual(geom, state.grid),
+        kick_identity_residual=state.pair.kick_identity_residual,
         p_e=detector.theta * units.hbar / geom.d,
     )
 

@@ -46,10 +46,10 @@ from .wavepacket import (
 from .experiment import (
     BranchState,
     ScreenPattern,
+    SlitPair,
     assemble,
     change_basis,
     fringe_analysis,
-    kick_identity_residual,
     kick_report,
     phase_kick_shift,
     propagate_all,
@@ -379,7 +379,8 @@ def _chk_exp_identity(cfg: RunConfig, tol: float) -> tuple[bool, str]:
     for ratio in (0.005, 0.01, 0.02, 0.05):
         geom = SlitGeometry(d=1.0, sigma=ratio)
         grid = GridSpec(n=2048, x_min=-0.78, x_max=1.78)
-        measured = kick_identity_residual(geom, grid)
+        pair = SlitPair(slit_state(geom, grid, 1), slit_state(geom, grid, 2), geom)
+        measured = pair.kick_identity_residual
         oracle = math.sqrt(2.0 * (1.0 - math.exp(-math.pi**2 * ratio**2 / 2.0)))
         worst = max(worst, abs(measured - oracle) / oracle)
         monotone = monotone and measured > last

@@ -3,6 +3,7 @@
 import cmath
 import errno
 import filecmp
+import functools
 import hashlib
 import io
 import json
@@ -317,6 +318,17 @@ class TestFailureModes:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_run_has_no_seed_flag(self, cfg_path, tmp_path, capsys):
+        # run draws no events, so a seed would change nothing it writes.
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", cfg_path, "--out", str(out), "--seed", "3"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: kickscope")
+        assert "unrecognized arguments: --seed 3" in captured.err
+        assert captured.out == "" and not out.exists()
+
     def test_negative_seed_flag_exits_2_with_no_outputs(self, cfg_path, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["sample", "--config", cfg_path, "--out", str(out), "--seed", "-1"]) == 2
@@ -583,11 +595,21 @@ def test_kick_analysis_transforms_the_slit_pair_once(cfg_path, tmp_path, monkeyp
     assert len(calls) <= 2
 
 
-def test_scan_computes_the_kick_identity_residual_once(cfg_path, tmp_path):
-    experiment.kick_identity_residual.cache_clear()
+def test_scan_computes_the_kick_identity_residual_once(cfg_path, tmp_path, monkeypatch):
+    calls = []
+    real = experiment.SlitPair.__dict__["kick_identity_residual"].func
+
+    def counting(pair):
+        calls.append(pair)
+        return real(pair)
+
+    prop = functools.cached_property(counting)
+    prop.__set_name__(experiment.SlitPair, "kick_identity_residual")
+    monkeypatch.setattr(experiment.SlitPair, "kick_identity_residual", prop)
+    experiment._slit_pair.cache_clear()
     argv = ["scan", "--config", cfg_path, "--out", str(tmp_path), "--c-values", "0,0.25,0.5,0.75,1"]
     assert main(argv) == 0
-    assert experiment.kick_identity_residual.cache_info().misses == 1
+    assert len(calls) == 1
 
 
 def test_verify_computes_each_visibility_once(cfg_path, monkeypatch):

@@ -3,15 +3,63 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from kickscope import COMPUTATIONAL, SYMMETRIC, ConfigurationError, DomainError, tilted
+from kickscope import (
+    COMPUTATIONAL,
+    SYMMETRIC,
+    ConfigurationError,
+    DetectorConfig,
+    DomainError,
+    GridSpec,
+    PhysicalUnits,
+    SlitGeometry,
+    tilted,
+)
 from kickscope.config import (
+    RunConfig,
     default_config,
     load_config,
     parse_c_values,
     parse_config_text,
 )
+
+POSITIVE = st.floats(1e-6, 1e6)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# An odd integer past 2^53 has no float64, so reading it through float rounds.
+COUNT = st.integers(0, 2**63) | st.integers(2**52, 2**62 - 1).map(lambda k: 2 * k + 1)
+
+
+@st.composite
+def in_domain_values(draw):
+    """One in-domain value per config key; sigma/d <= 0.05 raises no warning.
+
+    ``basis`` is drawn as its config text and the `Basis` it names.
+    """
+    d = draw(POSITIVE)
+    x_min = draw(st.floats(-1e6, 1e6))
+    return {
+        "geometry.d": d,
+        "geometry.sigma": d * draw(st.floats(1e-4, 0.049)),
+        "units.hbar": draw(POSITIVE),
+        "units.mass": draw(POSITIVE),
+        "units.t": draw(st.floats(0.0, 1e6)),
+        "grid.n": 2 ** draw(st.integers(4, 30)),
+        "grid.x_min": x_min,
+        "grid.x_max": x_min + draw(st.floats(1e-3, 1e6)),
+        "detector.c": draw(st.floats(0.0, 1.0)),
+        "detector.theta": draw(st.floats(-math.pi, math.pi, exclude_min=True)),
+        "basis": draw(
+            st.one_of(
+                st.sampled_from([("computational", COMPUTATIONAL), ("symmetric", SYMMETRIC)]),
+                FINITE.map(lambda angle: (f"tilted:{angle!r}", tilted(angle))),
+            )
+        ),
+        "sampling.count": draw(COUNT),
+        "sampling.seed": draw(COUNT),
+    }
 
 
 class TestDefaults:
@@ -109,6 +157,27 @@ class TestParsing:
             parse_config_text("detector.c = 1.5")
         with pytest.raises(ConfigurationError):
             parse_config_text("grid.n = 1000")
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=in_domain_values())
+    def test_config_text_round_trips(self, values):
+        basis_text, basis = values.pop("basis")
+        text = "".join(f"{key} = {value!r}\n" for key, value in values.items())
+        text += f"basis = {basis_text}\n"
+        want = RunConfig(
+            geometry=SlitGeometry(d=values["geometry.d"], sigma=values["geometry.sigma"]),
+            units=PhysicalUnits(
+                hbar=values["units.hbar"], mass=values["units.mass"], t=values["units.t"]
+            ),
+            grid=GridSpec(
+                n=values["grid.n"], x_min=values["grid.x_min"], x_max=values["grid.x_max"]
+            ),
+            detector=DetectorConfig(c=values["detector.c"], theta=values["detector.theta"]),
+            basis=basis,
+            sample_count=values["sampling.count"],
+            seed=values["sampling.seed"],
+        )
+        assert parse_config_text(text) == want
 
     def test_with_seed(self):
         cfg = default_config().with_seed(7)

@@ -2,7 +2,7 @@
 
 import cmath
 import math
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -30,7 +30,6 @@ from kickscope import (
     change_basis,
     fringe_analysis,
     fringe_window,
-    kick_identity_residual,
     kick_report,
     phase_kick_shift,
     propagate_all,
@@ -45,6 +44,7 @@ from kickscope import (
     tilted_relative_kick,
     to_momentum,
 )
+from kickscope import experiment
 from kickscope.experiment import SlitPair, _comb_offset
 
 # Frozen closed forms.  The identity residual is
@@ -61,6 +61,16 @@ FRINGE_PERIOD_T005 = 0.3141592653589793  # 2*pi*hbar*t/(m*d) at t = 0.05
 def make_state(geom, grid, c, theta=0.0, basis=SYMMETRIC):
     state = assemble(geom, grid, DetectorConfig(c=c, theta=theta))
     return change_basis(state, basis)
+
+
+def own_pair(geom, grid):
+    """A fresh slit pair of ``geom``, not the one `assemble` memoizes."""
+    return SlitPair(slit_state(geom, grid, 1), slit_state(geom, grid, 2), geom)
+
+
+def state_on(pair, c, theta=0.0):
+    """A symmetric-basis state built on ``pair``."""
+    return replace(make_state(pair.geom, pair.grid, c, theta), pair=pair)
 
 
 class TestAssembly:
@@ -260,20 +270,20 @@ class TestKickIdentity:
     def test_matches_closed_form(self):
         grid = GridSpec(n=2048, x_min=-0.78, x_max=1.78)
         for ratio, expected in RESIDUAL_BY_RATIO.items():
-            got = kick_identity_residual(SlitGeometry(d=1.0, sigma=ratio), grid)
+            got = own_pair(SlitGeometry(d=1.0, sigma=ratio), grid).kick_identity_residual
             assert_allclose(got, expected, rtol=1e-9)
 
     def test_monotone_in_slit_width(self):
         grid = GridSpec(n=2048, x_min=-0.78, x_max=1.78)
         values = [
-            kick_identity_residual(SlitGeometry(d=1.0, sigma=r), grid)
+            own_pair(SlitGeometry(d=1.0, sigma=r), grid).kick_identity_residual
             for r in sorted(RESIDUAL_BY_RATIO)
         ]
         assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_narrow_slit_is_small(self):
         grid = GridSpec(n=2048, x_min=-0.78, x_max=1.78)
-        assert kick_identity_residual(SlitGeometry(d=1.0, sigma=0.01), grid) <= 0.05
+        assert own_pair(SlitGeometry(d=1.0, sigma=0.01), grid).kick_identity_residual <= 0.05
 
 
 class TestMomentumShift:
@@ -383,6 +393,32 @@ class TestKickReport:
         after = kick_report(propagate_all(state, units), units)
         assert before.p0_measured == after.p0_measured
 
+    def test_a_landed_read_asks_the_pair_it_flew_from(self, geom, grid, units, monkeypatch):
+        # Free flight multiplies both slit spectra by one phase, so a landed
+        # state's kicks are its emission pair's, to the bit and with no FFT.
+        state = state_on(own_pair(geom, grid), c=0.36, theta=1.0)
+
+        def reads(s):
+            report = kick_report(s, units)
+            return (
+                report.p0_measured,
+                report.kick_identity_residual,
+                phase_kick_shift(s, units),
+                tilted_relative_kick(s, units, 0.7),
+            )
+
+        emitted = reads(state)
+        calls = []
+        real = experiment.to_momentum
+
+        def counting(psi, hbar):
+            calls.append(psi.grid.n)
+            return real(psi, hbar=hbar)
+
+        monkeypatch.setattr(experiment, "to_momentum", counting)
+        assert reads(propagate_all(state, units)) == emitted
+        assert calls == []
+
     def test_everything_fails_at_full_overlap(self, geom, grid, units):
         report = kick_report(make_state(geom, grid, c=1.0), units)
         assert report.p0_measured is None
@@ -435,6 +471,18 @@ class TestStateCarriesItsSetup:
             t_plus, t_minus, _ = rotated.pair.spectra(rotated.coeffs, hbar)
             shift = tilted_relative_kick(state, units, tilt)
             assert abs(shift - _comb_shift(t_minus, t_plus, d)) <= tol
+
+    def test_residual_is_the_pairs_own(self, units):
+        # Slit 2 built 1.05 from slit 1 under d = 1.  With g = exp(-pi^2
+        # sigma^2/2) its residual is sqrt(2 - g*(1 - cos(1.05*pi))), about
+        # 0.1274, where the pair that d = 1 describes has sqrt(2*(1 - g)).
+        geom = SlitGeometry(d=1.0, sigma=0.02)
+        grid = GridSpec(n=2**17, x_min=-327.18, x_max=328.18)
+        stray = slit_state(SlitGeometry(d=1.05, sigma=0.02), grid, 2)
+        state = state_on(SlitPair(slit_state(geom, grid, 1), stray, geom), c=0.5)
+        g = math.exp(-(math.pi**2) * geom.sigma**2 / 2.0)
+        want = math.sqrt(2.0 - g * (1.0 - math.cos(1.05 * math.pi)))
+        assert_allclose(kick_report(state, units).kick_identity_residual, want, rtol=1e-9)
 
 
 class TestPatternCarriesItsFlight:
