@@ -45,8 +45,8 @@ def main() -> None:
 
     print(__doc__)
     detector = DetectorConfig(c=0.5)
-    state = change_basis(assemble(GEOM, GRID, detector), SYMMETRIC)
-    propagated = propagate_all(state, UNITS)
+    state = change_basis(assemble(GEOM, GRID, UNITS, detector), SYMMETRIC)
+    propagated = propagate_all(state)
     codes, xs = sample_events(propagated, args.count, args.seed)
     fired = {o: codes == i for i, o in enumerate(propagated.basis.outcomes)}
 

@@ -40,15 +40,15 @@ def comb_peaks(spec, count=3):
 
 def main() -> None:
     print(__doc__)
-    state = change_basis(assemble(GEOM, GRID, DETECTOR), SYMMETRIC)
-    rep = kick_report(state, UNITS)
+    state = change_basis(assemble(GEOM, GRID, UNITS, DETECTOR), SYMMETRIC)
+    rep = kick_report(state)
 
     print(f"expected kick   p0 = pi*hbar/d = {rep.p0:.6f}")
     print(f"measured kick        q- vs q+  = {rep.p0_measured:.6f}")
     print(f"kicked fraction                = {rep.F_k_branch:.4f}  (theory {rep.F_k_theory})")
     print()
 
-    plus, minus, _ = state.pair.spectra(state.coeffs, UNITS.hbar)
+    plus, minus, _ = state.pair.spectra(state.coeffs)
     plus_peaks = comb_peaks(plus)
     minus_peaks = comb_peaks(minus)
     print("first momentum-comb maxima at p >= 0 (comb period 2*p0):")
@@ -58,7 +58,7 @@ def main() -> None:
 
     print("relative kick measured in tilted readout bases:")
     for tp in (0.0, math.pi / 6, math.pi / 4, math.pi / 2):
-        shift = tilted_relative_kick(state, UNITS, tp)
+        shift = tilted_relative_kick(state, tp)
         print(f"  tilt {tp:8.5f} rad -> kick {shift:.6f}")
     print()
     print("Half of the no-click events took a kick of exactly p0; none of")

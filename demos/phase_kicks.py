@@ -32,9 +32,9 @@ def main() -> None:
     print(f"{'theta':>9} {'p_e = theta*hbar/d':>19} {'measured':>10} {'V':>8}")
     for theta in (0.0, math.pi / 6, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi):
         detector = DetectorConfig(c=0.5, theta=theta)
-        state = change_basis(assemble(GEOM, GRID, detector), SYMMETRIC)
-        shift = phase_kick_shift(state, UNITS)
-        pattern = screen_density(propagate_all(state, UNITS))
+        state = change_basis(assemble(GEOM, GRID, UNITS, detector), SYMMETRIC)
+        shift = phase_kick_shift(state)
+        pattern = screen_density(propagate_all(state))
         visibility = fringe_analysis(pattern).visibility
         print(f"{theta:9.5f} {theta * UNITS.hbar / GEOM.d:19.6f} {shift:10.6f} {visibility:8.4f}")
     print()

@@ -38,10 +38,10 @@ def main() -> None:
     print(f"{'c':>6} {'V':>8} {'F_k':>8} {'(1-V)/2':>9} {'kick/p0':>8}")
     for c in np.linspace(0.0, 1.0, 11):
         detector = DetectorConfig(c=float(c))
-        state = change_basis(assemble(GEOM, GRID, detector), SYMMETRIC)
-        pattern = screen_density(propagate_all(state, UNITS))
+        state = change_basis(assemble(GEOM, GRID, UNITS, detector), SYMMETRIC)
+        pattern = screen_density(propagate_all(state))
         fringes = fringe_analysis(pattern)
-        rep = kick_report(state, UNITS)
+        rep = kick_report(state)
         kick = "--" if rep.p0_measured is None else f"{rep.p0_measured / rep.p0:8.5f}"
         print(
             f"{c:6.2f} {fringes.visibility:8.4f} {rep.F_k_branch:8.4f} "

@@ -63,14 +63,17 @@ def _commit(out_dir: Path, files: dict) -> None:
     ``files`` maps each output name to a writer ``fn(fh)``.  Every file is
     written into one temporary directory inside ``out_dir``; only after
     every writer has returned is each renamed into place, in order, and
-    reported.  A writer that raises leaves ``out_dir`` as it was.  What
-    stays open is a rename failing part way through that final loop, which
-    can still leave a mixed set.
+    reported.  A writer that raises, or a target that is a directory,
+    leaves ``out_dir`` as it was.  What stays open is another rename
+    failing part way through that final loop, which can still leave a
+    mixed set.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     tmp = Path(tempfile.mkdtemp(prefix=".kickscope-", dir=out_dir))
     try:
         for name, write in files.items():
+            if (out_dir / name).is_dir():
+                raise IsADirectoryError(f"output {out_dir / name} is a directory")
             with open(tmp / name, "w", encoding="utf-8", newline="\n") as fh:
                 write(fh)
         for name in files:
@@ -105,9 +108,9 @@ def _write_table(fh, header: list[str], columns: list[np.ndarray]) -> None:
 
 def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
     """Simulate once; write pattern.csv, momentum.csv, and summary.txt."""
-    state0 = change_basis(assemble(cfg.geometry, cfg.grid, cfg.detector), cfg.basis)
-    propagated = propagate_all(state0, cfg.units)
-    report = kick_report(state0, cfg.units)
+    state0 = change_basis(assemble(cfg.geometry, cfg.grid, cfg.units, cfg.detector), cfg.basis)
+    propagated = propagate_all(state0)
+    report = kick_report(state0)
     fringes = fringe_analysis(screen_density(propagated))
     storey = storey_bound_report(fringes.visibility)
     lines = [
@@ -138,7 +141,7 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
     def write_momentum(fh) -> None:
         # Spectra are reported at emission time; free flight only changes
         # the phases, not these densities.
-        spectra = state0.pair.spectra(state0.coeffs, cfg.units.hbar)
+        spectra = state0.pair.spectra(state0.coeffs)
         _write_table(
             fh,
             ["p", "spec_branch1", "spec_branch2", "spec_branch3"],
@@ -161,10 +164,10 @@ def cmd_scan(cfg: RunConfig, out_dir: Path, c_values: list[float]) -> int:
     rows = []
     for c in c_values:
         det = DetectorConfig(c=c, theta=cfg.detector.theta)
-        sym = change_basis(assemble(cfg.geometry, cfg.grid, det), SYMMETRIC)
-        propagated = propagate_all(sym, cfg.units)
+        sym = change_basis(assemble(cfg.geometry, cfg.grid, cfg.units, det), SYMMETRIC)
+        propagated = propagate_all(sym)
         fringes = fringe_analysis(screen_density(propagated))
-        report = kick_report(sym, cfg.units)
+        report = kick_report(sym)
         rows.append(
             (
                 c,
@@ -187,8 +190,8 @@ def cmd_scan(cfg: RunConfig, out_dir: Path, c_values: list[float]) -> int:
 
 def cmd_sample(cfg: RunConfig, out_dir: Path) -> int:
     """Draw detection events; write events.csv and sample_summary.txt."""
-    state0 = change_basis(assemble(cfg.geometry, cfg.grid, cfg.detector), cfg.basis)
-    propagated = propagate_all(state0, cfg.units)
+    state0 = change_basis(assemble(cfg.geometry, cfg.grid, cfg.units, cfg.detector), cfg.basis)
+    propagated = propagate_all(state0)
     codes, xs = sample_events(propagated, cfg.sample_count, cfg.seed)
 
     outcomes = propagated.basis.outcomes

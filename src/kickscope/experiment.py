@@ -9,9 +9,9 @@ paths and the discrimination failure; rotating to the symmetric basis
 branch, a branch carrying an apparent momentum kick of half a fringe
 period, and the failure branch.  Basis changes act on the matrix and free
 flight on the pair alone.  Everything observable is extracted from a
-`BranchState` by the functions in this module, from the state and the
-`PhysicalUnits` alone: the pair keeps its `SlitGeometry` and the state
-its `DetectorConfig`; a landed pair and its `ScreenPattern` keep their flight.
+`BranchState` by the functions in this module, from the state alone: its
+pair keeps the `SlitGeometry`, the run's `PhysicalUnits` and the pair it
+flew from, and the state its `DetectorConfig`.
 
 Momentum kicks are read off the slit pair's 2x2 comb matrix ``A`` (see
 `SlitPair.comb`), which free flight cannot change: a landed pair reads its
@@ -88,20 +88,18 @@ GOF_MIN_SAMPLES = 10 * GOF_BINS
 class SlitPair:
     """The slit wavefunctions ``psi1`` and ``psi2`` of ``geom`` on one grid.
 
-    ``units`` is its flight and ``emitted`` the pair it flew from (set by
-    `propagated`), both ``None`` at emission; a landed pair asks ``emitted``
-    about momentum.  The pair keeps its latest propagation and comb matrix,
-    so every detector setting built on it shares one of each per units and
-    per hbar.
+    ``units`` are the run's: ``hbar`` reads its momenta and ``t`` is its
+    flight.  ``emitted`` is the pair it flew from (set by `landed`),
+    ``None`` at emission; a landed pair asks ``emitted`` about momentum.
+    The pair keeps its landed pair and comb matrix, so every detector
+    setting built on it shares one of each.
     """
 
     psi1: Wavefunction
     psi2: Wavefunction
     geom: SlitGeometry
-    units: PhysicalUnits | None = None
+    units: PhysicalUnits
     emitted: SlitPair | None = field(default=None, init=False, repr=False)
-    _last: SlitPair | None = field(default=None, init=False, repr=False)
-    _comb: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.psi1.grid != self.psi2.grid:
@@ -120,40 +118,40 @@ class SlitPair:
         g.setflags(write=False)  # memoized pairs are shared by every caller
         return g
 
-    def propagated(self, units: PhysicalUnits) -> "SlitPair":
+    @cached_property
+    def landed(self) -> SlitPair:
         """Both states evolved freely for ``units.t``; a pair that has flown refuses."""
-        if self.units is not None:
+        if self.emitted is not None:
             raise ConfigurationError(f"this slit pair has already flown for t = {self.units.t}")
-        if self._last is None or self._last.units != units:
-            psis = (propagate_fft(psi, self.geom, units) for psi in (self.psi1, self.psi2))
-            object.__setattr__(self, "_last", SlitPair(*psis, self.geom, units))
-            object.__setattr__(self._last, "emitted", self)
-        return self._last
+        psis = (propagate_fft(psi, self.geom, self.units) for psi in (self.psi1, self.psi2))
+        pair = SlitPair(*psis, self.geom, self.units)
+        object.__setattr__(pair, "emitted", self)
+        return pair
 
-    def comb(self, hbar: float) -> np.ndarray:
+    @cached_property
+    def comb(self) -> np.ndarray:
         """The 2x2 comb matrix ``A_ij = sum_p conj(phi_i) phi_j exp(-i*p*d/hbar)``.
 
         ``phi_i`` is slit ``i``'s momentum spectrum and ``d`` the pair's slit
         separation.  For a row ``r = (a, b)``, ``conj(r) @ A @ r`` is the
         projection of the momentum density ``|a*phi1 + b*phi2|^2`` at the
         fringe frequency ``d/hbar``, whose argument is that row's comb phase.
-        A landed pair returns its emission pair's.  Two FFTs per hbar; the
+        A landed pair returns its emission pair's.  Two FFTs per pair; the
         spectra themselves are not kept.
         """
         if self.emitted is not None:
-            return self.emitted.comb(hbar)
-        if self._comb is None or self._comb[0] != hbar:
-            spec1 = to_momentum(self.psi1, hbar=hbar)
-            phis = (spec1.amplitudes, to_momentum(self.psi2, hbar=hbar).amplitudes)
-            w = np.exp(-1j * spec1.p * (self.geom.d / hbar))
-            w_phi = np.empty_like(w)
-            a = np.empty((2, 2), dtype=np.complex128)
-            for j, phi_j in enumerate(phis):
-                np.multiply(w, phi_j, out=w_phi)
-                a[:, j] = [np.vdot(phi_i, w_phi) for phi_i in phis]
-            a.setflags(write=False)
-            object.__setattr__(self, "_comb", (hbar, a))
-        return self._comb[1]
+            return self.emitted.comb
+        hbar = self.units.hbar
+        spec1 = to_momentum(self.psi1, hbar=hbar)
+        phis = (spec1.amplitudes, to_momentum(self.psi2, hbar=hbar).amplitudes)
+        w = np.exp(-1j * spec1.p * (self.geom.d / hbar))
+        w_phi = np.empty_like(w)
+        a = np.empty((2, 2), dtype=np.complex128)
+        for j, phi_j in enumerate(phis):
+            np.multiply(w, phi_j, out=w_phi)
+            a[:, j] = [np.vdot(phi_i, w_phi) for phi_i in phis]
+        a.setflags(write=False)
+        return a
 
     @cached_property
     def kick_identity_residual(self) -> float:
@@ -173,15 +171,16 @@ class SlitPair:
         diff = s * (psi1 - psi2) - phase * s * (psi1 + psi2)
         return float(math.sqrt(np.vdot(diff, diff).real * self.grid.dx))
 
-    def spectra(self, rows: np.ndarray, hbar: float) -> list[MomentumSpectrum]:
+    def spectra(self, rows: np.ndarray) -> list[MomentumSpectrum]:
         """Momentum spectra of ``a*psi1 + b*psi2``, one per row ``(a, b)``."""
+        hbar = self.units.hbar
         phi1, phi2 = (to_momentum(psi, hbar=hbar).amplitudes for psi in (self.psi1, self.psi2))
         return [MomentumSpectrum(self.grid, a * phi1 + b * phi2, hbar=hbar) for a, b in rows]
 
 
 @lru_cache(maxsize=1)
-def _slit_pair(geom: SlitGeometry, grid: GridSpec) -> SlitPair:
-    return SlitPair(slit_state(geom, grid, 1), slit_state(geom, grid, 2), geom)
+def _slit_pair(geom: SlitGeometry, grid: GridSpec, units: PhysicalUnits) -> SlitPair:
+    return SlitPair(slit_state(geom, grid, 1), slit_state(geom, grid, 2), geom, units)
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,14 +199,10 @@ class BranchState:
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
 
-    @property
-    def grid(self) -> GridSpec:
-        return self.pair.grid
-
     def branch(self, i: int) -> Wavefunction:
-        """Branch ``i`` on the grid, computed on each call."""
+        """Branch ``i`` on the pair's grid, computed on each call."""
         (a, b), pair = self.coeffs[i], self.pair
-        return Wavefunction(self.grid, a * pair.psi1.amplitudes + b * pair.psi2.amplitudes)
+        return Wavefunction(pair.grid, a * pair.psi1.amplitudes + b * pair.psi2.amplitudes)
 
     def branch_probabilities(self) -> np.ndarray:
         """Probability carried by each branch (its squared norm)."""
@@ -217,12 +212,10 @@ class BranchState:
 
 @dataclass(frozen=True, eq=False)
 class ScreenPattern:
-    """A density on the screen grid, with its pair's geometry and flight (``None`` at emission)."""
+    """A density on the grid of ``pair``, the slit pair that made it."""
 
-    grid: GridSpec
+    pair: SlitPair
     values: np.ndarray
-    geom: SlitGeometry
-    units: PhysicalUnits | None
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=np.float64)
@@ -232,6 +225,10 @@ class ScreenPattern:
             )
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+
+    @property
+    def grid(self) -> GridSpec:
+        return self.pair.grid
 
 
 @dataclass(frozen=True)
@@ -275,8 +272,10 @@ class StoreyBound:
     satisfied: bool
 
 
-def assemble(geom: SlitGeometry, grid: GridSpec, detector: DetectorConfig) -> BranchState:
-    """Entangle the slit states with the detector.
+def assemble(
+    geom: SlitGeometry, grid: GridSpec, units: PhysicalUnits, detector: DetectorConfig
+) -> BranchState:
+    """Entangle the slit states of a run in ``units`` with the detector.
 
     The run is ``(psi1*d1 + psi2*d2)/sqrt2``, so the coefficient matrix is
     `detector_states` over ``sqrt2``: the computational-basis branches
@@ -286,7 +285,7 @@ def assemble(geom: SlitGeometry, grid: GridSpec, detector: DetectorConfig) -> Br
     with branch probabilities ``(1-c)/2, (1-c)/2, c``.
     """
     rows = detector_states(detector) * (1.0 / math.sqrt(2.0))
-    return BranchState(COMPUTATIONAL, rows, _slit_pair(geom, grid), detector)
+    return BranchState(COMPUTATIONAL, rows, _slit_pair(geom, grid, units), detector)
 
 
 def change_basis(state: BranchState, to: Basis) -> BranchState:
@@ -298,14 +297,14 @@ def change_basis(state: BranchState, to: Basis) -> BranchState:
     return replace(state, basis=to, coeffs=basis_matrix(state.basis, to) @ state.coeffs)
 
 
-def propagate_all(state: BranchState, units: PhysicalUnits) -> BranchState:
-    """Propagate every branch freely for ``units.t``.
+def propagate_all(state: BranchState) -> BranchState:
+    """Propagate every branch freely for the pair's ``units.t``.
 
     Propagation is linear, so it acts on the slit pair alone and commutes
     with :func:`change_basis`.  The wraparound guard reads the pair's own
     geometry; a state that has already flown raises ``ConfigurationError``.
     """
-    return replace(state, pair=state.pair.propagated(units))
+    return replace(state, pair=state.pair.landed)
 
 
 def screen_density(state: BranchState) -> ScreenPattern:
@@ -320,20 +319,20 @@ def screen_density(state: BranchState) -> ScreenPattern:
     cross = np.conj(psi1) * psi2
     cross *= 2.0 * m[0, 1]
     rho = m[0, 0].real * np.abs(psi1) ** 2 + m[1, 1].real * np.abs(psi2) ** 2 + cross.real
-    return ScreenPattern(state.grid, rho, state.pair.geom, state.pair.units)
+    return ScreenPattern(state.pair, rho)
 
 
 def _far_field_period(pattern: ScreenPattern) -> float:
-    geom, units = pattern.geom, pattern.units
-    if units is None:
+    pair, units = pattern.pair, pattern.pair.units
+    if pair.emitted is None:
         raise ConfigurationError("the pattern never flew, so it has no far-field fringes")
-    return 2.0 * math.pi * units.hbar * units.t / (units.mass * geom.d)
+    return 2.0 * math.pi * units.hbar * units.t / (units.mass * pair.geom.d)
 
 
 def fringe_window(pattern: ScreenPattern) -> tuple[float, float]:
     """Analysis window: two far-field fringe periods around x = d/2."""
     period = _far_field_period(pattern)
-    center = pattern.geom.d / 2.0
+    center = pattern.pair.geom.d / 2.0
     return (center - period, center + period)
 
 
@@ -353,9 +352,9 @@ def fringe_analysis(pattern: ScreenPattern) -> FringeAnalysis:
     Parameters
     ----------
     pattern : ScreenPattern
-        Far-field screen density.  Its geometry and flight set the window,
-        the fallback period and the centre ``d/2``; one that never flew
-        raises ``ConfigurationError``.
+        Far-field screen density.  Its pair's geometry and flight set the
+        window, the fallback period and the centre ``d/2``; one whose pair
+        never flew raises ``ConfigurationError``.
 
     Returns
     -------
@@ -409,11 +408,11 @@ def fringe_analysis(pattern: ScreenPattern) -> FringeAnalysis:
     return FringeAnalysis(
         visibility=float(visibility),
         fringe_period=float(period),
-        central_fringe_shift=float(central_max - pattern.geom.d / 2.0),
+        central_fringe_shift=float(central_max - pattern.pair.geom.d / 2.0),
     )
 
 
-def _comb_offset(pair: SlitPair, row_a: np.ndarray, row_b: np.ndarray, hbar: float) -> float:
+def _comb_offset(pair: SlitPair, row_a: np.ndarray, row_b: np.ndarray) -> float:
     """Momentum displacement of row ``a``'s fringe comb against row ``b``'s.
 
     Slit 2's spectrum is slit 1's times ``exp(-i*p*d/hbar)``, so ``|phi2| =
@@ -429,9 +428,8 @@ def _comb_offset(pair: SlitPair, row_a: np.ndarray, row_b: np.ndarray, hbar: flo
     EmptyBranchError
         If either row has no fringe comb (a vanishing comb projection).
     """
-    d = pair.geom.d
-    comb = pair.comb(hbar)
-    z_a, z_b = (np.vdot(r, comb @ r) for r in (row_a, row_b))
+    d, hbar = pair.geom.d, pair.units.hbar
+    z_a, z_b = (np.vdot(r, pair.comb @ r) for r in (row_a, row_b))
     if min(abs(z_a), abs(z_b)) < EMPTY_BRANCH_TOL:
         raise EmptyBranchError("no fringe comb to read a phase from")
     p0 = math.pi * hbar / d
@@ -442,20 +440,19 @@ def _comb_offset(pair: SlitPair, row_a: np.ndarray, row_b: np.ndarray, hbar: flo
     return float(offset)
 
 
-def kick_report(state: BranchState, units: PhysicalUnits) -> KickReport:
+def kick_report(state: BranchState) -> KickReport:
     """Momentum-kick bookkeeping, read in the symmetric basis.
 
     Parameters
     ----------
     state : BranchState
-        In any basis; the report re-expresses it in the symmetric one.  Its
-        pair's ``d`` sets ``p0 = pi*hbar/d`` and its detector supplies ``c``
-        and ``theta`` for the theory-side entries.
-    units : PhysicalUnits
-        Supplies ``hbar``.
+        In any basis, emitted or landed; the report re-expresses it in the
+        symmetric one.  Its pair's ``d`` and ``hbar`` set ``p0 =
+        pi*hbar/d``, and its detector supplies ``c`` and ``theta`` for the
+        theory-side entries.
     """
     sym = state if state.basis == SYMMETRIC else change_basis(state, SYMMETRIC)
-    geom, detector = state.pair.geom, state.detector
+    geom, units, detector = state.pair.geom, state.pair.units, state.detector
     probs = sym.branch_probabilities()
     f_branch = float(probs[1])
     p0 = math.pi * units.hbar / geom.d
@@ -463,7 +460,7 @@ def kick_report(state: BranchState, units: PhysicalUnits) -> KickReport:
         measured = None
     else:
         q_plus, q_minus = sym.coeffs[:2]
-        measured = _comb_offset(sym.pair, q_minus, q_plus, units.hbar)
+        measured = _comb_offset(sym.pair, q_minus, q_plus)
     return KickReport(
         p0=p0,
         p0_measured=measured,
@@ -474,7 +471,7 @@ def kick_report(state: BranchState, units: PhysicalUnits) -> KickReport:
     )
 
 
-def phase_kick_shift(state: BranchState, units: PhysicalUnits) -> float:
+def phase_kick_shift(state: BranchState) -> float:
     """Momentum displacement of the failure branch against the phase-free one.
 
     The failure branch ``(beta*psi1 + delta*psi2)/sqrt2`` is common to all
@@ -485,10 +482,10 @@ def phase_kick_shift(state: BranchState, units: PhysicalUnits) -> float:
     if state.branch_probabilities()[2] < EMPTY_BRANCH_TOL:
         raise EmptyBranchError("failure branch is empty; no phase kick to measure")
     phase_free = np.full(2, 1.0 / math.sqrt(2.0))
-    return _comb_offset(state.pair, state.coeffs[2], phase_free, units.hbar)
+    return _comb_offset(state.pair, state.coeffs[2], phase_free)
 
 
-def tilted_relative_kick(state: BranchState, units: PhysicalUnits, theta_prime: float) -> float:
+def tilted_relative_kick(state: BranchState, theta_prime: float) -> float:
     """Relative momentum kick between the two tilted interfering branches.
 
     Re-expresses ``state`` in the tilted basis with angle ``theta_prime``
@@ -500,7 +497,7 @@ def tilted_relative_kick(state: BranchState, units: PhysicalUnits, theta_prime: 
     if rotated.branch_probabilities()[:2].min() < EMPTY_BRANCH_TOL:
         raise EmptyBranchError("tilted branches are empty; no relative kick")
     q_plus, q_minus = rotated.coeffs[:2]
-    return _comb_offset(rotated.pair, q_minus, q_plus, units.hbar)
+    return _comb_offset(rotated.pair, q_minus, q_plus)
 
 
 def storey_bound_report(visibility: float) -> StoreyBound:
@@ -550,7 +547,7 @@ def sample_events(state: BranchState, count: int, seed: int) -> tuple[np.ndarray
         mask = codes == i
         if not mask.any():
             continue
-        cdf, edges = _cell_cdf(state.branch(i).density(), state.grid)
+        cdf, edges = _cell_cdf(state.branch(i).density(), state.pair.grid)
         xs[mask] = np.interp(u[mask, 1], cdf, edges)
     return codes, xs
 

@@ -105,12 +105,12 @@ class CheckResult:
 
 # The states the checks share; `experiment` memoizes the propagated slit pair.
 def _state(cfg: RunConfig, c: float, theta: float = 0.0) -> BranchState:
-    state = assemble(cfg.geometry, cfg.grid, DetectorConfig(c=c, theta=theta))
+    state = assemble(cfg.geometry, cfg.grid, cfg.units, DetectorConfig(c=c, theta=theta))
     return change_basis(state, SYMMETRIC)
 
 
 def _propagated(cfg: RunConfig, c: float, theta: float = 0.0) -> BranchState:
-    return propagate_all(_state(cfg, c, theta), cfg.units)
+    return propagate_all(_state(cfg, c, theta))
 
 
 def _pattern(cfg: RunConfig, c: float, theta: float = 0.0) -> ScreenPattern:
@@ -254,7 +254,7 @@ def _chk_exp_probs(cfg: RunConfig, tol: float) -> tuple[bool, str]:
     for c in _C_GRID:
         expected = np.array([(1.0 - c) / 2.0, (1.0 - c) / 2.0, c])
         for theta in (cfg.detector.theta, 1.0):
-            state = assemble(cfg.geometry, cfg.grid, DetectorConfig(c=c, theta=theta))
+            state = assemble(cfg.geometry, cfg.grid, cfg.units, DetectorConfig(c=c, theta=theta))
             for st in (state, change_basis(state, SYMMETRIC)):
                 probs = st.branch_probabilities()
                 worst = max(worst, float(np.abs(probs - expected).max()))
@@ -273,9 +273,9 @@ def _chk_exp_fail(cfg: RunConfig, tol: float) -> tuple[bool, str]:
 @_check("experiment.basis_invariance")
 def _chk_exp_basis(cfg: RunConfig, tol: float) -> tuple[bool, str]:
     # The configured state at emission, and a phased one after free flight.
-    emitted = assemble(cfg.geometry, cfg.grid, cfg.detector)
-    phased = assemble(cfg.geometry, cfg.grid, DetectorConfig(c=0.5, theta=0.8))
-    landed = propagate_all(phased, cfg.units)
+    emitted = assemble(cfg.geometry, cfg.grid, cfg.units, cfg.detector)
+    phased = assemble(cfg.geometry, cfg.grid, cfg.units, DetectorConfig(c=0.5, theta=0.8))
+    landed = propagate_all(phased)
     worst = 0.0
     for state, bases in (
         (emitted, (SYMMETRIC, tilted(math.pi / 4))),
@@ -336,7 +336,7 @@ def _chk_exp_kick(cfg: RunConfig, tol: float) -> tuple[bool, str]:
     p0 = math.pi * cfg.units.hbar / cfg.geometry.d
     worst = 0.0
     for c in _KICK_C_GRID:
-        report = kick_report(_state(cfg, c), cfg.units)
+        report = kick_report(_state(cfg, c))
         assert report.p0_measured is not None
         worst = max(worst, abs(report.p0_measured - p0) / dp)
     return worst <= tol, f"worst offset {worst:.3g} bins"
@@ -345,7 +345,7 @@ def _chk_exp_kick(cfg: RunConfig, tol: float) -> tuple[bool, str]:
 @_check("experiment.detector_kick")
 def _chk_exp_detector_kick(cfg: RunConfig, tol: float) -> tuple[bool, str]:
     det = cfg.detector
-    report = kick_report(_state(cfg, det.c, det.theta), cfg.units)
+    report = kick_report(_state(cfg, det.c, det.theta))
     if det.c == 1.0:
         ok = report.p0_measured is None
         return ok, (
@@ -367,7 +367,7 @@ def _chk_exp_tilted(cfg: RunConfig, tol: float) -> tuple[bool, str]:
     worst = 0.0
     state = _state(cfg, cfg.detector.c, cfg.detector.theta)
     for tp in _TILT_GRID:
-        worst = max(worst, abs(tilted_relative_kick(state, cfg.units, tp) - p0) / dp)
+        worst = max(worst, abs(tilted_relative_kick(state, tp) - p0) / dp)
     return worst <= tol, f"worst offset {worst:.3g} bins"
 
 
@@ -379,7 +379,7 @@ def _chk_exp_identity(cfg: RunConfig, tol: float) -> tuple[bool, str]:
     for ratio in (0.005, 0.01, 0.02, 0.05):
         geom = SlitGeometry(d=1.0, sigma=ratio)
         grid = GridSpec(n=2048, x_min=-0.78, x_max=1.78)
-        pair = SlitPair(slit_state(geom, grid, 1), slit_state(geom, grid, 2), geom)
+        pair = SlitPair(slit_state(geom, grid, 1), slit_state(geom, grid, 2), geom, cfg.units)
         measured = pair.kick_identity_residual
         oracle = math.sqrt(2.0 * (1.0 - math.exp(-math.pi**2 * ratio**2 / 2.0)))
         worst = max(worst, abs(measured - oracle) / oracle)
@@ -395,7 +395,7 @@ def _chk_exp_phase(cfg: RunConfig, tol: float) -> tuple[bool, str]:
     worst = 0.0
     for theta in _PHASE_GRID:
         state = _state(cfg, 0.5, theta)
-        shift = phase_kick_shift(state, cfg.units)
+        shift = phase_kick_shift(state)
         expected = theta * cfg.units.hbar / cfg.geometry.d
         worst = max(worst, abs(shift - expected) / dp)
     return worst <= tol, f"worst offset {worst:.3g} bins"

@@ -13,6 +13,7 @@ import stat
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from kickscope.cli import main
 from kickscope.config import load_config
 from kickscope.hilbert import COMPUTATIONAL, Basis
 from kickscope.verify import _CHECKS, TOLERANCES, run_suite
+from kickscope.wavepacket import apply_kick
 
 # 2^17 points keep every subcommand comfortably under two seconds while
 # leaving the propagated envelope (sigma(t) = 25) far from the box edges.
@@ -295,6 +297,24 @@ class TestCommitAsASet:
         assert sorted(p.name for p in out.iterdir()) == sorted(before)
         assert self._contents(out) == before
 
+    def test_a_directory_in_a_files_place_renames_nothing(self, cfg_path, tmp_path, capsys):
+        # momentum.csv is a directory: os.replace would move pattern.csv into
+        # place and then fail, leaving a mixed set.  The target is refused first.
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
+        (out / "momentum.csv").unlink()
+        (out / "momentum.csv").mkdir()
+        before = {name: (out / name).read_bytes() for name in ("pattern.csv", "summary.txt")}
+        path = tmp_path / "c025.cfg"
+        path.write_text(_reduced_with("detector.c = 0.25\n"))
+        capsys.readouterr()
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert str(out / "momentum.csv") in captured.err and "wrote" not in captured.out
+        assert sorted(p.name for p in out.iterdir()) == ["momentum.csv", *sorted(before)]
+        assert (out / "momentum.csv").is_dir()
+        assert {name: (out / name).read_bytes() for name in before} == before
+
 
 class TestFailureModes:
     def test_output_dir_key_is_unknown(self, tmp_path, monkeypatch, capsys):
@@ -484,6 +504,84 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert done.stdout.strip() == "False"
 
 
+def _scale_beta(real, cfg):
+    def defective(detector):
+        states = np.array(real(detector))
+        states[2, 0] *= 1.0 + 1e-3
+        return states
+
+    return defective
+
+
+def _conjugate_delta(real, cfg):
+    def defective(detector):
+        states = np.array(real(detector))
+        states[2, 1] = states[2, 1].conjugate()
+        return states
+
+    return defective
+
+
+def _stretch_flight(real, cfg):
+    return lambda psi, geom, units: real(psi, geom, replace(units, t=units.t * (1.0 + 1e-6)))
+
+
+def _scale_row_1(real, cfg):
+    def defective(basis):
+        m = real(basis)
+        m[1] *= 1.0 + 1e-9
+        return m
+
+    return defective
+
+
+def _boost_slit_2(real, cfg):
+    def defective(geom, grid, slit):
+        psi = real(geom, grid, slit)
+        if slit != 2:
+            return psi
+        hbar = cfg.units.hbar
+        return apply_kick(psi, 0.01 * grid.dp(hbar), hbar=hbar)
+
+    return defective
+
+
+# Each planted defect: the modules whose binding of ``name`` is patched, the
+# defect, and the checks it must turn red on REDUCED.
+DEFECTS = {
+    "beta-scaled": (
+        (experiment, verify_module),
+        "detector_states",
+        _scale_beta,
+        ("hilbert.normalization", "experiment.branch_probabilities"),
+    ),
+    "delta-conjugated": (
+        (experiment, verify_module),
+        "detector_states",
+        _conjugate_delta,
+        ("hilbert.normalization", "experiment.phase_kick"),
+    ),
+    "flight-stretched": (
+        (experiment,),
+        "propagate_fft",
+        _stretch_flight,
+        ("wavepacket.propagator_agreement", "experiment.density_formula"),
+    ),
+    "basis-row-scaled": (
+        (Basis,),
+        "matrix_from_computational",
+        _scale_row_1,
+        ("hilbert.unitarity", "experiment.basis_invariance"),
+    ),
+    "slit-2-boosted": (
+        (experiment, verify_module),
+        "slit_state",
+        _boost_slit_2,
+        ("experiment.density_formula", "wavepacket.propagator_agreement"),
+    ),
+}
+
+
 class TestVerifyCommand:
     def test_passes_on_reduced_config(self, cfg_path, capsys):
         assert main(["verify", "--config", cfg_path]) == 0
@@ -551,6 +649,22 @@ class TestVerifyCommand:
         assert check(cfg, 1.0).status == at_one_bin
 
 
+    @pytest.mark.parametrize("defect", DEFECTS)
+    def test_planted_defect_turns_its_checks_red(self, cfg_path, monkeypatch, defect):
+        owners, name, plant, names = DEFECTS[defect]
+        cfg = load_config(cfg_path)
+        for owner in owners:
+            monkeypatch.setattr(owner, name, plant(getattr(owner, name), cfg))
+        checks = dict(_CHECKS)
+        # The memoized slit pair would carry the defect into later tests.
+        experiment._slit_pair.cache_clear()
+        try:
+            status = {check: checks[check](cfg, TOLERANCES[check]).status for check in names}
+        finally:
+            experiment._slit_pair.cache_clear()
+        assert status == dict.fromkeys(names, "FAIL")
+
+
 def test_scan_and_verify_propagate_the_slit_pair_once(cfg_path, tmp_path, monkeypatch):
     # Every c shares one slit pair, so scan propagates two states however
     # many c-values it sweeps, and so does verify: propagator_agreement
@@ -576,7 +690,8 @@ def test_scan_and_verify_propagate_the_slit_pair_once(cfg_path, tmp_path, monkey
 
 def test_kick_analysis_transforms_the_slit_pair_once(cfg_path, tmp_path, monkeypatch):
     # Kicks are read off the pair's comb matrix, which costs one transform
-    # per slit; no detector setting adds a full-grid FFT of its own.
+    # per slit; no detector setting adds a full-grid FFT of its own.  run
+    # adds one per slit for momentum.csv.
     calls = []
     real = experiment.to_momentum
 
@@ -585,14 +700,15 @@ def test_kick_analysis_transforms_the_slit_pair_once(cfg_path, tmp_path, monkeyp
         return real(psi, hbar=hbar)
 
     monkeypatch.setattr(experiment, "to_momentum", counting)
-    experiment._slit_pair.cache_clear()
-    argv = ["scan", "--config", cfg_path, "--out", str(tmp_path), "--c-values", "0,0.25,0.5,0.75,1"]
-    assert main(argv) == 0
-    assert len(calls) == 2
-    calls.clear()
-    experiment._slit_pair.cache_clear()
-    assert main(["verify", "--config", cfg_path]) == 0
-    assert len(calls) <= 2
+    for argv, count in (
+        (["scan", "--out", str(tmp_path), "--c-values", "0,0.25,0.5,0.75,1"], 2),
+        (["verify"], 2),
+        (["run", "--out", str(tmp_path)], 4),
+    ):
+        calls.clear()
+        experiment._slit_pair.cache_clear()
+        assert main([*argv, "--config", cfg_path]) == 0
+        assert len(calls) == count, argv[0]
 
 
 def test_scan_computes_the_kick_identity_residual_once(cfg_path, tmp_path, monkeypatch):

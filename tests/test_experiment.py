@@ -58,24 +58,24 @@ RESIDUAL_BY_RATIO = {
 FRINGE_PERIOD_T005 = 0.3141592653589793  # 2*pi*hbar*t/(m*d) at t = 0.05
 
 
-def make_state(geom, grid, c, theta=0.0, basis=SYMMETRIC):
-    state = assemble(geom, grid, DetectorConfig(c=c, theta=theta))
+def make_state(geom, grid, units, c, theta=0.0, basis=SYMMETRIC):
+    state = assemble(geom, grid, units, DetectorConfig(c=c, theta=theta))
     return change_basis(state, basis)
 
 
-def own_pair(geom, grid):
+def own_pair(geom, grid, units):
     """A fresh slit pair of ``geom``, not the one `assemble` memoizes."""
-    return SlitPair(slit_state(geom, grid, 1), slit_state(geom, grid, 2), geom)
+    return SlitPair(slit_state(geom, grid, 1), slit_state(geom, grid, 2), geom, units)
 
 
 def state_on(pair, c, theta=0.0):
     """A symmetric-basis state built on ``pair``."""
-    return replace(make_state(pair.geom, pair.grid, c, theta), pair=pair)
+    return replace(make_state(pair.geom, pair.grid, pair.units, c, theta), pair=pair)
 
 
 class TestAssembly:
-    def test_branch_probabilities(self, geom, grid):
-        state = assemble(geom, grid, DetectorConfig(c=0.36))
+    def test_branch_probabilities(self, geom, grid, units):
+        state = assemble(geom, grid, units, DetectorConfig(c=0.36))
         assert_allclose(
             state.branch_probabilities(), [0.32, 0.32, 0.36], rtol=0, atol=1e-12
         )
@@ -95,26 +95,26 @@ class TestAssembly:
         # splits the success sector into two equal halves.
         geom = SlitGeometry(d=1.0, sigma=0.02)
         grid = GridSpec(n=8192, x_min=0.5 - 20.48, x_max=0.5 + 20.48)
-        state = make_state(geom, grid, c=c, theta=theta, basis=basis)
+        state = make_state(geom, grid, PhysicalUnits(t=0.05), c=c, theta=theta, basis=basis)
         want = [(1.0 - c) / 2.0, (1.0 - c) / 2.0, c]
         assert_allclose(state.branch_probabilities(), want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("theta", [0.0, math.pi / 3, -1.0])
-    def test_probabilities_survive_basis_changes(self, geom, grid, theta):
+    def test_probabilities_survive_basis_changes(self, geom, grid, units, theta):
         # The packets don't overlap, so each basis splits the success
         # sector into two equal halves regardless of the detector phase.
-        state = make_state(geom, grid, c=0.36, theta=theta, basis=SYMMETRIC)
+        state = make_state(geom, grid, units, c=0.36, theta=theta, basis=SYMMETRIC)
         assert_allclose(
             state.branch_probabilities(), [0.32, 0.32, 0.36], rtol=0, atol=1e-12
         )
 
-    def test_failure_probability_equals_c(self, geom, grid):
+    def test_failure_probability_equals_c(self, geom, grid, units):
         for c in (0.0, 0.25, 0.7, 1.0):
-            state = assemble(geom, grid, DetectorConfig(c=c))
+            state = assemble(geom, grid, units, DetectorConfig(c=c))
             assert_allclose(state.branch_probabilities()[2], c, rtol=0, atol=1e-12)
 
-    def test_basis_round_trip(self, geom, grid):
-        state = assemble(geom, grid, DetectorConfig(c=0.36, theta=0.9))
+    def test_basis_round_trip(self, geom, grid, units):
+        state = assemble(geom, grid, units, DetectorConfig(c=0.36, theta=0.9))
         back = change_basis(change_basis(state, tilted(0.7)), state.basis)
         for i in range(3):
             assert_allclose(
@@ -122,20 +122,20 @@ class TestAssembly:
             )
 
     def test_propagation_commutes_with_basis_change(self, geom, grid, units):
-        state = assemble(geom, grid, DetectorConfig(c=0.5, theta=0.4))
-        a = change_basis(propagate_all(state, units), SYMMETRIC)
-        b = propagate_all(change_basis(state, SYMMETRIC), units)
+        state = assemble(geom, grid, units, DetectorConfig(c=0.5, theta=0.4))
+        a = change_basis(propagate_all(state), SYMMETRIC)
+        b = propagate_all(change_basis(state, SYMMETRIC))
         for i in range(3):
             assert np.max(np.abs(a.branch(i).amplitudes - b.branch(i).amplitudes)) <= 1e-12
 
-    def test_branches_must_share_grid(self, geom, grid):
+    def test_branches_must_share_grid(self, geom, grid, units):
         # Every branch is built from one slit pair, so the pair carries the
         # one-grid invariant.
         other = GridSpec(n=grid.n, x_min=grid.x_min - 1.0, x_max=grid.x_max - 1.0)
         psi = slit_state(geom, grid, 1)
         stray = slit_state(geom, other, 2)
         with pytest.raises(ConfigurationError):
-            SlitPair(psi, stray, geom)
+            SlitPair(psi, stray, geom, units)
 
 
 class TestSlitPairOracle:
@@ -163,8 +163,8 @@ class TestSlitPairOracle:
         ]
         landed = [propagate_fft(b, geom, units) for b in emitted]
 
-        state = change_basis(assemble(geom, grid, detector), basis)
-        propagated = propagate_all(state, units)
+        state = change_basis(assemble(geom, grid, units, detector), basis)
+        propagated = propagate_all(state)
         for st, oracle in ((state, emitted), (propagated, landed)):
             assert_allclose(
                 st.branch_probabilities(), [b.norm() for b in oracle], rtol=0, atol=1e-12
@@ -172,15 +172,15 @@ class TestSlitPairOracle:
             assert_allclose(
                 screen_density(st).values, sum(b.density() for b in oracle), rtol=0, atol=1e-12
             )
-            for got, branch in zip(st.pair.spectra(st.coeffs, units.hbar), oracle):
+            for got, branch in zip(st.pair.spectra(st.coeffs), oracle):
                 want = to_momentum(branch, hbar=units.hbar).amplitudes
                 assert_allclose(got.amplitudes, want, rtol=0, atol=1e-12)
 
 
 class TestScreenDensity:
     def test_basis_invariance(self, geom, grid, units):
-        state = assemble(geom, grid, DetectorConfig(c=0.5, theta=0.8))
-        propagated = propagate_all(state, units)
+        state = assemble(geom, grid, units, DetectorConfig(c=0.5, theta=0.8))
+        propagated = propagate_all(state)
         rho_comp = screen_density(propagated).values
         for basis in (SYMMETRIC, tilted(1.1)):
             rho = screen_density(change_basis(propagated, basis)).values
@@ -190,8 +190,8 @@ class TestScreenDensity:
     def test_matches_direct_formula(self, geom, grid, units, c, theta):
         # rho = (|psi1|^2 + |psi2|^2)/2 + Re[<d1|d2> psi1* psi2] needs no
         # branch decomposition at all; the three-branch sum must agree.
-        state = make_state(geom, grid, c=c, theta=theta)
-        rho = screen_density(propagate_all(state, units)).values
+        state = make_state(geom, grid, units, c=c, theta=theta)
+        rho = screen_density(propagate_all(state)).values
         psi1 = propagate_analytic(geom, grid, units, slit=1).amplitudes
         psi2 = propagate_analytic(geom, grid, units, slit=2).amplitudes
         overlap = c * np.exp(1j * theta)
@@ -201,22 +201,22 @@ class TestScreenDensity:
         assert np.max(np.abs(rho - direct)) <= 1e-10
 
     def test_pattern_total_is_one(self, geom, grid, units):
-        state = make_state(geom, grid, c=0.3)
-        pattern = screen_density(propagate_all(state, units))
+        state = make_state(geom, grid, units, c=0.3)
+        pattern = screen_density(propagate_all(state))
         assert_allclose(pattern.values.sum() * grid.dx, 1.0, rtol=0, atol=1e-12)
 
 
 def conditional_pattern(state, i):
     """Branch ``i``'s screen pattern given that its outcome fired."""
     rho = state.branch(i).density() / state.branch_probabilities()[i]
-    return ScreenPattern(state.grid, rho, state.pair.geom, state.pair.units)
+    return ScreenPattern(state.pair, rho)
 
 
 class TestConditionalDensity:
     def test_success_and_failure_agree_when_phase_free(self, geom, grid, units):
         # At theta = 0 both the q+ and failure branches hold the same
         # symmetric superposition, so their patterns are identical.
-        state = propagate_all(make_state(geom, grid, c=0.5), units)
+        state = propagate_all(make_state(geom, grid, units, c=0.5))
         p_plus, _, p_fail = state.branch_probabilities()
         rho_plus = conditional_pattern(state, 0)
         rho_fail = conditional_pattern(state, 2)
@@ -225,14 +225,14 @@ class TestConditionalDensity:
         assert np.max(np.abs(rho_plus.values - rho_fail.values)) <= 1e-10
 
     def test_kicked_branch_is_half_period_out_of_step(self, geom, grid, units):
-        state = propagate_all(make_state(geom, grid, c=0.5), units)
+        state = propagate_all(make_state(geom, grid, units, c=0.5))
         fr = fringe_analysis(conditional_pattern(state, 1))
         assert_allclose(
             abs(fr.central_fringe_shift), FRINGE_PERIOD_T005 / 2.0, atol=2 * grid.dx
         )
 
     def test_conditioned_patterns_are_normalized(self, geom, grid, units):
-        state = propagate_all(make_state(geom, grid, c=0.36, theta=1.0), units)
+        state = propagate_all(make_state(geom, grid, units, c=0.36, theta=1.0))
         for i in range(3):
             rho = conditional_pattern(state, i)
             assert_allclose(rho.values.sum() * grid.dx, 1.0, rtol=0, atol=1e-12)
@@ -240,18 +240,18 @@ class TestConditionalDensity:
 
 class TestFringes:
     def test_window_brackets_two_periods(self, geom, grid, units):
-        lo, hi = fringe_window(screen_density(propagate_all(make_state(geom, grid, c=0.5), units)))
+        lo, hi = fringe_window(screen_density(propagate_all(make_state(geom, grid, units, c=0.5))))
         assert_allclose(lo, 0.5 - FRINGE_PERIOD_T005, rtol=0, atol=1e-15)
         assert_allclose(hi, 0.5 + FRINGE_PERIOD_T005, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("c", [0.0, 0.25, 0.5, 0.75, 1.0])
     def test_visibility_tracks_overlap(self, geom, grid, units, c):
-        state = propagate_all(make_state(geom, grid, c=c), units)
+        state = propagate_all(make_state(geom, grid, units, c=c))
         fr = fringe_analysis(screen_density(state))
         assert abs(fr.visibility - c) <= 0.02
 
     def test_full_visibility_pattern(self, geom, grid, units):
-        state = propagate_all(make_state(geom, grid, c=1.0), units)
+        state = propagate_all(make_state(geom, grid, units, c=1.0))
         fr = fringe_analysis(screen_density(state))
         assert fr.visibility >= 0.995
         assert_allclose(fr.fringe_period, FRINGE_PERIOD_T005, rtol=0.02)
@@ -259,7 +259,7 @@ class TestFringes:
 
     def test_rejects_malformed_window(self, geom, grid):
         # At t = 0 the far-field period is zero, so the window is empty.
-        landed = propagate_all(make_state(geom, grid, c=1.0), PhysicalUnits(t=0.0))
+        landed = propagate_all(make_state(geom, grid, PhysicalUnits(t=0.0), c=1.0))
         pattern = screen_density(landed)
         assert fringe_window(pattern) == (0.5, 0.5)
         with pytest.raises(ConfigurationError, match="analysis window"):
@@ -267,23 +267,23 @@ class TestFringes:
 
 
 class TestKickIdentity:
-    def test_matches_closed_form(self):
+    def test_matches_closed_form(self, units):
         grid = GridSpec(n=2048, x_min=-0.78, x_max=1.78)
         for ratio, expected in RESIDUAL_BY_RATIO.items():
-            got = own_pair(SlitGeometry(d=1.0, sigma=ratio), grid).kick_identity_residual
+            got = own_pair(SlitGeometry(d=1.0, sigma=ratio), grid, units).kick_identity_residual
             assert_allclose(got, expected, rtol=1e-9)
 
-    def test_monotone_in_slit_width(self):
+    def test_monotone_in_slit_width(self, units):
         grid = GridSpec(n=2048, x_min=-0.78, x_max=1.78)
         values = [
-            own_pair(SlitGeometry(d=1.0, sigma=r), grid).kick_identity_residual
+            own_pair(SlitGeometry(d=1.0, sigma=r), grid, units).kick_identity_residual
             for r in sorted(RESIDUAL_BY_RATIO)
         ]
         assert all(a < b for a, b in zip(values, values[1:]))
 
-    def test_narrow_slit_is_small(self):
+    def test_narrow_slit_is_small(self, units):
         grid = GridSpec(n=2048, x_min=-0.78, x_max=1.78)
-        assert own_pair(SlitGeometry(d=1.0, sigma=0.01), grid).kick_identity_residual <= 0.05
+        assert own_pair(SlitGeometry(d=1.0, sigma=0.01), grid, units).kick_identity_residual <= 0.05
 
 
 class TestMomentumShift:
@@ -329,22 +329,22 @@ class TestCombForms:
     @pytest.mark.parametrize("theta", ORACLE_THETA)
     @pytest.mark.parametrize("c", ORACLE_C)
     def test_kicks_match_the_full_grid_oracle(self, geom, grid, units, c, theta):
-        state = make_state(geom, grid, c=c, theta=theta)
-        hbar, d, s = units.hbar, geom.d, 1.0 / math.sqrt(2.0)
-        q_plus, q_minus, _ = state.pair.spectra(state.coeffs, hbar)
-        report = kick_report(state, units)
+        state = make_state(geom, grid, units, c=c, theta=theta)
+        d, s = geom.d, 1.0 / math.sqrt(2.0)
+        q_plus, q_minus, _ = state.pair.spectra(state.coeffs)
+        report = kick_report(state)
         assert abs(report.p0_measured - _comb_shift(q_minus, q_plus, d)) <= 1e-12
         for tilt in ORACLE_TILTS:
             rotated = change_basis(state, tilted(tilt))
-            q_plus, q_minus, _ = rotated.pair.spectra(rotated.coeffs, hbar)
-            shift = tilted_relative_kick(state, units, tilt)
+            q_plus, q_minus, _ = rotated.pair.spectra(rotated.coeffs)
+            shift = tilted_relative_kick(state, tilt)
             assert abs(shift - _comb_shift(q_minus, q_plus, d)) <= 1e-12
             if c == 0.0:
                 with pytest.raises(EmptyBranchError):
-                    phase_kick_shift(rotated, units)
+                    phase_kick_shift(rotated)
                 continue
-            q3, phase_free = rotated.pair.spectra([rotated.coeffs[2], (s, s)], hbar)
-            shift = phase_kick_shift(rotated, units)
+            q3, phase_free = rotated.pair.spectra([rotated.coeffs[2], (s, s)])
+            shift = phase_kick_shift(rotated)
             assert abs(shift - _comb_shift(q3, phase_free, d)) <= 1e-12
 
     @settings(max_examples=60, deadline=None)
@@ -352,25 +352,25 @@ class TestCombForms:
     def test_comb_phase_form_matches_full_grid_projection(self, a, b):
         geom = SlitGeometry(d=1.0, sigma=0.02)
         grid = GridSpec(n=8192, x_min=0.5 - 20.48, x_max=0.5 + 20.48)
-        pair = make_state(geom, grid, c=0.5).pair
+        pair = make_state(geom, grid, PhysicalUnits(t=0.05), c=0.5).pair
         row = np.array([a, b])
-        form = np.vdot(row, pair.comb(1.0) @ row)
-        oracle = _comb_projection(pair.spectra([row], 1.0)[0], geom.d)
+        form = np.vdot(row, pair.comb @ row)
+        oracle = _comb_projection(pair.spectra([row])[0], geom.d)
         assert abs(form - oracle) <= 1e-12 * abs(oracle)
 
     def test_a_row_without_fringes_raises(self, geom, grid, units):
         # One slit alone has a smooth spectrum: no comb, so no phase.
-        pair = make_state(geom, grid, c=0.5).pair
+        pair = make_state(geom, grid, units, c=0.5).pair
         one_slit, both = np.array([1.0, 0.0]), np.full(2, 1.0 / math.sqrt(2.0))
         with pytest.raises(EmptyBranchError):
-            _comb_offset(pair, one_slit, both, units.hbar)
+            _comb_offset(pair, one_slit, both)
 
 
 class TestKickReport:
     def test_report_against_theory(self, geom, grid, units):
         c = 0.36
-        state = make_state(geom, grid, c=c, theta=math.pi / 3)
-        report = kick_report(state, units)
+        state = make_state(geom, grid, units, c=c, theta=math.pi / 3)
+        report = kick_report(state)
         dp = to_momentum(state.branch(0), hbar=units.hbar).dp
         assert_allclose(report.p0, math.pi, rtol=0, atol=1e-15)
         assert_allclose(report.F_k_theory, 0.32, rtol=0, atol=1e-15)
@@ -381,30 +381,30 @@ class TestKickReport:
 
     @pytest.mark.parametrize("c", [0.1, 0.5, 0.9])
     def test_measured_kick_within_one_bin(self, geom, grid, units, c):
-        state = make_state(geom, grid, c=c)
-        report = kick_report(state, units)
+        state = make_state(geom, grid, units, c=c)
+        report = kick_report(state)
         dp = to_momentum(state.branch(0), hbar=units.hbar).dp
         assert abs(report.p0_measured - math.pi) <= dp
 
     def test_kick_survives_propagation(self, geom, grid, units):
         # |Phi|^2 is invariant under free flight, so the estimate is too.
-        state = make_state(geom, grid, c=0.5)
-        before = kick_report(state, units)
-        after = kick_report(propagate_all(state, units), units)
+        state = make_state(geom, grid, units, c=0.5)
+        before = kick_report(state)
+        after = kick_report(propagate_all(state))
         assert before.p0_measured == after.p0_measured
 
     def test_a_landed_read_asks_the_pair_it_flew_from(self, geom, grid, units, monkeypatch):
         # Free flight multiplies both slit spectra by one phase, so a landed
         # state's kicks are its emission pair's, to the bit and with no FFT.
-        state = state_on(own_pair(geom, grid), c=0.36, theta=1.0)
+        state = state_on(own_pair(geom, grid, units), c=0.36, theta=1.0)
 
         def reads(s):
-            report = kick_report(s, units)
+            report = kick_report(s)
             return (
                 report.p0_measured,
                 report.kick_identity_residual,
-                phase_kick_shift(s, units),
-                tilted_relative_kick(s, units, 0.7),
+                phase_kick_shift(s),
+                tilted_relative_kick(s, 0.7),
             )
 
         emitted = reads(state)
@@ -416,11 +416,11 @@ class TestKickReport:
             return real(psi, hbar=hbar)
 
         monkeypatch.setattr(experiment, "to_momentum", counting)
-        assert reads(propagate_all(state, units)) == emitted
+        assert reads(propagate_all(state)) == emitted
         assert calls == []
 
     def test_everything_fails_at_full_overlap(self, geom, grid, units):
-        report = kick_report(make_state(geom, grid, c=1.0), units)
+        report = kick_report(make_state(geom, grid, units, c=1.0))
         assert report.p0_measured is None
         assert report.F_k_branch == pytest.approx(0.0, abs=1e-12)
 
@@ -431,8 +431,8 @@ class TestKickReport:
     )
     def test_reads_any_basis_as_the_symmetric_one(self, geom, grid, units, basis):
         # tilted(-0.0) is the symmetric basis under another name.
-        want = astuple(kick_report(make_state(geom, grid, c=0.36, theta=1.0), units))
-        got = astuple(kick_report(make_state(geom, grid, c=0.36, theta=1.0, basis=basis), units))
+        want = astuple(kick_report(make_state(geom, grid, units, c=0.36, theta=1.0)))
+        got = astuple(kick_report(make_state(geom, grid, units, c=0.36, theta=1.0, basis=basis)))
         if basis == COMPUTATIONAL:
             assert got == want  # the same basis change, so the same bits
         else:
@@ -447,30 +447,42 @@ class TestStateCarriesItsSetup:
         # 2^17-point box cannot hold; a sigma = 0.04 pair fits on the same grid.
         grid = GridSpec(n=2**17, x_min=0.5 - 163.84, x_max=0.5 + 163.84)
         units = PhysicalUnits(t=1.0)
-        narrow = make_state(SlitGeometry(d=1.0, sigma=0.01), grid, c=0.5)
+        narrow = make_state(SlitGeometry(d=1.0, sigma=0.01), grid, units, c=0.5)
         with pytest.raises(ConfigurationError, match="wraparound"):
-            propagate_all(narrow, units)
-        wide = make_state(SlitGeometry(d=1.0, sigma=0.04), grid, c=0.5)
-        assert propagate_all(wide, units).pair.geom == wide.pair.geom
+            propagate_all(narrow)
+        wide = make_state(SlitGeometry(d=1.0, sigma=0.04), grid, units, c=0.5)
+        assert propagate_all(wide).pair.geom == wide.pair.geom
 
     def test_kicks_read_the_pairs_separation(self, units):
         # A pair built at d = 2 has its fringe comb at d/hbar = 2.
         d, theta, s = 2.0, math.pi / 3, 1.0 / math.sqrt(2.0)
         grid = GridSpec(n=8192, x_min=d / 2 - 20.48, x_max=d / 2 + 20.48)
-        state = make_state(SlitGeometry(d=d, sigma=0.02), grid, c=0.5, theta=theta)
+        state = make_state(SlitGeometry(d=d, sigma=0.02), grid, units, c=0.5, theta=theta)
         hbar, tol = units.hbar, 1e-9 * grid.dp(units.hbar)
-        report = kick_report(state, units)
+        report = kick_report(state)
         assert report.p0 == math.pi * hbar / d
         assert report.p_e == theta * hbar / d
-        q_plus, q_minus, q3, phase_free = state.pair.spectra([*state.coeffs, (s, s)], hbar)
+        q_plus, q_minus, q3, phase_free = state.pair.spectra([*state.coeffs, (s, s)])
         assert abs(report.p0_measured - _comb_shift(q_minus, q_plus, d)) <= tol
         assert abs(report.p0_measured - report.p0) <= tol
-        assert abs(phase_kick_shift(state, units) - _comb_shift(q3, phase_free, d)) <= tol
+        assert abs(phase_kick_shift(state) - _comb_shift(q3, phase_free, d)) <= tol
         for tilt in (math.pi / 4, 1.0):
             rotated = change_basis(state, tilted(tilt))
-            t_plus, t_minus, _ = rotated.pair.spectra(rotated.coeffs, hbar)
-            shift = tilted_relative_kick(state, units, tilt)
+            t_plus, t_minus, _ = rotated.pair.spectra(rotated.coeffs)
+            shift = tilted_relative_kick(state, tilt)
             assert abs(shift - _comb_shift(t_minus, t_plus, d)) <= tol
+
+    def test_kick_and_fringes_read_the_pairs_units(self, geom, grid):
+        # hbar = 2 doubles the kick, p0 = 2*pi/d, and t = 0.025 keeps the
+        # conftest flight's fringe period 2*pi*hbar*t/(m*d) = pi/10.
+        units = PhysicalUnits(hbar=2.0, t=0.025)
+        landed = propagate_all(make_state(geom, grid, units, c=0.5))
+        report = kick_report(landed)
+        assert abs(report.p0_measured - 2.0 * math.pi / geom.d) <= 1e-9 * grid.dp(units.hbar)
+        period = 2.0 * math.pi * units.hbar * units.t / (units.mass * geom.d)
+        assert_allclose(fringe_analysis(screen_density(landed)).fringe_period, period, rtol=0.01)
+        with pytest.raises(ConfigurationError, match="already flown"):
+            propagate_all(landed)
 
     def test_residual_is_the_pairs_own(self, units):
         # Slit 2 built 1.05 from slit 1 under d = 1.  With g = exp(-pi^2
@@ -479,10 +491,10 @@ class TestStateCarriesItsSetup:
         geom = SlitGeometry(d=1.0, sigma=0.02)
         grid = GridSpec(n=2**17, x_min=-327.18, x_max=328.18)
         stray = slit_state(SlitGeometry(d=1.05, sigma=0.02), grid, 2)
-        state = state_on(SlitPair(slit_state(geom, grid, 1), stray, geom), c=0.5)
+        state = state_on(SlitPair(slit_state(geom, grid, 1), stray, geom, units), c=0.5)
         g = math.exp(-(math.pi**2) * geom.sigma**2 / 2.0)
         want = math.sqrt(2.0 - g * (1.0 - math.cos(1.05 * math.pi)))
-        assert_allclose(kick_report(state, units).kick_identity_residual, want, rtol=1e-9)
+        assert_allclose(kick_report(state).kick_identity_residual, want, rtol=1e-9)
 
 
 class TestPatternCarriesItsFlight:
@@ -492,57 +504,58 @@ class TestPatternCarriesItsFlight:
         # The demos' 2^17 grid at t = 1, with the slits 1.05 apart.
         d, units = 1.05, PhysicalUnits(t=1.0)
         grid = GridSpec(n=2**17, x_min=-327.18, x_max=328.18)
-        state = make_state(SlitGeometry(d=d, sigma=0.02), grid, c=0.5)
-        fr = fringe_analysis(screen_density(propagate_all(state, units)))
+        state = make_state(SlitGeometry(d=d, sigma=0.02), grid, units, c=0.5)
+        fr = fringe_analysis(screen_density(propagate_all(state)))
         assert abs(fr.central_fringe_shift) <= 2 * grid.dx
         period = 2.0 * math.pi * units.hbar * units.t / (units.mass * d)
         assert_allclose(fr.fringe_period, period, rtol=0.01)
 
-    def test_emission_pattern_has_no_window(self, geom, grid):
-        pattern = screen_density(make_state(geom, grid, c=0.5))
-        assert pattern.units is None
+    def test_emission_pattern_has_no_window(self, geom, grid, units):
+        pattern = screen_density(make_state(geom, grid, units, c=0.5))
+        assert pattern.pair.emitted is None
         for analysis in (fringe_window, fringe_analysis):
             with pytest.raises(ConfigurationError, match="never flew"):
                 analysis(pattern)
 
     def test_a_landed_state_cannot_fly_again(self, geom, grid, units):
-        landed = propagate_all(make_state(geom, grid, c=0.5), units)
-        assert landed.pair.units == units
+        state = make_state(geom, grid, units, c=0.5)
+        landed = propagate_all(state)
+        assert landed.pair.emitted is state.pair and landed.pair.units == units
         with pytest.raises(ConfigurationError, match="already flown"):
-            propagate_all(landed, units)
+            propagate_all(landed)
 
 
 class TestPhaseKick:
     @pytest.mark.parametrize("theta", [math.pi / 4, math.pi / 2, math.pi])
     def test_failure_branch_shift_is_theta_over_d(self, geom, grid, units, theta):
-        state = make_state(geom, grid, c=0.5, theta=theta)
-        shift = phase_kick_shift(state, units)
+        state = make_state(geom, grid, units, c=0.5, theta=theta)
+        shift = phase_kick_shift(state)
         dp = to_momentum(state.branch(2), hbar=units.hbar).dp
         assert abs(shift - theta) <= dp
 
     def test_no_phase_no_kick(self, geom, grid, units):
-        state = make_state(geom, grid, c=0.5)
-        assert abs(phase_kick_shift(state, units)) <= 1e-15
+        state = make_state(geom, grid, units, c=0.5)
+        assert abs(phase_kick_shift(state)) <= 1e-15
 
     def test_phase_leaves_visibility_alone(self, geom, grid, units):
         base = fringe_analysis(
-            screen_density(propagate_all(make_state(geom, grid, c=0.5), units))
+            screen_density(propagate_all(make_state(geom, grid, units, c=0.5)))
         )
         shifted = fringe_analysis(
-            screen_density(propagate_all(make_state(geom, grid, c=0.5, theta=2.0), units))
+            screen_density(propagate_all(make_state(geom, grid, units, c=0.5, theta=2.0)))
         )
         assert abs(shifted.visibility - base.visibility) <= 0.01
 
     def test_empty_failure_branch_raises(self, geom, grid, units):
         with pytest.raises(EmptyBranchError):
-            phase_kick_shift(make_state(geom, grid, c=0.0), units)
+            phase_kick_shift(make_state(geom, grid, units, c=0.0))
 
 
 class TestTiltedKick:
     @pytest.mark.parametrize("theta_prime", [0.0, math.pi / 4, math.pi / 2])
     def test_relative_kick_is_always_half_a_fringe(self, geom, grid, units, theta_prime):
-        state = make_state(geom, grid, c=0.5)
-        shift = tilted_relative_kick(state, units, theta_prime)
+        state = make_state(geom, grid, units, c=0.5)
+        shift = tilted_relative_kick(state, theta_prime)
         dp = to_momentum(state.branch(0), hbar=units.hbar).dp
         assert abs(shift - math.pi) <= dp
 
@@ -550,7 +563,7 @@ class TestTiltedKick:
     def test_branches_slide_with_the_tilt(self, geom, grid, units, theta_prime):
         # Each tilted branch individually shifts by -theta'*hbar/d (mod a
         # full momentum fringe); only the relative kick is tilt-free.
-        state = change_basis(make_state(geom, grid, c=0.5), tilted(theta_prime))
+        state = change_basis(make_state(geom, grid, units, c=0.5), tilted(theta_prime))
         # The detector-free superposition (psi1 + psi2)/sqrt2.
         psi1, psi2 = (slit_state(geom, grid, s).amplitudes for s in (1, 2))
         ref = to_momentum(Wavefunction(grid, (psi1 + psi2) / math.sqrt(2.0)), hbar=units.hbar)
@@ -560,7 +573,7 @@ class TestTiltedKick:
 
     def test_empty_branches_raise(self, geom, grid, units):
         with pytest.raises(EmptyBranchError):
-            tilted_relative_kick(make_state(geom, grid, c=1.0), units, 0.5)
+            tilted_relative_kick(make_state(geom, grid, units, c=1.0), 0.5)
 
 
 class TestStoreyBound:
@@ -578,27 +591,27 @@ class TestStoreyBound:
 
 class TestSampling:
     def test_same_seed_same_events(self, geom, grid, units):
-        state = propagate_all(make_state(geom, grid, c=0.5), units)
+        state = propagate_all(make_state(geom, grid, units, c=0.5))
         codes_a, xs_a = sample_events(state, 2000, seed=11)
         codes_b, xs_b = sample_events(state, 2000, seed=11)
         assert np.array_equal(codes_a, codes_b)
         assert np.array_equal(xs_a, xs_b)
 
     def test_different_seed_different_events(self, geom, grid, units):
-        state = propagate_all(make_state(geom, grid, c=0.5), units)
+        state = propagate_all(make_state(geom, grid, units, c=0.5))
         _, xs_a = sample_events(state, 2000, seed=11)
         _, xs_b = sample_events(state, 2000, seed=12)
         assert not np.array_equal(xs_a, xs_b)
 
     def test_events_are_outcome_indices_and_positions(self, geom, grid, units):
-        state = propagate_all(make_state(geom, grid, c=0.5), units)
+        state = propagate_all(make_state(geom, grid, units, c=0.5))
         codes, xs = sample_events(state, 2000, seed=11)
         assert codes.shape == xs.shape == (2000,)
         assert codes.dtype.kind == "i" and xs.dtype == np.float64
         assert set(np.unique(codes).tolist()) == {0, 1, 2}
 
     def test_outcome_frequencies(self, geom, grid, units):
-        state = propagate_all(make_state(geom, grid, c=0.5), units)
+        state = propagate_all(make_state(geom, grid, units, c=0.5))
         count = 20000
         codes, _ = sample_events(state, count, seed=20260819)
         for i, prob in enumerate((0.25, 0.25, 0.5)):
@@ -606,24 +619,50 @@ class TestSampling:
             sigma = math.sqrt(prob * (1.0 - prob) / count)
             assert abs(freq - prob) <= 4.0 * sigma
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        basis=st.one_of(
+            st.just(COMPUTATIONAL),
+            st.builds(tilted, st.floats(allow_nan=False, allow_infinity=False)),
+        ),
+        c=st.floats(0.0, 1.0),
+        theta=st.floats(-math.pi, math.pi, exclude_min=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_outcome_frequencies_in_any_basis(self, basis, c, theta, seed):
+        geom = SlitGeometry(d=1.0, sigma=0.02)
+        grid = GridSpec(n=8192, x_min=0.5 - 20.48, x_max=0.5 + 20.48)
+        state = make_state(geom, grid, PhysicalUnits(t=0.05), c=c, theta=theta, basis=basis)
+        count = 20000
+        codes, _ = sample_events(state, count, seed)
+        counts = np.bincount(codes, minlength=3)
+        assert counts.sum() == count
+        for n, prob in zip(counts, state.branch_probabilities()):
+            if prob < experiment.EMPTY_BRANCH_TOL:
+                assert n == 0
+            else:
+                # A certain branch has sigma = 0; 1e-12 absorbs rounding in prob.
+                sigma = math.sqrt(max(prob * (1.0 - prob), 0.0) / count)
+                assert abs(n / count - prob) <= 5.0 * sigma + 1e-12
+
     def test_positions_stay_on_grid(self, geom, grid, units):
-        state = propagate_all(make_state(geom, grid, c=0.5), units)
+        state = propagate_all(make_state(geom, grid, units, c=0.5))
         _, xs = sample_events(state, 2000, seed=3)
         assert xs.min() >= grid.x_min and xs.max() <= grid.x_max
 
     def test_certain_failure_yields_only_failures(self, geom, grid, units):
-        state = propagate_all(make_state(geom, grid, c=1.0), units)
+        state = propagate_all(make_state(geom, grid, units, c=1.0))
         codes, _ = sample_events(state, 500, seed=5)
         assert np.all(codes == state.basis.outcomes.index(Outcome.Q3))
 
     def test_positions_follow_the_pattern(self, geom, grid, units):
-        state = propagate_all(make_state(geom, grid, c=0.5), units)
+        state = propagate_all(make_state(geom, grid, units, c=0.5))
         _, xs = sample_events(state, 20000, seed=20260819)
         _, pvalue = screen_goodness_of_fit(xs, screen_density(state))
         assert pvalue > 0.01
 
     def test_goodness_of_fit_needs_enough_samples(self, geom, grid, units):
-        state = propagate_all(make_state(geom, grid, c=0.5), units)
+        state = propagate_all(make_state(geom, grid, units, c=0.5))
         _, xs = sample_events(state, 400, seed=3)
         with pytest.raises(DomainError):
             screen_goodness_of_fit(xs, screen_density(state))
@@ -633,8 +672,8 @@ class TestSampling:
 
         from kickscope.experiment import _cell_cdf
 
-        pattern = screen_density(propagate_all(make_state(geom, grid, c=0.5), units))
-        misfit = screen_density(propagate_all(make_state(geom, grid, c=0.7), units))
+        pattern = screen_density(propagate_all(make_state(geom, grid, units, c=0.5)))
+        misfit = screen_density(propagate_all(make_state(geom, grid, units, c=0.7)))
         cdf, edges = _cell_cdf(pattern.values, grid)
         for seed in (1, 2, 3):
             rng = np.random.default_rng(seed)
@@ -650,14 +689,14 @@ class TestSampling:
                     assert got == (float(oracle.statistic), float(oracle.pvalue))
 
     def test_goodness_of_fit_rejects_samples_off_the_pattern(self, geom, grid, units):
-        state = propagate_all(make_state(geom, grid, c=0.5), units)
+        state = propagate_all(make_state(geom, grid, units, c=0.5))
         _, xs = sample_events(state, 2000, seed=3)
         xs[0] = grid.x_max + 1.0
         with pytest.raises(DomainError, match="outside"):
             screen_goodness_of_fit(xs, screen_density(state))
 
     def test_rejects_negative_count(self, geom, grid, units):
-        state = propagate_all(make_state(geom, grid, c=0.5), units)
+        state = propagate_all(make_state(geom, grid, units, c=0.5))
         with pytest.raises(DomainError):
             sample_events(state, -5, seed=1)
         codes, xs = sample_events(state, 0, seed=1)
