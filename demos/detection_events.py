@@ -18,6 +18,7 @@ from kickscope import (
     Outcome,
     PhysicalUnits,
     SlitGeometry,
+    SlitPair,
     assemble,
     change_basis,
     fringe_window,
@@ -45,7 +46,7 @@ def main() -> None:
 
     print(__doc__)
     detector = DetectorConfig(c=0.5)
-    state = change_basis(assemble(GEOM, GRID, UNITS, detector), SYMMETRIC)
+    state = change_basis(assemble(SlitPair.emit(GEOM, GRID, UNITS), detector), SYMMETRIC)
     propagated = propagate_all(state)
     codes, xs = sample_events(propagated, args.count, args.seed)
     fired = {o: codes == i for i, o in enumerate(propagated.basis.outcomes)}

@@ -17,6 +17,7 @@ from kickscope import (
     GridSpec,
     PhysicalUnits,
     SlitGeometry,
+    SlitPair,
     assemble,
     change_basis,
     kick_report,
@@ -40,7 +41,7 @@ def comb_peaks(spec, count=3):
 
 def main() -> None:
     print(__doc__)
-    state = change_basis(assemble(GEOM, GRID, UNITS, DETECTOR), SYMMETRIC)
+    state = change_basis(assemble(SlitPair.emit(GEOM, GRID, UNITS), DETECTOR), SYMMETRIC)
     rep = kick_report(state)
 
     print(f"expected kick   p0 = pi*hbar/d = {rep.p0:.6f}")

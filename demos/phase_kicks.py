@@ -14,6 +14,7 @@ from kickscope import (
     GridSpec,
     PhysicalUnits,
     SlitGeometry,
+    SlitPair,
     assemble,
     change_basis,
     fringe_analysis,
@@ -30,9 +31,10 @@ UNITS = PhysicalUnits(t=1.0)
 def main() -> None:
     print(__doc__)
     print(f"{'theta':>9} {'p_e = theta*hbar/d':>19} {'measured':>10} {'V':>8}")
+    pair = SlitPair.emit(GEOM, GRID, UNITS)  # every detector setting flies this pair once
     for theta in (0.0, math.pi / 6, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi):
         detector = DetectorConfig(c=0.5, theta=theta)
-        state = change_basis(assemble(GEOM, GRID, UNITS, detector), SYMMETRIC)
+        state = change_basis(assemble(pair, detector), SYMMETRIC)
         shift = phase_kick_shift(state)
         pattern = screen_density(propagate_all(state))
         visibility = fringe_analysis(pattern).visibility

@@ -20,6 +20,7 @@ from kickscope import (
     GridSpec,
     PhysicalUnits,
     SlitGeometry,
+    SlitPair,
     assemble,
     change_basis,
     fringe_analysis,
@@ -36,9 +37,10 @@ UNITS = PhysicalUnits(t=1.0)
 def main() -> None:
     print(__doc__)
     print(f"{'c':>6} {'V':>8} {'F_k':>8} {'(1-V)/2':>9} {'kick/p0':>8}")
+    pair = SlitPair.emit(GEOM, GRID, UNITS)  # every detector setting flies this pair once
     for c in np.linspace(0.0, 1.0, 11):
         detector = DetectorConfig(c=float(c))
-        state = change_basis(assemble(GEOM, GRID, UNITS, detector), SYMMETRIC)
+        state = change_basis(assemble(pair, detector), SYMMETRIC)
         pattern = screen_density(propagate_all(state))
         fringes = fringe_analysis(pattern)
         rep = kick_report(state)

@@ -31,6 +31,7 @@ from .errors import KickscopeError
 from .hilbert import SYMMETRIC, DetectorConfig
 from .experiment import (
     GOF_MIN_SAMPLES,
+    SlitPair,
     assemble,
     change_basis,
     fringe_analysis,
@@ -43,7 +44,7 @@ from .experiment import (
 )
 from .verify import run_suite
 
-__all__ = ["main", "cmd_run", "cmd_scan", "cmd_sample", "cmd_verify"]
+__all__ = ["main", "cmd_run", "cmd_scan", "cmd_sample"]
 
 #: Rows formatted per write.  The writer's memory is one block, whatever
 #: the table length; 2^16-row blocks already cost over 20 MB of Python
@@ -108,7 +109,8 @@ def _write_table(fh, header: list[str], columns: list[np.ndarray]) -> None:
 
 def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
     """Simulate once; write pattern.csv, momentum.csv, and summary.txt."""
-    state0 = change_basis(assemble(cfg.geometry, cfg.grid, cfg.units, cfg.detector), cfg.basis)
+    pair = SlitPair.emit(cfg.geometry, cfg.grid, cfg.units)
+    state0 = change_basis(assemble(pair, cfg.detector), cfg.basis)
     propagated = propagate_all(state0)
     report = kick_report(state0)
     fringes = fringe_analysis(screen_density(propagated))
@@ -135,7 +137,7 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
         _write_table(
             fh,
             ["x", "rho_total", "rho_branch1", "rho_branch2", "rho_branch3"],
-            [cfg.grid.x, total] + branch_rho,
+            [propagated.pair.grid.x, total] + branch_rho,
         )
 
     def write_momentum(fh) -> None:
@@ -161,10 +163,11 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
 
 def cmd_scan(cfg: RunConfig, out_dir: Path, c_values: list[float]) -> int:
     """Sweep the overlap magnitude; write scan.csv with one row per c."""
+    pair = SlitPair.emit(cfg.geometry, cfg.grid, cfg.units)
     rows = []
     for c in c_values:
         det = DetectorConfig(c=c, theta=cfg.detector.theta)
-        sym = change_basis(assemble(cfg.geometry, cfg.grid, cfg.units, det), SYMMETRIC)
+        sym = change_basis(assemble(pair, det), SYMMETRIC)
         propagated = propagate_all(sym)
         fringes = fringe_analysis(screen_density(propagated))
         report = kick_report(sym)
@@ -190,7 +193,8 @@ def cmd_scan(cfg: RunConfig, out_dir: Path, c_values: list[float]) -> int:
 
 def cmd_sample(cfg: RunConfig, out_dir: Path) -> int:
     """Draw detection events; write events.csv and sample_summary.txt."""
-    state0 = change_basis(assemble(cfg.geometry, cfg.grid, cfg.units, cfg.detector), cfg.basis)
+    pair = SlitPair.emit(cfg.geometry, cfg.grid, cfg.units)
+    state0 = change_basis(assemble(pair, cfg.detector), cfg.basis)
     propagated = propagate_all(state0)
     codes, xs = sample_events(propagated, cfg.sample_count, cfg.seed)
 
@@ -216,11 +220,6 @@ def cmd_sample(cfg: RunConfig, out_dir: Path) -> int:
         {"events.csv": write_events, "sample_summary.txt": lambda fh: fh.writelines(lines)},
     )
     return 0
-
-
-def cmd_verify(cfg: RunConfig) -> int:
-    """Run the invariant suite at the configured scale."""
-    return run_suite(cfg)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -260,7 +259,7 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "seed", None) is not None:
             cfg = cfg.with_seed(args.seed)
         if args.command == "verify":
-            return cmd_verify(cfg)
+            return run_suite(cfg)
         out_dir = Path(args.out)
         if args.command == "run":
             return cmd_run(cfg, out_dir)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -91,8 +91,9 @@ class SlitPair:
     ``units`` are the run's: ``hbar`` reads its momenta and ``t`` is its
     flight.  ``emitted`` is the pair it flew from (set by `landed`),
     ``None`` at emission; a landed pair asks ``emitted`` about momentum.
-    The pair keeps its landed pair and comb matrix, so every detector
-    setting built on it shares one of each.
+    A run emits its pair once (`emit`) and `assemble`s every detector
+    setting on it; the pair keeps its landed pair and comb matrix, so those
+    settings share one of each.
     """
 
     psi1: Wavefunction
@@ -105,6 +106,11 @@ class SlitPair:
         if self.psi1.grid != self.psi2.grid:
             raise ConfigurationError("both slit states must share one grid")
 
+    @classmethod
+    def emit(cls, geom: SlitGeometry, grid: GridSpec, units: PhysicalUnits) -> SlitPair:
+        """The slit states of ``geom`` on ``grid``, emitted for a run in ``units``."""
+        return cls(slit_state(geom, grid, 1), slit_state(geom, grid, 2), geom, units)
+
     @property
     def grid(self) -> GridSpec:
         return self.psi1.grid
@@ -115,7 +121,7 @@ class SlitPair:
         a, b = self.psi1.amplitudes, self.psi2.amplitudes
         g = np.array([[np.vdot(a, a), np.vdot(a, b)], [np.vdot(b, a), np.vdot(b, b)]])
         g *= self.grid.dx
-        g.setflags(write=False)  # memoized pairs are shared by every caller
+        g.setflags(write=False)  # shared by every state built on the pair
         return g
 
     @cached_property
@@ -176,11 +182,6 @@ class SlitPair:
         hbar = self.units.hbar
         phi1, phi2 = (to_momentum(psi, hbar=hbar).amplitudes for psi in (self.psi1, self.psi2))
         return [MomentumSpectrum(self.grid, a * phi1 + b * phi2, hbar=hbar) for a, b in rows]
-
-
-@lru_cache(maxsize=1)
-def _slit_pair(geom: SlitGeometry, grid: GridSpec, units: PhysicalUnits) -> SlitPair:
-    return SlitPair(slit_state(geom, grid, 1), slit_state(geom, grid, 2), geom, units)
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,10 +273,8 @@ class StoreyBound:
     satisfied: bool
 
 
-def assemble(
-    geom: SlitGeometry, grid: GridSpec, units: PhysicalUnits, detector: DetectorConfig
-) -> BranchState:
-    """Entangle the slit states of a run in ``units`` with the detector.
+def assemble(pair: SlitPair, detector: DetectorConfig) -> BranchState:
+    """Entangle the slit pair of a run with the detector.
 
     The run is ``(psi1*d1 + psi2*d2)/sqrt2``, so the coefficient matrix is
     `detector_states` over ``sqrt2``: the computational-basis branches
@@ -285,7 +284,7 @@ def assemble(
     with branch probabilities ``(1-c)/2, (1-c)/2, c``.
     """
     rows = detector_states(detector) * (1.0 / math.sqrt(2.0))
-    return BranchState(COMPUTATIONAL, rows, _slit_pair(geom, grid, units), detector)
+    return BranchState(COMPUTATIONAL, rows, pair, detector)
 
 
 def change_basis(state: BranchState, to: Basis) -> BranchState:

@@ -13,12 +13,29 @@ this setting), and one that raises any other error is a FAIL.  The
 exceptions are ``ConfigurationError`` and ``MemoryError``: the config
 itself cannot be checked, so they propagate and ``kickscope verify``
 exits 2 without printing a table.
+
+The claims of the paper's abstract, in its order, and the rows that check
+them (the README quotes each sentence):
+
+* imperfect which-way detection: ``hilbert.normalization``,
+  ``experiment.branch_probabilities``, ``experiment.failure_probability``;
+* lost interference read as kicks, whatever the detector:
+  ``experiment.kick_identity``, ``experiment.visibility_law``,
+  ``experiment.phase_kick``, ``experiment.phase_visibility``;
+* kicks of h/2d at any c: ``experiment.kick_magnitude``,
+  ``experiment.detector_kick``, ``experiment.tilted_kick``, read at the
+  geometry's d rather than at the separation the slits were built at;
+* contrary to earlier literature: ``experiment.storey_bound``, which cannot
+  fail while its left-hand side is the constant pi;
+* how often: ``experiment.kick_fraction`` (half the time at c = 0, less
+  often above), and against the visibility ``experiment.kick_fraction_vs_visibility``.
+
+The other rows are the oracles these rest on.
 """
 
 from __future__ import annotations
 
 import math
-from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable
 
@@ -39,7 +56,6 @@ from .wavepacket import (
     SlitGeometry,
     apply_kick,
     propagate_analytic,
-    slit_state,
     to_momentum,
     to_position,
 )
@@ -103,47 +119,42 @@ class CheckResult:
     detail: str
 
 
-# The states the checks share; `experiment` memoizes the propagated slit pair.
-def _state(cfg: RunConfig, c: float, theta: float = 0.0) -> BranchState:
-    state = assemble(cfg.geometry, cfg.grid, cfg.units, DetectorConfig(c=c, theta=theta))
-    return change_basis(state, SYMMETRIC)
+class _Run:
+    """One config's checks: its slit pair, emitted once, and V(c, theta) so far.
+
+    Every state a check builds shares ``pair``, so the pair flies once.
+    ``dp`` is one momentum bin of its grid and ``p0`` its kick ``pi*hbar/d``.
+    """
+
+    def __init__(self, cfg: RunConfig) -> None:
+        self.cfg = cfg
+        self.pair = SlitPair.emit(cfg.geometry, cfg.grid, cfg.units)
+        self.visibilities: dict[tuple[float, float], float] = {}
+        hbar = self.pair.units.hbar
+        self.dp, self.p0 = self.pair.grid.dp(hbar), math.pi * hbar / self.pair.geom.d
+
+    def state(self, c: float, theta: float = 0.0) -> BranchState:
+        return change_basis(assemble(self.pair, DetectorConfig(c=c, theta=theta)), SYMMETRIC)
+
+    def pattern(self, c: float, theta: float = 0.0) -> ScreenPattern:
+        return screen_density(propagate_all(self.state(c, theta)))
+
+    def visibility(self, c: float, theta: float = 0.0) -> float:
+        if (c, theta) not in self.visibilities:
+            self.visibilities[c, theta] = fringe_analysis(self.pattern(c, theta)).visibility
+        return self.visibilities[c, theta]
 
 
-def _propagated(cfg: RunConfig, c: float, theta: float = 0.0) -> BranchState:
-    return propagate_all(_state(cfg, c, theta))
-
-
-def _pattern(cfg: RunConfig, c: float, theta: float = 0.0) -> ScreenPattern:
-    return screen_density(_propagated(cfg, c, theta))
-
-
-# V(c, theta) by (c, theta) for the run_checks call in progress, which runs
-# every check on one config; unset outside such a call.
-_visibilities: ContextVar[dict[tuple[float, float], float] | None] = ContextVar(
-    "_visibilities", default=None
-)
-
-
-def _visibility(cfg: RunConfig, c: float, theta: float = 0.0) -> float:
-    memo = _visibilities.get()
-    if memo is not None and (c, theta) in memo:
-        return memo[c, theta]
-    v = fringe_analysis(_pattern(cfg, c, theta)).visibility
-    if memo is not None:
-        memo[c, theta] = v
-    return v
-
-
-_CHECKS: list[tuple[str, Callable[[RunConfig, float], CheckResult]]] = []
+_CHECKS: list[tuple[str, Callable[[_Run, float], CheckResult]]] = []
 
 
 def _check(name: str):
-    # Register fn(cfg, tol) -> (ok, detail) as check `name`.  The registered
+    # Register fn(run, tol) -> (ok, detail) as check `name`.  The registered
     # callable makes its CheckResult, with the SKIP/FAIL rule stated above.
-    def wrap(fn: Callable[[RunConfig, float], tuple[bool, str]]):
-        def check(cfg: RunConfig, tol: float) -> CheckResult:
+    def wrap(fn: Callable[[_Run, float], tuple[bool, str]]):
+        def check(run: _Run, tol: float) -> CheckResult:
             try:
-                ok, detail = fn(cfg, tol)
+                ok, detail = fn(run, tol)
             except EmptyBranchError as exc:
                 return CheckResult(name, "SKIP", str(exc))
             except (ConfigurationError, MemoryError):
@@ -159,10 +170,10 @@ def _check(name: str):
 
 
 @_check("hilbert.normalization")
-def _chk_hilbert_norm(cfg: RunConfig, tol: float) -> tuple[bool, str]:
+def _chk_hilbert_norm(run: _Run, tol: float) -> tuple[bool, str]:
     worst = 0.0
     for c in _C_GRID:
-        for theta in (0.0, math.pi / 3, cfg.detector.theta):
+        for theta in (0.0, math.pi / 3, run.cfg.detector.theta):
             det = DetectorConfig(c=c, theta=theta)
             d = detector_states(det)
             gram = d.conj().T @ d  # <d_i|d_j>
@@ -172,7 +183,7 @@ def _chk_hilbert_norm(cfg: RunConfig, tol: float) -> tuple[bool, str]:
 
 
 @_check("hilbert.unitarity")
-def _chk_hilbert_unitarity(cfg: RunConfig, tol: float) -> tuple[bool, str]:
+def _chk_hilbert_unitarity(run: _Run, tol: float) -> tuple[bool, str]:
     eye = np.eye(3)
     worst = 0.0
     bases = [COMPUTATIONAL, SYMMETRIC, tilted(math.pi / 4), tilted(math.pi / 2), tilted(1.0)]
@@ -190,18 +201,16 @@ def _chk_hilbert_unitarity(cfg: RunConfig, tol: float) -> tuple[bool, str]:
 
 
 @_check("wavepacket.normalization")
-def _chk_wp_norm(cfg: RunConfig, tol: float) -> tuple[bool, str]:
-    worst = max(
-        abs(slit_state(cfg.geometry, cfg.grid, s).norm() - 1.0) for s in (1, 2)
-    )
+def _chk_wp_norm(run: _Run, tol: float) -> tuple[bool, str]:
+    worst = max(abs(psi.norm() - 1.0) for psi in (run.pair.psi1, run.pair.psi2))
     return worst <= tol, f"max dev {worst:.3g}"
 
 
 @_check("wavepacket.momentum_oracle")
-def _chk_wp_momentum(cfg: RunConfig, tol: float) -> tuple[bool, str]:
-    hbar = cfg.units.hbar
-    sigma = cfg.geometry.sigma
-    spec = to_momentum(slit_state(cfg.geometry, cfg.grid, 1), hbar=hbar)
+def _chk_wp_momentum(run: _Run, tol: float) -> tuple[bool, str]:
+    hbar = run.pair.units.hbar
+    sigma = run.pair.geom.sigma
+    spec = to_momentum(run.pair.psi1, hbar=hbar)
     oracle = (2.0 * sigma**2 / (math.pi * hbar**2)) ** 0.25 * np.exp(
         -(sigma**2) * spec.p**2 / hbar**2
     )
@@ -211,31 +220,30 @@ def _chk_wp_momentum(cfg: RunConfig, tol: float) -> tuple[bool, str]:
 
 
 @_check("wavepacket.roundtrip")
-def _chk_wp_roundtrip(cfg: RunConfig, tol: float) -> tuple[bool, str]:
-    psi = slit_state(cfg.geometry, cfg.grid, 2)
-    back = to_position(to_momentum(psi, hbar=cfg.units.hbar))
+def _chk_wp_roundtrip(run: _Run, tol: float) -> tuple[bool, str]:
+    psi = run.pair.psi2
+    back = to_position(to_momentum(psi, hbar=run.pair.units.hbar))
     worst = float(np.abs(back.amplitudes - psi.amplitudes).max())
     return worst <= tol, f"max dev {worst:.3g}"
 
 
 @_check("wavepacket.propagator_agreement")
-def _chk_wp_propagators(cfg: RunConfig, tol: float) -> tuple[bool, str]:
+def _chk_wp_propagators(run: _Run, tol: float) -> tuple[bool, str]:
     # The propagated slit pair every later check reads its densities from.
-    pair = _propagated(cfg, cfg.detector.c, cfg.detector.theta).pair
+    pair = run.pair.landed
     worst = 0.0
     for slit, via_fft in ((1, pair.psi1), (2, pair.psi2)):
-        closed = propagate_analytic(cfg.geometry, cfg.grid, cfg.units, slit)
+        closed = propagate_analytic(pair.geom, pair.grid, pair.units, slit)
         worst = max(worst, float(np.abs(via_fft.amplitudes - closed.amplitudes).max()))
     return worst <= tol, f"max abs diff {worst:.3g}"
 
 
 @_check("wavepacket.kick_displacement")
-def _chk_wp_kick(cfg: RunConfig, tol: float) -> tuple[bool, str]:
+def _chk_wp_kick(run: _Run, tol: float) -> tuple[bool, str]:
     # A kick by p must move the spectral mean by exactly p (the spectrum
     # translates rigidly), for whole and fractional numbers of bins alike.
-    hbar = cfg.units.hbar
-    psi = slit_state(cfg.geometry, cfg.grid, 1)
-    boost = 12.25 * cfg.grid.dp(cfg.units.hbar)
+    psi, hbar = run.pair.psi1, run.pair.units.hbar
+    boost = 12.25 * psi.grid.dp(hbar)
 
     def mean_momentum(state):
         spec = to_momentum(state, hbar=hbar)
@@ -249,12 +257,12 @@ def _chk_wp_kick(cfg: RunConfig, tol: float) -> tuple[bool, str]:
 
 
 @_check("experiment.branch_probabilities")
-def _chk_exp_probs(cfg: RunConfig, tol: float) -> tuple[bool, str]:
+def _chk_exp_probs(run: _Run, tol: float) -> tuple[bool, str]:
     worst = 0.0
     for c in _C_GRID:
         expected = np.array([(1.0 - c) / 2.0, (1.0 - c) / 2.0, c])
-        for theta in (cfg.detector.theta, 1.0):
-            state = assemble(cfg.geometry, cfg.grid, cfg.units, DetectorConfig(c=c, theta=theta))
+        for theta in (run.cfg.detector.theta, 1.0):
+            state = assemble(run.pair, DetectorConfig(c=c, theta=theta))
             for st in (state, change_basis(state, SYMMETRIC)):
                 probs = st.branch_probabilities()
                 worst = max(worst, float(np.abs(probs - expected).max()))
@@ -263,18 +271,18 @@ def _chk_exp_probs(cfg: RunConfig, tol: float) -> tuple[bool, str]:
 
 
 @_check("experiment.failure_probability")
-def _chk_exp_fail(cfg: RunConfig, tol: float) -> tuple[bool, str]:
-    c = cfg.detector.c
-    state = _state(cfg, c, cfg.detector.theta)
+def _chk_exp_fail(run: _Run, tol: float) -> tuple[bool, str]:
+    c = run.cfg.detector.c
+    state = run.state(c, run.cfg.detector.theta)
     dev = abs(state.branch_probabilities()[2] - c)
     return dev <= tol, f"|P(fail) - c| = {dev:.3g}"
 
 
 @_check("experiment.basis_invariance")
-def _chk_exp_basis(cfg: RunConfig, tol: float) -> tuple[bool, str]:
+def _chk_exp_basis(run: _Run, tol: float) -> tuple[bool, str]:
     # The configured state at emission, and a phased one after free flight.
-    emitted = assemble(cfg.geometry, cfg.grid, cfg.units, cfg.detector)
-    phased = assemble(cfg.geometry, cfg.grid, cfg.units, DetectorConfig(c=0.5, theta=0.8))
+    emitted = assemble(run.pair, run.cfg.detector)
+    phased = assemble(run.pair, DetectorConfig(c=0.5, theta=0.8))
     landed = propagate_all(phased)
     worst = 0.0
     for state, bases in (
@@ -289,63 +297,61 @@ def _chk_exp_basis(cfg: RunConfig, tol: float) -> tuple[bool, str]:
 
 
 @_check("experiment.density_formula")
-def _chk_exp_density(cfg: RunConfig, tol: float) -> tuple[bool, str]:
-    det = cfg.detector
-    psi1 = propagate_analytic(cfg.geometry, cfg.grid, cfg.units, 1).amplitudes
-    psi2 = propagate_analytic(cfg.geometry, cfg.grid, cfg.units, 2).amplitudes
+def _chk_exp_density(run: _Run, tol: float) -> tuple[bool, str]:
+    det, pair = run.cfg.detector, run.pair.landed
+    psi1 = propagate_analytic(pair.geom, pair.grid, pair.units, 1).amplitudes
+    psi2 = propagate_analytic(pair.geom, pair.grid, pair.units, 2).amplitudes
     overlap = det.overlap
     direct = 0.5 * (
         np.abs(psi1) ** 2
         + np.abs(psi2) ** 2
         + 2.0 * np.real(overlap * np.conj(psi1) * psi2)
     )
-    rho = _pattern(cfg, det.c, det.theta).values
+    rho = run.pattern(det.c, det.theta).values
     worst = float(np.abs(rho - direct).max())
     return worst <= tol, f"max abs diff {worst:.3g}"
 
 
 @_check("experiment.visibility_law")
-def _chk_exp_visibility(cfg: RunConfig, tol: float) -> tuple[bool, str]:
+def _chk_exp_visibility(run: _Run, tol: float) -> tuple[bool, str]:
     worst = 0.0
     for c in _C_GRID:
-        worst = max(worst, abs(_visibility(cfg, c) - c))
+        worst = max(worst, abs(run.visibility(c) - c))
     return worst <= tol, f"max |V - c| = {worst:.3g}"
 
 
 @_check("experiment.kick_fraction")
-def _chk_exp_fraction(cfg: RunConfig, tol: float) -> tuple[bool, str]:
+def _chk_exp_fraction(run: _Run, tol: float) -> tuple[bool, str]:
     worst = 0.0
     for c in _C_GRID:
-        f_branch = _state(cfg, c).branch_probabilities()[1]
+        f_branch = run.state(c).branch_probabilities()[1]
         worst = max(worst, abs(f_branch - (1.0 - c) / 2.0))
     return worst <= tol, f"max |F_k - (1-c)/2| = {worst:.3g}"
 
 
 @_check("experiment.kick_fraction_vs_visibility")
-def _chk_exp_fraction_vis(cfg: RunConfig, tol: float) -> tuple[bool, str]:
+def _chk_exp_fraction_vis(run: _Run, tol: float) -> tuple[bool, str]:
     worst = 0.0
     for c in _C_GRID:
-        f_branch = _state(cfg, c).branch_probabilities()[1]
-        worst = max(worst, abs(f_branch - (1.0 - _visibility(cfg, c)) / 2.0))
+        f_branch = run.state(c).branch_probabilities()[1]
+        worst = max(worst, abs(f_branch - (1.0 - run.visibility(c)) / 2.0))
     return worst <= tol, f"max |F_k - (1-V)/2| = {worst:.3g}"
 
 
 @_check("experiment.kick_magnitude")
-def _chk_exp_kick(cfg: RunConfig, tol: float) -> tuple[bool, str]:
-    dp = cfg.grid.dp(cfg.units.hbar)
-    p0 = math.pi * cfg.units.hbar / cfg.geometry.d
+def _chk_exp_kick(run: _Run, tol: float) -> tuple[bool, str]:
     worst = 0.0
     for c in _KICK_C_GRID:
-        report = kick_report(_state(cfg, c))
+        report = kick_report(run.state(c))
         assert report.p0_measured is not None
-        worst = max(worst, abs(report.p0_measured - p0) / dp)
+        worst = max(worst, abs(report.p0_measured - run.p0) / run.dp)
     return worst <= tol, f"worst offset {worst:.3g} bins"
 
 
 @_check("experiment.detector_kick")
-def _chk_exp_detector_kick(cfg: RunConfig, tol: float) -> tuple[bool, str]:
-    det = cfg.detector
-    report = kick_report(_state(cfg, det.c, det.theta))
+def _chk_exp_detector_kick(run: _Run, tol: float) -> tuple[bool, str]:
+    det = run.cfg.detector
+    report = kick_report(run.state(det.c, det.theta))
     if det.c == 1.0:
         ok = report.p0_measured is None
         return ok, (
@@ -353,33 +359,31 @@ def _chk_exp_detector_kick(cfg: RunConfig, tol: float) -> tuple[bool, str]:
             if ok
             else "expected no kick estimate at c = 1"
         )
-    dp = cfg.grid.dp(cfg.units.hbar)
-    off = abs(report.p0_measured - math.pi * cfg.units.hbar / cfg.geometry.d) / dp
+    off = abs(report.p0_measured - run.p0) / run.dp
     return off <= tol, f"off by {off:.3g} bins"
 
 
 @_check("experiment.tilted_kick")
-def _chk_exp_tilted(cfg: RunConfig, tol: float) -> tuple[bool, str]:
-    if cfg.detector.c == 1.0:
+def _chk_exp_tilted(run: _Run, tol: float) -> tuple[bool, str]:
+    det = run.cfg.detector
+    if det.c == 1.0:
         raise EmptyBranchError("interfering branches empty at c = 1")
-    dp = cfg.grid.dp(cfg.units.hbar)
-    p0 = math.pi * cfg.units.hbar / cfg.geometry.d
     worst = 0.0
-    state = _state(cfg, cfg.detector.c, cfg.detector.theta)
+    state = run.state(det.c, det.theta)
     for tp in _TILT_GRID:
-        worst = max(worst, abs(tilted_relative_kick(state, tp) - p0) / dp)
+        worst = max(worst, abs(tilted_relative_kick(state, tp) - run.p0) / run.dp)
     return worst <= tol, f"worst offset {worst:.3g} bins"
 
 
 @_check("experiment.kick_identity")
-def _chk_exp_identity(cfg: RunConfig, tol: float) -> tuple[bool, str]:
+def _chk_exp_identity(run: _Run, tol: float) -> tuple[bool, str]:
     worst = 0.0
     last = -1.0
     monotone = True
     for ratio in (0.005, 0.01, 0.02, 0.05):
         geom = SlitGeometry(d=1.0, sigma=ratio)
         grid = GridSpec(n=2048, x_min=-0.78, x_max=1.78)
-        pair = SlitPair(slit_state(geom, grid, 1), slit_state(geom, grid, 2), geom, cfg.units)
+        pair = SlitPair.emit(geom, grid, run.pair.units)
         measured = pair.kick_identity_residual
         oracle = math.sqrt(2.0 * (1.0 - math.exp(-math.pi**2 * ratio**2 / 2.0)))
         worst = max(worst, abs(measured - oracle) / oracle)
@@ -390,26 +394,25 @@ def _chk_exp_identity(cfg: RunConfig, tol: float) -> tuple[bool, str]:
 
 
 @_check("experiment.phase_kick")
-def _chk_exp_phase(cfg: RunConfig, tol: float) -> tuple[bool, str]:
-    dp = cfg.grid.dp(cfg.units.hbar)
+def _chk_exp_phase(run: _Run, tol: float) -> tuple[bool, str]:
     worst = 0.0
     for theta in _PHASE_GRID:
-        state = _state(cfg, 0.5, theta)
+        state = run.state(0.5, theta)
         shift = phase_kick_shift(state)
-        expected = theta * cfg.units.hbar / cfg.geometry.d
-        worst = max(worst, abs(shift - expected) / dp)
+        expected = theta * run.pair.units.hbar / run.pair.geom.d
+        worst = max(worst, abs(shift - expected) / run.dp)
     return worst <= tol, f"worst offset {worst:.3g} bins"
 
 
 @_check("experiment.phase_visibility")
-def _chk_exp_phase_vis(cfg: RunConfig, tol: float) -> tuple[bool, str]:
-    v0 = _visibility(cfg, 0.5, 0.0)
-    worst = max(abs(_visibility(cfg, 0.5, theta) - v0) for theta in _PHASE_GRID)
+def _chk_exp_phase_vis(run: _Run, tol: float) -> tuple[bool, str]:
+    v0 = run.visibility(0.5, 0.0)
+    worst = max(abs(run.visibility(0.5, theta) - v0) for theta in _PHASE_GRID)
     return worst <= tol, f"max |V(theta) - V(0)| = {worst:.3g}"
 
 
 @_check("experiment.storey_bound")
-def _chk_exp_storey(cfg: RunConfig, tol: float) -> tuple[bool, str]:
+def _chk_exp_storey(run: _Run, tol: float) -> tuple[bool, str]:
     for v in np.arange(0.0, 1.0 + 1e-9, 0.1):
         rep = storey_bound_report(float(v))
         if not rep.satisfied or abs(rep.lhs - math.pi) > tol + 1e-15:
@@ -418,9 +421,9 @@ def _chk_exp_storey(cfg: RunConfig, tol: float) -> tuple[bool, str]:
 
 
 @_check("experiment.sampler_outcomes")
-def _chk_exp_sampler(cfg: RunConfig, tol: float) -> tuple[bool, str]:
-    det = cfg.detector
-    state = _propagated(cfg, det.c, det.theta)
+def _chk_exp_sampler(run: _Run, tol: float) -> tuple[bool, str]:
+    cfg, det = run.cfg, run.cfg.detector
+    state = propagate_all(run.state(det.c, det.theta))
     count = max(cfg.sample_count, 10_000)
     codes, _ = sample_events(state, count, cfg.seed)
     probs = state.branch_probabilities()
@@ -440,19 +443,19 @@ def _chk_exp_sampler(cfg: RunConfig, tol: float) -> tuple[bool, str]:
 
 
 @_check("experiment.sampler_gof")
-def _chk_exp_gof(cfg: RunConfig, tol: float) -> tuple[bool, str]:
-    det = cfg.detector
-    state = _propagated(cfg, det.c, det.theta)
+def _chk_exp_gof(run: _Run, tol: float) -> tuple[bool, str]:
+    cfg, det = run.cfg, run.cfg.detector
+    state = propagate_all(run.state(det.c, det.theta))
     count = max(cfg.sample_count, 10_000)
     _, xs = sample_events(state, count, cfg.seed)
-    _, pvalue = screen_goodness_of_fit(xs, _pattern(cfg, det.c, det.theta))
+    _, pvalue = screen_goodness_of_fit(xs, run.pattern(det.c, det.theta))
     return pvalue > tol, f"p = {pvalue:.4f}"
 
 
 @_check("experiment.sampler_determinism")
-def _chk_exp_determinism(cfg: RunConfig, tol: float) -> tuple[bool, str]:
-    det = cfg.detector
-    state = _propagated(cfg, det.c, det.theta)
+def _chk_exp_determinism(run: _Run, tol: float) -> tuple[bool, str]:
+    cfg, det = run.cfg, run.cfg.detector
+    state = propagate_all(run.state(det.c, det.theta))
     codes_a, xs_a = sample_events(state, 512, cfg.seed)
     codes_b, xs_b = sample_events(state, 512, cfg.seed)
     identical = np.array_equal(codes_a, codes_b) and np.array_equal(xs_a, xs_b)
@@ -463,11 +466,8 @@ def _chk_exp_determinism(cfg: RunConfig, tol: float) -> tuple[bool, str]:
 
 def run_checks(cfg: RunConfig) -> list[CheckResult]:
     """One result per check, in registry order, at the current ``TOLERANCES``."""
-    token = _visibilities.set({})
-    try:
-        return [check(cfg, TOLERANCES[name]) for name, check in _CHECKS]
-    finally:
-        _visibilities.reset(token)
+    run = _Run(cfg)
+    return [check(run, TOLERANCES[name]) for name, check in _CHECKS]
 
 
 def run_suite(cfg: RunConfig) -> int:

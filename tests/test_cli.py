@@ -23,9 +23,9 @@ import kickscope
 from kickscope import cli, experiment
 from kickscope import verify as verify_module
 from kickscope.cli import main
-from kickscope.config import load_config
+from kickscope.config import load_config, parse_config_text
 from kickscope.hilbert import COMPUTATIONAL, Basis
-from kickscope.verify import _CHECKS, TOLERANCES, run_suite
+from kickscope.verify import _CHECKS, TOLERANCES, _Run, run_suite
 from kickscope.wavepacket import apply_kick
 
 # 2^17 points keep every subcommand comfortably under two seconds while
@@ -574,7 +574,7 @@ DEFECTS = {
         ("hilbert.unitarity", "experiment.basis_invariance"),
     ),
     "slit-2-boosted": (
-        (experiment, verify_module),
+        (experiment,),
         "slit_state",
         _boost_slit_2,
         ("experiment.density_formula", "wavepacket.propagator_agreement"),
@@ -644,9 +644,9 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(Basis, "matrix_from_computational", defective)
         check = dict(_CHECKS)["experiment.tilted_kick"]
-        cfg = load_config(cfg_path)
-        assert check(cfg, TOLERANCES["experiment.tilted_kick"]).status == "FAIL"
-        assert check(cfg, 1.0).status == at_one_bin
+        run = _Run(load_config(cfg_path))
+        assert check(run, TOLERANCES["experiment.tilted_kick"]).status == "FAIL"
+        assert check(run, 1.0).status == at_one_bin
 
 
     @pytest.mark.parametrize("defect", DEFECTS)
@@ -655,14 +655,29 @@ class TestVerifyCommand:
         cfg = load_config(cfg_path)
         for owner in owners:
             monkeypatch.setattr(owner, name, plant(getattr(owner, name), cfg))
-        checks = dict(_CHECKS)
-        # The memoized slit pair would carry the defect into later tests.
-        experiment._slit_pair.cache_clear()
-        try:
-            status = {check: checks[check](cfg, TOLERANCES[check]).status for check in names}
-        finally:
-            experiment._slit_pair.cache_clear()
+        checks, run = dict(_CHECKS), _Run(cfg)
+        status = {check: checks[check](run, TOLERANCES[check]).status for check in names}
         assert status == dict.fromkeys(names, "FAIL")
+
+    @pytest.mark.xfail(
+        raises=AssertionError,
+        reason="at c = 0 there are no fringes, and fringe_analysis reports the envelope's "
+        "contrast inside its window, about 0.098 at sigma/d = 0.05"
+    )
+    def test_visibility_rows_pass_at_wide_slits(self):
+        # A valid config at sigma/d = NARROW_SLIT_RATIO, with dx = sigma/4.
+        # The full verify exits 1 on it; these are the three rows that fail.
+        wide = (
+            "geometry.sigma = 0.05\ngrid.n = 131072\ngrid.x_min = -818.7\ngrid.x_max = 819.7\n"
+        )
+        names = (
+            "experiment.visibility_law",
+            "experiment.kick_fraction_vs_visibility",
+            "experiment.phase_visibility",
+        )
+        checks, run = dict(_CHECKS), _Run(parse_config_text(wide))
+        status = {name: checks[name](run, TOLERANCES[name]).status for name in names}
+        assert status == dict.fromkeys(names, "PASS")
 
 
 def test_scan_and_verify_propagate_the_slit_pair_once(cfg_path, tmp_path, monkeypatch):
@@ -678,12 +693,10 @@ def test_scan_and_verify_propagate_the_slit_pair_once(cfg_path, tmp_path, monkey
 
     monkeypatch.setattr(experiment, "propagate_fft", counting)
     monkeypatch.setattr(verify_module, "propagate_fft", counting, raising=False)
-    experiment._slit_pair.cache_clear()
     argv = ["scan", "--config", cfg_path, "--out", str(tmp_path), "--c-values", "0,0.25,0.5,0.75,1"]
     assert main(argv) == 0
     assert len(calls) == 2
     calls.clear()
-    experiment._slit_pair.cache_clear()
     assert main(["verify", "--config", cfg_path]) == 0
     assert len(calls) == 2
 
@@ -706,7 +719,6 @@ def test_kick_analysis_transforms_the_slit_pair_once(cfg_path, tmp_path, monkeyp
         (["run", "--out", str(tmp_path)], 4),
     ):
         calls.clear()
-        experiment._slit_pair.cache_clear()
         assert main([*argv, "--config", cfg_path]) == 0
         assert len(calls) == count, argv[0]
 
@@ -722,7 +734,6 @@ def test_scan_computes_the_kick_identity_residual_once(cfg_path, tmp_path, monke
     prop = functools.cached_property(counting)
     prop.__set_name__(experiment.SlitPair, "kick_identity_residual")
     monkeypatch.setattr(experiment.SlitPair, "kick_identity_residual", prop)
-    experiment._slit_pair.cache_clear()
     argv = ["scan", "--config", cfg_path, "--out", str(tmp_path), "--c-values", "0,0.25,0.5,0.75,1"]
     assert main(argv) == 0
     assert len(calls) == 1
@@ -741,7 +752,6 @@ def test_verify_computes_each_visibility_once(cfg_path, monkeypatch):
     monkeypatch.setattr(verify_module, "fringe_analysis", counting)
     assert main(["verify", "--config", cfg_path]) == 0
     assert len(calls) == 8
-    assert verify_module._visibilities.get() is None
 
 
 def test_kick_displacement_transforms_the_unkicked_state_once(cfg_path, monkeypatch):
@@ -755,5 +765,5 @@ def test_kick_displacement_transforms_the_unkicked_state_once(cfg_path, monkeypa
     monkeypatch.setattr(verify_module, "to_momentum", counting)
     check = dict(_CHECKS)["wavepacket.kick_displacement"]
     tol = TOLERANCES["wavepacket.kick_displacement"]
-    assert check(load_config(cfg_path), tol).status == "PASS"
+    assert check(_Run(load_config(cfg_path)), tol).status == "PASS"
     assert len(calls) == 3  # the unkicked state and one per boost
