@@ -12,11 +12,14 @@ Decoherence, read event by event, is just a coin flip that sometimes
 hands the particle a transverse momentum p0 = pi*hbar/d.
 """
 
+import math
+
 import numpy as np
 
 from kickscope import (
     SYMMETRIC,
     DetectorConfig,
+    EmptyBranchError,
     GridSpec,
     PhysicalUnits,
     SlitGeometry,
@@ -24,8 +27,8 @@ from kickscope import (
     assemble,
     change_basis,
     fringe_analysis,
-    kick_report,
     propagate_all,
+    relative_kick,
     screen_density,
 )
 
@@ -38,15 +41,18 @@ def main() -> None:
     print(__doc__)
     print(f"{'c':>6} {'V':>8} {'F_k':>8} {'(1-V)/2':>9} {'kick/p0':>8}")
     pair = SlitPair.emit(GEOM, GRID, UNITS)  # every detector setting flies this pair once
+    p0 = math.pi * UNITS.hbar / GEOM.d
     for c in np.linspace(0.0, 1.0, 11):
         detector = DetectorConfig(c=float(c))
         state = change_basis(assemble(pair, detector), SYMMETRIC)
         pattern = screen_density(propagate_all(state))
         fringes = fringe_analysis(pattern)
-        rep = kick_report(state)
-        kick = "--" if rep.p0_measured is None else f"{rep.p0_measured / rep.p0:8.5f}"
+        try:
+            kick = f"{relative_kick(state) / p0:8.5f}"
+        except EmptyBranchError:  # c = 1: nothing kicked, no comb to read
+            kick = "--"
         print(
-            f"{c:6.2f} {fringes.visibility:8.4f} {rep.F_k_branch:8.4f} "
+            f"{c:6.2f} {fringes.visibility:8.4f} {state.branch_probabilities()[1]:8.4f} "
             f"{(1.0 - fringes.visibility) / 2.0:9.4f} {kick:>8}"
         )
     print()

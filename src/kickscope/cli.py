@@ -27,16 +27,17 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, default_config, load_config, parse_c_values
-from .errors import KickscopeError
+from .errors import EmptyBranchError, KickscopeError
 from .hilbert import SYMMETRIC, DetectorConfig
 from .experiment import (
     GOF_MIN_SAMPLES,
+    BranchState,
     SlitPair,
     assemble,
     change_basis,
     fringe_analysis,
-    kick_report,
     propagate_all,
+    relative_kick,
     sample_events,
     screen_density,
     screen_goodness_of_fit,
@@ -52,10 +53,16 @@ __all__ = ["main", "cmd_run", "cmd_scan", "cmd_sample"]
 _BLOCK_ROWS = 1 << 12
 
 
-def _fmt(value: float | None) -> str:
-    if value is None:
-        return "nan"
+def _fmt(value: float) -> str:
     return "%.17g" % value
+
+
+def _kick_or_nan(sym: BranchState) -> float:
+    """The q-/q+ kick of a symmetric-basis state, ``nan`` where a branch is empty."""
+    try:
+        return relative_kick(sym)
+    except EmptyBranchError:
+        return math.nan
 
 
 def _commit(out_dir: Path, files: dict) -> None:
@@ -112,20 +119,23 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
     pair = SlitPair.emit(cfg.geometry, cfg.grid, cfg.units)
     state0 = change_basis(assemble(pair, cfg.detector), cfg.basis)
     propagated = propagate_all(state0)
-    report = kick_report(state0)
+    sym = state0 if state0.basis == SYMMETRIC else change_basis(state0, SYMMETRIC)
+    kick = _kick_or_nan(sym)
     fringes = fringe_analysis(screen_density(propagated))
     storey = storey_bound_report(fringes.visibility)
+    # Theory from the config, each beside what the state measures.
+    det, hbar, d = cfg.detector, cfg.units.hbar, cfg.geometry.d
     lines = [
-        ("V_theory", _fmt(cfg.detector.c)),
+        ("V_theory", _fmt(det.c)),
         ("V_measured", _fmt(fringes.visibility)),
         ("fringe_period", _fmt(fringes.fringe_period)),
         ("central_fringe_shift", _fmt(fringes.central_fringe_shift)),
-        ("F_k_theory", _fmt(report.F_k_theory)),
-        ("F_k_branch", _fmt(report.F_k_branch)),
-        ("p0", _fmt(report.p0)),
-        ("p0_measured", _fmt(report.p0_measured)),
-        ("kick_identity_residual", _fmt(report.kick_identity_residual)),
-        ("p_e", _fmt(report.p_e)),
+        ("F_k_theory", _fmt((1.0 - det.c) / 2.0)),
+        ("F_k_branch", _fmt(sym.branch_probabilities()[1])),
+        ("p0", _fmt(math.pi * hbar / d)),
+        ("p0_measured", _fmt(kick)),
+        ("kick_identity_residual", _fmt(pair.kick_identity_residual)),
+        ("p_e", _fmt(det.theta * hbar / d)),
         ("storey_lhs", _fmt(storey.lhs)),
         ("storey_rhs", _fmt(storey.rhs)),
     ]
@@ -170,20 +180,11 @@ def cmd_scan(cfg: RunConfig, out_dir: Path, c_values: list[float]) -> int:
         sym = change_basis(assemble(pair, det), SYMMETRIC)
         propagated = propagate_all(sym)
         fringes = fringe_analysis(screen_density(propagated))
-        report = kick_report(sym)
+        f_k = sym.branch_probabilities()[1]
         rows.append(
-            (
-                c,
-                fringes.visibility,
-                report.F_k_branch,
-                math.nan if report.p0_measured is None else report.p0_measured,
-                report.kick_identity_residual,
-            )
+            (c, fringes.visibility, f_k, _kick_or_nan(sym), pair.kick_identity_residual)
         )
-        print(
-            f"c = {c:.4g}: V = {fringes.visibility:.4f}, "
-            f"F_k = {report.F_k_branch:.4f}"
-        )
+        print(f"c = {c:.4g}: V = {fringes.visibility:.4f}, F_k = {f_k:.4f}")
     arr = np.array(rows)
     header = ["c", "V_measured", "F_k_branch", "p0_measured", "kick_identity_residual"]
     columns = [arr[:, i] for i in range(arr.shape[1])]

@@ -1,17 +1,19 @@
 """Branch-resolved two-slit interference with a which-way detector.
 
 A run of the experiment is represented as a `BranchState`: the slit pair
-``psi1``, ``psi2`` and a 3x2 complex matrix whose row ``i`` makes branch
-``i`` as ``coeffs[i, 0]*psi1 + coeffs[i, 1]*psi2``, one row per detector
-basis vector.  In the computational basis the branches are the two flagged
-paths and the discrimination failure; rotating to the symmetric basis
+``psi1``, ``psi2``, a detector basis, and a 3x2 complex matrix ``coeffs``
+whose row ``i`` makes branch ``i`` as ``coeffs[i, 0]*psi1 + coeffs[i, 1]*psi2``,
+one row per basis vector.  In the computational basis the branches are the
+two flagged paths and the discrimination failure; rotating to the symmetric basis
 ``q+- = (q1 +- q2)/sqrt(2)`` re-expresses the same state as an un-kicked
 branch, a branch carrying an apparent momentum kick of half a fringe
 period, and the failure branch.  Basis changes act on the matrix and free
 flight on the pair alone.  Everything observable is extracted from a
 `BranchState` by the functions in this module, from the state alone: its
 pair keeps the `SlitGeometry`, the run's `PhysicalUnits` and the pair it
-flew from, and the state its `DetectorConfig`.
+flew from.  The detector's ``c`` and ``theta`` live only in ``coeffs``,
+where `assemble` put them; their closed forms (``V = c``, ``F_k = (1 -
+c)/2``, ``p_e = theta*hbar/d``) are the caller's to set beside a reading.
 
 Momentum kicks are read off the slit pair's 2x2 comb matrix ``A`` (see
 `SlitPair.comb`), which free flight cannot change: a landed pair reads its
@@ -33,15 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, EmptyBranchError
-from .hilbert import (
-    COMPUTATIONAL,
-    SYMMETRIC,
-    Basis,
-    DetectorConfig,
-    basis_matrix,
-    detector_states,
-    tilted,
-)
+from .hilbert import COMPUTATIONAL, Basis, DetectorConfig, basis_matrix, detector_states
 from .wavepacket import (
     GridSpec,
     MomentumSpectrum,
@@ -58,7 +52,6 @@ __all__ = [
     "BranchState",
     "ScreenPattern",
     "FringeAnalysis",
-    "KickReport",
     "StoreyBound",
     "assemble",
     "change_basis",
@@ -66,9 +59,8 @@ __all__ = [
     "screen_density",
     "fringe_window",
     "fringe_analysis",
-    "kick_report",
+    "relative_kick",
     "phase_kick_shift",
-    "tilted_relative_kick",
     "storey_bound_report",
     "sample_events",
     "screen_goodness_of_fit",
@@ -191,7 +183,6 @@ class BranchState:
     basis: Basis
     coeffs: np.ndarray
     pair: SlitPair
-    detector: DetectorConfig
 
     def __post_init__(self) -> None:
         coeffs = np.array(self.coeffs, dtype=np.complex128)
@@ -242,29 +233,6 @@ class FringeAnalysis:
 
 
 @dataclass(frozen=True)
-class KickReport:
-    """Momentum-kick summary for a branch state, read in the symmetric basis.
-
-    ``d`` is the slit separation of the state's pair, and ``c`` and
-    ``theta`` are its detector's.  ``p0`` is the half-fringe kick
-    ``pi*hbar/d`` expected from the branch algebra; ``p0_measured`` is the
-    displacement of the q- momentum comb against the q+ comb, read from
-    their comb phases, in ``(-p0, p0]`` (``None`` when the kicked branch is
-    empty, i.e. c = 1).  ``F_k_branch`` is the probability of the kicked
-    branch and ``F_k_theory = (1 - c)/2``.  ``p_e = theta*hbar/d`` is the
-    deterministic kick carried by the failure branch when the detector
-    overlap has a phase.
-    """
-
-    p0: float
-    p0_measured: float | None
-    F_k_theory: float
-    F_k_branch: float
-    kick_identity_residual: float
-    p_e: float
-
-
-@dataclass(frozen=True)
 class StoreyBound:
     """The Storey inequality ``p_m * d / hbar >= 1 - V`` at a given visibility."""
 
@@ -284,7 +252,7 @@ def assemble(pair: SlitPair, detector: DetectorConfig) -> BranchState:
     with branch probabilities ``(1-c)/2, (1-c)/2, c``.
     """
     rows = detector_states(detector) * (1.0 / math.sqrt(2.0))
-    return BranchState(COMPUTATIONAL, rows, pair, detector)
+    return BranchState(COMPUTATIONAL, rows, pair)
 
 
 def change_basis(state: BranchState, to: Basis) -> BranchState:
@@ -439,35 +407,23 @@ def _comb_offset(pair: SlitPair, row_a: np.ndarray, row_b: np.ndarray) -> float:
     return float(offset)
 
 
-def kick_report(state: BranchState) -> KickReport:
-    """Momentum-kick bookkeeping, read in the symmetric basis.
+def relative_kick(state: BranchState) -> float:
+    """Momentum displacement of branch 1's comb against branch 0's, in the state's basis.
 
-    Parameters
-    ----------
-    state : BranchState
-        In any basis, emitted or landed; the report re-expresses it in the
-        symmetric one.  Its pair's ``d`` and ``hbar`` set ``p0 =
-        pi*hbar/d``, and its detector supplies ``c`` and ``theta`` for the
-        theory-side entries.
+    In the symmetric basis that is the q- comb against the q+ comb: the
+    half-fringe kick ``p0 = pi*hbar/d``, ``d`` the pair's.  A tilted basis
+    slides both combs together and leaves their displacement at ``p0``;
+    read a state in another basis with `change_basis` first.
+
+    Raises
+    ------
+    EmptyBranchError
+        If branch 0 or 1 is empty (as at c = 1) or has no fringe comb.
     """
-    sym = state if state.basis == SYMMETRIC else change_basis(state, SYMMETRIC)
-    geom, units, detector = state.pair.geom, state.pair.units, state.detector
-    probs = sym.branch_probabilities()
-    f_branch = float(probs[1])
-    p0 = math.pi * units.hbar / geom.d
-    if f_branch < EMPTY_BRANCH_TOL or probs[0] < EMPTY_BRANCH_TOL:
-        measured = None
-    else:
-        q_plus, q_minus = sym.coeffs[:2]
-        measured = _comb_offset(sym.pair, q_minus, q_plus)
-    return KickReport(
-        p0=p0,
-        p0_measured=measured,
-        F_k_theory=(1.0 - detector.c) / 2.0,
-        F_k_branch=f_branch,
-        kick_identity_residual=state.pair.kick_identity_residual,
-        p_e=detector.theta * units.hbar / geom.d,
-    )
+    if state.branch_probabilities()[:2].min() < EMPTY_BRANCH_TOL:
+        raise EmptyBranchError("interfering branches are empty; no relative kick")
+    q_plus, q_minus = state.coeffs[:2]
+    return _comb_offset(state.pair, q_minus, q_plus)
 
 
 def phase_kick_shift(state: BranchState) -> float:
@@ -482,21 +438,6 @@ def phase_kick_shift(state: BranchState) -> float:
         raise EmptyBranchError("failure branch is empty; no phase kick to measure")
     phase_free = np.full(2, 1.0 / math.sqrt(2.0))
     return _comb_offset(state.pair, state.coeffs[2], phase_free)
-
-
-def tilted_relative_kick(state: BranchState, theta_prime: float) -> float:
-    """Relative momentum kick between the two tilted interfering branches.
-
-    Re-expresses ``state`` in the tilted basis with angle ``theta_prime``
-    and measures the displacement of the q- momentum comb against the q+
-    comb.  The individual branch spectra slide with ``theta_prime`` but
-    their relative displacement stays at half a fringe, ``pi*hbar/d``.
-    """
-    rotated = change_basis(state, tilted(theta_prime))
-    if rotated.branch_probabilities()[:2].min() < EMPTY_BRANCH_TOL:
-        raise EmptyBranchError("tilted branches are empty; no relative kick")
-    q_plus, q_minus = rotated.coeffs[:2]
-    return _comb_offset(rotated.pair, q_minus, q_plus)
 
 
 def storey_bound_report(visibility: float) -> StoreyBound:
@@ -514,14 +455,20 @@ def storey_bound_report(visibility: float) -> StoreyBound:
 
 
 def _cell_cdf(pattern_values: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    # Piecewise-constant density per cell -> piecewise-linear CDF on cell edges.
-    masses = pattern_values * grid.dx
-    cdf = np.concatenate(([0.0], np.cumsum(masses)))
+    # Piecewise-constant density per cell -> piecewise-linear CDF on cell
+    # edges.  Both arrays are filled in place, with no n-point temporaries.
+    cdf = np.empty(grid.n + 1)
+    cdf[0] = 0.0
+    masses = np.multiply(pattern_values, grid.dx, out=cdf[1:])
+    np.cumsum(masses, out=masses)
     total = cdf[-1]
     if total <= 0.0:
         raise EmptyBranchError("density integrates to zero; nothing to sample")
-    edges = grid.x_min + grid.dx * np.arange(grid.n + 1)
-    return cdf / total, edges
+    cdf /= total
+    edges = np.arange(grid.n + 1, dtype=np.float64)
+    edges *= grid.dx
+    edges += grid.x_min
+    return cdf, edges
 
 
 def sample_events(state: BranchState, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

@@ -66,14 +66,13 @@ from .experiment import (
     assemble,
     change_basis,
     fringe_analysis,
-    kick_report,
     phase_kick_shift,
     propagate_all,
+    relative_kick,
     sample_events,
     screen_density,
     screen_goodness_of_fit,
     storey_bound_report,
-    tilted_relative_kick,
 )
 
 __all__ = ["CheckResult", "run_checks", "run_suite", "TOLERANCES"]
@@ -342,24 +341,25 @@ def _chk_exp_fraction_vis(run: _Run, tol: float) -> tuple[bool, str]:
 def _chk_exp_kick(run: _Run, tol: float) -> tuple[bool, str]:
     worst = 0.0
     for c in _KICK_C_GRID:
-        report = kick_report(run.state(c))
-        assert report.p0_measured is not None
-        worst = max(worst, abs(report.p0_measured - run.p0) / run.dp)
+        try:
+            kick = relative_kick(run.state(c))
+        except EmptyBranchError as exc:  # both branches hold (1 - c)/2 > 0 here
+            return False, f"no kick at c = {c}: {exc}"
+        worst = max(worst, abs(kick - run.p0) / run.dp)
     return worst <= tol, f"worst offset {worst:.3g} bins"
 
 
 @_check("experiment.detector_kick")
 def _chk_exp_detector_kick(run: _Run, tol: float) -> tuple[bool, str]:
     det = run.cfg.detector
-    report = kick_report(run.state(det.c, det.theta))
+    state = run.state(det.c, det.theta)
     if det.c == 1.0:
-        ok = report.p0_measured is None
-        return ok, (
-            "kicked branch empty at c = 1; no estimate (as expected)"
-            if ok
-            else "expected no kick estimate at c = 1"
-        )
-    off = abs(report.p0_measured - run.p0) / run.dp
+        try:
+            relative_kick(state)
+        except EmptyBranchError:
+            return True, "kicked branch empty at c = 1; no estimate (as expected)"
+        return False, "expected no kick estimate at c = 1"
+    off = abs(relative_kick(state) - run.p0) / run.dp
     return off <= tol, f"off by {off:.3g} bins"
 
 
@@ -371,7 +371,8 @@ def _chk_exp_tilted(run: _Run, tol: float) -> tuple[bool, str]:
     worst = 0.0
     state = run.state(det.c, det.theta)
     for tp in _TILT_GRID:
-        worst = max(worst, abs(tilted_relative_kick(state, tp) - run.p0) / run.dp)
+        kick = relative_kick(change_basis(state, tilted(tp)))
+        worst = max(worst, abs(kick - run.p0) / run.dp)
     return worst <= tol, f"worst offset {worst:.3g} bins"
 
 

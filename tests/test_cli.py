@@ -610,20 +610,20 @@ class TestVerifyCommand:
 
     def test_a_raising_check_is_a_fail_row(self, cfg_path, monkeypatch, capsys):
         # An error inside one check fails that check's row; the rest of the
-        # table still runs.  kick_magnitude and detector_kick call kick_report.
+        # table still runs.  The three kick rows call relative_kick.
         def broken(*args):
             raise RuntimeError("no comb today")
 
-        monkeypatch.setattr(verify_module, "kick_report", broken)
+        monkeypatch.setattr(verify_module, "relative_kick", broken)
         assert main(["verify", "--config", cfg_path]) == 1
         *rows, tally = capsys.readouterr().out.splitlines()
         status = {row[7:].split()[0]: (row[1:5], row[7:].split(None, 1)[1]) for row in rows}
         assert list(status) == list(TOLERANCES)
-        assert status["experiment.kick_magnitude"] == ("FAIL", "raised RuntimeError: no comb today")
-        assert status["experiment.detector_kick"][0] == "FAIL"
-        others = set(status) - {"experiment.kick_magnitude", "experiment.detector_kick"}
-        assert all(status[name][0] == "PASS" for name in others)
-        assert tally == "22 passed, 2 failed, 0 skipped"
+        kicks = {"experiment.kick_magnitude", "experiment.detector_kick", "experiment.tilted_kick"}
+        for name in kicks:
+            assert status[name] == ("FAIL", "raised RuntimeError: no comb today"), name
+        assert all(status[name][0] == "PASS" for name in set(status) - kicks)
+        assert tally == "21 passed, 3 failed, 0 skipped"
 
     @pytest.mark.parametrize("error, at_one_bin", [(1e-6, "FAIL"), (-1e-6, "PASS")])
     def test_tilt_phase_defect_turns_tilted_kick_red(

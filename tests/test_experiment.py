@@ -2,7 +2,6 @@
 
 import cmath
 import math
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -31,18 +30,17 @@ from kickscope import (
     fringe_analysis,
     fringe_window,
     gaussian_state,
-    kick_report,
     phase_kick_shift,
     propagate_all,
     propagate_analytic,
     propagate_fft,
+    relative_kick,
     sample_events,
     screen_density,
     screen_goodness_of_fit,
     slit_state,
     storey_bound_report,
     tilted,
-    tilted_relative_kick,
     to_momentum,
 )
 from kickscope import experiment
@@ -328,12 +326,11 @@ class TestCombForms:
         state = make_state(geom, grid, units, c=c, theta=theta)
         d, s = geom.d, 1.0 / math.sqrt(2.0)
         q_plus, q_minus, _ = state.pair.spectra(state.coeffs)
-        report = kick_report(state)
-        assert abs(report.p0_measured - _comb_shift(q_minus, q_plus, d)) <= 1e-12
+        assert abs(relative_kick(state) - _comb_shift(q_minus, q_plus, d)) <= 1e-12
         for tilt in ORACLE_TILTS:
             rotated = change_basis(state, tilted(tilt))
             q_plus, q_minus, _ = rotated.pair.spectra(rotated.coeffs)
-            shift = tilted_relative_kick(state, tilt)
+            shift = relative_kick(rotated)
             assert abs(shift - _comb_shift(q_minus, q_plus, d)) <= 1e-12
             if c == 0.0:
                 with pytest.raises(EmptyBranchError):
@@ -354,6 +351,25 @@ class TestCombForms:
         oracle = _comb_projection(pair.spectra([row])[0], geom.d)
         assert abs(form - oracle) <= 1e-12 * abs(oracle)
 
+    def test_comb_is_the_closed_form_overlap_at_lag_d(self):
+        # For Gaussian slits at x = (0, d), A_ij = <psi_i|psi_j(. - d)>/dp =
+        # exp(-(x_j + d - x_i)^2/8sigma^2)/dp, on the demos' 2^17 grid.  The
+        # tolerance is 100x the worst error measured, 3.1e-13 of max|A|.
+        geom, units = SlitGeometry(d=1.0, sigma=0.02), PhysicalUnits(t=1.0)
+        grid = GridSpec(n=2**17, x_min=-327.18, x_max=328.18)
+        dp = grid.dp(units.hbar)
+        x = np.array([0.0, geom.d])
+        lag = x[None, :] + geom.d - x[:, None]
+        closed = np.exp(-(lag**2) / (8.0 * geom.sigma**2)) / dp
+        tol = 3e-11 * np.abs(closed).max()
+        psi1, psi2 = (slit_state(geom, grid, slit) for slit in (1, 2))
+        assert np.abs(SlitPair(psi1, psi2, geom, units).comb - closed).max() <= tol
+        # Boosting slit 2 by 1e-4 bin only rotates A_10, by the same phase
+        # for every row, so every kick read stays exact; the closed form
+        # sees it at 9.6e-7 of max|A|.
+        boosted = SlitPair(psi1, apply_kick(psi2, 1e-4 * dp, hbar=units.hbar), geom, units)
+        assert np.abs(boosted.comb - closed).max() > tol
+
     def test_a_row_without_fringes_raises(self, geom, grid, units):
         # One slit alone has a smooth spectrum: no comb, so no phase.
         pair = make_state(geom, grid, units, c=0.5).pair
@@ -363,31 +379,26 @@ class TestCombForms:
 
 
 class TestKickReport:
+    """`relative_kick` on symmetric-basis states: the q- comb against the q+ comb."""
+
     def test_report_against_theory(self, geom, grid, units):
         c = 0.36
         state = make_state(geom, grid, units, c=c, theta=math.pi / 3)
-        report = kick_report(state)
         dp = to_momentum(state.branch(0), hbar=units.hbar).dp
-        assert_allclose(report.p0, math.pi, rtol=0, atol=1e-15)
-        assert_allclose(report.F_k_theory, 0.32, rtol=0, atol=1e-15)
-        assert_allclose(report.F_k_branch, 0.32, rtol=0, atol=1e-12)
-        assert abs(report.p0_measured - math.pi) <= dp
-        assert_allclose(report.p_e, math.pi / 3, rtol=0, atol=1e-15)
-        assert report.kick_identity_residual > 0.0
+        assert_allclose(state.branch_probabilities()[1], 0.32, rtol=0, atol=1e-12)
+        assert abs(relative_kick(state) - math.pi) <= dp
+        assert state.pair.kick_identity_residual > 0.0
 
     @pytest.mark.parametrize("c", [0.1, 0.5, 0.9])
     def test_measured_kick_within_one_bin(self, geom, grid, units, c):
         state = make_state(geom, grid, units, c=c)
-        report = kick_report(state)
         dp = to_momentum(state.branch(0), hbar=units.hbar).dp
-        assert abs(report.p0_measured - math.pi) <= dp
+        assert abs(relative_kick(state) - math.pi) <= dp
 
     def test_kick_survives_propagation(self, geom, grid, units):
         # |Phi|^2 is invariant under free flight, so the estimate is too.
         state = make_state(geom, grid, units, c=0.5)
-        before = kick_report(state)
-        after = kick_report(propagate_all(state))
-        assert before.p0_measured == after.p0_measured
+        assert relative_kick(state) == relative_kick(propagate_all(state))
 
     def test_a_landed_read_asks_the_pair_it_flew_from(self, geom, grid, units, monkeypatch):
         # Free flight multiplies both slit spectra by one phase, so a landed
@@ -395,12 +406,11 @@ class TestKickReport:
         state = make_state(geom, grid, units, c=0.36, theta=1.0)
 
         def reads(s):
-            report = kick_report(s)
             return (
-                report.p0_measured,
-                report.kick_identity_residual,
+                relative_kick(s),
+                s.pair.kick_identity_residual,
                 phase_kick_shift(s),
-                tilted_relative_kick(s, 0.7),
+                relative_kick(change_basis(s, tilted(0.7))),
             )
 
         emitted = reads(state)
@@ -416,9 +426,10 @@ class TestKickReport:
         assert calls == []
 
     def test_everything_fails_at_full_overlap(self, geom, grid, units):
-        report = kick_report(make_state(geom, grid, units, c=1.0))
-        assert report.p0_measured is None
-        assert report.F_k_branch == pytest.approx(0.0, abs=1e-12)
+        state = make_state(geom, grid, units, c=1.0)
+        with pytest.raises(EmptyBranchError):
+            relative_kick(state)
+        assert state.branch_probabilities()[1] == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize(
         "basis",
@@ -427,8 +438,11 @@ class TestKickReport:
     )
     def test_reads_any_basis_as_the_symmetric_one(self, geom, grid, units, basis):
         # tilted(-0.0) is the symmetric basis under another name.
-        want = astuple(kick_report(make_state(geom, grid, units, c=0.36, theta=1.0)))
-        got = astuple(kick_report(make_state(geom, grid, units, c=0.36, theta=1.0, basis=basis)))
+        sym = make_state(geom, grid, units, c=0.36, theta=1.0)
+        s_b = make_state(geom, grid, units, c=0.36, theta=1.0, basis=basis)
+        want = (relative_kick(sym), sym.branch_probabilities()[1])
+        back = change_basis(s_b, SYMMETRIC)
+        got = (relative_kick(back), back.branch_probabilities()[1])
         if basis == COMPUTATIONAL:
             assert got == want  # the same basis change, so the same bits
         else:
@@ -436,7 +450,7 @@ class TestKickReport:
 
 
 class TestStateCarriesItsSetup:
-    """Analyses read the geometry and detector off the state they are given."""
+    """Analyses read the geometry and units off the state's pair."""
 
     def test_wraparound_guard_reads_the_pairs_width(self):
         # At t = 1 a sigma = 0.01 packet spreads to a width of 50, which this
@@ -455,17 +469,16 @@ class TestStateCarriesItsSetup:
         grid = GridSpec(n=8192, x_min=d / 2 - 20.48, x_max=d / 2 + 20.48)
         state = make_state(SlitGeometry(d=d, sigma=0.02), grid, units, c=0.5, theta=theta)
         hbar, tol = units.hbar, 1e-9 * grid.dp(units.hbar)
-        report = kick_report(state)
-        assert report.p0 == math.pi * hbar / d
-        assert report.p_e == theta * hbar / d
+        kick = relative_kick(state)
         q_plus, q_minus, q3, phase_free = state.pair.spectra([*state.coeffs, (s, s)])
-        assert abs(report.p0_measured - _comb_shift(q_minus, q_plus, d)) <= tol
-        assert abs(report.p0_measured - report.p0) <= tol
+        assert abs(kick - _comb_shift(q_minus, q_plus, d)) <= tol
+        assert abs(kick - math.pi * hbar / d) <= tol
         assert abs(phase_kick_shift(state) - _comb_shift(q3, phase_free, d)) <= tol
+        assert abs(phase_kick_shift(state) - theta * hbar / d) <= tol
         for tilt in (math.pi / 4, 1.0):
             rotated = change_basis(state, tilted(tilt))
             t_plus, t_minus, _ = rotated.pair.spectra(rotated.coeffs)
-            shift = tilted_relative_kick(state, tilt)
+            shift = relative_kick(rotated)
             assert abs(shift - _comb_shift(t_minus, t_plus, d)) <= tol
 
     def test_kick_and_fringes_read_the_pairs_units(self, geom, grid):
@@ -473,8 +486,7 @@ class TestStateCarriesItsSetup:
         # conftest flight's fringe period 2*pi*hbar*t/(m*d) = pi/10.
         units = PhysicalUnits(hbar=2.0, t=0.025)
         landed = propagate_all(make_state(geom, grid, units, c=0.5))
-        report = kick_report(landed)
-        assert abs(report.p0_measured - 2.0 * math.pi / geom.d) <= 1e-9 * grid.dp(units.hbar)
+        assert abs(relative_kick(landed) - 2.0 * math.pi / geom.d) <= 1e-9 * grid.dp(units.hbar)
         period = 2.0 * math.pi * units.hbar * units.t / (units.mass * geom.d)
         assert_allclose(fringe_analysis(screen_density(landed)).fringe_period, period, rtol=0.01)
         with pytest.raises(ConfigurationError, match="already flown"):
@@ -490,7 +502,7 @@ class TestStateCarriesItsSetup:
         state = state_on(SlitPair(slit_state(geom, grid, 1), stray, geom, units), c=0.5)
         g = math.exp(-(math.pi**2) * geom.sigma**2 / 2.0)
         want = math.sqrt(2.0 - g * (1.0 - math.cos(1.05 * math.pi)))
-        assert_allclose(kick_report(state).kick_identity_residual, want, rtol=1e-9)
+        assert_allclose(state.pair.kick_identity_residual, want, rtol=1e-9)
 
     @pytest.mark.xfail(
         raises=AssertionError, reason="kicks are read at geom.d, not at the slits' separation"
@@ -503,7 +515,7 @@ class TestStateCarriesItsSetup:
         for d_true in (0.97, 1.0025, 1.05):
             stray = gaussian_state(grid, d_true, geom.sigma)
             state = state_on(SlitPair(slit_state(geom, grid, 1), stray, geom, units), c=0.5)
-            off = kick_report(state).p0_measured - math.pi * units.hbar / d_true
+            off = relative_kick(state) - math.pi * units.hbar / d_true
             bins[d_true] = off / grid.dp(units.hbar)
         assert all(abs(b) <= 1e-9 for b in bins.values()), bins
 
@@ -566,7 +578,7 @@ class TestTiltedKick:
     @pytest.mark.parametrize("theta_prime", [0.0, math.pi / 4, math.pi / 2])
     def test_relative_kick_is_always_half_a_fringe(self, geom, grid, units, theta_prime):
         state = make_state(geom, grid, units, c=0.5)
-        shift = tilted_relative_kick(state, theta_prime)
+        shift = relative_kick(change_basis(state, tilted(theta_prime)))
         dp = to_momentum(state.branch(0), hbar=units.hbar).dp
         assert abs(shift - math.pi) <= dp
 
@@ -584,7 +596,7 @@ class TestTiltedKick:
 
     def test_empty_branches_raise(self, geom, grid, units):
         with pytest.raises(EmptyBranchError):
-            tilted_relative_kick(make_state(geom, grid, units, c=1.0), 0.5)
+            relative_kick(change_basis(make_state(geom, grid, units, c=1.0), tilted(0.5)))
 
 
 class TestStoreyBound:
