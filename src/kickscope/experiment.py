@@ -52,7 +52,6 @@ __all__ = [
     "BranchState",
     "ScreenPattern",
     "FringeAnalysis",
-    "StoreyBound",
     "assemble",
     "change_basis",
     "propagate_all",
@@ -61,7 +60,6 @@ __all__ = [
     "fringe_analysis",
     "relative_kick",
     "phase_kick_shift",
-    "storey_bound_report",
     "sample_events",
     "screen_goodness_of_fit",
 ]
@@ -230,15 +228,6 @@ class FringeAnalysis:
     visibility: float
     fringe_period: float
     central_fringe_shift: float
-
-
-@dataclass(frozen=True)
-class StoreyBound:
-    """The Storey inequality ``p_m * d / hbar >= 1 - V`` at a given visibility."""
-
-    lhs: float
-    rhs: float
-    satisfied: bool
 
 
 def assemble(pair: SlitPair, detector: DetectorConfig) -> BranchState:
@@ -438,20 +427,6 @@ def phase_kick_shift(state: BranchState) -> float:
         raise EmptyBranchError("failure branch is empty; no phase kick to measure")
     phase_free = np.full(2, 1.0 / math.sqrt(2.0))
     return _comb_offset(state.pair, state.coeffs[2], phase_free)
-
-
-def storey_bound_report(visibility: float) -> StoreyBound:
-    """Check the transferred-momentum bound ``p_m * d / hbar >= 1 - V``.
-
-    The branch decomposition always transfers kicks of half a fringe,
-    ``p_m = pi*hbar/d``, so the left-hand side is ``pi`` for every
-    visibility and the bound holds with room to spare.
-    """
-    if not 0.0 <= visibility <= 1.0:
-        raise DomainError(f"visibility must lie in [0, 1], got {visibility}")
-    lhs = math.pi
-    rhs = 1.0 - visibility
-    return StoreyBound(lhs=lhs, rhs=rhs, satisfied=lhs >= rhs)
 
 
 def _cell_cdf(pattern_values: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -9,7 +9,8 @@ results.  ``run_suite`` prints one PASS/FAIL/SKIP line per result and
 returns a process exit code: 0 when nothing failed, 1 otherwise.
 
 A check that raises ``EmptyBranchError`` is a SKIP (nothing to measure at
-this setting), and one that raises any other error is a FAIL.  The
+this setting, as for every row that reads the configured detector's kick
+at c = 1), and one that raises any other error is a FAIL.  The
 exceptions are ``ConfigurationError`` and ``MemoryError``: the config
 itself cannot be checked, so they propagate and ``kickscope verify``
 exits 2 without printing a table.
@@ -24,9 +25,11 @@ them (the README quotes each sentence):
   ``experiment.phase_kick``, ``experiment.phase_visibility``;
 * kicks of h/2d at any c: ``experiment.kick_magnitude``,
   ``experiment.detector_kick``, ``experiment.tilted_kick``, read at the
-  geometry's d rather than at the separation the slits were built at;
-* contrary to earlier literature: ``experiment.storey_bound``, which cannot
-  fail while its left-hand side is the constant pi;
+  geometry's d rather than at the separation the slits were built at, off
+  the comb matrix that ``experiment.comb_closed_form`` holds to its closed
+  form at the geometry's slit centers;
+* contrary to earlier literature: ``experiment.storey_bound``, the measured
+  kick ``p0_measured*d/hbar`` against ``1 - V`` at the configured detector;
 * how often: ``experiment.kick_fraction`` (half the time at c = 0, less
   often above), and against the visibility ``experiment.kick_fraction_vs_visibility``.
 
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -72,7 +76,6 @@ from .experiment import (
     sample_events,
     screen_density,
     screen_goodness_of_fit,
-    storey_bound_report,
 )
 
 __all__ = ["CheckResult", "run_checks", "run_suite", "TOLERANCES"]
@@ -97,6 +100,7 @@ TOLERANCES: dict[str, float] = {
     "experiment.detector_kick": 1e-9,  # momentum bins
     "experiment.tilted_kick": 1e-9,  # momentum bins
     "experiment.kick_identity": 1e-6,
+    "experiment.comb_closed_form": 2e-10,  # relative to max |A|
     "experiment.phase_kick": 1e-9,  # momentum bins
     "experiment.phase_visibility": 0.01,
     "experiment.storey_bound": 0.0,
@@ -123,6 +127,8 @@ class _Run:
 
     Every state a check builds shares ``pair``, so the pair flies once.
     ``dp`` is one momentum bin of its grid and ``p0`` its kick ``pi*hbar/d``.
+    The configured landed state and its one seeded event draw are built on
+    first use, so an error there fails the sampler rows that read them.
     """
 
     def __init__(self, cfg: RunConfig) -> None:
@@ -142,6 +148,16 @@ class _Run:
         if (c, theta) not in self.visibilities:
             self.visibilities[c, theta] = fringe_analysis(self.pattern(c, theta)).visibility
         return self.visibilities[c, theta]
+
+    @cached_property
+    def landed(self) -> BranchState:
+        det = self.cfg.detector
+        return propagate_all(self.state(det.c, det.theta))
+
+    @cached_property
+    def events(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(codes, xs)`` of ``max(sampling.count, 10_000)`` events drawn from `landed`."""
+        return sample_events(self.landed, max(self.cfg.sample_count, 10_000), self.cfg.seed)
 
 
 _CHECKS: list[tuple[str, Callable[[_Run, float], CheckResult]]] = []
@@ -352,22 +368,13 @@ def _chk_exp_kick(run: _Run, tol: float) -> tuple[bool, str]:
 @_check("experiment.detector_kick")
 def _chk_exp_detector_kick(run: _Run, tol: float) -> tuple[bool, str]:
     det = run.cfg.detector
-    state = run.state(det.c, det.theta)
-    if det.c == 1.0:
-        try:
-            relative_kick(state)
-        except EmptyBranchError:
-            return True, "kicked branch empty at c = 1; no estimate (as expected)"
-        return False, "expected no kick estimate at c = 1"
-    off = abs(relative_kick(state) - run.p0) / run.dp
+    off = abs(relative_kick(run.state(det.c, det.theta)) - run.p0) / run.dp
     return off <= tol, f"off by {off:.3g} bins"
 
 
 @_check("experiment.tilted_kick")
 def _chk_exp_tilted(run: _Run, tol: float) -> tuple[bool, str]:
     det = run.cfg.detector
-    if det.c == 1.0:
-        raise EmptyBranchError("interfering branches empty at c = 1")
     worst = 0.0
     state = run.state(det.c, det.theta)
     for tp in _TILT_GRID:
@@ -394,6 +401,19 @@ def _chk_exp_identity(run: _Run, tol: float) -> tuple[bool, str]:
     return worst <= tol and monotone, detail
 
 
+@_check("experiment.comb_closed_form")
+def _chk_exp_comb(run: _Run, tol: float) -> tuple[bool, str]:
+    # Gaussian slits at x_i have comb matrix A_ij = exp(-(x_j + d - x_i)^2 /
+    # (8 sigma^2)) / dp: the sum over the momentum grid of their shared
+    # Gaussian momentum density times exp(-i*p*(x_j + d - x_i)/hbar).
+    geom = run.pair.geom
+    x = np.array(geom.centers)
+    gap = x[np.newaxis, :] + geom.d - x[:, np.newaxis]
+    closed = np.exp(-(gap**2) / (8.0 * geom.sigma**2)) / run.dp
+    worst = float(np.abs(run.pair.comb - closed).max() / np.abs(closed).max())
+    return worst <= tol, f"max rel dev {worst:.3g}"
+
+
 @_check("experiment.phase_kick")
 def _chk_exp_phase(run: _Run, tol: float) -> tuple[bool, str]:
     worst = 0.0
@@ -414,20 +434,17 @@ def _chk_exp_phase_vis(run: _Run, tol: float) -> tuple[bool, str]:
 
 @_check("experiment.storey_bound")
 def _chk_exp_storey(run: _Run, tol: float) -> tuple[bool, str]:
-    for v in np.arange(0.0, 1.0 + 1e-9, 0.1):
-        rep = storey_bound_report(float(v))
-        if not rep.satisfied or abs(rep.lhs - math.pi) > tol + 1e-15:
-            return False, f"bound violated at V = {v:.1f}"
-    return True, "lhs = pi >= 1 - V on the whole V grid"
+    det, pair = run.cfg.detector, run.pair
+    lhs = relative_kick(run.state(det.c, det.theta)) * pair.geom.d / pair.units.hbar
+    rhs = 1.0 - run.visibility(det.c, det.theta)
+    return lhs >= rhs - tol, f"p0_measured*d/hbar = {lhs:.4g} >= 1 - V = {rhs:.3g}"
 
 
 @_check("experiment.sampler_outcomes")
 def _chk_exp_sampler(run: _Run, tol: float) -> tuple[bool, str]:
-    cfg, det = run.cfg, run.cfg.detector
-    state = propagate_all(run.state(det.c, det.theta))
-    count = max(cfg.sample_count, 10_000)
-    codes, _ = sample_events(state, count, cfg.seed)
-    probs = state.branch_probabilities()
+    codes, _ = run.events
+    count = codes.size
+    probs = run.landed.branch_probabilities()
     freqs = np.bincount(codes, minlength=3) / count
     worst = 0.0
     for p, freq in zip(probs, freqs):
@@ -445,20 +462,16 @@ def _chk_exp_sampler(run: _Run, tol: float) -> tuple[bool, str]:
 
 @_check("experiment.sampler_gof")
 def _chk_exp_gof(run: _Run, tol: float) -> tuple[bool, str]:
-    cfg, det = run.cfg, run.cfg.detector
-    state = propagate_all(run.state(det.c, det.theta))
-    count = max(cfg.sample_count, 10_000)
-    _, xs = sample_events(state, count, cfg.seed)
-    _, pvalue = screen_goodness_of_fit(xs, run.pattern(det.c, det.theta))
+    _, xs = run.events
+    _, pvalue = screen_goodness_of_fit(xs, screen_density(run.landed))
     return pvalue > tol, f"p = {pvalue:.4f}"
 
 
 @_check("experiment.sampler_determinism")
 def _chk_exp_determinism(run: _Run, tol: float) -> tuple[bool, str]:
-    cfg, det = run.cfg, run.cfg.detector
-    state = propagate_all(run.state(det.c, det.theta))
-    codes_a, xs_a = sample_events(state, 512, cfg.seed)
-    codes_b, xs_b = sample_events(state, 512, cfg.seed)
+    seed = run.cfg.seed
+    codes_a, xs_a = sample_events(run.landed, 512, seed)
+    codes_b, xs_b = sample_events(run.landed, 512, seed)
     identical = np.array_equal(codes_a, codes_b) and np.array_equal(xs_a, xs_b)
     return identical, (
         "same seed reproduces events exactly" if identical else "event streams diverged"

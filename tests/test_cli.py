@@ -26,7 +26,7 @@ from kickscope.cli import main
 from kickscope.config import load_config, parse_config_text
 from kickscope.hilbert import COMPUTATIONAL, Basis
 from kickscope.verify import _CHECKS, TOLERANCES, _Run, run_suite
-from kickscope.wavepacket import apply_kick
+from kickscope.wavepacket import apply_kick, gaussian_state
 
 # 2^17 points keep every subcommand comfortably under two seconds while
 # leaving the propagated envelope (sigma(t) = 25) far from the box edges.
@@ -96,6 +96,16 @@ class TestRun:
         dp = 2.0 * math.pi / (131072 * 0.005)
         assert abs(summary["p0_measured"] - math.pi) <= dp
         assert summary["storey_lhs"] >= summary["storey_rhs"]
+
+    def test_full_overlap_leaves_storey_lhs_unmeasured(self, tmp_path):
+        # At c = 1 no branch is kicked, so there is no kick to bound.
+        path = tmp_path / "c1.cfg"
+        path.write_text(_reduced_with("detector.c = 1.0\n"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        summary = read_summary(out / "summary.txt")
+        assert math.isnan(summary["p0_measured"]) and math.isnan(summary["storey_lhs"])
+        assert summary["storey_rhs"] == 1.0 - summary["V_measured"]
 
     def test_reruns_are_byte_identical(self, cfg_path, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -546,6 +556,19 @@ def _boost_slit_2(real, cfg):
     return defective
 
 
+def _displace_slit_2(real, cfg):
+    def defective(geom, grid, slit):
+        if slit != 2:
+            return real(geom, grid, slit)
+        return gaussian_state(grid, geom.d * (1.0 + 2.5e-3), geom.sigma)
+
+    return defective
+
+
+def _zero_kick(real, cfg):
+    return lambda state: 0.0
+
+
 # Each planted defect: the modules whose binding of ``name`` is patched, the
 # defect, and the checks it must turn red on REDUCED.
 DEFECTS = {
@@ -577,9 +600,60 @@ DEFECTS = {
         (experiment,),
         "slit_state",
         _boost_slit_2,
-        ("experiment.density_formula", "wavepacket.propagator_agreement"),
+        (
+            "experiment.density_formula",
+            "wavepacket.propagator_agreement",
+            "experiment.comb_closed_form",
+        ),
+    ),
+    # Slit 2 built 2.5e-3*d further out than the geometry says.  The kick
+    # rows read at geom.d and stay green; the closed forms at geom.centers
+    # do not.
+    "slit-2-displaced": (
+        (experiment,),
+        "slit_state",
+        _displace_slit_2,
+        (
+            "wavepacket.propagator_agreement",
+            "experiment.density_formula",
+            "experiment.kick_identity",
+            "experiment.comb_closed_form",
+        ),
+    ),
+    # No kick at all: every row that reads one, Storey's bound included.
+    "kick-zeroed": (
+        (verify_module,),
+        "relative_kick",
+        _zero_kick,
+        (
+            "experiment.kick_magnitude",
+            "experiment.detector_kick",
+            "experiment.tilted_kick",
+            "experiment.storey_bound",
+        ),
     ),
 }
+
+# Rows that no planted defect turns red yet.  A row is in here or is named
+# by a defect, never both, so a new row without a defect fails
+# test_every_row_has_a_defect_or_is_listed until it is listed.
+NO_DEFECT_YET = {
+    "wavepacket.normalization",
+    "wavepacket.momentum_oracle",
+    "wavepacket.roundtrip",
+    "wavepacket.kick_displacement",
+    "experiment.failure_probability",
+    "experiment.visibility_law",
+    "experiment.kick_fraction",
+    "experiment.kick_fraction_vs_visibility",
+    "experiment.phase_visibility",
+    "experiment.sampler_outcomes",
+    "experiment.sampler_gof",
+    "experiment.sampler_determinism",
+}
+
+# The row test_tilt_phase_defect_turns_tilted_kick_red plants its defect in.
+TILT_PHASE_ROW = "experiment.tilted_kick"
 
 
 class TestVerifyCommand:
@@ -590,16 +664,18 @@ class TestVerifyCommand:
         # Every detail line prints a measured value, so an ulp-level change
         # in a transform shows here first.
         digest = hashlib.sha256(out.encode()).hexdigest()
-        assert digest == "31d8bdb09b18a639cd2b8aa3ef0dc73b2d1a1ed18b9dc71b00ec57a04d2a57ed"
+        assert digest == "367202689dbae8935322a77448a21102eb458e45ebf8b41dfd8d61dd2b279086"
 
     def test_skips_kick_checks_at_full_overlap(self, tmp_path, capsys):
         path = tmp_path / "c1.cfg"
         path.write_text(REDUCED.replace("detector.c = 0.5", "detector.c = 1.0"))
         assert main(["verify", "--config", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "[SKIP]" in out and "0 failed" in out
+        assert "0 failed" in out
+        for name in ("detector_kick", "tilted_kick", "storey_bound"):
+            assert f"[SKIP] experiment.{name} " in out, name
         digest = hashlib.sha256(out.encode()).hexdigest()
-        assert digest == "ac3e81addae1707b8abcb7d3dd2dfff9919e20a90e17e0af30a39829aeacba92"
+        assert digest == "93895cc96da148ad98598ea2208af1540018116bdaa34b02d5282ad85e8894bd"
 
     def test_tightened_tolerance_turns_the_suite_red(self, cfg_path, monkeypatch, capsys):
         # Injecting an unreachable tolerance must flip the exit code; this
@@ -610,7 +686,7 @@ class TestVerifyCommand:
 
     def test_a_raising_check_is_a_fail_row(self, cfg_path, monkeypatch, capsys):
         # An error inside one check fails that check's row; the rest of the
-        # table still runs.  The three kick rows call relative_kick.
+        # table still runs.  The four kick rows call relative_kick.
         def broken(*args):
             raise RuntimeError("no comb today")
 
@@ -619,11 +695,16 @@ class TestVerifyCommand:
         *rows, tally = capsys.readouterr().out.splitlines()
         status = {row[7:].split()[0]: (row[1:5], row[7:].split(None, 1)[1]) for row in rows}
         assert list(status) == list(TOLERANCES)
-        kicks = {"experiment.kick_magnitude", "experiment.detector_kick", "experiment.tilted_kick"}
+        kicks = {
+            "experiment.kick_magnitude",
+            "experiment.detector_kick",
+            "experiment.tilted_kick",
+            "experiment.storey_bound",
+        }
         for name in kicks:
             assert status[name] == ("FAIL", "raised RuntimeError: no comb today"), name
         assert all(status[name][0] == "PASS" for name in set(status) - kicks)
-        assert tally == "21 passed, 3 failed, 0 skipped"
+        assert tally == "21 passed, 4 failed, 0 skipped"
 
     @pytest.mark.parametrize("error, at_one_bin", [(1e-6, "FAIL"), (-1e-6, "PASS")])
     def test_tilt_phase_defect_turns_tilted_kick_red(
@@ -643,9 +724,9 @@ class TestVerifyCommand:
             return m
 
         monkeypatch.setattr(Basis, "matrix_from_computational", defective)
-        check = dict(_CHECKS)["experiment.tilted_kick"]
+        check = dict(_CHECKS)[TILT_PHASE_ROW]
         run = _Run(load_config(cfg_path))
-        assert check(run, TOLERANCES["experiment.tilted_kick"]).status == "FAIL"
+        assert check(run, TOLERANCES[TILT_PHASE_ROW]).status == "FAIL"
         assert check(run, 1.0).status == at_one_bin
 
 
@@ -658,6 +739,12 @@ class TestVerifyCommand:
         checks, run = dict(_CHECKS), _Run(cfg)
         status = {check: checks[check](run, TOLERANCES[check]).status for check in names}
         assert status == dict.fromkeys(names, "FAIL")
+
+    def test_every_row_has_a_defect_or_is_listed(self):
+        killed = {name for *_, names in DEFECTS.values() for name in names} | {TILT_PHASE_ROW}
+        assert killed <= set(TOLERANCES)
+        assert killed & NO_DEFECT_YET == set()
+        assert set(TOLERANCES) - killed == NO_DEFECT_YET
 
     @pytest.mark.xfail(
         raises=AssertionError,

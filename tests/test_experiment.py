@@ -39,7 +39,6 @@ from kickscope import (
     screen_density,
     screen_goodness_of_fit,
     slit_state,
-    storey_bound_report,
     tilted,
     to_momentum,
 )
@@ -600,16 +599,21 @@ class TestTiltedKick:
 
 
 class TestStoreyBound:
-    @pytest.mark.parametrize("v", np.round(np.arange(0.0, 1.01, 0.1), 10).tolist())
-    def test_holds_across_visibilities(self, v):
-        report = storey_bound_report(v)
-        assert report.lhs == pytest.approx(math.pi, abs=1e-15)
-        assert report.rhs == pytest.approx(1.0 - v, abs=1e-12)
-        assert report.satisfied
+    """Storey's ``p_m*d/hbar >= 1 - V``, from the measured kick and visibility."""
 
-    def test_rejects_visibility_outside_unit_interval(self):
-        with pytest.raises(DomainError):
-            storey_bound_report(1.2)
+    @pytest.mark.parametrize("v", np.round(np.arange(0.0, 1.01, 0.1), 10).tolist())
+    def test_holds_across_visibilities(self, geom, grid, units, v):
+        # V = c, so the detector's c sets the visibility.
+        state = make_state(geom, grid, units, c=v)
+        if v == 1.0:
+            # No branch is kicked, so there is no left-hand side to measure.
+            with pytest.raises(EmptyBranchError):
+                relative_kick(state)
+            return
+        visibility = fringe_analysis(screen_density(propagate_all(state))).visibility
+        lhs = relative_kick(state) * geom.d / units.hbar
+        assert abs(lhs - math.pi) <= grid.dp(units.hbar) * geom.d / units.hbar
+        assert lhs >= 1.0 - visibility
 
 
 class TestSampling:
