@@ -73,6 +73,10 @@ GOF_BINS = 50
 #: Fewest samples `screen_goodness_of_fit` accepts: ten expected per bin.
 GOF_MIN_SAMPLES = 10 * GOF_BINS
 
+#: Events `sample_events` draws per block: 2 MB of uniforms, whatever the
+#: event count.
+_SAMPLE_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True, eq=False)
 class SlitPair:
@@ -429,9 +433,12 @@ def phase_kick_shift(state: BranchState) -> float:
     return _comb_offset(state.pair, state.coeffs[2], phase_free)
 
 
-def _cell_cdf(pattern_values: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+def _cell_cdf(
+    pattern_values: np.ndarray, grid: GridSpec, edges: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     # Piecewise-constant density per cell -> piecewise-linear CDF on cell
-    # edges.  Both arrays are filled in place, with no n-point temporaries.
+    # edges.  Both arrays are filled in place, with no n-point temporaries;
+    # ``edges`` returned by an earlier call on ``grid`` are reused.
     cdf = np.empty(grid.n + 1)
     cdf[0] = 0.0
     masses = np.multiply(pattern_values, grid.dx, out=cdf[1:])
@@ -440,9 +447,10 @@ def _cell_cdf(pattern_values: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, n
     if total <= 0.0:
         raise EmptyBranchError("density integrates to zero; nothing to sample")
     cdf /= total
-    edges = np.arange(grid.n + 1, dtype=np.float64)
-    edges *= grid.dx
-    edges += grid.x_min
+    if edges is None:
+        edges = np.arange(grid.n + 1, dtype=np.float64)
+        edges *= grid.dx
+        edges += grid.x_min
     return cdf, edges
 
 
@@ -455,21 +463,33 @@ def sample_events(state: BranchState, count: int, seed: int) -> tuple[np.ndarray
     branch's conditional density by inverting its piecewise-linear CDF.
     The generator is ``numpy.random.default_rng(seed)`` (PCG64), so a fixed
     seed reproduces the events bit for bit on any platform.
+
+    Events are drawn ``_SAMPLE_BLOCK`` at a time, two uniforms each, so
+    memory beyond the returned arrays does not grow with ``count``.  PCG64
+    hands out its doubles in order, so the stream is the one a single
+    ``(count, 2)`` draw gives.  A branch's cell CDF is built when its first
+    event is drawn, on cell edges that all branches share.
     """
     if count < 0:
         raise DomainError(f"event count must be non-negative, got {count}")
-    probs = state.branch_probabilities()
-    cum = np.cumsum(probs)
+    cum = np.cumsum(state.branch_probabilities())
     rng = np.random.default_rng(seed)
-    u = rng.random((count, 2))
-    codes = np.minimum(np.searchsorted(cum, u[:, 0], side="right"), 2)
+    codes = np.empty(count, dtype=np.intp)
     xs = np.empty(count)
-    for i in range(3):
-        mask = codes == i
-        if not mask.any():
-            continue
-        cdf, edges = _cell_cdf(state.branch(i).density(), state.pair.grid)
-        xs[mask] = np.interp(u[mask, 1], cdf, edges)
+    cdfs: dict[int, np.ndarray] = {}
+    edges = None
+    for start in range(0, count, _SAMPLE_BLOCK):
+        u = rng.random((min(_SAMPLE_BLOCK, count - start), 2))
+        block = slice(start, start + len(u))
+        block_codes, block_xs = codes[block], xs[block]
+        np.minimum(np.searchsorted(cum, u[:, 0], side="right"), 2, out=block_codes)
+        for i in range(3):
+            mask = block_codes == i
+            if not mask.any():
+                continue
+            if i not in cdfs:
+                cdfs[i], edges = _cell_cdf(state.branch(i).density(), state.pair.grid, edges)
+            block_xs[mask] = np.interp(u[mask, 1], cdfs[i], edges)
     return codes, xs
 
 
@@ -481,7 +501,9 @@ def screen_goodness_of_fit(
     Bins are ``GOF_BINS`` equal-probability quantiles of the pattern's
     cell-wise CDF, so every bin expects ``len(xs)/GOF_BINS`` counts.
     Returns Pearson's ``(statistic, p_value)`` with ``GOF_BINS - 1``
-    degrees of freedom, the same numbers ``scipy.stats.chisquare`` gives.
+    degrees of freedom.  The statistic is the one ``scipy.stats.chisquare``
+    gives; the p-value is the chi-square tail as a finite sum (Abramowitz &
+    Stegun 26.4.4-5), so no scipy import is needed.
     Meant for strictly positive patterns such as propagated totals; exact
     zero-density stretches would collapse quantile bins.
 
@@ -502,12 +524,23 @@ def screen_goodness_of_fit(
     if missing:
         raise DomainError(f"{missing} of {xs.size} samples fall outside the pattern's bins")
     expected = np.full(GOF_BINS, xs.size / GOF_BINS)
-    stat = np.sum((observed.astype(np.float64) - expected) ** 2 / expected)
-    # chdtrc is the chi-square survival function scipy.stats uses; calling
-    # it directly keeps the slow scipy.stats import out of the CLI.  It is
-    # imported here, not at module level, because importing scipy.special
-    # costs about 0.3 s and 24 MB, which `run` and `scan` never need.
-    from scipy.special import chdtrc
+    stat = float(np.sum((observed.astype(np.float64) - expected) ** 2 / expected))
+    return stat, _chi2_sf(GOF_BINS - 1, stat)
 
-    pvalue = chdtrc(GOF_BINS - 1, stat)
-    return float(stat), float(pvalue)
+
+def _chi2_sf(dof: int, stat: float) -> float:
+    # Chi-square survival function Q(dof/2, stat/2) for whole dof, as the
+    # finite sums of Abramowitz & Stegun 26.4.4-5: the recurrence
+    # Q(a + 1, x) = Q(a, x) + x**a * exp(-x) / Gamma(a + 1), started at
+    # Q(1/2, x) = erfc(sqrt(x)) for odd dof and Q(1, x) = exp(-x) for even.
+    # Every term is positive, so the sum cancels nothing.
+    x = 0.5 * stat
+    if dof % 2:
+        a, q, term = 0.5, math.erfc(math.sqrt(x)), 2.0 * math.sqrt(x / math.pi) * math.exp(-x)
+    else:
+        a, q, term = 1.0, math.exp(-x), x * math.exp(-x)
+    while a < 0.5 * dof:
+        q += term
+        a += 1.0
+        term *= x / a
+    return q

@@ -11,7 +11,7 @@ exp(-i*p_k*x_j/hbar)`` on the centered momentum grid ``p_k = (k - n/2)*dp``
 with ``dp = 2*pi*hbar/(n*dx)``.  With this convention a state centered at
 ``x_c`` picks up the phase ``exp(-i*p*x_c/hbar)`` and Parseval's identity
 ``sum |psi|^2 dx = sum |Phi|^2 dp`` holds to rounding error.  The
-transforms are ``numpy.fft``'s, so no command needs scipy to move a state.
+transforms are ``numpy.fft``'s; the package needs numpy alone.
 
 Free propagation is implemented twice on purpose: `propagate_fft`
 multiplies the momentum amplitudes by ``exp(-i*p^2*t/(2*m*hbar))`` and

@@ -6,6 +6,7 @@ import filecmp
 import functools
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -193,7 +194,10 @@ class TestSample:
         # sha256 of the REDUCED run (seed 7, 2000 events), recorded when the
         # branches became combinations of one propagated slit pair.  Against
         # the earlier three-branch propagation every outcome and count is the
-        # same and positions moved by at most 2.1e-14*max(1, |x|).  block = 7
+        # same and positions moved by at most 2.1e-14*max(1, |x|).  The
+        # summary was re-recorded when the p-value became the exact finite
+        # chi-square sum: chi_square_p moved from scipy's 0.19565761419095987
+        # to 0.19565761419095995 (exact 0.195657614190959922).  block = 7
         # puts writer block boundaries inside the event stream.
         if block is not None:
             monkeypatch.setattr(cli, "_BLOCK_ROWS", block)
@@ -203,7 +207,7 @@ class TestSample:
             out,
             {
                 "events.csv": "a22168d8ffc0dc6d19076c2b68f55cdfcd1f1151918d5c82f43d6206974bdebc",
-                "sample_summary.txt": "4a3f0602a7ca8c7eb38cb39085390f3992282f9b47cef4a3e1603330e75c20fb",
+                "sample_summary.txt": "23b30bbf31ce89be409ec33a81ad052102dce7ac3c38aa935b1b111bc6987898",
             },
         )
 
@@ -473,10 +477,10 @@ sampling.count = 500
 """
 
 
-@pytest.mark.parametrize("command", ["import", "run", "scan", "sample"])
+@pytest.mark.parametrize("command", ["import", "run", "scan", "sample", "verify"])
 def test_scipy_stays_off_the_command_path(command, tmp_path):
-    # Transforms use numpy.fft; only the chi-square p-value of `sample`
-    # (and of verify's sampler_gof) loads scipy.special.
+    # Transforms use numpy.fft and the chi-square p-value is a finite sum,
+    # so no command loads any part of scipy.
     path = tmp_path / "small.cfg"
     path.write_text(SMALL)
     code = (
@@ -488,17 +492,17 @@ def test_scipy_stays_off_the_command_path(command, tmp_path):
     )
     src = str(Path(kickscope.__file__).resolve().parents[1])
     argv = [sys.executable, "-c", code, src]
-    if command != "import":
+    if command == "verify":
+        argv += [command, "--config", str(path)]
+    elif command != "import":
         argv += [command, "--config", str(path), "--out", str(tmp_path / "out")]
     done = subprocess.run(argv, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    loaded = json.loads(done.stderr.splitlines()[-1])
     if command == "sample":
         assert "chi_square_p=" in (tmp_path / "out" / "sample_summary.txt").read_text()
-        assert "scipy.special" in loaded
-        assert not [m for m in loaded if m == "scipy.fft" or m.startswith("scipy.fft.")]
-    else:
-        assert loaded == []
+    if command == "verify":
+        assert "[PASS] experiment.sampler_gof " in done.stdout
+    assert json.loads(done.stderr.splitlines()[-1]) == []
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
@@ -569,6 +573,23 @@ def _zero_kick(real, cfg):
     return lambda state: 0.0
 
 
+def _count_into_seed(real, cfg):
+    calls = itertools.count()
+    return lambda state, count, seed: real(state, count, seed + next(calls))
+
+
+def _uniform_outcomes(real, cfg):
+    def defective(state, count, seed):
+        _, xs = real(state, count, seed)
+        return np.arange(count) % 3, xs
+
+    return defective
+
+
+def _branch_0_only(real, cfg):
+    return lambda state, i: real(state, 0)
+
+
 # Each planted defect: the modules whose binding of ``name`` is patched, the
 # defect, and the checks it must turn red on REDUCED.
 DEFECTS = {
@@ -632,6 +653,27 @@ DEFECTS = {
             "experiment.storey_bound",
         ),
     ),
+    # Each call draws from the next seed, so two draws never agree.
+    "sampler-seed-ignored": (
+        (verify_module,),
+        "sample_events",
+        _count_into_seed,
+        ("experiment.sampler_determinism",),
+    ),
+    # Outcomes cycle through the three branches whatever their weights.
+    "sampler-outcomes-uniform": (
+        (verify_module,),
+        "sample_events",
+        _uniform_outcomes,
+        ("experiment.sampler_outcomes",),
+    ),
+    # Every event lands by branch 0's density; the total pattern is untouched.
+    "sampler-one-branch": (
+        (experiment.BranchState,),
+        "branch",
+        _branch_0_only,
+        ("experiment.sampler_gof",),
+    ),
 }
 
 # Rows that no planted defect turns red yet.  A row is in here or is named
@@ -647,9 +689,6 @@ NO_DEFECT_YET = {
     "experiment.kick_fraction",
     "experiment.kick_fraction_vs_visibility",
     "experiment.phase_visibility",
-    "experiment.sampler_outcomes",
-    "experiment.sampler_gof",
-    "experiment.sampler_determinism",
 }
 
 # The row test_tilt_phase_defect_turns_tilted_kick_red plants its defect in.

@@ -65,6 +65,15 @@ def make_state(geom, grid, units, c, theta=0.0, basis=SYMMETRIC):
     return state_on(SlitPair.emit(geom, grid, units), c, theta, basis)
 
 
+def exact_chi2_sf(dof, stat):
+    """The chi-square tail Q(dof/2, stat/2) at 50 digits, rounded to a float."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        half = mpmath.mpf(dof) / 2
+        return float(mpmath.gammainc(half, mpmath.mpf(stat) / 2, mpmath.inf, regularized=True))
+
+
 class TestAssembly:
     def test_branch_probabilities(self, geom, grid, units):
         state = assemble(SlitPair.emit(geom, grid, units), DetectorConfig(c=0.36))
@@ -695,6 +704,9 @@ class TestSampling:
             screen_goodness_of_fit(xs, screen_density(state))
 
     def test_goodness_of_fit_matches_scipy_chisquare(self, geom, grid, units):
+        # The statistic is scipy's to the bit.  The p-value is held to the
+        # exact tail: scipy's chdtrc is off from it by up to 6e-14 relative
+        # on the grid of the test below, so scipy only bounds it loosely.
         from scipy.stats import chisquare  # the oracle; the package avoids this import
 
         from kickscope.experiment import _cell_cdf
@@ -712,8 +724,18 @@ class TestSampling:
                     bins = np.interp(np.linspace(0.0, 1.0, 51), cdf, edges)
                     observed, _ = np.histogram(xs, bins=bins)
                     oracle = chisquare(observed, f_exp=np.full(50, count / 50))
-                    got = screen_goodness_of_fit(xs, pattern)
-                    assert got == (float(oracle.statistic), float(oracle.pvalue))
+                    stat, pvalue = screen_goodness_of_fit(xs, pattern)
+                    assert stat == float(oracle.statistic)
+                    assert pvalue == pytest.approx(float(oracle.pvalue), rel=1e-13, abs=0)
+                    assert pvalue == pytest.approx(exact_chi2_sf(49, stat), rel=4e-15, abs=0)
+
+    @pytest.mark.parametrize("dof", [48, 49])
+    def test_chi2_tail_is_exact_to_a_few_ulp(self, dof):
+        from kickscope.experiment import _chi2_sf
+
+        for stat in np.geomspace(1e-3, 1400.0, 600).tolist():
+            want = exact_chi2_sf(dof, stat)
+            assert _chi2_sf(dof, stat) == pytest.approx(want, rel=4e-15, abs=0), stat
 
     def test_goodness_of_fit_rejects_samples_off_the_pattern(self, geom, grid, units):
         state = propagate_all(make_state(geom, grid, units, c=0.5))
@@ -739,6 +761,47 @@ class TestSampling:
         mean = np.interp(quantiles, cdf, edges).mean()
         want = np.sum(grid.x * pattern.values) / np.sum(pattern.values)
         assert abs(mean - want) <= 0.01 * grid.dx
+
+    @pytest.mark.parametrize("count", [0, 1, 7, 8, 1000])
+    @pytest.mark.parametrize(
+        "c, basis", [(0.5, SYMMETRIC), (0.3, COMPUTATIONAL), (1.0, SYMMETRIC)]
+    )
+    def test_blocks_draw_the_one_shot_stream(
+        self, geom, grid, units, monkeypatch, c, basis, count
+    ):
+        # 7-event blocks put block boundaries inside every stream; at c = 1
+        # two branches are empty.  The reference draws all uniforms at once.
+        from kickscope.experiment import _cell_cdf
+
+        state = propagate_all(make_state(geom, grid, units, c=c, theta=0.4, basis=basis))
+        u = np.random.default_rng(9).random((count, 2))
+        want_codes = np.minimum(
+            np.searchsorted(np.cumsum(state.branch_probabilities()), u[:, 0], side="right"), 2
+        )
+        want_xs = np.empty(count)
+        for i in range(3):
+            mask = want_codes == i
+            if mask.any():
+                cdf, edges = _cell_cdf(state.branch(i).density(), grid)
+                want_xs[mask] = np.interp(u[mask, 1], cdf, edges)
+        monkeypatch.setattr(experiment, "_SAMPLE_BLOCK", 7)
+        codes, xs = sample_events(state, count, seed=9)
+        assert codes.dtype == want_codes.dtype and np.array_equal(codes, want_codes)
+        assert xs.tobytes() == want_xs.tobytes()
+
+    def test_memory_is_one_block_not_the_draw(self, geom, grid, units):
+        # A single (count, 2) draw and its full-length temporaries peak
+        # 26 MB above the returned arrays here; 2^16-event blocks 3.0 MB.
+        import tracemalloc
+
+        state = propagate_all(make_state(geom, grid, units, c=0.5))
+        tracemalloc.start()
+        try:
+            codes, xs = sample_events(state, 2**20, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= codes.nbytes + xs.nbytes + 4 * 2**20
 
     def test_rejects_negative_count(self, geom, grid, units):
         state = propagate_all(make_state(geom, grid, units, c=0.5))
