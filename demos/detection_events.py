@@ -15,7 +15,6 @@ from kickscope import (
     SYMMETRIC,
     DetectorConfig,
     GridSpec,
-    Outcome,
     PhysicalUnits,
     SlitGeometry,
     SlitPair,
@@ -52,27 +51,20 @@ def main() -> None:
     fired = {o: codes == i for i, o in enumerate(propagated.basis.outcomes)}
 
     print(f"{args.count} events, seed {args.seed}:")
-    for outcome in (Outcome.Q_PLUS, Outcome.Q_MINUS, Outcome.Q3):
+    for outcome in propagated.basis.outcomes:
         n = int(np.count_nonzero(fired[outcome]))
-        print(f"  {outcome.value:8s} {n:7d}  ({n / args.count:.4f})")
+        print(f"  {outcome:8s} {n:7d}  ({n / args.count:.4f})")
     print()
 
     lo, hi = fringe_window(screen_density(propagated))
     print(f"landing histograms inside the fringe window [{lo:.2f}, {hi:.2f}]:")
     in_window = (xs >= lo) & (xs <= hi)
-    rows = {
-        o: histogram_row(xs[fired[o] & in_window], lo, hi)
-        for o in (Outcome.Q_PLUS, Outcome.Q_MINUS, Outcome.Q3)
-    }
-    header = f"{'x':>8}  {'q_plus':<42}{'q_minus':<42}{'q3':<42}"
-    print(header)
-    edges = np.linspace(lo, hi, len(rows[Outcome.Q_PLUS]) + 1)
+    rows = {o: histogram_row(xs[fired[o] & in_window], lo, hi) for o in fired}
+    print(f"{'x':>8}  " + "".join(f"{o:<42}" for o in rows))
+    edges = np.linspace(lo, hi, len(rows["q_plus"]) + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     for i, x in enumerate(centers):
-        print(
-            f"{x:8.3f}  {rows[Outcome.Q_PLUS][i]:<42}"
-            f"{rows[Outcome.Q_MINUS][i]:<42}{rows[Outcome.Q3][i]:<42}"
-        )
+        print(f"{x:8.3f}  " + "".join(f"{row[i]:<42}" for row in rows.values()))
     print()
     print("q- peaks sit exactly in the q+ valleys: those particles took a")
     print("momentum kick of half a fringe.  The failures mirror q+ because")

@@ -203,12 +203,12 @@ def cmd_sample(cfg: RunConfig, out_dir: Path) -> int:
     lines = [f"count={xs.size}\n", f"seed={cfg.seed}\n"]
     for o, n, p in zip(outcomes, counts, probs):
         freq = n / xs.size if xs.size else 0.0
-        lines.append(f"{o.value}: n={n} freq={freq:.6f} prob={_fmt(p)}\n")
+        lines.append(f"{o}: n={n} freq={freq:.6f} prob={_fmt(p)}\n")
     if xs.size >= GOF_MIN_SAMPLES:
         stat, pvalue = screen_goodness_of_fit(xs, screen_density(propagated))
         lines.append(f"chi_square={_fmt(stat)}\n")
         lines.append(f"chi_square_p={_fmt(pvalue)}\n")
-    labels = np.array([o.value for o in outcomes], dtype=object)
+    labels = np.array(outcomes, dtype=object)
 
     def write_events(fh) -> None:
         fh.write("outcome,x\n")
@@ -239,8 +239,6 @@ def _build_parser() -> argparse.ArgumentParser:
             cmd.add_argument(
                 "--out", default=".", metavar="DIR", help="output directory (default: %(default)s)"
             )
-        if name == "sample":
-            cmd.add_argument("--seed", type=int, help="override sampling.seed")
         if name == "scan":
             cmd.add_argument(
                 "--c-values",
@@ -255,8 +253,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else default_config()
-        if getattr(args, "seed", None) is not None:
-            cfg = cfg.with_seed(args.seed)
         if args.command == "verify":
             return run_suite(cfg)
         out_dir = Path(args.out)

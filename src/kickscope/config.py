@@ -9,7 +9,7 @@ enough for the propagated envelope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ConfigurationError
 from .hilbert import SYMMETRIC, Basis, COMPUTATIONAL, DetectorConfig, tilted
@@ -53,17 +53,6 @@ class RunConfig:
     sample_count: int
     seed: int
 
-    def with_seed(self, seed: int) -> "RunConfig":
-        return replace(self, seed=_check_seed(int(seed)))
-
-
-def _check_seed(seed: int) -> int:
-    # numpy.random.default_rng rejects negative seeds; catch them before
-    # any file is written.
-    if seed < 0:
-        raise ConfigurationError(f"sampling.seed must be non-negative, got {seed}")
-    return seed
-
 
 def _parse_basis(text: str) -> Basis:
     name = text.strip().lower()
@@ -96,6 +85,11 @@ def _build(values: dict[str, object]) -> RunConfig:
     count = int(values["sampling.count"])  # type: ignore[arg-type]
     if count < 0:
         raise ConfigurationError("sampling.count must be non-negative")
+    seed = int(values["sampling.seed"])  # type: ignore[arg-type]
+    # numpy.random.default_rng rejects negative seeds; catch them before
+    # any file is written.
+    if seed < 0:
+        raise ConfigurationError(f"sampling.seed must be non-negative, got {seed}")
     return RunConfig(
         geometry=SlitGeometry(d=values["geometry.d"], sigma=values["geometry.sigma"]),
         units=PhysicalUnits(
@@ -107,7 +101,7 @@ def _build(values: dict[str, object]) -> RunConfig:
         detector=DetectorConfig(c=values["detector.c"], theta=values["detector.theta"]),
         basis=_parse_basis(str(values["basis"])),
         sample_count=count,
-        seed=_check_seed(int(values["sampling.seed"])),  # type: ignore[arg-type]
+        seed=seed,
     )
 
 

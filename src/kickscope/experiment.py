@@ -433,12 +433,17 @@ def phase_kick_shift(state: BranchState) -> float:
     return _comb_offset(state.pair, state.coeffs[2], phase_free)
 
 
-def _cell_cdf(
-    pattern_values: np.ndarray, grid: GridSpec, edges: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    # Piecewise-constant density per cell -> piecewise-linear CDF on cell
-    # edges.  Both arrays are filled in place, with no n-point temporaries;
-    # ``edges`` returned by an earlier call on ``grid`` are reused.
+def _cell_edges(grid: GridSpec) -> np.ndarray:
+    # The n + 1 cell edges x_min + j*dx, filled in place.
+    edges = np.arange(grid.n + 1, dtype=np.float64)
+    edges *= grid.dx
+    edges += grid.x_min
+    return edges
+
+
+def _cell_cdf(pattern_values: np.ndarray, grid: GridSpec) -> np.ndarray:
+    # Piecewise-constant density per cell -> piecewise-linear CDF on the
+    # cell edges, filled in place with no n-point temporaries.
     cdf = np.empty(grid.n + 1)
     cdf[0] = 0.0
     masses = np.multiply(pattern_values, grid.dx, out=cdf[1:])
@@ -447,11 +452,7 @@ def _cell_cdf(
     if total <= 0.0:
         raise EmptyBranchError("density integrates to zero; nothing to sample")
     cdf /= total
-    if edges is None:
-        edges = np.arange(grid.n + 1, dtype=np.float64)
-        edges *= grid.dx
-        edges += grid.x_min
-    return cdf, edges
+    return cdf
 
 
 def sample_events(state: BranchState, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -477,7 +478,7 @@ def sample_events(state: BranchState, count: int, seed: int) -> tuple[np.ndarray
     codes = np.empty(count, dtype=np.intp)
     xs = np.empty(count)
     cdfs: dict[int, np.ndarray] = {}
-    edges = None
+    edges = _cell_edges(state.pair.grid)
     for start in range(0, count, _SAMPLE_BLOCK):
         u = rng.random((min(_SAMPLE_BLOCK, count - start), 2))
         block = slice(start, start + len(u))
@@ -488,7 +489,7 @@ def sample_events(state: BranchState, count: int, seed: int) -> tuple[np.ndarray
             if not mask.any():
                 continue
             if i not in cdfs:
-                cdfs[i], edges = _cell_cdf(state.branch(i).density(), state.pair.grid, edges)
+                cdfs[i] = _cell_cdf(state.branch(i).density(), state.pair.grid)
             block_xs[mask] = np.interp(u[mask, 1], cdfs[i], edges)
     return codes, xs
 
@@ -516,9 +517,9 @@ def screen_goodness_of_fit(
     xs = np.asarray(xs, dtype=np.float64)
     if xs.size < GOF_MIN_SAMPLES:
         raise DomainError("too few samples for a meaningful binned test")
-    cdf, edges = _cell_cdf(pattern.values, pattern.grid)
+    cdf = _cell_cdf(pattern.values, pattern.grid)
     quantiles = np.linspace(0.0, 1.0, GOF_BINS + 1)
-    bin_edges = np.interp(quantiles, cdf, edges)
+    bin_edges = np.interp(quantiles, cdf, _cell_edges(pattern.grid))
     observed, _ = np.histogram(xs, bins=bin_edges)
     missing = xs.size - int(observed.sum())
     if missing:

@@ -28,14 +28,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from enum import Enum, unique
 
 import numpy as np
 
 from .errors import DomainError
 
 __all__ = [
-    "Outcome",
     "DetectorConfig",
     "Basis",
     "COMPUTATIONAL",
@@ -44,22 +42,6 @@ __all__ = [
     "detector_states",
     "basis_matrix",
 ]
-
-@unique
-class Outcome(Enum):
-    """Labels for the three detector measurement outcomes.
-
-    The computational basis distinguishes the two path flags and the
-    discrimination failure; the symmetric/tilted bases use the ``q+``,
-    ``q-``, ``q3`` labels.
-    """
-
-    PATH_1 = "path1"
-    PATH_2 = "path2"
-    FAIL = "fail"
-    Q_PLUS = "q_plus"
-    Q_MINUS = "q_minus"
-    Q3 = "q3"
 
 
 @dataclass(frozen=True)
@@ -103,11 +85,11 @@ class Basis:
             raise DomainError(f"tilted-basis angle must be finite, got {self.tilt}")
 
     @property
-    def outcomes(self) -> tuple[Outcome, Outcome, Outcome]:
+    def outcomes(self) -> tuple[str, str, str]:
         """Measurement outcome labels for the three branches, in order."""
         if self.tilt is None:
-            return (Outcome.PATH_1, Outcome.PATH_2, Outcome.FAIL)
-        return (Outcome.Q_PLUS, Outcome.Q_MINUS, Outcome.Q3)
+            return ("path1", "path2", "fail")
+        return ("q_plus", "q_minus", "q3")
 
     def matrix_from_computational(self) -> np.ndarray:
         """Amplitude transform from the computational basis to this one."""

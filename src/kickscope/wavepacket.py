@@ -42,10 +42,8 @@ __all__ = [
     "slit_state",
     "gaussian_state",
     "to_momentum",
-    "to_position",
     "propagate_fft",
     "propagate_analytic",
-    "apply_kick",
 ]
 
 #: Width-to-separation ratio above which the half-fringe kick picture
@@ -264,14 +262,6 @@ def to_momentum(psi: Wavefunction, hbar: float) -> MomentumSpectrum:
     return MomentumSpectrum(grid, amps, hbar=hbar)
 
 
-def to_position(spec: MomentumSpectrum) -> Wavefunction:
-    """Inverse of :func:`to_momentum` on the same grid."""
-    grid, hbar = spec.grid, spec.hbar
-    phased = spec.amplitudes * np.exp(1j * spec.p * (grid.x_min / hbar))
-    amps = (math.sqrt(2.0 * math.pi * hbar) / grid.dx) * np.fft.ifft(np.fft.ifftshift(phased))
-    return Wavefunction(grid, amps)
-
-
 def _check_headroom(grid: GridSpec, geom: SlitGeometry, units: PhysicalUnits) -> None:
     # W is the spreading half-width and sqrt(sigma^2 + W^2) the evolved width.
     w = units.hbar * units.t / (2.0 * units.mass * geom.sigma)
@@ -288,8 +278,8 @@ def propagate_fft(psi: Wavefunction, geom: SlitGeometry, units: PhysicalUnits) -
     """Evolve ``psi`` freely for time ``units.t`` via the momentum representation.
 
     Computes ``ifft(K * fft(psi))`` with ``K = exp(-i*p^2*t/(2*m*hbar))``:
-    the ``x_min`` phases and centering shifts of :func:`to_momentum` and
-    :func:`to_position` cancel between the two.  A grid without the
+    the ``x_min`` phase and centering shift of :func:`to_momentum` and of
+    its inverse cancel between the two.  A grid without the
     wraparound headroom (see `WRAPAROUND_TOL`) raises ``ConfigurationError``.
     """
     grid = psi.grid
@@ -321,12 +311,3 @@ def propagate_analytic(
         -((x - center) ** 2) / (4.0 * sigma**2 * a)
     )
     return Wavefunction(grid, amp)
-
-
-def apply_kick(psi: Wavefunction, p: float, hbar: float) -> Wavefunction:
-    """Impart a momentum boost ``p``: multiply by ``exp(i*p*x/hbar)``.
-
-    Displaces the momentum spectrum by ``+p`` and leaves the position
-    density untouched.
-    """
-    return Wavefunction(psi.grid, psi.amplitudes * np.exp(1j * (p / hbar) * psi.grid.x))

@@ -6,7 +6,8 @@ from the branch momentum densities on the whole grid: a circular
 cross-correlation argmax (`momentum_shift`), the single-frequency
 projection at ``d/hbar`` (`_comb_projection`), and their combination
 (`_comb_shift`), which takes the comb phase for the sub-bin offset and
-the argmax for the whole fringe.
+the argmax for the whole fringe.  `apply_kick` boosts a state by a known
+momentum, to give them a kick to find.
 """
 
 from __future__ import annotations
@@ -16,8 +17,17 @@ import math
 import numpy as np
 import scipy.fft
 
-from kickscope import ConfigurationError, EmptyBranchError, MomentumSpectrum
+from kickscope import ConfigurationError, EmptyBranchError, MomentumSpectrum, Wavefunction
 from kickscope.experiment import EMPTY_BRANCH_TOL
+
+
+def apply_kick(psi: Wavefunction, p: float, hbar: float) -> Wavefunction:
+    """Impart a momentum boost ``p``: multiply by ``exp(i*p*x/hbar)``.
+
+    Displaces the momentum spectrum by ``+p`` and leaves the position
+    density untouched.
+    """
+    return Wavefunction(psi.grid, psi.amplitudes * np.exp(1j * (p / hbar) * psi.grid.x))
 
 
 def momentum_shift(

@@ -179,15 +179,6 @@ class TestParsing:
         )
         assert parse_config_text(text) == want
 
-    def test_with_seed(self):
-        cfg = default_config().with_seed(7)
-        assert cfg.seed == 7
-        assert cfg.grid == default_config().grid
-
-    def test_with_seed_rejects_negative(self):
-        with pytest.raises(ConfigurationError, match="sampling.seed"):
-            default_config().with_seed(-1)
-
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError, match="cannot read"):
             load_config(str(tmp_path / "nope.cfg"))

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from comb_oracle import _comb_projection, _comb_shift, momentum_shift
+from comb_oracle import _comb_projection, _comb_shift, apply_kick, momentum_shift
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -18,12 +18,10 @@ from kickscope import (
     DomainError,
     EmptyBranchError,
     GridSpec,
-    Outcome,
     PhysicalUnits,
     ScreenPattern,
     SlitGeometry,
     Wavefunction,
-    apply_kick,
     assemble,
     basis_matrix,
     change_basis,
@@ -689,7 +687,7 @@ class TestSampling:
     def test_certain_failure_yields_only_failures(self, geom, grid, units):
         state = propagate_all(make_state(geom, grid, units, c=1.0))
         codes, _ = sample_events(state, 500, seed=5)
-        assert np.all(codes == state.basis.outcomes.index(Outcome.Q3))
+        assert np.all(codes == state.basis.outcomes.index("q3"))
 
     def test_positions_follow_the_pattern(self, geom, grid, units):
         state = propagate_all(make_state(geom, grid, units, c=0.5))
@@ -709,16 +707,16 @@ class TestSampling:
         # on the grid of the test below, so scipy only bounds it loosely.
         from scipy.stats import chisquare  # the oracle; the package avoids this import
 
-        from kickscope.experiment import _cell_cdf
+        from kickscope.experiment import _cell_cdf, _cell_edges
 
         pattern = screen_density(propagate_all(make_state(geom, grid, units, c=0.5)))
         misfit = screen_density(propagate_all(make_state(geom, grid, units, c=0.7)))
-        cdf, edges = _cell_cdf(pattern.values, grid)
+        cdf, edges = _cell_cdf(pattern.values, grid), _cell_edges(grid)
         for seed in (1, 2, 3):
             rng = np.random.default_rng(seed)
             # Draws from the c = 0.7 pattern push p down to ~1e-30.
             for source in (pattern, misfit):
-                source_cdf, _ = _cell_cdf(source.values, grid)
+                source_cdf = _cell_cdf(source.values, grid)
                 for count in (2000, 20000):
                     xs = np.interp(rng.random(count), source_cdf, edges)
                     bins = np.interp(np.linspace(0.0, 1.0, 51), cdf, edges)
@@ -751,12 +749,12 @@ class TestSampling:
         # The demos' landed pattern.  The inverse CDF at N midpoint quantiles
         # averages to the mean of the distribution it samples, which must be
         # the pattern's sum(x*rho)/sum(rho).
-        from kickscope.experiment import _cell_cdf
+        from kickscope.experiment import _cell_cdf, _cell_edges
 
         geom, units = SlitGeometry(d=1.0, sigma=0.02), PhysicalUnits(t=1.0)
         grid = GridSpec(n=2**17, x_min=-327.18, x_max=328.18)
         pattern = screen_density(propagate_all(make_state(geom, grid, units, c=0.5)))
-        cdf, edges = _cell_cdf(pattern.values, grid)
+        cdf, edges = _cell_cdf(pattern.values, grid), _cell_edges(grid)
         quantiles = (np.arange(1000) + 0.5) / 1000
         mean = np.interp(quantiles, cdf, edges).mean()
         want = np.sum(grid.x * pattern.values) / np.sum(pattern.values)
@@ -771,7 +769,7 @@ class TestSampling:
     ):
         # 7-event blocks put block boundaries inside every stream; at c = 1
         # two branches are empty.  The reference draws all uniforms at once.
-        from kickscope.experiment import _cell_cdf
+        from kickscope.experiment import _cell_cdf, _cell_edges
 
         state = propagate_all(make_state(geom, grid, units, c=c, theta=0.4, basis=basis))
         u = np.random.default_rng(9).random((count, 2))
@@ -782,8 +780,8 @@ class TestSampling:
         for i in range(3):
             mask = want_codes == i
             if mask.any():
-                cdf, edges = _cell_cdf(state.branch(i).density(), grid)
-                want_xs[mask] = np.interp(u[mask, 1], cdf, edges)
+                cdf = _cell_cdf(state.branch(i).density(), grid)
+                want_xs[mask] = np.interp(u[mask, 1], cdf, _cell_edges(grid))
         monkeypatch.setattr(experiment, "_SAMPLE_BLOCK", 7)
         codes, xs = sample_events(state, count, seed=9)
         assert codes.dtype == want_codes.dtype and np.array_equal(codes, want_codes)

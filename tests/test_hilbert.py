@@ -13,7 +13,6 @@ from kickscope import (
     SYMMETRIC,
     DetectorConfig,
     DomainError,
-    Outcome,
     basis_matrix,
     detector_states,
     tilted,
@@ -141,7 +140,5 @@ class TestBases:
             assert_allclose(m[:, 2], [0.0, 0.0, 1.0], rtol=0, atol=0)
 
     def test_outcome_labels(self):
-        assert COMPUTATIONAL.outcomes == (Outcome.PATH_1, Outcome.PATH_2, Outcome.FAIL)
-        assert SYMMETRIC.outcomes == (Outcome.Q_PLUS, Outcome.Q_MINUS, Outcome.Q3)
-        assert Outcome.Q_MINUS.value == "q_minus"
-        assert Outcome.FAIL.value == "fail"
+        assert COMPUTATIONAL.outcomes == ("path1", "path2", "fail")
+        assert SYMMETRIC.outcomes == tilted(0.7).outcomes == ("q_plus", "q_minus", "q3")

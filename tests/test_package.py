@@ -1,14 +1,61 @@
 """The package's public names are its library modules' ``__all__`` lists."""
 
+import ast
+from pathlib import Path
+
 import kickscope
 from kickscope import errors, experiment, hilbert, wavepacket
 
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = (errors, hilbert, wavepacket, experiment)
+
+# Public names that nothing outside the tests and their own module uses,
+# each with the reason it stays public.
+USED_ONLY_BY_TESTS = {
+    "gaussian_state": "the state slit_state builds, at any center and width",
+    "FringeAnalysis": "the type fringe_analysis returns",
+}
+
+
+def _identifiers(source: str) -> set[str]:
+    """Every name that ``source`` reads, imports or looks up as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
 
 def test_package_exports_the_union_of_the_module_lists():
-    modules = (errors, hilbert, wavepacket, experiment)
-    union = [name for module in modules for name in module.__all__]
+    union = [name for module in MODULES for name in module.__all__]
     assert len(set(union)) == len(union)
     assert sorted(kickscope.__all__) == sorted(union)
-    for module in modules:
+    for module in MODULES:
         for name in module.__all__:
             assert getattr(kickscope, name) is getattr(module, name), name
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # A user is another package module, a demo, or the README's Library
+    # block; a name's own module and the tests do not count.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    library = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    users = {Path("README.md"): _identifiers(library)}
+    package = Path(kickscope.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")) + sorted((ROOT / "demos").glob("*.py")):
+        users[path] = _identifiers(path.read_text(encoding="utf-8"))
+    unused = {
+        name
+        for module in MODULES
+        for name in module.__all__
+        if not any(
+            name in names
+            for path, names in users.items()
+            if path != Path(module.__file__).resolve()
+        )
+    }
+    assert unused == set(USED_ONLY_BY_TESTS)
