@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.fft
 
 from kickscope import ConfigurationError, EmptyBranchError, MomentumSpectrum, Wavefunction
 from kickscope.experiment import EMPTY_BRANCH_TOL
@@ -55,7 +54,7 @@ def momentum_shift(
     if a.sum() < EMPTY_BRANCH_TOL or b.sum() < EMPTY_BRANCH_TOL:
         raise EmptyBranchError("cannot estimate a shift from an empty spectrum")
     n = spec_a.grid.n
-    corr = scipy.fft.irfft(scipy.fft.rfft(a) * np.conj(scipy.fft.rfft(b)), n)
+    corr = np.fft.irfft(np.fft.rfft(a) * np.conj(np.fft.rfft(b)), n)
     cmax = corr.max()
     ties = np.flatnonzero(corr >= cmax - tie_rel_tol * abs(cmax))
     # Map to signed bins; the Nyquist bin n//2 stays positive so the

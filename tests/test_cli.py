@@ -1,4 +1,4 @@
-"""End-to-end command-line runs on a reduced grid, plus the check suite."""
+"""End-to-end command-line runs on small and reduced grids, plus the check suite."""
 
 import cmath
 import errno
@@ -43,23 +43,39 @@ sampling.count = 2000
 sampling.seed = 7
 """
 
+# A 2^12 desk grid (dx = sigma/4) on which run, scan, sample and verify all
+# exit 0; sampling.count sits exactly at the goodness-of-fit floor.  It is
+# near field (sigma_t is about 0.4*d at t = 0.008), so tests run here assert
+# on files, exit codes, call counts and exact identities, not on fringes.
+SMALL = """
+geometry.sigma = 0.01
+units.t = 0.008
+grid.n = 4096
+grid.x_min = -4.62
+grid.x_max = 5.62
+sampling.count = 500
+"""
+
 # A valid grid whose spacing is wider than the two-period fringe window at
 # t = 1e-6; only fringe_analysis notices.
 LATE_WINDOW = "units.t = 1e-6\ngrid.n = 4096\ngrid.x_min = -4.62\ngrid.x_max = 5.62\n"
 
 
-def _reduced_with(extra: str) -> str:
-    """REDUCED with every key that ``extra`` sets taken from ``extra``."""
+def _with(base: str, extra: str) -> str:
+    """``base`` with every key that ``extra`` sets taken from ``extra``."""
     keys = {line.split("=")[0].strip() for line in extra.splitlines()}
-    kept = [line for line in REDUCED.splitlines() if line.split("=")[0].strip() not in keys]
+    kept = [line for line in base.splitlines() if line.split("=")[0].strip() not in keys]
     return "\n".join(kept) + "\n" + extra
+
+
+def _write_config(path: Path, text: str) -> str:
+    path.write_text(text)
+    return str(path)
 
 
 @pytest.fixture
 def cfg_path(tmp_path):
-    path = tmp_path / "reduced.cfg"
-    path.write_text(REDUCED)
-    return str(path)
+    return _write_config(tmp_path / "reduced.cfg", REDUCED)
 
 
 def read_summary(path):
@@ -101,15 +117,15 @@ class TestRun:
 
     def test_full_overlap_leaves_storey_lhs_unmeasured(self, tmp_path):
         # At c = 1 no branch is kicked, so there is no kick to bound.
-        path = tmp_path / "c1.cfg"
-        path.write_text(_reduced_with("detector.c = 1.0\n"))
+        path = _write_config(tmp_path / "c1.cfg", _with(SMALL, "detector.c = 1.0\n"))
         out = tmp_path / "out"
-        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        assert main(["run", "--config", path, "--out", str(out)]) == 0
         summary = read_summary(out / "summary.txt")
         assert math.isnan(summary["p0_measured"]) and math.isnan(summary["storey_lhs"])
         assert summary["storey_rhs"] == 1.0 - summary["V_measured"]
 
-    def test_reruns_are_byte_identical(self, cfg_path, tmp_path):
+    def test_reruns_are_byte_identical(self, tmp_path):
+        cfg_path = _write_config(tmp_path / "small.cfg", SMALL)
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["run", "--config", cfg_path, "--out", str(a)]) == 0
         assert main(["run", "--config", cfg_path, "--out", str(b)]) == 0
@@ -248,13 +264,19 @@ class TestBlockWriter:
         cli._write_rows(got, "%s,%.17g\n", [codes, xs], np.array(labels, dtype=object))
         assert got.getvalue() == expected
 
-    def test_memory_is_one_block_not_the_table(self, tmp_path):
-        # 2^16-row blocks of this table peak near 21 MB of Python floats and
-        # text; 2^12-row blocks near 1.4 MB.
-        n = 1 << 17
+    N_ROWS = 1 << 15
+
+    @pytest.mark.parametrize(
+        "block,fits", [(cli._BLOCK_ROWS, True), (N_ROWS, False)], ids=["blocks", "whole-table"]
+    )
+    def test_memory_is_one_block_not_the_table(self, tmp_path, monkeypatch, block, fits):
+        # 2^12-row blocks of this table peak near 1.35 MiB of Python floats
+        # and text; the whole table as one block near 10.8 MiB.  The bound is
+        # 5.25 MiB.
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", block)
         rng = np.random.default_rng(0)
-        columns = [rng.standard_normal(n) for _ in range(5)]
-        stacked_nbytes = n * len(columns) * 8
+        columns = [rng.standard_normal(self.N_ROWS) for _ in range(5)]
+        stacked_nbytes = self.N_ROWS * len(columns) * 8
         tracemalloc.start()
         try:
             with open(tmp_path / "t.csv", "w", encoding="utf-8") as fh:
@@ -262,7 +284,7 @@ class TestBlockWriter:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= stacked_nbytes + 4 * 2**20
+        assert (peak <= stacked_nbytes + 4 * 2**20) == fits, peak
 
 
 def _disk_full(*args, **kwargs):
@@ -288,34 +310,34 @@ class TestCommitAsASet:
         ids=["run", "sample"],
     )
     def test_failed_rerun_keeps_the_previous_set(
-        self, cfg_path, tmp_path, monkeypatch, capsys, command, target, name
+        self, tmp_path, monkeypatch, capsys, command, target, name
     ):
         out = tmp_path / "out"
+        cfg_path = _write_config(tmp_path / "small.cfg", SMALL)
         assert main([command, "--config", cfg_path, "--out", str(out)]) == 0
         before = self._contents(out)
-        path = tmp_path / "c025.cfg"
-        path.write_text(_reduced_with("detector.c = 0.25\n"))
+        path = _write_config(tmp_path / "c025.cfg", _with(SMALL, "detector.c = 0.25\n"))
         monkeypatch.setattr(target, name, _disk_full)
         capsys.readouterr()
-        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert main([command, "--config", path, "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert "No space left on device" in captured.err and "wrote" not in captured.out
         # The same names (so no leftover .kickscope-* directory), the same bytes.
         assert sorted(p.name for p in out.iterdir()) == sorted(before)
         assert self._contents(out) == before
 
-    def test_a_directory_in_a_files_place_renames_nothing(self, cfg_path, tmp_path, capsys):
+    def test_a_directory_in_a_files_place_renames_nothing(self, tmp_path, capsys):
         # momentum.csv is a directory: os.replace would move pattern.csv into
         # place and then fail, leaving a mixed set.  The target is refused first.
         out = tmp_path / "out"
+        cfg_path = _write_config(tmp_path / "small.cfg", SMALL)
         assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
         (out / "momentum.csv").unlink()
         (out / "momentum.csv").mkdir()
         before = {name: (out / name).read_bytes() for name in ("pattern.csv", "summary.txt")}
-        path = tmp_path / "c025.cfg"
-        path.write_text(_reduced_with("detector.c = 0.25\n"))
+        path = _write_config(tmp_path / "c025.cfg", _with(SMALL, "detector.c = 0.25\n"))
         capsys.readouterr()
-        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert main(["run", "--config", path, "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert str(out / "momentum.csv") in captured.err and "wrote" not in captured.out
         assert sorted(p.name for p in out.iterdir()) == ["momentum.csv", *sorted(before)]
@@ -330,18 +352,16 @@ class TestFailureModes:
         work = tmp_path / "work"
         work.mkdir()
         monkeypatch.chdir(work)
-        path = tmp_path / "cfg"
-        path.write_text(REDUCED + f"output.dir = {tmp_path / 'fromcfg'}\n")
-        assert main(["run", "--config", str(path)]) == 2
+        path = _write_config(tmp_path / "cfg", REDUCED + f"output.dir = {tmp_path / 'fromcfg'}\n")
+        assert main(["run", "--config", path]) == 2
         assert "unknown config key 'output.dir'" in capsys.readouterr().err
         assert not (tmp_path / "fromcfg").exists()
         assert list(work.iterdir()) == []
 
     def test_bad_config_exits_2_with_no_outputs(self, tmp_path, capsys):
-        bad = tmp_path / "bad.cfg"
-        bad.write_text("detector.c = 1.5\n")
+        bad = _write_config(tmp_path / "bad.cfg", "detector.c = 1.5\n")
         out = tmp_path / "out"
-        assert main(["run", "--config", str(bad), "--out", str(out)]) == 2
+        assert main(["run", "--config", bad, "--out", str(out)]) == 2
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
@@ -370,33 +390,30 @@ class TestFailureModes:
         ],
     )
     def test_non_finite_input_exits_2_with_no_outputs(self, tmp_path, capsys, line, name):
-        path = tmp_path / "bad.cfg"
-        path.write_text(_reduced_with(line + "\n"))
+        path = _write_config(tmp_path / "bad.cfg", _with(REDUCED, line + "\n"))
         out = tmp_path / "out"
         out.mkdir()
-        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert main(["run", "--config", path, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and name in err and "finite" in err
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["run", "scan", "sample", "verify"])
     def test_repeated_key_exits_2_with_no_outputs(self, tmp_path, capsys, command):
-        path = tmp_path / "twice.cfg"
-        path.write_text(REDUCED + "detector.c = 0.25\n")
+        path = _write_config(tmp_path / "twice.cfg", REDUCED + "detector.c = 0.25\n")
         out = tmp_path / "out"
         out.mkdir()
-        argv = [command, "--config", str(path)]
+        argv = [command, "--config", path]
         assert main(argv if command == "verify" else argv + ["--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert "line 10: config key 'detector.c' repeats line 7" in captured.err
         assert captured.out == "" and list(out.iterdir()) == []
 
     def test_late_analysis_error_exits_2_with_no_outputs(self, tmp_path, capsys):
-        path = tmp_path / "late.cfg"
-        path.write_text(_reduced_with(LATE_WINDOW))
+        path = _write_config(tmp_path / "late.cfg", _with(REDUCED, LATE_WINDOW))
         out = tmp_path / "out"
         out.mkdir()
-        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert main(["run", "--config", path, "--out", str(out)]) == 2
         assert "analysis window" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
@@ -405,17 +422,16 @@ class TestFailureModes:
         [
             # dx = 0.32 on the default extent, against sigma/4 = 0.0025.
             ("grid.n = 16384\n", "too coarse"),
-            (_reduced_with("grid.x_min = -5\ngrid.x_max = 6\n"), "wraparound"),
-            (_reduced_with(LATE_WINDOW), "analysis window"),
+            (_with(REDUCED, "grid.x_min = -5\ngrid.x_max = 6\n"), "wraparound"),
+            (_with(REDUCED, LATE_WINDOW), "analysis window"),
         ],
         ids=["coarse", "headroom", "window"],
     )
     def test_verify_config_error_exits_2(self, tmp_path, capsys, text, cause):
         # A config no check can run on is a usage error, as in run and scan,
         # not a table of failed checks.
-        path = tmp_path / "bad.cfg"
-        path.write_text(text)
-        assert main(["verify", "--config", str(path)]) == 2
+        path = _write_config(tmp_path / "bad.cfg", text)
+        assert main(["verify", "--config", path]) == 2
         captured = capsys.readouterr()
         assert "error:" in captured.err and cause in captured.err
         assert captured.out == ""
@@ -425,8 +441,7 @@ class TestFailureModes:
         # 2^40 points pass validation but need terabytes.  The child caps its
         # own address space at 3 GB before it imports anything, so the
         # allocation fails at once whatever the machine's overcommit policy.
-        path = tmp_path / "huge.cfg"
-        path.write_text("grid.n = 1099511627776\n")
+        path = _write_config(tmp_path / "huge.cfg", "grid.n = 1099511627776\n")
         out = tmp_path / "out"
         code = (
             "import resource, sys; "
@@ -434,7 +449,7 @@ class TestFailureModes:
             "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, hard)); "
             "from kickscope.cli import main; sys.exit(main(sys.argv[1:]))"
         )
-        argv = [sys.executable, "-c", code, command, "--config", str(path)]
+        argv = [sys.executable, "-c", code, command, "--config", path]
         if command == "run":
             argv += ["--out", str(out)]
         src = str(Path(kickscope.__file__).resolve().parents[1])
@@ -447,9 +462,8 @@ class TestFailureModes:
         assert not out.exists()
 
     def test_unknown_key_reports_line(self, tmp_path, capsys):
-        bad = tmp_path / "bad.cfg"
-        bad.write_text("# comment\ngrid.m = 4\n")
-        assert main(["run", "--config", str(bad)]) == 2
+        bad = _write_config(tmp_path / "bad.cfg", "# comment\ngrid.m = 4\n")
+        assert main(["run", "--config", bad]) == 2
         assert "line 2" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
@@ -457,24 +471,11 @@ class TestFailureModes:
         assert "cannot read" in capsys.readouterr().err
 
 
-# A 2^12 desk grid (dx = sigma/4) on which run, scan and sample all succeed;
-# sampling.count sits exactly at the goodness-of-fit floor.
-SMALL = """
-geometry.sigma = 0.01
-units.t = 0.008
-grid.n = 4096
-grid.x_min = -4.62
-grid.x_max = 5.62
-sampling.count = 500
-"""
-
-
 @pytest.mark.parametrize("command", ["import", "run", "scan", "sample", "verify"])
 def test_scipy_stays_off_the_command_path(command, tmp_path):
     # Transforms use numpy.fft and the chi-square p-value is a finite sum,
     # so no command loads any part of scipy.
-    path = tmp_path / "small.cfg"
-    path.write_text(SMALL)
+    path = _write_config(tmp_path / "small.cfg", SMALL)
     code = (
         "import json, sys; sys.path.insert(0, sys.argv.pop(1)); from kickscope.cli import main; "
         "rc = main(sys.argv[1:]) if len(sys.argv) > 1 else 0; "
@@ -485,9 +486,9 @@ def test_scipy_stays_off_the_command_path(command, tmp_path):
     src = str(Path(kickscope.__file__).resolve().parents[1])
     argv = [sys.executable, "-c", code, src]
     if command == "verify":
-        argv += [command, "--config", str(path)]
+        argv += [command, "--config", path]
     elif command != "import":
-        argv += [command, "--config", str(path), "--out", str(tmp_path / "out")]
+        argv += [command, "--config", path, "--out", str(tmp_path / "out")]
     done = subprocess.run(argv, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     if command == "sample":
@@ -716,9 +717,8 @@ class TestVerifyCommand:
         assert digest == "367202689dbae8935322a77448a21102eb458e45ebf8b41dfd8d61dd2b279086"
 
     def test_skips_kick_checks_at_full_overlap(self, tmp_path, capsys):
-        path = tmp_path / "c1.cfg"
-        path.write_text(REDUCED.replace("detector.c = 0.5", "detector.c = 1.0"))
-        assert main(["verify", "--config", str(path)]) == 0
+        path = _write_config(tmp_path / "c1.cfg", _with(REDUCED, "detector.c = 1.0\n"))
+        assert main(["verify", "--config", path]) == 0
         out = capsys.readouterr().out
         assert "0 failed" in out
         for name in ("detector_kick", "tilted_kick", "storey_bound"):
@@ -816,78 +816,43 @@ class TestVerifyCommand:
         assert status == dict.fromkeys(names, "PASS")
 
 
-def test_scan_and_verify_propagate_the_slit_pair_once(cfg_path, tmp_path, monkeypatch):
-    # Every c shares one slit pair, so scan propagates two states however
-    # many c-values it sweeps, and so does verify: propagator_agreement
-    # compares the closed form with that same propagated pair.
+def test_commands_share_one_slit_pair(tmp_path, monkeypatch):
+    # Every c shares one slit pair, so scan and verify propagate two states
+    # however many settings they read.  Kicks come off the pair's comb
+    # matrix, one transform per slit, and run adds one per slit for
+    # momentum.csv.  scan computes the kick-identity residual once, and
+    # verify's three visibility rows share V(c, theta): five c at theta = 0
+    # plus three more thetas.
     calls = []
-    real = experiment.propagate_fft
 
-    def counting(psi, geom, units):
-        calls.append(psi.grid.n)
-        return real(psi, geom, units)
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(experiment, "propagate_fft", counting)
-    monkeypatch.setattr(verify_module, "propagate_fft", counting, raising=False)
-    argv = ["scan", "--config", cfg_path, "--out", str(tmp_path), "--c-values", "0,0.25,0.5,0.75,1"]
-    assert main(argv) == 0
-    assert len(calls) == 2
-    calls.clear()
-    assert main(["verify", "--config", cfg_path]) == 0
-    assert len(calls) == 2
+        return wrapper
 
+    fft = counting("propagate_fft", experiment.propagate_fft)
+    monkeypatch.setattr(experiment, "propagate_fft", fft)
+    monkeypatch.setattr(verify_module, "propagate_fft", fft, raising=False)
+    monkeypatch.setattr(experiment, "to_momentum", counting("to_momentum", experiment.to_momentum))
+    analysis = counting("fringe_analysis", verify_module.fringe_analysis)
+    monkeypatch.setattr(verify_module, "fringe_analysis", analysis)
+    real = experiment.SlitPair.__dict__["kick_identity_residual"].func
+    residual = functools.cached_property(counting("kick_identity_residual", real))
+    residual.__set_name__(experiment.SlitPair, "kick_identity_residual")
+    monkeypatch.setattr(experiment.SlitPair, "kick_identity_residual", residual)
 
-def test_kick_analysis_transforms_the_slit_pair_once(cfg_path, tmp_path, monkeypatch):
-    # Kicks are read off the pair's comb matrix, which costs one transform
-    # per slit; no detector setting adds a full-grid FFT of its own.  run
-    # adds one per slit for momentum.csv.
-    calls = []
-    real = experiment.to_momentum
-
-    def counting(psi, hbar):
-        calls.append(psi.grid.n)
-        return real(psi, hbar=hbar)
-
-    monkeypatch.setattr(experiment, "to_momentum", counting)
-    for argv, count in (
-        (["scan", "--out", str(tmp_path), "--c-values", "0,0.25,0.5,0.75,1"], 2),
-        (["verify"], 2),
-        (["run", "--out", str(tmp_path)], 4),
+    path, out = _write_config(tmp_path / "small.cfg", SMALL), str(tmp_path / "out")
+    scan = ["scan", "--out", out, "--c-values", "0,0.25,0.5,0.75,1"]
+    for argv, want in (
+        (scan, {"propagate_fft": 2, "to_momentum": 2, "kick_identity_residual": 1}),
+        (["verify"], {"propagate_fft": 2, "to_momentum": 2, "fringe_analysis": 8}),
+        (["run", "--out", out], {"to_momentum": 4}),
     ):
         calls.clear()
-        assert main([*argv, "--config", cfg_path]) == 0
-        assert len(calls) == count, argv[0]
-
-
-def test_scan_computes_the_kick_identity_residual_once(cfg_path, tmp_path, monkeypatch):
-    calls = []
-    real = experiment.SlitPair.__dict__["kick_identity_residual"].func
-
-    def counting(pair):
-        calls.append(pair)
-        return real(pair)
-
-    prop = functools.cached_property(counting)
-    prop.__set_name__(experiment.SlitPair, "kick_identity_residual")
-    monkeypatch.setattr(experiment.SlitPair, "kick_identity_residual", prop)
-    argv = ["scan", "--config", cfg_path, "--out", str(tmp_path), "--c-values", "0,0.25,0.5,0.75,1"]
-    assert main(argv) == 0
-    assert len(calls) == 1
-
-
-def test_verify_computes_each_visibility_once(cfg_path, monkeypatch):
-    # visibility_law, kick_fraction_vs_visibility and phase_visibility share
-    # V(c, theta) within one run: five c at theta = 0 plus three more thetas.
-    calls = []
-    real = verify_module.fringe_analysis
-
-    def counting(pattern):
-        calls.append(pattern)
-        return real(pattern)
-
-    monkeypatch.setattr(verify_module, "fringe_analysis", counting)
-    assert main(["verify", "--config", cfg_path]) == 0
-    assert len(calls) == 8
+        assert main([*argv, "--config", path]) == 0
+        assert {name: calls.count(name) for name in want} == want, argv[0]
 
 
 def test_kick_displacement_transforms_the_unkicked_state_once(cfg_path, monkeypatch):

@@ -1,12 +1,14 @@
 """Branch bookkeeping, screen patterns, kick estimates, and sampling."""
 
+import bisect
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
 from comb_oracle import _comb_projection, _comb_shift, apply_kick, momentum_shift
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -73,13 +75,6 @@ def exact_chi2_sf(dof, stat):
 
 
 class TestAssembly:
-    def test_branch_probabilities(self, geom, grid, units):
-        state = assemble(SlitPair.emit(geom, grid, units), DetectorConfig(c=0.36))
-        assert_allclose(
-            state.branch_probabilities(), [0.32, 0.32, 0.36], rtol=0, atol=1e-12
-        )
-        assert_allclose(state.branch_probabilities().sum(), 1.0, rtol=0, atol=1e-12)
-
     @settings(max_examples=60, deadline=None)
     @given(
         basis=st.one_of(
@@ -89,6 +84,14 @@ class TestAssembly:
         c=st.floats(0.0, 1.0),
         theta=st.floats(-math.pi, math.pi, exclude_min=True),
     )
+    @example(basis=COMPUTATIONAL, c=0.36, theta=0.0)
+    @example(basis=SYMMETRIC, c=0.36, theta=0.0)
+    @example(basis=SYMMETRIC, c=0.36, theta=math.pi / 3)
+    @example(basis=SYMMETRIC, c=0.36, theta=-1.0)
+    @example(basis=COMPUTATIONAL, c=0.0, theta=0.0)
+    @example(basis=COMPUTATIONAL, c=0.25, theta=0.0)
+    @example(basis=COMPUTATIONAL, c=0.7, theta=0.0)
+    @example(basis=COMPUTATIONAL, c=1.0, theta=0.0)
     def test_branch_probabilities_in_any_basis(self, basis, c, theta):
         # The conftest grid; the packets do not overlap, so every basis
         # splits the success sector into two equal halves.
@@ -97,20 +100,7 @@ class TestAssembly:
         state = make_state(geom, grid, PhysicalUnits(t=0.05), c=c, theta=theta, basis=basis)
         want = [(1.0 - c) / 2.0, (1.0 - c) / 2.0, c]
         assert_allclose(state.branch_probabilities(), want, rtol=0, atol=1e-12)
-
-    @pytest.mark.parametrize("theta", [0.0, math.pi / 3, -1.0])
-    def test_probabilities_survive_basis_changes(self, geom, grid, units, theta):
-        # The packets don't overlap, so each basis splits the success
-        # sector into two equal halves regardless of the detector phase.
-        state = make_state(geom, grid, units, c=0.36, theta=theta, basis=SYMMETRIC)
-        assert_allclose(
-            state.branch_probabilities(), [0.32, 0.32, 0.36], rtol=0, atol=1e-12
-        )
-
-    def test_failure_probability_equals_c(self, geom, grid, units):
-        for c in (0.0, 0.25, 0.7, 1.0):
-            state = assemble(SlitPair.emit(geom, grid, units), DetectorConfig(c=c))
-            assert_allclose(state.branch_probabilities()[2], c, rtol=0, atol=1e-12)
+        assert_allclose(state.branch_probabilities().sum(), 1.0, rtol=0, atol=1e-12)
 
     def test_basis_round_trip(self, geom, grid, units):
         state = assemble(SlitPair.emit(geom, grid, units), DetectorConfig(c=0.36, theta=0.9))
@@ -177,14 +167,6 @@ class TestSlitPairOracle:
 
 
 class TestScreenDensity:
-    def test_basis_invariance(self, geom, grid, units):
-        state = assemble(SlitPair.emit(geom, grid, units), DetectorConfig(c=0.5, theta=0.8))
-        propagated = propagate_all(state)
-        rho_comp = screen_density(propagated).values
-        for basis in (SYMMETRIC, tilted(1.1)):
-            rho = screen_density(change_basis(propagated, basis)).values
-            assert np.max(np.abs(rho - rho_comp)) <= 1e-12
-
     @pytest.mark.parametrize("c,theta", [(0.0, 0.0), (0.5, 0.0), (0.5, 2.0), (1.0, 0.0)])
     def test_matches_direct_formula(self, geom, grid, units, c, theta):
         # rho = (|psi1|^2 + |psi2|^2)/2 + Re[<d1|d2> psi1* psi2] needs no
@@ -243,12 +225,6 @@ class TestFringes:
         assert_allclose(lo, 0.5 - FRINGE_PERIOD_T005, rtol=0, atol=1e-15)
         assert_allclose(hi, 0.5 + FRINGE_PERIOD_T005, rtol=0, atol=1e-15)
 
-    @pytest.mark.parametrize("c", [0.0, 0.25, 0.5, 0.75, 1.0])
-    def test_visibility_tracks_overlap(self, geom, grid, units, c):
-        state = propagate_all(make_state(geom, grid, units, c=c))
-        fr = fringe_analysis(screen_density(state))
-        assert abs(fr.visibility - c) <= 0.02
-
     def test_full_visibility_pattern(self, geom, grid, units):
         state = propagate_all(make_state(geom, grid, units, c=1.0))
         fr = fringe_analysis(screen_density(state))
@@ -271,19 +247,6 @@ class TestKickIdentity:
         for ratio, expected in RESIDUAL_BY_RATIO.items():
             pair = SlitPair.emit(SlitGeometry(d=1.0, sigma=ratio), grid, units)
             assert_allclose(pair.kick_identity_residual, expected, rtol=1e-9)
-
-    def test_monotone_in_slit_width(self, units):
-        grid = GridSpec(n=2048, x_min=-0.78, x_max=1.78)
-        values = [
-            SlitPair.emit(SlitGeometry(d=1.0, sigma=r), grid, units).kick_identity_residual
-            for r in sorted(RESIDUAL_BY_RATIO)
-        ]
-        assert all(a < b for a, b in zip(values, values[1:]))
-
-    def test_narrow_slit_is_small(self, units):
-        grid = GridSpec(n=2048, x_min=-0.78, x_max=1.78)
-        pair = SlitPair.emit(SlitGeometry(d=1.0, sigma=0.01), grid, units)
-        assert pair.kick_identity_residual <= 0.05
 
 
 class TestMomentumShift:
@@ -394,12 +357,6 @@ class TestKickReport:
         assert_allclose(state.branch_probabilities()[1], 0.32, rtol=0, atol=1e-12)
         assert abs(relative_kick(state) - math.pi) <= dp
         assert state.pair.kick_identity_residual > 0.0
-
-    @pytest.mark.parametrize("c", [0.1, 0.5, 0.9])
-    def test_measured_kick_within_one_bin(self, geom, grid, units, c):
-        state = make_state(geom, grid, units, c=c)
-        dp = to_momentum(state.branch(0), hbar=units.hbar).dp
-        assert abs(relative_kick(state) - math.pi) <= dp
 
     def test_kick_survives_propagation(self, geom, grid, units):
         # |Phi|^2 is invariant under free flight, so the estimate is too.
@@ -555,13 +512,6 @@ class TestPatternCarriesItsFlight:
 
 
 class TestPhaseKick:
-    @pytest.mark.parametrize("theta", [math.pi / 4, math.pi / 2, math.pi])
-    def test_failure_branch_shift_is_theta_over_d(self, geom, grid, units, theta):
-        state = make_state(geom, grid, units, c=0.5, theta=theta)
-        shift = phase_kick_shift(state)
-        dp = to_momentum(state.branch(2), hbar=units.hbar).dp
-        assert abs(shift - theta) <= dp
-
     def test_no_phase_no_kick(self, geom, grid, units):
         state = make_state(geom, grid, units, c=0.5)
         assert abs(phase_kick_shift(state)) <= 1e-15
@@ -581,13 +531,6 @@ class TestPhaseKick:
 
 
 class TestTiltedKick:
-    @pytest.mark.parametrize("theta_prime", [0.0, math.pi / 4, math.pi / 2])
-    def test_relative_kick_is_always_half_a_fringe(self, geom, grid, units, theta_prime):
-        state = make_state(geom, grid, units, c=0.5)
-        shift = relative_kick(change_basis(state, tilted(theta_prime)))
-        dp = to_momentum(state.branch(0), hbar=units.hbar).dp
-        assert abs(shift - math.pi) <= dp
-
     @pytest.mark.parametrize("theta_prime", [math.pi / 4, math.pi / 2])
     def test_branches_slide_with_the_tilt(self, geom, grid, units, theta_prime):
         # Each tilted branch individually shifts by -theta'*hbar/d (mod a
@@ -624,13 +567,6 @@ class TestStoreyBound:
 
 
 class TestSampling:
-    def test_same_seed_same_events(self, geom, grid, units):
-        state = propagate_all(make_state(geom, grid, units, c=0.5))
-        codes_a, xs_a = sample_events(state, 2000, seed=11)
-        codes_b, xs_b = sample_events(state, 2000, seed=11)
-        assert np.array_equal(codes_a, codes_b)
-        assert np.array_equal(xs_a, xs_b)
-
     def test_different_seed_different_events(self, geom, grid, units):
         state = propagate_all(make_state(geom, grid, units, c=0.5))
         _, xs_a = sample_events(state, 2000, seed=11)
@@ -701,12 +637,11 @@ class TestSampling:
         with pytest.raises(DomainError):
             screen_goodness_of_fit(xs, screen_density(state))
 
-    def test_goodness_of_fit_matches_scipy_chisquare(self, geom, grid, units):
-        # The statistic is scipy's to the bit.  The p-value is held to the
-        # exact tail: scipy's chdtrc is off from it by up to 6e-14 relative
-        # on the grid of the test below, so scipy only bounds it loosely.
-        from scipy.stats import chisquare  # the oracle; the package avoids this import
-
+    def test_goodness_of_fit_matches_an_independent_count(self, geom, grid, units):
+        # The oracle counts the 50 equal-probability bins, half-open but for
+        # the last, with bisect, and sums Pearson's terms exactly with
+        # math.fsum.  The terms are positive, so a 50-term float sum is within
+        # 50 eps of it.  The p-value is held to the exact tail.
         from kickscope.experiment import _cell_cdf, _cell_edges
 
         pattern = screen_density(propagate_all(make_state(geom, grid, units, c=0.5)))
@@ -719,12 +654,14 @@ class TestSampling:
                 source_cdf = _cell_cdf(source.values, grid)
                 for count in (2000, 20000):
                     xs = np.interp(rng.random(count), source_cdf, edges)
-                    bins = np.interp(np.linspace(0.0, 1.0, 51), cdf, edges)
-                    observed, _ = np.histogram(xs, bins=bins)
-                    oracle = chisquare(observed, f_exp=np.full(50, count / 50))
+                    bins = np.interp(np.linspace(0.0, 1.0, 51), cdf, edges).tolist()
+                    observed = [0] * 50
+                    for x in xs.tolist():
+                        observed[min(bisect.bisect_right(bins, x), 50) - 1] += 1
+                    expected = count / 50
+                    oracle = math.fsum((o - expected) ** 2 / expected for o in observed)
                     stat, pvalue = screen_goodness_of_fit(xs, pattern)
-                    assert stat == float(oracle.statistic)
-                    assert pvalue == pytest.approx(float(oracle.pvalue), rel=1e-13, abs=0)
+                    assert abs(stat - oracle) <= 50 * sys.float_info.epsilon * oracle
                     assert pvalue == pytest.approx(exact_chi2_sf(49, stat), rel=4e-15, abs=0)
 
     @pytest.mark.parametrize("dof", [48, 49])

@@ -1,6 +1,7 @@
 """The package's public names are its library modules' ``__all__`` lists."""
 
 import ast
+import sys
 from pathlib import Path
 
 import kickscope
@@ -15,6 +16,10 @@ USED_ONLY_BY_TESTS = {
     "gaussian_state": "the state slit_state builds, at any center and width",
     "FringeAnalysis": "the type fringe_analysis returns",
 }
+
+# Third-party modules the tests and demos may import: the runtime dependency
+# and the test extra in pyproject.toml.
+DECLARED_IMPORTS = {"numpy", "pytest", "hypothesis", "mpmath", "kickscope"}
 
 
 def _identifiers(source: str) -> set[str]:
@@ -59,3 +64,21 @@ def test_every_public_name_is_used_outside_the_tests():
         )
     }
     assert unused == set(USED_ONLY_BY_TESTS)
+
+
+def test_tests_and_demos_import_only_declared_modules():
+    # The standard library, the declared dependencies and the modules in
+    # tests/ are all a test or demo may import.
+    tests = sorted((ROOT / "tests").glob("*.py"))
+    allowed = set(sys.stdlib_module_names) | DECLARED_IMPORTS | {path.stem for path in tests}
+    stray = set()
+    for path in tests + sorted((ROOT / "demos").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            stray |= {(path.name, m) for m in modules if m.split(".")[0] not in allowed}
+    assert stray == set()
