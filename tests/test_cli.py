@@ -816,43 +816,74 @@ class TestVerifyCommand:
         assert status == dict.fromkeys(names, "PASS")
 
 
-def test_commands_share_one_slit_pair(tmp_path, monkeypatch):
-    # Every c shares one slit pair, so scan and verify propagate two states
-    # however many settings they read.  Kicks come off the pair's comb
-    # matrix, one transform per slit, and run adds one per slit for
-    # momentum.csv.  scan computes the kick-identity residual once, and
-    # verify's three visibility rows share V(c, theta): five c at theta = 0
-    # plus three more thetas.
+def _count_calls(calls, name, real):
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    return wrapper
+
+
+def _small_path(tmp_path):
+    return _write_config(tmp_path / "small.cfg", SMALL)
+
+
+_SCAN = ["scan", "--c-values", "0,0.25,0.5,0.75,1"]
+
+
+def test_scan_and_verify_propagate_the_slit_pair_once(tmp_path, monkeypatch):
+    # Every c shares one slit pair, so scan propagates two states however
+    # many c-values it sweeps, and so does verify: propagator_agreement
+    # compares the closed form with that same propagated pair.
     calls = []
-
-    def counting(name, real):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return real(*args, **kwargs)
-
-        return wrapper
-
-    fft = counting("propagate_fft", experiment.propagate_fft)
+    fft = _count_calls(calls, "propagate_fft", experiment.propagate_fft)
     monkeypatch.setattr(experiment, "propagate_fft", fft)
     monkeypatch.setattr(verify_module, "propagate_fft", fft, raising=False)
-    monkeypatch.setattr(experiment, "to_momentum", counting("to_momentum", experiment.to_momentum))
-    analysis = counting("fringe_analysis", verify_module.fringe_analysis)
-    monkeypatch.setattr(verify_module, "fringe_analysis", analysis)
-    real = experiment.SlitPair.__dict__["kick_identity_residual"].func
-    residual = functools.cached_property(counting("kick_identity_residual", real))
-    residual.__set_name__(experiment.SlitPair, "kick_identity_residual")
-    monkeypatch.setattr(experiment.SlitPair, "kick_identity_residual", residual)
+    path = _small_path(tmp_path)
+    for argv in ([*_SCAN, "--out", str(tmp_path / "out")], ["verify"]):
+        calls.clear()
+        assert main([*argv, "--config", path]) == 0
+        assert len(calls) == 2, argv[0]
 
-    path, out = _write_config(tmp_path / "small.cfg", SMALL), str(tmp_path / "out")
-    scan = ["scan", "--out", out, "--c-values", "0,0.25,0.5,0.75,1"]
-    for argv, want in (
-        (scan, {"propagate_fft": 2, "to_momentum": 2, "kick_identity_residual": 1}),
-        (["verify"], {"propagate_fft": 2, "to_momentum": 2, "fringe_analysis": 8}),
-        (["run", "--out", out], {"to_momentum": 4}),
+
+def test_kick_analysis_transforms_the_slit_pair_once(tmp_path, monkeypatch):
+    # Kicks are read off the pair's comb matrix, which costs one transform
+    # per slit; no detector setting adds a full-grid FFT of its own.  run
+    # adds one per slit for momentum.csv.
+    calls = []
+    real = experiment.to_momentum
+    monkeypatch.setattr(experiment, "to_momentum", _count_calls(calls, "to_momentum", real))
+    path, out = _small_path(tmp_path), str(tmp_path / "out")
+    for argv, count in (
+        ([*_SCAN, "--out", out], 2),
+        (["verify"], 2),
+        (["run", "--out", out], 4),
     ):
         calls.clear()
         assert main([*argv, "--config", path]) == 0
-        assert {name: calls.count(name) for name in want} == want, argv[0]
+        assert len(calls) == count, argv[0]
+
+
+def test_scan_computes_the_kick_identity_residual_once(tmp_path, monkeypatch):
+    calls = []
+    real = experiment.SlitPair.__dict__["kick_identity_residual"].func
+    residual = functools.cached_property(_count_calls(calls, "kick_identity_residual", real))
+    residual.__set_name__(experiment.SlitPair, "kick_identity_residual")
+    monkeypatch.setattr(experiment.SlitPair, "kick_identity_residual", residual)
+    argv = [*_SCAN, "--out", str(tmp_path / "out"), "--config", _small_path(tmp_path)]
+    assert main(argv) == 0
+    assert len(calls) == 1
+
+
+def test_verify_computes_each_visibility_once(tmp_path, monkeypatch):
+    # visibility_law, kick_fraction_vs_visibility and phase_visibility share
+    # V(c, theta) within one run: five c at theta = 0 plus three more thetas.
+    calls = []
+    real = verify_module.fringe_analysis
+    analysis = _count_calls(calls, "fringe_analysis", real)
+    monkeypatch.setattr(verify_module, "fringe_analysis", analysis)
+    assert main(["verify", "--config", _small_path(tmp_path)]) == 0
+    assert len(calls) == 8
 
 
 def test_kick_displacement_transforms_the_unkicked_state_once(cfg_path, monkeypatch):
