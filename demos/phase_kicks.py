@@ -8,20 +8,7 @@ screen pattern keeps its contrast; only the failed events remember theta.
 
 import math
 
-from kickscope import (
-    SYMMETRIC,
-    DetectorConfig,
-    GridSpec,
-    PhysicalUnits,
-    SlitGeometry,
-    SlitPair,
-    assemble,
-    change_basis,
-    fringe_analysis,
-    phase_kick_shift,
-    propagate_all,
-    screen_density,
-)
+from kickscope import DetectorConfig, GridSpec, PhysicalUnits, SlitGeometry, SlitPair, read
 
 GEOM = SlitGeometry(d=1.0, sigma=0.02)
 GRID = GridSpec(n=2**17, x_min=-327.18, x_max=328.18)
@@ -33,12 +20,9 @@ def main() -> None:
     print(f"{'theta':>9} {'p_e = theta*hbar/d':>19} {'measured':>10} {'V':>8}")
     pair = SlitPair.emit(GEOM, GRID, UNITS)  # every detector setting flies this pair once
     for theta in (0.0, math.pi / 6, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi):
-        detector = DetectorConfig(c=0.5, theta=theta)
-        state = change_basis(assemble(pair, detector), SYMMETRIC)
-        shift = phase_kick_shift(state)
-        pattern = screen_density(propagate_all(state))
-        visibility = fringe_analysis(pattern).visibility
-        print(f"{theta:9.5f} {theta * UNITS.hbar / GEOM.d:19.6f} {shift:10.6f} {visibility:8.4f}")
+        r = read(pair, DetectorConfig(c=0.5, theta=theta))
+        p_e = theta * UNITS.hbar / GEOM.d
+        print(f"{theta:9.5f} {p_e:19.6f} {r.phase_kick:10.6f} {r.visibility:8.4f}")
     print()
     print("The failed events are boosted by exactly theta*hbar/d; the")
     print("visibility column never moves.  Which-way information, not")

@@ -16,21 +16,7 @@ import math
 
 import numpy as np
 
-from kickscope import (
-    SYMMETRIC,
-    DetectorConfig,
-    EmptyBranchError,
-    GridSpec,
-    PhysicalUnits,
-    SlitGeometry,
-    SlitPair,
-    assemble,
-    change_basis,
-    fringe_analysis,
-    propagate_all,
-    relative_kick,
-    screen_density,
-)
+from kickscope import DetectorConfig, GridSpec, PhysicalUnits, SlitGeometry, SlitPair, read
 
 GEOM = SlitGeometry(d=1.0, sigma=0.02)
 GRID = GridSpec(n=2**17, x_min=-327.18, x_max=328.18)
@@ -43,17 +29,12 @@ def main() -> None:
     pair = SlitPair.emit(GEOM, GRID, UNITS)  # every detector setting flies this pair once
     p0 = math.pi * UNITS.hbar / GEOM.d
     for c in np.linspace(0.0, 1.0, 11):
-        detector = DetectorConfig(c=float(c))
-        state = change_basis(assemble(pair, detector), SYMMETRIC)
-        pattern = screen_density(propagate_all(state))
-        fringes = fringe_analysis(pattern)
-        try:
-            kick = f"{relative_kick(state) / p0:8.5f}"
-        except EmptyBranchError:  # c = 1: nothing kicked, no comb to read
-            kick = "--"
+        r = read(pair, DetectorConfig(c=float(c)))
+        # At c = 1 nothing is kicked, so there is no comb to read.
+        kick = "--" if math.isnan(r.kick) else f"{r.kick / p0:8.5f}"
         print(
-            f"{c:6.2f} {fringes.visibility:8.4f} {state.branch_probabilities()[1]:8.4f} "
-            f"{(1.0 - fringes.visibility) / 2.0:9.4f} {kick:>8}"
+            f"{c:6.2f} {r.visibility:8.4f} {r.kick_fraction:8.4f} "
+            f"{(1.0 - r.visibility) / 2.0:9.4f} {kick:>8}"
         )
     print()
     print("F_k follows (1 - V)/2 all the way from perfect fringes (c = 1,")

@@ -27,17 +27,15 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, default_config, load_config, parse_c_values
-from .errors import EmptyBranchError, KickscopeError
-from .hilbert import SYMMETRIC, DetectorConfig
+from .errors import KickscopeError
+from .hilbert import DetectorConfig
 from .experiment import (
     GOF_MIN_SAMPLES,
-    BranchState,
     SlitPair,
     assemble,
     change_basis,
-    fringe_analysis,
     propagate_all,
-    relative_kick,
+    read,
     sample_events,
     screen_density,
     screen_goodness_of_fit,
@@ -54,14 +52,6 @@ _BLOCK_ROWS = 1 << 12
 
 def _fmt(value: float) -> str:
     return "%.17g" % value
-
-
-def _kick_or_nan(sym: BranchState) -> float:
-    """The q-/q+ kick of a symmetric-basis state, ``nan`` where a branch is empty."""
-    try:
-        return relative_kick(sym)
-    except EmptyBranchError:
-        return math.nan
 
 
 def _commit(out_dir: Path, files: dict) -> None:
@@ -114,28 +104,31 @@ def _write_table(fh, header: list[str], columns: list[np.ndarray]) -> None:
 
 
 def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
-    """Simulate once; write pattern.csv, momentum.csv, and summary.txt."""
+    """Simulate once; write pattern.csv, momentum.csv, and summary.txt.
+
+    summary.txt is the setting's `read`, which does not depend on
+    ``basis``: the basis picks only the branch columns of pattern.csv and
+    momentum.csv.
+    """
     pair = SlitPair.emit(cfg.geometry, cfg.grid, cfg.units)
+    reading = read(pair, cfg.detector)
     state0 = change_basis(assemble(pair, cfg.detector), cfg.basis)
     propagated = propagate_all(state0)
-    sym = state0 if state0.basis == SYMMETRIC else change_basis(state0, SYMMETRIC)
-    kick = _kick_or_nan(sym)
-    fringes = fringe_analysis(screen_density(propagated))
     # Theory from the config, each beside what the state measures.
     det, hbar, d = cfg.detector, cfg.units.hbar, cfg.geometry.d
     lines = [
         ("V_theory", _fmt(det.c)),
-        ("V_measured", _fmt(fringes.visibility)),
-        ("fringe_period", _fmt(fringes.fringe_period)),
-        ("central_fringe_shift", _fmt(fringes.central_fringe_shift)),
+        ("V_measured", _fmt(reading.visibility)),
+        ("fringe_period", _fmt(reading.fringe_period)),
+        ("central_fringe_shift", _fmt(reading.central_fringe_shift)),
         ("F_k_theory", _fmt((1.0 - det.c) / 2.0)),
-        ("F_k_branch", _fmt(sym.branch_probabilities()[1])),
+        ("F_k_branch", _fmt(reading.kick_fraction)),
         ("p0", _fmt(math.pi * hbar / d)),
-        ("p0_measured", _fmt(kick)),
+        ("p0_measured", _fmt(reading.kick)),
         ("kick_identity_residual", _fmt(pair.kick_identity_residual)),
         ("p_e", _fmt(det.theta * hbar / d)),
-        ("storey_lhs", _fmt(kick * d / hbar)),
-        ("storey_rhs", _fmt(1.0 - fringes.visibility)),
+        ("storey_lhs", _fmt(reading.kick * d / hbar)),
+        ("storey_rhs", _fmt(1.0 - reading.visibility)),
     ]
 
     # Each table's columns live only inside its writer, one table at a time.
@@ -174,15 +167,9 @@ def cmd_scan(cfg: RunConfig, out_dir: Path, c_values: list[float]) -> int:
     pair = SlitPair.emit(cfg.geometry, cfg.grid, cfg.units)
     rows = []
     for c in c_values:
-        det = DetectorConfig(c=c, theta=cfg.detector.theta)
-        sym = change_basis(assemble(pair, det), SYMMETRIC)
-        propagated = propagate_all(sym)
-        fringes = fringe_analysis(screen_density(propagated))
-        f_k = sym.branch_probabilities()[1]
-        rows.append(
-            (c, fringes.visibility, f_k, _kick_or_nan(sym), pair.kick_identity_residual)
-        )
-        print(f"c = {c:.4g}: V = {fringes.visibility:.4f}, F_k = {f_k:.4f}")
+        r = read(pair, DetectorConfig(c=c, theta=cfg.detector.theta))
+        rows.append((c, r.visibility, r.kick_fraction, r.kick, pair.kick_identity_residual))
+        print(f"c = {c:.4g}: V = {r.visibility:.4f}, F_k = {r.kick_fraction:.4f}")
     arr = np.array(rows)
     header = ["c", "V_measured", "F_k_branch", "p0_measured", "kick_identity_residual"]
     columns = [arr[:, i] for i in range(arr.shape[1])]

@@ -15,6 +15,10 @@ flew from.  The detector's ``c`` and ``theta`` live only in ``coeffs``,
 where `assemble` put them; their closed forms (``V = c``, ``F_k = (1 -
 c)/2``, ``p_e = theta*hbar/d``) are the caller's to set beside a reading.
 
+`read` takes one detector setting on an emitted pair to its `Reading`.  It
+always reads the symmetric-basis state, so no readout basis moves a digit
+of it; a caller's basis only labels branches and events.
+
 Momentum kicks are read off the slit pair's 2x2 comb matrix ``A`` (see
 `SlitPair.comb`), which free flight cannot change: a landed pair reads its
 emission pair's.  The comb phase of a coefficient row ``r`` is the
@@ -35,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, EmptyBranchError
-from .hilbert import COMPUTATIONAL, Basis, DetectorConfig, basis_matrix, detector_states
+from .hilbert import COMPUTATIONAL, SYMMETRIC, Basis, DetectorConfig, basis_matrix, detector_states
 from .wavepacket import (
     GridSpec,
     MomentumSpectrum,
@@ -51,13 +55,13 @@ __all__ = [
     "SlitPair",
     "BranchState",
     "ScreenPattern",
-    "FringeAnalysis",
+    "Reading",
     "assemble",
     "change_basis",
     "propagate_all",
     "screen_density",
     "fringe_window",
-    "fringe_analysis",
+    "read",
     "relative_kick",
     "phase_kick_shift",
     "sample_events",
@@ -226,12 +230,19 @@ class ScreenPattern:
 
 
 @dataclass(frozen=True)
-class FringeAnalysis:
-    """Visibility and fringe bookkeeping extracted from a screen pattern."""
+class Reading:
+    """One detector setting's fringes, kick fraction and kicks; see `read`.
+
+    ``kick`` (q- against q+) and ``phase_kick`` (the failure branch) are
+    ``nan`` where their branch is empty.
+    """
 
     visibility: float
     fringe_period: float
     central_fringe_shift: float
+    kick_fraction: float
+    kick: float
+    phase_kick: float
 
 
 def assemble(pair: SlitPair, detector: DetectorConfig) -> BranchState:
@@ -306,25 +317,16 @@ def _refine_extremum(x: np.ndarray, v: np.ndarray, i: int, dx: float) -> tuple[f
     return float(x[i] + delta * dx), float(v0 - 0.25 * (vm - vp) * delta)
 
 
-def fringe_analysis(pattern: ScreenPattern) -> FringeAnalysis:
-    """Measure visibility from adjacent extrema inside :func:`fringe_window`.
+def _fringe_analysis(pattern: ScreenPattern) -> tuple[float, float, float]:
+    """``(visibility, fringe_period, central_fringe_shift)`` of a landed pattern.
 
-    Parameters
-    ----------
-    pattern : ScreenPattern
-        Far-field screen density.  Its pair's geometry and flight set the
-        window, the fallback period and the centre ``d/2``; one whose pair
-        never flew raises ``ConfigurationError``.
-
-    Returns
-    -------
-    FringeAnalysis
-        Visibility ``(I_max - I_min)/(I_max + I_min)`` from the adjacent
-        extremum pair nearest the window center.  When the pattern has no
-        interior minima in the window (no fringes, e.g. a fully decohered
-        pattern) the contrast of the windowed values is reported instead,
-        and the period falls back to the far-field estimate
-        ``2*pi*hbar*t/(m*d)`` so it stays positive.
+    Visibility is ``(I_max - I_min)/(I_max + I_min)`` from the adjacent
+    extremum pair nearest the centre of :func:`fringe_window`.  When the
+    window holds no interior minima (no fringes, e.g. a fully decohered
+    pattern) the contrast of the windowed values is reported instead, and
+    the period falls back to the far-field estimate ``2*pi*hbar*t/(m*d)``
+    so it stays positive.  A pattern whose pair never flew raises
+    ``ConfigurationError``.
     """
     lo, hi = fringe_window(pattern)
     x = pattern.grid.x
@@ -365,11 +367,7 @@ def fringe_analysis(pattern: ScreenPattern) -> FringeAnalysis:
             _refine_extremum(xs, vals, i, dx)[0] if 0 < i < len(vals) - 1 else float(xs[i])
         )
 
-    return FringeAnalysis(
-        visibility=float(visibility),
-        fringe_period=float(period),
-        central_fringe_shift=float(central_max - pattern.pair.geom.d / 2.0),
-    )
+    return float(visibility), float(period), float(central_max - pattern.pair.geom.d / 2.0)
 
 
 def _comb_offset(pair: SlitPair, row_a: np.ndarray, row_b: np.ndarray) -> float:
@@ -431,6 +429,30 @@ def phase_kick_shift(state: BranchState) -> float:
         raise EmptyBranchError("failure branch is empty; no phase kick to measure")
     phase_free = np.full(2, 1.0 / math.sqrt(2.0))
     return _comb_offset(state.pair, state.coeffs[2], phase_free)
+
+
+def _or_nan(measure, state: BranchState) -> float:
+    try:
+        return measure(state)
+    except EmptyBranchError:
+        return math.nan
+
+
+def read(pair: SlitPair, detector: DetectorConfig) -> Reading:
+    """The `Reading` of ``detector`` on the emitted ``pair``, in the symmetric basis.
+
+    The pair flies once, however many settings are read on it.
+    """
+    sym = change_basis(assemble(pair, detector), SYMMETRIC)
+    visibility, period, shift = _fringe_analysis(screen_density(propagate_all(sym)))
+    return Reading(
+        visibility=visibility,
+        fringe_period=period,
+        central_fringe_shift=shift,
+        kick_fraction=float(sym.branch_probabilities()[1]),
+        kick=_or_nan(relative_kick, sym),
+        phase_kick=_or_nan(phase_kick_shift, sym),
+    )
 
 
 def _cell_edges(grid: GridSpec) -> np.ndarray:

@@ -58,13 +58,13 @@ from .hilbert import (
 from .wavepacket import GridSpec, SlitGeometry, Wavefunction, propagate_analytic, to_momentum
 from .experiment import (
     BranchState,
-    ScreenPattern,
+    Reading,
     SlitPair,
     assemble,
     change_basis,
-    fringe_analysis,
     phase_kick_shift,
     propagate_all,
+    read,
     relative_kick,
     sample_events,
     screen_density,
@@ -116,9 +116,10 @@ class CheckResult:
 
 
 class _Run:
-    """One config's checks: its slit pair, emitted once, and V(c, theta) so far.
+    """One config's checks: its slit pair, emitted once, and its readings so far.
 
-    Every state a check builds shares ``pair``, so the pair flies once.
+    Every state a check builds shares ``pair``, so the pair flies once, and
+    each (c, theta) is `read` once however many rows ask for it.
     ``dp`` is one momentum bin of its grid and ``p0`` its kick ``pi*hbar/d``.
     The configured landed state and its one seeded event draw are built on
     first use, so an error there fails the sampler rows that read them.
@@ -127,20 +128,17 @@ class _Run:
     def __init__(self, cfg: RunConfig) -> None:
         self.cfg = cfg
         self.pair = SlitPair.emit(cfg.geometry, cfg.grid, cfg.units)
-        self.visibilities: dict[tuple[float, float], float] = {}
+        self.readings: dict[tuple[float, float], Reading] = {}
         hbar = self.pair.units.hbar
         self.dp, self.p0 = self.pair.grid.dp(hbar), math.pi * hbar / self.pair.geom.d
 
     def state(self, c: float, theta: float = 0.0) -> BranchState:
         return change_basis(assemble(self.pair, DetectorConfig(c=c, theta=theta)), SYMMETRIC)
 
-    def pattern(self, c: float, theta: float = 0.0) -> ScreenPattern:
-        return screen_density(propagate_all(self.state(c, theta)))
-
-    def visibility(self, c: float, theta: float = 0.0) -> float:
-        if (c, theta) not in self.visibilities:
-            self.visibilities[c, theta] = fringe_analysis(self.pattern(c, theta)).visibility
-        return self.visibilities[c, theta]
+    def reading(self, c: float, theta: float = 0.0) -> Reading:
+        if (c, theta) not in self.readings:
+            self.readings[c, theta] = read(self.pair, DetectorConfig(c=c, theta=theta))
+        return self.readings[c, theta]
 
     @cached_property
     def landed(self) -> BranchState:
@@ -322,7 +320,7 @@ def _chk_exp_density(run: _Run, tol: float) -> tuple[bool, str]:
         + np.abs(psi2) ** 2
         + 2.0 * np.real(overlap * np.conj(psi1) * psi2)
     )
-    rho = run.pattern(det.c, det.theta).values
+    rho = screen_density(run.landed).values
     worst = float(np.abs(rho - direct).max())
     return worst <= tol, f"max abs diff {worst:.3g}"
 
@@ -331,7 +329,7 @@ def _chk_exp_density(run: _Run, tol: float) -> tuple[bool, str]:
 def _chk_exp_visibility(run: _Run, tol: float) -> tuple[bool, str]:
     worst = 0.0
     for c in _C_GRID:
-        worst = max(worst, abs(run.visibility(c) - c))
+        worst = max(worst, abs(run.reading(c).visibility - c))
     return worst <= tol, f"max |V - c| = {worst:.3g}"
 
 
@@ -339,8 +337,7 @@ def _chk_exp_visibility(run: _Run, tol: float) -> tuple[bool, str]:
 def _chk_exp_fraction(run: _Run, tol: float) -> tuple[bool, str]:
     worst = 0.0
     for c in _C_GRID:
-        f_branch = run.state(c).branch_probabilities()[1]
-        worst = max(worst, abs(f_branch - (1.0 - c) / 2.0))
+        worst = max(worst, abs(run.reading(c).kick_fraction - (1.0 - c) / 2.0))
     return worst <= tol, f"max |F_k - (1-c)/2| = {worst:.3g}"
 
 
@@ -348,8 +345,8 @@ def _chk_exp_fraction(run: _Run, tol: float) -> tuple[bool, str]:
 def _chk_exp_fraction_vis(run: _Run, tol: float) -> tuple[bool, str]:
     worst = 0.0
     for c in _C_GRID:
-        f_branch = run.state(c).branch_probabilities()[1]
-        worst = max(worst, abs(f_branch - (1.0 - run.visibility(c)) / 2.0))
+        r = run.reading(c)
+        worst = max(worst, abs(r.kick_fraction - (1.0 - r.visibility) / 2.0))
     return worst <= tol, f"max |F_k - (1-V)/2| = {worst:.3g}"
 
 
@@ -427,8 +424,8 @@ def _chk_exp_phase(run: _Run, tol: float) -> tuple[bool, str]:
 
 @_check("experiment.phase_visibility")
 def _chk_exp_phase_vis(run: _Run, tol: float) -> tuple[bool, str]:
-    v0 = run.visibility(0.5, 0.0)
-    worst = max(abs(run.visibility(0.5, theta) - v0) for theta in _PHASE_GRID)
+    v0 = run.reading(0.5).visibility
+    worst = max(abs(run.reading(0.5, theta).visibility - v0) for theta in _PHASE_GRID)
     return worst <= tol, f"max |V(theta) - V(0)| = {worst:.3g}"
 
 
@@ -436,7 +433,7 @@ def _chk_exp_phase_vis(run: _Run, tol: float) -> tuple[bool, str]:
 def _chk_exp_storey(run: _Run, tol: float) -> tuple[bool, str]:
     det, pair = run.cfg.detector, run.pair
     lhs = relative_kick(run.state(det.c, det.theta)) * pair.geom.d / pair.units.hbar
-    rhs = 1.0 - run.visibility(det.c, det.theta)
+    rhs = 1.0 - run.reading(det.c, det.theta).visibility
     return lhs >= rhs - tol, f"p0_measured*d/hbar = {lhs:.4g} >= 1 - V = {rhs:.3g}"
 
 

@@ -57,7 +57,7 @@ sampling.count = 500
 """
 
 # A valid grid whose spacing is wider than the two-period fringe window at
-# t = 1e-6; only fringe_analysis notices.
+# t = 1e-6; only the fringe estimator behind read notices.
 LATE_WINDOW = "units.t = 1e-6\ngrid.n = 4096\ngrid.x_min = -4.62\ngrid.x_max = 5.62\n"
 
 
@@ -123,6 +123,18 @@ class TestRun:
         summary = read_summary(out / "summary.txt")
         assert math.isnan(summary["p0_measured"]) and math.isnan(summary["storey_lhs"])
         assert summary["storey_rhs"] == 1.0 - summary["V_measured"]
+
+    def test_summary_does_not_depend_on_the_readout_basis(self, tmp_path):
+        # The basis picks only the branch columns of pattern.csv and
+        # momentum.csv; summary.txt reads the setting in one basis.
+        summaries = {}
+        for i, basis in enumerate(("symmetric", "computational", "tilted:0.9")):
+            extra = f"detector.c = 0.3\ndetector.theta = 0.7\nbasis = {basis}\n"
+            path = _write_config(tmp_path / f"{i}.cfg", _with(SMALL, extra))
+            out = tmp_path / f"out{i}"
+            assert main(["run", "--config", path, "--out", str(out)]) == 0
+            summaries[basis] = (out / "summary.txt").read_text()
+        assert len(set(summaries.values())) == 1, summaries
 
     def test_reruns_are_byte_identical(self, tmp_path):
         cfg_path = _write_config(tmp_path / "small.cfg", SMALL)
@@ -587,6 +599,25 @@ def _branch_0_only(real, cfg):
     return lambda state, i: real(state, 0)
 
 
+def _with_cross_term(real, change):
+    # screen_density with its cross term's coefficient M01 replaced by change(M01).
+    def defective(state):
+        m01 = (state.coeffs.conj().T @ state.coeffs)[0, 1]
+        psi1, psi2 = state.pair.psi1.amplitudes, state.pair.psi2.amplitudes
+        wrong = 2.0 * np.real((change(m01) - m01) * np.conj(psi1) * psi2)
+        return experiment.ScreenPattern(state.pair, real(state).values + wrong)
+
+    return defective
+
+
+def _damp_cross_term(real, cfg):
+    return _with_cross_term(real, lambda m01: 0.9 * m01)
+
+
+def _real_overlap(real, cfg):
+    return _with_cross_term(real, lambda m01: m01.real)
+
+
 # Each planted defect: the modules whose binding of ``name`` is patched, the
 # defect, and the checks it must turn red on REDUCED.
 DEFECTS = {
@@ -690,17 +721,30 @@ DEFECTS = {
         _branch_0_only,
         ("experiment.sampler_gof",),
     ),
+    # Fringes at 0.9 of their contrast; every branch keeps its weight.
+    "cross-term-damped": (
+        (experiment, verify_module),
+        "screen_density",
+        _damp_cross_term,
+        (
+            "experiment.density_formula",
+            "experiment.visibility_law",
+            "experiment.kick_fraction_vs_visibility",
+        ),
+    ),
+    # The overlap's phase dropped from the fringes, so V follows c*cos(theta).
+    "overlap-phase-real": (
+        (experiment, verify_module),
+        "screen_density",
+        _real_overlap,
+        ("experiment.phase_visibility",),
+    ),
 }
 
 # Rows that no planted defect turns red yet.  A row is in here or is named
 # by a defect, never both, so a new row without a defect fails
 # test_every_row_has_a_defect_or_is_listed until it is listed.
-NO_DEFECT_YET = {
-    "wavepacket.kick_displacement",
-    "experiment.visibility_law",
-    "experiment.kick_fraction_vs_visibility",
-    "experiment.phase_visibility",
-}
+NO_DEFECT_YET = {"wavepacket.kick_displacement"}
 
 # The row test_tilt_phase_defect_turns_tilted_kick_red plants its defect in.
 TILT_PHASE_ROW = "experiment.tilted_kick"
@@ -797,8 +841,8 @@ class TestVerifyCommand:
 
     @pytest.mark.xfail(
         raises=AssertionError,
-        reason="at c = 0 there are no fringes, and fringe_analysis reports the envelope's "
-        "contrast inside its window, about 0.098 at sigma/d = 0.05"
+        reason="at c = 0 there are no fringes, and the fringe estimator reports the "
+        "envelope's contrast inside its window, about 0.098 at sigma/d = 0.05"
     )
     def test_visibility_rows_pass_at_wide_slits(self):
         # A valid config at sigma/d = NARROW_SLIT_RATIO, with dx = sigma/4.
@@ -876,14 +920,16 @@ def test_scan_computes_the_kick_identity_residual_once(tmp_path, monkeypatch):
 
 
 def test_verify_computes_each_visibility_once(tmp_path, monkeypatch):
-    # visibility_law, kick_fraction_vs_visibility and phase_visibility share
-    # V(c, theta) within one run: five c at theta = 0 plus three more thetas.
+    # The visibility rows share one reading per (c, theta) within a verify
+    # run: five c at theta = 0 plus three more thetas.  scan reads each c once.
     calls = []
-    real = verify_module.fringe_analysis
-    analysis = _count_calls(calls, "fringe_analysis", real)
-    monkeypatch.setattr(verify_module, "fringe_analysis", analysis)
-    assert main(["verify", "--config", _small_path(tmp_path)]) == 0
-    assert len(calls) == 8
+    analysis = _count_calls(calls, "_fringe_analysis", experiment._fringe_analysis)
+    monkeypatch.setattr(experiment, "_fringe_analysis", analysis)
+    path = _small_path(tmp_path)
+    for argv, count in (([*_SCAN, "--out", str(tmp_path / "out")], 5), (["verify"], 8)):
+        calls.clear()
+        assert main([*argv, "--config", path]) == 0
+        assert len(calls) == count, argv[0]
 
 
 def test_kick_displacement_transforms_the_unkicked_state_once(cfg_path, monkeypatch):

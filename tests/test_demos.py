@@ -68,5 +68,5 @@ def test_readme_library_example_runs():
     exec(compile(block, "README.md", "exec"), names)
     assert names["kick"] == math.pi
     assert abs(names["f_k"] - 0.25) <= 1e-12
-    assert abs(names["fringes"].visibility - 0.5) <= 0.02
+    assert abs(names["reading"].visibility - 0.5) <= 0.02
     assert names["codes"].shape == names["xs"].shape == (100_000,)

@@ -27,13 +27,13 @@ from kickscope import (
     assemble,
     basis_matrix,
     change_basis,
-    fringe_analysis,
     fringe_window,
     gaussian_state,
     phase_kick_shift,
     propagate_all,
     propagate_analytic,
     propagate_fft,
+    read,
     relative_kick,
     sample_events,
     screen_density,
@@ -207,10 +207,8 @@ class TestConditionalDensity:
 
     def test_kicked_branch_is_half_period_out_of_step(self, geom, grid, units):
         state = propagate_all(make_state(geom, grid, units, c=0.5))
-        fr = fringe_analysis(conditional_pattern(state, 1))
-        assert_allclose(
-            abs(fr.central_fringe_shift), FRINGE_PERIOD_T005 / 2.0, atol=2 * grid.dx
-        )
+        _, _, shift = experiment._fringe_analysis(conditional_pattern(state, 1))
+        assert_allclose(abs(shift), FRINGE_PERIOD_T005 / 2.0, atol=2 * grid.dx)
 
     def test_conditioned_patterns_are_normalized(self, geom, grid, units):
         state = propagate_all(make_state(geom, grid, units, c=0.36, theta=1.0))
@@ -226,19 +224,17 @@ class TestFringes:
         assert_allclose(hi, 0.5 + FRINGE_PERIOD_T005, rtol=0, atol=1e-15)
 
     def test_full_visibility_pattern(self, geom, grid, units):
-        state = propagate_all(make_state(geom, grid, units, c=1.0))
-        fr = fringe_analysis(screen_density(state))
-        assert fr.visibility >= 0.995
-        assert_allclose(fr.fringe_period, FRINGE_PERIOD_T005, rtol=0.02)
-        assert abs(fr.central_fringe_shift) <= grid.dx
+        r = read(SlitPair.emit(geom, grid, units), DetectorConfig(c=1.0))
+        assert r.visibility >= 0.995
+        assert_allclose(r.fringe_period, FRINGE_PERIOD_T005, rtol=0.02)
+        assert abs(r.central_fringe_shift) <= grid.dx
 
     def test_rejects_malformed_window(self, geom, grid):
         # At t = 0 the far-field period is zero, so the window is empty.
-        landed = propagate_all(make_state(geom, grid, PhysicalUnits(t=0.0), c=1.0))
-        pattern = screen_density(landed)
-        assert fringe_window(pattern) == (0.5, 0.5)
+        pair = SlitPair.emit(geom, grid, PhysicalUnits(t=0.0))
+        assert fringe_window(screen_density(propagate_all(state_on(pair, c=1.0)))) == (0.5, 0.5)
         with pytest.raises(ConfigurationError, match="analysis window"):
-            fringe_analysis(pattern)
+            read(pair, DetectorConfig(c=1.0))
 
 
 class TestKickIdentity:
@@ -448,10 +444,11 @@ class TestStateCarriesItsSetup:
         # hbar = 2 doubles the kick, p0 = 2*pi/d, and t = 0.025 keeps the
         # conftest flight's fringe period 2*pi*hbar*t/(m*d) = pi/10.
         units = PhysicalUnits(hbar=2.0, t=0.025)
-        landed = propagate_all(make_state(geom, grid, units, c=0.5))
+        pair = SlitPair.emit(geom, grid, units)
+        landed = propagate_all(state_on(pair, c=0.5))
         assert abs(relative_kick(landed) - 2.0 * math.pi / geom.d) <= 1e-9 * grid.dp(units.hbar)
         period = 2.0 * math.pi * units.hbar * units.t / (units.mass * geom.d)
-        assert_allclose(fringe_analysis(screen_density(landed)).fringe_period, period, rtol=0.01)
+        assert_allclose(read(pair, DetectorConfig(c=0.5)).fringe_period, period, rtol=0.01)
         with pytest.raises(ConfigurationError, match="already flown"):
             propagate_all(landed)
 
@@ -490,16 +487,16 @@ class TestPatternCarriesItsFlight:
         # The demos' 2^17 grid at t = 1, with the slits 1.05 apart.
         d, units = 1.05, PhysicalUnits(t=1.0)
         grid = GridSpec(n=2**17, x_min=-327.18, x_max=328.18)
-        state = make_state(SlitGeometry(d=d, sigma=0.02), grid, units, c=0.5)
-        fr = fringe_analysis(screen_density(propagate_all(state)))
-        assert abs(fr.central_fringe_shift) <= 2 * grid.dx
+        pair = SlitPair.emit(SlitGeometry(d=d, sigma=0.02), grid, units)
+        r = read(pair, DetectorConfig(c=0.5))
+        assert abs(r.central_fringe_shift) <= 2 * grid.dx
         period = 2.0 * math.pi * units.hbar * units.t / (units.mass * d)
-        assert_allclose(fr.fringe_period, period, rtol=0.01)
+        assert_allclose(r.fringe_period, period, rtol=0.01)
 
     def test_emission_pattern_has_no_window(self, geom, grid, units):
         pattern = screen_density(make_state(geom, grid, units, c=0.5))
         assert pattern.pair.emitted is None
-        for analysis in (fringe_window, fringe_analysis):
+        for analysis in (fringe_window, experiment._fringe_analysis):
             with pytest.raises(ConfigurationError, match="never flew"):
                 analysis(pattern)
 
@@ -517,17 +514,14 @@ class TestPhaseKick:
         assert abs(phase_kick_shift(state)) <= 1e-15
 
     def test_phase_leaves_visibility_alone(self, geom, grid, units):
-        base = fringe_analysis(
-            screen_density(propagate_all(make_state(geom, grid, units, c=0.5)))
-        )
-        shifted = fringe_analysis(
-            screen_density(propagate_all(make_state(geom, grid, units, c=0.5, theta=2.0)))
-        )
+        pair = SlitPair.emit(geom, grid, units)
+        base, shifted = (read(pair, DetectorConfig(c=0.5, theta=t)) for t in (0.0, 2.0))
         assert abs(shifted.visibility - base.visibility) <= 0.01
 
     def test_empty_failure_branch_raises(self, geom, grid, units):
         with pytest.raises(EmptyBranchError):
             phase_kick_shift(make_state(geom, grid, units, c=0.0))
+        assert math.isnan(read(SlitPair.emit(geom, grid, units), DetectorConfig(c=0.0)).phase_kick)
 
 
 class TestTiltedKick:
@@ -560,7 +554,7 @@ class TestStoreyBound:
             with pytest.raises(EmptyBranchError):
                 relative_kick(state)
             return
-        visibility = fringe_analysis(screen_density(propagate_all(state))).visibility
+        visibility = read(state.pair, DetectorConfig(c=v)).visibility
         lhs = relative_kick(state) * geom.d / units.hbar
         assert abs(lhs - math.pi) <= grid.dp(units.hbar) * geom.d / units.hbar
         assert lhs >= 1.0 - visibility
