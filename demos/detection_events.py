@@ -23,7 +23,6 @@ from kickscope import (
     fringe_window,
     propagate_all,
     sample_events,
-    screen_density,
 )
 
 GEOM = SlitGeometry(d=1.0, sigma=0.02)
@@ -56,7 +55,7 @@ def main() -> None:
         print(f"  {outcome:8s} {n:7d}  ({n / args.count:.4f})")
     print()
 
-    lo, hi = fringe_window(screen_density(propagated))
+    lo, hi = fringe_window(propagated.pair)
     print(f"landing histograms inside the fringe window [{lo:.2f}, {hi:.2f}]:")
     in_window = (xs >= lo) & (xs <= hi)
     rows = {o: histogram_row(xs[fired[o] & in_window], lo, hi) for o in fired}

@@ -37,7 +37,6 @@ from .experiment import (
     propagate_all,
     read,
     sample_events,
-    screen_density,
     screen_goodness_of_fit,
 )
 from .verify import run_suite
@@ -192,7 +191,7 @@ def cmd_sample(cfg: RunConfig, out_dir: Path) -> int:
         freq = n / xs.size if xs.size else 0.0
         lines.append(f"{o}: n={n} freq={freq:.6f} prob={_fmt(p)}\n")
     if xs.size >= GOF_MIN_SAMPLES:
-        stat, pvalue = screen_goodness_of_fit(xs, screen_density(propagated))
+        stat, pvalue = screen_goodness_of_fit(xs, propagated)
         lines.append(f"chi_square={_fmt(stat)}\n")
         lines.append(f"chi_square_p={_fmt(pvalue)}\n")
     labels = np.array(outcomes, dtype=object)

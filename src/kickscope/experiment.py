@@ -17,7 +17,10 @@ c)/2``, ``p_e = theta*hbar/d``) are the caller's to set beside a reading.
 
 `read` takes one detector setting on an emitted pair to its `Reading`.  It
 always reads the symmetric-basis state, so no readout basis moves a digit
-of it; a caller's basis only labels branches and events.
+of it; a caller's basis only labels branches and events.  Its fringes come
+from the landed density on `fringe_window` alone, about 1% of the default
+grid, so a reading never forms the whole screen; `screen_density` does
+that for the callers that want every point.
 
 Momentum kicks are read off the slit pair's 2x2 comb matrix ``A`` (see
 `SlitPair.comb`), which free flight cannot change: a landed pair reads its
@@ -54,7 +57,6 @@ from .wavepacket import (
 __all__ = [
     "SlitPair",
     "BranchState",
-    "ScreenPattern",
     "Reading",
     "assemble",
     "change_basis",
@@ -208,27 +210,6 @@ class BranchState:
         return np.einsum("ij,jk,ik->i", c.conj(), self.pair.gram, c).real
 
 
-@dataclass(frozen=True, eq=False)
-class ScreenPattern:
-    """A density on the grid of ``pair``, the slit pair that made it."""
-
-    pair: SlitPair
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.shape != (self.grid.n,):
-            raise ConfigurationError(
-                f"pattern has shape {vals.shape}, expected ({self.grid.n},)"
-            )
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def grid(self) -> GridSpec:
-        return self.pair.grid
-
-
 @dataclass(frozen=True)
 class Reading:
     """One detector setting's fringes, kick fraction and kicks; see `read`.
@@ -278,32 +259,37 @@ def propagate_all(state: BranchState) -> BranchState:
     return replace(state, pair=state.pair.landed)
 
 
-def screen_density(state: BranchState) -> ScreenPattern:
-    """Total screen density: the incoherent sum of branch densities.
+def _density(coeffs: np.ndarray, psi1: np.ndarray, psi2: np.ndarray) -> np.ndarray:
+    # M00 |psi1|^2 + M11 |psi2|^2 + 2 Re(M01 conj(psi1) psi2), M = coeffs^H coeffs,
+    # point by point, so a slice of the pair gives the same slice of the density.
+    m = coeffs.conj().T @ coeffs
+    cross = np.conj(psi1) * psi2
+    cross *= 2.0 * m[0, 1]
+    return m[0, 0].real * np.abs(psi1) ** 2 + m[1, 1].real * np.abs(psi2) ** 2 + cross.real
+
+
+def screen_density(state: BranchState) -> np.ndarray:
+    """Total screen density on the pair's grid: the incoherent sum of branch densities.
 
     With ``M = coeffs^H coeffs`` it is ``M00 |psi1|^2 + M11 |psi2|^2 +
     2 Re(M01 conj(psi1) psi2)``.  Independent of the detector basis, since
     basis changes are unitary and leave ``M`` alone.
     """
-    m = state.coeffs.conj().T @ state.coeffs
-    psi1, psi2 = state.pair.psi1.amplitudes, state.pair.psi2.amplitudes
-    cross = np.conj(psi1) * psi2
-    cross *= 2.0 * m[0, 1]
-    rho = m[0, 0].real * np.abs(psi1) ** 2 + m[1, 1].real * np.abs(psi2) ** 2 + cross.real
-    return ScreenPattern(state.pair, rho)
+    pair = state.pair
+    return _density(state.coeffs, pair.psi1.amplitudes, pair.psi2.amplitudes)
 
 
-def _far_field_period(pattern: ScreenPattern) -> float:
-    pair, units = pattern.pair, pattern.pair.units
+def _far_field_period(pair: SlitPair) -> float:
+    units = pair.units
     if pair.emitted is None:
-        raise ConfigurationError("the pattern never flew, so it has no far-field fringes")
+        raise ConfigurationError("this slit pair never flew, so it has no far-field fringes")
     return 2.0 * math.pi * units.hbar * units.t / (units.mass * pair.geom.d)
 
 
-def fringe_window(pattern: ScreenPattern) -> tuple[float, float]:
-    """Analysis window: two far-field fringe periods around x = d/2."""
-    period = _far_field_period(pattern)
-    center = pattern.pair.geom.d / 2.0
+def fringe_window(pair: SlitPair) -> tuple[float, float]:
+    """Analysis window of a landed pair: two far-field fringe periods around x = d/2."""
+    period = _far_field_period(pair)
+    center = pair.geom.d / 2.0
     return (center - period, center + period)
 
 
@@ -317,25 +303,27 @@ def _refine_extremum(x: np.ndarray, v: np.ndarray, i: int, dx: float) -> tuple[f
     return float(x[i] + delta * dx), float(v0 - 0.25 * (vm - vp) * delta)
 
 
-def _fringe_analysis(pattern: ScreenPattern) -> tuple[float, float, float]:
-    """``(visibility, fringe_period, central_fringe_shift)`` of a landed pattern.
+def _fringe_analysis(state: BranchState) -> tuple[float, float, float]:
+    """``(visibility, fringe_period, central_fringe_shift)`` of a landed state.
 
+    The state's total density is formed on :func:`fringe_window` alone.
     Visibility is ``(I_max - I_min)/(I_max + I_min)`` from the adjacent
-    extremum pair nearest the centre of :func:`fringe_window`.  When the
-    window holds no interior minima (no fringes, e.g. a fully decohered
-    pattern) the contrast of the windowed values is reported instead, and
-    the period falls back to the far-field estimate ``2*pi*hbar*t/(m*d)``
-    so it stays positive.  A pattern whose pair never flew raises
-    ``ConfigurationError``.
+    extremum pair nearest the centre of the window.  When the window holds
+    no interior minima (no fringes, e.g. a fully decohered state) the
+    contrast of the windowed values is reported instead, and the period
+    falls back to the far-field estimate ``2*pi*hbar*t/(m*d)`` so it stays
+    positive.  A state whose pair never flew raises ``ConfigurationError``.
     """
-    lo, hi = fringe_window(pattern)
-    x = pattern.grid.x
-    sel = (x >= lo) & (x <= hi)
-    if lo >= hi or int(sel.sum()) < 5:
+    pair = state.pair
+    lo, hi = fringe_window(pair)
+    x = pair.grid.x
+    # The points lo <= x <= hi of the sorted grid.
+    i0, i1 = int(np.searchsorted(x, lo, "left")), int(np.searchsorted(x, hi, "right"))
+    if lo >= hi or i1 - i0 < 5:
         raise ConfigurationError(f"analysis window {(lo, hi)} is malformed for this grid")
-    xs = x[sel]
-    vals = pattern.values[sel]
-    dx = pattern.grid.dx
+    xs = x[i0:i1]
+    vals = _density(state.coeffs, pair.psi1.amplitudes[i0:i1], pair.psi2.amplitudes[i0:i1])
+    dx = pair.grid.dx
     center = 0.5 * (lo + hi)
 
     interior = np.arange(1, len(vals) - 1)
@@ -361,13 +349,13 @@ def _fringe_analysis(pattern: ScreenPattern) -> tuple[float, float, float]:
         v_max = float(vals.max())
         v_min = float(vals.min())
         visibility = (v_max - v_min) / (v_max + v_min)
-        period = _far_field_period(pattern)
+        period = _far_field_period(pair)
         i = int(np.argmax(vals))
         central_max = (
             _refine_extremum(xs, vals, i, dx)[0] if 0 < i < len(vals) - 1 else float(xs[i])
         )
 
-    return float(visibility), float(period), float(central_max - pattern.pair.geom.d / 2.0)
+    return float(visibility), float(period), float(central_max - pair.geom.d / 2.0)
 
 
 def _comb_offset(pair: SlitPair, row_a: np.ndarray, row_b: np.ndarray) -> float:
@@ -384,11 +372,12 @@ def _comb_offset(pair: SlitPair, row_a: np.ndarray, row_b: np.ndarray) -> float:
     Raises
     ------
     EmptyBranchError
-        If either row has no fringe comb (a vanishing comb projection).
+        If either row has no fringe comb: a comb projection ``|z|`` with
+        ``|z|*dp``, which is free of units, below `EMPTY_BRANCH_TOL`.
     """
     d, hbar = pair.geom.d, pair.units.hbar
     z_a, z_b = (np.vdot(r, pair.comb @ r) for r in (row_a, row_b))
-    if min(abs(z_a), abs(z_b)) < EMPTY_BRANCH_TOL:
+    if min(abs(z_a), abs(z_b)) * pair.grid.dp(hbar) < EMPTY_BRANCH_TOL:
         raise EmptyBranchError("no fringe comb to read a phase from")
     p0 = math.pi * hbar / d
     offset = -np.angle(z_a * np.conj(z_b)) * hbar / d
@@ -444,7 +433,7 @@ def read(pair: SlitPair, detector: DetectorConfig) -> Reading:
     The pair flies once, however many settings are read on it.
     """
     sym = change_basis(assemble(pair, detector), SYMMETRIC)
-    visibility, period, shift = _fringe_analysis(screen_density(propagate_all(sym)))
+    visibility, period, shift = _fringe_analysis(propagate_all(sym))
     return Reading(
         visibility=visibility,
         fringe_period=period,
@@ -517,17 +506,17 @@ def sample_events(state: BranchState, count: int, seed: int) -> tuple[np.ndarray
 
 
 def screen_goodness_of_fit(
-    xs: Sequence[float] | np.ndarray, pattern: ScreenPattern
+    xs: Sequence[float] | np.ndarray, state: BranchState
 ) -> tuple[float, float]:
-    """Chi-square goodness of fit of sampled positions against a pattern.
+    """Chi-square goodness of fit of sampled positions against a state's screen density.
 
-    Bins are ``GOF_BINS`` equal-probability quantiles of the pattern's
-    cell-wise CDF, so every bin expects ``len(xs)/GOF_BINS`` counts.
-    Returns Pearson's ``(statistic, p_value)`` with ``GOF_BINS - 1``
-    degrees of freedom.  The statistic is the one ``scipy.stats.chisquare``
+    Bins are ``GOF_BINS`` equal-probability quantiles of the cell-wise CDF
+    of the state's `screen_density`, so every bin expects
+    ``len(xs)/GOF_BINS`` counts.  Returns Pearson's ``(statistic,
+    p_value)`` with ``GOF_BINS - 1`` degrees of freedom.  The statistic is the one ``scipy.stats.chisquare``
     gives; the p-value is the chi-square tail as a finite sum (Abramowitz &
     Stegun 26.4.4-5), so no scipy import is needed.
-    Meant for strictly positive patterns such as propagated totals; exact
+    Meant for strictly positive densities such as landed states'; exact
     zero-density stretches would collapse quantile bins.
 
     Raises
@@ -539,9 +528,10 @@ def screen_goodness_of_fit(
     xs = np.asarray(xs, dtype=np.float64)
     if xs.size < GOF_MIN_SAMPLES:
         raise DomainError("too few samples for a meaningful binned test")
-    cdf = _cell_cdf(pattern.values, pattern.grid)
+    grid = state.pair.grid
+    cdf = _cell_cdf(screen_density(state), grid)
     quantiles = np.linspace(0.0, 1.0, GOF_BINS + 1)
-    bin_edges = np.interp(quantiles, cdf, _cell_edges(pattern.grid))
+    bin_edges = np.interp(quantiles, cdf, _cell_edges(grid))
     observed, _ = np.histogram(xs, bins=bin_edges)
     missing = xs.size - int(observed.sum())
     if missing:

@@ -116,10 +116,11 @@ class CheckResult:
 
 
 class _Run:
-    """One config's checks: its slit pair, emitted once, and its readings so far.
+    """One config's checks on its slit pair, emitted once.
 
-    Every state a check builds shares ``pair``, so the pair flies once, and
-    each (c, theta) is `read` once however many rows ask for it.
+    Every state a check builds shares ``pair``, so the pair flies once.  A
+    `read` forms the density on the fringe window alone, so `reading` keeps
+    no memo: a row that asks again reads again, at the window's cost.
     ``dp`` is one momentum bin of its grid and ``p0`` its kick ``pi*hbar/d``.
     The configured landed state and its one seeded event draw are built on
     first use, so an error there fails the sampler rows that read them.
@@ -128,7 +129,6 @@ class _Run:
     def __init__(self, cfg: RunConfig) -> None:
         self.cfg = cfg
         self.pair = SlitPair.emit(cfg.geometry, cfg.grid, cfg.units)
-        self.readings: dict[tuple[float, float], Reading] = {}
         hbar = self.pair.units.hbar
         self.dp, self.p0 = self.pair.grid.dp(hbar), math.pi * hbar / self.pair.geom.d
 
@@ -136,9 +136,7 @@ class _Run:
         return change_basis(assemble(self.pair, DetectorConfig(c=c, theta=theta)), SYMMETRIC)
 
     def reading(self, c: float, theta: float = 0.0) -> Reading:
-        if (c, theta) not in self.readings:
-            self.readings[c, theta] = read(self.pair, DetectorConfig(c=c, theta=theta))
-        return self.readings[c, theta]
+        return read(self.pair, DetectorConfig(c=c, theta=theta))
 
     @cached_property
     def landed(self) -> BranchState:
@@ -302,9 +300,9 @@ def _chk_exp_basis(run: _Run, tol: float) -> tuple[bool, str]:
         (emitted, (SYMMETRIC, tilted(math.pi / 4))),
         (landed, (SYMMETRIC, tilted(1.1))),
     ):
-        rho = screen_density(state).values
+        rho = screen_density(state)
         for b in bases:
-            rho_b = screen_density(change_basis(state, b)).values
+            rho_b = screen_density(change_basis(state, b))
             worst = max(worst, float(np.abs(rho_b - rho).max()))
     return worst <= tol, f"max abs diff {worst:.3g}"
 
@@ -320,7 +318,7 @@ def _chk_exp_density(run: _Run, tol: float) -> tuple[bool, str]:
         + np.abs(psi2) ** 2
         + 2.0 * np.real(overlap * np.conj(psi1) * psi2)
     )
-    rho = screen_density(run.landed).values
+    rho = screen_density(run.landed)
     worst = float(np.abs(rho - direct).max())
     return worst <= tol, f"max abs diff {worst:.3g}"
 
@@ -460,7 +458,7 @@ def _chk_exp_sampler(run: _Run, tol: float) -> tuple[bool, str]:
 @_check("experiment.sampler_gof")
 def _chk_exp_gof(run: _Run, tol: float) -> tuple[bool, str]:
     _, xs = run.events
-    _, pvalue = screen_goodness_of_fit(xs, screen_density(run.landed))
+    _, pvalue = screen_goodness_of_fit(xs, run.landed)
     return pvalue > tol, f"p = {pvalue:.4f}"
 
 

@@ -4,6 +4,7 @@ import bisect
 import cmath
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from kickscope import (
     EmptyBranchError,
     GridSpec,
     PhysicalUnits,
-    ScreenPattern,
     SlitGeometry,
     Wavefunction,
     assemble,
@@ -159,7 +159,7 @@ class TestSlitPairOracle:
                 st.branch_probabilities(), [b.norm() for b in oracle], rtol=0, atol=1e-12
             )
             assert_allclose(
-                screen_density(st).values, sum(b.density() for b in oracle), rtol=0, atol=1e-12
+                screen_density(st), sum(b.density() for b in oracle), rtol=0, atol=1e-12
             )
             for got, branch in zip(st.pair.spectra(st.coeffs), oracle):
                 want = to_momentum(branch, hbar=units.hbar).amplitudes
@@ -172,7 +172,7 @@ class TestScreenDensity:
         # rho = (|psi1|^2 + |psi2|^2)/2 + Re[<d1|d2> psi1* psi2] needs no
         # branch decomposition at all; the three-branch sum must agree.
         state = make_state(geom, grid, units, c=c, theta=theta)
-        rho = screen_density(propagate_all(state)).values
+        rho = screen_density(propagate_all(state))
         psi1 = propagate_analytic(geom, grid, units, slit=1).amplitudes
         psi2 = propagate_analytic(geom, grid, units, slit=2).amplitudes
         overlap = c * np.exp(1j * theta)
@@ -183,14 +183,15 @@ class TestScreenDensity:
 
     def test_pattern_total_is_one(self, geom, grid, units):
         state = make_state(geom, grid, units, c=0.3)
-        pattern = screen_density(propagate_all(state))
-        assert_allclose(pattern.values.sum() * grid.dx, 1.0, rtol=0, atol=1e-12)
+        rho = screen_density(propagate_all(state))
+        assert_allclose(rho.sum() * grid.dx, 1.0, rtol=0, atol=1e-12)
 
 
-def conditional_pattern(state, i):
-    """Branch ``i``'s screen pattern given that its outcome fired."""
-    rho = state.branch(i).density() / state.branch_probabilities()[i]
-    return ScreenPattern(state.pair, rho)
+def conditional_state(state, i):
+    """Branch ``i`` alone, given that its outcome fired: row ``i`` over ``sqrt(p_i)``, others 0."""
+    coeffs = np.zeros_like(state.coeffs)
+    coeffs[i] = state.coeffs[i] / math.sqrt(state.branch_probabilities()[i])
+    return replace(state, coeffs=coeffs)
 
 
 class TestConditionalDensity:
@@ -199,27 +200,27 @@ class TestConditionalDensity:
         # symmetric superposition, so their patterns are identical.
         state = propagate_all(make_state(geom, grid, units, c=0.5))
         p_plus, _, p_fail = state.branch_probabilities()
-        rho_plus = conditional_pattern(state, 0)
-        rho_fail = conditional_pattern(state, 2)
+        rho_plus = screen_density(conditional_state(state, 0))
+        rho_fail = screen_density(conditional_state(state, 2))
         assert_allclose(p_plus, 0.25, rtol=0, atol=1e-12)
         assert_allclose(p_fail, 0.5, rtol=0, atol=1e-12)
-        assert np.max(np.abs(rho_plus.values - rho_fail.values)) <= 1e-10
+        assert np.max(np.abs(rho_plus - rho_fail)) <= 1e-10
 
     def test_kicked_branch_is_half_period_out_of_step(self, geom, grid, units):
         state = propagate_all(make_state(geom, grid, units, c=0.5))
-        _, _, shift = experiment._fringe_analysis(conditional_pattern(state, 1))
+        _, _, shift = experiment._fringe_analysis(conditional_state(state, 1))
         assert_allclose(abs(shift), FRINGE_PERIOD_T005 / 2.0, atol=2 * grid.dx)
 
     def test_conditioned_patterns_are_normalized(self, geom, grid, units):
         state = propagate_all(make_state(geom, grid, units, c=0.36, theta=1.0))
         for i in range(3):
-            rho = conditional_pattern(state, i)
-            assert_allclose(rho.values.sum() * grid.dx, 1.0, rtol=0, atol=1e-12)
+            rho = screen_density(conditional_state(state, i))
+            assert_allclose(rho.sum() * grid.dx, 1.0, rtol=0, atol=1e-12)
 
 
 class TestFringes:
     def test_window_brackets_two_periods(self, geom, grid, units):
-        lo, hi = fringe_window(screen_density(propagate_all(make_state(geom, grid, units, c=0.5))))
+        lo, hi = fringe_window(SlitPair.emit(geom, grid, units).landed)
         assert_allclose(lo, 0.5 - FRINGE_PERIOD_T005, rtol=0, atol=1e-15)
         assert_allclose(hi, 0.5 + FRINGE_PERIOD_T005, rtol=0, atol=1e-15)
 
@@ -232,9 +233,27 @@ class TestFringes:
     def test_rejects_malformed_window(self, geom, grid):
         # At t = 0 the far-field period is zero, so the window is empty.
         pair = SlitPair.emit(geom, grid, PhysicalUnits(t=0.0))
-        assert fringe_window(screen_density(propagate_all(state_on(pair, c=1.0)))) == (0.5, 0.5)
+        assert fringe_window(pair.landed) == (0.5, 0.5)
         with pytest.raises(ConfigurationError, match="analysis window"):
             read(pair, DetectorConfig(c=1.0))
+
+    def test_a_reading_allocates_the_window_not_the_screen(self):
+        # The demos' 2^17 grid, already landed: one full-grid float array is
+        # 1 MiB, and a read that forms the whole screen's density peaks near 5.
+        import tracemalloc
+
+        geom, units = SlitGeometry(d=1.0, sigma=0.02), PhysicalUnits(t=1.0)
+        grid = GridSpec(n=2**17, x_min=-327.18, x_max=328.18)
+        pair = SlitPair.emit(geom, grid, units)
+        read(pair, DetectorConfig(c=0.5))  # lands the pair and builds its comb
+        tracemalloc.start()
+        try:
+            reading = read(pair, DetectorConfig(c=0.36, theta=1.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert abs(reading.visibility - 0.36) <= 0.02
+        assert peak < grid.n * np.dtype(np.float64).itemsize, peak
 
 
 class TestKickIdentity:
@@ -452,6 +471,16 @@ class TestStateCarriesItsSetup:
         with pytest.raises(ConfigurationError, match="already flown"):
             propagate_all(landed)
 
+    @pytest.mark.parametrize("hbar", [1e-20, 1.0, 1e14, 1e15, 1e20])
+    def test_kicks_do_not_depend_on_the_unit_of_momentum(self, geom, grid, hbar):
+        # The conftest physics at t = 0.05/hbar: the same packets in other
+        # momentum units.  A comb is empty by |z|*dp, which carries no unit.
+        units = PhysicalUnits(hbar=hbar, t=0.05 / hbar)
+        r = read(SlitPair.emit(geom, grid, units), DetectorConfig(c=0.7, theta=0.5))
+        tol = 1e-9 * grid.dp(hbar)
+        assert abs(r.kick - math.pi * hbar / geom.d) <= tol, r.kick
+        assert abs(r.phase_kick - 0.5 * hbar / geom.d) <= tol, r.phase_kick
+
     def test_residual_is_the_pairs_own(self, units):
         # Slit 2 built 1.05 from slit 1 under d = 1.  With g = exp(-pi^2
         # sigma^2/2) its residual is sqrt(2 - g*(1 - cos(1.05*pi))), about
@@ -494,11 +523,12 @@ class TestPatternCarriesItsFlight:
         assert_allclose(r.fringe_period, period, rtol=0.01)
 
     def test_emission_pattern_has_no_window(self, geom, grid, units):
-        pattern = screen_density(make_state(geom, grid, units, c=0.5))
-        assert pattern.pair.emitted is None
-        for analysis in (fringe_window, experiment._fringe_analysis):
-            with pytest.raises(ConfigurationError, match="never flew"):
-                analysis(pattern)
+        state = make_state(geom, grid, units, c=0.5)
+        assert state.pair.emitted is None
+        with pytest.raises(ConfigurationError, match="never flew"):
+            fringe_window(state.pair)
+        with pytest.raises(ConfigurationError, match="never flew"):
+            experiment._fringe_analysis(state)
 
     def test_a_landed_state_cannot_fly_again(self, geom, grid, units):
         state = make_state(geom, grid, units, c=0.5)
@@ -622,14 +652,14 @@ class TestSampling:
     def test_positions_follow_the_pattern(self, geom, grid, units):
         state = propagate_all(make_state(geom, grid, units, c=0.5))
         _, xs = sample_events(state, 20000, seed=20260819)
-        _, pvalue = screen_goodness_of_fit(xs, screen_density(state))
+        _, pvalue = screen_goodness_of_fit(xs, state)
         assert pvalue > 0.01
 
     def test_goodness_of_fit_needs_enough_samples(self, geom, grid, units):
         state = propagate_all(make_state(geom, grid, units, c=0.5))
         _, xs = sample_events(state, 400, seed=3)
         with pytest.raises(DomainError):
-            screen_goodness_of_fit(xs, screen_density(state))
+            screen_goodness_of_fit(xs, state)
 
     def test_goodness_of_fit_matches_an_independent_count(self, geom, grid, units):
         # The oracle counts the 50 equal-probability bins, half-open but for
@@ -638,14 +668,14 @@ class TestSampling:
         # 50 eps of it.  The p-value is held to the exact tail.
         from kickscope.experiment import _cell_cdf, _cell_edges
 
-        pattern = screen_density(propagate_all(make_state(geom, grid, units, c=0.5)))
-        misfit = screen_density(propagate_all(make_state(geom, grid, units, c=0.7)))
-        cdf, edges = _cell_cdf(pattern.values, grid), _cell_edges(grid)
+        state = propagate_all(make_state(geom, grid, units, c=0.5))
+        misfit = propagate_all(make_state(geom, grid, units, c=0.7))
+        cdf, edges = _cell_cdf(screen_density(state), grid), _cell_edges(grid)
         for seed in (1, 2, 3):
             rng = np.random.default_rng(seed)
             # Draws from the c = 0.7 pattern push p down to ~1e-30.
-            for source in (pattern, misfit):
-                source_cdf = _cell_cdf(source.values, grid)
+            for source in (state, misfit):
+                source_cdf = _cell_cdf(screen_density(source), grid)
                 for count in (2000, 20000):
                     xs = np.interp(rng.random(count), source_cdf, edges)
                     bins = np.interp(np.linspace(0.0, 1.0, 51), cdf, edges).tolist()
@@ -654,7 +684,7 @@ class TestSampling:
                         observed[min(bisect.bisect_right(bins, x), 50) - 1] += 1
                     expected = count / 50
                     oracle = math.fsum((o - expected) ** 2 / expected for o in observed)
-                    stat, pvalue = screen_goodness_of_fit(xs, pattern)
+                    stat, pvalue = screen_goodness_of_fit(xs, state)
                     assert abs(stat - oracle) <= 50 * sys.float_info.epsilon * oracle
                     assert pvalue == pytest.approx(exact_chi2_sf(49, stat), rel=4e-15, abs=0)
 
@@ -671,7 +701,7 @@ class TestSampling:
         _, xs = sample_events(state, 2000, seed=3)
         xs[0] = grid.x_max + 1.0
         with pytest.raises(DomainError, match="outside"):
-            screen_goodness_of_fit(xs, screen_density(state))
+            screen_goodness_of_fit(xs, state)
 
     @pytest.mark.xfail(
         raises=AssertionError, reason="_cell_cdf gives cell [x_j, x_j + dx) the mass rho(x_j)*dx"
@@ -684,11 +714,11 @@ class TestSampling:
 
         geom, units = SlitGeometry(d=1.0, sigma=0.02), PhysicalUnits(t=1.0)
         grid = GridSpec(n=2**17, x_min=-327.18, x_max=328.18)
-        pattern = screen_density(propagate_all(make_state(geom, grid, units, c=0.5)))
-        cdf, edges = _cell_cdf(pattern.values, grid), _cell_edges(grid)
+        rho = screen_density(propagate_all(make_state(geom, grid, units, c=0.5)))
+        cdf, edges = _cell_cdf(rho, grid), _cell_edges(grid)
         quantiles = (np.arange(1000) + 0.5) / 1000
         mean = np.interp(quantiles, cdf, edges).mean()
-        want = np.sum(grid.x * pattern.values) / np.sum(pattern.values)
+        want = np.sum(grid.x * rho) / np.sum(rho)
         assert abs(mean - want) <= 0.01 * grid.dx
 
     @pytest.mark.parametrize("count", [0, 1, 7, 8, 1000])

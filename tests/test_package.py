@@ -14,7 +14,6 @@ MODULES = (errors, hilbert, wavepacket, experiment)
 # each with the reason it stays public.
 USED_ONLY_BY_TESTS = {
     "gaussian_state": "the state slit_state builds, at any center and width",
-    "ScreenPattern": "the type screen_density returns; the tests build conditional patterns",
 }
 
 # Third-party modules the tests and demos may import: the runtime dependency
