@@ -21,7 +21,6 @@ from kickscope import (
     assemble,
     change_basis,
     fringe_window,
-    propagate_all,
     sample_events,
 )
 
@@ -45,17 +44,16 @@ def main() -> None:
     print(__doc__)
     detector = DetectorConfig(c=0.5)
     state = change_basis(assemble(SlitPair.emit(GEOM, GRID, UNITS), detector), SYMMETRIC)
-    propagated = propagate_all(state)
-    codes, xs = sample_events(propagated, args.count, args.seed)
-    fired = {o: codes == i for i, o in enumerate(propagated.basis.outcomes)}
+    codes, xs = sample_events(state, args.count, args.seed)
+    fired = {o: codes == i for i, o in enumerate(state.basis.outcomes)}
 
     print(f"{args.count} events, seed {args.seed}:")
-    for outcome in propagated.basis.outcomes:
+    for outcome in state.basis.outcomes:
         n = int(np.count_nonzero(fired[outcome]))
         print(f"  {outcome:8s} {n:7d}  ({n / args.count:.4f})")
     print()
 
-    lo, hi = fringe_window(propagated.pair)
+    lo, hi = fringe_window(state.pair)
     print(f"landing histograms inside the fringe window [{lo:.2f}, {hi:.2f}]:")
     in_window = (xs >= lo) & (xs <= hi)
     rows = {o: histogram_row(xs[fired[o] & in_window], lo, hi) for o in fired}

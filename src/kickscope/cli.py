@@ -34,7 +34,6 @@ from .experiment import (
     SlitPair,
     assemble,
     change_basis,
-    propagate_all,
     read,
     sample_events,
     screen_goodness_of_fit,
@@ -111,8 +110,7 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
     """
     pair = SlitPair.emit(cfg.geometry, cfg.grid, cfg.units)
     reading = read(pair, cfg.detector)
-    state0 = change_basis(assemble(pair, cfg.detector), cfg.basis)
-    propagated = propagate_all(state0)
+    state = change_basis(assemble(pair, cfg.detector), cfg.basis)
     # Theory from the config, each beside what the state measures.
     det, hbar, d = cfg.detector, cfg.units.hbar, cfg.geometry.d
     lines = [
@@ -132,18 +130,18 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
 
     # Each table's columns live only inside its writer, one table at a time.
     def write_pattern(fh) -> None:
-        branch_rho = [propagated.branch(i).density() for i in range(3)]
+        branch_rho = [state.branch(i).density() for i in range(3)]
         total = branch_rho[0] + branch_rho[1] + branch_rho[2]
         _write_table(
             fh,
             ["x", "rho_total", "rho_branch1", "rho_branch2", "rho_branch3"],
-            [propagated.pair.grid.x, total] + branch_rho,
+            [pair.screen[0].grid.x, total] + branch_rho,
         )
 
     def write_momentum(fh) -> None:
         # Spectra are reported at emission time; free flight only changes
         # the phases, not these densities.
-        spectra = state0.pair.spectra(state0.coeffs)
+        spectra = pair.spectra(state.coeffs)
         _write_table(
             fh,
             ["p", "spec_branch1", "spec_branch2", "spec_branch3"],
@@ -179,19 +177,18 @@ def cmd_scan(cfg: RunConfig, out_dir: Path, c_values: list[float]) -> int:
 def cmd_sample(cfg: RunConfig, out_dir: Path) -> int:
     """Draw detection events; write events.csv and sample_summary.txt."""
     pair = SlitPair.emit(cfg.geometry, cfg.grid, cfg.units)
-    state0 = change_basis(assemble(pair, cfg.detector), cfg.basis)
-    propagated = propagate_all(state0)
-    codes, xs = sample_events(propagated, cfg.sample_count, cfg.seed)
+    state = change_basis(assemble(pair, cfg.detector), cfg.basis)
+    codes, xs = sample_events(state, cfg.sample_count, cfg.seed)
 
-    outcomes = propagated.basis.outcomes
-    probs = propagated.branch_probabilities()
+    outcomes = state.basis.outcomes
+    probs = state.branch_probabilities()
     counts = np.bincount(codes, minlength=3).tolist()
     lines = [f"count={xs.size}\n", f"seed={cfg.seed}\n"]
     for o, n, p in zip(outcomes, counts, probs):
         freq = n / xs.size if xs.size else 0.0
         lines.append(f"{o}: n={n} freq={freq:.6f} prob={_fmt(p)}\n")
     if xs.size >= GOF_MIN_SAMPLES:
-        stat, pvalue = screen_goodness_of_fit(xs, propagated)
+        stat, pvalue = screen_goodness_of_fit(xs, state)
         lines.append(f"chi_square={_fmt(stat)}\n")
         lines.append(f"chi_square_p={_fmt(pvalue)}\n")
     labels = np.array(outcomes, dtype=object)

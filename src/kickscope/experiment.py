@@ -7,24 +7,28 @@ one row per basis vector.  In the computational basis the branches are the
 two flagged paths and the discrimination failure; rotating to the symmetric basis
 ``q+- = (q1 +- q2)/sqrt(2)`` re-expresses the same state as an un-kicked
 branch, a branch carrying an apparent momentum kick of half a fringe
-period, and the failure branch.  Basis changes act on the matrix and free
-flight on the pair alone.  Everything observable is extracted from a
-`BranchState` by the functions in this module, from the state alone: its
-pair keeps the `SlitGeometry`, the run's `PhysicalUnits` and the pair it
-flew from.  The detector's ``c`` and ``theta`` live only in ``coeffs``,
-where `assemble` put them; their closed forms (``V = c``, ``F_k = (1 -
-c)/2``, ``p_e = theta*hbar/d``) are the caller's to set beside a reading.
+period, and the failure branch.  Basis changes act on the matrix alone.
+Everything observable is extracted from a `BranchState` by the functions
+in this module, from the state alone: its pair keeps the `SlitGeometry`
+and the run's `PhysicalUnits`.  The detector's ``c`` and ``theta`` live
+only in ``coeffs``, where `assemble` put them; their closed forms (``V =
+c``, ``F_k = (1 - c)/2``, ``p_e = theta*hbar/d``) are the caller's to set
+beside a reading.
 
-`read` takes one detector setting on an emitted pair to its `Reading`.  It
-always reads the symmetric-basis state, so no readout basis moves a digit
-of it; a caller's basis only labels branches and events.  Its fringes come
-from the landed density on `fringe_window` alone, about 1% of the default
+A state is prepared once, at the slits.  Position reads (branches,
+densities, fringes, events) use its pair's free flight, `SlitPair.screen`,
+on the screen's own grid; momentum reads (probabilities, spectra, kicks)
+use the emitted slits.
+
+`read` takes one detector setting on a pair to its `Reading`.  It always
+reads the symmetric-basis state, so no readout basis moves a digit of it;
+a caller's basis only labels branches and events.  Its fringes come from
+the screen density on `fringe_window` alone, about 1% of the default
 grid, so a reading never forms the whole screen; `screen_density` does
 that for the callers that want every point.
 
 Momentum kicks are read off the slit pair's 2x2 comb matrix ``A`` (see
-`SlitPair.comb`), which free flight cannot change: a landed pair reads its
-emission pair's.  The comb phase of a coefficient row ``r`` is the
+`SlitPair.comb`).  The comb phase of a coefficient row ``r`` is the
 argument of ``conj(r) @ A @ r``, and the kick between two rows follows
 from the difference of their comb phases.  It lies in ``(-p0, p0]`` with
 ``p0 = pi*hbar/d`` and ``d`` the pair's slit separation; a shift of
@@ -35,7 +39,7 @@ as ``+p0``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -60,7 +64,6 @@ __all__ = [
     "Reading",
     "assemble",
     "change_basis",
-    "propagate_all",
     "screen_density",
     "fringe_window",
     "read",
@@ -89,18 +92,15 @@ class SlitPair:
     """The slit wavefunctions ``psi1`` and ``psi2`` of ``geom`` on one grid.
 
     ``units`` are the run's: ``hbar`` reads its momenta and ``t`` is its
-    flight.  ``emitted`` is the pair it flew from (set by `landed`),
-    ``None`` at emission; a landed pair asks ``emitted`` about momentum.
-    A run emits its pair once (`emit`) and `assemble`s every detector
-    setting on it; the pair keeps its landed pair and comb matrix, so those
-    settings share one of each.
+    flight.  A run emits its pair once (`emit`) and `assemble`s every
+    detector setting on it; the pair keeps its `screen` and comb matrix,
+    so those settings share one of each.
     """
 
     psi1: Wavefunction
     psi2: Wavefunction
     geom: SlitGeometry
     units: PhysicalUnits
-    emitted: SlitPair | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.psi1.grid != self.psi2.grid:
@@ -125,14 +125,13 @@ class SlitPair:
         return g
 
     @cached_property
-    def landed(self) -> SlitPair:
-        """Both states evolved freely for ``units.t``; a pair that has flown refuses."""
-        if self.emitted is not None:
-            raise ConfigurationError(f"this slit pair has already flown for t = {self.units.t}")
-        psis = (propagate_fft(psi, self.geom, self.units) for psi in (self.psi1, self.psi2))
-        pair = SlitPair(*psis, self.geom, self.units)
-        object.__setattr__(pair, "emitted", self)
-        return pair
+    def screen(self) -> tuple[Wavefunction, Wavefunction]:
+        """``(psi1_t, psi2_t)``: both states evolved freely for ``units.t``.
+
+        Every position read takes its grid from these wavefunctions.  A box
+        without the wraparound headroom raises ``ConfigurationError`` here.
+        """
+        return tuple(propagate_fft(psi, self.geom, self.units) for psi in (self.psi1, self.psi2))
 
     @cached_property
     def comb(self) -> np.ndarray:
@@ -142,11 +141,10 @@ class SlitPair:
         separation.  For a row ``r = (a, b)``, ``conj(r) @ A @ r`` is the
         projection of the momentum density ``|a*phi1 + b*phi2|^2`` at the
         fringe frequency ``d/hbar``, whose argument is that row's comb phase.
-        A landed pair returns its emission pair's.  Two FFTs per pair; the
+        Free flight multiplies both spectra by one phase, so the emitted
+        slits give the comb on the screen too.  Two FFTs per pair; the
         spectra themselves are not kept.
         """
-        if self.emitted is not None:
-            return self.emitted.comb
         hbar = self.units.hbar
         spec1 = to_momentum(self.psi1, hbar=hbar)
         phis = (spec1.amplitudes, to_momentum(self.psi2, hbar=hbar).amplitudes)
@@ -167,10 +165,8 @@ class SlitPair:
         psi2)/sqrt2`` at emission.  For slits much narrower than their
         separation the phase factor is nearly constant across each slit and
         the residual scales like ``pi*sigma/d``; it vanishes only in the
-        zero-width limit.  A landed pair returns its emission pair's value.
+        zero-width limit.
         """
-        if self.emitted is not None:
-            return self.emitted.kick_identity_residual
         psi1, psi2 = self.psi1.amplitudes, self.psi2.amplitudes
         s = 1.0 / math.sqrt(2.0)
         phase = np.exp(1j * math.pi * self.grid.x / self.geom.d)
@@ -200,9 +196,9 @@ class BranchState:
         object.__setattr__(self, "coeffs", coeffs)
 
     def branch(self, i: int) -> Wavefunction:
-        """Branch ``i`` on the pair's grid, computed on each call."""
-        (a, b), pair = self.coeffs[i], self.pair
-        return Wavefunction(pair.grid, a * pair.psi1.amplitudes + b * pair.psi2.amplitudes)
+        """Branch ``i`` on the screen, computed on each call."""
+        (a, b), (psi1, psi2) = self.coeffs[i], self.pair.screen
+        return Wavefunction(psi1.grid, a * psi1.amplitudes + b * psi2.amplitudes)
 
     def branch_probabilities(self) -> np.ndarray:
         """Probability carried by each branch (its squared norm)."""
@@ -249,16 +245,6 @@ def change_basis(state: BranchState, to: Basis) -> BranchState:
     return replace(state, basis=to, coeffs=basis_matrix(state.basis, to) @ state.coeffs)
 
 
-def propagate_all(state: BranchState) -> BranchState:
-    """Propagate every branch freely for the pair's ``units.t``.
-
-    Propagation is linear, so it acts on the slit pair alone and commutes
-    with :func:`change_basis`.  The wraparound guard reads the pair's own
-    geometry; a state that has already flown raises ``ConfigurationError``.
-    """
-    return replace(state, pair=state.pair.landed)
-
-
 def _density(coeffs: np.ndarray, psi1: np.ndarray, psi2: np.ndarray) -> np.ndarray:
     # M00 |psi1|^2 + M11 |psi2|^2 + 2 Re(M01 conj(psi1) psi2), M = coeffs^H coeffs,
     # point by point, so a slice of the pair gives the same slice of the density.
@@ -269,25 +255,24 @@ def _density(coeffs: np.ndarray, psi1: np.ndarray, psi2: np.ndarray) -> np.ndarr
 
 
 def screen_density(state: BranchState) -> np.ndarray:
-    """Total screen density on the pair's grid: the incoherent sum of branch densities.
+    """Total density on the screen's grid: the incoherent sum of branch densities.
 
     With ``M = coeffs^H coeffs`` it is ``M00 |psi1|^2 + M11 |psi2|^2 +
-    2 Re(M01 conj(psi1) psi2)``.  Independent of the detector basis, since
-    basis changes are unitary and leave ``M`` alone.
+    2 Re(M01 conj(psi1) psi2)`` over the pair's `SlitPair.screen`.
+    Independent of the detector basis, since basis changes are unitary and
+    leave ``M`` alone.
     """
-    pair = state.pair
-    return _density(state.coeffs, pair.psi1.amplitudes, pair.psi2.amplitudes)
+    psi1, psi2 = state.pair.screen
+    return _density(state.coeffs, psi1.amplitudes, psi2.amplitudes)
 
 
 def _far_field_period(pair: SlitPair) -> float:
     units = pair.units
-    if pair.emitted is None:
-        raise ConfigurationError("this slit pair never flew, so it has no far-field fringes")
     return 2.0 * math.pi * units.hbar * units.t / (units.mass * pair.geom.d)
 
 
 def fringe_window(pair: SlitPair) -> tuple[float, float]:
-    """Analysis window of a landed pair: two far-field fringe periods around x = d/2."""
+    """Analysis window on the pair's screen: two far-field fringe periods around x = d/2."""
     period = _far_field_period(pair)
     center = pair.geom.d / 2.0
     return (center - period, center + period)
@@ -304,7 +289,7 @@ def _refine_extremum(x: np.ndarray, v: np.ndarray, i: int, dx: float) -> tuple[f
 
 
 def _fringe_analysis(state: BranchState) -> tuple[float, float, float]:
-    """``(visibility, fringe_period, central_fringe_shift)`` of a landed state.
+    """``(visibility, fringe_period, central_fringe_shift)`` of a state on its screen.
 
     The state's total density is formed on :func:`fringe_window` alone.
     Visibility is ``(I_max - I_min)/(I_max + I_min)`` from the adjacent
@@ -312,18 +297,18 @@ def _fringe_analysis(state: BranchState) -> tuple[float, float, float]:
     no interior minima (no fringes, e.g. a fully decohered state) the
     contrast of the windowed values is reported instead, and the period
     falls back to the far-field estimate ``2*pi*hbar*t/(m*d)`` so it stays
-    positive.  A state whose pair never flew raises ``ConfigurationError``.
+    positive.
     """
     pair = state.pair
     lo, hi = fringe_window(pair)
-    x = pair.grid.x
+    psi1, psi2 = pair.screen
+    x, dx = psi1.grid.x, psi1.grid.dx
     # The points lo <= x <= hi of the sorted grid.
     i0, i1 = int(np.searchsorted(x, lo, "left")), int(np.searchsorted(x, hi, "right"))
     if lo >= hi or i1 - i0 < 5:
         raise ConfigurationError(f"analysis window {(lo, hi)} is malformed for this grid")
     xs = x[i0:i1]
-    vals = _density(state.coeffs, pair.psi1.amplitudes[i0:i1], pair.psi2.amplitudes[i0:i1])
-    dx = pair.grid.dx
+    vals = _density(state.coeffs, psi1.amplitudes[i0:i1], psi2.amplitudes[i0:i1])
     center = 0.5 * (lo + hi)
 
     interior = np.arange(1, len(vals) - 1)
@@ -428,12 +413,13 @@ def _or_nan(measure, state: BranchState) -> float:
 
 
 def read(pair: SlitPair, detector: DetectorConfig) -> Reading:
-    """The `Reading` of ``detector`` on the emitted ``pair``, in the symmetric basis.
+    """The `Reading` of ``detector`` on ``pair``, in the symmetric basis.
 
-    The pair flies once, however many settings are read on it.
+    The fringes are read on ``pair.screen``, computed once however many
+    settings are read; the kick fraction and the kicks on the emitted slits.
     """
     sym = change_basis(assemble(pair, detector), SYMMETRIC)
-    visibility, period, shift = _fringe_analysis(propagate_all(sym))
+    visibility, period, shift = _fringe_analysis(sym)
     return Reading(
         visibility=visibility,
         fringe_period=period,
@@ -467,7 +453,7 @@ def _cell_cdf(pattern_values: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 
 def sample_events(state: BranchState, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Draw detection events from a (propagated) branch state.
+    """Draw detection events on the screen from a branch state.
 
     Returns ``(codes, xs)``: for each event, the index of the outcome that
     fired in ``state.basis.outcomes`` and the landing position.  Outcomes
@@ -489,7 +475,8 @@ def sample_events(state: BranchState, count: int, seed: int) -> tuple[np.ndarray
     codes = np.empty(count, dtype=np.intp)
     xs = np.empty(count)
     cdfs: dict[int, np.ndarray] = {}
-    edges = _cell_edges(state.pair.grid)
+    grid = state.pair.screen[0].grid
+    edges = _cell_edges(grid)
     for start in range(0, count, _SAMPLE_BLOCK):
         u = rng.random((min(_SAMPLE_BLOCK, count - start), 2))
         block = slice(start, start + len(u))
@@ -500,7 +487,7 @@ def sample_events(state: BranchState, count: int, seed: int) -> tuple[np.ndarray
             if not mask.any():
                 continue
             if i not in cdfs:
-                cdfs[i] = _cell_cdf(state.branch(i).density(), state.pair.grid)
+                cdfs[i] = _cell_cdf(state.branch(i).density(), grid)
             block_xs[mask] = np.interp(u[mask, 1], cdfs[i], edges)
     return codes, xs
 
@@ -516,7 +503,7 @@ def screen_goodness_of_fit(
     p_value)`` with ``GOF_BINS - 1`` degrees of freedom.  The statistic is the one ``scipy.stats.chisquare``
     gives; the p-value is the chi-square tail as a finite sum (Abramowitz &
     Stegun 26.4.4-5), so no scipy import is needed.
-    Meant for strictly positive densities such as landed states'; exact
+    Meant for strictly positive densities such as those on the screen; exact
     zero-density stretches would collapse quantile bins.
 
     Raises
@@ -528,7 +515,7 @@ def screen_goodness_of_fit(
     xs = np.asarray(xs, dtype=np.float64)
     if xs.size < GOF_MIN_SAMPLES:
         raise DomainError("too few samples for a meaningful binned test")
-    grid = state.pair.grid
+    grid = state.pair.screen[0].grid
     cdf = _cell_cdf(screen_density(state), grid)
     quantiles = np.linspace(0.0, 1.0, GOF_BINS + 1)
     bin_edges = np.interp(quantiles, cdf, _cell_edges(grid))

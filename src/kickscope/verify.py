@@ -63,7 +63,6 @@ from .experiment import (
     assemble,
     change_basis,
     phase_kick_shift,
-    propagate_all,
     read,
     relative_kick,
     sample_events,
@@ -81,7 +80,7 @@ TOLERANCES: dict[str, float] = {
     "wavepacket.momentum_oracle": 1e-10,
     "wavepacket.roundtrip": 1e-12,
     "wavepacket.propagator_agreement": 1e-8,
-    "wavepacket.kick_displacement": 1e-9,  # mean-momentum deviation
+    "wavepacket.kick_displacement": 1e-9,  # momentum bins
     "experiment.branch_probabilities": 1e-10,
     "experiment.failure_probability": 1e-10,
     "experiment.basis_invariance": 1e-12,
@@ -118,12 +117,13 @@ class CheckResult:
 class _Run:
     """One config's checks on its slit pair, emitted once.
 
-    Every state a check builds shares ``pair``, so the pair flies once.  A
-    `read` forms the density on the fringe window alone, so `reading` keeps
-    no memo: a row that asks again reads again, at the window's cost.
-    ``dp`` is one momentum bin of its grid and ``p0`` its kick ``pi*hbar/d``.
-    The configured landed state and its one seeded event draw are built on
-    first use, so an error there fails the sampler rows that read them.
+    Every state a check builds shares ``pair``, so the pair flies once, to
+    its `SlitPair.screen`.  A `read` forms the density on the fringe window
+    alone, so `reading` keeps no memo: a row that asks again reads again,
+    at the window's cost.  ``dp`` is one momentum bin of its grid and
+    ``p0`` its kick ``pi*hbar/d``.  The configured state and its one seeded
+    event draw are built on first use, so an error there fails the rows
+    that read them.
     """
 
     def __init__(self, cfg: RunConfig) -> None:
@@ -139,14 +139,15 @@ class _Run:
         return read(self.pair, DetectorConfig(c=c, theta=theta))
 
     @cached_property
-    def landed(self) -> BranchState:
+    def configured(self) -> BranchState:
+        """The configured detector's state, in the symmetric basis."""
         det = self.cfg.detector
-        return propagate_all(self.state(det.c, det.theta))
+        return self.state(det.c, det.theta)
 
     @cached_property
     def events(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(codes, xs)`` of ``max(sampling.count, 10_000)`` events drawn from `landed`."""
-        return sample_events(self.landed, max(self.cfg.sample_count, 10_000), self.cfg.seed)
+        """``(codes, xs)`` of ``max(sampling.count, 10_000)`` events drawn from `configured`."""
+        return sample_events(self.configured, max(self.cfg.sample_count, 10_000), self.cfg.seed)
 
 
 _CHECKS: list[tuple[str, Callable[[_Run, float], CheckResult]]] = []
@@ -238,11 +239,11 @@ def _chk_wp_roundtrip(run: _Run, tol: float) -> tuple[bool, str]:
 
 @_check("wavepacket.propagator_agreement")
 def _chk_wp_propagators(run: _Run, tol: float) -> tuple[bool, str]:
-    # The propagated slit pair every later check reads its densities from.
-    pair = run.pair.landed
+    # The screen every later check reads its densities from.
+    pair = run.pair
     worst = 0.0
-    for slit, via_fft in ((1, pair.psi1), (2, pair.psi2)):
-        closed = propagate_analytic(pair.geom, pair.grid, pair.units, slit)
+    for slit, via_fft in zip((1, 2), pair.screen):
+        closed = propagate_analytic(pair.geom, via_fft.grid, pair.units, slit)
         worst = max(worst, float(np.abs(via_fft.amplitudes - closed.amplitudes).max()))
     return worst <= tol, f"max abs diff {worst:.3g}"
 
@@ -251,9 +252,10 @@ def _chk_wp_propagators(run: _Run, tol: float) -> tuple[bool, str]:
 def _chk_wp_kick(run: _Run, tol: float) -> tuple[bool, str]:
     # A kick by p, the phase exp(i*p*x/hbar), must move the spectral mean by
     # exactly p (the spectrum translates rigidly), for whole and fractional
-    # numbers of bins alike.
+    # numbers of bins alike.  The error is counted in bins, like the kick
+    # rows', so it does not scale with the unit of momentum.
     psi, hbar = run.pair.psi1, run.pair.units.hbar
-    boost = 12.25 * psi.grid.dp(hbar)
+    boost = 12.25 * run.dp
 
     def mean_momentum(state):
         spec = to_momentum(state, hbar=hbar)
@@ -263,8 +265,8 @@ def _chk_wp_kick(run: _Run, tol: float) -> tuple[bool, str]:
     worst = 0.0
     for p in (boost, -3.0 * boost):
         kicked = Wavefunction(psi.grid, psi.amplitudes * np.exp(1j * (p / hbar) * psi.grid.x))
-        worst = max(worst, abs(mean_momentum(kicked) - mean0 - p))
-    return worst <= tol, f"mean off by {worst:.3g}"
+        worst = max(worst, abs(mean_momentum(kicked) - mean0 - p) / run.dp)
+    return worst <= tol, f"mean off by {worst:.3g} bins"
 
 
 @_check("experiment.branch_probabilities")
@@ -284,22 +286,20 @@ def _chk_exp_probs(run: _Run, tol: float) -> tuple[bool, str]:
 @_check("experiment.failure_probability")
 def _chk_exp_fail(run: _Run, tol: float) -> tuple[bool, str]:
     c = run.cfg.detector.c
-    state = run.state(c, run.cfg.detector.theta)
-    dev = abs(state.branch_probabilities()[2] - c)
+    dev = abs(run.configured.branch_probabilities()[2] - c)
     return dev <= tol, f"|P(fail) - c| = {dev:.3g}"
 
 
 @_check("experiment.basis_invariance")
 def _chk_exp_basis(run: _Run, tol: float) -> tuple[bool, str]:
-    # The configured state at emission, and a phased one after free flight.
-    emitted = assemble(run.pair, run.cfg.detector)
-    phased = assemble(run.pair, DetectorConfig(c=0.5, theta=0.8))
-    landed = propagate_all(phased)
+    # The configured state and a phased one, each read on the screen in
+    # two other bases.
     worst = 0.0
-    for state, bases in (
-        (emitted, (SYMMETRIC, tilted(math.pi / 4))),
-        (landed, (SYMMETRIC, tilted(1.1))),
+    for det, bases in (
+        (run.cfg.detector, (SYMMETRIC, tilted(math.pi / 4))),
+        (DetectorConfig(c=0.5, theta=0.8), (SYMMETRIC, tilted(1.1))),
     ):
+        state = assemble(run.pair, det)
         rho = screen_density(state)
         for b in bases:
             rho_b = screen_density(change_basis(state, b))
@@ -309,16 +309,17 @@ def _chk_exp_basis(run: _Run, tol: float) -> tuple[bool, str]:
 
 @_check("experiment.density_formula")
 def _chk_exp_density(run: _Run, tol: float) -> tuple[bool, str]:
-    det, pair = run.cfg.detector, run.pair.landed
-    psi1 = propagate_analytic(pair.geom, pair.grid, pair.units, 1).amplitudes
-    psi2 = propagate_analytic(pair.geom, pair.grid, pair.units, 2).amplitudes
+    det, pair = run.cfg.detector, run.pair
+    grid = pair.screen[0].grid
+    psi1 = propagate_analytic(pair.geom, grid, pair.units, 1).amplitudes
+    psi2 = propagate_analytic(pair.geom, grid, pair.units, 2).amplitudes
     overlap = det.overlap
     direct = 0.5 * (
         np.abs(psi1) ** 2
         + np.abs(psi2) ** 2
         + 2.0 * np.real(overlap * np.conj(psi1) * psi2)
     )
-    rho = screen_density(run.landed)
+    rho = screen_density(run.configured)
     worst = float(np.abs(rho - direct).max())
     return worst <= tol, f"max abs diff {worst:.3g}"
 
@@ -362,18 +363,15 @@ def _chk_exp_kick(run: _Run, tol: float) -> tuple[bool, str]:
 
 @_check("experiment.detector_kick")
 def _chk_exp_detector_kick(run: _Run, tol: float) -> tuple[bool, str]:
-    det = run.cfg.detector
-    off = abs(relative_kick(run.state(det.c, det.theta)) - run.p0) / run.dp
+    off = abs(relative_kick(run.configured) - run.p0) / run.dp
     return off <= tol, f"off by {off:.3g} bins"
 
 
 @_check("experiment.tilted_kick")
 def _chk_exp_tilted(run: _Run, tol: float) -> tuple[bool, str]:
-    det = run.cfg.detector
     worst = 0.0
-    state = run.state(det.c, det.theta)
     for tp in _TILT_GRID:
-        kick = relative_kick(change_basis(state, tilted(tp)))
+        kick = relative_kick(change_basis(run.configured, tilted(tp)))
         worst = max(worst, abs(kick - run.p0) / run.dp)
     return worst <= tol, f"worst offset {worst:.3g} bins"
 
@@ -430,7 +428,7 @@ def _chk_exp_phase_vis(run: _Run, tol: float) -> tuple[bool, str]:
 @_check("experiment.storey_bound")
 def _chk_exp_storey(run: _Run, tol: float) -> tuple[bool, str]:
     det, pair = run.cfg.detector, run.pair
-    lhs = relative_kick(run.state(det.c, det.theta)) * pair.geom.d / pair.units.hbar
+    lhs = relative_kick(run.configured) * pair.geom.d / pair.units.hbar
     rhs = 1.0 - run.reading(det.c, det.theta).visibility
     return lhs >= rhs - tol, f"p0_measured*d/hbar = {lhs:.4g} >= 1 - V = {rhs:.3g}"
 
@@ -439,7 +437,7 @@ def _chk_exp_storey(run: _Run, tol: float) -> tuple[bool, str]:
 def _chk_exp_sampler(run: _Run, tol: float) -> tuple[bool, str]:
     codes, _ = run.events
     count = codes.size
-    probs = run.landed.branch_probabilities()
+    probs = run.configured.branch_probabilities()
     freqs = np.bincount(codes, minlength=3) / count
     worst = 0.0
     for p, freq in zip(probs, freqs):
@@ -458,15 +456,15 @@ def _chk_exp_sampler(run: _Run, tol: float) -> tuple[bool, str]:
 @_check("experiment.sampler_gof")
 def _chk_exp_gof(run: _Run, tol: float) -> tuple[bool, str]:
     _, xs = run.events
-    _, pvalue = screen_goodness_of_fit(xs, run.landed)
+    _, pvalue = screen_goodness_of_fit(xs, run.configured)
     return pvalue > tol, f"p = {pvalue:.4f}"
 
 
 @_check("experiment.sampler_determinism")
 def _chk_exp_determinism(run: _Run, tol: float) -> tuple[bool, str]:
     seed = run.cfg.seed
-    codes_a, xs_a = sample_events(run.landed, 512, seed)
-    codes_b, xs_b = sample_events(run.landed, 512, seed)
+    codes_a, xs_a = sample_events(run.configured, 512, seed)
+    codes_b, xs_b = sample_events(run.configured, 512, seed)
     identical = np.array_equal(codes_a, codes_b) and np.array_equal(xs_a, xs_b)
     return identical, (
         "same seed reproduces events exactly" if identical else "event streams diverged"

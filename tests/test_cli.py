@@ -218,8 +218,12 @@ class TestSample:
         # same and positions moved by at most 2.1e-14*max(1, |x|).  The
         # summary was re-recorded when the p-value became the exact finite
         # chi-square sum: chi_square_p moved from scipy's 0.19565761419095987
-        # to 0.19565761419095995 (exact 0.195657614190959922).  block = 7
-        # puts writer block boundaries inside the event stream.
+        # to 0.19565761419095995 (exact 0.195657614190959922).  It was
+        # re-recorded again when the prob= lines moved to the emitted pair's
+        # Gram matrix, the one read uses: 0.25000000000007627 became
+        # 0.25000000000007661, and 0.50000000000015254 became
+        # 0.50000000000015332.  block = 7 puts writer block boundaries
+        # inside the event stream.
         if block is not None:
             monkeypatch.setattr(cli, "_BLOCK_ROWS", block)
         out = tmp_path / "out"
@@ -228,9 +232,31 @@ class TestSample:
             out,
             {
                 "events.csv": "a22168d8ffc0dc6d19076c2b68f55cdfcd1f1151918d5c82f43d6206974bdebc",
-                "sample_summary.txt": "23b30bbf31ce89be409ec33a81ad052102dce7ac3c38aa935b1b111bc6987898",
+                "sample_summary.txt": "cc1bcb0258e376a7fa1b6a74c6e6f03689da8470278c56c4f97234591c4e2b5e",
             },
         )
+
+    def test_prints_the_branch_probability_that_run_prints(self, tmp_path):
+        # The conftest physics on its 8192-point grid.  Both commands read
+        # one state prepared at the slits, so the q- probability is
+        # summary.txt's F_k_branch to the last digit.
+        text = (
+            "geometry.sigma = 0.02\nunits.t = 0.05\ngrid.n = 8192\n"
+            "grid.x_min = -19.98\ngrid.x_max = 20.98\ndetector.c = 0.3\n"
+            "sampling.count = 2000\n"
+        )
+        path, out = _write_config(tmp_path / "conftest.cfg", text), tmp_path / "out"
+        for command in ("run", "sample"):
+            assert main([command, "--config", path, "--out", str(out)]) == 0
+        f_k = dict(
+            line.split("=", 1) for line in (out / "summary.txt").read_text().splitlines()
+        )["F_k_branch"]
+        (q_minus,) = [
+            line.rsplit("prob=", 1)[1]
+            for line in (out / "sample_summary.txt").read_text().splitlines()
+            if line.startswith("q_minus:")
+        ]
+        assert q_minus == f_k
 
     def test_outputs_honour_the_umask(self, cfg_path, tmp_path):
         out = tmp_path / "out"
@@ -773,7 +799,7 @@ class TestVerifyCommand:
         # Every detail line prints a measured value, so an ulp-level change
         # in a transform shows here first.
         digest = hashlib.sha256(out.encode()).hexdigest()
-        assert digest == "367202689dbae8935322a77448a21102eb458e45ebf8b41dfd8d61dd2b279086"
+        assert digest == "27164ea0c67c3f56f27588fe05791e89f934b521da52940e08ed925339b9d640"
 
     def test_skips_kick_checks_at_full_overlap(self, tmp_path, capsys):
         path = _write_config(tmp_path / "c1.cfg", _with(REDUCED, "detector.c = 1.0\n"))
@@ -783,7 +809,7 @@ class TestVerifyCommand:
         for name in ("detector_kick", "tilted_kick", "storey_bound"):
             assert f"[SKIP] experiment.{name} " in out, name
         digest = hashlib.sha256(out.encode()).hexdigest()
-        assert digest == "93895cc96da148ad98598ea2208af1540018116bdaa34b02d5282ad85e8894bd"
+        assert digest == "71ea6cd4452081ba3e41dc63e75c10c6e8791f7ddd9a0b5d535425e12ad50daa"
 
     def test_tightened_tolerance_turns_the_suite_red(self, cfg_path, monkeypatch, capsys):
         # Injecting an unreachable tolerance must flip the exit code; this
@@ -957,3 +983,13 @@ def test_kick_displacement_transforms_the_unkicked_state_once(cfg_path, monkeypa
     tol = TOLERANCES["wavepacket.kick_displacement"]
     assert check(_Run(load_config(cfg_path)), tol).status == "PASS"
     assert len(calls) == 3  # the unkicked state and one per boost
+
+
+@pytest.mark.parametrize("hbar", [1e6, 1e14])
+def test_kick_displacement_reads_in_momentum_bins(hbar):
+    # REDUCED in other momentum units, with hbar*t kept at 1: the same
+    # packets, so the same error in bins, however large hbar makes p.
+    text = _with(REDUCED, f"units.hbar = {hbar!r}\nunits.t = {1.0 / hbar!r}\n")
+    check = dict(_CHECKS)["wavepacket.kick_displacement"]
+    result = check(_Run(parse_config_text(text)), TOLERANCES["wavepacket.kick_displacement"])
+    assert result.status == "PASS", result.detail

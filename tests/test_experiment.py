@@ -30,7 +30,6 @@ from kickscope import (
     fringe_window,
     gaussian_state,
     phase_kick_shift,
-    propagate_all,
     propagate_analytic,
     propagate_fft,
     read,
@@ -110,13 +109,6 @@ class TestAssembly:
                 back.branch(i).amplitudes, state.branch(i).amplitudes, rtol=0, atol=1e-12
             )
 
-    def test_propagation_commutes_with_basis_change(self, geom, grid, units):
-        state = assemble(SlitPair.emit(geom, grid, units), DetectorConfig(c=0.5, theta=0.4))
-        a = change_basis(propagate_all(state), SYMMETRIC)
-        b = propagate_all(change_basis(state, SYMMETRIC))
-        for i in range(3):
-            assert np.max(np.abs(a.branch(i).amplitudes - b.branch(i).amplitudes)) <= 1e-12
-
     def test_branches_must_share_grid(self, geom, grid, units):
         # Every branch is built from one slit pair, so the pair carries the
         # one-grid invariant.
@@ -138,6 +130,8 @@ class TestSlitPairOracle:
     def test_matches_three_propagated_branch_arrays(self, geom, grid, units, c, theta, basis):
         # The three-array algorithm, run here as the oracle: every branch is
         # built on the grid, rotated array by array and propagated by itself.
+        # Probabilities and spectra are read at emission, branches and the
+        # density on the screen.
         detector = DetectorConfig(c=c, theta=theta)
         alpha, beta = math.sqrt(1.0 - c), math.sqrt(c)
         delta = beta * cmath.exp(1j * theta)
@@ -153,17 +147,17 @@ class TestSlitPairOracle:
         landed = [propagate_fft(b, geom, units) for b in emitted]
 
         state = change_basis(assemble(SlitPair.emit(geom, grid, units), detector), basis)
-        propagated = propagate_all(state)
-        for st, oracle in ((state, emitted), (propagated, landed)):
-            assert_allclose(
-                st.branch_probabilities(), [b.norm() for b in oracle], rtol=0, atol=1e-12
-            )
-            assert_allclose(
-                screen_density(st), sum(b.density() for b in oracle), rtol=0, atol=1e-12
-            )
-            for got, branch in zip(st.pair.spectra(st.coeffs), oracle):
-                want = to_momentum(branch, hbar=units.hbar).amplitudes
-                assert_allclose(got.amplitudes, want, rtol=0, atol=1e-12)
+        assert_allclose(
+            state.branch_probabilities(), [b.norm() for b in emitted], rtol=0, atol=1e-12
+        )
+        for i, branch in enumerate(landed):
+            assert_allclose(state.branch(i).amplitudes, branch.amplitudes, rtol=0, atol=1e-12)
+        assert_allclose(
+            screen_density(state), sum(b.density() for b in landed), rtol=0, atol=1e-12
+        )
+        for got, branch in zip(state.pair.spectra(state.coeffs), emitted):
+            want = to_momentum(branch, hbar=units.hbar).amplitudes
+            assert_allclose(got.amplitudes, want, rtol=0, atol=1e-12)
 
 
 class TestScreenDensity:
@@ -172,7 +166,7 @@ class TestScreenDensity:
         # rho = (|psi1|^2 + |psi2|^2)/2 + Re[<d1|d2> psi1* psi2] needs no
         # branch decomposition at all; the three-branch sum must agree.
         state = make_state(geom, grid, units, c=c, theta=theta)
-        rho = screen_density(propagate_all(state))
+        rho = screen_density(state)
         psi1 = propagate_analytic(geom, grid, units, slit=1).amplitudes
         psi2 = propagate_analytic(geom, grid, units, slit=2).amplitudes
         overlap = c * np.exp(1j * theta)
@@ -182,8 +176,7 @@ class TestScreenDensity:
         assert np.max(np.abs(rho - direct)) <= 1e-10
 
     def test_pattern_total_is_one(self, geom, grid, units):
-        state = make_state(geom, grid, units, c=0.3)
-        rho = screen_density(propagate_all(state))
+        rho = screen_density(make_state(geom, grid, units, c=0.3))
         assert_allclose(rho.sum() * grid.dx, 1.0, rtol=0, atol=1e-12)
 
 
@@ -198,7 +191,7 @@ class TestConditionalDensity:
     def test_success_and_failure_agree_when_phase_free(self, geom, grid, units):
         # At theta = 0 both the q+ and failure branches hold the same
         # symmetric superposition, so their patterns are identical.
-        state = propagate_all(make_state(geom, grid, units, c=0.5))
+        state = make_state(geom, grid, units, c=0.5)
         p_plus, _, p_fail = state.branch_probabilities()
         rho_plus = screen_density(conditional_state(state, 0))
         rho_fail = screen_density(conditional_state(state, 2))
@@ -207,12 +200,12 @@ class TestConditionalDensity:
         assert np.max(np.abs(rho_plus - rho_fail)) <= 1e-10
 
     def test_kicked_branch_is_half_period_out_of_step(self, geom, grid, units):
-        state = propagate_all(make_state(geom, grid, units, c=0.5))
+        state = make_state(geom, grid, units, c=0.5)
         _, _, shift = experiment._fringe_analysis(conditional_state(state, 1))
         assert_allclose(abs(shift), FRINGE_PERIOD_T005 / 2.0, atol=2 * grid.dx)
 
     def test_conditioned_patterns_are_normalized(self, geom, grid, units):
-        state = propagate_all(make_state(geom, grid, units, c=0.36, theta=1.0))
+        state = make_state(geom, grid, units, c=0.36, theta=1.0)
         for i in range(3):
             rho = screen_density(conditional_state(state, i))
             assert_allclose(rho.sum() * grid.dx, 1.0, rtol=0, atol=1e-12)
@@ -220,7 +213,7 @@ class TestConditionalDensity:
 
 class TestFringes:
     def test_window_brackets_two_periods(self, geom, grid, units):
-        lo, hi = fringe_window(SlitPair.emit(geom, grid, units).landed)
+        lo, hi = fringe_window(SlitPair.emit(geom, grid, units))
         assert_allclose(lo, 0.5 - FRINGE_PERIOD_T005, rtol=0, atol=1e-15)
         assert_allclose(hi, 0.5 + FRINGE_PERIOD_T005, rtol=0, atol=1e-15)
 
@@ -233,19 +226,20 @@ class TestFringes:
     def test_rejects_malformed_window(self, geom, grid):
         # At t = 0 the far-field period is zero, so the window is empty.
         pair = SlitPair.emit(geom, grid, PhysicalUnits(t=0.0))
-        assert fringe_window(pair.landed) == (0.5, 0.5)
+        assert fringe_window(pair) == (0.5, 0.5)
         with pytest.raises(ConfigurationError, match="analysis window"):
             read(pair, DetectorConfig(c=1.0))
 
     def test_a_reading_allocates_the_window_not_the_screen(self):
-        # The demos' 2^17 grid, already landed: one full-grid float array is
-        # 1 MiB, and a read that forms the whole screen's density peaks near 5.
+        # The demos' 2^17 grid, its screen already computed: one full-grid
+        # float array is 1 MiB, and a read that forms the whole screen's
+        # density peaks near 5.
         import tracemalloc
 
         geom, units = SlitGeometry(d=1.0, sigma=0.02), PhysicalUnits(t=1.0)
         grid = GridSpec(n=2**17, x_min=-327.18, x_max=328.18)
         pair = SlitPair.emit(geom, grid, units)
-        read(pair, DetectorConfig(c=0.5))  # lands the pair and builds its comb
+        read(pair, DetectorConfig(c=0.5))  # computes the pair's screen and comb
         tracemalloc.start()
         try:
             reading = read(pair, DetectorConfig(c=0.36, theta=1.0))
@@ -373,36 +367,6 @@ class TestKickReport:
         assert abs(relative_kick(state) - math.pi) <= dp
         assert state.pair.kick_identity_residual > 0.0
 
-    def test_kick_survives_propagation(self, geom, grid, units):
-        # |Phi|^2 is invariant under free flight, so the estimate is too.
-        state = make_state(geom, grid, units, c=0.5)
-        assert relative_kick(state) == relative_kick(propagate_all(state))
-
-    def test_a_landed_read_asks_the_pair_it_flew_from(self, geom, grid, units, monkeypatch):
-        # Free flight multiplies both slit spectra by one phase, so a landed
-        # state's kicks are its emission pair's, to the bit and with no FFT.
-        state = make_state(geom, grid, units, c=0.36, theta=1.0)
-
-        def reads(s):
-            return (
-                relative_kick(s),
-                s.pair.kick_identity_residual,
-                phase_kick_shift(s),
-                relative_kick(change_basis(s, tilted(0.7))),
-            )
-
-        emitted = reads(state)
-        calls = []
-        real = experiment.to_momentum
-
-        def counting(psi, hbar):
-            calls.append(psi.grid.n)
-            return real(psi, hbar=hbar)
-
-        monkeypatch.setattr(experiment, "to_momentum", counting)
-        assert reads(propagate_all(state)) == emitted
-        assert calls == []
-
     def test_everything_fails_at_full_overlap(self, geom, grid, units):
         state = make_state(geom, grid, units, c=1.0)
         with pytest.raises(EmptyBranchError):
@@ -435,11 +399,12 @@ class TestStateCarriesItsSetup:
         # 2^17-point box cannot hold; a sigma = 0.04 pair fits on the same grid.
         grid = GridSpec(n=2**17, x_min=0.5 - 163.84, x_max=0.5 + 163.84)
         units = PhysicalUnits(t=1.0)
+        # The guard fires at the first screen read.
         narrow = make_state(SlitGeometry(d=1.0, sigma=0.01), grid, units, c=0.5)
         with pytest.raises(ConfigurationError, match="wraparound"):
-            propagate_all(narrow)
+            screen_density(narrow)
         wide = make_state(SlitGeometry(d=1.0, sigma=0.04), grid, units, c=0.5)
-        assert propagate_all(wide).pair.geom == wide.pair.geom
+        assert screen_density(wide).shape == (grid.n,)
 
     def test_kicks_read_the_pairs_separation(self, units):
         # A pair built at d = 2 has its fringe comb at d/hbar = 2.
@@ -464,12 +429,10 @@ class TestStateCarriesItsSetup:
         # conftest flight's fringe period 2*pi*hbar*t/(m*d) = pi/10.
         units = PhysicalUnits(hbar=2.0, t=0.025)
         pair = SlitPair.emit(geom, grid, units)
-        landed = propagate_all(state_on(pair, c=0.5))
-        assert abs(relative_kick(landed) - 2.0 * math.pi / geom.d) <= 1e-9 * grid.dp(units.hbar)
+        kick = relative_kick(state_on(pair, c=0.5))
+        assert abs(kick - 2.0 * math.pi / geom.d) <= 1e-9 * grid.dp(units.hbar)
         period = 2.0 * math.pi * units.hbar * units.t / (units.mass * geom.d)
         assert_allclose(read(pair, DetectorConfig(c=0.5)).fringe_period, period, rtol=0.01)
-        with pytest.raises(ConfigurationError, match="already flown"):
-            propagate_all(landed)
 
     @pytest.mark.parametrize("hbar", [1e-20, 1.0, 1e14, 1e15, 1e20])
     def test_kicks_do_not_depend_on_the_unit_of_momentum(self, geom, grid, hbar):
@@ -510,7 +473,7 @@ class TestStateCarriesItsSetup:
 
 
 class TestPatternCarriesItsFlight:
-    """A landed pattern reads d and (hbar, m, t) off the pair that made it."""
+    """A screen pattern reads d and (hbar, m, t) off the pair that made it."""
 
     def test_fringes_read_the_pairs_separation(self):
         # The demos' 2^17 grid at t = 1, with the slits 1.05 apart.
@@ -521,21 +484,6 @@ class TestPatternCarriesItsFlight:
         assert abs(r.central_fringe_shift) <= 2 * grid.dx
         period = 2.0 * math.pi * units.hbar * units.t / (units.mass * d)
         assert_allclose(r.fringe_period, period, rtol=0.01)
-
-    def test_emission_pattern_has_no_window(self, geom, grid, units):
-        state = make_state(geom, grid, units, c=0.5)
-        assert state.pair.emitted is None
-        with pytest.raises(ConfigurationError, match="never flew"):
-            fringe_window(state.pair)
-        with pytest.raises(ConfigurationError, match="never flew"):
-            experiment._fringe_analysis(state)
-
-    def test_a_landed_state_cannot_fly_again(self, geom, grid, units):
-        state = make_state(geom, grid, units, c=0.5)
-        landed = propagate_all(state)
-        assert landed.pair.emitted is state.pair and landed.pair.units == units
-        with pytest.raises(ConfigurationError, match="already flown"):
-            propagate_all(landed)
 
 
 class TestPhaseKick:
@@ -563,7 +511,7 @@ class TestTiltedKick:
         # The detector-free superposition (psi1 + psi2)/sqrt2.
         psi1, psi2 = (slit_state(geom, grid, s).amplitudes for s in (1, 2))
         ref = to_momentum(Wavefunction(grid, (psi1 + psi2) / math.sqrt(2.0)), hbar=units.hbar)
-        shift = momentum_shift(to_momentum(state.branch(0), hbar=units.hbar), ref)
+        shift = momentum_shift(state.pair.spectra(state.coeffs[:1])[0], ref)
         dp = ref.dp
         assert abs(shift + theta_prime) <= dp
 
@@ -592,20 +540,20 @@ class TestStoreyBound:
 
 class TestSampling:
     def test_different_seed_different_events(self, geom, grid, units):
-        state = propagate_all(make_state(geom, grid, units, c=0.5))
+        state = make_state(geom, grid, units, c=0.5)
         _, xs_a = sample_events(state, 2000, seed=11)
         _, xs_b = sample_events(state, 2000, seed=12)
         assert not np.array_equal(xs_a, xs_b)
 
     def test_events_are_outcome_indices_and_positions(self, geom, grid, units):
-        state = propagate_all(make_state(geom, grid, units, c=0.5))
+        state = make_state(geom, grid, units, c=0.5)
         codes, xs = sample_events(state, 2000, seed=11)
         assert codes.shape == xs.shape == (2000,)
         assert codes.dtype.kind == "i" and xs.dtype == np.float64
         assert set(np.unique(codes).tolist()) == {0, 1, 2}
 
     def test_outcome_frequencies(self, geom, grid, units):
-        state = propagate_all(make_state(geom, grid, units, c=0.5))
+        state = make_state(geom, grid, units, c=0.5)
         count = 20000
         codes, _ = sample_events(state, count, seed=20260819)
         for i, prob in enumerate((0.25, 0.25, 0.5)):
@@ -640,23 +588,23 @@ class TestSampling:
                 assert abs(n / count - prob) <= 5.0 * sigma + 1e-12
 
     def test_positions_stay_on_grid(self, geom, grid, units):
-        state = propagate_all(make_state(geom, grid, units, c=0.5))
+        state = make_state(geom, grid, units, c=0.5)
         _, xs = sample_events(state, 2000, seed=3)
         assert xs.min() >= grid.x_min and xs.max() <= grid.x_max
 
     def test_certain_failure_yields_only_failures(self, geom, grid, units):
-        state = propagate_all(make_state(geom, grid, units, c=1.0))
+        state = make_state(geom, grid, units, c=1.0)
         codes, _ = sample_events(state, 500, seed=5)
         assert np.all(codes == state.basis.outcomes.index("q3"))
 
     def test_positions_follow_the_pattern(self, geom, grid, units):
-        state = propagate_all(make_state(geom, grid, units, c=0.5))
+        state = make_state(geom, grid, units, c=0.5)
         _, xs = sample_events(state, 20000, seed=20260819)
         _, pvalue = screen_goodness_of_fit(xs, state)
         assert pvalue > 0.01
 
     def test_goodness_of_fit_needs_enough_samples(self, geom, grid, units):
-        state = propagate_all(make_state(geom, grid, units, c=0.5))
+        state = make_state(geom, grid, units, c=0.5)
         _, xs = sample_events(state, 400, seed=3)
         with pytest.raises(DomainError):
             screen_goodness_of_fit(xs, state)
@@ -668,8 +616,8 @@ class TestSampling:
         # 50 eps of it.  The p-value is held to the exact tail.
         from kickscope.experiment import _cell_cdf, _cell_edges
 
-        state = propagate_all(make_state(geom, grid, units, c=0.5))
-        misfit = propagate_all(make_state(geom, grid, units, c=0.7))
+        state = make_state(geom, grid, units, c=0.5)
+        misfit = make_state(geom, grid, units, c=0.7)
         cdf, edges = _cell_cdf(screen_density(state), grid), _cell_edges(grid)
         for seed in (1, 2, 3):
             rng = np.random.default_rng(seed)
@@ -697,7 +645,7 @@ class TestSampling:
             assert _chi2_sf(dof, stat) == pytest.approx(want, rel=4e-15, abs=0), stat
 
     def test_goodness_of_fit_rejects_samples_off_the_pattern(self, geom, grid, units):
-        state = propagate_all(make_state(geom, grid, units, c=0.5))
+        state = make_state(geom, grid, units, c=0.5)
         _, xs = sample_events(state, 2000, seed=3)
         xs[0] = grid.x_max + 1.0
         with pytest.raises(DomainError, match="outside"):
@@ -707,14 +655,14 @@ class TestSampling:
         raises=AssertionError, reason="_cell_cdf gives cell [x_j, x_j + dx) the mass rho(x_j)*dx"
     )
     def test_inverse_cdf_keeps_the_patterns_mean(self):
-        # The demos' landed pattern.  The inverse CDF at N midpoint quantiles
+        # The demos' screen pattern.  The inverse CDF at N midpoint quantiles
         # averages to the mean of the distribution it samples, which must be
         # the pattern's sum(x*rho)/sum(rho).
         from kickscope.experiment import _cell_cdf, _cell_edges
 
         geom, units = SlitGeometry(d=1.0, sigma=0.02), PhysicalUnits(t=1.0)
         grid = GridSpec(n=2**17, x_min=-327.18, x_max=328.18)
-        rho = screen_density(propagate_all(make_state(geom, grid, units, c=0.5)))
+        rho = screen_density(make_state(geom, grid, units, c=0.5))
         cdf, edges = _cell_cdf(rho, grid), _cell_edges(grid)
         quantiles = (np.arange(1000) + 0.5) / 1000
         mean = np.interp(quantiles, cdf, edges).mean()
@@ -732,7 +680,7 @@ class TestSampling:
         # two branches are empty.  The reference draws all uniforms at once.
         from kickscope.experiment import _cell_cdf, _cell_edges
 
-        state = propagate_all(make_state(geom, grid, units, c=c, theta=0.4, basis=basis))
+        state = make_state(geom, grid, units, c=c, theta=0.4, basis=basis)
         u = np.random.default_rng(9).random((count, 2))
         want_codes = np.minimum(
             np.searchsorted(np.cumsum(state.branch_probabilities()), u[:, 0], side="right"), 2
@@ -753,7 +701,7 @@ class TestSampling:
         # 26 MB above the returned arrays here; 2^16-event blocks 3.0 MB.
         import tracemalloc
 
-        state = propagate_all(make_state(geom, grid, units, c=0.5))
+        state = make_state(geom, grid, units, c=0.5)
         tracemalloc.start()
         try:
             codes, xs = sample_events(state, 2**20, 3)
@@ -763,7 +711,7 @@ class TestSampling:
         assert peak <= codes.nbytes + xs.nbytes + 4 * 2**20
 
     def test_rejects_negative_count(self, geom, grid, units):
-        state = propagate_all(make_state(geom, grid, units, c=0.5))
+        state = make_state(geom, grid, units, c=0.5)
         with pytest.raises(DomainError):
             sample_events(state, -5, seed=1)
         codes, xs = sample_events(state, 0, seed=1)
