@@ -7,7 +7,9 @@ one set: it writes all of them or, if anything fails first, none.  Outputs
 are deterministic: the same config and seed produce byte-identical files.
 Every number in a CSV is written ``%.17g``, which reads back as the same
 float64, and tables are formatted in fixed blocks of rows, so the writer's
-memory does not grow with the grid.
+memory does not grow with the grid.  ``sample`` draws, writes, counts and
+bins its events one sampler block at a time, so its memory is one block,
+whatever ``sampling.count``.
 
 Exit codes: 0 on success, 1 when verification fails, 2 on a configuration
 or usage error (from every command, ``verify`` included) or when the
@@ -30,12 +32,14 @@ from .config import RunConfig, default_config, load_config, parse_c_values
 from .errors import KickscopeError
 from .hilbert import DetectorConfig
 from .experiment import (
+    GOF_BINS,
     GOF_MIN_SAMPLES,
     SlitPair,
     assemble,
     change_basis,
     read,
     sample_events,
+    screen_bins,
     screen_goodness_of_fit,
 )
 from .verify import run_suite
@@ -175,32 +179,44 @@ def cmd_scan(cfg: RunConfig, out_dir: Path, c_values: list[float]) -> int:
 
 
 def cmd_sample(cfg: RunConfig, out_dir: Path) -> int:
-    """Draw detection events; write events.csv and sample_summary.txt."""
+    """Draw detection events; write events.csv and sample_summary.txt.
+
+    events.csv's writer takes the events one `sample_events` block at a
+    time: it writes each block, adds it to the outcome counts and the fit's
+    bin counts, and drops it.  The summary is written from those counts.
+    """
     pair = SlitPair.emit(cfg.geometry, cfg.grid, cfg.units)
     state = change_basis(assemble(pair, cfg.detector), cfg.basis)
-    codes, xs = sample_events(state, cfg.sample_count, cfg.seed)
-
+    count = cfg.sample_count
+    # The pair's screen is read here, so a box without the wraparound
+    # headroom fails before any output.
+    blocks = sample_events(state, count, cfg.seed)
+    bins = screen_bins(state) if count >= GOF_MIN_SAMPLES else None
+    counts = np.zeros(3, dtype=np.int64)
+    observed = np.zeros(GOF_BINS, dtype=np.int64)
     outcomes = state.basis.outcomes
-    probs = state.branch_probabilities()
-    counts = np.bincount(codes, minlength=3).tolist()
-    lines = [f"count={xs.size}\n", f"seed={cfg.seed}\n"]
-    for o, n, p in zip(outcomes, counts, probs):
-        freq = n / xs.size if xs.size else 0.0
-        lines.append(f"{o}: n={n} freq={freq:.6f} prob={_fmt(p)}\n")
-    if xs.size >= GOF_MIN_SAMPLES:
-        stat, pvalue = screen_goodness_of_fit(xs, state)
-        lines.append(f"chi_square={_fmt(stat)}\n")
-        lines.append(f"chi_square_p={_fmt(pvalue)}\n")
     labels = np.array(outcomes, dtype=object)
 
     def write_events(fh) -> None:
         fh.write("outcome,x\n")
-        _write_rows(fh, "%s,%.17g\n", [codes, xs], labels)
+        for codes, xs in blocks:
+            _write_rows(fh, "%s,%.17g\n", [codes, xs], labels)
+            counts[:] += np.bincount(codes, minlength=3)
+            if bins is not None:
+                observed[:] += np.histogram(xs, bins)[0]
 
-    _commit(
-        out_dir,
-        {"events.csv": write_events, "sample_summary.txt": lambda fh: fh.writelines(lines)},
-    )
+    def write_summary(fh) -> None:
+        lines = [f"count={count}\n", f"seed={cfg.seed}\n"]
+        for o, n, p in zip(outcomes, counts.tolist(), state.branch_probabilities()):
+            freq = n / count if count else 0.0
+            lines.append(f"{o}: n={n} freq={freq:.6f} prob={_fmt(p)}\n")
+        if bins is not None:
+            stat, pvalue = screen_goodness_of_fit(observed, count)
+            lines.append(f"chi_square={_fmt(stat)}\n")
+            lines.append(f"chi_square_p={_fmt(pvalue)}\n")
+        fh.writelines(lines)
+
+    _commit(out_dir, {"events.csv": write_events, "sample_summary.txt": write_summary})
     return 0
 
 

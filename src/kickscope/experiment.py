@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -70,6 +70,7 @@ __all__ = [
     "relative_kick",
     "phase_kick_shift",
     "sample_events",
+    "screen_bins",
     "screen_goodness_of_fit",
 ]
 
@@ -82,9 +83,10 @@ GOF_BINS = 50
 #: Fewest samples `screen_goodness_of_fit` accepts: ten expected per bin.
 GOF_MIN_SAMPLES = 10 * GOF_BINS
 
-#: Events `sample_events` draws per block: 2 MB of uniforms, whatever the
-#: event count.
-_SAMPLE_BLOCK = 1 << 16
+#: Events `sample_events` draws per block: 512 KiB of uniforms, and about
+#: 1.6 MiB with the block's sort and interpolation temporaries, whatever
+#: the event count.
+_SAMPLE_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -452,78 +454,112 @@ def _cell_cdf(pattern_values: np.ndarray, grid: GridSpec) -> np.ndarray:
     return cdf
 
 
-def sample_events(state: BranchState, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Draw detection events on the screen from a branch state.
+def sample_events(
+    state: BranchState, count: int, seed: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Draw detection events on the screen from a branch state, one block at a time.
 
-    Returns ``(codes, xs)``: for each event, the index of the outcome that
-    fired in ``state.basis.outcomes`` and the landing position.  Outcomes
-    follow the branch probabilities; positions are drawn from the selected
-    branch's conditional density by inverting its piecewise-linear CDF.
-    The generator is ``numpy.random.default_rng(seed)`` (PCG64), so a fixed
+    Yields ``(codes, xs)`` blocks of at most ``_SAMPLE_BLOCK`` events: for
+    each event, the index of the outcome that fired in
+    ``state.basis.outcomes`` and the landing position.  Outcomes follow
+    the branch probabilities; positions are drawn from the selected
+    branch's conditional density by inverting its piecewise-linear CDF
+    (Devroye, *Non-Uniform Random Variate Generation*, 1986, ch. 2).  The
+    generator is ``numpy.random.default_rng(seed)`` (PCG64), so a fixed
     seed reproduces the events bit for bit on any platform.
 
-    Events are drawn ``_SAMPLE_BLOCK`` at a time, two uniforms each, so
-    memory beyond the returned arrays does not grow with ``count``.  PCG64
-    hands out its doubles in order, so the stream is the one a single
-    ``(count, 2)`` draw gives.  A branch's cell CDF is built when its first
-    event is drawn, on cell edges that all branches share.
-    """
-    if count < 0:
-        raise DomainError(f"event count must be non-negative, got {count}")
-    cum = np.cumsum(state.branch_probabilities())
-    rng = np.random.default_rng(seed)
-    codes = np.empty(count, dtype=np.intp)
-    xs = np.empty(count)
-    cdfs: dict[int, np.ndarray] = {}
-    grid = state.pair.screen[0].grid
-    edges = _cell_edges(grid)
-    for start in range(0, count, _SAMPLE_BLOCK):
-        u = rng.random((min(_SAMPLE_BLOCK, count - start), 2))
-        block = slice(start, start + len(u))
-        block_codes, block_xs = codes[block], xs[block]
-        np.minimum(np.searchsorted(cum, u[:, 0], side="right"), 2, out=block_codes)
-        for i in range(3):
-            mask = block_codes == i
-            if not mask.any():
-                continue
-            if i not in cdfs:
-                cdfs[i] = _cell_cdf(state.branch(i).density(), grid)
-            block_xs[mask] = np.interp(u[mask, 1], cdfs[i], edges)
-    return codes, xs
-
-
-def screen_goodness_of_fit(
-    xs: Sequence[float] | np.ndarray, state: BranchState
-) -> tuple[float, float]:
-    """Chi-square goodness of fit of sampled positions against a state's screen density.
-
-    Bins are ``GOF_BINS`` equal-probability quantiles of the cell-wise CDF
-    of the state's `screen_density`, so every bin expects
-    ``len(xs)/GOF_BINS`` counts.  Returns Pearson's ``(statistic,
-    p_value)`` with ``GOF_BINS - 1`` degrees of freedom.  The statistic is the one ``scipy.stats.chisquare``
-    gives; the p-value is the chi-square tail as a finite sum (Abramowitz &
-    Stegun 26.4.4-5), so no scipy import is needed.
-    Meant for strictly positive densities such as those on the screen; exact
-    zero-density stretches would collapse quantile bins.
+    Each block takes two uniforms per event.  PCG64 hands out its doubles
+    in order, so the blocks, joined, are the stream a single ``(count,
+    2)`` draw gives, and a caller that writes, counts or bins each block
+    before asking for the next holds one block, whatever ``count``.  A
+    block's position uniforms are inverted in ascending order, so each
+    interpolation walks its CDF forwards.  A branch's cell CDF is built
+    when its first event is drawn, on cell edges that all branches share.
 
     Raises
     ------
     DomainError
-        If there are fewer than `GOF_MIN_SAMPLES` samples, or if some fall
-        outside the pattern's bins.
+        If ``count`` is negative.  The count is checked and the pair's
+        screen read on the call, before any block is asked for, so a box
+        without the wraparound headroom raises ``ConfigurationError`` here
+        too.
     """
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.size < GOF_MIN_SAMPLES:
-        raise DomainError("too few samples for a meaningful binned test")
+    if count < 0:
+        raise DomainError(f"event count must be non-negative, got {count}")
+    grid = state.pair.screen[0].grid
+    cum = np.cumsum(state.branch_probabilities())
+    rng = np.random.default_rng(seed)
+    cdfs: dict[int, np.ndarray] = {}
+    edges = _cell_edges(grid)
+
+    def block(n: int) -> tuple[np.ndarray, np.ndarray]:
+        # One block's events; its uniforms and their sort die when it returns.
+        u = rng.random((n, 2))
+        codes = np.searchsorted(cum, u[:, 0], side="right")
+        np.minimum(codes, 2, out=codes)
+        # Position uniforms in ascending order, so each branch's np.interp
+        # walks its CDF forwards.
+        order = np.argsort(u[:, 1])
+        v = u[order, 1]
+        del u
+        sorted_codes = codes[order]
+        xs = np.empty(n)
+        for i in range(3):
+            mask = sorted_codes == i
+            if not mask.any():
+                continue
+            if i not in cdfs:
+                cdfs[i] = _cell_cdf(state.branch(i).density(), grid)
+            xs[order[mask]] = np.interp(v[mask], cdfs[i], edges)
+        return codes, xs
+
+    return (block(min(_SAMPLE_BLOCK, count - lo)) for lo in range(0, count, _SAMPLE_BLOCK))
+
+
+def screen_bins(state: BranchState) -> np.ndarray:
+    """The ``GOF_BINS + 1`` edges of equal-probability bins of a state's screen density.
+
+    They are the quantiles ``0, 1/GOF_BINS, ..., 1`` of the cell-wise CDF
+    of `screen_density`, so each bin expects the same share of the
+    events.  ``np.histogram(xs, bins)`` counts positions into them, block
+    by block if need be, for `screen_goodness_of_fit`.
+    """
     grid = state.pair.screen[0].grid
     cdf = _cell_cdf(screen_density(state), grid)
-    quantiles = np.linspace(0.0, 1.0, GOF_BINS + 1)
-    bin_edges = np.interp(quantiles, cdf, _cell_edges(grid))
-    observed, _ = np.histogram(xs, bins=bin_edges)
-    missing = xs.size - int(observed.sum())
+    return np.interp(np.linspace(0.0, 1.0, GOF_BINS + 1), cdf, _cell_edges(grid))
+
+
+def screen_goodness_of_fit(
+    observed: Sequence[int] | np.ndarray, count: int
+) -> tuple[float, float]:
+    """Chi-square goodness of fit of binned event counts against equal expectations.
+
+    ``observed`` holds the counts of ``count`` sampled positions in the
+    ``GOF_BINS`` bins of `screen_bins`, so every bin expects
+    ``count/GOF_BINS`` of them.  Returns Pearson's ``(statistic,
+    p_value)`` with ``GOF_BINS - 1`` degrees of freedom.  The statistic is
+    the one ``scipy.stats.chisquare`` gives; the p-value is the chi-square
+    tail as a finite sum (Abramowitz & Stegun 26.4.4-5), so no scipy
+    import is needed.  Meant for strictly positive densities such as those
+    on the screen; exact zero-density stretches would collapse quantile
+    bins.
+
+    Raises
+    ------
+    DomainError
+        If ``count`` is below `GOF_MIN_SAMPLES`, if ``observed`` is not
+        ``GOF_BINS`` counts, or if the bins hold other than ``count``
+        samples, as when some fall outside the pattern's bins.
+    """
+    observed = np.asarray(observed)
+    if count < GOF_MIN_SAMPLES:
+        raise DomainError("too few samples for a meaningful binned test")
+    if observed.shape != (GOF_BINS,):
+        raise DomainError(f"expected {GOF_BINS} bin counts, got shape {observed.shape}")
+    missing = count - int(observed.sum())
     if missing:
-        raise DomainError(f"{missing} of {xs.size} samples fall outside the pattern's bins")
-    expected = np.full(GOF_BINS, xs.size / GOF_BINS)
+        raise DomainError(f"{missing} of {count} samples fall outside the pattern's bins")
+    expected = np.full(GOF_BINS, count / GOF_BINS)
     stat = float(np.sum((observed.astype(np.float64) - expected) ** 2 / expected))
     return stat, _chi2_sf(GOF_BINS - 1, stat)
 

@@ -69,4 +69,5 @@ def test_readme_library_example_runs():
     assert names["kick"] == math.pi
     assert abs(names["f_k"] - 0.25) <= 1e-12
     assert abs(names["reading"].visibility - 0.5) <= 0.02
-    assert names["codes"].shape == names["xs"].shape == (100_000,)
+    assert names["counts"].sum() == names["observed"].sum() == 100_000
+    assert names["p_value"] > 0.01

@@ -35,6 +35,7 @@ from kickscope import (
     read,
     relative_kick,
     sample_events,
+    screen_bins,
     screen_density,
     screen_goodness_of_fit,
     slit_state,
@@ -62,6 +63,19 @@ def state_on(pair, c, theta=0.0, basis=SYMMETRIC):
 
 def make_state(geom, grid, units, c, theta=0.0, basis=SYMMETRIC):
     return state_on(SlitPair.emit(geom, grid, units), c, theta, basis)
+
+
+def draw(state, count, seed):
+    """``(codes, xs)``: the blocks of one `sample_events` draw, joined."""
+    blocks = list(sample_events(state, count, seed))
+    codes = np.concatenate([c for c, _ in blocks] or [np.empty(0, np.intp)])
+    return codes, np.concatenate([x for _, x in blocks] or [np.empty(0)])
+
+
+def fit(xs, state):
+    """`screen_goodness_of_fit` of positions ``xs`` binned by `screen_bins`."""
+    observed, _ = np.histogram(xs, screen_bins(state))
+    return screen_goodness_of_fit(observed, len(xs))
 
 
 def exact_chi2_sf(dof, stat):
@@ -541,13 +555,13 @@ class TestStoreyBound:
 class TestSampling:
     def test_different_seed_different_events(self, geom, grid, units):
         state = make_state(geom, grid, units, c=0.5)
-        _, xs_a = sample_events(state, 2000, seed=11)
-        _, xs_b = sample_events(state, 2000, seed=12)
+        _, xs_a = draw(state, 2000, seed=11)
+        _, xs_b = draw(state, 2000, seed=12)
         assert not np.array_equal(xs_a, xs_b)
 
     def test_events_are_outcome_indices_and_positions(self, geom, grid, units):
         state = make_state(geom, grid, units, c=0.5)
-        codes, xs = sample_events(state, 2000, seed=11)
+        codes, xs = draw(state, 2000, seed=11)
         assert codes.shape == xs.shape == (2000,)
         assert codes.dtype.kind == "i" and xs.dtype == np.float64
         assert set(np.unique(codes).tolist()) == {0, 1, 2}
@@ -555,7 +569,7 @@ class TestSampling:
     def test_outcome_frequencies(self, geom, grid, units):
         state = make_state(geom, grid, units, c=0.5)
         count = 20000
-        codes, _ = sample_events(state, count, seed=20260819)
+        codes, _ = draw(state, count, seed=20260819)
         for i, prob in enumerate((0.25, 0.25, 0.5)):
             freq = np.count_nonzero(codes == i) / count
             sigma = math.sqrt(prob * (1.0 - prob) / count)
@@ -576,7 +590,7 @@ class TestSampling:
         grid = GridSpec(n=8192, x_min=0.5 - 20.48, x_max=0.5 + 20.48)
         state = make_state(geom, grid, PhysicalUnits(t=0.05), c=c, theta=theta, basis=basis)
         count = 20000
-        codes, _ = sample_events(state, count, seed)
+        codes, _ = draw(state, count, seed)
         counts = np.bincount(codes, minlength=3)
         assert counts.sum() == count
         for n, prob in zip(counts, state.branch_probabilities()):
@@ -589,25 +603,30 @@ class TestSampling:
 
     def test_positions_stay_on_grid(self, geom, grid, units):
         state = make_state(geom, grid, units, c=0.5)
-        _, xs = sample_events(state, 2000, seed=3)
+        _, xs = draw(state, 2000, seed=3)
         assert xs.min() >= grid.x_min and xs.max() <= grid.x_max
 
     def test_certain_failure_yields_only_failures(self, geom, grid, units):
         state = make_state(geom, grid, units, c=1.0)
-        codes, _ = sample_events(state, 500, seed=5)
+        codes, _ = draw(state, 500, seed=5)
         assert np.all(codes == state.basis.outcomes.index("q3"))
 
     def test_positions_follow_the_pattern(self, geom, grid, units):
         state = make_state(geom, grid, units, c=0.5)
-        _, xs = sample_events(state, 20000, seed=20260819)
-        _, pvalue = screen_goodness_of_fit(xs, state)
+        _, xs = draw(state, 20000, seed=20260819)
+        _, pvalue = fit(xs, state)
         assert pvalue > 0.01
 
     def test_goodness_of_fit_needs_enough_samples(self, geom, grid, units):
         state = make_state(geom, grid, units, c=0.5)
-        _, xs = sample_events(state, 400, seed=3)
-        with pytest.raises(DomainError):
-            screen_goodness_of_fit(xs, state)
+        _, xs = draw(state, 400, seed=3)
+        with pytest.raises(DomainError, match="too few"):
+            fit(xs, state)
+
+    def test_goodness_of_fit_takes_one_count_per_bin(self):
+        # One total is not GOF_BINS counts, though it holds every sample.
+        with pytest.raises(DomainError, match="50 bin counts"):
+            screen_goodness_of_fit([1000], 1000)
 
     def test_goodness_of_fit_matches_an_independent_count(self, geom, grid, units):
         # The oracle counts the 50 equal-probability bins, half-open but for
@@ -632,7 +651,7 @@ class TestSampling:
                         observed[min(bisect.bisect_right(bins, x), 50) - 1] += 1
                     expected = count / 50
                     oracle = math.fsum((o - expected) ** 2 / expected for o in observed)
-                    stat, pvalue = screen_goodness_of_fit(xs, state)
+                    stat, pvalue = fit(xs, state)
                     assert abs(stat - oracle) <= 50 * sys.float_info.epsilon * oracle
                     assert pvalue == pytest.approx(exact_chi2_sf(49, stat), rel=4e-15, abs=0)
 
@@ -646,10 +665,10 @@ class TestSampling:
 
     def test_goodness_of_fit_rejects_samples_off_the_pattern(self, geom, grid, units):
         state = make_state(geom, grid, units, c=0.5)
-        _, xs = sample_events(state, 2000, seed=3)
+        _, xs = draw(state, 2000, seed=3)
         xs[0] = grid.x_max + 1.0
         with pytest.raises(DomainError, match="outside"):
-            screen_goodness_of_fit(xs, state)
+            fit(xs, state)
 
     @pytest.mark.xfail(
         raises=AssertionError, reason="_cell_cdf gives cell [x_j, x_j + dx) the mass rho(x_j)*dx"
@@ -677,7 +696,8 @@ class TestSampling:
         self, geom, grid, units, monkeypatch, c, basis, count
     ):
         # 7-event blocks put block boundaries inside every stream; at c = 1
-        # two branches are empty.  The reference draws all uniforms at once.
+        # two branches are empty.  The reference draws all uniforms at once
+        # and inverts them in draw order, branch by branch.
         from kickscope.experiment import _cell_cdf, _cell_edges
 
         state = make_state(geom, grid, units, c=c, theta=0.4, basis=basis)
@@ -692,27 +712,31 @@ class TestSampling:
                 cdf = _cell_cdf(state.branch(i).density(), grid)
                 want_xs[mask] = np.interp(u[mask, 1], cdf, _cell_edges(grid))
         monkeypatch.setattr(experiment, "_SAMPLE_BLOCK", 7)
-        codes, xs = sample_events(state, count, seed=9)
+        sizes = [len(xs) for _, xs in sample_events(state, count, seed=9)]
+        assert sizes == [7] * (count // 7) + [count % 7] * (count % 7 > 0)
+        codes, xs = draw(state, count, seed=9)
         assert codes.dtype == want_codes.dtype and np.array_equal(codes, want_codes)
         assert xs.tobytes() == want_xs.tobytes()
 
     def test_memory_is_one_block_not_the_draw(self, geom, grid, units):
-        # A single (count, 2) draw and its full-length temporaries peak
-        # 26 MB above the returned arrays here; 2^16-event blocks 3.0 MB.
+        # Consuming 2^20 events block by block, keeping none, peaks near
+        # PEAK_MIB here with 2^15-event blocks and their sort; the same
+        # events as one draw hold 16 MiB of (codes, xs) alone.
         import tracemalloc
 
         state = make_state(geom, grid, units, c=0.5)
         tracemalloc.start()
         try:
-            codes, xs = sample_events(state, 2**20, 3)
+            drawn = sum(len(xs) for _, xs in sample_events(state, 2**20, 3))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= codes.nbytes + xs.nbytes + 4 * 2**20
+        assert drawn == 2**20
+        assert peak <= 4 * 2**20, peak
 
     def test_rejects_negative_count(self, geom, grid, units):
         state = make_state(geom, grid, units, c=0.5)
+        # The count is checked on the call, before any block is asked for.
         with pytest.raises(DomainError):
             sample_events(state, -5, seed=1)
-        codes, xs = sample_events(state, 0, seed=1)
-        assert codes.size == 0 and xs.size == 0
+        assert list(sample_events(state, 0, seed=1)) == []
