@@ -11,6 +11,15 @@ memory does not grow with the grid.  ``sample`` draws, writes, counts and
 bins its events one sampler block at a time, so its memory is one block,
 whatever ``sampling.count``.
 
+Memory grows with the grid ``n`` alone, counted in arrays of ``n`` complex
+values (``16*n`` bytes).  The slit pair, its screen and the grid's cell
+edges are 4.5 of them, and each stage adds only its own result, since
+every elementwise pass over the grid runs in fixed-size blocks.  ``run``
+holds at most 7.5 arrays (``momentum.csv``'s two slit spectra are its
+largest stage), ``scan`` 6.0, ``sample`` 6.5 (three cell CDFs) and
+``verify`` 8.0 (the comb matrix's two spectra and one buffer), beside
+fixed-size blocks and the interpreter.
+
 Exit codes: 0 on success, 1 when verification fails, 2 on a configuration
 or usage error (from every command, ``verify`` included) or when the
 configured arrays do not fit in memory.
@@ -25,6 +34,7 @@ import shutil
 import sys
 import tempfile
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -101,8 +111,14 @@ def _write_rows(
 
 
 def _write_table(fh, header: list[str], columns: list[np.ndarray]) -> None:
+    _write_blocks(fh, header, [columns])
+
+
+def _write_blocks(fh, header: list[str], blocks: Iterable[list[np.ndarray]]) -> None:
+    """`_write_table` for a table whose columns come one block of rows at a time."""
     fh.write(",".join(header) + "\n")
-    _write_rows(fh, ",".join(["%.17g"] * len(columns)) + "\n", columns)
+    for columns in blocks:
+        _write_rows(fh, ",".join(["%.17g"] * len(columns)) + "\n", columns)
 
 
 def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
@@ -132,24 +148,24 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
         ("storey_rhs", _fmt(1.0 - reading.visibility)),
     ]
 
-    # Each table's columns live only inside its writer, one table at a time.
+    # Each table's columns are formed one grid block at a time, inside its
+    # writer: from the screen amplitudes, or from the two slit spectra.
     def write_pattern(fh) -> None:
-        branch_rho = [state.branch(i).density() for i in range(3)]
-        total = branch_rho[0] + branch_rho[1] + branch_rho[2]
-        _write_table(
+        grid = pair.screen[0].grid
+        branches = zip(grid.blocks(), *(state.density_blocks(i) for i in range(3)))
+        _write_blocks(
             fh,
             ["x", "rho_total", "rho_branch1", "rho_branch2", "rho_branch3"],
-            [pair.screen[0].grid.x, total] + branch_rho,
+            ([grid.x[lo:hi], rho[0] + rho[1] + rho[2], *rho] for (lo, hi), *rho in branches),
         )
 
     def write_momentum(fh) -> None:
         # Spectra are reported at emission time; free flight only changes
         # the phases, not these densities.
-        spectra = pair.spectra(state.coeffs)
-        _write_table(
+        _write_blocks(
             fh,
             ["p", "spec_branch1", "spec_branch2", "spec_branch3"],
-            [spectra[0].p] + [s.density() for s in spectra],
+            ([p, *rho] for p, rho in pair.spectral_densities(state.coeffs)),
         )
 
     _commit(

@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -145,16 +145,17 @@ class SlitPair:
         fringe frequency ``d/hbar``, whose argument is that row's comb phase.
         Free flight multiplies both spectra by one phase, so the emitted
         slits give the comb on the screen too.  Two FFTs per pair; the
-        spectra themselves are not kept.
+        spectra themselves are not kept, and ``exp(-i*p*d/hbar)*phi_j`` is
+        formed block by block into one buffer.
         """
-        hbar = self.units.hbar
-        spec1 = to_momentum(self.psi1, hbar=hbar)
-        phis = (spec1.amplitudes, to_momentum(self.psi2, hbar=hbar).amplitudes)
-        w = np.exp(-1j * spec1.p * (self.geom.d / hbar))
-        w_phi = np.empty_like(w)
+        hbar, grid = self.units.hbar, self.grid
+        phis = [to_momentum(psi, hbar=hbar).amplitudes for psi in (self.psi1, self.psi2)]
+        w_phi = np.empty_like(phis[0])
         a = np.empty((2, 2), dtype=np.complex128)
         for j, phi_j in enumerate(phis):
-            np.multiply(w, phi_j, out=w_phi)
+            for lo, hi in grid.blocks():
+                w = np.exp(-1j * grid.momenta(hbar, lo, hi) * (self.geom.d / hbar))
+                np.multiply(w, phi_j[lo:hi], out=w_phi[lo:hi])
             a[:, j] = [np.vdot(phi_i, w_phi) for phi_i in phis]
         a.setflags(write=False)
         return a
@@ -169,10 +170,13 @@ class SlitPair:
         the residual scales like ``pi*sigma/d``; it vanishes only in the
         zero-width limit.
         """
-        psi1, psi2 = self.psi1.amplitudes, self.psi2.amplitudes
+        psi1, psi2, x = self.psi1.amplitudes, self.psi2.amplitudes, self.grid.x
         s = 1.0 / math.sqrt(2.0)
-        phase = np.exp(1j * math.pi * self.grid.x / self.geom.d)
-        diff = s * (psi1 - psi2) - phase * s * (psi1 + psi2)
+        diff = np.empty_like(psi1)
+        for lo, hi in self.grid.blocks():
+            p1, p2 = psi1[lo:hi], psi2[lo:hi]
+            phase = np.exp(1j * math.pi * x[lo:hi] / self.geom.d)
+            diff[lo:hi] = s * (p1 - p2) - phase * s * (p1 + p2)
         return float(math.sqrt(np.vdot(diff, diff).real * self.grid.dx))
 
     def spectra(self, rows: np.ndarray) -> list[MomentumSpectrum]:
@@ -180,6 +184,18 @@ class SlitPair:
         hbar = self.units.hbar
         phi1, phi2 = (to_momentum(psi, hbar=hbar).amplitudes for psi in (self.psi1, self.psi2))
         return [MomentumSpectrum(self.grid, a * phi1 + b * phi2, hbar=hbar) for a, b in rows]
+
+    def spectral_densities(self, rows: np.ndarray) -> Iterator[tuple[np.ndarray, list[np.ndarray]]]:
+        """``(p, densities)`` per grid block: the momenta and ``|a*phi1 + b*phi2|^2`` per row.
+
+        The blocks, joined, are `spectra`'s ``p`` and ``density()`` bit for
+        bit, while only the two slit spectra are held whole.
+        """
+        hbar, grid = self.units.hbar, self.grid
+        phi1, phi2 = (to_momentum(psi, hbar=hbar).amplitudes for psi in (self.psi1, self.psi2))
+        for lo, hi in grid.blocks():
+            p1, p2 = phi1[lo:hi], phi2[lo:hi]
+            yield grid.momenta(hbar, lo, hi), [np.abs(a * p1 + b * p2) ** 2 for a, b in rows]
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,6 +217,16 @@ class BranchState:
         """Branch ``i`` on the screen, computed on each call."""
         (a, b), (psi1, psi2) = self.coeffs[i], self.pair.screen
         return Wavefunction(psi1.grid, a * psi1.amplitudes + b * psi2.amplitudes)
+
+    def density_blocks(self, i: int) -> Iterator[np.ndarray]:
+        """Branch ``i``'s density on the screen, one grid block at a time.
+
+        The blocks, joined, are ``branch(i).density()`` bit for bit, with
+        no full-grid array formed.
+        """
+        (a, b), (psi1, psi2) = self.coeffs[i], self.pair.screen
+        for lo, hi in psi1.grid.blocks():
+            yield np.abs(a * psi1.amplitudes[lo:hi] + b * psi2.amplitudes[lo:hi]) ** 2
 
     def branch_probabilities(self) -> np.ndarray:
         """Probability carried by each branch (its squared norm)."""
@@ -256,16 +282,17 @@ def _density(coeffs: np.ndarray, psi1: np.ndarray, psi2: np.ndarray) -> np.ndarr
     return m[0, 0].real * np.abs(psi1) ** 2 + m[1, 1].real * np.abs(psi2) ** 2 + cross.real
 
 
-def screen_density(state: BranchState) -> np.ndarray:
-    """Total density on the screen's grid: the incoherent sum of branch densities.
+def screen_density(state: BranchState, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Total density on the screen's grid points ``lo:hi``, all of them by default.
 
-    With ``M = coeffs^H coeffs`` it is ``M00 |psi1|^2 + M11 |psi2|^2 +
-    2 Re(M01 conj(psi1) psi2)`` over the pair's `SlitPair.screen`.
-    Independent of the detector basis, since basis changes are unitary and
-    leave ``M`` alone.
+    It is the incoherent sum of branch densities: with ``M = coeffs^H
+    coeffs``, ``M00 |psi1|^2 + M11 |psi2|^2 + 2 Re(M01 conj(psi1) psi2)``
+    over the pair's `SlitPair.screen`, point by point, so a block of points
+    reads the same values as the whole screen.  Independent of the detector
+    basis, since basis changes are unitary and leave ``M`` alone.
     """
     psi1, psi2 = state.pair.screen
-    return _density(state.coeffs, psi1.amplitudes, psi2.amplitudes)
+    return _density(state.coeffs, psi1.amplitudes[lo:hi], psi2.amplitudes[lo:hi])
 
 
 def _far_field_period(pair: SlitPair) -> float:
@@ -290,6 +317,36 @@ def _refine_extremum(x: np.ndarray, v: np.ndarray, i: int, dx: float) -> tuple[f
     return float(x[i] + delta * dx), float(v0 - 0.25 * (vm - vp) * delta)
 
 
+def _window(pair: SlitPair, grid: GridSpec) -> tuple[float, float, int, int]:
+    """``(lo, hi, i0, i1)``: :func:`fringe_window` and the indices of ``grid``'s points in it.
+
+    Raises
+    ------
+    ConfigurationError
+        If the window is empty or holds fewer than 5 points.  The message
+        names the config keys that set the window's width (two far-field
+        periods ``2*pi*hbar*t/(m*d)``), and the grid's keys too when the
+        window has a width but too few grid points in it.
+    """
+    lo, hi = fringe_window(pair)
+    x = grid.x
+    # The points lo <= x <= hi of the sorted grid.
+    i0, i1 = int(np.searchsorted(x, lo, "left")), int(np.searchsorted(x, hi, "right"))
+    width_keys = "units.t, units.hbar, units.mass and geometry.d"
+    if lo >= hi:
+        raise ConfigurationError(
+            f"analysis window {(lo, hi)} is malformed for this grid: its width, two "
+            f"far-field fringe periods 2*pi*hbar*t/(m*d), is zero; check {width_keys}"
+        )
+    if i1 - i0 < 5:
+        raise ConfigurationError(
+            f"analysis window {(lo, hi)} is malformed for this grid: it holds {i1 - i0} "
+            f"grid points, fewer than 5; check {width_keys}, which set its width, and "
+            "grid.n, grid.x_min and grid.x_max, which set its points"
+        )
+    return lo, hi, i0, i1
+
+
 def _fringe_analysis(state: BranchState) -> tuple[float, float, float]:
     """``(visibility, fringe_period, central_fringe_shift)`` of a state on its screen.
 
@@ -302,13 +359,9 @@ def _fringe_analysis(state: BranchState) -> tuple[float, float, float]:
     positive.
     """
     pair = state.pair
-    lo, hi = fringe_window(pair)
     psi1, psi2 = pair.screen
     x, dx = psi1.grid.x, psi1.grid.dx
-    # The points lo <= x <= hi of the sorted grid.
-    i0, i1 = int(np.searchsorted(x, lo, "left")), int(np.searchsorted(x, hi, "right"))
-    if lo >= hi or i1 - i0 < 5:
-        raise ConfigurationError(f"analysis window {(lo, hi)} is malformed for this grid")
+    lo, hi, i0, i1 = _window(pair, psi1.grid)
     xs = x[i0:i1]
     vals = _density(state.coeffs, psi1.amplitudes[i0:i1], psi2.amplitudes[i0:i1])
     center = 0.5 * (lo + hi)
@@ -419,33 +472,36 @@ def read(pair: SlitPair, detector: DetectorConfig) -> Reading:
 
     The fringes are read on ``pair.screen``, computed once however many
     settings are read; the kick fraction and the kicks on the emitted slits.
+    The kicks are read first: on a pair whose screen is not yet computed,
+    the comb's two spectra and its buffer are freed before the screen's two
+    arrays exist, so the two never share memory.  The fringe window is
+    checked before either, on the emission grid that the screen keeps, so
+    a config that cannot hold it fails before any transform.
     """
+    _window(pair, pair.grid)
     sym = change_basis(assemble(pair, detector), SYMMETRIC)
+    kick, phase_kick = _or_nan(relative_kick, sym), _or_nan(phase_kick_shift, sym)
     visibility, period, shift = _fringe_analysis(sym)
     return Reading(
         visibility=visibility,
         fringe_period=period,
         central_fringe_shift=shift,
         kick_fraction=float(sym.branch_probabilities()[1]),
-        kick=_or_nan(relative_kick, sym),
-        phase_kick=_or_nan(phase_kick_shift, sym),
+        kick=kick,
+        phase_kick=phase_kick,
     )
 
 
-def _cell_edges(grid: GridSpec) -> np.ndarray:
-    # The n + 1 cell edges x_min + j*dx, filled in place.
-    edges = np.arange(grid.n + 1, dtype=np.float64)
-    edges *= grid.dx
-    edges += grid.x_min
-    return edges
-
-
-def _cell_cdf(pattern_values: np.ndarray, grid: GridSpec) -> np.ndarray:
+def _cell_cdf(blocks: Iterable[np.ndarray], grid: GridSpec) -> np.ndarray:
     # Piecewise-constant density per cell -> piecewise-linear CDF on the
-    # cell edges, filled in place with no n-point temporaries.
+    # cell edges.  The density comes in consecutive blocks, each scaled by
+    # dx into place, so no n-point temporary is formed.
     cdf = np.empty(grid.n + 1)
     cdf[0] = 0.0
-    masses = np.multiply(pattern_values, grid.dx, out=cdf[1:])
+    masses, lo = cdf[1:], 0
+    for values in blocks:
+        np.multiply(values, grid.dx, out=masses[lo : lo + len(values)])
+        lo += len(values)
     np.cumsum(masses, out=masses)
     total = cdf[-1]
     if total <= 0.0:
@@ -490,7 +546,7 @@ def sample_events(
     cum = np.cumsum(state.branch_probabilities())
     rng = np.random.default_rng(seed)
     cdfs: dict[int, np.ndarray] = {}
-    edges = _cell_edges(grid)
+    edges = grid._edges
 
     def block(n: int) -> tuple[np.ndarray, np.ndarray]:
         # One block's events; its uniforms and their sort die when it returns.
@@ -509,7 +565,7 @@ def sample_events(
             if not mask.any():
                 continue
             if i not in cdfs:
-                cdfs[i] = _cell_cdf(state.branch(i).density(), grid)
+                cdfs[i] = _cell_cdf(state.density_blocks(i), grid)
             xs[order[mask]] = np.interp(v[mask], cdfs[i], edges)
         return codes, xs
 
@@ -525,8 +581,8 @@ def screen_bins(state: BranchState) -> np.ndarray:
     by block if need be, for `screen_goodness_of_fit`.
     """
     grid = state.pair.screen[0].grid
-    cdf = _cell_cdf(screen_density(state), grid)
-    return np.interp(np.linspace(0.0, 1.0, GOF_BINS + 1), cdf, _cell_edges(grid))
+    cdf = _cell_cdf((screen_density(state, lo, hi) for lo, hi in grid.blocks()), grid)
+    return np.interp(np.linspace(0.0, 1.0, GOF_BINS + 1), cdf, grid._edges)
 
 
 def screen_goodness_of_fit(

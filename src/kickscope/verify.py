@@ -223,11 +223,13 @@ def _chk_wp_momentum(run: _Run, tol: float) -> tuple[bool, str]:
     hbar = run.pair.units.hbar
     sigma = run.pair.geom.sigma
     spec = to_momentum(run.pair.psi1, hbar=hbar)
-    oracle = (2.0 * sigma**2 / (math.pi * hbar**2)) ** 0.25 * np.exp(
-        -(sigma**2) * spec.p**2 / hbar**2
-    )
-    worst = float(np.abs(spec.amplitudes - oracle).max())
-    worst = max(worst, abs(spec.norm() - 1.0))
+    grid, worst = spec.grid, abs(spec.norm() - 1.0)
+    for lo, hi in grid.blocks():
+        # grid.momenta(spec.hbar, lo, hi) is spec.p[lo:hi]: the spectrum's own axis.
+        oracle = (2.0 * sigma**2 / (math.pi * hbar**2)) ** 0.25 * np.exp(
+            -(sigma**2) * grid.momenta(spec.hbar, lo, hi) ** 2 / hbar**2
+        )
+        worst = max(worst, float(np.abs(spec.amplitudes[lo:hi] - oracle).max()))
     return worst <= tol, f"max dev {worst:.3g}"
 
 
@@ -238,9 +240,16 @@ def _chk_wp_roundtrip(run: _Run, tol: float) -> tuple[bool, str]:
     psi, hbar = run.pair.psi2, run.pair.units.hbar
     spec = to_momentum(psi, hbar=hbar)
     grid = spec.grid
-    phased = spec.amplitudes * np.exp(1j * spec.p * (grid.x_min / hbar))
-    back = (math.sqrt(2.0 * math.pi * hbar) / grid.dx) * np.fft.ifft(np.fft.ifftshift(phased))
-    worst = float(np.abs(back - psi.amplitudes).max())
+    back = np.empty_like(spec.amplitudes)
+    for lo, hi in grid.blocks():
+        phase = np.exp(1j * grid.momenta(spec.hbar, lo, hi) * (grid.x_min / hbar))
+        np.multiply(spec.amplitudes[lo:hi], phase, out=back[lo:hi])
+    back = np.fft.ifftshift(back)
+    np.fft.ifft(back, out=back)
+    back *= math.sqrt(2.0 * math.pi * hbar) / grid.dx
+    worst = 0.0
+    for lo, hi in grid.blocks():
+        worst = max(worst, float(np.abs(back[lo:hi] - psi.amplitudes[lo:hi]).max()))
     return worst <= tol, f"max dev {worst:.3g}"
 
 
@@ -250,8 +259,10 @@ def _chk_wp_propagators(run: _Run, tol: float) -> tuple[bool, str]:
     pair = run.pair
     worst = 0.0
     for slit, via_fft in zip((1, 2), pair.screen):
-        closed = propagate_analytic(pair.geom, via_fft.grid, pair.units, slit)
-        worst = max(worst, float(np.abs(via_fft.amplitudes - closed.amplitudes).max()))
+        closed = propagate_analytic(pair.geom, via_fft.grid, pair.units, slit).amplitudes
+        for lo, hi in via_fft.grid.blocks():
+            diff = via_fft.amplitudes[lo:hi] - closed[lo:hi]
+            worst = max(worst, float(np.abs(diff).max()))
     return worst <= tol, f"max abs diff {worst:.3g}"
 
 
@@ -260,19 +271,27 @@ def _chk_wp_kick(run: _Run, tol: float) -> tuple[bool, str]:
     # A kick by p, the phase exp(i*p*x/hbar), must move the spectral mean by
     # exactly p (the spectrum translates rigidly), for whole and fractional
     # numbers of bins alike.  The error is counted in bins, like the kick
-    # rows', so it does not scale with the unit of momentum.
+    # rows', so it does not scale with the unit of momentum.  The terms
+    # p*|phi|^2 and the kicked amplitudes are formed block by block, and the
+    # terms summed once over the whole grid.
     psi, hbar = run.pair.psi1, run.pair.units.hbar
-    boost = 12.25 * run.dp
+    grid, x, boost = psi.grid, psi.grid.x, 12.25 * run.dp
 
     def mean_momentum(state):
         spec = to_momentum(state, hbar=hbar)
-        return float(np.sum(spec.p * spec.density()) * spec.dp)
+        terms = np.empty(grid.n)
+        for lo, hi in grid.blocks():
+            p = grid.momenta(spec.hbar, lo, hi)
+            np.multiply(p, np.abs(spec.amplitudes[lo:hi]) ** 2, out=terms[lo:hi])
+        return float(np.sum(terms) * spec.dp)
 
     mean0 = mean_momentum(psi)
     worst = 0.0
     for p in (boost, -3.0 * boost):
-        kicked = Wavefunction(psi.grid, psi.amplitudes * np.exp(1j * (p / hbar) * psi.grid.x))
-        worst = max(worst, abs(mean_momentum(kicked) - mean0 - p) / run.dp)
+        kicked = np.empty_like(psi.amplitudes)
+        for lo, hi in grid.blocks():
+            kicked[lo:hi] = psi.amplitudes[lo:hi] * np.exp(1j * (p / hbar) * x[lo:hi])
+        worst = max(worst, abs(mean_momentum(Wavefunction(grid, kicked)) - mean0 - p) / run.dp)
     return worst <= tol, f"mean off by {worst:.3g} bins"
 
 
@@ -300,18 +319,23 @@ def _chk_exp_fail(run: _Run, tol: float) -> tuple[bool, str]:
 @_check("experiment.basis_invariance")
 def _chk_exp_basis(run: _Run, tol: float) -> tuple[bool, str]:
     # The configured state and a phased one, each read on the screen in
-    # two other bases.  The difference is relative to the density's peak,
-    # so the tolerance does not scale with the unit of length.
+    # two other bases, block by block.  The difference is relative to the
+    # density's peak, so the tolerance does not scale with the unit of length.
     worst = 0.0
     for det, bases in (
         (run.cfg.detector, (SYMMETRIC, tilted(math.pi / 4))),
         (DetectorConfig(c=0.5, theta=0.8), (SYMMETRIC, tilted(1.1))),
     ):
         state = assemble(run.pair, det)
-        rho = screen_density(state)
-        for b in bases:
-            rho_b = screen_density(change_basis(state, b))
-            worst = max(worst, float(np.abs(rho_b - rho).max() / rho.max()))
+        others = [change_basis(state, b) for b in bases]
+        peak, diffs = 0.0, [0.0] * len(others)
+        for lo, hi in run.pair.screen[0].grid.blocks():
+            rho = screen_density(state, lo, hi)
+            peak = max(peak, float(rho.max()))
+            for k, other in enumerate(others):
+                diff = float(np.abs(screen_density(other, lo, hi) - rho).max())
+                diffs[k] = max(diffs[k], diff)
+        worst = max(worst, *(diff / peak for diff in diffs))
     return worst <= tol, f"max rel diff {worst:.3g}"
 
 
@@ -322,13 +346,12 @@ def _chk_exp_density(run: _Run, tol: float) -> tuple[bool, str]:
     psi1 = propagate_analytic(pair.geom, grid, pair.units, 1).amplitudes
     psi2 = propagate_analytic(pair.geom, grid, pair.units, 2).amplitudes
     overlap = det.overlap
-    direct = 0.5 * (
-        np.abs(psi1) ** 2
-        + np.abs(psi2) ** 2
-        + 2.0 * np.real(overlap * np.conj(psi1) * psi2)
-    )
-    rho = screen_density(run.configured)
-    worst = float(np.abs(rho - direct).max())
+    worst = 0.0
+    for lo, hi in grid.blocks():
+        a, b = psi1[lo:hi], psi2[lo:hi]
+        direct = 0.5 * (np.abs(a) ** 2 + np.abs(b) ** 2 + 2.0 * np.real(overlap * np.conj(a) * b))
+        rho = screen_density(run.configured, lo, hi)
+        worst = max(worst, float(np.abs(rho - direct).max()))
     return worst <= tol, f"max abs diff {worst:.3g}"
 
 

@@ -28,6 +28,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
@@ -56,6 +57,18 @@ WRAPAROUND_TOL = 1e-10
 # |psi(x, t)| falls off as exp(-x^2/(4*sigma_t^2)), which is WRAPAROUND_TOL
 # at k*sigma_t with k = 2*sqrt(ln(1/WRAPAROUND_TOL)), about 9.6.
 _HEADROOM_WIDTHS = 2.0 * math.sqrt(math.log(1.0 / WRAPAROUND_TOL))
+
+#: Grid points per block in the package's elementwise passes over a grid:
+#: 256 KiB of complex values.  A pass runs the same operations on each
+#: point whatever the block size, so no value depends on it; only whole-array
+#: reductions (sums, cumulative sums, ``np.vdot``) need the whole array.
+_GRID_BLOCK = 1 << 14
+
+
+def _blocks(n: int) -> Iterator[tuple[int, int]]:
+    """Consecutive ``(lo, hi)`` ranges of at most `_GRID_BLOCK` indices covering ``range(n)``."""
+    step = _GRID_BLOCK
+    return ((lo, min(lo + step, n)) for lo in range(0, n, step))
 
 
 @dataclass(frozen=True)
@@ -110,24 +123,40 @@ class GridSpec:
         return (self.x_max - self.x_min) / self.n
 
     @cached_property
+    def _edges(self) -> np.ndarray:
+        # The n + 1 cell edges x_min + j*dx, filled in place; x is a read-only
+        # view of the first n, so the grid holds its points once.  The array
+        # stays writable because np.interp copies a read-only table, and the
+        # sampler interpolates on it; nothing writes to it.
+        edges = np.arange(self.n + 1, dtype=np.float64)
+        edges *= self.dx
+        edges += self.x_min
+        return edges
+
+    @property
     def x(self) -> np.ndarray:
         """Grid points ``x_j = x_min + j*dx``, read-only."""
-        x = self.x_min + self.dx * np.arange(self.n)
+        x = self._edges[:-1]
         x.setflags(write=False)
         return x
+
+    def blocks(self) -> Iterator[tuple[int, int]]:
+        """Consecutive ``(lo, hi)`` index ranges, a fixed-size block each, covering the grid."""
+        return _blocks(self.n)
 
     def dp(self, hbar: float) -> float:
         """Momentum-grid step ``2*pi*hbar/(n*dx)``."""
         return 2.0 * math.pi * hbar / (self.n * self.dx)
 
-    def momenta(self, hbar: float) -> np.ndarray:
-        """Centered momentum grid ``p_k = (k - n/2)*dp``, a new array.
+    def momenta(self, hbar: float, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Centered momentum grid ``p_k = (k - n/2)*dp`` for ``lo <= k < hi``, a new array.
 
-        Every momentum grid in the package comes from here: the phase
+        The whole grid by default.  Every momentum grid in the package comes
+        from here, whole or by block, with the same values: the phase
         ``p^2*t/(2*m*hbar)`` of `propagate_fft` turns an ulp of difference
         in ``p`` into visible changes downstream.
         """
-        return (np.arange(self.n) - self.n // 2) * self.dp(hbar)
+        return (np.arange(lo, self.n if hi is None else hi) - self.n // 2) * self.dp(hbar)
 
 
 @dataclass(frozen=True)
@@ -254,12 +283,22 @@ def to_momentum(psi: Wavefunction, hbar: float) -> MomentumSpectrum:
         Amplitudes ``Phi(p_k)`` with ``sum |Phi|^2 dp = sum |psi|^2 dx``.
     """
     grid = psi.grid
-    # fftshift centers the momentum grid on p = 0; the phase moves the
-    # position origin from x_min to 0.
-    spec = np.fft.fftshift(np.fft.fft(psi.amplitudes))
-    phase = np.exp(-1j * grid.momenta(hbar) * (grid.x_min / hbar))
-    amps = (grid.dx / math.sqrt(2.0 * math.pi * hbar)) * phase * spec
-    return MomentumSpectrum(grid, amps, hbar=hbar)
+    scale = grid.dx / math.sqrt(2.0 * math.pi * hbar)
+
+    def phase(lo: int, hi: int) -> np.ndarray:
+        # Moves the position origin from x_min to 0.
+        return scale * np.exp(-1j * grid.momenta(hbar, lo, hi) * (grid.x_min / hbar))
+
+    # Swapping the FFT's halves centers the momentum grid on p = 0: FFT bin k
+    # holds p_{k + n/2} and bin k + n/2 holds p_k.  Swapped and phased in
+    # place, one block of each half at a time.
+    spec = np.fft.fft(psi.amplitudes)
+    half = grid.n // 2
+    for lo, hi in _blocks(half):
+        low, high = spec[lo:hi].copy(), spec[half + lo : half + hi]
+        np.multiply(phase(lo, hi), high, out=spec[lo:hi])
+        np.multiply(phase(half + lo, half + hi), low, out=high)
+    return MomentumSpectrum(grid, spec, hbar=hbar)
 
 
 def _check_headroom(grid: GridSpec, geom: SlitGeometry, units: PhysicalUnits) -> None:
@@ -284,9 +323,15 @@ def propagate_fft(psi: Wavefunction, geom: SlitGeometry, units: PhysicalUnits) -
     """
     grid = psi.grid
     _check_headroom(grid, geom, units)
-    p = np.fft.ifftshift(grid.momenta(units.hbar))
+    rate = units.t / (2.0 * units.mass * units.hbar)
     spec = np.fft.fft(psi.amplitudes)
-    spec *= np.exp(-1j * p**2 * (units.t / (2.0 * units.mass * units.hbar)))
+    # FFT bin k holds p_{k + n/2} and bin k + n/2 holds p_k (see to_momentum);
+    # K is formed and multiplied in one block of each half at a time.
+    half = grid.n // 2
+    for lo, hi in _blocks(half):
+        for k, m in ((lo, half + lo), (half + lo, lo)):
+            p = grid.momenta(units.hbar, m, m + hi - lo)
+            spec[k : k + hi - lo] *= np.exp(-1j * p**2 * rate)
     return Wavefunction(grid, np.fft.ifft(spec, out=spec))
 
 
@@ -307,7 +352,9 @@ def propagate_analytic(
     center = geom.centers[slit - 1]
     a = 1.0 + 1j * units.hbar * units.t / (2.0 * units.mass * sigma**2)
     x = grid.x
-    amp = (2.0 * math.pi * sigma**2) ** -0.25 * a**-0.5 * np.exp(
-        -((x - center) ** 2) / (4.0 * sigma**2 * a)
-    )
+    amp = np.empty(grid.n, dtype=np.complex128)
+    for lo, hi in grid.blocks():
+        amp[lo:hi] = (2.0 * math.pi * sigma**2) ** -0.25 * a**-0.5 * np.exp(
+            -((x[lo:hi] - center) ** 2) / (4.0 * sigma**2 * a)
+        )
     return Wavefunction(grid, amp)

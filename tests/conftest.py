@@ -4,7 +4,11 @@ The unit-scale setup keeps wavepackets narrow relative to the slit
 separation (sigma/d = 0.02), propagates just far enough that the packets
 overlap at the screen, and fits everything on an 8192-point grid so a
 full FFT round trip costs well under a millisecond.
+
+`traced_peak` is the one way the tests read a call's peak memory.
 """
+
+import tracemalloc
 
 import pytest
 
@@ -26,3 +30,14 @@ def grid() -> GridSpec:
 @pytest.fixture
 def units() -> PhysicalUnits:
     return PhysicalUnits(t=0.05)
+
+
+def traced_peak(fn, *args):
+    """``(fn(*args), peak)``: the call's result and its ``tracemalloc`` peak in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak

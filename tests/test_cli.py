@@ -13,13 +13,13 @@ import os
 import stat
 import subprocess
 import sys
-import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from comb_oracle import apply_kick
+from conftest import traced_peak
 
 import kickscope
 from kickscope import cli, experiment, wavepacket
@@ -91,6 +91,15 @@ def assert_digests(out, golden):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
+def _set_block(monkeypatch, block):
+    # None keeps both block sizes; "grid-1000" sets the grid passes' block
+    # to 1000 points, which divides no grid size; an int sets the writer's.
+    if block == "grid-1000":
+        monkeypatch.setattr(wavepacket, "_GRID_BLOCK", 1000)
+    elif block is not None:
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", block)
+
+
 class TestRun:
     def test_writes_pattern_momentum_summary(self, cfg_path, tmp_path):
         out = tmp_path / "out"
@@ -144,13 +153,13 @@ class TestRun:
         for name in ("pattern.csv", "momentum.csv", "summary.txt"):
             assert filecmp.cmp(a / name, b / name, shallow=False)
 
-    @pytest.mark.parametrize("block", [None, 7])
+    @pytest.mark.parametrize("block", [None, 7, "grid-1000"])
     def test_output_bytes_are_pinned(self, cfg_path, tmp_path, monkeypatch, block):
         # sha256 of the REDUCED run, recorded with the np.savetxt writer that
         # the block writer replaced.  block = 7 puts block boundaries inside
-        # each table.
-        if block is not None:
-            monkeypatch.setattr(cli, "_BLOCK_ROWS", block)
+        # each table; "grid-1000" puts the grid passes' block boundaries, at a
+        # size that does not divide n, inside every transform and column.
+        _set_block(monkeypatch, block)
         out = tmp_path / "out"
         assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
         assert_digests(
@@ -178,11 +187,10 @@ class TestScan:
         assert np.isnan(data[2, 3])  # no interfering branches left at c = 1
         assert abs(data[1, 3] - math.pi) <= 2.0 * math.pi / (131072 * 0.005)
 
-    @pytest.mark.parametrize("block", [None, 7])
+    @pytest.mark.parametrize("block", [None, 7, "grid-1000"])
     def test_output_bytes_are_pinned(self, cfg_path, tmp_path, monkeypatch, block):
         # Recorded like TestRun's pins; nine rows, so block = 7 splits them.
-        if block is not None:
-            monkeypatch.setattr(cli, "_BLOCK_ROWS", block)
+        _set_block(monkeypatch, block)
         out = tmp_path / "out"
         c_values = "0,0.125,0.25,0.375,0.5,0.625,0.75,0.875,1"
         argv = ["scan", "--config", cfg_path, "--out", str(out), "--c-values", c_values]
@@ -210,7 +218,7 @@ class TestSample:
         assert "count=2000" in summary and "seed=7" in summary
         assert "chi_square_p=" in summary
 
-    @pytest.mark.parametrize("block", [None, 7, "events-7"])
+    @pytest.mark.parametrize("block", [None, 7, "events-7", "grid-1000"])
     def test_output_bytes_are_pinned(self, cfg_path, tmp_path, monkeypatch, block):
         # sha256 of the REDUCED run (seed 7, 2000 events), recorded when the
         # branches became combinations of one propagated slit pair.  Against
@@ -224,11 +232,12 @@ class TestSample:
         # 0.25000000000007661, and 0.50000000000015254 became
         # 0.50000000000015332.  block = 7 puts writer block boundaries
         # inside the event stream; "events-7" puts sampler block boundaries
-        # inside it, and so inside the outcome counts and the fit's bins.
+        # inside it, and so inside the outcome counts and the fit's bins;
+        # "grid-1000" puts grid blocks inside every cell CDF.
         if block == "events-7":
             monkeypatch.setattr(experiment, "_SAMPLE_BLOCK", 7)
-        elif block is not None:
-            monkeypatch.setattr(cli, "_BLOCK_ROWS", block)
+        else:
+            _set_block(monkeypatch, block)
         out = tmp_path / "out"
         assert main(["sample", "--config", cfg_path, "--out", str(out)]) == 0
         assert_digests(
@@ -269,12 +278,8 @@ class TestSample:
         for count in (2**17, 2**19):
             text = _with(SMALL, f"sampling.count = {count}\n")
             argv = ["sample", "--config", _write_config(tmp_path / f"{count}.cfg", text)]
-            tracemalloc.start()
-            try:
-                assert main([*argv, "--out", str(tmp_path / str(count))]) == 0
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+            code, peak = traced_peak(main, [*argv, "--out", str(tmp_path / str(count))])
+            assert code == 0
             peaks.append(peak)
         assert peaks[1] - peaks[0] <= 2**19, peaks
 
@@ -335,13 +340,8 @@ class TestBlockWriter:
         rng = np.random.default_rng(0)
         columns = [rng.standard_normal(self.N_ROWS) for _ in range(5)]
         stacked_nbytes = self.N_ROWS * len(columns) * 8
-        tracemalloc.start()
-        try:
-            with open(tmp_path / "t.csv", "w", encoding="utf-8") as fh:
-                cli._write_table(fh, list("abcde"), columns)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        with open(tmp_path / "t.csv", "w", encoding="utf-8") as fh:
+            _, peak = traced_peak(cli._write_table, fh, list("abcde"), columns)
         assert (peak <= stacked_nbytes + 4 * 2**20) == fits, peak
 
 
@@ -367,7 +367,7 @@ class TestCommitAsASet:
         "command,target,name",
         [
             # run fails while building momentum.csv, after pattern.csv.
-            ("run", experiment.SlitPair, "spectra"),
+            ("run", experiment.SlitPair, "spectral_densities"),
             # sample fails in the summary's fit, after every event is
             # drawn, written to the temporary events.csv and binned.
             ("sample", cli, "screen_goodness_of_fit"),
@@ -483,6 +483,40 @@ class TestFailureModes:
         assert main(["run", "--config", path, "--out", str(out)]) == 2
         assert "analysis window" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command,extra,keys",
+        [
+            ("run", "units.t = 0\n", ["units.t"]),
+            ("scan", "units.t = 0\n", ["units.t"]),
+            ("verify", "units.t = 0\n", ["units.t"]),
+            ("run", "units.hbar = 1e-30\n", ["units.hbar"]),
+            ("run", LATE_WINDOW, ["units.t", "grid.n", "grid.x_min", "grid.x_max"]),
+            ("sample", "units.t = 0\n", None),
+        ],
+        ids=["run-t0", "scan-t0", "verify-t0", "run-hbar", "run-coarse-grid", "sample-t0"],
+    )
+    def test_a_fringe_window_the_config_cannot_hold_names_its_keys(
+        self, tmp_path, capsys, command, extra, keys
+    ):
+        # The window is two far-field periods 2*pi*hbar*t/(m*d) around d/2.
+        # At t = 0, or at hbar = 1e-30, where both periods round away beside
+        # d/2, it has no width; on LATE_WINDOW's grid it holds one point.
+        # Each fails before any output and names the keys that set it.
+        # sample reads no fringes, and at t = 0 it samples the slits.
+        path = _write_config(tmp_path / "bad.cfg", _with(SMALL, extra))
+        out = tmp_path / "out"
+        argv = [command, "--config", path]
+        code = main(argv if command == "verify" else [*argv, "--out", str(out)])
+        captured = capsys.readouterr()
+        if keys is None:
+            assert code == 0
+            assert sorted(p.name for p in out.iterdir()) == ["events.csv", "sample_summary.txt"]
+            return
+        assert code == 2 and captured.out == "" and not out.exists()
+        assert "analysis window (" in captured.err
+        assert ") is malformed for this grid: " in captured.err
+        assert all(key in captured.err for key in keys), captured.err
 
     def test_sample_without_headroom_exits_2_with_no_out_dir(self, tmp_path, capsys):
         # Ten events are too few for the fit, so only the sampler reads the
@@ -815,9 +849,10 @@ DEFECTS = {
         ("experiment.sampler_outcomes",),
     ),
     # Every event lands by branch 0's density; the total pattern is untouched.
+    # The sampler reads each branch's density block by block, not whole.
     "sampler-one-branch": (
         (experiment.BranchState,),
-        "branch",
+        "density_blocks",
         _branch_0_only,
         ("experiment.sampler_gof",),
     ),
@@ -846,16 +881,19 @@ TILT_PHASE_ROW = "experiment.tilted_kick"
 
 
 class TestVerifyCommand:
-    def test_passes_on_reduced_config(self, cfg_path, capsys):
-        assert main(["verify", "--config", cfg_path]) == 0
-        out = capsys.readouterr().out
-        assert "[PASS]" in out and "0 failed" in out
+    def test_passes_on_reduced_config(self, cfg_path, capsys, monkeypatch):
         # Every detail line prints a measured value, so an ulp-level change
         # in a transform shows here first.  Re-recorded when basis_invariance
         # became relative to the density's peak; its line alone moved, from
-        # "max abs diff 6.94e-18" to "max rel diff 2.9e-16".
-        digest = hashlib.sha256(out.encode()).hexdigest()
-        assert digest == "710c2807f0e75cbcbaf7d65fc589f2deccbea557c3822732187e8d4bdb8001f0"
+        # "max abs diff 6.94e-18" to "max rel diff 2.9e-16".  The second run
+        # puts grid block boundaries, 1000 points apart, inside every row.
+        for block in (None, "grid-1000"):
+            _set_block(monkeypatch, block)
+            assert main(["verify", "--config", cfg_path]) == 0
+            out = capsys.readouterr().out
+            assert "[PASS]" in out and "0 failed" in out
+            digest = hashlib.sha256(out.encode()).hexdigest()
+            assert digest == "710c2807f0e75cbcbaf7d65fc589f2deccbea557c3822732187e8d4bdb8001f0"
 
     def test_skips_kick_checks_at_full_overlap(self, tmp_path, capsys):
         path = _write_config(tmp_path / "c1.cfg", _with(REDUCED, "detector.c = 1.0\n"))
@@ -956,6 +994,50 @@ class TestVerifyCommand:
         checks, run = dict(_CHECKS), _Run(parse_config_text(wide))
         status = {name: checks[name](run, TOLERANCES[name]).status for name in names}
         assert status == dict.fromkeys(names, "PASS")
+
+
+def _desk(n):
+    # The desk physics (d = 1, sigma = 0.01, dx = 0.0025) on an n-point box
+    # around d/2, with the flight scaled with the box (t = 5*n/2^21) so the
+    # box keeps the default's headroom.  500 events keep the sampler's
+    # blocks small, so at both sizes its cell CDFs, not a block's sort, set
+    # its peak.
+    half = n * 0.0025 / 2
+    return (
+        f"units.t = {5.0 * n / 2**21!r}\ngrid.n = {n}\n"
+        f"grid.x_min = {0.5 - half!r}\ngrid.x_max = {0.5 + half!r}\nsampling.count = 500\n"
+    )
+
+
+# Full-grid arrays each command may hold per grid point, counted in n-point
+# complex arrays.  The emitted pair, its screen and the grid's cell edges
+# are 4.5 of them; the rest is the largest stage's own arrays: run's two
+# slit spectra for momentum.csv, scan's comb buffer or the kick-identity
+# difference, the sampler's three cell CDFs, and verify's comb (its two
+# spectra and one buffer beside the screen).
+MEMORY_BUDGET = {"run": 7.5, "scan": 6.0, "sample": 6.5, "verify": 8.0}
+
+
+@pytest.mark.parametrize("command", MEMORY_BUDGET)
+def test_memory_per_grid_point_is_within_budget(command, tmp_path, monkeypatch):
+    # The traced peak at 2^17 minus the traced peak at 2^16, in 2^16-point
+    # complex arrays (1 MiB): whatever a command holds in fixed-size blocks
+    # cancels, and what grows with n remains.  One untraced run first loads
+    # what numpy imports on first use (numpy.ma, numpy.random), which would
+    # otherwise count in whichever run meets it first.  The CSV writer is
+    # stubbed out: it formats one block at a time whatever n (TestBlockWriter
+    # holds that), and under tracemalloc its text alone takes seconds here.
+    monkeypatch.setattr(cli, "_write_rows", lambda fh, row_fmt, columns, labels=None: None)
+    peaks = {}
+    for n, traced in ((2**17, False), (2**16, True), (2**17, True)):
+        argv = [command, "--config", _write_config(tmp_path / f"{n}.cfg", _desk(n))]
+        if command != "verify":
+            argv += ["--out", str(tmp_path / "out")]
+        code, peak = traced_peak(main, argv) if traced else (main(argv), None)
+        assert code == 0
+        peaks[n] = peak
+    arrays = (peaks[2**17] - peaks[2**16]) / 2**20
+    assert arrays <= MEMORY_BUDGET[command], f"{arrays:.2f} arrays"
 
 
 def _count_calls(calls, name, real):

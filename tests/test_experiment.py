@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from comb_oracle import _comb_projection, _comb_shift, apply_kick, momentum_shift
+from conftest import traced_peak
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -248,18 +249,11 @@ class TestFringes:
         # The demos' 2^17 grid, its screen already computed: one full-grid
         # float array is 1 MiB, and a read that forms the whole screen's
         # density peaks near 5.
-        import tracemalloc
-
         geom, units = SlitGeometry(d=1.0, sigma=0.02), PhysicalUnits(t=1.0)
         grid = GridSpec(n=2**17, x_min=-327.18, x_max=328.18)
         pair = SlitPair.emit(geom, grid, units)
         read(pair, DetectorConfig(c=0.5))  # computes the pair's screen and comb
-        tracemalloc.start()
-        try:
-            reading = read(pair, DetectorConfig(c=0.36, theta=1.0))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        reading, peak = traced_peak(read, pair, DetectorConfig(c=0.36, theta=1.0))
         assert abs(reading.visibility - 0.36) <= 0.02
         assert peak < grid.n * np.dtype(np.float64).itemsize, peak
 
@@ -633,16 +627,16 @@ class TestSampling:
         # the last, with bisect, and sums Pearson's terms exactly with
         # math.fsum.  The terms are positive, so a 50-term float sum is within
         # 50 eps of it.  The p-value is held to the exact tail.
-        from kickscope.experiment import _cell_cdf, _cell_edges
+        from kickscope.experiment import _cell_cdf
 
         state = make_state(geom, grid, units, c=0.5)
         misfit = make_state(geom, grid, units, c=0.7)
-        cdf, edges = _cell_cdf(screen_density(state), grid), _cell_edges(grid)
+        cdf, edges = _cell_cdf([screen_density(state)], grid), grid._edges
         for seed in (1, 2, 3):
             rng = np.random.default_rng(seed)
             # Draws from the c = 0.7 pattern push p down to ~1e-30.
             for source in (state, misfit):
-                source_cdf = _cell_cdf(screen_density(source), grid)
+                source_cdf = _cell_cdf([screen_density(source)], grid)
                 for count in (2000, 20000):
                     xs = np.interp(rng.random(count), source_cdf, edges)
                     bins = np.interp(np.linspace(0.0, 1.0, 51), cdf, edges).tolist()
@@ -677,12 +671,12 @@ class TestSampling:
         # The demos' screen pattern.  The inverse CDF at N midpoint quantiles
         # averages to the mean of the distribution it samples, which must be
         # the pattern's sum(x*rho)/sum(rho).
-        from kickscope.experiment import _cell_cdf, _cell_edges
+        from kickscope.experiment import _cell_cdf
 
         geom, units = SlitGeometry(d=1.0, sigma=0.02), PhysicalUnits(t=1.0)
         grid = GridSpec(n=2**17, x_min=-327.18, x_max=328.18)
         rho = screen_density(make_state(geom, grid, units, c=0.5))
-        cdf, edges = _cell_cdf(rho, grid), _cell_edges(grid)
+        cdf, edges = _cell_cdf([rho], grid), grid._edges
         quantiles = (np.arange(1000) + 0.5) / 1000
         mean = np.interp(quantiles, cdf, edges).mean()
         want = np.sum(grid.x * rho) / np.sum(rho)
@@ -698,7 +692,7 @@ class TestSampling:
         # 7-event blocks put block boundaries inside every stream; at c = 1
         # two branches are empty.  The reference draws all uniforms at once
         # and inverts them in draw order, branch by branch.
-        from kickscope.experiment import _cell_cdf, _cell_edges
+        from kickscope.experiment import _cell_cdf
 
         state = make_state(geom, grid, units, c=c, theta=0.4, basis=basis)
         u = np.random.default_rng(9).random((count, 2))
@@ -709,8 +703,8 @@ class TestSampling:
         for i in range(3):
             mask = want_codes == i
             if mask.any():
-                cdf = _cell_cdf(state.branch(i).density(), grid)
-                want_xs[mask] = np.interp(u[mask, 1], cdf, _cell_edges(grid))
+                cdf = _cell_cdf([state.branch(i).density()], grid)
+                want_xs[mask] = np.interp(u[mask, 1], cdf, grid._edges)
         monkeypatch.setattr(experiment, "_SAMPLE_BLOCK", 7)
         sizes = [len(xs) for _, xs in sample_events(state, count, seed=9)]
         assert sizes == [7] * (count // 7) + [count % 7] * (count % 7 > 0)
@@ -722,15 +716,8 @@ class TestSampling:
         # Consuming 2^20 events block by block, keeping none, peaks near
         # PEAK_MIB here with 2^15-event blocks and their sort; the same
         # events as one draw hold 16 MiB of (codes, xs) alone.
-        import tracemalloc
-
         state = make_state(geom, grid, units, c=0.5)
-        tracemalloc.start()
-        try:
-            drawn = sum(len(xs) for _, xs in sample_events(state, 2**20, 3))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        drawn, peak = traced_peak(lambda: sum(len(xs) for _, xs in sample_events(state, 2**20, 3)))
         assert drawn == 2**20
         assert peak <= 4 * 2**20, peak
 
