@@ -5,11 +5,12 @@ see `kickscope.config`) and write plain CSV/text outputs into ``--out``,
 or into the working directory without it.  A command commits its files as
 one set: it writes all of them or, if anything fails first, none.  Outputs
 are deterministic: the same config and seed produce byte-identical files.
-Every number in a CSV is written ``%.17g``, which reads back as the same
-float64, and tables are formatted in fixed blocks of rows, so the writer's
-memory does not grow with the grid.  ``sample`` draws, writes, counts and
-bins its events one sampler block at a time, so its memory is one block,
-whatever ``sampling.count``.
+Every number in a CSV is the text of ``"%.17g" % value``, which reads back
+as the same float64.  The writer forms that text in numpy, in fixed blocks
+of rows, so its memory does not grow with the grid; it leaves to ``%``
+only inf, nan and the values within 1e-9 of a 17-digit rounding tie.
+``sample`` draws, writes, counts and bins its events one sampler block at
+a time, so its memory is one block, whatever ``sampling.count``.
 
 Memory grows with the grid ``n`` alone, counted in arrays of ``n`` complex
 values (``16*n`` bytes).  The slit pair, its screen and the grid's cell
@@ -34,7 +35,7 @@ import shutil
 import sys
 import tempfile
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -57,13 +58,225 @@ from .verify import run_suite
 __all__ = ["main", "cmd_run", "cmd_scan", "cmd_sample"]
 
 #: Rows formatted per write.  The writer's memory is one block, whatever
-#: the table length; 2^16-row blocks already cost over 20 MB of Python
-#: floats and text for a five-column table.
+#: the table length: about 150 bytes of numpy scratch per cell, 3 MiB for
+#: a five-column block.
 _BLOCK_ROWS = 1 << 12
 
 
 def _fmt(value: float) -> str:
     return "%.17g" % value
+
+
+# Every CSV number is the text of ``"%.17g" % x``, formed in numpy a block
+# at a time.  For finite x != 0 with decimal exponent E, its 17 digits are
+# D = round(P), P = |x|*10^(16-E) in [10^16, 10^17).  P is a double-double
+# (Dekker, Numer. Math. 18, 224 (1971)): frexp's mantissa m times 10^(16-E),
+# held to 106 bits as (hi + lo)*2^exp.  Dekker's two-product gives m*hi
+# exactly; m*lo and the sum are rounded once each.  Against m*hi >= 1/4,
+# those roundings and the table's truncation err by under 1.5*2^-105, so P
+# errs by under 1.5*2^-105 * 4e17 < 2e-14.  Where P's fraction lies within
+# _TIE_MARGIN of 1/2 the product cannot decide the rounding, and ``%``
+# formats the value instead, as it does inf and nan.
+_TIE_MARGIN = 1e-9
+_Q_MIN, _Q_MAX = -294, 342  # q = 16 - E for E in [-326, 310]
+_SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitter for 53-bit mantissas
+
+
+def _pow10_table() -> tuple[np.ndarray, ...]:
+    """10^q = (hi + lo) * 2^exp for q in [_Q_MIN, _Q_MAX], hi in [0.5, 1).
+
+    hi holds the top 53 bits of 10^q's 128-bit mantissa (truncated) and lo
+    the other 75, rounded to 53 bits.  Returns hi, hi's two halves for
+    Dekker's product, lo and exp.
+    """
+    hi, lo = np.empty((2, _Q_MAX + 1 - _Q_MIN))
+    exp = np.empty(len(hi), dtype=np.int32)
+    for i, q in enumerate(range(_Q_MIN, _Q_MAX + 1)):
+        if q >= 0:
+            n = 10**q
+            shift = n.bit_length() - 128
+            m = n >> shift if shift >= 0 else n << -shift
+        else:
+            n = 10**-q
+            shift = -(n.bit_length() + 127)
+            m = (1 << -shift) // n  # in [2^127, 2^128)
+        hi[i], lo[i], exp[i] = m >> 75, m & ((1 << 75) - 1), shift + 128
+    hi = np.ldexp(hi, -53)
+    t = _SPLIT * hi
+    hi_head = t - (t - hi)
+    return hi, hi_head, hi - hi_head, np.ldexp(lo, -128), exp
+
+
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Every integer below 10^4 as four ASCII digits, and its trailing zeros (four for 0)."""
+    digits = np.empty((10_000, 4), dtype=np.uint8)
+    zeros = np.zeros(10_000, dtype=np.uint8)
+    for k in range(4):
+        # Digit k of i is i // 10^(3 - k) % 10; i ends in k + 1 zeros or
+        # more when 10^(k + 1) divides it.
+        digits[:, k].reshape(10**k, 10, -1)[:] = np.arange(48, 58, dtype=np.uint8)[:, None]
+        zeros[:: 10 ** (k + 1)] += 1
+    return digits, zeros
+
+
+_P10_HI, _P10_HEAD, _P10_TAIL, _P10_LO, _P10_EXP = _pow10_table()
+_DIGITS4, _ZEROS4 = _digit_tables()
+_DIGITS4_U32 = _DIGITS4.view(np.uint32).ravel()
+_DIGITS_DTYPE = np.dtype([("first", "u1"), ("groups", "<u4", 4)])
+
+# A cell is one value laid out in fixed slots, then its separator:
+#   "-" "0.000" <17 digits> "." <the same 17 digits> "e+-" <3 digits> ","
+# and a keep-mask picks out the bytes of its "%.17g" text: the integer
+# digits from the first copy of the digits, the fraction from the second.
+_CELL_DTYPE = np.dtype(
+    [("head", "S6"), ("int", "V17"), ("point", "S1"), ("frac", "V17"), ("exp", "S6"), ("sep", "S1")]
+)
+_CELL = _CELL_DTYPE.itemsize
+_PREFIX, _INT, _POINT, _FRAC, _EXP, _SEP = 1, 6, 23, 24, 41, 47
+#: The exponent slots for every |E| below 400.
+_EXP_TEXT = np.array([b"e+-%03d" % i for i in range(400)], dtype="S6")
+
+
+def _keep_table() -> np.ndarray:
+    """The keep-mask of every cell layout, one row per `_layout` code.
+
+    A layout is a notation (fixed at exponent E for -4 <= E < 17, or
+    exponent form by the sign of E and whether |E| has three digits), a
+    count of significant digits once trailing zeros are stripped, and a
+    sign.
+    """
+    n_sig = np.arange(1, 18)[:, None, None]
+    negative = np.array([False, True])[:, None]
+    j = np.arange(_CELL)
+    rows = []
+    for exp10 in (*range(-4, 17), 17, 100, -5, -100):
+        fixed = -4 <= exp10 < 17
+        # Integer digits: E + 1 in fixed notation, one in exponent form,
+        # none below one, where "0.000" holds the point and leading zeros.
+        n_int = max(exp10 + 1, 0) if fixed else 1
+        n_prefix = 1 - exp10 if fixed and exp10 < 0 else 0
+        keep = (
+            ((j == 0) & negative)
+            | ((_PREFIX <= j) & (j < _PREFIX + n_prefix))
+            | ((_INT <= j) & (j < _INT + n_int))
+            | ((j == _POINT) & (n_sig > n_int) & (n_prefix == 0))
+            | ((_FRAC + n_int <= j) & (j < _FRAC + n_sig))
+            | (j == _SEP)
+        )
+        if not fixed:
+            first_digit = _EXP + 3 if abs(exp10) >= 100 else _EXP + 4
+            keep |= (j == _EXP) | (j == _EXP + (1 if exp10 > 0 else 2)) | (j >= first_digit)
+        rows.append(keep)
+    return np.stack(rows).view(f"V{_CELL}").ravel()
+
+
+_KEEP = _keep_table()
+
+
+def _layout(exp10: np.ndarray, n_sig: np.ndarray, negative: np.ndarray) -> np.ndarray:
+    """Each value's row of `_KEEP`."""
+    fixed = (exp10 >= -4) & (exp10 < 17)
+    notation = np.where(fixed, exp10 + 4, 21 + (np.abs(exp10) >= 100) + 2 * (exp10 < 0))
+    return (notation * 17 + n_sig - 1) * 2 + negative
+
+
+def _scaled(m: np.ndarray, e: np.ndarray, exp10: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P = m * 2^e * 10^(16 - exp10) as its floor and fractional part."""
+    k = 16 - exp10 - _Q_MIN
+    hi_head, hi_tail = _P10_HEAD[k], _P10_TAIL[k]
+    t = _SPLIT * m
+    m_head = t - (t - m)
+    m_tail = m - m_head
+    p = m * _P10_HI[k]
+    err = ((m_head * hi_head - p) + m_head * hi_tail + m_tail * hi_head) + m_tail * hi_tail
+    s = err + m * _P10_LO[k]
+    head = p + s
+    shift = e + _P10_EXP[k]
+    tail = np.ldexp(s - (head - p), shift)
+    floor_tail = np.floor(tail)
+    whole = np.ldexp(head, shift).astype(np.int64) + floor_tail.astype(np.int64)
+    return whole, tail - floor_tail
+
+
+def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each value's 17 significant digits D, as an integer, and exponent E.
+
+    ``|x| = D * 10^(E - 16)`` rounded to nearest, with D in [10^16, 10^17)
+    (D = E = 0 for zero).  The third array marks the values whose digits
+    this cannot decide: inf, nan and those within `_TIE_MARGIN` of a tie.
+    """
+    a = np.abs(x)
+    finite = np.isfinite(a)
+    zero = a == 0
+    a[~finite | zero] = 1.0
+    m, e = np.frexp(a)
+    exp10 = np.floor(np.log10(a)).astype(np.int32)
+    whole, frac = _scaled(m, e, exp10)
+    # log10 can miss by one next to a power of ten: correct E once.
+    off = np.flatnonzero((whole < 10**16) | (whole >= 10**17))
+    if len(off):
+        exp10[off] += np.where(whole[off] < 10**16, -1, 1).astype(np.int32)
+        whole[off], frac[off] = _scaled(m[off], e[off], exp10[off])
+    undecided = ~finite | (np.abs(frac - 0.5) < _TIE_MARGIN)
+    undecided |= (whole < 10**16) | (whole >= 10**17)
+    digits17 = whole + (frac > 0.5)
+    carry = digits17 == 10**17
+    digits17[carry] = 10**16
+    exp10 += carry
+    digits17[zero] = 0
+    exp10[zero] = 0
+    return digits17, exp10, undecided
+
+
+def _digit_text(digits17: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 17 ASCII digits of each D (`_DIGITS_DTYPE`) and how many are significant.
+
+    Trailing zeros are counted in the 16 digits after the first, so zero
+    has one significant digit: its 0.
+    """
+    # D = first*10^16 + g[0]*10^12 + g[1]*10^8 + g[2]*10^4 + g[3].
+    upper = digits17 // 10**8
+    lower = (digits17 - upper * 10**8).astype(np.uint32)
+    upper = upper.astype(np.uint32)
+    top = upper // 10**4
+    first = top // 10**4
+    g = np.empty((4, len(digits17)), dtype=np.uint32)
+    g[0] = top - first * 10**4
+    g[1] = upper - top * 10**4
+    g[2] = lower // 10**4
+    g[3] = lower - g[2] * 10**4
+    zeros = _ZEROS4[g]
+    trailing = zeros[3] + (g[3] == 0) * (
+        zeros[2] + (g[2] == 0) * (zeros[1] + (g[1] == 0) * zeros[0])
+    )
+    text = np.empty(len(digits17), dtype=_DIGITS_DTYPE)
+    text["first"] = first + 48
+    text["groups"] = _DIGITS4_U32[g].T
+    return text, 17 - trailing
+
+
+def _format_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lay out each float64 of ``x`` as a `_CELL`-byte cell ending in ``,``.
+
+    Returns the cells and their keep-mask, both ``(len(x), _CELL)``:
+    ``cells[i][keep[i]]`` is the text of ``"%.17g" % x[i]`` and a comma.
+    """
+    digits17, exp10, undecided = _decimal(x)
+    text, n_sig = _digit_text(digits17)
+    cells = np.empty(len(x), dtype=_CELL_DTYPE)
+    cells["head"] = b"-0.000"
+    cells["int"] = cells["frac"] = text.view("V17")
+    cells["point"] = b"."
+    cells["exp"] = _EXP_TEXT[np.abs(exp10)]
+    cells["sep"] = b","
+    keep = _KEEP[_layout(exp10, n_sig, np.signbit(x))]
+    cells = cells.view(np.uint8).reshape(len(x), _CELL)
+    keep = keep.view(bool).reshape(len(x), _CELL)
+    for i in np.flatnonzero(undecided):
+        percent = _fmt(x[i]).encode("ascii")
+        cells[i, : len(percent)] = np.frombuffer(percent, dtype=np.uint8)
+        keep[i, :_SEP] = np.arange(_SEP) < len(percent)
+    return cells, keep
 
 
 def _commit(out_dir: Path, files: dict) -> None:
@@ -92,22 +305,34 @@ def _commit(out_dir: Path, files: dict) -> None:
         shutil.rmtree(tmp, ignore_errors=True)
 
 
-def _write_rows(
-    fh, row_fmt: str, columns: list[np.ndarray], labels: np.ndarray | None = None
-) -> None:
-    """Write one ``row_fmt`` line per row of ``columns``, ``_BLOCK_ROWS`` rows per write.
+def _rows_text(columns: list[np.ndarray], label_cells: np.ndarray | None) -> str:
+    """One block of `_write_rows`' rows as text."""
+    numbers = columns if label_cells is None else columns[1:]
+    cells, keep = _format_cells(np.column_stack(numbers).ravel())
+    cells = cells.reshape(len(columns[0]), -1)
+    keep = keep.reshape(cells.shape)
+    cells[:, -1] = ord("\n")
+    if label_cells is not None:
+        labelled = label_cells[columns[0]]
+        cells = np.concatenate([labelled, cells], axis=1)
+        keep = np.concatenate([labelled != 0, keep], axis=1)
+    return cells[keep].tobytes().decode("ascii")
 
-    Each block is formatted by one ``%`` call over its cells in row order.
-    With ``labels`` (an object array), the first column holds integer codes
-    and is written as ``labels[code]``.
+
+def _write_rows(fh, columns: list[np.ndarray], labels: Sequence[str] | None = None) -> None:
+    """Write ``columns`` as comma-separated rows, ``_BLOCK_ROWS`` rows per write.
+
+    Every number is written as ``"%.17g" % value`` would write it (see
+    `_format_cells`).  With ``labels``, the first column holds integer
+    codes and is written as ``labels[code]``.
     """
-    n_rows = len(columns[0])
-    for lo in range(0, n_rows, _BLOCK_ROWS):
-        cols = [col[lo : lo + _BLOCK_ROWS] for col in columns]
-        if labels is not None:
-            cols[0] = labels[cols[0]]
-        block = np.column_stack(cols)
-        fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+    label_cells = None
+    if labels is not None:
+        # One NUL-padded cell per label, its comma included.
+        label_cells = np.array([s + "," for s in labels], dtype="S")
+        label_cells = label_cells.view(np.uint8).reshape(len(labels), -1)
+    for lo in range(0, len(columns[0]), _BLOCK_ROWS):
+        fh.write(_rows_text([col[lo : lo + _BLOCK_ROWS] for col in columns], label_cells))
 
 
 def _write_table(fh, header: list[str], columns: list[np.ndarray]) -> None:
@@ -118,7 +343,7 @@ def _write_blocks(fh, header: list[str], blocks: Iterable[list[np.ndarray]]) -> 
     """`_write_table` for a table whose columns come one block of rows at a time."""
     fh.write(",".join(header) + "\n")
     for columns in blocks:
-        _write_rows(fh, ",".join(["%.17g"] * len(columns)) + "\n", columns)
+        _write_rows(fh, columns)
 
 
 def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
@@ -211,12 +436,11 @@ def cmd_sample(cfg: RunConfig, out_dir: Path) -> int:
     counts = np.zeros(3, dtype=np.int64)
     observed = np.zeros(GOF_BINS, dtype=np.int64)
     outcomes = state.basis.outcomes
-    labels = np.array(outcomes, dtype=object)
 
     def write_events(fh) -> None:
         fh.write("outcome,x\n")
         for codes, xs in blocks:
-            _write_rows(fh, "%s,%.17g\n", [codes, xs], labels)
+            _write_rows(fh, [codes, xs], outcomes)
             counts[:] += np.bincount(codes, minlength=3)
             if bins is not None:
                 observed[:] += np.histogram(xs, bins)[0]

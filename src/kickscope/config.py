@@ -40,6 +40,13 @@ _DEFAULTS: dict[str, object] = {
 
 _INT_KEYS = {"grid.n", "sampling.count", "sampling.seed"}
 
+# The model takes the two slit states as orthogonal, but they overlap by
+# exp(-d^2/(8 sigma^2)), and the branch probabilities then sum to
+# 1 + c*cos(theta)*exp(-d^2/(8 sigma^2)).  The overlap may not exceed
+# verify's tolerance on that sum, 1e-10, which caps sigma/d near 0.0737.
+_SLIT_OVERLAP_TOL = 1e-10
+_MAX_SLIT_RATIO = 1.0 / math.sqrt(8.0 * math.log(1.0 / _SLIT_OVERLAP_TOL))
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -90,8 +97,17 @@ def _build(values: dict[str, object]) -> RunConfig:
     # any file is written.
     if seed < 0:
         raise ConfigurationError(f"sampling.seed must be non-negative, got {seed}")
+    d, sigma = float(values["geometry.d"]), float(values["geometry.sigma"])  # type: ignore[arg-type]
+    # SlitGeometry rejects a d or sigma that is not positive and finite.
+    if 0 < d < math.inf and 0 < sigma < math.inf and sigma / d > _MAX_SLIT_RATIO:
+        overlap = math.exp(-1.0 / (8.0 * (sigma / d) ** 2))
+        raise ConfigurationError(
+            f"geometry.sigma = {sigma} is too wide for geometry.d = {d}: the slit states "
+            f"overlap by exp(-d^2/8 sigma^2) = {overlap:.3g}, above {_SLIT_OVERLAP_TOL:g}; "
+            f"sigma/d must not exceed {_MAX_SLIT_RATIO:.4f}"
+        )
     return RunConfig(
-        geometry=SlitGeometry(d=values["geometry.d"], sigma=values["geometry.sigma"]),
+        geometry=SlitGeometry(d=d, sigma=sigma),
         units=PhysicalUnits(
             hbar=values["units.hbar"], mass=values["units.mass"], t=values["units.t"]
         ),

@@ -15,11 +15,14 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from comb_oracle import apply_kick
 from conftest import traced_peak
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kickscope
 from kickscope import cli, experiment, wavepacket
@@ -294,6 +297,35 @@ class TestSample:
             assert stat.S_IMODE((out / name).stat().st_mode) == 0o640, name
 
 
+def _percent_17g(columns: list[np.ndarray]) -> str:
+    """The oracle: each row written through ``%`` one value at a time."""
+    return "".join(",".join("%.17g" % v for v in row) + "\n" for row in zip(*columns))
+
+
+def _count_percent(monkeypatch) -> list[float]:
+    """The values that `cli` formats through ``%`` from now on, in call order."""
+    calls: list[float] = []
+    real_fmt = cli._fmt
+    monkeypatch.setattr(cli, "_fmt", lambda value: calls.append(value) or real_fmt(value))
+    return calls
+
+
+def _ties(values: np.ndarray) -> int:
+    """How many values lie exactly halfway between two 17-digit decimals.
+
+    Such a value is N/2^k with N odd and k >= 1, whose exact decimal
+    N*5^k/10^k has 18 significant digits, the last a 5: so 5^k < 10^18,
+    k <= 25, and |value| < 2^53.
+    """
+    small = values[np.abs(values) < 2**53]
+    dyadic = small[(np.ldexp(small, 25) % 1 == 0) & (small % 1 != 0)]
+    n_ties = 0
+    for value in dyadic.tolist():
+        n, den = abs(value).as_integer_ratio()
+        n_ties += len(str(n * 5 ** (den.bit_length() - 1))) == 18
+    return n_ties
+
+
 class TestBlockWriter:
     EDGES = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308]
 
@@ -312,7 +344,7 @@ class TestBlockWriter:
         expected = io.StringIO()
         np.savetxt(expected, np.column_stack(columns), fmt="%.17g", delimiter=",")
         got = io.StringIO()
-        cli._write_rows(got, ",".join(["%.17g"] * len(columns)) + "\n", columns)
+        cli._write_rows(got, columns)
         assert got.getvalue() == expected.getvalue()
 
     @pytest.mark.parametrize("n_rows", [1, cli._BLOCK_ROWS, cli._BLOCK_ROWS + 1])
@@ -324,8 +356,45 @@ class TestBlockWriter:
         xs[: len(self.EDGES)] = self.EDGES[:n_rows]
         expected = "".join("%s,%.17g\n" % (labels[c], x) for c, x in zip(codes, xs))
         got = io.StringIO()
-        cli._write_rows(got, "%s,%.17g\n", [codes, xs], np.array(labels, dtype=object))
+        cli._write_rows(got, [codes, xs], labels)
         assert got.getvalue() == expected
+
+    # Both neighbours of every power of ten, %g's switches between fixed
+    # and exponent notation, exact 17-digit ties (which % rounds to even),
+    # the smallest subnormal, the largest double, signed zeros and nan/inf.
+    POWERS = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    SWITCHES = [1e-5, 1e-4, 1e16, 1e17, 9.9999999999999999e16]
+    TIES = [1234567890123456.25, 1234567890123456.75, -1234567890123456.25, -1234567890123456.75]
+
+    def test_hard_values_match_percent(self, monkeypatch):
+        assert _ties(np.array(self.TIES)) == 4
+        grid = np.concatenate([self.POWERS, self.SWITCHES])
+        values = np.concatenate(
+            [grid, np.nextafter(grid, 0), np.nextafter(grid, np.inf), self.TIES, self.EDGES, [0.0]]
+        )
+        by_percent = _count_percent(monkeypatch)
+        got = io.StringIO()
+        cli._write_rows(got, [values, -values])
+        assert got.getvalue() == _percent_17g([values, -values])
+        assert "1e+17,-1e+17\n" in got.getvalue()
+        assert "1234567890123456.2,-1234567890123456.2\n" in got.getvalue()
+        # Only nan, inf and the exact ties (999999999999999.875 among them)
+        # go through %: a value beside a power of ten does not.
+        assert len(by_percent) == 2 * (3 + _ties(values)) == 2 * (3 + 5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        bits=st.lists(st.integers(0, 2**64 - 1), min_size=3, max_size=150),
+        n_cols=st.integers(1, 3),
+        block=st.integers(1, 60),
+    )
+    def test_every_bit_pattern_matches_percent(self, bits, n_cols, block):
+        values = np.array(bits, dtype=np.uint64).view(np.float64)
+        columns = list(values[: len(values) // n_cols * n_cols].reshape(-1, n_cols).T)
+        got = io.StringIO()
+        with mock.patch.object(cli, "_BLOCK_ROWS", block):
+            cli._write_rows(got, columns)
+        assert got.getvalue() == _percent_17g(columns)
 
     N_ROWS = 1 << 15
 
@@ -333,8 +402,8 @@ class TestBlockWriter:
         "block,fits", [(cli._BLOCK_ROWS, True), (N_ROWS, False)], ids=["blocks", "whole-table"]
     )
     def test_memory_is_one_block_not_the_table(self, tmp_path, monkeypatch, block, fits):
-        # 2^12-row blocks of this table peak near 1.35 MiB of Python floats
-        # and text; the whole table as one block near 10.8 MiB.  The bound is
+        # 2^12-row blocks of this table peak near 3.0 MiB of numpy scratch
+        # and text; the whole table as one block near 22.8 MiB.  The bound is
         # 5.25 MiB.
         monkeypatch.setattr(cli, "_BLOCK_ROWS", block)
         rng = np.random.default_rng(0)
@@ -343,6 +412,36 @@ class TestBlockWriter:
         with open(tmp_path / "t.csv", "w", encoding="utf-8") as fh:
             _, peak = traced_peak(cli._write_table, fh, list("abcde"), columns)
         assert (peak <= stacked_nbytes + 4 * 2**20) == fits, peak
+
+
+@pytest.mark.parametrize(
+    "command,extra,n_values",
+    [("run", "", 9 * 2**17), ("sample", "sampling.count = 100000\n", 10**5)],
+    ids=["run", "sample"],
+)
+def test_percent_formats_only_what_the_product_cannot(
+    tmp_path, monkeypatch, command, extra, n_values
+):
+    # Every number of pattern.csv and momentum.csv, and 10^5 event positions,
+    # reach the vectorized path; % may take only non-finite values and exact
+    # ties, and these tables hold neither.  A writer that fell back to % for
+    # every value would pass the byte pins but fail here.
+    fmt_calls = _count_percent(monkeypatch)
+    real_cells = cli._format_cells
+    seen = {"values": 0, "by_percent": 0, "non_finite_or_tie": 0}
+
+    def format_cells(x):
+        before = len(fmt_calls)
+        cells = real_cells(x)
+        seen["values"] += len(x)
+        seen["by_percent"] += len(fmt_calls) - before
+        seen["non_finite_or_tie"] += np.count_nonzero(~np.isfinite(x)) + _ties(x)
+        return cells
+
+    monkeypatch.setattr(cli, "_format_cells", format_cells)
+    path = _write_config(tmp_path / "reduced.cfg", _with(REDUCED, extra))
+    assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 0
+    assert seen == {"values": n_values, "by_percent": 0, "non_finite_or_tie": 0}
 
 
 def _disk_full(*args, **kwargs):
@@ -517,6 +616,20 @@ class TestFailureModes:
         assert "analysis window (" in captured.err
         assert ") is malformed for this grid: " in captured.err
         assert all(key in captured.err for key in keys), captured.err
+
+    @pytest.mark.parametrize("command", ["run", "scan", "sample", "verify"])
+    def test_overlapping_slits_exit_2_before_any_output(self, tmp_path, capsys, command):
+        # The model takes the two slit states as orthogonal, but they overlap
+        # by exp(-d^2/8 sigma^2): 0.044 at sigma/d = 0.2, where the branch
+        # probabilities sum to 1.022 at c = 0.5 and sample drops the excess
+        # from the failure branch.
+        path = _write_config(tmp_path / "wide.cfg", _with(SMALL, "geometry.sigma = 0.2\n"))
+        out = tmp_path / "out"
+        argv = [command, "--config", path]
+        assert main(argv if command == "verify" else [*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert "geometry.sigma" in captured.err and "geometry.d" in captured.err, captured.err
 
     def test_sample_without_headroom_exits_2_with_no_out_dir(self, tmp_path, capsys):
         # Ten events are too few for the fit, so only the sampler reads the
@@ -1027,7 +1140,7 @@ def test_memory_per_grid_point_is_within_budget(command, tmp_path, monkeypatch):
     # otherwise count in whichever run meets it first.  The CSV writer is
     # stubbed out: it formats one block at a time whatever n (TestBlockWriter
     # holds that), and under tracemalloc its text alone takes seconds here.
-    monkeypatch.setattr(cli, "_write_rows", lambda fh, row_fmt, columns, labels=None: None)
+    monkeypatch.setattr(cli, "_write_rows", lambda fh, columns, labels=None: None)
     peaks = {}
     for n, traced in ((2**17, False), (2**16, True), (2**17, True)):
         argv = [command, "--config", _write_config(tmp_path / f"{n}.cfg", _desk(n))]

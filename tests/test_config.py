@@ -25,6 +25,7 @@ from kickscope.config import (
     parse_c_values,
     parse_config_text,
 )
+from kickscope.verify import TOLERANCES
 
 POSITIVE = st.floats(1e-6, 1e6)
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -157,6 +158,17 @@ class TestParsing:
             parse_config_text("detector.c = 1.5")
         with pytest.raises(ConfigurationError):
             parse_config_text("grid.n = 1000")
+
+    def test_slits_may_overlap_up_to_verifys_probability_tolerance(self):
+        # The branch probabilities sum to 1 + c*cos(theta)*exp(-d^2/8 sigma^2):
+        # the overlap may reach verify's tolerance on that sum, and no further.
+        tol = TOLERANCES["experiment.branch_probabilities"]
+        edge = 1.0 / math.sqrt(8.0 * math.log(1.0 / tol))
+        assert 0.0736 < edge < 0.0737
+        with pytest.warns(UserWarning, match="narrow-slit"):
+            parse_config_text(f"geometry.d = 2.0\ngeometry.sigma = {2 * edge * (1 - 1e-9)!r}")
+        with pytest.raises(ConfigurationError, match=r"geometry\.sigma = \S+ .* geometry\.d = 2\.0"):
+            parse_config_text(f"geometry.d = 2.0\ngeometry.sigma = {2 * edge * (1 + 1e-9)!r}")
 
     @settings(max_examples=60, deadline=None)
     @given(values=in_domain_values())
