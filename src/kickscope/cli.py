@@ -4,7 +4,9 @@ All commands read a flat ``key = value`` config file (every key optional;
 see `kickscope.config`) and write plain CSV/text outputs into ``--out``,
 or into the working directory without it.  A command commits its files as
 one set: it writes all of them or, if anything fails first, none.  Outputs
-are deterministic: the same config and seed produce byte-identical files.
+are deterministic: the same config and seed produce byte-identical files,
+and ``verify`` the same stdout, on any core count, since every inner
+product over the grid is summed in one fixed order (`wavepacket.inner`).
 Every number in a CSV is the text of ``"%.17g" % value``, which reads back
 as the same float64.  The writer forms that text in numpy, in fixed blocks
 of rows, so its memory does not grow with the grid; it leaves to ``%``
@@ -17,9 +19,9 @@ values (``16*n`` bytes).  The slit pair, its screen and the grid's cell
 edges are 4.5 of them, and each stage adds only its own result, since
 every elementwise pass over the grid runs in fixed-size blocks.  ``run``
 holds at most 7.5 arrays (``momentum.csv``'s two slit spectra are its
-largest stage), ``scan`` 6.0, ``sample`` 6.5 (three cell CDFs) and
-``verify`` 8.0 (the comb matrix's two spectra and one buffer), beside
-fixed-size blocks and the interpreter.
+largest stage), ``scan`` 5.0, ``sample`` 6.5 (three cell CDFs) and
+``verify`` 7.5 (the ``kick_displacement`` row's kicked state and its
+spectrum), beside fixed-size blocks and the interpreter.
 
 Exit codes: 0 on success, 1 when verification fails, 2 on a configuration
 or usage error (from every command, ``verify`` included) or when the
@@ -29,6 +31,7 @@ configured arrays do not fit in memory.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import shutil
@@ -76,12 +79,15 @@ def _fmt(value: float) -> str:
 # those roundings and the table's truncation err by under 1.5*2^-105, so P
 # errs by under 1.5*2^-105 * 4e17 < 2e-14.  Where P's fraction lies within
 # _TIE_MARGIN of 1/2 the product cannot decide the rounding, and ``%``
-# formats the value instead, as it does inf and nan.
+# formats the value instead, as it does inf and nan.  The tables are built
+# on the first call that formats a number, so commands that write no CSV
+# never build them.
 _TIE_MARGIN = 1e-9
 _Q_MIN, _Q_MAX = -294, 342  # q = 16 - E for E in [-326, 310]
 _SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitter for 53-bit mantissas
 
 
+@functools.cache
 def _pow10_table() -> tuple[np.ndarray, ...]:
     """10^q = (hi + lo) * 2^exp for q in [_Q_MIN, _Q_MAX], hi in [0.5, 1).
 
@@ -107,8 +113,12 @@ def _pow10_table() -> tuple[np.ndarray, ...]:
     return hi, hi_head, hi - hi_head, np.ldexp(lo, -128), exp
 
 
+@functools.cache
 def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
-    """Every integer below 10^4 as four ASCII digits, and its trailing zeros (four for 0)."""
+    """Every integer below 10^4 as four ASCII digits in one uint32, and its trailing zeros.
+
+    Zero has four trailing zeros.
+    """
     digits = np.empty((10_000, 4), dtype=np.uint8)
     zeros = np.zeros(10_000, dtype=np.uint8)
     for k in range(4):
@@ -116,12 +126,9 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
         # more when 10^(k + 1) divides it.
         digits[:, k].reshape(10**k, 10, -1)[:] = np.arange(48, 58, dtype=np.uint8)[:, None]
         zeros[:: 10 ** (k + 1)] += 1
-    return digits, zeros
+    return digits.view(np.uint32).ravel(), zeros
 
 
-_P10_HI, _P10_HEAD, _P10_TAIL, _P10_LO, _P10_EXP = _pow10_table()
-_DIGITS4, _ZEROS4 = _digit_tables()
-_DIGITS4_U32 = _DIGITS4.view(np.uint32).ravel()
 _DIGITS_DTYPE = np.dtype([("first", "u1"), ("groups", "<u4", 4)])
 
 # A cell is one value laid out in fixed slots, then its separator:
@@ -133,10 +140,15 @@ _CELL_DTYPE = np.dtype(
 )
 _CELL = _CELL_DTYPE.itemsize
 _PREFIX, _INT, _POINT, _FRAC, _EXP, _SEP = 1, 6, 23, 24, 41, 47
-#: The exponent slots for every |E| below 400.
-_EXP_TEXT = np.array([b"e+-%03d" % i for i in range(400)], dtype="S6")
 
 
+@functools.cache
+def _exp_text() -> np.ndarray:
+    """The exponent slots for every |E| below 400."""
+    return np.array([b"e+-%03d" % i for i in range(400)], dtype="S6")
+
+
+@functools.cache
 def _keep_table() -> np.ndarray:
     """The keep-mask of every cell layout, one row per `_layout` code.
 
@@ -170,11 +182,8 @@ def _keep_table() -> np.ndarray:
     return np.stack(rows).view(f"V{_CELL}").ravel()
 
 
-_KEEP = _keep_table()
-
-
 def _layout(exp10: np.ndarray, n_sig: np.ndarray, negative: np.ndarray) -> np.ndarray:
-    """Each value's row of `_KEEP`."""
+    """Each value's row of `_keep_table`."""
     fixed = (exp10 >= -4) & (exp10 < 17)
     notation = np.where(fixed, exp10 + 4, 21 + (np.abs(exp10) >= 100) + 2 * (exp10 < 0))
     return (notation * 17 + n_sig - 1) * 2 + negative
@@ -182,16 +191,17 @@ def _layout(exp10: np.ndarray, n_sig: np.ndarray, negative: np.ndarray) -> np.nd
 
 def _scaled(m: np.ndarray, e: np.ndarray, exp10: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """P = m * 2^e * 10^(16 - exp10) as its floor and fractional part."""
+    p10_hi, p10_head, p10_tail, p10_lo, p10_exp = _pow10_table()
     k = 16 - exp10 - _Q_MIN
-    hi_head, hi_tail = _P10_HEAD[k], _P10_TAIL[k]
+    hi_head, hi_tail = p10_head[k], p10_tail[k]
     t = _SPLIT * m
     m_head = t - (t - m)
     m_tail = m - m_head
-    p = m * _P10_HI[k]
+    p = m * p10_hi[k]
     err = ((m_head * hi_head - p) + m_head * hi_tail + m_tail * hi_head) + m_tail * hi_tail
-    s = err + m * _P10_LO[k]
+    s = err + m * p10_lo[k]
     head = p + s
-    shift = e + _P10_EXP[k]
+    shift = e + p10_exp[k]
     tail = np.ldexp(s - (head - p), shift)
     floor_tail = np.floor(tail)
     whole = np.ldexp(head, shift).astype(np.int64) + floor_tail.astype(np.int64)
@@ -245,13 +255,14 @@ def _digit_text(digits17: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     g[1] = upper - top * 10**4
     g[2] = lower // 10**4
     g[3] = lower - g[2] * 10**4
-    zeros = _ZEROS4[g]
+    digits4, zeros4 = _digit_tables()
+    zeros = zeros4[g]
     trailing = zeros[3] + (g[3] == 0) * (
         zeros[2] + (g[2] == 0) * (zeros[1] + (g[1] == 0) * zeros[0])
     )
     text = np.empty(len(digits17), dtype=_DIGITS_DTYPE)
     text["first"] = first + 48
-    text["groups"] = _DIGITS4_U32[g].T
+    text["groups"] = digits4[g].T
     return text, 17 - trailing
 
 
@@ -267,9 +278,9 @@ def _format_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cells["head"] = b"-0.000"
     cells["int"] = cells["frac"] = text.view("V17")
     cells["point"] = b"."
-    cells["exp"] = _EXP_TEXT[np.abs(exp10)]
+    cells["exp"] = _exp_text()[np.abs(exp10)]
     cells["sep"] = b","
-    keep = _KEEP[_layout(exp10, n_sig, np.signbit(x))]
+    keep = _keep_table()[_layout(exp10, n_sig, np.signbit(x))]
     cells = cells.view(np.uint8).reshape(len(x), _CELL)
     keep = keep.view(bool).reshape(len(x), _CELL)
     for i in np.flatnonzero(undecided):

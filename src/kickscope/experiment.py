@@ -53,6 +53,7 @@ from .wavepacket import (
     PhysicalUnits,
     SlitGeometry,
     Wavefunction,
+    inner,
     propagate_fft,
     slit_state,
     to_momentum,
@@ -121,7 +122,7 @@ class SlitPair:
     def gram(self) -> np.ndarray:
         """The 2x2 overlap matrix ``<psi_i|psi_j> dx``."""
         a, b = self.psi1.amplitudes, self.psi2.amplitudes
-        g = np.array([[np.vdot(a, a), np.vdot(a, b)], [np.vdot(b, a), np.vdot(b, b)]])
+        g = np.array([[inner(a, a), inner(a, b)], [inner(b, a), inner(b, b)]])
         g *= self.grid.dx
         g.setflags(write=False)  # shared by every state built on the pair
         return g
@@ -145,18 +146,20 @@ class SlitPair:
         fringe frequency ``d/hbar``, whose argument is that row's comb phase.
         Free flight multiplies both spectra by one phase, so the emitted
         slits give the comb on the screen too.  Two FFTs per pair; the
-        spectra themselves are not kept, and ``exp(-i*p*d/hbar)*phi_j`` is
-        formed block by block into one buffer.
+        spectra themselves are not kept.  One pass over `inner`'s chunks
+        forms ``exp(-i*p*d/hbar)`` once per chunk and adds all four
+        entries, each summed in `inner`'s order.
         """
         hbar, grid = self.units.hbar, self.grid
         phis = [to_momentum(psi, hbar=hbar).amplitudes for psi in (self.psi1, self.psi2)]
-        w_phi = np.empty_like(phis[0])
-        a = np.empty((2, 2), dtype=np.complex128)
-        for j, phi_j in enumerate(phis):
-            for lo, hi in grid.blocks():
-                w = np.exp(-1j * grid.momenta(hbar, lo, hi) * (self.geom.d / hbar))
-                np.multiply(w, phi_j[lo:hi], out=w_phi[lo:hi])
-            a[:, j] = [np.vdot(phi_i, w_phi) for phi_i in phis]
+        a = np.zeros((2, 2), dtype=np.complex128)
+        for lo, hi in grid.sum_chunks():
+            w = np.exp(-1j * grid.momenta(hbar, lo, hi) * (self.geom.d / hbar))
+            chunks = [phi[lo:hi] for phi in phis]
+            for j, phi_j in enumerate(chunks):
+                w_phi = w * phi_j
+                for i, phi_i in enumerate(chunks):
+                    a[i, j] += inner(phi_i, w_phi)
         a.setflags(write=False)
         return a
 
@@ -172,12 +175,13 @@ class SlitPair:
         """
         psi1, psi2, x = self.psi1.amplitudes, self.psi2.amplitudes, self.grid.x
         s = 1.0 / math.sqrt(2.0)
-        diff = np.empty_like(psi1)
-        for lo, hi in self.grid.blocks():
+        squared = 0j
+        for lo, hi in self.grid.sum_chunks():
             p1, p2 = psi1[lo:hi], psi2[lo:hi]
             phase = np.exp(1j * math.pi * x[lo:hi] / self.geom.d)
-            diff[lo:hi] = s * (p1 - p2) - phase * s * (p1 + p2)
-        return float(math.sqrt(np.vdot(diff, diff).real * self.grid.dx))
+            diff = s * (p1 - p2) - phase * s * (p1 + p2)
+            squared += inner(diff, diff)
+        return float(math.sqrt(squared.real * self.grid.dx))
 
     def spectra(self, rows: np.ndarray) -> list[MomentumSpectrum]:
         """Momentum spectra of ``a*psi1 + b*psi2``, one per row ``(a, b)``."""
@@ -473,8 +477,8 @@ def read(pair: SlitPair, detector: DetectorConfig) -> Reading:
     The fringes are read on ``pair.screen``, computed once however many
     settings are read; the kick fraction and the kicks on the emitted slits.
     The kicks are read first: on a pair whose screen is not yet computed,
-    the comb's two spectra and its buffer are freed before the screen's two
-    arrays exist, so the two never share memory.  The fringe window is
+    the comb's two spectra are freed before the screen's two arrays exist,
+    so the two never share memory.  The fringe window is
     checked before either, on the emission grid that the screen keeps, so
     a config that cannot hold it fails before any transform.
     """

@@ -60,15 +60,42 @@ _HEADROOM_WIDTHS = 2.0 * math.sqrt(math.log(1.0 / WRAPAROUND_TOL))
 
 #: Grid points per block in the package's elementwise passes over a grid:
 #: 256 KiB of complex values.  A pass runs the same operations on each
-#: point whatever the block size, so no value depends on it; only whole-array
-#: reductions (sums, cumulative sums, ``np.vdot``) need the whole array.
+#: point whatever the block size, so no value depends on it.  Sums and
+#: cumulative sums take the whole array; inner products go by `_SUM_CHUNK`.
 _GRID_BLOCK = 1 << 14
 
+#: Points per chunk of `inner`'s fixed-order sum.  It is a constant of its
+#: own, so no inner product depends on `_GRID_BLOCK` or on a thread count.
+_SUM_CHUNK = 1 << 13
 
-def _blocks(n: int) -> Iterator[tuple[int, int]]:
-    """Consecutive ``(lo, hi)`` ranges of at most `_GRID_BLOCK` indices covering ``range(n)``."""
-    step = _GRID_BLOCK
+
+def _blocks(n: int, step: int | None = None) -> Iterator[tuple[int, int]]:
+    """Consecutive ``(lo, hi)`` ranges of at most ``step`` indices covering ``range(n)``.
+
+    ``step`` is `_GRID_BLOCK` by default, read on each call.
+    """
+    step = _GRID_BLOCK if step is None else step
     return ((lo, min(lo + step, n)) for lo in range(0, n, step))
+
+
+def inner(a: np.ndarray, b: np.ndarray) -> complex:
+    """``sum conj(a)*b``, summed in one fixed order whatever the thread count.
+
+    numpy sums ``conj(a)*b`` within each `_SUM_CHUNK`-point chunk and the
+    chunk sums are added in order, so the result does not depend on BLAS,
+    its thread count or `_GRID_BLOCK` (a fixed summation order, as in
+    Demmel & Nguyen, *IEEE Trans. Comput.* 64, 2060 (2015)).  A caller that
+    forms its arrays chunk by chunk (`GridSpec.sum_chunks`) gets the same
+    sum by adding ``inner`` of each chunk, in order, to zero.  It is the
+    package modules' helper, not in ``__all__``: callers read the norms and
+    matrices built on it.
+    """
+    total = 0j
+    for lo, hi in _blocks(len(a), _SUM_CHUNK):
+        terms = np.conj(a[lo:hi])
+        terms *= b[lo:hi]
+        total += terms.sum()
+    return total
 
 
 @dataclass(frozen=True)
@@ -144,6 +171,10 @@ class GridSpec:
         """Consecutive ``(lo, hi)`` index ranges, a fixed-size block each, covering the grid."""
         return _blocks(self.n)
 
+    def sum_chunks(self) -> Iterator[tuple[int, int]]:
+        """Consecutive ``(lo, hi)`` index ranges of `inner`'s chunks, in its order."""
+        return _blocks(self.n, _SUM_CHUNK)
+
     def dp(self, hbar: float) -> float:
         """Momentum-grid step ``2*pi*hbar/(n*dx)``."""
         return 2.0 * math.pi * hbar / (self.n * self.dx)
@@ -198,7 +229,7 @@ class Wavefunction:
 
     def norm(self) -> float:
         """Total probability ``sum |psi|^2 dx``."""
-        return float(np.vdot(self.amplitudes, self.amplitudes).real * self.grid.dx)
+        return float(inner(self.amplitudes, self.amplitudes).real * self.grid.dx)
 
     def density(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
@@ -228,7 +259,7 @@ class MomentumSpectrum:
 
     def norm(self) -> float:
         """Total probability ``sum |Phi|^2 dp``."""
-        return float(np.vdot(self.amplitudes, self.amplitudes).real * self.dp)
+        return float(inner(self.amplitudes, self.amplitudes).real * self.dp)
 
     def density(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2

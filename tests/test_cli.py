@@ -302,6 +302,18 @@ def _percent_17g(columns: list[np.ndarray]) -> str:
     return "".join(",".join("%.17g" % v for v in row) + "\n" for row in zip(*columns))
 
 
+def assert_same_text(got: str, expected: str) -> None:
+    """Assert two tables are equal, reporting only the first row that differs.
+
+    One ``==`` on tables of several hundred KB would leave pytest diffing
+    the whole strings when they differ.
+    """
+    got_rows, expected_rows = got.splitlines(keepends=True), expected.splitlines(keepends=True)
+    for i, (g, e) in enumerate(zip(got_rows, expected_rows)):
+        assert g == e, f"row {i} differs"
+    assert len(got_rows) == len(expected_rows), "row counts differ"
+
+
 def _count_percent(monkeypatch) -> list[float]:
     """The values that `cli` formats through ``%`` from now on, in call order."""
     calls: list[float] = []
@@ -345,7 +357,7 @@ class TestBlockWriter:
         np.savetxt(expected, np.column_stack(columns), fmt="%.17g", delimiter=",")
         got = io.StringIO()
         cli._write_rows(got, columns)
-        assert got.getvalue() == expected.getvalue()
+        assert_same_text(got.getvalue(), expected.getvalue())
 
     @pytest.mark.parametrize("n_rows", [1, cli._BLOCK_ROWS, cli._BLOCK_ROWS + 1])
     def test_labels_match_the_per_event_format(self, n_rows):
@@ -357,7 +369,7 @@ class TestBlockWriter:
         expected = "".join("%s,%.17g\n" % (labels[c], x) for c, x in zip(codes, xs))
         got = io.StringIO()
         cli._write_rows(got, [codes, xs], labels)
-        assert got.getvalue() == expected
+        assert_same_text(got.getvalue(), expected)
 
     # Both neighbours of every power of ten, %g's switches between fixed
     # and exponent notation, exact 17-digit ties (which % rounds to even),
@@ -375,7 +387,7 @@ class TestBlockWriter:
         by_percent = _count_percent(monkeypatch)
         got = io.StringIO()
         cli._write_rows(got, [values, -values])
-        assert got.getvalue() == _percent_17g([values, -values])
+        assert_same_text(got.getvalue(), _percent_17g([values, -values]))
         assert "1e+17,-1e+17\n" in got.getvalue()
         assert "1234567890123456.2,-1234567890123456.2\n" in got.getvalue()
         # Only nan, inf and the exact ties (999999999999999.875 among them)
@@ -996,17 +1008,35 @@ TILT_PHASE_ROW = "experiment.tilted_kick"
 class TestVerifyCommand:
     def test_passes_on_reduced_config(self, cfg_path, capsys, monkeypatch):
         # Every detail line prints a measured value, so an ulp-level change
-        # in a transform shows here first.  Re-recorded when basis_invariance
-        # became relative to the density's peak; its line alone moved, from
-        # "max abs diff 6.94e-18" to "max rel diff 2.9e-16".  The second run
-        # puts grid block boundaries, 1000 points apart, inside every row.
+        # in a transform shows here first.  Re-recorded when inner products
+        # left BLAS for `wavepacket.inner`'s fixed-order sum; three lines
+        # moved: momentum_oracle and comb_closed_form "3.06e-13" to
+        # "3.07e-13", phase_kick "0 bins" to "1.16e-14 bins".  The second run
+        # puts grid block boundaries, 1000 points apart, inside every row,
+        # and no inner product may follow them.
         for block in (None, "grid-1000"):
             _set_block(monkeypatch, block)
             assert main(["verify", "--config", cfg_path]) == 0
             out = capsys.readouterr().out
             assert "[PASS]" in out and "0 failed" in out
             digest = hashlib.sha256(out.encode()).hexdigest()
-            assert digest == "710c2807f0e75cbcbaf7d65fc589f2deccbea557c3822732187e8d4bdb8001f0"
+            assert digest == "c3a5d0afb77b9e6488dcf91d54c7adf45f3c7d76f874fa69e8c224a5cb80123e"
+
+    def test_stdout_is_the_same_on_any_blas_thread_count(self, cfg_path):
+        # OpenBLAS splits a long dot product across its threads, which moves
+        # the last bits of the sum.  verify's inner products take no BLAS
+        # call, so its stdout is the same on one thread or two.  On a
+        # one-core host both runs use one thread and this passes trivially.
+        src = str(Path(kickscope.__file__).resolve().parents[1])
+        code = "import sys; from kickscope.cli import main; sys.exit(main(sys.argv[1:]))"
+        outs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+            argv = [sys.executable, "-c", code, "verify", "--config", cfg_path]
+            done = subprocess.run(argv, capture_output=True, text=True, timeout=120, env=env)
+            assert done.returncode == 0, done.stderr
+            outs.append(done.stdout)
+        assert outs[0] == outs[1]
 
     def test_skips_kick_checks_at_full_overlap(self, tmp_path, capsys):
         path = _write_config(tmp_path / "c1.cfg", _with(REDUCED, "detector.c = 1.0\n"))
@@ -1015,9 +1045,9 @@ class TestVerifyCommand:
         assert "0 failed" in out
         for name in ("detector_kick", "tilted_kick", "storey_bound"):
             assert f"[SKIP] experiment.{name} " in out, name
-        # Re-recorded with the REDUCED digest above, for the same one line.
+        # Re-recorded with the REDUCED digest above, for the same three lines.
         digest = hashlib.sha256(out.encode()).hexdigest()
-        assert digest == "be2b558bbe9a8546d15db70cfcc3ba48464336571986d65481df26df26a9723e"
+        assert digest == "d9d5ed9c3608f508c8d53d1e4b53abdbb0243d9dc5f9f3e2614873c82f58e54d"
 
     def test_tightened_tolerance_turns_the_suite_red(self, cfg_path, monkeypatch, capsys):
         # Injecting an unreachable tolerance must flip the exit code; this
@@ -1125,10 +1155,12 @@ def _desk(n):
 # Full-grid arrays each command may hold per grid point, counted in n-point
 # complex arrays.  The emitted pair, its screen and the grid's cell edges
 # are 4.5 of them; the rest is the largest stage's own arrays: run's two
-# slit spectra for momentum.csv, scan's comb buffer or the kick-identity
-# difference, the sampler's three cell CDFs, and verify's comb (its two
-# spectra and one buffer beside the screen).
-MEMORY_BUDGET = {"run": 7.5, "scan": 6.0, "sample": 6.5, "verify": 8.0}
+# slit spectra for momentum.csv, none for scan (its comb's two spectra are
+# freed before the screen exists, and the comb and kick-identity sums go
+# by chunk), the sampler's three cell CDFs, and verify's kick_displacement
+# row (a kicked state, its spectrum and its momentum terms).  Measured:
+# run 6.50, scan 4.49, sample 6.00 and verify 7.00.
+MEMORY_BUDGET = {"run": 7.5, "scan": 5.0, "sample": 6.5, "verify": 7.5}
 
 
 @pytest.mark.parametrize("command", MEMORY_BUDGET)

@@ -18,7 +18,8 @@ from kickscope import (
     slit_state,
     to_momentum,
 )
-from kickscope.wavepacket import WRAPAROUND_TOL, gaussian_state
+from kickscope import wavepacket
+from kickscope.wavepacket import WRAPAROUND_TOL, gaussian_state, inner
 
 # Independent closed forms, frozen:
 GAUSSIAN_OVERLAP_D1_S005 = 1.9287498479639315e-22  # exp(-1/(8*0.05^2))
@@ -244,6 +245,29 @@ class TestKicks:
         assert_allclose(
             apply_kick(psi, 3.0, hbar=1.0).density(), psi.density(), rtol=0, atol=1e-12
         )
+
+
+class TestInner:
+    def test_is_the_exact_sum_to_rounding(self):
+        # Against the exactly summed products (fsum), a sum of n terms errs
+        # by at most n*eps*sum|terms|, here with a last chunk cut short.
+        rng = np.random.default_rng(3)
+        n = 3 * wavepacket._SUM_CHUNK + 5
+        a, b = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(2))
+        terms = np.conj(a) * b
+        exact = complex(math.fsum(terms.real), math.fsum(terms.imag))
+        assert abs(inner(a, b) - exact) <= n * np.finfo(float).eps * np.abs(terms).sum()
+
+    def test_chunk_sums_added_in_order_give_the_same_bits(self):
+        # The comb and the kick-identity residual form their terms chunk by
+        # chunk and rely on this.
+        grid = GridSpec(n=4 * wavepacket._SUM_CHUNK, x_min=0.0, x_max=1.0)
+        rng = np.random.default_rng(4)
+        a, b = (rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n) for _ in range(2))
+        total = 0j
+        for lo, hi in grid.sum_chunks():
+            total += inner(a[lo:hi], b[lo:hi])
+        assert total == inner(a, b)
 
 
 class TestUnits:
