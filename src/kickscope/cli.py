@@ -20,8 +20,12 @@ edges are 4.5 of them, and each stage adds only its own result, since
 every elementwise pass over the grid runs in fixed-size blocks.  ``run``
 holds at most 7.5 arrays (``momentum.csv``'s two slit spectra are its
 largest stage), ``scan`` 5.0, ``sample`` 6.5 (three cell CDFs) and
-``verify`` 7.5 (the ``kick_displacement`` row's kicked state and its
+``verify`` 7.0 (the ``kick_displacement`` row's kicked state and its
 spectrum), beside fixed-size blocks and the interpreter.
+
+At start-up, before numpy loads, the module sets ``OPENBLAS_NUM_THREADS=1``
+unless the environment chose a BLAS thread count, so OpenBLAS starts no
+worker threads; only ``verify`` loads `kickscope.verify`.
 
 Exit codes: 0 on success, 1 when verification fails, 2 on a configuration
 or usage error (from every command, ``verify`` included) or when the
@@ -40,6 +44,16 @@ import tempfile
 from pathlib import Path
 from typing import Iterable, Sequence
 
+# OpenBLAS starts a spin-waiting worker per core while numpy loads.  No BLAS
+# call here multiplies more than 3x3 and every inner product over a grid is
+# BLAS-free (`wavepacket.inner`), so the command runs OpenBLAS on one thread
+# unless the environment chose a count.  Where numpy is already loaded, its
+# pool exists and the process is a host program's, so nothing is set.
+if "numpy" not in sys.modules and not any(
+    name in os.environ for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 import numpy as np
 
 from .config import RunConfig, default_config, load_config, parse_c_values
@@ -56,7 +70,6 @@ from .experiment import (
     screen_bins,
     screen_goodness_of_fit,
 )
-from .verify import run_suite
 
 __all__ = ["main", "cmd_run", "cmd_scan", "cmd_sample"]
 
@@ -504,6 +517,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config) if args.config else default_config()
         if args.command == "verify":
+            from .verify import run_suite  # loaded only here: no other command needs it
+
             return run_suite(cfg)
         out_dir = Path(args.out)
         if args.command == "run":

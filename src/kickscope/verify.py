@@ -271,27 +271,30 @@ def _chk_wp_kick(run: _Run, tol: float) -> tuple[bool, str]:
     # A kick by p, the phase exp(i*p*x/hbar), must move the spectral mean by
     # exactly p (the spectrum translates rigidly), for whole and fractional
     # numbers of bins alike.  The error is counted in bins, like the kick
-    # rows', so it does not scale with the unit of momentum.  The terms
-    # p*|phi|^2 and the kicked amplitudes are formed block by block, and the
-    # terms summed once over the whole grid.
+    # rows', so it does not scale with the unit of momentum.  The kicked
+    # amplitudes and the terms p*|phi|^2 are formed block by block, the
+    # kicked state is dropped once its spectrum is formed, and the terms are
+    # summed once over the whole grid.
     psi, hbar = run.pair.psi1, run.pair.units.hbar
     grid, x, boost = psi.grid, psi.grid.x, 12.25 * run.dp
 
-    def mean_momentum(state):
-        spec = to_momentum(state, hbar=hbar)
+    def kicked_spectrum(p):
+        kicked = np.empty_like(psi.amplitudes)
+        for lo, hi in grid.blocks():
+            kicked[lo:hi] = psi.amplitudes[lo:hi] * np.exp(1j * (p / hbar) * x[lo:hi])
+        return to_momentum(Wavefunction(grid, kicked), hbar=hbar)
+
+    def mean_momentum(spec):
         terms = np.empty(grid.n)
         for lo, hi in grid.blocks():
             p = grid.momenta(spec.hbar, lo, hi)
             np.multiply(p, np.abs(spec.amplitudes[lo:hi]) ** 2, out=terms[lo:hi])
         return float(np.sum(terms) * spec.dp)
 
-    mean0 = mean_momentum(psi)
+    mean0 = mean_momentum(to_momentum(psi, hbar=hbar))
     worst = 0.0
     for p in (boost, -3.0 * boost):
-        kicked = np.empty_like(psi.amplitudes)
-        for lo, hi in grid.blocks():
-            kicked[lo:hi] = psi.amplitudes[lo:hi] * np.exp(1j * (p / hbar) * x[lo:hi])
-        worst = max(worst, abs(mean_momentum(Wavefunction(grid, kicked)) - mean0 - p) / run.dp)
+        worst = max(worst, abs(mean_momentum(kicked_spectrum(p)) - mean0 - p) / run.dp)
     return worst <= tol, f"mean off by {worst:.3g} bins"
 
 
