@@ -2,7 +2,6 @@
 
 import cmath
 import errno
-import filecmp
 import functools
 import hashlib
 import io
@@ -62,6 +61,7 @@ sampling.count = 500
 # A valid grid whose spacing is wider than the two-period fringe window at
 # t = 1e-6; only the fringe estimator behind read notices.
 LATE_WINDOW = "units.t = 1e-6\ngrid.n = 4096\ngrid.x_min = -4.62\ngrid.x_max = 5.62\n"
+NINE_C = "0,0.125,0.25,0.375,0.5,0.625,0.75,0.875,1"  # scan's pins: more than 7 rows
 
 
 def _with(base: str, extra: str) -> str:
@@ -92,15 +92,6 @@ def read_summary(path):
 def assert_digests(out, golden):
     for name, digest in golden.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
-
-
-def _set_block(monkeypatch, block):
-    # None keeps both block sizes; "grid-1000" sets the grid passes' block
-    # to 1000 points, which divides no grid size; an int sets the writer's.
-    if block == "grid-1000":
-        monkeypatch.setattr(wavepacket, "_GRID_BLOCK", 1000)
-    elif block is not None:
-        monkeypatch.setattr(cli, "_BLOCK_ROWS", block)
 
 
 class TestRun:
@@ -148,21 +139,9 @@ class TestRun:
             summaries[basis] = (out / "summary.txt").read_text()
         assert len(set(summaries.values())) == 1, summaries
 
-    def test_reruns_are_byte_identical(self, tmp_path):
-        cfg_path = _write_config(tmp_path / "small.cfg", SMALL)
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert main(["run", "--config", cfg_path, "--out", str(a)]) == 0
-        assert main(["run", "--config", cfg_path, "--out", str(b)]) == 0
-        for name in ("pattern.csv", "momentum.csv", "summary.txt"):
-            assert filecmp.cmp(a / name, b / name, shallow=False)
-
-    @pytest.mark.parametrize("block", [None, 7, "grid-1000"])
-    def test_output_bytes_are_pinned(self, cfg_path, tmp_path, monkeypatch, block):
+    def test_output_bytes_are_pinned(self, cfg_path, tmp_path):
         # sha256 of the REDUCED run, recorded with the np.savetxt writer that
-        # the block writer replaced.  block = 7 puts block boundaries inside
-        # each table; "grid-1000" puts the grid passes' block boundaries, at a
-        # size that does not divide n, inside every transform and column.
-        _set_block(monkeypatch, block)
+        # the block writer replaced.  test_block_edges_move_no_byte checks blocks.
         out = tmp_path / "out"
         assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
         assert_digests(
@@ -190,13 +169,10 @@ class TestScan:
         assert np.isnan(data[2, 3])  # no interfering branches left at c = 1
         assert abs(data[1, 3] - math.pi) <= 2.0 * math.pi / (131072 * 0.005)
 
-    @pytest.mark.parametrize("block", [None, 7, "grid-1000"])
-    def test_output_bytes_are_pinned(self, cfg_path, tmp_path, monkeypatch, block):
-        # Recorded like TestRun's pins; nine rows, so block = 7 splits them.
-        _set_block(monkeypatch, block)
+    def test_output_bytes_are_pinned(self, cfg_path, tmp_path):
+        # Recorded like TestRun's pins, over nine c-values.
         out = tmp_path / "out"
-        c_values = "0,0.125,0.25,0.375,0.5,0.625,0.75,0.875,1"
-        argv = ["scan", "--config", cfg_path, "--out", str(out), "--c-values", c_values]
+        argv = ["scan", "--config", cfg_path, "--out", str(out), "--c-values", NINE_C]
         assert main(argv) == 0
         assert_digests(
             out, {"scan.csv": "1651a131cbf9a6b1e2a77abfc85bf1a153c2e28f7b751535e662f513dfef5b08"}
@@ -221,8 +197,7 @@ class TestSample:
         assert "count=2000" in summary and "seed=7" in summary
         assert "chi_square_p=" in summary
 
-    @pytest.mark.parametrize("block", [None, 7, "events-7", "grid-1000"])
-    def test_output_bytes_are_pinned(self, cfg_path, tmp_path, monkeypatch, block):
+    def test_output_bytes_are_pinned(self, cfg_path, tmp_path):
         # sha256 of the REDUCED run (seed 7, 2000 events), recorded when the
         # branches became combinations of one propagated slit pair.  Against
         # the earlier three-branch propagation every outcome and count is the
@@ -233,14 +208,7 @@ class TestSample:
         # re-recorded again when the prob= lines moved to the emitted pair's
         # Gram matrix, the one read uses: 0.25000000000007627 became
         # 0.25000000000007661, and 0.50000000000015254 became
-        # 0.50000000000015332.  block = 7 puts writer block boundaries
-        # inside the event stream; "events-7" puts sampler block boundaries
-        # inside it, and so inside the outcome counts and the fit's bins;
-        # "grid-1000" puts grid blocks inside every cell CDF.
-        if block == "events-7":
-            monkeypatch.setattr(experiment, "_SAMPLE_BLOCK", 7)
-        else:
-            _set_block(monkeypatch, block)
+        # 0.50000000000015332.
         out = tmp_path / "out"
         assert main(["sample", "--config", cfg_path, "--out", str(out)]) == 0
         assert_digests(
@@ -295,6 +263,40 @@ class TestSample:
             os.umask(old)
         for name in ("events.csv", "sample_summary.txt"):
             assert stat.S_IMODE((out / name).stat().st_mode) == 0o640, name
+
+
+# Block sizes that must not move a byte, as (module, constant, size): 7 rows
+# split every table, scan's nine rows too; 1000 points divides no grid size,
+# so grid block edges fall inside every transform, column, cell CDF and
+# verify row; 7 events split the event stream, its counts and the fit's bins.
+BLOCK_VARIANTS = [
+    (cli, "_BLOCK_ROWS", 7),
+    (wavepacket, "_GRID_BLOCK", 1000),
+    (experiment, "_SAMPLE_BLOCK", 7),
+]
+
+
+@pytest.mark.parametrize("command", ["run", "scan", "sample", "verify"])
+def test_block_edges_move_no_byte(command, tmp_path, monkeypatch, capsys):
+    # Each REDUCED pin is one run at the default sizes.  Here SMALL, whose
+    # 4096 points and 500 events fit in one default block of each kind, runs
+    # unblocked, then at each size above (a size the command does not use
+    # makes a plain rerun), and every file and the stdout must match.
+    assert min(wavepacket._GRID_BLOCK, cli._BLOCK_ROWS) >= 4096 and experiment._SAMPLE_BLOCK >= 500
+    argv = [command, "--config", _small_path(tmp_path)]
+    argv += ["--c-values", NINE_C] if command == "scan" else []
+
+    def outputs(work):  # the working directory, so every run prints the same paths
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert main(argv) == 0
+        return capsys.readouterr().out, {f.name: f.read_bytes() for f in work.iterdir()}
+
+    unblocked = outputs(tmp_path / "defaults")
+    for module, name, size in BLOCK_VARIANTS:
+        monkeypatch.setattr(module, name, size)
+        assert outputs(tmp_path / name) == unblocked, name
+        monkeypatch.undo()
 
 
 def _percent_17g(columns: list[np.ndarray]) -> str:
@@ -1006,21 +1008,18 @@ TILT_PHASE_ROW = "experiment.tilted_kick"
 
 
 class TestVerifyCommand:
-    def test_passes_on_reduced_config(self, cfg_path, capsys, monkeypatch):
+    def test_passes_on_reduced_config(self, cfg_path, capsys):
         # Every detail line prints a measured value, so an ulp-level change
         # in a transform shows here first.  Re-recorded when inner products
         # left BLAS for `wavepacket.inner`'s fixed-order sum; three lines
         # moved: momentum_oracle and comb_closed_form "3.06e-13" to
-        # "3.07e-13", phase_kick "0 bins" to "1.16e-14 bins".  The second run
-        # puts grid block boundaries, 1000 points apart, inside every row,
-        # and no inner product may follow them.
-        for block in (None, "grid-1000"):
-            _set_block(monkeypatch, block)
-            assert main(["verify", "--config", cfg_path]) == 0
-            out = capsys.readouterr().out
-            assert "[PASS]" in out and "0 failed" in out
-            digest = hashlib.sha256(out.encode()).hexdigest()
-            assert digest == "c3a5d0afb77b9e6488dcf91d54c7adf45f3c7d76f874fa69e8c224a5cb80123e"
+        # "3.07e-13", phase_kick "0 bins" to "1.16e-14 bins".  Where the grid
+        # blocks fall is checked on SMALL by test_block_edges_move_no_byte.
+        assert main(["verify", "--config", cfg_path]) == 0
+        out = capsys.readouterr().out
+        assert "[PASS]" in out and "0 failed" in out
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "c3a5d0afb77b9e6488dcf91d54c7adf45f3c7d76f874fa69e8c224a5cb80123e"
 
     def test_stdout_is_the_same_on_any_blas_thread_count(self, cfg_path):
         # OpenBLAS splits a long dot product across its threads, which moves
