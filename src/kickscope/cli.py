@@ -6,7 +6,10 @@ or into the working directory without it.  A command commits its files as
 one set: it writes all of them or, if anything fails first, none.  Outputs
 are deterministic: the same config and seed produce byte-identical files,
 and ``verify`` the same stdout, on any core count, since every inner
-product over the grid is summed in one fixed order (`wavepacket.inner`).
+product over the grid is summed in one fixed order (`wavepacket.inner`),
+and at any numpy SIMD dispatch level from AVX2 (``X86_V3``) up, since the
+slit Gaussians take numpy's complex ``exp``, whose bits do not change with
+it.  The ``X86_V2`` baseline and AArch64 were not tested.
 Every number in a CSV is the text of ``"%.17g" % value``, which reads back
 as the same float64.  The writer forms that text in numpy, in fixed blocks
 of rows, so its memory does not grow with the grid; it leaves to ``%``

@@ -142,14 +142,18 @@ class TestRun:
     def test_output_bytes_are_pinned(self, cfg_path, tmp_path):
         # sha256 of the REDUCED run, recorded with the np.savetxt writer that
         # the block writer replaced.  test_block_edges_move_no_byte checks blocks.
+        # Re-recorded when the slit Gaussian took numpy's complex exp, whose
+        # bits are the same under AVX-512 and AVX2 dispatch: the tables moved
+        # by at most 1.1e-15 of a column's peak, fringe_period by 7.8e-14 and
+        # central_fringe_shift by 4.3e-14.
         out = tmp_path / "out"
         assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
         assert_digests(
             out,
             {
-                "pattern.csv": "6d04fa7b1c3caac607fde2036852deed3757fee2850b66b14113cdb2858caad5",
-                "momentum.csv": "e0a013cf590ad308d0831863e91936b3fc7ff21e235abc7309f8e6fc1693457b",
-                "summary.txt": "79904b332576d938c2780c989809f9be54833449d0b41eb96789d36ff8f26362",
+                "pattern.csv": "cf382c8a31c54ce0380c1c6b4828b90501c380394efc834b7642fc416ed59f86",
+                "momentum.csv": "3de45073058bb5ac593aadacec2c779f36f1d49b485869ba4ba9e83a60de86e2",
+                "summary.txt": "e4417adc8923f5137e80b5888394e968744514b71421693507a60c938f6ecd6c",
             },
         )
 
@@ -170,12 +174,13 @@ class TestScan:
         assert abs(data[1, 3] - math.pi) <= 2.0 * math.pi / (131072 * 0.005)
 
     def test_output_bytes_are_pinned(self, cfg_path, tmp_path):
-        # Recorded like TestRun's pins, over nine c-values.
+        # Recorded like TestRun's pins, over nine c-values.  At the complex
+        # exp, V_measured moved by one ulp at c = 0.125, 0.625 and 0.875.
         out = tmp_path / "out"
         argv = ["scan", "--config", cfg_path, "--out", str(out), "--c-values", NINE_C]
         assert main(argv) == 0
         assert_digests(
-            out, {"scan.csv": "1651a131cbf9a6b1e2a77abfc85bf1a153c2e28f7b751535e662f513dfef5b08"}
+            out, {"scan.csv": "421a526977a755a3dd656550243d2c21d84764c35e814ef2d84bc3dee63542d0"}
         )
 
     def test_rejects_bad_c_list(self, cfg_path, tmp_path, capsys):
@@ -208,13 +213,15 @@ class TestSample:
         # re-recorded again when the prob= lines moved to the emitted pair's
         # Gram matrix, the one read uses: 0.25000000000007627 became
         # 0.25000000000007661, and 0.50000000000015254 became
-        # 0.50000000000015332.
+        # 0.50000000000015332.  events.csv was re-recorded at the complex exp
+        # of TestRun's pins: 1289 positions moved, by at most 1.0e-12, and
+        # every outcome and the summary held.
         out = tmp_path / "out"
         assert main(["sample", "--config", cfg_path, "--out", str(out)]) == 0
         assert_digests(
             out,
             {
-                "events.csv": "a22168d8ffc0dc6d19076c2b68f55cdfcd1f1151918d5c82f43d6206974bdebc",
+                "events.csv": "61fad3c19e88a60749390c2208e2eb756d6cd680b8e96397af678bd7f4591704",
                 "sample_summary.txt": "cc1bcb0258e376a7fa1b6a74c6e6f03689da8470278c56c4f97234591c4e2b5e",
             },
         )
@@ -297,6 +304,33 @@ def test_block_edges_move_no_byte(command, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(module, name, size)
         assert outputs(tmp_path / name) == unblocked, name
         monkeypatch.undo()
+
+
+def test_outputs_do_not_depend_on_numpy_simd_dispatch(tmp_path):
+    # numpy's AVX-512 and AVX2 kernels for real exp differ in the last bits;
+    # its complex exp, the FFTs and the sums do not.  Two children run every
+    # command on SMALL in their working directory: one dispatches as the host
+    # does, the other with the AVX-512 kernels disabled (X86_V3: AVX2 and
+    # FMA), and every output file and the stdout must match.  On a host
+    # without AVX-512 both dispatch the same kernels and this passes
+    # trivially; naming a feature the host lacks is a no-op.
+    code = (
+        "import sys; from kickscope.cli import main; "
+        "sys.exit(max(main([c, '--config', sys.argv[1]]) for c in sys.argv[2:]))"
+    )
+    argv = [sys.executable, "-c", code, _small_path(tmp_path), "run", "scan", "sample", "verify"]
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    env["PYTHONPATH"] = str(Path(kickscope.__file__).resolve().parents[1])
+    outputs = []
+    for disabled in ({}, {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"}):
+        work = tmp_path / str(len(outputs))
+        work.mkdir()
+        done = subprocess.run(
+            argv, cwd=work, env={**env, **disabled}, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append({"stdout": done.stdout, **{f.name: f.read_bytes() for f in work.iterdir()}})
+    assert outputs[0] == outputs[1]
 
 
 def _percent_17g(columns: list[np.ndarray]) -> str:
@@ -1013,13 +1047,15 @@ class TestVerifyCommand:
         # in a transform shows here first.  Re-recorded when inner products
         # left BLAS for `wavepacket.inner`'s fixed-order sum; three lines
         # moved: momentum_oracle and comb_closed_form "3.06e-13" to
-        # "3.07e-13", phase_kick "0 bins" to "1.16e-14 bins".  Where the grid
-        # blocks fall is checked on SMALL by test_block_edges_move_no_byte.
+        # "3.07e-13", phase_kick "0 bins" to "1.16e-14 bins".  Re-recorded at
+        # the complex exp of TestRun's pins: kick_displacement "4.55e-13" to
+        # "2.27e-13" bins, basis_invariance "2.9e-16" to "3.62e-16".  Where the
+        # grid blocks fall is checked on SMALL by test_block_edges_move_no_byte.
         assert main(["verify", "--config", cfg_path]) == 0
         out = capsys.readouterr().out
         assert "[PASS]" in out and "0 failed" in out
         digest = hashlib.sha256(out.encode()).hexdigest()
-        assert digest == "c3a5d0afb77b9e6488dcf91d54c7adf45f3c7d76f874fa69e8c224a5cb80123e"
+        assert digest == "aca7c5c97db6f32caa2693e3cb64133d21ea46e03668e8e5f13fcb261a0895cd"
 
     def test_stdout_is_the_same_on_any_blas_thread_count(self, cfg_path):
         # OpenBLAS splits a long dot product across its threads, which moves
@@ -1044,9 +1080,10 @@ class TestVerifyCommand:
         assert "0 failed" in out
         for name in ("detector_kick", "tilted_kick", "storey_bound"):
             assert f"[SKIP] experiment.{name} " in out, name
-        # Re-recorded with the REDUCED digest above, for the same three lines.
+        # Re-recorded with the REDUCED digest above; at the complex exp only
+        # kick_displacement moved.
         digest = hashlib.sha256(out.encode()).hexdigest()
-        assert digest == "d9d5ed9c3608f508c8d53d1e4b53abdbb0243d9dc5f9f3e2614873c82f58e54d"
+        assert digest == "33524d6e7198e705b61f8f05bf0a048dd917c711f774d94dad0afe91dc6832d2"
 
     def test_tightened_tolerance_turns_the_suite_red(self, cfg_path, monkeypatch, capsys):
         # Injecting an unreachable tolerance must flip the exit code; this
