@@ -351,10 +351,13 @@ def _window(pair: SlitPair, grid: GridSpec) -> tuple[float, float, int, int]:
     return lo, hi, i0, i1
 
 
-def _fringe_analysis(state: BranchState) -> tuple[float, float, float]:
+def _fringe_analysis(
+    state: BranchState, window: tuple[float, float, int, int]
+) -> tuple[float, float, float]:
     """``(visibility, fringe_period, central_fringe_shift)`` of a state on its screen.
 
-    The state's total density is formed on :func:`fringe_window` alone.
+    The state's total density is formed on ``window`` alone, the `_window`
+    of the state's pair on the grid that its screen keeps.
     Visibility is ``(I_max - I_min)/(I_max + I_min)`` from the adjacent
     extremum pair nearest the centre of the window.  When the window holds
     no interior minima (no fringes, e.g. a fully decohered state) the
@@ -365,7 +368,7 @@ def _fringe_analysis(state: BranchState) -> tuple[float, float, float]:
     pair = state.pair
     psi1, psi2 = pair.screen
     x, dx = psi1.grid.x, psi1.grid.dx
-    lo, hi, i0, i1 = _window(pair, psi1.grid)
+    lo, hi, i0, i1 = window
     xs = x[i0:i1]
     vals = _density(state.coeffs, psi1.amplitudes[i0:i1], psi2.amplitudes[i0:i1])
     center = 0.5 * (lo + hi)
@@ -479,13 +482,13 @@ def read(pair: SlitPair, detector: DetectorConfig) -> Reading:
     The kicks are read first: on a pair whose screen is not yet computed,
     the comb's two spectra are freed before the screen's two arrays exist,
     so the two never share memory.  The fringe window is
-    checked before either, on the emission grid that the screen keeps, so
+    found before either, on the emission grid that the screen keeps, so
     a config that cannot hold it fails before any transform.
     """
-    _window(pair, pair.grid)
+    window = _window(pair, pair.grid)
     sym = change_basis(assemble(pair, detector), SYMMETRIC)
     kick, phase_kick = _or_nan(relative_kick, sym), _or_nan(phase_kick_shift, sym)
-    visibility, period, shift = _fringe_analysis(sym)
+    visibility, period, shift = _fringe_analysis(sym, window)
     return Reading(
         visibility=visibility,
         fringe_period=period,

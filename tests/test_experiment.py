@@ -216,7 +216,8 @@ class TestConditionalDensity:
 
     def test_kicked_branch_is_half_period_out_of_step(self, geom, grid, units):
         state = make_state(geom, grid, units, c=0.5)
-        _, _, shift = experiment._fringe_analysis(conditional_state(state, 1))
+        window = experiment._window(state.pair, grid)
+        _, _, shift = experiment._fringe_analysis(conditional_state(state, 1), window)
         assert_allclose(abs(shift), FRINGE_PERIOD_T005 / 2.0, atol=2 * grid.dx)
 
     def test_conditioned_patterns_are_normalized(self, geom, grid, units):
@@ -237,6 +238,15 @@ class TestFringes:
         assert r.visibility >= 0.995
         assert_allclose(r.fringe_period, FRINGE_PERIOD_T005, rtol=0.02)
         assert abs(r.central_fringe_shift) <= grid.dx
+
+    def test_a_reading_finds_its_window_once(self, geom, grid, units, monkeypatch):
+        # read checks the window before any transform and reads the fringes
+        # in that same window, on the screen, which keeps the emission grid.
+        calls = []
+        real = experiment.fringe_window
+        monkeypatch.setattr(experiment, "fringe_window", lambda pair: calls.append(pair) or real(pair))
+        read(SlitPair.emit(geom, grid, units), DetectorConfig(c=0.5))
+        assert len(calls) == 1
 
     def test_rejects_malformed_window(self, geom, grid):
         # At t = 0 the far-field period is zero, so the window is empty.
