@@ -2,6 +2,7 @@
 
 import cmath
 import errno
+import filecmp
 import functools
 import hashlib
 import io
@@ -139,10 +140,22 @@ class TestRun:
             summaries[basis] = (out / "summary.txt").read_text()
         assert len(set(summaries.values())) == 1, summaries
 
-    def test_output_bytes_are_pinned(self, cfg_path, tmp_path):
+    def test_reruns_are_byte_identical(self, tmp_path):
+        cfg_path = _write_config(tmp_path / "small.cfg", SMALL)
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["run", "--config", cfg_path, "--out", str(a)]) == 0
+        assert main(["run", "--config", cfg_path, "--out", str(b)]) == 0
+        for name in ("pattern.csv", "momentum.csv", "summary.txt"):
+            assert filecmp.cmp(a / name, b / name, shallow=False)
+
+    @pytest.mark.parametrize("block", [None, "7", "grid-1000"])
+    def test_output_bytes_are_pinned(self, cfg_path, tmp_path, monkeypatch, capsys, block):
+        # A block size holds its bytes to the default-size bytes on SMALL
+        # (see assert_block_edges_move_no_byte), so REDUCED runs once.
+        if block is not None:
+            return assert_block_edges_move_no_byte(["run"], [block], tmp_path, monkeypatch, capsys)
         # sha256 of the REDUCED run, recorded with the np.savetxt writer that
-        # the block writer replaced.  test_block_edges_move_no_byte checks blocks.
-        # Re-recorded when the slit Gaussian took numpy's complex exp, whose
+        # the block writer replaced.  Re-recorded when the slit Gaussian took numpy's complex exp, whose
         # bits are the same under AVX-512 and AVX2 dispatch: the tables moved
         # by at most 1.1e-15 of a column's peak, fringe_period by 7.8e-14 and
         # central_fringe_shift by 4.3e-14.
@@ -173,7 +186,11 @@ class TestScan:
         assert np.isnan(data[2, 3])  # no interfering branches left at c = 1
         assert abs(data[1, 3] - math.pi) <= 2.0 * math.pi / (131072 * 0.005)
 
-    def test_output_bytes_are_pinned(self, cfg_path, tmp_path):
+    @pytest.mark.parametrize("block", [None, "7", "grid-1000"])
+    def test_output_bytes_are_pinned(self, cfg_path, tmp_path, monkeypatch, capsys, block):
+        if block is not None:  # as in TestRun's pins
+            argv = ["scan", "--c-values", NINE_C]
+            return assert_block_edges_move_no_byte(argv, [block], tmp_path, monkeypatch, capsys)
         # Recorded like TestRun's pins, over nine c-values.  At the complex
         # exp, V_measured moved by one ulp at c = 0.125, 0.625 and 0.875.
         out = tmp_path / "out"
@@ -202,7 +219,10 @@ class TestSample:
         assert "count=2000" in summary and "seed=7" in summary
         assert "chi_square_p=" in summary
 
-    def test_output_bytes_are_pinned(self, cfg_path, tmp_path):
+    @pytest.mark.parametrize("block", [None, "7", "events-7", "grid-1000"])
+    def test_output_bytes_are_pinned(self, cfg_path, tmp_path, monkeypatch, capsys, block):
+        if block is not None:  # as in TestRun's pins
+            return assert_block_edges_move_no_byte(["sample"], [block], tmp_path, monkeypatch, capsys)
         # sha256 of the REDUCED run (seed 7, 2000 events), recorded when the
         # branches became combinations of one propagated slit pair.  Against
         # the earlier three-branch propagation every outcome and count is the
@@ -276,22 +296,20 @@ class TestSample:
 # split every table, scan's nine rows too; 1000 points divides no grid size,
 # so grid block edges fall inside every transform, column, cell CDF and
 # verify row; 7 events split the event stream, its counts and the fit's bins.
-BLOCK_VARIANTS = [
-    (cli, "_BLOCK_ROWS", 7),
-    (wavepacket, "_GRID_BLOCK", 1000),
-    (experiment, "_SAMPLE_BLOCK", 7),
-]
+BLOCK_VARIANTS = {
+    "7": (cli, "_BLOCK_ROWS", 7),
+    "grid-1000": (wavepacket, "_GRID_BLOCK", 1000),
+    "events-7": (experiment, "_SAMPLE_BLOCK", 7),
+}
 
 
-@pytest.mark.parametrize("command", ["run", "scan", "sample", "verify"])
-def test_block_edges_move_no_byte(command, tmp_path, monkeypatch, capsys):
-    # Each REDUCED pin is one run at the default sizes.  Here SMALL, whose
-    # 4096 points and 500 events fit in one default block of each kind, runs
-    # unblocked, then at each size above (a size the command does not use
-    # makes a plain rerun), and every file and the stdout must match.
+def assert_block_edges_move_no_byte(argv, blocks, tmp_path, monkeypatch, capsys):
+    # SMALL, whose 4096 points and 500 events fit in one default block of
+    # each kind, runs unblocked, then at each named size (a size the command
+    # does not use makes a plain rerun), and every file and the stdout must
+    # match.  The REDUCED pins are one run each, at the default sizes.
     assert min(wavepacket._GRID_BLOCK, cli._BLOCK_ROWS) >= 4096 and experiment._SAMPLE_BLOCK >= 500
-    argv = [command, "--config", _small_path(tmp_path)]
-    argv += ["--c-values", NINE_C] if command == "scan" else []
+    argv = [*argv, "--config", _small_path(tmp_path)]
 
     def outputs(work):  # the working directory, so every run prints the same paths
         work.mkdir()
@@ -300,9 +318,9 @@ def test_block_edges_move_no_byte(command, tmp_path, monkeypatch, capsys):
         return capsys.readouterr().out, {f.name: f.read_bytes() for f in work.iterdir()}
 
     unblocked = outputs(tmp_path / "defaults")
-    for module, name, size in BLOCK_VARIANTS:
-        monkeypatch.setattr(module, name, size)
-        assert outputs(tmp_path / name) == unblocked, name
+    for block in blocks:
+        monkeypatch.setattr(*BLOCK_VARIANTS[block])
+        assert outputs(tmp_path / block) == unblocked, block
         monkeypatch.undo()
 
 
@@ -1050,12 +1068,16 @@ class TestVerifyCommand:
         # "3.07e-13", phase_kick "0 bins" to "1.16e-14 bins".  Re-recorded at
         # the complex exp of TestRun's pins: kick_displacement "4.55e-13" to
         # "2.27e-13" bins, basis_invariance "2.9e-16" to "3.62e-16".  Where the
-        # grid blocks fall is checked on SMALL by test_block_edges_move_no_byte.
+        # blocks fall is checked on SMALL by test_block_edges_move_no_byte.
         assert main(["verify", "--config", cfg_path]) == 0
         out = capsys.readouterr().out
         assert "[PASS]" in out and "0 failed" in out
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == "aca7c5c97db6f32caa2693e3cb64133d21ea46e03668e8e5f13fcb261a0895cd"
+
+    def test_block_edges_move_no_byte(self, tmp_path, monkeypatch, capsys):
+        blocks = list(BLOCK_VARIANTS)
+        assert_block_edges_move_no_byte(["verify"], blocks, tmp_path, monkeypatch, capsys)
 
     def test_stdout_is_the_same_on_any_blas_thread_count(self, cfg_path):
         # OpenBLAS splits a long dot product across its threads, which moves
