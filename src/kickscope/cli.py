@@ -362,12 +362,8 @@ def _write_rows(fh, columns: list[np.ndarray], labels: Sequence[str] | None = No
         fh.write(_rows_text([col[lo : lo + _BLOCK_ROWS] for col in columns], label_cells))
 
 
-def _write_table(fh, header: list[str], columns: list[np.ndarray]) -> None:
-    _write_blocks(fh, header, [columns])
-
-
 def _write_blocks(fh, header: list[str], blocks: Iterable[list[np.ndarray]]) -> None:
-    """`_write_table` for a table whose columns come one block of rows at a time."""
+    """Write ``header`` and a table whose columns come one block of rows at a time."""
     fh.write(",".join(header) + "\n")
     for columns in blocks:
         _write_rows(fh, columns)
@@ -442,7 +438,7 @@ def cmd_scan(cfg: RunConfig, out_dir: Path, c_values: list[float]) -> int:
     arr = np.array(rows)
     header = ["c", "V_measured", "F_k_branch", "p0_measured", "kick_identity_residual"]
     columns = [arr[:, i] for i in range(arr.shape[1])]
-    _commit(out_dir, {"scan.csv": lambda fh: _write_table(fh, header, columns)})
+    _commit(out_dir, {"scan.csv": lambda fh: _write_blocks(fh, header, [columns])})
     return 0
 
 

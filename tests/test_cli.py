@@ -1,8 +1,14 @@
-"""End-to-end command-line runs on small and reduced grids, plus the check suite."""
+"""End-to-end command-line runs on small and reduced grids, plus the check suite.
+
+Every command runs through `run_cli`, in this process, or through
+`conftest.run_python`, in a child.  Where several tests read one command
+on one config, a module-scoped fixture runs it once: REDUCED `run`, `scan`
+and `sample`, and each command's SMALL outputs at the default block sizes.
+"""
 
 import cmath
+import contextlib
 import errno
-import filecmp
 import functools
 import hashlib
 import io
@@ -11,24 +17,22 @@ import json
 import math
 import os
 import stat
-import subprocess
-import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
 import pytest
 from comb_oracle import apply_kick
-from conftest import traced_peak
+from conftest import run_python, traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import kickscope
 from kickscope import cli, experiment, wavepacket
 from kickscope import verify as verify_module
 from kickscope.cli import main
-from kickscope.config import load_config, parse_config_text
+from kickscope.config import parse_config_text
 from kickscope.hilbert import COMPUTATIONAL, Basis
 from kickscope.verify import _CHECKS, TOLERANCES, _Run, run_suite
 from kickscope.wavepacket import MomentumSpectrum, Wavefunction, gaussian_state
@@ -72,14 +76,42 @@ def _with(base: str, extra: str) -> str:
     return "\n".join(kept) + "\n" + extra
 
 
-def _write_config(path: Path, text: str) -> str:
-    path.write_text(text)
-    return str(path)
+class Run(NamedTuple):
+    code: int
+    out: Path  # the --out directory; verify writes none
+    stdout: str
+    stderr: str
 
 
-@pytest.fixture
-def cfg_path(tmp_path):
-    return _write_config(tmp_path / "reduced.cfg", REDUCED)
+def run_cli(
+    work: Path, command: str, text: str | None, *args: str, out: bool = True, expect: int = 0
+) -> Run:
+    """``kickscope command *args`` in this process, from the directory ``work``.
+
+    ``text`` is written to ``work/kickscope.cfg`` and passed as ``--config``
+    (None passes neither), and every command but verify gets ``--out out``
+    unless ``out`` is false.  Both paths are relative, so what a command
+    prints does not depend on ``work``.  The exit code, an argparse exit's
+    included, must be ``expect``.
+    """
+    work.mkdir(parents=True, exist_ok=True)
+    argv = [command, *args]
+    if text is not None:
+        (work / "kickscope.cfg").write_text(text)
+        argv += ["--config", "kickscope.cfg"]
+    if out and command != "verify":
+        argv += ["--out", "out"]
+    stdout, stderr, cwd = io.StringIO(), io.StringIO(), os.getcwd()
+    os.chdir(work)
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    finally:
+        os.chdir(cwd)
+    assert code == expect, stderr.getvalue()
+    return Run(code, work / "out", stdout.getvalue(), stderr.getvalue())
 
 
 def read_summary(path):
@@ -95,11 +127,72 @@ def assert_digests(out, golden):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
-class TestRun:
-    def test_writes_pattern_momentum_summary(self, cfg_path, tmp_path):
-        out = tmp_path / "out"
-        assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
+@pytest.fixture(scope="module")
+def reduced_run(tmp_path_factory):
+    """REDUCED `run` and what `cli._format_cells` formatted in it, from one run."""
+    return _run_counting_percent(tmp_path_factory.mktemp("run"), "run", REDUCED)
 
+
+@pytest.fixture(scope="module")
+def reduced_scan(tmp_path_factory):
+    return run_cli(tmp_path_factory.mktemp("scan"), "scan", REDUCED, "--c-values", NINE_C)
+
+
+@pytest.fixture(scope="module")
+def reduced_sample(tmp_path_factory):
+    """REDUCED `sample`, run once under umask 027."""
+    work, old = tmp_path_factory.mktemp("sample"), os.umask(0o027)
+    try:
+        return run_cli(work, "sample", REDUCED)
+    finally:
+        os.umask(old)
+
+
+# Each command's arguments on SMALL; nine c-values give scan more than 7 rows.
+SMALL_ARGS = {"run": (), "scan": ("--c-values", NINE_C), "sample": (), "verify": ()}
+
+
+def small_outputs(work: Path, command: str) -> tuple[str, dict[str, bytes]]:
+    """The stdout and every output file of ``command`` on SMALL, run from ``work``."""
+    run = run_cli(work, command, SMALL, *SMALL_ARGS[command])
+    files = sorted(run.out.iterdir()) if run.out.exists() else []
+    return run.stdout, {f.name: f.read_bytes() for f in files}
+
+
+@pytest.fixture(scope="module")
+def unblocked(tmp_path_factory):
+    """``unblocked(command)``: `small_outputs` at the default block sizes, once per command."""
+    return functools.cache(lambda command: small_outputs(tmp_path_factory.mktemp(command), command))
+
+
+# Block sizes that must not move a byte, as (module, constant, size): 7 rows
+# split every table, scan's nine rows too; 1000 points divides no grid size,
+# so grid block edges fall inside every transform, column, cell CDF and
+# verify row; 7 events split the event stream, its counts and the fit's bins.
+BLOCK_VARIANTS = {
+    "7": (cli, "_BLOCK_ROWS", 7),
+    "grid-1000": (wavepacket, "_GRID_BLOCK", 1000),
+    "events-7": (experiment, "_SAMPLE_BLOCK", 7),
+}
+
+
+def assert_block_edges_move_no_byte(command, blocks, tmp_path, unblocked):
+    # SMALL's 4096 points, 4096-row tables and 500 events each fit in one
+    # default block of each kind, so ``unblocked`` holds unblocked bytes.
+    # Each named size must give the same files and stdout (a size the
+    # command does not use makes a plain rerun).  The REDUCED pins are one
+    # run each, at the default sizes.
+    assert min(wavepacket._GRID_BLOCK, cli._BLOCK_ROWS) >= 4096 and experiment._SAMPLE_BLOCK >= 500
+    expected = unblocked(command)
+    for block in blocks:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(*BLOCK_VARIANTS[block])
+            assert small_outputs(tmp_path / block, command) == expected, block
+
+
+class TestRun:
+    def test_writes_pattern_momentum_summary(self, reduced_run):
+        out = reduced_run[0].out
         header = (out / "pattern.csv").read_text().splitlines()[0]
         assert header == "x,rho_total,rho_branch1,rho_branch2,rho_branch3"
         data = np.loadtxt(out / "pattern.csv", delimiter=",", skiprows=1)
@@ -121,9 +214,7 @@ class TestRun:
 
     def test_full_overlap_leaves_storey_lhs_unmeasured(self, tmp_path):
         # At c = 1 no branch is kicked, so there is no kick to bound.
-        path = _write_config(tmp_path / "c1.cfg", _with(SMALL, "detector.c = 1.0\n"))
-        out = tmp_path / "out"
-        assert main(["run", "--config", path, "--out", str(out)]) == 0
+        out = run_cli(tmp_path, "run", _with(SMALL, "detector.c = 1.0\n")).out
         summary = read_summary(out / "summary.txt")
         assert math.isnan(summary["p0_measured"]) and math.isnan(summary["storey_lhs"])
         assert summary["storey_rhs"] == 1.0 - summary["V_measured"]
@@ -132,37 +223,28 @@ class TestRun:
         # The basis picks only the branch columns of pattern.csv and
         # momentum.csv; summary.txt reads the setting in one basis.
         summaries = {}
-        for i, basis in enumerate(("symmetric", "computational", "tilted:0.9")):
+        for basis in ("symmetric", "computational", "tilted:0.9"):
             extra = f"detector.c = 0.3\ndetector.theta = 0.7\nbasis = {basis}\n"
-            path = _write_config(tmp_path / f"{i}.cfg", _with(SMALL, extra))
-            out = tmp_path / f"out{i}"
-            assert main(["run", "--config", path, "--out", str(out)]) == 0
+            out = run_cli(tmp_path / basis, "run", _with(SMALL, extra)).out
             summaries[basis] = (out / "summary.txt").read_text()
         assert len(set(summaries.values())) == 1, summaries
 
-    def test_reruns_are_byte_identical(self, tmp_path):
-        cfg_path = _write_config(tmp_path / "small.cfg", SMALL)
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert main(["run", "--config", cfg_path, "--out", str(a)]) == 0
-        assert main(["run", "--config", cfg_path, "--out", str(b)]) == 0
-        for name in ("pattern.csv", "momentum.csv", "summary.txt"):
-            assert filecmp.cmp(a / name, b / name, shallow=False)
+    def test_reruns_are_byte_identical(self, tmp_path, unblocked):
+        assert small_outputs(tmp_path, "run") == unblocked("run")
 
     @pytest.mark.parametrize("block", [None, "7", "grid-1000"])
-    def test_output_bytes_are_pinned(self, cfg_path, tmp_path, monkeypatch, capsys, block):
+    def test_output_bytes_are_pinned(self, reduced_run, unblocked, tmp_path, block):
         # A block size holds its bytes to the default-size bytes on SMALL
         # (see assert_block_edges_move_no_byte), so REDUCED runs once.
         if block is not None:
-            return assert_block_edges_move_no_byte(["run"], [block], tmp_path, monkeypatch, capsys)
+            return assert_block_edges_move_no_byte("run", [block], tmp_path, unblocked)
         # sha256 of the REDUCED run, recorded with the np.savetxt writer that
         # the block writer replaced.  Re-recorded when the slit Gaussian took numpy's complex exp, whose
         # bits are the same under AVX-512 and AVX2 dispatch: the tables moved
         # by at most 1.1e-15 of a column's peak, fringe_period by 7.8e-14 and
         # central_fringe_shift by 4.3e-14.
-        out = tmp_path / "out"
-        assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
         assert_digests(
-            out,
+            reduced_run[0].out,
             {
                 "pattern.csv": "cf382c8a31c54ce0380c1c6b4828b90501c380394efc834b7642fc416ed59f86",
                 "momentum.csv": "3de45073058bb5ac593aadacec2c779f36f1d49b485869ba4ba9e83a60de86e2",
@@ -172,57 +254,47 @@ class TestRun:
 
 
 class TestScan:
-    def test_scan_rows(self, cfg_path, tmp_path):
-        out = tmp_path / "out"
-        rc = main(
-            ["scan", "--config", cfg_path, "--out", str(out), "--c-values", "0,0.5,1"]
-        )
-        assert rc == 0
-        lines = (out / "scan.csv").read_text().splitlines()
+    def test_scan_rows(self, reduced_scan):
+        # NINE_C's first, middle and last rows: c = 0, 0.5 and 1.
+        lines = (reduced_scan.out / "scan.csv").read_text().splitlines()
         assert lines[0] == "c,V_measured,F_k_branch,p0_measured,kick_identity_residual"
-        data = np.loadtxt(out / "scan.csv", delimiter=",", skiprows=1)
+        data = np.loadtxt(reduced_scan.out / "scan.csv", delimiter=",", skiprows=1)[[0, 4, 8]]
         np.testing.assert_allclose(data[:, 0], [0.0, 0.5, 1.0], atol=0)
         np.testing.assert_allclose(data[:, 2], [0.5, 0.25, 0.0], rtol=0, atol=1e-10)
         assert np.isnan(data[2, 3])  # no interfering branches left at c = 1
         assert abs(data[1, 3] - math.pi) <= 2.0 * math.pi / (131072 * 0.005)
 
     @pytest.mark.parametrize("block", [None, "7", "grid-1000"])
-    def test_output_bytes_are_pinned(self, cfg_path, tmp_path, monkeypatch, capsys, block):
+    def test_output_bytes_are_pinned(self, reduced_scan, unblocked, tmp_path, block):
         if block is not None:  # as in TestRun's pins
-            argv = ["scan", "--c-values", NINE_C]
-            return assert_block_edges_move_no_byte(argv, [block], tmp_path, monkeypatch, capsys)
+            return assert_block_edges_move_no_byte("scan", [block], tmp_path, unblocked)
         # Recorded like TestRun's pins, over nine c-values.  At the complex
         # exp, V_measured moved by one ulp at c = 0.125, 0.625 and 0.875.
-        out = tmp_path / "out"
-        argv = ["scan", "--config", cfg_path, "--out", str(out), "--c-values", NINE_C]
-        assert main(argv) == 0
         assert_digests(
-            out, {"scan.csv": "421a526977a755a3dd656550243d2c21d84764c35e814ef2d84bc3dee63542d0"}
+            reduced_scan.out,
+            {"scan.csv": "421a526977a755a3dd656550243d2c21d84764c35e814ef2d84bc3dee63542d0"},
         )
 
-    def test_rejects_bad_c_list(self, cfg_path, tmp_path, capsys):
-        rc = main(["scan", "--config", cfg_path, "--out", str(tmp_path), "--c-values", "0,2"])
-        assert rc == 2
-        assert "outside [0, 1]" in capsys.readouterr().err
+    def test_rejects_bad_c_list(self, tmp_path):
+        run = run_cli(tmp_path, "scan", REDUCED, "--c-values", "0,2", expect=2)
+        assert "outside [0, 1]" in run.stderr
 
 
 class TestSample:
-    def test_events_and_summary(self, cfg_path, tmp_path):
-        out = tmp_path / "out"
-        assert main(["sample", "--config", cfg_path, "--out", str(out)]) == 0
-        lines = (out / "events.csv").read_text().splitlines()
+    def test_events_and_summary(self, reduced_sample):
+        lines = (reduced_sample.out / "events.csv").read_text().splitlines()
         assert lines[0] == "outcome,x"
         assert len(lines) == 2001
         labels = {line.split(",")[0] for line in lines[1:]}
         assert labels <= {"q_plus", "q_minus", "q3"}
-        summary = (out / "sample_summary.txt").read_text()
+        summary = (reduced_sample.out / "sample_summary.txt").read_text()
         assert "count=2000" in summary and "seed=7" in summary
         assert "chi_square_p=" in summary
 
     @pytest.mark.parametrize("block", [None, "7", "events-7", "grid-1000"])
-    def test_output_bytes_are_pinned(self, cfg_path, tmp_path, monkeypatch, capsys, block):
+    def test_output_bytes_are_pinned(self, reduced_sample, unblocked, tmp_path, block):
         if block is not None:  # as in TestRun's pins
-            return assert_block_edges_move_no_byte(["sample"], [block], tmp_path, monkeypatch, capsys)
+            return assert_block_edges_move_no_byte("sample", [block], tmp_path, unblocked)
         # sha256 of the REDUCED run (seed 7, 2000 events), recorded when the
         # branches became combinations of one propagated slit pair.  Against
         # the earlier three-branch propagation every outcome and count is the
@@ -236,10 +308,8 @@ class TestSample:
         # 0.50000000000015332.  events.csv was re-recorded at the complex exp
         # of TestRun's pins: 1289 positions moved, by at most 1.0e-12, and
         # every outcome and the summary held.
-        out = tmp_path / "out"
-        assert main(["sample", "--config", cfg_path, "--out", str(out)]) == 0
         assert_digests(
-            out,
+            reduced_sample.out,
             {
                 "events.csv": "61fad3c19e88a60749390c2208e2eb756d6cd680b8e96397af678bd7f4591704",
                 "sample_summary.txt": "cc1bcb0258e376a7fa1b6a74c6e6f03689da8470278c56c4f97234591c4e2b5e",
@@ -255,9 +325,8 @@ class TestSample:
             "grid.x_min = -19.98\ngrid.x_max = 20.98\ndetector.c = 0.3\n"
             "sampling.count = 2000\n"
         )
-        path, out = _write_config(tmp_path / "conftest.cfg", text), tmp_path / "out"
         for command in ("run", "sample"):
-            assert main([command, "--config", path, "--out", str(out)]) == 0
+            out = run_cli(tmp_path, command, text).out
         f_k = dict(
             line.split("=", 1) for line in (out / "summary.txt").read_text().splitlines()
         )["F_k_branch"]
@@ -275,53 +344,13 @@ class TestSample:
         peaks = []
         for count in (2**17, 2**19):
             text = _with(SMALL, f"sampling.count = {count}\n")
-            argv = ["sample", "--config", _write_config(tmp_path / f"{count}.cfg", text)]
-            code, peak = traced_peak(main, [*argv, "--out", str(tmp_path / str(count))])
-            assert code == 0
+            _, peak = traced_peak(run_cli, tmp_path / str(count), "sample", text)
             peaks.append(peak)
         assert peaks[1] - peaks[0] <= 2**19, peaks
 
-    def test_outputs_honour_the_umask(self, cfg_path, tmp_path):
-        out = tmp_path / "out"
-        old = os.umask(0o027)
-        try:
-            assert main(["sample", "--config", cfg_path, "--out", str(out)]) == 0
-        finally:
-            os.umask(old)
+    def test_outputs_honour_the_umask(self, reduced_sample):
         for name in ("events.csv", "sample_summary.txt"):
-            assert stat.S_IMODE((out / name).stat().st_mode) == 0o640, name
-
-
-# Block sizes that must not move a byte, as (module, constant, size): 7 rows
-# split every table, scan's nine rows too; 1000 points divides no grid size,
-# so grid block edges fall inside every transform, column, cell CDF and
-# verify row; 7 events split the event stream, its counts and the fit's bins.
-BLOCK_VARIANTS = {
-    "7": (cli, "_BLOCK_ROWS", 7),
-    "grid-1000": (wavepacket, "_GRID_BLOCK", 1000),
-    "events-7": (experiment, "_SAMPLE_BLOCK", 7),
-}
-
-
-def assert_block_edges_move_no_byte(argv, blocks, tmp_path, monkeypatch, capsys):
-    # SMALL, whose 4096 points and 500 events fit in one default block of
-    # each kind, runs unblocked, then at each named size (a size the command
-    # does not use makes a plain rerun), and every file and the stdout must
-    # match.  The REDUCED pins are one run each, at the default sizes.
-    assert min(wavepacket._GRID_BLOCK, cli._BLOCK_ROWS) >= 4096 and experiment._SAMPLE_BLOCK >= 500
-    argv = [*argv, "--config", _small_path(tmp_path)]
-
-    def outputs(work):  # the working directory, so every run prints the same paths
-        work.mkdir()
-        monkeypatch.chdir(work)
-        assert main(argv) == 0
-        return capsys.readouterr().out, {f.name: f.read_bytes() for f in work.iterdir()}
-
-    unblocked = outputs(tmp_path / "defaults")
-    for block in blocks:
-        monkeypatch.setattr(*BLOCK_VARIANTS[block])
-        assert outputs(tmp_path / block) == unblocked, block
-        monkeypatch.undo()
+            assert stat.S_IMODE((reduced_sample.out / name).stat().st_mode) == 0o640, name
 
 
 def test_outputs_do_not_depend_on_numpy_simd_dispatch(tmp_path):
@@ -336,16 +365,13 @@ def test_outputs_do_not_depend_on_numpy_simd_dispatch(tmp_path):
         "import sys; from kickscope.cli import main; "
         "sys.exit(max(main([c, '--config', sys.argv[1]]) for c in sys.argv[2:]))"
     )
-    argv = [sys.executable, "-c", code, _small_path(tmp_path), "run", "scan", "sample", "verify"]
-    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
-    env["PYTHONPATH"] = str(Path(kickscope.__file__).resolve().parents[1])
+    (tmp_path / "small.cfg").write_text(SMALL)
+    argv = ["-c", code, str(tmp_path / "small.cfg"), "run", "scan", "sample", "verify"]
     outputs = []
-    for disabled in ({}, {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"}):
+    for env in ({}, {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"}):
         work = tmp_path / str(len(outputs))
         work.mkdir()
-        done = subprocess.run(
-            argv, cwd=work, env={**env, **disabled}, capture_output=True, text=True, timeout=120
-        )
+        done = run_python(*argv, env=env, drop=["NPY_DISABLE_CPU_FEATURES"], cwd=work)
         assert done.returncode == 0, done.stderr
         outputs.append({"stdout": done.stdout, **{f.name: f.read_bytes() for f in work.iterdir()}})
     assert outputs[0] == outputs[1]
@@ -476,37 +502,43 @@ class TestBlockWriter:
         columns = [rng.standard_normal(self.N_ROWS) for _ in range(5)]
         stacked_nbytes = self.N_ROWS * len(columns) * 8
         with open(tmp_path / "t.csv", "w", encoding="utf-8") as fh:
-            _, peak = traced_peak(cli._write_table, fh, list("abcde"), columns)
+            _, peak = traced_peak(cli._write_blocks, fh, list("abcde"), [columns])
         assert (peak <= stacked_nbytes + 4 * 2**20) == fits, peak
 
 
-@pytest.mark.parametrize(
-    "command,extra,n_values",
-    [("run", "", 9 * 2**17), ("sample", "sampling.count = 100000\n", 10**5)],
-    ids=["run", "sample"],
-)
-def test_percent_formats_only_what_the_product_cannot(
-    tmp_path, monkeypatch, command, extra, n_values
-):
-    # Every number of pattern.csv and momentum.csv, and 10^5 event positions,
-    # reach the vectorized path; % may take only non-finite values and exact
-    # ties, and these tables hold neither.  A writer that fell back to % for
-    # every value would pass the byte pins but fail here.
-    fmt_calls = _count_percent(monkeypatch)
-    real_cells = cli._format_cells
+def _run_counting_percent(work: Path, command: str, text: str) -> tuple[Run, dict]:
+    """``run_cli``, counting what `cli._format_cells` formats and what it sends to ``%``."""
     seen = {"values": 0, "by_percent": 0, "non_finite_or_tie": 0}
+    with pytest.MonkeyPatch.context() as patch:
+        fmt_calls = _count_percent(patch)
+        real_cells = cli._format_cells
 
-    def format_cells(x):
-        before = len(fmt_calls)
-        cells = real_cells(x)
-        seen["values"] += len(x)
-        seen["by_percent"] += len(fmt_calls) - before
-        seen["non_finite_or_tie"] += np.count_nonzero(~np.isfinite(x)) + _ties(x)
-        return cells
+        def format_cells(x):
+            before = len(fmt_calls)
+            cells = real_cells(x)
+            seen["values"] += len(x)
+            seen["by_percent"] += len(fmt_calls) - before
+            seen["non_finite_or_tie"] += np.count_nonzero(~np.isfinite(x)) + _ties(x)
+            return cells
 
-    monkeypatch.setattr(cli, "_format_cells", format_cells)
-    path = _write_config(tmp_path / "reduced.cfg", _with(REDUCED, extra))
-    assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 0
+        patch.setattr(cli, "_format_cells", format_cells)
+        return run_cli(work, command, text), seen
+
+
+@pytest.mark.parametrize(
+    "command,n_values", [("run", 9 * 2**17), ("sample", 10**5)], ids=["run", "sample"]
+)
+def test_percent_formats_only_what_the_product_cannot(tmp_path, request, command, n_values):
+    # Every number of REDUCED's pattern.csv and momentum.csv (the pins' own
+    # run), and 10^5 event positions, reach the vectorized path; % may take
+    # only non-finite values and exact ties, and these tables hold neither.
+    # A writer that fell back to % for every value would pass the byte pins
+    # but fail here.
+    if command == "run":
+        _, seen = request.getfixturevalue("reduced_run")
+    else:
+        text = _with(REDUCED, "sampling.count = 100000\n")
+        _, seen = _run_counting_percent(tmp_path, command, text)
     assert seen == {"values": n_values, "by_percent": 0, "non_finite_or_tie": 0}
 
 
@@ -540,78 +572,56 @@ class TestCommitAsASet:
         ids=["run", "sample"],
     )
     def test_failed_rerun_keeps_the_previous_set(
-        self, tmp_path, monkeypatch, capsys, command, target, name
+        self, tmp_path, monkeypatch, command, target, name
     ):
-        out = tmp_path / "out"
-        cfg_path = _write_config(tmp_path / "small.cfg", SMALL)
-        assert main([command, "--config", cfg_path, "--out", str(out)]) == 0
+        out = run_cli(tmp_path, command, SMALL).out
         before = self._contents(out)
-        path = _write_config(tmp_path / "c025.cfg", _with(SMALL, "detector.c = 0.25\n"))
         monkeypatch.setattr(
             target, name, _disk_full_after_the_draw if command == "sample" else _disk_full
         )
-        capsys.readouterr()
-        assert main([command, "--config", path, "--out", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert "No space left on device" in captured.err and "wrote" not in captured.out
+        rerun = run_cli(tmp_path, command, _with(SMALL, "detector.c = 0.25\n"), expect=2)
+        assert "No space left on device" in rerun.stderr and "wrote" not in rerun.stdout
         # The same names (so no leftover .kickscope-* directory), the same bytes.
         assert sorted(p.name for p in out.iterdir()) == sorted(before)
         assert self._contents(out) == before
 
-    def test_a_directory_in_a_files_place_renames_nothing(self, tmp_path, capsys):
+    def test_a_directory_in_a_files_place_renames_nothing(self, tmp_path):
         # momentum.csv is a directory: os.replace would move pattern.csv into
         # place and then fail, leaving a mixed set.  The target is refused first.
-        out = tmp_path / "out"
-        cfg_path = _write_config(tmp_path / "small.cfg", SMALL)
-        assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
+        out = run_cli(tmp_path, "run", SMALL).out
         (out / "momentum.csv").unlink()
         (out / "momentum.csv").mkdir()
         before = {name: (out / name).read_bytes() for name in ("pattern.csv", "summary.txt")}
-        path = _write_config(tmp_path / "c025.cfg", _with(SMALL, "detector.c = 0.25\n"))
-        capsys.readouterr()
-        assert main(["run", "--config", path, "--out", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert str(out / "momentum.csv") in captured.err and "wrote" not in captured.out
+        rerun = run_cli(tmp_path, "run", _with(SMALL, "detector.c = 0.25\n"), expect=2)
+        assert "out/momentum.csv" in rerun.stderr and "wrote" not in rerun.stdout
         assert sorted(p.name for p in out.iterdir()) == ["momentum.csv", *sorted(before)]
         assert (out / "momentum.csv").is_dir()
         assert {name: (out / name).read_bytes() for name in before} == before
 
 
 class TestFailureModes:
-    def test_output_dir_key_is_unknown(self, tmp_path, monkeypatch, capsys):
+    def test_output_dir_key_is_unknown(self, tmp_path):
         # Outputs go to --out or the working directory; a config cannot
         # name a directory of its own.
-        work = tmp_path / "work"
-        work.mkdir()
-        monkeypatch.chdir(work)
-        path = _write_config(tmp_path / "cfg", REDUCED + f"output.dir = {tmp_path / 'fromcfg'}\n")
-        assert main(["run", "--config", path]) == 2
-        assert "unknown config key 'output.dir'" in capsys.readouterr().err
+        text = REDUCED + f"output.dir = {tmp_path / 'fromcfg'}\n"
+        run = run_cli(tmp_path, "run", text, out=False, expect=2)
+        assert "unknown config key 'output.dir'" in run.stderr
         assert not (tmp_path / "fromcfg").exists()
-        assert list(work.iterdir()) == []
+        assert [p.name for p in tmp_path.iterdir()] == ["kickscope.cfg"]
 
-    def test_bad_config_exits_2_with_no_outputs(self, tmp_path, capsys):
-        bad = _write_config(tmp_path / "bad.cfg", "detector.c = 1.5\n")
-        out = tmp_path / "out"
-        assert main(["run", "--config", bad, "--out", str(out)]) == 2
-        assert "error:" in capsys.readouterr().err
-        assert not out.exists()
+    def test_bad_config_exits_2_with_no_outputs(self, tmp_path):
+        run = run_cli(tmp_path, "run", "detector.c = 1.5\n", expect=2)
+        assert "error:" in run.stderr
+        assert not run.out.exists()
 
     @pytest.mark.parametrize("command", ["run", "scan", "sample", "verify"])
-    def test_no_command_takes_a_seed_flag(self, cfg_path, tmp_path, capsys, command):
+    def test_no_command_takes_a_seed_flag(self, tmp_path, command):
         # sampling.seed is the one seed: verify --config checks the events
         # that sample draws from the same file.
-        out = tmp_path / "out"
-        argv = [command, "--config", cfg_path, "--seed", "3"]
-        if command != "verify":
-            argv += ["--out", str(out)]
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("usage: kickscope")
-        assert "unrecognized arguments: --seed 3" in captured.err
-        assert captured.out == "" and not out.exists()
+        run = run_cli(tmp_path, command, REDUCED, "--seed", "3", expect=2)
+        assert run.stderr.startswith("usage: kickscope")
+        assert "unrecognized arguments: --seed 3" in run.stderr
+        assert run.stdout == "" and not run.out.exists()
 
     @pytest.mark.parametrize(
         "line,name",
@@ -621,33 +631,24 @@ class TestFailureModes:
             ("basis = tilted:nan", "angle"),
         ],
     )
-    def test_non_finite_input_exits_2_with_no_outputs(self, tmp_path, capsys, line, name):
-        path = _write_config(tmp_path / "bad.cfg", _with(REDUCED, line + "\n"))
-        out = tmp_path / "out"
-        out.mkdir()
-        assert main(["run", "--config", path, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "error:" in err and name in err and "finite" in err
-        assert list(out.iterdir()) == []
+    def test_non_finite_input_exits_2_with_no_outputs(self, tmp_path, line, name):
+        (tmp_path / "out").mkdir()
+        run = run_cli(tmp_path, "run", _with(REDUCED, line + "\n"), expect=2)
+        assert "error:" in run.stderr and name in run.stderr and "finite" in run.stderr
+        assert list(run.out.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["run", "scan", "sample", "verify"])
-    def test_repeated_key_exits_2_with_no_outputs(self, tmp_path, capsys, command):
-        path = _write_config(tmp_path / "twice.cfg", REDUCED + "detector.c = 0.25\n")
-        out = tmp_path / "out"
-        out.mkdir()
-        argv = [command, "--config", path]
-        assert main(argv if command == "verify" else argv + ["--out", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert "line 10: config key 'detector.c' repeats line 7" in captured.err
-        assert captured.out == "" and list(out.iterdir()) == []
+    def test_repeated_key_exits_2_with_no_outputs(self, tmp_path, command):
+        (tmp_path / "out").mkdir()
+        run = run_cli(tmp_path, command, REDUCED + "detector.c = 0.25\n", expect=2)
+        assert "line 10: config key 'detector.c' repeats line 7" in run.stderr
+        assert run.stdout == "" and list(run.out.iterdir()) == []
 
-    def test_late_analysis_error_exits_2_with_no_outputs(self, tmp_path, capsys):
-        path = _write_config(tmp_path / "late.cfg", _with(REDUCED, LATE_WINDOW))
-        out = tmp_path / "out"
-        out.mkdir()
-        assert main(["run", "--config", path, "--out", str(out)]) == 2
-        assert "analysis window" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+    def test_late_analysis_error_exits_2_with_no_outputs(self, tmp_path):
+        (tmp_path / "out").mkdir()
+        run = run_cli(tmp_path, "run", _with(REDUCED, LATE_WINDOW), expect=2)
+        assert "analysis window" in run.stderr
+        assert list(run.out.iterdir()) == []
 
     @pytest.mark.parametrize(
         "command,extra,keys",
@@ -662,51 +663,39 @@ class TestFailureModes:
         ids=["run-t0", "scan-t0", "verify-t0", "run-hbar", "run-coarse-grid", "sample-t0"],
     )
     def test_a_fringe_window_the_config_cannot_hold_names_its_keys(
-        self, tmp_path, capsys, command, extra, keys
+        self, tmp_path, command, extra, keys
     ):
         # The window is two far-field periods 2*pi*hbar*t/(m*d) around d/2.
         # At t = 0, or at hbar = 1e-30, where both periods round away beside
         # d/2, it has no width; on LATE_WINDOW's grid it holds one point.
         # Each fails before any output and names the keys that set it.
         # sample reads no fringes, and at t = 0 it samples the slits.
-        path = _write_config(tmp_path / "bad.cfg", _with(SMALL, extra))
-        out = tmp_path / "out"
-        argv = [command, "--config", path]
-        code = main(argv if command == "verify" else [*argv, "--out", str(out)])
-        captured = capsys.readouterr()
+        run = run_cli(tmp_path, command, _with(SMALL, extra), expect=2 if keys else 0)
         if keys is None:
-            assert code == 0
-            assert sorted(p.name for p in out.iterdir()) == ["events.csv", "sample_summary.txt"]
+            assert sorted(p.name for p in run.out.iterdir()) == ["events.csv", "sample_summary.txt"]
             return
-        assert code == 2 and captured.out == "" and not out.exists()
-        assert "analysis window (" in captured.err
-        assert ") is malformed for this grid: " in captured.err
-        assert all(key in captured.err for key in keys), captured.err
+        assert run.stdout == "" and not run.out.exists()
+        assert "analysis window (" in run.stderr
+        assert ") is malformed for this grid: " in run.stderr
+        assert all(key in run.stderr for key in keys), run.stderr
 
     @pytest.mark.parametrize("command", ["run", "scan", "sample", "verify"])
-    def test_overlapping_slits_exit_2_before_any_output(self, tmp_path, capsys, command):
+    def test_overlapping_slits_exit_2_before_any_output(self, tmp_path, command):
         # The model takes the two slit states as orthogonal, but they overlap
         # by exp(-d^2/8 sigma^2): 0.044 at sigma/d = 0.2, where the branch
         # probabilities sum to 1.022 at c = 0.5 and sample drops the excess
         # from the failure branch.
-        path = _write_config(tmp_path / "wide.cfg", _with(SMALL, "geometry.sigma = 0.2\n"))
-        out = tmp_path / "out"
-        argv = [command, "--config", path]
-        assert main(argv if command == "verify" else [*argv, "--out", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and not out.exists()
-        assert "geometry.sigma" in captured.err and "geometry.d" in captured.err, captured.err
+        run = run_cli(tmp_path, command, _with(SMALL, "geometry.sigma = 0.2\n"), expect=2)
+        assert run.stdout == "" and not run.out.exists()
+        assert "geometry.sigma" in run.stderr and "geometry.d" in run.stderr, run.stderr
 
-    def test_sample_without_headroom_exits_2_with_no_out_dir(self, tmp_path, capsys):
+    def test_sample_without_headroom_exits_2_with_no_out_dir(self, tmp_path):
         # Ten events are too few for the fit, so only the sampler reads the
         # screen; it reads it on the call, before any output.
         text = _with(REDUCED, "grid.x_min = -5\ngrid.x_max = 6\nsampling.count = 10\n")
-        out = tmp_path / "out"
-        argv = ["sample", "--config", _write_config(tmp_path / "bad.cfg", text)]
-        assert main([*argv, "--out", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert "error:" in captured.err and "wraparound" in captured.err
-        assert captured.out == "" and not out.exists()
+        run = run_cli(tmp_path, "sample", text, expect=2)
+        assert "error:" in run.stderr and "wraparound" in run.stderr
+        assert run.stdout == "" and not run.out.exists()
 
     @pytest.mark.parametrize(
         "text,cause",
@@ -718,75 +707,86 @@ class TestFailureModes:
         ],
         ids=["coarse", "headroom", "window"],
     )
-    def test_verify_config_error_exits_2(self, tmp_path, capsys, text, cause):
+    def test_verify_config_error_exits_2(self, tmp_path, text, cause):
         # A config no check can run on is a usage error, as in run and scan,
         # not a table of failed checks.
-        path = _write_config(tmp_path / "bad.cfg", text)
-        assert main(["verify", "--config", path]) == 2
-        captured = capsys.readouterr()
-        assert "error:" in captured.err and cause in captured.err
-        assert captured.out == ""
+        run = run_cli(tmp_path, "verify", text, expect=2)
+        assert "error:" in run.stderr and cause in run.stderr
+        assert run.stdout == ""
 
     @pytest.mark.parametrize("command", ["run", "verify"])
     def test_unallocatable_grid_exits_2(self, tmp_path, command):
         # 2^40 points pass validation but need terabytes.  The child caps its
         # own address space at 3 GB before it imports anything, so the
         # allocation fails at once whatever the machine's overcommit policy.
-        path = _write_config(tmp_path / "huge.cfg", "grid.n = 1099511627776\n")
-        out = tmp_path / "out"
+        (tmp_path / "huge.cfg").write_text("grid.n = 1099511627776\n")
         code = (
             "import resource, sys; "
             "hard = resource.getrlimit(resource.RLIMIT_AS)[1]; "
             "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, hard)); "
             "from kickscope.cli import main; sys.exit(main(sys.argv[1:]))"
         )
-        argv = [sys.executable, "-c", code, command, "--config", path]
-        if command == "run":
-            argv += ["--out", str(out)]
-        src = str(Path(kickscope.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
-        done = subprocess.run(argv, capture_output=True, text=True, timeout=120, env=env)
+        out = ["--out", "out"] if command == "run" else []
+        done = run_python(
+            "-c", code, command, "--config", "huge.cfg", *out,
+            env={"OPENBLAS_NUM_THREADS": "1"}, cwd=tmp_path,
+        )
         assert done.returncode == 2, done.stderr
         assert done.stderr.startswith("error: out of memory") and "grid.n" in done.stderr
         assert len(done.stderr.splitlines()) == 1
         assert done.stdout == ""
-        assert not out.exists()
+        assert not (tmp_path / "out").exists()
 
-    def test_unknown_key_reports_line(self, tmp_path, capsys):
-        bad = _write_config(tmp_path / "bad.cfg", "# comment\ngrid.m = 4\n")
-        assert main(["run", "--config", bad]) == 2
-        assert "line 2" in capsys.readouterr().err
+    def test_unknown_key_reports_line(self, tmp_path):
+        run = run_cli(tmp_path, "run", "# comment\ngrid.m = 4\n", expect=2)
+        assert "line 2" in run.stderr
 
-    def test_missing_config_file(self, tmp_path, capsys):
-        assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
-        assert "cannot read" in capsys.readouterr().err
+    def test_missing_config_file(self, tmp_path):
+        run = run_cli(tmp_path, "run", None, "--config", "nope.cfg", expect=2)
+        assert "cannot read" in run.stderr
+
+
+# One child imports the command, then runs each command on SMALL from its
+# working directory, and prints each step's exit code, stdout and the scipy
+# modules loaded by the step's end.
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+from kickscope.cli import main
+
+def step(code, stdout):
+    return [code, stdout, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]
+
+report = {"import": step(0, "")}
+for command in ("run", "scan", "sample", "verify"):
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        code = main([command, "--config", "small.cfg"])
+    report[command] = step(code, stdout.getvalue())
+print(json.dumps(report))
+"""
+
+
+@pytest.fixture(scope="module")
+def scipy_probe(tmp_path_factory):
+    work = tmp_path_factory.mktemp("scipy")
+    (work / "small.cfg").write_text(SMALL)
+    done = run_python("-c", _SCIPY_PROBE, cwd=work)
+    assert done.returncode == 0, done.stderr
+    return work, json.loads(done.stdout)
 
 
 @pytest.mark.parametrize("command", ["import", "run", "scan", "sample", "verify"])
-def test_scipy_stays_off_the_command_path(command, tmp_path):
+def test_scipy_stays_off_the_command_path(command, scipy_probe):
     # Transforms use numpy.fft and the chi-square p-value is a finite sum,
-    # so no command loads any part of scipy.
-    path = _write_config(tmp_path / "small.cfg", SMALL)
-    code = (
-        "import json, sys; sys.path.insert(0, sys.argv.pop(1)); from kickscope.cli import main; "
-        "rc = main(sys.argv[1:]) if len(sys.argv) > 1 else 0; "
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')), "
-        "file=sys.stderr); "
-        "sys.exit(rc)"
-    )
-    src = str(Path(kickscope.__file__).resolve().parents[1])
-    argv = [sys.executable, "-c", code, src]
-    if command == "verify":
-        argv += [command, "--config", path]
-    elif command != "import":
-        argv += [command, "--config", path, "--out", str(tmp_path / "out")]
-    done = subprocess.run(argv, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
+    # so no command loads any part of scipy.  The probe's steps run in this
+    # order in one child, so each id's list also holds what earlier steps loaded.
+    work, report = scipy_probe
+    code, stdout, scipy = report[command]
+    assert code == 0
     if command == "sample":
-        assert "chi_square_p=" in (tmp_path / "out" / "sample_summary.txt").read_text()
+        assert "chi_square_p=" in (work / "sample_summary.txt").read_text()
     if command == "verify":
-        assert "[PASS] experiment.sampler_gof " in done.stdout
-    assert json.loads(done.stderr.splitlines()[-1]) == []
+        assert "[PASS] experiment.sampler_gof " in stdout
+    assert scipy == []
 
 
 def _scale_beta(real, cfg):
@@ -1060,7 +1060,7 @@ TILT_PHASE_ROW = "experiment.tilted_kick"
 
 
 class TestVerifyCommand:
-    def test_passes_on_reduced_config(self, cfg_path, capsys):
+    def test_passes_on_reduced_config(self, tmp_path):
         # Every detail line prints a measured value, so an ulp-level change
         # in a transform shows here first.  Re-recorded when inner products
         # left BLAS for `wavepacket.inner`'s fixed-order sum; three lines
@@ -1069,36 +1069,36 @@ class TestVerifyCommand:
         # the complex exp of TestRun's pins: kick_displacement "4.55e-13" to
         # "2.27e-13" bins, basis_invariance "2.9e-16" to "3.62e-16".  Where the
         # blocks fall is checked on SMALL by test_block_edges_move_no_byte.
-        assert main(["verify", "--config", cfg_path]) == 0
-        out = capsys.readouterr().out
+        out = run_cli(tmp_path, "verify", REDUCED).stdout
         assert "[PASS]" in out and "0 failed" in out
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == "aca7c5c97db6f32caa2693e3cb64133d21ea46e03668e8e5f13fcb261a0895cd"
 
-    def test_block_edges_move_no_byte(self, tmp_path, monkeypatch, capsys):
-        blocks = list(BLOCK_VARIANTS)
-        assert_block_edges_move_no_byte(["verify"], blocks, tmp_path, monkeypatch, capsys)
+    def test_block_edges_move_no_byte(self, tmp_path, unblocked):
+        assert_block_edges_move_no_byte("verify", list(BLOCK_VARIANTS), tmp_path, unblocked)
 
-    def test_stdout_is_the_same_on_any_blas_thread_count(self, cfg_path):
+    def test_stdout_is_the_same_on_any_blas_thread_count(self, tmp_path):
         # OpenBLAS splits a long dot product across its threads, which moves
         # the last bits of the sum.  verify's inner products take no BLAS
-        # call, so its stdout is the same on one thread or two.  On a
-        # one-core host both runs use one thread and this passes trivially.
-        src = str(Path(kickscope.__file__).resolve().parents[1])
+        # call, so its stdout is the same on one thread or two.  It runs
+        # REDUCED, because OpenBLAS splits only long vectors: with numpy
+        # 2.4.6 on 2 cores, np.vdot's bits differed between one thread and
+        # two at 16,384 and 131,072 points, but not at 4,096 or 8,192, so
+        # SMALL's 4096 points would pass a BLAS dot.  With wavepacket.inner
+        # replaced by np.vdot this fails on REDUCED.  On a one-core host both
+        # runs use one thread and this passes trivially.
+        (tmp_path / "reduced.cfg").write_text(REDUCED)
         code = "import sys; from kickscope.cli import main; sys.exit(main(sys.argv[1:]))"
         outs = []
         for threads in ("1", "2"):
-            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
-            argv = [sys.executable, "-c", code, "verify", "--config", cfg_path]
-            done = subprocess.run(argv, capture_output=True, text=True, timeout=120, env=env)
+            argv = ["-c", code, "verify", "--config", str(tmp_path / "reduced.cfg")]
+            done = run_python(*argv, env={"OPENBLAS_NUM_THREADS": threads})
             assert done.returncode == 0, done.stderr
             outs.append(done.stdout)
         assert outs[0] == outs[1]
 
-    def test_skips_kick_checks_at_full_overlap(self, tmp_path, capsys):
-        path = _write_config(tmp_path / "c1.cfg", _with(REDUCED, "detector.c = 1.0\n"))
-        assert main(["verify", "--config", path]) == 0
-        out = capsys.readouterr().out
+    def test_skips_kick_checks_at_full_overlap(self, tmp_path):
+        out = run_cli(tmp_path, "verify", _with(REDUCED, "detector.c = 1.0\n")).stdout
         assert "0 failed" in out
         for name in ("detector_kick", "tilted_kick", "storey_bound"):
             assert f"[SKIP] experiment.{name} " in out, name
@@ -1107,22 +1107,21 @@ class TestVerifyCommand:
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == "33524d6e7198e705b61f8f05bf0a048dd917c711f774d94dad0afe91dc6832d2"
 
-    def test_tightened_tolerance_turns_the_suite_red(self, cfg_path, monkeypatch, capsys):
+    def test_tightened_tolerance_turns_the_suite_red(self, monkeypatch, capsys):
         # Injecting an unreachable tolerance must flip the exit code; this
         # guards against the suite passing vacuously.
         monkeypatch.setitem(TOLERANCES, "experiment.visibility_law", 1e-6)
-        assert run_suite(load_config(cfg_path)) == 1
+        assert run_suite(parse_config_text(REDUCED)) == 1
         assert "[FAIL] experiment.visibility_law" in capsys.readouterr().out
 
-    def test_a_raising_check_is_a_fail_row(self, cfg_path, monkeypatch, capsys):
+    def test_a_raising_check_is_a_fail_row(self, tmp_path, monkeypatch):
         # An error inside one check fails that check's row; the rest of the
         # table still runs.  The four kick rows call relative_kick.
         def broken(*args):
             raise RuntimeError("no comb today")
 
         monkeypatch.setattr(verify_module, "relative_kick", broken)
-        assert main(["verify", "--config", cfg_path]) == 1
-        *rows, tally = capsys.readouterr().out.splitlines()
+        *rows, tally = run_cli(tmp_path, "verify", REDUCED, expect=1).stdout.splitlines()
         status = {row[7:].split()[0]: (row[1:5], row[7:].split(None, 1)[1]) for row in rows}
         assert list(status) == list(TOLERANCES)
         kicks = {
@@ -1137,9 +1136,7 @@ class TestVerifyCommand:
         assert tally == "21 passed, 4 failed, 0 skipped"
 
     @pytest.mark.parametrize("error, at_one_bin", [(1e-6, "FAIL"), (-1e-6, "PASS")])
-    def test_tilt_phase_defect_turns_tilted_kick_red(
-        self, cfg_path, monkeypatch, error, at_one_bin
-    ):
+    def test_tilt_phase_defect_turns_tilted_kick_red(self, monkeypatch, error, at_one_bin):
         # A 1e-6 rad error in the q- row's tilt phase moves the relative
         # kick by about 3e-4 momentum bins on this grid.  Outward it carries
         # the half-fringe kick past p0, where it reads as -p0 + 3e-4 bins;
@@ -1155,15 +1152,15 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(Basis, "matrix_from_computational", defective)
         check = dict(_CHECKS)[TILT_PHASE_ROW]
-        run = _Run(load_config(cfg_path))
+        run = _Run(parse_config_text(REDUCED))
         assert check(run, TOLERANCES[TILT_PHASE_ROW]).status == "FAIL"
         assert check(run, 1.0).status == at_one_bin
 
 
     @pytest.mark.parametrize("defect", DEFECTS)
-    def test_planted_defect_turns_its_checks_red(self, cfg_path, monkeypatch, defect):
+    def test_planted_defect_turns_its_checks_red(self, monkeypatch, defect):
         owners, name, plant, names = DEFECTS[defect]
-        cfg = load_config(cfg_path)
+        cfg = parse_config_text(REDUCED)
         for owner in owners:
             monkeypatch.setattr(owner, name, plant(getattr(owner, name), cfg))
         checks, run = dict(_CHECKS), _Run(cfg)
@@ -1234,12 +1231,8 @@ def test_memory_per_grid_point_is_within_budget(command, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_write_rows", lambda fh, columns, labels=None: None)
     peaks = {}
     for n, traced in ((2**17, False), (2**16, True), (2**17, True)):
-        argv = [command, "--config", _write_config(tmp_path / f"{n}.cfg", _desk(n))]
-        if command != "verify":
-            argv += ["--out", str(tmp_path / "out")]
-        code, peak = traced_peak(main, argv) if traced else (main(argv), None)
-        assert code == 0
-        peaks[n] = peak
+        args = (tmp_path, command, _desk(n))
+        _, peaks[n] = traced_peak(run_cli, *args) if traced else (run_cli(*args), None)
     arrays = (peaks[2**17] - peaks[2**16]) / 2**20
     assert arrays <= MEMORY_BUDGET[command], f"{arrays:.2f} arrays"
 
@@ -1252,26 +1245,18 @@ def _count_calls(calls, name, real):
     return wrapper
 
 
-def _small_path(tmp_path):
-    return _write_config(tmp_path / "small.cfg", SMALL)
-
-
-_SCAN = ["scan", "--c-values", "0,0.25,0.5,0.75,1"]
-
-
 def test_scan_and_verify_propagate_the_slit_pair_once(tmp_path, monkeypatch):
     # Every c shares one slit pair, so scan propagates two states however
-    # many c-values it sweeps, and so does verify: propagator_agreement
-    # compares the closed form with that same propagated pair.
+    # many c-values it sweeps (five by default), and so does verify:
+    # propagator_agreement compares the closed form with that same pair.
     calls = []
     fft = _count_calls(calls, "propagate_fft", experiment.propagate_fft)
     monkeypatch.setattr(experiment, "propagate_fft", fft)
     monkeypatch.setattr(verify_module, "propagate_fft", fft, raising=False)
-    path = _small_path(tmp_path)
-    for argv in ([*_SCAN, "--out", str(tmp_path / "out")], ["verify"]):
+    for command in ("scan", "verify"):
         calls.clear()
-        assert main([*argv, "--config", path]) == 0
-        assert len(calls) == 2, argv[0]
+        run_cli(tmp_path, command, SMALL)
+        assert len(calls) == 2, command
 
 
 def test_kick_analysis_transforms_the_slit_pair_once(tmp_path, monkeypatch):
@@ -1281,15 +1266,10 @@ def test_kick_analysis_transforms_the_slit_pair_once(tmp_path, monkeypatch):
     calls = []
     real = experiment.to_momentum
     monkeypatch.setattr(experiment, "to_momentum", _count_calls(calls, "to_momentum", real))
-    path, out = _small_path(tmp_path), str(tmp_path / "out")
-    for argv, count in (
-        ([*_SCAN, "--out", out], 2),
-        (["verify"], 2),
-        (["run", "--out", out], 4),
-    ):
+    for command, count in (("scan", 2), ("verify", 2), ("run", 4)):
         calls.clear()
-        assert main([*argv, "--config", path]) == 0
-        assert len(calls) == count, argv[0]
+        run_cli(tmp_path, command, SMALL)
+        assert len(calls) == count, command
 
 
 def test_scan_computes_the_kick_identity_residual_once(tmp_path, monkeypatch):
@@ -1298,22 +1278,20 @@ def test_scan_computes_the_kick_identity_residual_once(tmp_path, monkeypatch):
     residual = functools.cached_property(_count_calls(calls, "kick_identity_residual", real))
     residual.__set_name__(experiment.SlitPair, "kick_identity_residual")
     monkeypatch.setattr(experiment.SlitPair, "kick_identity_residual", residual)
-    argv = [*_SCAN, "--out", str(tmp_path / "out"), "--config", _small_path(tmp_path)]
-    assert main(argv) == 0
+    run_cli(tmp_path, "scan", SMALL)
     assert len(calls) == 1
 
 
 def test_scan_computes_each_visibility_once(tmp_path, monkeypatch):
-    # One fringe analysis per c, five c.
+    # One fringe analysis per c, scan's five default c-values.
     calls = []
     analysis = _count_calls(calls, "_fringe_analysis", experiment._fringe_analysis)
     monkeypatch.setattr(experiment, "_fringe_analysis", analysis)
-    argv = [*_SCAN, "--out", str(tmp_path / "out"), "--config", _small_path(tmp_path)]
-    assert main(argv) == 0
+    run_cli(tmp_path, "scan", SMALL)
     assert len(calls) == 5
 
 
-def test_kick_displacement_transforms_the_unkicked_state_once(cfg_path, monkeypatch):
+def test_kick_displacement_transforms_the_unkicked_state_once(monkeypatch):
     calls = []
     real = verify_module.to_momentum
 
@@ -1324,7 +1302,7 @@ def test_kick_displacement_transforms_the_unkicked_state_once(cfg_path, monkeypa
     monkeypatch.setattr(verify_module, "to_momentum", counting)
     check = dict(_CHECKS)["wavepacket.kick_displacement"]
     tol = TOLERANCES["wavepacket.kick_displacement"]
-    assert check(_Run(load_config(cfg_path)), tol).status == "PASS"
+    assert check(_Run(parse_config_text(REDUCED)), tol).status == "PASS"
     assert len(calls) == 3  # the unkicked state and one per boost
 
 

@@ -2,17 +2,12 @@
 
 import hashlib
 import math
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
-
-import kickscope
+from conftest import run_python
 
 ROOT = Path(__file__).resolve().parents[1]
-SRC = Path(kickscope.__file__).resolve().parents[1]
 
 
 # Each demo with its arguments, one line it must print, and the sha256 of
@@ -45,15 +40,7 @@ DEMOS = {
 @pytest.mark.parametrize("demo", DEMOS)
 def test_demo_runs(demo):
     args, line, digest = DEMOS[demo]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / f"{demo}.py"), *args],
-        capture_output=True,
-        text=True,
-        timeout=300,
-        env=env,
-    )
+    done = run_python(str(ROOT / "demos" / f"{demo}.py"), *args)
     assert done.returncode == 0, done.stderr
     assert line in done.stdout.splitlines()
     assert hashlib.sha256(done.stdout.encode()).hexdigest() == digest

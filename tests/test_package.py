@@ -65,19 +65,32 @@ def test_every_public_name_is_used_outside_the_tests():
     assert unused == set(USED_ONLY_BY_TESTS)
 
 
+def _imports(path: Path) -> set[str]:
+    """The top-level names of the modules that ``path`` imports absolutely."""
+    modules = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module)
+    return {m.split(".")[0] for m in modules}
+
+
 def test_tests_and_demos_import_only_declared_modules():
     # The standard library, the declared dependencies and the modules in
     # tests/ are all a test or demo may import.
     tests = sorted((ROOT / "tests").glob("*.py"))
     allowed = set(sys.stdlib_module_names) | DECLARED_IMPORTS | {path.stem for path in tests}
-    stray = set()
-    for path in tests + sorted((ROOT / "demos").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                modules = [node.module]
-            else:
-                continue
-            stray |= {(path.name, m) for m in modules if m.split(".")[0] not in allowed}
+    stray = {
+        (path.name, m)
+        for path in tests + sorted((ROOT / "demos").glob("*.py"))
+        for m in _imports(path) - allowed
+    }
     assert stray == set()
+
+
+def test_only_conftest_starts_child_processes():
+    # conftest.run_python is the one place that sets a child's interpreter,
+    # PYTHONPATH, environment and timeout.
+    tests = sorted((ROOT / "tests").glob("*.py"))
+    assert [path.name for path in tests if "subprocess" in _imports(path)] == ["conftest.py"]

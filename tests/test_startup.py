@@ -1,16 +1,10 @@
 """What starting the ``kickscope`` command sets up, each case in a fresh interpreter."""
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
+from conftest import run_python
 
-import kickscope
-
-SRC = str(Path(kickscope.__file__).resolve().parents[1])
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 # Printed after the snippet under test: the thread variables as the process
@@ -29,32 +23,31 @@ print(json.dumps({
 def _start(snippet, **env):
     # The thread variables are removed from the inherited environment, so
     # only those a case sets are seen.
-    base = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
-    base.update(env, PYTHONPATH=SRC)
-    done = subprocess.run(
-        [sys.executable, "-c", snippet + "\n" + _REPORT],
-        capture_output=True, text=True, timeout=60, env=base,
-    )
+    done = run_python("-c", snippet + "\n" + _REPORT, env=env, drop=THREAD_VARS)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
 
 
-def test_the_command_runs_openblas_on_one_thread():
-    report = _start("import kickscope.cli")
-    assert report["env"] == {"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": None,
-                             "OMP_NUM_THREADS": None}
-    assert "numpy" in report["modules"]
+@pytest.fixture(scope="module")
+def command_report():
+    """One fresh ``import kickscope.cli``, read by the three cases below."""
+    return _start("import kickscope.cli")
 
 
-def test_the_command_starts_no_thread():
-    report = _start("import kickscope.cli")
-    if report["threads"] is None:
+def test_the_command_runs_openblas_on_one_thread(command_report):
+    assert command_report["env"] == {"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": None,
+                                     "OMP_NUM_THREADS": None}
+    assert "numpy" in command_report["modules"]
+
+
+def test_the_command_starts_no_thread(command_report):
+    if command_report["threads"] is None:
         pytest.skip("no /proc/self/task to count threads in")
-    assert report["threads"] == 1
+    assert command_report["threads"] == 1
 
 
-def test_the_command_loads_verify_only_to_run_it():
-    assert "kickscope.verify" not in _start("import kickscope.cli")["modules"]
+def test_the_command_loads_verify_only_to_run_it(command_report):
+    assert "kickscope.verify" not in command_report["modules"]
 
 
 @pytest.mark.parametrize("name", THREAD_VARS)
