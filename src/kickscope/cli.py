@@ -18,13 +18,17 @@ only inf, nan and the values within 1e-9 of a 17-digit rounding tie.
 a time, so its memory is one block, whatever ``sampling.count``.
 
 Memory grows with the grid ``n`` alone, counted in arrays of ``n`` complex
-values (``16*n`` bytes).  The slit pair, its screen and the grid's cell
-edges are 4.5 of them, and each stage adds only its own result, since
-every elementwise pass over the grid runs in fixed-size blocks.  ``run``
-holds at most 7.5 arrays (``momentum.csv``'s two slit spectra are its
-largest stage), ``scan`` 5.0, ``sample`` 6.5 (three cell CDFs) and
-``verify`` 7.0 (the ``kick_displacement`` row's kicked state and its
-spectrum), beside fixed-size blocks and the interpreter.
+values (``16*n`` bytes).  The slit pair and its screen are 4 of them, and
+each stage adds only its own result, since every elementwise pass over
+the grid runs in fixed-size blocks.  The emitted slits are written only
+on their support, the blocks where the Gaussian is not exactly zero, so
+RSS counts only those pages of them: a few blocks for a slit much
+narrower than the box.  The grid's cell edges, half an array, exist only
+where sampling reads them.  ``run`` holds at most 7.0 arrays
+(``momentum.csv``'s two slit spectra are its largest stage), ``scan``
+4.5, ``sample`` 6.5 (the cell edges and three cell CDFs) and ``verify``
+6.5 (the ``kick_displacement`` row's kicked state and its spectrum),
+beside fixed-size blocks and the interpreter.
 
 At start-up, before numpy loads, the module sets ``OPENBLAS_NUM_THREADS=1``
 unless the environment chose a BLAS thread count, so OpenBLAS starts no
@@ -404,7 +408,7 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
         _write_blocks(
             fh,
             ["x", "rho_total", "rho_branch1", "rho_branch2", "rho_branch3"],
-            ([grid.x[lo:hi], rho[0] + rho[1] + rho[2], *rho] for (lo, hi), *rho in branches),
+            ([grid.points(lo, hi), rho[0] + rho[1] + rho[2], *rho] for (lo, hi), *rho in branches),
         )
 
     def write_momentum(fh) -> None:

@@ -118,11 +118,27 @@ class SlitPair:
     def grid(self) -> GridSpec:
         return self.psi1.grid
 
+    def _live_chunks(self) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+        """``(lo, hi, psi1[lo:hi], psi2[lo:hi])`` for `inner`'s chunks, in its order.
+
+        A chunk where both slits are all zero is left out: it adds zero to
+        every chunk-summed product of the two, which leaves `inner`'s
+        running sum the same bit for bit.
+        """
+        psi1, psi2 = self.psi1.amplitudes, self.psi2.amplitudes
+        for lo, hi in self.grid.sum_chunks():
+            p1, p2 = psi1[lo:hi], psi2[lo:hi]
+            if p1.any() or p2.any():
+                yield lo, hi, p1, p2
+
     @cached_property
     def gram(self) -> np.ndarray:
-        """The 2x2 overlap matrix ``<psi_i|psi_j> dx``."""
-        a, b = self.psi1.amplitudes, self.psi2.amplitudes
-        g = np.array([[inner(a, a), inner(a, b)], [inner(b, a), inner(b, b)]])
+        """The 2x2 overlap matrix ``<psi_i|psi_j> dx``, each entry summed in `inner`'s order."""
+        g = np.zeros((2, 2), dtype=np.complex128)
+        for _, _, *chunks in self._live_chunks():
+            for i, u in enumerate(chunks):
+                for j, v in enumerate(chunks):
+                    g[i, j] += inner(u, v)
         g *= self.grid.dx
         g.setflags(write=False)  # shared by every state built on the pair
         return g
@@ -173,12 +189,10 @@ class SlitPair:
         the residual scales like ``pi*sigma/d``; it vanishes only in the
         zero-width limit.
         """
-        psi1, psi2, x = self.psi1.amplitudes, self.psi2.amplitudes, self.grid.x
         s = 1.0 / math.sqrt(2.0)
         squared = 0j
-        for lo, hi in self.grid.sum_chunks():
-            p1, p2 = psi1[lo:hi], psi2[lo:hi]
-            phase = np.exp(1j * math.pi * x[lo:hi] / self.geom.d)
+        for lo, hi, p1, p2 in self._live_chunks():
+            phase = np.exp(1j * math.pi * self.grid.points(lo, hi) / self.geom.d)
             diff = s * (p1 - p2) - phase * s * (p1 + p2)
             squared += inner(diff, diff)
         return float(math.sqrt(squared.real * self.grid.dx))
@@ -321,6 +335,25 @@ def _refine_extremum(x: np.ndarray, v: np.ndarray, i: int, dx: float) -> tuple[f
     return float(x[i] + delta * dx), float(v0 - 0.25 * (vm - vp) * delta)
 
 
+def _search(grid: GridSpec, value: float, side: str) -> int:
+    """``np.searchsorted(grid.x, value, side)``, without forming ``grid.x``.
+
+    The same bisection over the sorted points, each formed by
+    `GridSpec.points`.  NaN sorts after every point, as in numpy.
+    """
+    if math.isnan(value):
+        return grid.n
+    lo, hi = 0, grid.n
+    while lo < hi:
+        mid = (lo + hi) // 2
+        x = grid.points(mid, mid + 1)[0]
+        if x < value or (side == "right" and x == value):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
 def _window(pair: SlitPair, grid: GridSpec) -> tuple[float, float, int, int]:
     """``(lo, hi, i0, i1)``: :func:`fringe_window` and the indices of ``grid``'s points in it.
 
@@ -333,9 +366,8 @@ def _window(pair: SlitPair, grid: GridSpec) -> tuple[float, float, int, int]:
         window has a width but too few grid points in it.
     """
     lo, hi = fringe_window(pair)
-    x = grid.x
     # The points lo <= x <= hi of the sorted grid.
-    i0, i1 = int(np.searchsorted(x, lo, "left")), int(np.searchsorted(x, hi, "right"))
+    i0, i1 = _search(grid, lo, "left"), _search(grid, hi, "right")
     width_keys = "units.t, units.hbar, units.mass and geometry.d"
     if lo >= hi:
         raise ConfigurationError(
@@ -349,6 +381,16 @@ def _window(pair: SlitPair, grid: GridSpec) -> tuple[float, float, int, int]:
             "grid.n, grid.x_min and grid.x_max, which set its points"
         )
     return lo, hi, i0, i1
+
+
+def _median(values: list[float]) -> float:
+    """``np.median(values)`` bit for bit, without the ``numpy.ma`` import it brings.
+
+    The middle value, or the mean ``(a + b)/2`` of the middle two, as numpy takes it.
+    """
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
 def _fringe_analysis(
@@ -367,9 +409,8 @@ def _fringe_analysis(
     """
     pair = state.pair
     psi1, psi2 = pair.screen
-    x, dx = psi1.grid.x, psi1.grid.dx
     lo, hi, i0, i1 = window
-    xs = x[i0:i1]
+    xs, dx = psi1.grid.points(i0, i1), psi1.grid.dx
     vals = _density(state.coeffs, psi1.amplitudes[i0:i1], psi2.amplitudes[i0:i1])
     center = 0.5 * (lo + hi)
 
@@ -387,7 +428,7 @@ def _fringe_analysis(
         visibility = (v_max - v_min) / (v_max + v_min)
         if len(maxima) >= 2:
             pos = sorted(mv[0] for mv in maxima)
-            period = float(np.median(np.diff(pos)))
+            period = _median([b - a for a, b in zip(pos, pos[1:])])
         else:
             period = 2.0 * abs(x_max - x_min)
         central_max = x_max

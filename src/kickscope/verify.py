@@ -274,12 +274,12 @@ def _chk_wp_kick(run: _Run, tol: float) -> tuple[bool, str]:
     # kicked state is dropped once its spectrum is formed, and the terms are
     # summed once over the whole grid.
     psi, hbar = run.pair.psi1, run.pair.units.hbar
-    grid, x, boost = psi.grid, psi.grid.x, 12.25 * run.dp
+    grid, boost = psi.grid, 12.25 * run.dp
 
     def kicked_spectrum(p):
         kicked = np.empty_like(psi.amplitudes)
         for lo, hi in grid.blocks():
-            kicked[lo:hi] = psi.amplitudes[lo:hi] * np.exp(1j * (p / hbar) * x[lo:hi])
+            kicked[lo:hi] = psi.amplitudes[lo:hi] * np.exp(1j * (p / hbar) * grid.points(lo, hi))
         return to_momentum(Wavefunction(grid, kicked), hbar=hbar)
 
     def mean_momentum(spec):

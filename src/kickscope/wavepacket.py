@@ -68,6 +68,11 @@ _GRID_BLOCK = 1 << 14
 #: own, so no inner product depends on `_GRID_BLOCK` or on a thread count.
 _SUM_CHUNK = 1 << 13
 
+#: Exponent below which ``exp`` is exactly +0.0.  The smallest subnormal
+#: double is 2^-1074, and ``exp(a)`` rounds to zero once it is below half of
+#: that, 2^-1075, so for ``a < -1075*ln(2)``, about -745.13.
+_EXP_UNDERFLOW = -746.0
+
 
 def _blocks(n: int, step: int | None = None) -> Iterator[tuple[int, int]]:
     """Consecutive ``(lo, hi)`` ranges of at most ``step`` indices covering ``range(n)``.
@@ -149,16 +154,24 @@ class GridSpec:
     def dx(self) -> float:
         return (self.x_max - self.x_min) / self.n
 
+    def points(self, lo: int, hi: int) -> np.ndarray:
+        """Grid points ``x_j = x_min + j*dx`` for ``lo <= j < hi``, a new array.
+
+        The same values as ``x[lo:hi]``, without forming ``x``.
+        """
+        x = np.arange(lo, hi, dtype=np.float64)
+        x *= self.dx
+        x += self.x_min
+        return x
+
     @cached_property
     def _edges(self) -> np.ndarray:
-        # The n + 1 cell edges x_min + j*dx, filled in place; x is a read-only
-        # view of the first n, so the grid holds its points once.  The array
-        # stays writable because np.interp copies a read-only table, and the
-        # sampler interpolates on it; nothing writes to it.
-        edges = np.arange(self.n + 1, dtype=np.float64)
-        edges *= self.dx
-        edges += self.x_min
-        return edges
+        # The n + 1 cell edges; x is a read-only view of the first n, so the
+        # grid holds its points once.  Only the sampler and the fit's bins
+        # read them whole; other passes take their points by block (`points`).
+        # The array stays writable because np.interp copies a read-only
+        # table; nothing writes to it.
+        return self.points(0, self.n + 1)
 
     @property
     def x(self) -> np.ndarray:
@@ -266,15 +279,22 @@ class MomentumSpectrum:
 
 
 def gaussian_state(grid: GridSpec, center: float, sigma: float) -> Wavefunction:
-    """Normalized Gaussian ``(2*pi*sigma^2)^(-1/4) exp(-(x-center)^2/(4*sigma^2))``."""
+    """Normalized Gaussian ``(2*pi*sigma^2)^(-1/4) exp(-(x-center)^2/(4*sigma^2))``.
+
+    The array starts as zeros, and only the grid blocks where the exponent
+    reaches `_EXP_UNDERFLOW` are written: elsewhere the Gaussian is exactly
+    +0.0 already.  A slit much narrower than the box writes a few blocks,
+    and the pages of the others are never touched.
+    """
     if sigma <= 0:
         raise DomainError("gaussian width must be positive")
-    x = grid.x
-    amp = np.empty(grid.n, dtype=np.complex128)
+    amp = np.zeros(grid.n, dtype=np.complex128)
     for lo, hi in grid.blocks():
+        arg = -((grid.points(lo, hi) - center) ** 2) / (4.0 * sigma**2)
+        if arg.max() < _EXP_UNDERFLOW:
+            continue
         # The real part of numpy's complex exp: its real exp returns other
         # last bits under AVX-512 dispatch than under AVX2, the complex does not.
-        arg = -((x[lo:hi] - center) ** 2) / (4.0 * sigma**2)
         amp[lo:hi] = (2.0 * math.pi * sigma**2) ** -0.25 * np.exp(arg + 0j).real
     return Wavefunction(grid, amp)
 
@@ -387,10 +407,9 @@ def propagate_analytic(
     sigma = geom.sigma
     center = geom.centers[slit - 1]
     a = 1.0 + 1j * units.hbar * units.t / (2.0 * units.mass * sigma**2)
-    x = grid.x
     amp = np.empty(grid.n, dtype=np.complex128)
     for lo, hi in grid.blocks():
         amp[lo:hi] = (2.0 * math.pi * sigma**2) ** -0.25 * a**-0.5 * np.exp(
-            -((x[lo:hi] - center) ** 2) / (4.0 * sigma**2 * a)
+            -((grid.points(lo, hi) - center) ** 2) / (4.0 * sigma**2 * a)
         )
     return Wavefunction(grid, amp)

@@ -7,6 +7,7 @@ and `sample`, and each command's SMALL outputs at the default block sizes.
 """
 
 import cmath
+import collections
 import contextlib
 import errno
 import functools
@@ -35,7 +36,7 @@ from kickscope.cli import main
 from kickscope.config import parse_config_text
 from kickscope.hilbert import COMPUTATIONAL, Basis
 from kickscope.verify import _CHECKS, TOLERANCES, _Run, run_suite
-from kickscope.wavepacket import MomentumSpectrum, Wavefunction, gaussian_state
+from kickscope.wavepacket import GridSpec, MomentumSpectrum, Wavefunction, gaussian_state
 
 # 2^17 points keep every subcommand comfortably under two seconds while
 # leaving the propagated envelope (sigma(t) = 25) far from the box edges.
@@ -747,14 +748,15 @@ class TestFailureModes:
 
 
 # One child imports the command, then runs each command on SMALL from its
-# working directory, and prints each step's exit code, stdout and the scipy
-# modules loaded by the step's end.
+# working directory, and prints each step's exit code, stdout, the scipy
+# modules loaded by the step's end and whether numpy.ma is one of them.
 _SCIPY_PROBE = """
 import contextlib, io, json, sys
 from kickscope.cli import main
 
 def step(code, stdout):
-    return [code, stdout, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]
+    scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    return [code, stdout, scipy, "numpy.ma" in sys.modules]
 
 report = {"import": step(0, "")}
 for command in ("run", "scan", "sample", "verify"):
@@ -780,13 +782,22 @@ def test_scipy_stays_off_the_command_path(command, scipy_probe):
     # so no command loads any part of scipy.  The probe's steps run in this
     # order in one child, so each id's list also holds what earlier steps loaded.
     work, report = scipy_probe
-    code, stdout, scipy = report[command]
+    code, stdout, scipy, _ = report[command]
     assert code == 0
     if command == "sample":
         assert "chi_square_p=" in (work / "sample_summary.txt").read_text()
     if command == "verify":
         assert "[PASS] experiment.sampler_gof " in stdout
     assert scipy == []
+
+
+@pytest.mark.parametrize("command", ["run", "scan", "verify"])
+def test_numpy_ma_stays_off_the_command_path(command, scipy_probe):
+    # The fringe period is the median gap between maxima, taken in Python:
+    # np.median would import numpy.ma, about 1.3 MB and 8 ms.  Each id's
+    # step also holds what the probe's earlier steps loaded.
+    code, _, _, masked = scipy_probe[1][command]
+    assert code == 0 and not masked
 
 
 def _scale_beta(real, cfg):
@@ -1208,15 +1219,17 @@ def _desk(n):
 
 
 # Full-grid arrays each command may hold per grid point, counted in n-point
-# complex arrays.  The emitted pair, its screen and the grid's cell edges
-# are 4.5 of them; the rest is the largest stage's own arrays: run's two
-# slit spectra for momentum.csv, none for scan (its comb's two spectra are
-# freed before the screen exists, and the comb and kick-identity sums go
-# by chunk), the sampler's three cell CDFs, and verify's kick_displacement
-# row (a kicked state and its spectrum; the state is dropped before the
-# momentum terms are formed).  Measured: run 6.50, scan 4.50, sample 6.00
-# and verify 6.50.
-MEMORY_BUDGET = {"run": 7.5, "scan": 5.0, "sample": 6.5, "verify": 7.0}
+# complex arrays.  The emitted pair and its screen are 4 of them:
+# tracemalloc counts the zero-filled slits in full, though RSS holds only
+# their written pages.  The rest is the largest stage's own arrays: run's
+# two slit spectra for momentum.csv, none for scan (its comb's two spectra
+# are freed before the screen exists, and the comb and kick-identity sums
+# go by chunk), the sampler's cell edges and three cell CDFs, and verify's
+# kick_displacement row (a kicked state and its spectrum; the state is
+# dropped before the momentum terms are formed).  Measured: run 5.99,
+# scan 4.00, sample 6.01 and verify 5.99; 6.50, 4.50, 6.00 and 6.49 when
+# every command built the cell edges.
+MEMORY_BUDGET = {"run": 7.0, "scan": 4.5, "sample": 6.5, "verify": 6.5}
 
 
 @pytest.mark.parametrize("command", MEMORY_BUDGET)
@@ -1245,50 +1258,66 @@ def _count_calls(calls, name, real):
     return wrapper
 
 
-def test_scan_and_verify_propagate_the_slit_pair_once(tmp_path, monkeypatch):
-    # Every c shares one slit pair, so scan propagates two states however
-    # many c-values it sweeps (five by default), and so does verify:
-    # propagator_agreement compares the closed form with that same pair.
+@pytest.fixture(scope="module")
+def small_calls(tmp_path_factory):
+    """``{command: Counter}`` of counted calls in one SMALL run each of scan, verify and run.
+
+    Every counter is installed for every run: free flights, momentum
+    transforms in `kickscope.experiment`, the pair's kick-identity
+    residual, fringe analyses and builds of a grid's cell edges.  scan
+    sweeps its five default c-values.
+    """
     calls = []
-    fft = _count_calls(calls, "propagate_fft", experiment.propagate_fft)
-    monkeypatch.setattr(experiment, "propagate_fft", fft)
-    monkeypatch.setattr(verify_module, "propagate_fft", fft, raising=False)
-    for command in ("scan", "verify"):
-        calls.clear()
-        run_cli(tmp_path, command, SMALL)
-        assert len(calls) == 2, command
+
+    def counted(name, owner):
+        real = owner.__dict__[name].func
+        prop = functools.cached_property(_count_calls(calls, name, real))
+        prop.__set_name__(owner, name)
+        return prop
+
+    counts = {}
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("propagate_fft", "to_momentum", "_fringe_analysis"):
+            patch.setattr(experiment, name, _count_calls(calls, name, getattr(experiment, name)))
+        for owner, name in ((experiment.SlitPair, "kick_identity_residual"), (GridSpec, "_edges")):
+            patch.setattr(owner, name, counted(name, owner))
+        for command in ("scan", "verify", "run"):
+            calls.clear()
+            run_cli(tmp_path_factory.mktemp(command), command, SMALL)
+            counts[command] = collections.Counter(calls)
+    return counts
 
 
-def test_kick_analysis_transforms_the_slit_pair_once(tmp_path, monkeypatch):
+def test_scan_and_verify_propagate_the_slit_pair_once(small_calls):
+    # Every c shares one slit pair, so scan propagates two states however
+    # many c-values it sweeps, and so does verify: propagator_agreement
+    # compares the closed form with that same pair.
+    assert small_calls["scan"]["propagate_fft"] == small_calls["verify"]["propagate_fft"] == 2
+
+
+def test_kick_analysis_transforms_the_slit_pair_once(small_calls):
     # Kicks are read off the pair's comb matrix, which costs one transform
     # per slit; no detector setting adds a full-grid FFT of its own.  run
     # adds one per slit for momentum.csv.
-    calls = []
-    real = experiment.to_momentum
-    monkeypatch.setattr(experiment, "to_momentum", _count_calls(calls, "to_momentum", real))
-    for command, count in (("scan", 2), ("verify", 2), ("run", 4)):
-        calls.clear()
-        run_cli(tmp_path, command, SMALL)
-        assert len(calls) == count, command
+    calls = small_calls
+    assert (calls["scan"]["to_momentum"], calls["verify"]["to_momentum"]) == (2, 2)
+    assert calls["run"]["to_momentum"] == 4
 
 
-def test_scan_computes_the_kick_identity_residual_once(tmp_path, monkeypatch):
-    calls = []
-    real = experiment.SlitPair.__dict__["kick_identity_residual"].func
-    residual = functools.cached_property(_count_calls(calls, "kick_identity_residual", real))
-    residual.__set_name__(experiment.SlitPair, "kick_identity_residual")
-    monkeypatch.setattr(experiment.SlitPair, "kick_identity_residual", residual)
-    run_cli(tmp_path, "scan", SMALL)
-    assert len(calls) == 1
+def test_scan_computes_the_kick_identity_residual_once(small_calls):
+    assert small_calls["scan"]["kick_identity_residual"] == 1
 
 
-def test_scan_computes_each_visibility_once(tmp_path, monkeypatch):
+def test_scan_computes_each_visibility_once(small_calls):
     # One fringe analysis per c, scan's five default c-values.
-    calls = []
-    analysis = _count_calls(calls, "_fringe_analysis", experiment._fringe_analysis)
-    monkeypatch.setattr(experiment, "_fringe_analysis", analysis)
-    run_cli(tmp_path, "scan", SMALL)
-    assert len(calls) == 5
+    assert small_calls["scan"]["_fringe_analysis"] == 5
+
+
+def test_run_and_scan_build_no_cell_edges(small_calls):
+    # Only the sampler reads the grid's n + 1 cell edges whole; run and
+    # scan take their points by block.  verify samples, so it builds them.
+    assert small_calls["run"]["_edges"] == small_calls["scan"]["_edges"] == 0
+    assert small_calls["verify"]["_edges"] >= 1
 
 
 def test_kick_displacement_transforms_the_unkicked_state_once(monkeypatch):

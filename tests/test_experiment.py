@@ -5,6 +5,7 @@ import cmath
 import math
 import sys
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -43,8 +44,9 @@ from kickscope import (
     tilted,
     to_momentum,
 )
-from kickscope import experiment
+from kickscope import experiment, wavepacket
 from kickscope.experiment import SlitPair, _comb_offset
+from kickscope.wavepacket import inner
 
 # Frozen closed forms.  The identity residual is
 # sqrt(2*(1 - exp(-pi^2 (sigma/d)^2 / 2))), evaluated independently.
@@ -255,6 +257,37 @@ class TestFringes:
         with pytest.raises(ConfigurationError, match="analysis window"):
             read(pair, DetectorConfig(c=1.0))
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.sampled_from([16, 4096, 2**17]),
+        x_min=st.floats(-1e3, 1e3),
+        span=st.floats(1e-3, 1e3),
+        ends=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+        on_points=st.booleans(),
+    )
+    def test_window_indices_are_searchsorted_on_the_axis(self, n, x_min, span, ends, on_points):
+        # Window ends drawn over three box widths, so some windows lie wholly
+        # outside the grid, or, with on_points, exactly on grid points.
+        grid = GridSpec(n=n, x_min=x_min, x_max=x_min + span)
+        x = grid.x
+        if on_points:
+            lo, hi = sorted(float(x[int(abs(e) / 3.0 * (n - 1))]) for e in ends)
+        else:
+            lo, hi = sorted(x_min + (0.5 + e) * span for e in ends)
+        want = (int(np.searchsorted(x, lo, "left")), int(np.searchsorted(x, hi, "right")))
+        with mock.patch.object(experiment, "fringe_window", lambda pair: (lo, hi)):
+            try:
+                assert experiment._window(None, grid) == (lo, hi, *want)
+            except ConfigurationError:
+                assert lo >= hi or want[1] - want[0] < 5
+        for value in (-math.inf, math.inf, math.nan):
+            for side in ("left", "right"):
+                assert experiment._search(grid, value, side) == np.searchsorted(x, value, side)
+
+    @given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=12))
+    def test_median_is_numpys(self, values):
+        assert experiment._median(values) == np.median(values)
+
     def test_a_reading_allocates_the_window_not_the_screen(self):
         # The demos' 2^17 grid, its screen already computed: one full-grid
         # float array is 1 MiB, and a read that forms the whole screen's
@@ -274,6 +307,31 @@ class TestKickIdentity:
         for ratio, expected in RESIDUAL_BY_RATIO.items():
             pair = SlitPair.emit(SlitGeometry(d=1.0, sigma=ratio), grid, units)
             assert_allclose(pair.kick_identity_residual, expected, rtol=1e-9)
+
+
+class TestChunkSkipping:
+    """The Gram matrix and the residual skip chunks where both slits are zero."""
+
+    # Desk slits (sigma = 0.01, dx = sigma/4) in eight 8192-point chunks
+    # of 20.48: at x_min = -20.48 slit 1 sits on a chunk edge, and at
+    # -30.72 both slits sit mid-chunk.
+    @pytest.mark.parametrize("x_min", [-20.48, -30.72], ids=["on-an-edge", "mid-chunk"])
+    def test_equal_the_whole_array_sums_bit_for_bit(self, units, x_min):
+        grid = GridSpec(n=8 * wavepacket._SUM_CHUNK, x_min=x_min, x_max=x_min + 163.84)
+        pair = SlitPair.emit(SlitGeometry(d=1.0, sigma=0.01), grid, units)
+        a, b = pair.psi1.amplitudes, pair.psi2.amplitudes
+        live = [bool(a[lo:hi].any() or b[lo:hi].any()) for lo, hi in grid.sum_chunks()]
+        assert 0 < sum(live) < len(live)
+        gram = np.array([[inner(a, a), inner(a, b)], [inner(b, a), inner(b, b)]]) * grid.dx
+        assert pair.gram.tobytes() == gram.tobytes()
+        # The residual's loop over every chunk, kept as the oracle.
+        s, x, squared = 1.0 / math.sqrt(2.0), grid.x, 0j
+        for lo, hi in grid.sum_chunks():
+            p1, p2 = a[lo:hi], b[lo:hi]
+            phase = np.exp(1j * math.pi * x[lo:hi] / pair.geom.d)
+            diff = s * (p1 - p2) - phase * s * (p1 + p2)
+            squared += inner(diff, diff)
+        assert pair.kick_identity_residual == math.sqrt(squared.real * grid.dx)
 
 
 class TestMomentumShift:

@@ -124,6 +124,40 @@ class TestStates:
         with pytest.raises(ConfigurationError):
             slit_state(geom, offgrid, 1)
 
+    # Four 16384-point blocks on [0, 1), where a Gaussian of width sigma
+    # reaches the underflow cutoff -746 at 2*sqrt(746)*sigma, 54.6*sigma,
+    # from its center.  In "subnormal", block 2 (from x = 0.5) opens at an
+    # exponent of -720, so it holds a few subnormal values and zeros.
+    @pytest.mark.parametrize(
+        "center, sigma, blocks",
+        [
+            (0.375, 1e-3, ["zero", "normal", "zero", "zero"]),
+            (0.25, 1e-3, ["normal", "normal", "zero", "zero"]),
+            (0.5 - 2.0 * math.sqrt(720.0) * 1e-3, 1e-3, ["zero", "normal", "subnormal", "zero"]),
+            (0.5, 0.5, ["normal"] * 4),
+        ],
+        ids=["mid-block", "across-a-block-edge", "subnormal", "fills-the-box"],
+    )
+    def test_gaussian_is_the_dense_evaluation_bit_for_bit(self, center, sigma, blocks):
+        # The dense loop over every block, kept as the oracle.
+        grid = GridSpec(n=4 * wavepacket._GRID_BLOCK, x_min=0.0, x_max=1.0)
+        x = grid.x
+        want = np.empty(grid.n, dtype=np.complex128)
+        for lo, hi in grid.blocks():
+            arg = -((x[lo:hi] - center) ** 2) / (4.0 * sigma**2)
+            want[lo:hi] = (2.0 * math.pi * sigma**2) ** -0.25 * np.exp(arg + 0j).real
+        got = gaussian_state(grid, center, sigma).amplitudes
+        assert got.tobytes() == want.tobytes()
+        # Each block's largest value: none, below the smallest normal double, or normal.
+        peaks = [np.abs(want[lo:hi]).max() for lo, hi in grid.blocks()]
+        tiny = np.finfo(float).tiny
+        kinds = ["zero" if v == 0.0 else "subnormal" if v < tiny else "normal" for v in peaks]
+        assert kinds == blocks
+
+    def test_points_are_the_axis(self, grid):
+        for lo, hi in [(0, grid.n), (0, 1), (17, 4099), (grid.n - 1, grid.n)]:
+            assert grid.points(lo, hi).tobytes() == grid.x[lo:hi].tobytes()
+
 
 class TestMomentumTransform:
     def test_spectrum_oracle(self, grid):
@@ -155,6 +189,7 @@ class TestMomentumTransform:
             -(sigma**2) * spec.p**2 / 4.0
         )
         assert_allclose(np.abs(spec.amplitudes), expected_mod, rtol=0, atol=1e-12)
+
 
 
 class TestPropagation:
