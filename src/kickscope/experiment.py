@@ -53,8 +53,10 @@ from .wavepacket import (
     PhysicalUnits,
     SlitGeometry,
     Wavefunction,
+    check_headroom,
+    fly,
     inner,
-    propagate_fft,
+    momentum_chunks,
     slit_state,
     to_momentum,
 )
@@ -97,7 +99,8 @@ class SlitPair:
     ``units`` are the run's: ``hbar`` reads its momenta and ``t`` is its
     flight.  A run emits its pair once (`emit`) and `assemble`s every
     detector setting on it; the pair keeps its `screen` and comb matrix,
-    so those settings share one of each.
+    so those settings share one of each.  Both come from one forward FFT
+    per slit, made when either is first read.
     """
 
     psi1: Wavefunction
@@ -144,15 +147,35 @@ class SlitPair:
         return g
 
     @cached_property
+    def _flight(self) -> tuple[np.ndarray, tuple[Wavefunction, Wavefunction]]:
+        """``(comb, screen)`` from one forward FFT of each slit.
+
+        The comb is read off the two raw spectra chunk by chunk; then both
+        fly in place and become the screen.  The headroom is checked first.
+        """
+        check_headroom(self.grid, self.geom, self.units)
+        raw = [np.fft.fft(psi.amplitudes) for psi in (self.psi1, self.psi2)]
+        hbar, grid = self.units.hbar, self.grid
+        a = np.zeros((2, 2), dtype=np.complex128)
+        for lo, hi, chunks in momentum_chunks(raw, grid, hbar):
+            w = np.exp(-1j * grid.momenta(hbar, lo, hi) * (self.geom.d / hbar))
+            for j, phi_j in enumerate(chunks):
+                w_phi = w * phi_j
+                for i, phi_i in enumerate(chunks):
+                    a[i, j] += inner(phi_i, w_phi)
+        a.setflags(write=False)
+        return a, tuple(fly(raw, grid, self.units))
+
+    @property
     def screen(self) -> tuple[Wavefunction, Wavefunction]:
         """``(psi1_t, psi2_t)``: both states evolved freely for ``units.t``.
 
         Every position read takes its grid from these wavefunctions.  A box
         without the wraparound headroom raises ``ConfigurationError`` here.
         """
-        return tuple(propagate_fft(psi, self.geom, self.units) for psi in (self.psi1, self.psi2))
+        return self._flight[1]
 
-    @cached_property
+    @property
     def comb(self) -> np.ndarray:
         """The 2x2 comb matrix ``A_ij = sum_p conj(phi_i) phi_j exp(-i*p*d/hbar)``.
 
@@ -161,23 +184,13 @@ class SlitPair:
         projection of the momentum density ``|a*phi1 + b*phi2|^2`` at the
         fringe frequency ``d/hbar``, whose argument is that row's comb phase.
         Free flight multiplies both spectra by one phase, so the emitted
-        slits give the comb on the screen too.  Two FFTs per pair; the
-        spectra themselves are not kept.  One pass over `inner`'s chunks
-        forms ``exp(-i*p*d/hbar)`` once per chunk and adds all four
-        entries, each summed in `inner`'s order.
+        slits give the comb on the screen too.  It shares the screen's two
+        forward FFTs, so it also needs the screen's headroom.  One pass over
+        `inner`'s chunks forms the spectra (`momentum_chunks`) and
+        ``exp(-i*p*d/hbar)`` once per chunk and adds all four entries, each
+        summed in `inner`'s order.
         """
-        hbar, grid = self.units.hbar, self.grid
-        phis = [to_momentum(psi, hbar=hbar).amplitudes for psi in (self.psi1, self.psi2)]
-        a = np.zeros((2, 2), dtype=np.complex128)
-        for lo, hi in grid.sum_chunks():
-            w = np.exp(-1j * grid.momenta(hbar, lo, hi) * (self.geom.d / hbar))
-            chunks = [phi[lo:hi] for phi in phis]
-            for j, phi_j in enumerate(chunks):
-                w_phi = w * phi_j
-                for i, phi_i in enumerate(chunks):
-                    a[i, j] += inner(phi_i, w_phi)
-        a.setflags(write=False)
-        return a
+        return self._flight[0]
 
     @cached_property
     def kick_identity_residual(self) -> float:
@@ -519,11 +532,10 @@ def read(pair: SlitPair, detector: DetectorConfig) -> Reading:
     """The `Reading` of ``detector`` on ``pair``, in the symmetric basis.
 
     The fringes are read on ``pair.screen``, computed once however many
-    settings are read; the kick fraction and the kicks on the emitted slits.
-    The kicks are read first: on a pair whose screen is not yet computed,
-    the comb's two spectra are freed before the screen's two arrays exist,
-    so the two never share memory.  The fringe window is
-    found before either, on the emission grid that the screen keeps, so
+    settings are read; the kick fraction and the kicks on the emitted slits,
+    the kicks off ``pair.comb``.  The comb and the screen share one forward
+    FFT per slit, made at the first read of either.  The fringe window is
+    found before both, on the emission grid that the screen keeps, so
     a config that cannot hold it fails before any transform.
     """
     window = _window(pair, pair.grid)

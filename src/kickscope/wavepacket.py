@@ -28,7 +28,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -339,12 +339,6 @@ def to_momentum(psi: Wavefunction, hbar: float) -> MomentumSpectrum:
         Amplitudes ``Phi(p_k)`` with ``sum |Phi|^2 dp = sum |psi|^2 dx``.
     """
     grid = psi.grid
-    scale = grid.dx / math.sqrt(2.0 * math.pi * hbar)
-
-    def phase(lo: int, hi: int) -> np.ndarray:
-        # Moves the position origin from x_min to 0.
-        return scale * np.exp(-1j * grid.momenta(hbar, lo, hi) * (grid.x_min / hbar))
-
     # Swapping the FFT's halves centers the momentum grid on p = 0: FFT bin k
     # holds p_{k + n/2} and bin k + n/2 holds p_k.  Swapped and phased in
     # place, one block of each half at a time.
@@ -352,12 +346,51 @@ def to_momentum(psi: Wavefunction, hbar: float) -> MomentumSpectrum:
     half = grid.n // 2
     for lo, hi in _blocks(half):
         low, high = spec[lo:hi].copy(), spec[half + lo : half + hi]
-        np.multiply(phase(lo, hi), high, out=spec[lo:hi])
-        np.multiply(phase(half + lo, half + hi), low, out=high)
+        np.multiply(_fft_phase(grid, hbar, lo, hi), high, out=spec[lo:hi])
+        np.multiply(_fft_phase(grid, hbar, half + lo, half + hi), low, out=high)
     return MomentumSpectrum(grid, spec, hbar=hbar)
 
 
-def _check_headroom(grid: GridSpec, geom: SlitGeometry, units: PhysicalUnits) -> None:
+def _fft_phase(grid: GridSpec, hbar: float, lo: int, hi: int) -> np.ndarray:
+    """`to_momentum`'s factor on the FFT bins of ``p_k``, ``lo <= k < hi``.
+
+    Its scale, and the phase that moves the position origin from ``x_min`` to 0.
+    """
+    scale = grid.dx / math.sqrt(2.0 * math.pi * hbar)
+    return scale * np.exp(-1j * grid.momenta(hbar, lo, hi) * (grid.x_min / hbar))
+
+
+def momentum_chunks(
+    raw: Sequence[np.ndarray], grid: GridSpec, hbar: float
+) -> Iterator[tuple[int, int, list[np.ndarray]]]:
+    """`to_momentum`'s amplitudes of raw FFTs, one `GridSpec.sum_chunks` chunk at a time.
+
+    ``raw[i]`` is ``np.fft.fft`` of a state ``psi_i`` on ``grid``.  Yields
+    ``(lo, hi, chunks)`` in `inner`'s order, where ``chunks[i]`` is
+    ``to_momentum(psi_i, hbar).amplitudes[lo:hi]`` bit for bit.  The phase
+    is formed once per chunk for every array, and no centred spectrum is
+    formed whole.
+    """
+    half = grid.n // 2
+    for lo, hi in grid.sum_chunks():
+        phase = _fft_phase(grid, hbar, lo, hi)
+        # p_k sits in FFT bin (k + n/2) mod n, so a chunk that crosses
+        # k = n/2 (the only chunk, when n/2 < _SUM_CHUNK) comes in two pieces.
+        if hi <= half:
+            pieces = [spec[half + lo : half + hi] for spec in raw]
+        elif lo >= half:
+            pieces = [spec[lo - half : hi - half] for spec in raw]
+        else:
+            pieces = [np.concatenate((spec[half + lo :], spec[: hi - half])) for spec in raw]
+        yield lo, hi, [phase * piece for piece in pieces]
+
+
+def check_headroom(grid: GridSpec, geom: SlitGeometry, units: PhysicalUnits) -> None:
+    """Raise ``ConfigurationError`` if ``grid`` cannot hold ``geom``'s slits after ``units.t``.
+
+    The evolved packets must fall below `WRAPAROUND_TOL` of their peak
+    before the box edges, where the periodic FFT box folds them back.
+    """
     # W is the spreading half-width and sqrt(sigma^2 + W^2) the evolved width.
     w = units.hbar * units.t / (2.0 * units.mass * geom.sigma)
     margin = _HEADROOM_WIDTHS * math.hypot(geom.sigma, w)
@@ -372,23 +405,36 @@ def _check_headroom(grid: GridSpec, geom: SlitGeometry, units: PhysicalUnits) ->
 def propagate_fft(psi: Wavefunction, geom: SlitGeometry, units: PhysicalUnits) -> Wavefunction:
     """Evolve ``psi`` freely for time ``units.t`` via the momentum representation.
 
-    Computes ``ifft(K * fft(psi))`` with ``K = exp(-i*p^2*t/(2*m*hbar))``:
-    the ``x_min`` phase and centering shift of :func:`to_momentum` and of
-    its inverse cancel between the two.  A grid without the
-    wraparound headroom (see `WRAPAROUND_TOL`) raises ``ConfigurationError``.
+    Computes ``ifft(K * fft(psi))`` with ``K = exp(-i*p^2*t/(2*m*hbar))``
+    (see `fly`).  A grid without the wraparound headroom (see
+    `WRAPAROUND_TOL`) raises ``ConfigurationError``.
     """
     grid = psi.grid
-    _check_headroom(grid, geom, units)
+    check_headroom(grid, geom, units)
+    return fly([np.fft.fft(psi.amplitudes)], grid, units)[0]
+
+
+def fly(raw: Sequence[np.ndarray], grid: GridSpec, units: PhysicalUnits) -> list[Wavefunction]:
+    """Free flight for ``units.t`` of states given as their raw FFTs, in place.
+
+    ``raw[i]`` is ``np.fft.fft`` of a state on ``grid``; it is multiplied by
+    ``K = exp(-i*p^2*t/(2*m*hbar))`` and inverse-transformed where it lies,
+    and becomes the evolved state's amplitudes.  The ``x_min`` phase and
+    centering shift of :func:`to_momentum` and of its inverse cancel between
+    the two transforms, so neither is applied.  The caller checks the
+    headroom (`check_headroom`) before it transforms.
+    """
     rate = units.t / (2.0 * units.mass * units.hbar)
-    spec = np.fft.fft(psi.amplitudes)
     # FFT bin k holds p_{k + n/2} and bin k + n/2 holds p_k (see to_momentum);
-    # K is formed and multiplied in one block of each half at a time.
+    # K is formed in one block of each half at a time, once for every state.
     half = grid.n // 2
     for lo, hi in _blocks(half):
         for k, m in ((lo, half + lo), (half + lo, lo)):
             p = grid.momenta(units.hbar, m, m + hi - lo)
-            spec[k : k + hi - lo] *= np.exp(-1j * p**2 * rate)
-    return Wavefunction(grid, np.fft.ifft(spec, out=spec))
+            kernel = np.exp(-1j * p**2 * rate)
+            for spec in raw:
+                spec[k : k + hi - lo] *= kernel
+    return [Wavefunction(grid, np.fft.ifft(spec, out=spec)) for spec in raw]
 
 
 def propagate_analytic(
@@ -403,7 +449,7 @@ def propagate_analytic(
     """
     if slit not in (1, 2):
         raise DomainError(f"slit must be 1 or 2, got {slit}")
-    _check_headroom(grid, geom, units)
+    check_headroom(grid, geom, units)
     sigma = geom.sigma
     center = geom.centers[slit - 1]
     a = 1.0 + 1j * units.hbar * units.t / (2.0 * units.mass * sigma**2)

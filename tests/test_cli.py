@@ -819,7 +819,7 @@ def _conjugate_delta(real, cfg):
 
 
 def _stretch_flight(real, cfg):
-    return lambda psi, geom, units: real(psi, geom, replace(units, t=units.t * (1.0 + 1e-6)))
+    return lambda raw, grid, units: real(raw, grid, replace(units, t=units.t * (1.0 + 1e-6)))
 
 
 def _scale_row_1(scale):
@@ -939,7 +939,7 @@ DEFECTS = {
     ),
     "flight-stretched": (
         (experiment,),
-        "propagate_fft",
+        "fly",
         _stretch_flight,
         ("wavepacket.propagator_agreement", "experiment.density_formula"),
     ),
@@ -1222,9 +1222,9 @@ def _desk(n):
 # complex arrays.  The emitted pair and its screen are 4 of them:
 # tracemalloc counts the zero-filled slits in full, though RSS holds only
 # their written pages.  The rest is the largest stage's own arrays: run's
-# two slit spectra for momentum.csv, none for scan (its comb's two spectra
-# are freed before the screen exists, and the comb and kick-identity sums
-# go by chunk), the sampler's cell edges and three cell CDFs, and verify's
+# two slit spectra for momentum.csv, none for scan (its comb is read off
+# the screen's own transforms, and the comb and kick-identity sums go by
+# chunk), the sampler's cell edges and three cell CDFs, and verify's
 # kick_displacement row (a kicked state and its spectrum; the state is
 # dropped before the momentum terms are formed).  Measured: run 5.99,
 # scan 4.00, sample 6.01 and verify 5.99; 6.50, 4.50, 6.00 and 6.49 when
@@ -1262,10 +1262,9 @@ def _count_calls(calls, name, real):
 def small_calls(tmp_path_factory):
     """``{command: Counter}`` of counted calls in one SMALL run each of scan, verify and run.
 
-    Every counter is installed for every run: free flights, momentum
-    transforms in `kickscope.experiment`, the pair's kick-identity
-    residual, fringe analyses and builds of a grid's cell edges.  scan
-    sweeps its five default c-values.
+    Every counter is installed for every run: forward FFTs, the pair's
+    kick-identity residual, fringe analyses and builds of a grid's cell
+    edges.  scan sweeps its five default c-values.
     """
     calls = []
 
@@ -1277,8 +1276,12 @@ def small_calls(tmp_path_factory):
 
     counts = {}
     with pytest.MonkeyPatch.context() as patch:
-        for name in ("propagate_fft", "to_momentum", "_fringe_analysis"):
-            patch.setattr(experiment, name, _count_calls(calls, name, getattr(experiment, name)))
+        patch.setattr(np.fft, "fft", _count_calls(calls, "fft", np.fft.fft))
+        patch.setattr(
+            experiment,
+            "_fringe_analysis",
+            _count_calls(calls, "_fringe_analysis", experiment._fringe_analysis),
+        )
         for owner, name in ((experiment.SlitPair, "kick_identity_residual"), (GridSpec, "_edges")):
             patch.setattr(owner, name, counted(name, owner))
         for command in ("scan", "verify", "run"):
@@ -1289,19 +1292,20 @@ def small_calls(tmp_path_factory):
 
 
 def test_scan_and_verify_propagate_the_slit_pair_once(small_calls):
-    # Every c shares one slit pair, so scan propagates two states however
-    # many c-values it sweeps, and so does verify: propagator_agreement
-    # compares the closed form with that same pair.
-    assert small_calls["scan"]["propagate_fft"] == small_calls["verify"]["propagate_fft"] == 2
+    # Every c shares one slit pair, so scan transforms two states however
+    # many c-values it sweeps, and its screen and comb share those two
+    # forward FFTs.  verify flies the same pair, and its momentum_oracle,
+    # roundtrip and kick_displacement rows add one, one and three.
+    assert small_calls["scan"]["fft"] == 2
+    assert small_calls["verify"]["fft"] == 2 + 5
 
 
 def test_kick_analysis_transforms_the_slit_pair_once(small_calls):
-    # Kicks are read off the pair's comb matrix, which costs one transform
-    # per slit; no detector setting adds a full-grid FFT of its own.  run
-    # adds one per slit for momentum.csv.
-    calls = small_calls
-    assert (calls["scan"]["to_momentum"], calls["verify"]["to_momentum"]) == (2, 2)
-    assert calls["run"]["to_momentum"] == 4
+    # Kicks are read off the pair's comb matrix, which takes no transform
+    # beyond the screen's one per slit; no detector setting adds a
+    # full-grid FFT of its own.  run adds one per slit for momentum.csv.
+    assert small_calls["scan"]["fft"] == 2
+    assert small_calls["run"]["fft"] == 4
 
 
 def test_scan_computes_the_kick_identity_residual_once(small_calls):

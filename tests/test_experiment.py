@@ -424,6 +424,23 @@ class TestCombForms:
         boosted = SlitPair(psi1, apply_kick(psi2, 1e-4 * dp, hbar=units.hbar), geom, units)
         assert np.abs(boosted.comb - closed).max() > tol
 
+    @pytest.mark.parametrize("n", [wavepacket._SUM_CHUNK, 4 * wavepacket._SUM_CHUNK])
+    def test_comb_is_the_sum_over_whole_spectra_bit_for_bit(self, units, n):
+        # The comb summed over to_momentum's whole spectra, kept as the
+        # oracle; the pair reads it off the screen's raw transforms, in one
+        # chunk across the FFT's halves at _SUM_CHUNK points.
+        geom = SlitGeometry(d=1.0, sigma=0.02)
+        grid = GridSpec(n=n, x_min=0.5 - n * 0.0025, x_max=0.5 + n * 0.0025)
+        pair = SlitPair.emit(geom, grid, units)
+        phis = [to_momentum(psi, hbar=units.hbar).amplitudes for psi in (pair.psi1, pair.psi2)]
+        want = np.zeros((2, 2), dtype=np.complex128)
+        for lo, hi in grid.sum_chunks():
+            w = np.exp(-1j * grid.momenta(units.hbar, lo, hi) * (geom.d / units.hbar))
+            for j, phi_j in enumerate(phis):
+                for i, phi_i in enumerate(phis):
+                    want[i, j] += inner(phi_i[lo:hi], w * phi_j[lo:hi])
+        assert pair.comb.tobytes() == want.tobytes()
+
     def test_a_row_without_fringes_raises(self, geom, grid, units):
         # One slit alone has a smooth spectrum: no comb, so no phase.
         pair = make_state(geom, grid, units, c=0.5).pair

@@ -14,6 +14,7 @@ MODULES = (errors, hilbert, wavepacket, experiment)
 # each with the reason it stays public.
 USED_ONLY_BY_TESTS = {
     "gaussian_state": "the state slit_state builds, at any center and width",
+    "propagate_fft": "one state's flight through the routine the pair's screen takes",
 }
 
 # Third-party modules the tests and demos may import: the runtime dependency

@@ -190,6 +190,19 @@ class TestMomentumTransform:
         )
         assert_allclose(np.abs(spec.amplitudes), expected_mod, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [16, 4096, 4 * wavepacket._SUM_CHUNK])
+    def test_chunks_of_raw_ffts_are_to_momentum_bit_for_bit(self, n):
+        # At _SUM_CHUNK points or fewer, the one chunk crosses the FFT's halves.
+        grid = GridSpec(n=n, x_min=-0.75 * n, x_max=0.25 * n)
+        states = [gaussian_state(grid, center, n / 64) for center in (0.0, 3.0)]
+        raw = [np.fft.fft(psi.amplitudes) for psi in states]
+        joined = [[], []]
+        for lo, hi, chunks in wavepacket.momentum_chunks(raw, grid, hbar=2.0):
+            for got, chunk in zip(joined, chunks):
+                got.append(chunk)
+        for got, psi in zip(joined, states):
+            want = to_momentum(psi, hbar=2.0).amplitudes
+            assert np.concatenate(got).tobytes() == want.tobytes()
 
 
 class TestPropagation:
