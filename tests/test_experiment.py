@@ -312,13 +312,19 @@ class TestKickIdentity:
 class TestChunkSkipping:
     """The Gram matrix and the residual skip chunks where both slits are zero."""
 
-    # Desk slits (sigma = 0.01, dx = sigma/4) in eight 8192-point chunks
-    # of 20.48: at x_min = -20.48 slit 1 sits on a chunk edge, and at
-    # -30.72 both slits sit mid-chunk.
-    @pytest.mark.parametrize("x_min", [-20.48, -30.72], ids=["on-an-edge", "mid-chunk"])
-    def test_equal_the_whole_array_sums_bit_for_bit(self, units, x_min):
-        grid = GridSpec(n=8 * wavepacket._SUM_CHUNK, x_min=x_min, x_max=x_min + 163.84)
-        pair = SlitPair.emit(SlitGeometry(d=1.0, sigma=0.01), grid, units)
+    # Slits at 0 and 1 in eight 8192-point chunks, with dx = sigma/4.  At
+    # sigma = 0.01 a chunk spans 20.48: from x_min = -20.48 slit 1 sits on a
+    # chunk edge, and from -30.72 both slits share one chunk.  At sigma =
+    # 0.005 from -9.74, a chunk edge at 0.5 puts each slit alone in a chunk.
+    @pytest.mark.parametrize(
+        "x_min, sigma",
+        [(-20.48, 0.01), (-30.72, 0.01), (-9.74, 0.005)],
+        ids=["on-an-edge", "mid-chunk", "apart"],
+    )
+    def test_equal_the_whole_array_sums_bit_for_bit(self, units, x_min, sigma):
+        span = 8 * wavepacket._SUM_CHUNK * sigma / 4.0
+        grid = GridSpec(n=8 * wavepacket._SUM_CHUNK, x_min=x_min, x_max=x_min + span)
+        pair = SlitPair.emit(SlitGeometry(d=1.0, sigma=sigma), grid, units)
         a, b = pair.psi1.amplitudes, pair.psi2.amplitudes
         live = [bool(a[lo:hi].any() or b[lo:hi].any()) for lo, hi in grid.sum_chunks()]
         assert 0 < sum(live) < len(live)
