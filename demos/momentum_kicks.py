@@ -30,12 +30,11 @@ UNITS = PhysicalUnits(t=1.0)
 DETECTOR = DetectorConfig(c=0.5)
 
 
-def comb_peaks(spec, count=3):
-    """Positions of the first few momentum-comb maxima at p >= 0."""
-    rho = spec.density()
+def comb_peaks(p, rho, count=3):
+    """Positions of the first few maxima at p >= 0 of the momentum density ``rho``."""
     interior = np.arange(1, len(rho) - 1)
     peaks = interior[(rho[interior] > rho[interior - 1]) & (rho[interior] > rho[interior + 1])]
-    positive = spec.p[peaks][spec.p[peaks] >= -1e-9]
+    positive = p[peaks][p[peaks] >= -1e-9]
     return np.sort(positive)[:count]
 
 
@@ -50,9 +49,11 @@ def main() -> None:
     print(f"kicked fraction                = {f_k:.4f}  (theory {(1.0 - DETECTOR.c) / 2.0})")
     print()
 
-    plus, minus, _ = state.pair.spectra(state.coeffs)
-    plus_peaks = comb_peaks(plus)
-    minus_peaks = comb_peaks(minus)
+    # The q+ and q- momentum densities, joined from their chunks.
+    columns = zip(*([p, *rho] for p, rho in state.pair.spectral_densities(state.coeffs[:2])))
+    p, plus, minus = (np.concatenate(column) for column in columns)
+    plus_peaks = comb_peaks(p, plus)
+    minus_peaks = comb_peaks(p, minus)
     print("first momentum-comb maxima at p >= 0 (comb period 2*p0):")
     print("  q+ branch:", "  ".join(f"{p:8.4f}" for p in plus_peaks))
     print("  q- branch:", "  ".join(f"{p:8.4f}" for p in minus_peaks))

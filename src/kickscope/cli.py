@@ -25,9 +25,10 @@ on their support, the blocks where the Gaussian is not exactly zero, so
 RSS counts only those pages of them: a few blocks for a slit much
 narrower than the box.  The grid's cell edges, half an array, exist only
 where sampling reads them.  ``run`` holds at most 7.0 arrays
-(``momentum.csv``'s two slit spectra are its largest stage), ``scan``
-4.5, ``sample`` 6.5 (the cell edges and three cell CDFs) and ``verify``
-6.5 (the ``kick_displacement`` row's kicked state and its spectrum),
+(``momentum.csv``'s two raw slit transforms are its largest stage),
+``scan`` 4.5, ``sample`` 6.5 (the cell edges and three cell CDFs) and
+``verify`` 6.5 (the ``kick_displacement`` row's kicked state and its
+transform),
 beside fixed-size blocks and the interpreter.
 
 At start-up, before numpy loads, the module sets ``OPENBLAS_NUM_THREADS=1``
@@ -35,8 +36,9 @@ unless the environment chose a BLAS thread count, so OpenBLAS starts no
 worker threads; only ``verify`` loads `kickscope.verify`.
 
 Exit codes: 0 on success, 1 when verification fails, 2 on a configuration
-or usage error (from every command, ``verify`` included) or when the
-configured arrays do not fit in memory.
+or usage error (from every command, ``verify`` included), when a config
+value overflows a float, or when the configured arrays do not fit in
+memory.
 """
 
 from __future__ import annotations
@@ -401,7 +403,7 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
     ]
 
     # Each table's columns are formed one grid block at a time, inside its
-    # writer: from the screen amplitudes, or from the two slit spectra.
+    # writer: from the screen amplitudes, or from the two slit transforms.
     def write_pattern(fh) -> None:
         grid = pair.screen[0].grid
         branches = zip(grid.blocks(), *(state.density_blocks(i) for i in range(3)))
@@ -531,6 +533,9 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_sample(cfg, out_dir)
     except (KickscopeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"error: {exc}: a config value is out of the range of a float", file=sys.stderr)
         return 2
     except MemoryError as exc:
         print(

@@ -100,7 +100,7 @@ def _build(values: dict[str, object]) -> RunConfig:
     d, sigma = float(values["geometry.d"]), float(values["geometry.sigma"])  # type: ignore[arg-type]
     # SlitGeometry rejects a d or sigma that is not positive and finite.
     if 0 < d < math.inf and 0 < sigma < math.inf and sigma / d > _MAX_SLIT_RATIO:
-        overlap = math.exp(-1.0 / (8.0 * (sigma / d) ** 2))
+        overlap = math.exp(-((d / sigma) ** 2) / 8.0)  # d/sigma < 1/_MAX_SLIT_RATIO here
         raise ConfigurationError(
             f"geometry.sigma = {sigma} is too wide for geometry.d = {d}: the slit states "
             f"overlap by exp(-d^2/8 sigma^2) = {overlap:.3g}, above {_SLIT_OVERLAP_TOL:g}; "

@@ -49,7 +49,6 @@ from .errors import ConfigurationError, DomainError, EmptyBranchError
 from .hilbert import COMPUTATIONAL, SYMMETRIC, Basis, DetectorConfig, basis_matrix, detector_states
 from .wavepacket import (
     GridSpec,
-    MomentumSpectrum,
     PhysicalUnits,
     SlitGeometry,
     Wavefunction,
@@ -58,7 +57,6 @@ from .wavepacket import (
     inner,
     momentum_chunks,
     slit_state,
-    to_momentum,
 )
 
 __all__ = [
@@ -157,8 +155,8 @@ class SlitPair:
         raw = [np.fft.fft(psi.amplitudes) for psi in (self.psi1, self.psi2)]
         hbar, grid = self.units.hbar, self.grid
         a = np.zeros((2, 2), dtype=np.complex128)
-        for lo, hi, chunks in momentum_chunks(raw, grid, hbar):
-            w = np.exp(-1j * grid.momenta(hbar, lo, hi) * (self.geom.d / hbar))
+        for _, _, p, chunks in momentum_chunks(raw, grid, hbar):
+            w = np.exp(-1j * p * (self.geom.d / hbar))
             for j, phi_j in enumerate(chunks):
                 w_phi = w * phi_j
                 for i, phi_i in enumerate(chunks):
@@ -210,23 +208,16 @@ class SlitPair:
             squared += inner(diff, diff)
         return float(math.sqrt(squared.real * self.grid.dx))
 
-    def spectra(self, rows: np.ndarray) -> list[MomentumSpectrum]:
-        """Momentum spectra of ``a*psi1 + b*psi2``, one per row ``(a, b)``."""
-        hbar = self.units.hbar
-        phi1, phi2 = (to_momentum(psi, hbar=hbar).amplitudes for psi in (self.psi1, self.psi2))
-        return [MomentumSpectrum(self.grid, a * phi1 + b * phi2, hbar=hbar) for a, b in rows]
-
     def spectral_densities(self, rows: np.ndarray) -> Iterator[tuple[np.ndarray, list[np.ndarray]]]:
-        """``(p, densities)`` per grid block: the momenta and ``|a*phi1 + b*phi2|^2`` per row.
+        """``(p, densities)`` per `inner` chunk: the momenta and ``|a*phi1 + b*phi2|^2`` per row.
 
-        The blocks, joined, are `spectra`'s ``p`` and ``density()`` bit for
-        bit, while only the two slit spectra are held whole.
+        ``phi_i`` is slit ``i``'s momentum spectrum, read off a forward FFT
+        of the emitted slit by `momentum_chunks`; only the two raw
+        transforms are held whole.
         """
-        hbar, grid = self.units.hbar, self.grid
-        phi1, phi2 = (to_momentum(psi, hbar=hbar).amplitudes for psi in (self.psi1, self.psi2))
-        for lo, hi in grid.blocks():
-            p1, p2 = phi1[lo:hi], phi2[lo:hi]
-            yield grid.momenta(hbar, lo, hi), [np.abs(a * p1 + b * p2) ** 2 for a, b in rows]
+        raw = [np.fft.fft(psi.amplitudes) for psi in (self.psi1, self.psi2)]
+        for _, _, p, (phi1, phi2) in momentum_chunks(raw, self.grid, self.units.hbar):
+            yield p, [np.abs(a * phi1 + b * phi2) ** 2 for a, b in rows]
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,16 +235,12 @@ class BranchState:
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
 
-    def branch(self, i: int) -> Wavefunction:
-        """Branch ``i`` on the screen, computed on each call."""
-        (a, b), (psi1, psi2) = self.coeffs[i], self.pair.screen
-        return Wavefunction(psi1.grid, a * psi1.amplitudes + b * psi2.amplitudes)
-
     def density_blocks(self, i: int) -> Iterator[np.ndarray]:
         """Branch ``i``'s density on the screen, one grid block at a time.
 
-        The blocks, joined, are ``branch(i).density()`` bit for bit, with
-        no full-grid array formed.
+        Each block is ``|a*psi1_t + b*psi2_t|^2`` there, with ``(a, b)``
+        row ``i`` of ``coeffs`` and ``(psi1_t, psi2_t)`` the pair's
+        `SlitPair.screen`; no full-grid array is formed.
         """
         (a, b), (psi1, psi2) = self.coeffs[i], self.pair.screen
         for lo, hi in psi1.grid.blocks():
@@ -349,10 +336,10 @@ def _refine_extremum(x: np.ndarray, v: np.ndarray, i: int, dx: float) -> tuple[f
 
 
 def _search(grid: GridSpec, value: float, side: str) -> int:
-    """``np.searchsorted(grid.x, value, side)``, without forming ``grid.x``.
+    """``np.searchsorted`` of ``value`` in ``grid``'s sorted points, on ``side``.
 
-    The same bisection over the sorted points, each formed by
-    `GridSpec.points`.  NaN sorts after every point, as in numpy.
+    The same bisection as numpy's, over points each formed by
+    `GridSpec.points`, so no full-grid axis is formed.  NaN sorts after every point, as in numpy.
     """
     if math.isnan(value):
         return grid.n

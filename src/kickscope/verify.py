@@ -55,7 +55,7 @@ from .hilbert import (
     detector_states,
     tilted,
 )
-from .wavepacket import GridSpec, SlitGeometry, Wavefunction, propagate_analytic, to_momentum
+from .wavepacket import GridSpec, SlitGeometry, inner, momentum_chunks, propagate_analytic
 from .experiment import (
     BranchState,
     Reading,
@@ -218,30 +218,31 @@ def _chk_wp_norm(run: _Run, tol: float) -> tuple[bool, str]:
 
 @_check("wavepacket.momentum_oracle")
 def _chk_wp_momentum(run: _Run, tol: float) -> tuple[bool, str]:
-    hbar = run.pair.units.hbar
-    sigma = run.pair.geom.sigma
-    spec = to_momentum(run.pair.psi1, hbar=hbar)
-    grid, worst = spec.grid, abs(spec.norm() - 1.0)
-    for lo, hi in grid.blocks():
-        # grid.momenta(spec.hbar, lo, hi) is spec.p[lo:hi]: the spectrum's own axis.
+    # Slit 1's spectrum against its closed form, chunk by chunk, and its
+    # norm sum |phi|^2 dp, summed as inner of each chunk, added in order.
+    hbar, sigma = run.pair.units.hbar, run.pair.geom.sigma
+    raw = [np.fft.fft(run.pair.psi1.amplitudes)]
+    norm, worst = 0j, 0.0
+    for _, _, p, (phi,) in momentum_chunks(raw, run.pair.grid, hbar):
+        norm += inner(phi, phi)
         oracle = (2.0 * sigma**2 / (math.pi * hbar**2)) ** 0.25 * np.exp(
-            -(sigma**2) * grid.momenta(spec.hbar, lo, hi) ** 2 / hbar**2
+            -(sigma**2) * p**2 / hbar**2
         )
-        worst = max(worst, float(np.abs(spec.amplitudes[lo:hi] - oracle).max()))
+        worst = max(worst, float(np.abs(phi - oracle).max()))
+    worst = max(abs(float(norm.real * run.dp) - 1.0), worst)
     return worst <= tol, f"max dev {worst:.3g}"
 
 
 @_check("wavepacket.roundtrip")
 def _chk_wp_roundtrip(run: _Run, tol: float) -> tuple[bool, str]:
-    # The inverse of to_momentum, written out: undo the x_min phase and the
-    # centering, then scale the inverse FFT.
+    # The inverse of momentum_chunks, written out: undo the x_min phase and
+    # the centering, then scale the inverse FFT.
     psi, hbar = run.pair.psi2, run.pair.units.hbar
-    spec = to_momentum(psi, hbar=hbar)
-    grid = spec.grid
-    back = np.empty_like(spec.amplitudes)
-    for lo, hi in grid.blocks():
-        phase = np.exp(1j * grid.momenta(spec.hbar, lo, hi) * (grid.x_min / hbar))
-        np.multiply(spec.amplitudes[lo:hi], phase, out=back[lo:hi])
+    grid = psi.grid
+    back = np.empty_like(psi.amplitudes)
+    for lo, hi, p, (phi,) in momentum_chunks([np.fft.fft(psi.amplitudes)], grid, hbar):
+        phase = np.exp(1j * p * (grid.x_min / hbar))
+        np.multiply(phi, phase, out=back[lo:hi])
     back = np.fft.ifftshift(back)
     np.fft.ifft(back, out=back)
     back *= math.sqrt(2.0 * math.pi * hbar) / grid.dx
@@ -270,29 +271,28 @@ def _chk_wp_kick(run: _Run, tol: float) -> tuple[bool, str]:
     # exactly p (the spectrum translates rigidly), for whole and fractional
     # numbers of bins alike.  The error is counted in bins, like the kick
     # rows', so it does not scale with the unit of momentum.  The kicked
-    # amplitudes and the terms p*|phi|^2 are formed block by block, the
-    # kicked state is dropped once its spectrum is formed, and the terms are
-    # summed once over the whole grid.
+    # amplitudes are formed block by block and the terms p*|phi|^2 chunk by
+    # chunk, the kicked state is dropped once it is transformed, and the
+    # terms are summed once over the whole grid.
     psi, hbar = run.pair.psi1, run.pair.units.hbar
     grid, boost = psi.grid, 12.25 * run.dp
 
-    def kicked_spectrum(p):
+    def kicked_fft(p):
         kicked = np.empty_like(psi.amplitudes)
         for lo, hi in grid.blocks():
             kicked[lo:hi] = psi.amplitudes[lo:hi] * np.exp(1j * (p / hbar) * grid.points(lo, hi))
-        return to_momentum(Wavefunction(grid, kicked), hbar=hbar)
+        return np.fft.fft(kicked)
 
-    def mean_momentum(spec):
+    def mean_momentum(raw):
         terms = np.empty(grid.n)
-        for lo, hi in grid.blocks():
-            p = grid.momenta(spec.hbar, lo, hi)
-            np.multiply(p, np.abs(spec.amplitudes[lo:hi]) ** 2, out=terms[lo:hi])
-        return float(np.sum(terms) * spec.dp)
+        for lo, hi, p, (phi,) in momentum_chunks([raw], grid, hbar):
+            np.multiply(p, np.abs(phi) ** 2, out=terms[lo:hi])
+        return float(np.sum(terms) * run.dp)
 
-    mean0 = mean_momentum(to_momentum(psi, hbar=hbar))
+    mean0 = mean_momentum(np.fft.fft(psi.amplitudes))
     worst = 0.0
     for p in (boost, -3.0 * boost):
-        worst = max(worst, abs(mean_momentum(kicked_spectrum(p)) - mean0 - p) / run.dp)
+        worst = max(worst, abs(mean_momentum(kicked_fft(p)) - mean0 - p) / run.dp)
     return worst <= tol, f"mean off by {worst:.3g} bins"
 
 

@@ -13,13 +13,14 @@ with ``dp = 2*pi*hbar/(n*dx)``.  With this convention a state centered at
 ``sum |psi|^2 dx = sum |Phi|^2 dp`` holds to rounding error.  The
 transforms are ``numpy.fft``'s; the package needs numpy alone.
 
-Free propagation is implemented twice on purpose: `propagate_fft`
-multiplies the momentum amplitudes by ``exp(-i*p^2*t/(2*m*hbar))`` and
-`propagate_analytic` evaluates the closed-form spreading Gaussian with the
-complex width ``B(t) = sigma^2 + i*hbar*t/(2*m)``.  The two routes are
-independent checks of each other and must agree to high accuracy on any
-grid with enough headroom.  Both refuse a box that the evolved packet would
-reach with more than `WRAPAROUND_TOL` of its peak amplitude.
+Every centered spectrum is read chunk by chunk off a raw ``np.fft.fft`` by
+`momentum_chunks`.  Free propagation has one route, `fly`, which multiplies
+raw FFTs by ``exp(-i*p^2*t/(2*m*hbar))``; `propagate_analytic` evaluates
+the closed-form spreading Gaussian with the complex width ``B(t) = sigma^2 +
+i*hbar*t/(2*m)`` and is kept as its independent check: the two must agree
+to high accuracy on any grid with enough headroom.  Both need a box that
+the evolved packet reaches with at most `WRAPAROUND_TOL` of its peak
+amplitude (`check_headroom`).
 """
 
 from __future__ import annotations
@@ -39,11 +40,8 @@ __all__ = [
     "GridSpec",
     "PhysicalUnits",
     "Wavefunction",
-    "MomentumSpectrum",
     "slit_state",
     "gaussian_state",
-    "to_momentum",
-    "propagate_fft",
     "propagate_analytic",
 ]
 
@@ -155,10 +153,7 @@ class GridSpec:
         return (self.x_max - self.x_min) / self.n
 
     def points(self, lo: int, hi: int) -> np.ndarray:
-        """Grid points ``x_j = x_min + j*dx`` for ``lo <= j < hi``, a new array.
-
-        The same values as ``x[lo:hi]``, without forming ``x``.
-        """
+        """Grid points ``x_j = x_min + j*dx`` for ``lo <= j < hi``, a new array."""
         x = np.arange(lo, hi, dtype=np.float64)
         x *= self.dx
         x += self.x_min
@@ -166,19 +161,11 @@ class GridSpec:
 
     @cached_property
     def _edges(self) -> np.ndarray:
-        # The n + 1 cell edges; x is a read-only view of the first n, so the
-        # grid holds its points once.  Only the sampler and the fit's bins
-        # read them whole; other passes take their points by block (`points`).
+        # The n + 1 cell edges.  Only the sampler and the fit's bins read
+        # them whole; other passes take their points by block (`points`).
         # The array stays writable because np.interp copies a read-only
         # table; nothing writes to it.
         return self.points(0, self.n + 1)
-
-    @property
-    def x(self) -> np.ndarray:
-        """Grid points ``x_j = x_min + j*dx``, read-only."""
-        x = self._edges[:-1]
-        x.setflags(write=False)
-        return x
 
     def blocks(self) -> Iterator[tuple[int, int]]:
         """Consecutive ``(lo, hi)`` index ranges, a fixed-size block each, covering the grid."""
@@ -192,15 +179,14 @@ class GridSpec:
         """Momentum-grid step ``2*pi*hbar/(n*dx)``."""
         return 2.0 * math.pi * hbar / (self.n * self.dx)
 
-    def momenta(self, hbar: float, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    def momenta(self, hbar: float, lo: int, hi: int) -> np.ndarray:
         """Centered momentum grid ``p_k = (k - n/2)*dp`` for ``lo <= k < hi``, a new array.
 
-        The whole grid by default.  Every momentum grid in the package comes
-        from here, whole or by block, with the same values: the phase
-        ``p^2*t/(2*m*hbar)`` of `propagate_fft` turns an ulp of difference
-        in ``p`` into visible changes downstream.
+        Every momentum in the package comes from here, by block or by chunk,
+        with the same values: the phase ``p^2*t/(2*m*hbar)`` of `fly` turns
+        an ulp of difference in ``p`` into visible changes downstream.
         """
-        return (np.arange(lo, self.n if hi is None else hi) - self.n // 2) * self.dp(hbar)
+        return (np.arange(lo, hi) - self.n // 2) * self.dp(hbar)
 
 
 @dataclass(frozen=True)
@@ -222,14 +208,6 @@ class PhysicalUnits:
             raise DomainError(f"flight time t must be non-negative and finite, got {self.t}")
 
 
-def _adopt(arr: np.ndarray, n: int) -> np.ndarray:
-    out = np.asarray(arr, dtype=np.complex128)
-    if out.shape != (n,):
-        raise ConfigurationError(f"amplitude array has shape {out.shape}, expected ({n},)")
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class Wavefunction:
     """Complex amplitudes on a position grid.  The array is adopted read-only."""
@@ -238,44 +216,15 @@ class Wavefunction:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "amplitudes", _adopt(self.amplitudes, self.grid.n))
+        amp, n = np.asarray(self.amplitudes, dtype=np.complex128), self.grid.n
+        if amp.shape != (n,):
+            raise ConfigurationError(f"amplitude array has shape {amp.shape}, expected ({n},)")
+        amp.setflags(write=False)
+        object.__setattr__(self, "amplitudes", amp)
 
     def norm(self) -> float:
         """Total probability ``sum |psi|^2 dx``."""
         return float(inner(self.amplitudes, self.amplitudes).real * self.grid.dx)
-
-    def density(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
-
-@dataclass(frozen=True, eq=False)
-class MomentumSpectrum:
-    """Complex amplitudes on the centered momentum grid of a GridSpec."""
-
-    grid: GridSpec
-    amplitudes: np.ndarray
-    hbar: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "amplitudes", _adopt(self.amplitudes, self.grid.n))
-
-    @property
-    def dp(self) -> float:
-        return self.grid.dp(self.hbar)
-
-    @cached_property
-    def p(self) -> np.ndarray:
-        """Momentum grid ``p_k = (k - n/2)*dp``, read-only."""
-        p = self.grid.momenta(self.hbar)
-        p.setflags(write=False)
-        return p
-
-    def norm(self) -> float:
-        """Total probability ``sum |Phi|^2 dp``."""
-        return float(inner(self.amplitudes, self.amplitudes).real * self.dp)
-
-    def density(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
 
 
 def gaussian_state(grid: GridSpec, center: float, sigma: float) -> Wavefunction:
@@ -289,13 +238,15 @@ def gaussian_state(grid: GridSpec, center: float, sigma: float) -> Wavefunction:
     if sigma <= 0:
         raise DomainError("gaussian width must be positive")
     amp = np.zeros(grid.n, dtype=np.complex128)
+    # Python floats: a sigma whose square overflows raises OverflowError here.
+    width, peak = 4.0 * sigma**2, (2.0 * math.pi * sigma**2) ** -0.25
     for lo, hi in grid.blocks():
-        arg = -((grid.points(lo, hi) - center) ** 2) / (4.0 * sigma**2)
+        arg = -((grid.points(lo, hi) - center) ** 2) / width
         if arg.max() < _EXP_UNDERFLOW:
             continue
         # The real part of numpy's complex exp: its real exp returns other
         # last bits under AVX-512 dispatch than under AVX2, the complex does not.
-        amp[lo:hi] = (2.0 * math.pi * sigma**2) ** -0.25 * np.exp(arg + 0j).real
+        amp[lo:hi] = peak * np.exp(arg + 0j).real
     return Wavefunction(grid, amp)
 
 
@@ -323,57 +274,25 @@ def slit_state(geom: SlitGeometry, grid: GridSpec, slit: int) -> Wavefunction:
     return gaussian_state(grid, center, geom.sigma)
 
 
-def to_momentum(psi: Wavefunction, hbar: float) -> MomentumSpectrum:
-    """Momentum representation of ``psi`` on the centered momentum grid.
-
-    Parameters
-    ----------
-    psi : Wavefunction
-        State on a uniform position grid.
-    hbar : float
-        Planck constant over 2*pi in the working units.
-
-    Returns
-    -------
-    MomentumSpectrum
-        Amplitudes ``Phi(p_k)`` with ``sum |Phi|^2 dp = sum |psi|^2 dx``.
-    """
-    grid = psi.grid
-    # Swapping the FFT's halves centers the momentum grid on p = 0: FFT bin k
-    # holds p_{k + n/2} and bin k + n/2 holds p_k.  Swapped and phased in
-    # place, one block of each half at a time.
-    spec = np.fft.fft(psi.amplitudes)
-    half = grid.n // 2
-    for lo, hi in _blocks(half):
-        low, high = spec[lo:hi].copy(), spec[half + lo : half + hi]
-        np.multiply(_fft_phase(grid, hbar, lo, hi), high, out=spec[lo:hi])
-        np.multiply(_fft_phase(grid, hbar, half + lo, half + hi), low, out=high)
-    return MomentumSpectrum(grid, spec, hbar=hbar)
-
-
-def _fft_phase(grid: GridSpec, hbar: float, lo: int, hi: int) -> np.ndarray:
-    """`to_momentum`'s factor on the FFT bins of ``p_k``, ``lo <= k < hi``.
-
-    Its scale, and the phase that moves the position origin from ``x_min`` to 0.
-    """
-    scale = grid.dx / math.sqrt(2.0 * math.pi * hbar)
-    return scale * np.exp(-1j * grid.momenta(hbar, lo, hi) * (grid.x_min / hbar))
-
-
 def momentum_chunks(
     raw: Sequence[np.ndarray], grid: GridSpec, hbar: float
-) -> Iterator[tuple[int, int, list[np.ndarray]]]:
-    """`to_momentum`'s amplitudes of raw FFTs, one `GridSpec.sum_chunks` chunk at a time.
+) -> Iterator[tuple[int, int, np.ndarray, list[np.ndarray]]]:
+    """Centered momentum amplitudes of raw FFTs, one `GridSpec.sum_chunks` chunk at a time.
 
     ``raw[i]`` is ``np.fft.fft`` of a state ``psi_i`` on ``grid``.  Yields
-    ``(lo, hi, chunks)`` in `inner`'s order, where ``chunks[i]`` is
-    ``to_momentum(psi_i, hbar).amplitudes[lo:hi]`` bit for bit.  The phase
-    is formed once per chunk for every array, and no centred spectrum is
-    formed whole.
+    ``(lo, hi, p, chunks)`` in `inner`'s order, where ``p`` is
+    ``grid.momenta(hbar, lo, hi)`` and ``chunks[i]`` is ``Phi_i(p)`` in the
+    module's convention: the FFT bins of ``p`` times ``dx/sqrt(2*pi*hbar)``
+    and the phase ``exp(-i*p*x_min/hbar)`` that moves the position origin
+    from ``x_min`` to 0.  It is the package's one route from a raw FFT to
+    centered amplitudes.  The phase is formed once per chunk for every
+    array, and no centered spectrum is formed whole.
     """
     half = grid.n // 2
+    scale = grid.dx / math.sqrt(2.0 * math.pi * hbar)
     for lo, hi in grid.sum_chunks():
-        phase = _fft_phase(grid, hbar, lo, hi)
+        p = grid.momenta(hbar, lo, hi)
+        phase = scale * np.exp(-1j * p * (grid.x_min / hbar))
         # p_k sits in FFT bin (k + n/2) mod n, so a chunk that crosses
         # k = n/2 (the only chunk, when n/2 < _SUM_CHUNK) comes in two pieces.
         if hi <= half:
@@ -382,7 +301,7 @@ def momentum_chunks(
             pieces = [spec[lo - half : hi - half] for spec in raw]
         else:
             pieces = [np.concatenate((spec[half + lo :], spec[: hi - half])) for spec in raw]
-        yield lo, hi, [phase * piece for piece in pieces]
+        yield lo, hi, p, [phase * piece for piece in pieces]
 
 
 def check_headroom(grid: GridSpec, geom: SlitGeometry, units: PhysicalUnits) -> None:
@@ -402,30 +321,19 @@ def check_headroom(grid: GridSpec, geom: SlitGeometry, units: PhysicalUnits) -> 
         )
 
 
-def propagate_fft(psi: Wavefunction, geom: SlitGeometry, units: PhysicalUnits) -> Wavefunction:
-    """Evolve ``psi`` freely for time ``units.t`` via the momentum representation.
-
-    Computes ``ifft(K * fft(psi))`` with ``K = exp(-i*p^2*t/(2*m*hbar))``
-    (see `fly`).  A grid without the wraparound headroom (see
-    `WRAPAROUND_TOL`) raises ``ConfigurationError``.
-    """
-    grid = psi.grid
-    check_headroom(grid, geom, units)
-    return fly([np.fft.fft(psi.amplitudes)], grid, units)[0]
-
-
 def fly(raw: Sequence[np.ndarray], grid: GridSpec, units: PhysicalUnits) -> list[Wavefunction]:
     """Free flight for ``units.t`` of states given as their raw FFTs, in place.
 
     ``raw[i]`` is ``np.fft.fft`` of a state on ``grid``; it is multiplied by
     ``K = exp(-i*p^2*t/(2*m*hbar))`` and inverse-transformed where it lies,
-    and becomes the evolved state's amplitudes.  The ``x_min`` phase and
-    centering shift of :func:`to_momentum` and of its inverse cancel between
-    the two transforms, so neither is applied.  The caller checks the
-    headroom (`check_headroom`) before it transforms.
+    and becomes the evolved state's amplitudes.  It is the package's one
+    forward propagator.  The ``x_min`` phase and centering shift that
+    `momentum_chunks` applies would cancel against their inverse between
+    the two transforms, so neither is applied.  The caller checks the headroom
+    (`check_headroom`) before it transforms.
     """
     rate = units.t / (2.0 * units.mass * units.hbar)
-    # FFT bin k holds p_{k + n/2} and bin k + n/2 holds p_k (see to_momentum);
+    # FFT bin k holds p_{k + n/2} and bin k + n/2 holds p_k (see momentum_chunks);
     # K is formed in one block of each half at a time, once for every state.
     half = grid.n // 2
     for lo, hi in _blocks(half):
@@ -445,7 +353,7 @@ def propagate_analytic(
     Evaluates ``psi(x, t) = (2*pi*sigma^2)^(-1/4) a^(-1/2)
     exp(-(x-x_c)^2 / (4*sigma^2*a))`` with the complex spreading factor
     ``a(t) = 1 + i*hbar*t/(2*m*sigma^2)``, i.e. ``B(t) = sigma^2 * a(t)``.
-    Independent of :func:`propagate_fft`; used to cross-check it.
+    Independent of `fly`; kept to cross-check it.
     """
     if slit not in (1, 2):
         raise DomainError(f"slit must be 1 or 2, got {slit}")

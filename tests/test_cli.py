@@ -36,7 +36,7 @@ from kickscope.cli import main
 from kickscope.config import parse_config_text
 from kickscope.hilbert import COMPUTATIONAL, Basis
 from kickscope.verify import _CHECKS, TOLERANCES, _Run, run_suite
-from kickscope.wavepacket import GridSpec, MomentumSpectrum, Wavefunction, gaussian_state
+from kickscope.wavepacket import GridSpec, Wavefunction, gaussian_state
 
 # 2^17 points keep every subcommand comfortably under two seconds while
 # leaving the propagated envelope (sigma(t) = 25) far from the box edges.
@@ -68,6 +68,9 @@ sampling.count = 500
 # t = 1e-6; only the fringe estimator behind read notices.
 LATE_WINDOW = "units.t = 1e-6\ngrid.n = 4096\ngrid.x_min = -4.62\ngrid.x_max = 5.62\n"
 NINE_C = "0,0.125,0.25,0.375,0.5,0.625,0.75,0.875,1"  # scan's pins: more than 7 rows
+
+# sha256 of REDUCED verify's stdout; see TestVerifyCommand.test_passes_on_reduced_config.
+REDUCED_VERIFY_SHA256 = "aca7c5c97db6f32caa2693e3cb64133d21ea46e03668e8e5f13fcb261a0895cd"
 
 
 def _with(base: str, extra: str) -> str:
@@ -690,6 +693,31 @@ class TestFailureModes:
         assert run.stdout == "" and not run.out.exists()
         assert "geometry.sigma" in run.stderr and "geometry.d" in run.stderr, run.stderr
 
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    @pytest.mark.parametrize(
+        "text,keys",
+        [
+            ("geometry.d = 1e-160\n", ["geometry.sigma", "geometry.d"]),
+            (
+                "geometry.d = 1e300\ngeometry.sigma = 1e298\n"
+                "grid.x_min = -1e300\ngrid.x_max = 1.5e300\ngrid.n = 4096\n",
+                [],
+            ),
+        ],
+        ids=["sigma-1e158-d", "sigma-1e298"],
+    )
+    def test_length_scales_out_of_float_range_exit_2_with_no_outputs(
+        self, tmp_path, command, text, keys
+    ):
+        # At sigma/d = 1e158 the overlap guard's exponent, and at sigma =
+        # 1e298 the slit Gaussian's sigma^2, leave the range of a float.
+        # The first is the guard's usage error, the second an overflow; each
+        # exits 2 with one error line, before any output.
+        run = run_cli(tmp_path, command, text, expect=2)
+        assert run.stdout == "" and not run.out.exists()
+        assert run.stderr.startswith("error:") and run.stderr.count("\n") == 1, run.stderr
+        assert all(key in run.stderr for key in keys), run.stderr
+
     def test_sample_without_headroom_exits_2_with_no_out_dir(self, tmp_path):
         # Ten events are too few for the fit, so only the sampler reads the
         # screen; it reads it on the call, before any output.
@@ -855,20 +883,20 @@ def _displace_slit_2(real, cfg):
 
 
 def _drop_momentum_phase(real, cfg):
-    # to_momentum without the phase that moves the origin from x_min to 0.
-    def defective(psi, hbar):
-        grid = psi.grid
-        spec = np.fft.fftshift(np.fft.fft(psi.amplitudes))
-        return MomentumSpectrum(grid, grid.dx / math.sqrt(2.0 * math.pi * hbar) * spec, hbar=hbar)
+    # momentum_chunks without the phase that moves the origin from x_min to 0.
+    def defective(raw, grid, hbar):
+        for lo, hi, p, chunks in real(raw, grid, hbar):
+            undo = np.exp(1j * p * (grid.x_min / hbar))
+            yield lo, hi, p, [chunk * undo for chunk in chunks]
 
     return defective
 
 
 def _stretch_momentum_axis(real, cfg):
-    # The same amplitudes, labelled with hbar*(1 + 1e-8): every p and dp 1e-8 too long.
-    def defective(psi, hbar):
-        spec = real(psi, hbar=hbar)
-        return MomentumSpectrum(spec.grid, spec.amplitudes, hbar=hbar * (1.0 + 1e-8))
+    # The same amplitudes on a momentum axis 1e-8 too long.
+    def defective(raw, grid, hbar):
+        for lo, hi, p, chunks in real(raw, grid, hbar):
+            yield lo, hi, p * (1.0 + 1e-8), chunks
 
     return defective
 
@@ -985,15 +1013,15 @@ DEFECTS = {
     # only the rows that compare amplitudes see it.
     "momentum-phase-dropped": (
         (verify_module,),
-        "to_momentum",
+        "momentum_chunks",
         _drop_momentum_phase,
         ("wavepacket.momentum_oracle", "wavepacket.roundtrip"),
     ),
-    # Spectra whose p and dp are 1e-8 too long, so a boost by p moves the
-    # mean momentum sum(p*|phi|^2)*dp by about p*(1 + 2e-8).
+    # Spectra read on momenta 1e-8 too long, so a boost by p moves the mean
+    # momentum sum(p*|phi|^2)*dp by about p*(1 + 1e-8).
     "momentum-axis-stretched": (
         (verify_module,),
-        "to_momentum",
+        "momentum_chunks",
         _stretch_momentum_axis,
         (
             "wavepacket.momentum_oracle",
@@ -1082,8 +1110,7 @@ class TestVerifyCommand:
         # blocks fall is checked on SMALL by test_block_edges_move_no_byte.
         out = run_cli(tmp_path, "verify", REDUCED).stdout
         assert "[PASS]" in out and "0 failed" in out
-        digest = hashlib.sha256(out.encode()).hexdigest()
-        assert digest == "aca7c5c97db6f32caa2693e3cb64133d21ea46e03668e8e5f13fcb261a0895cd"
+        assert hashlib.sha256(out.encode()).hexdigest() == REDUCED_VERIFY_SHA256
 
     def test_block_edges_move_no_byte(self, tmp_path, unblocked):
         assert_block_edges_move_no_byte("verify", list(BLOCK_VARIANTS), tmp_path, unblocked)
@@ -1091,22 +1118,21 @@ class TestVerifyCommand:
     def test_stdout_is_the_same_on_any_blas_thread_count(self, tmp_path):
         # OpenBLAS splits a long dot product across its threads, which moves
         # the last bits of the sum.  verify's inner products take no BLAS
-        # call, so its stdout is the same on one thread or two.  It runs
-        # REDUCED, because OpenBLAS splits only long vectors: with numpy
-        # 2.4.6 on 2 cores, np.vdot's bits differed between one thread and
-        # two at 16,384 and 131,072 points, but not at 4,096 or 8,192, so
-        # SMALL's 4096 points would pass a BLAS dot.  With wavepacket.inner
-        # replaced by np.vdot this fails on REDUCED.  On a one-core host both
-        # runs use one thread and this passes trivially.
+        # call, so its stdout is the same on any thread count.  One child
+        # runs REDUCED verify on one thread; its stdout must have the digest
+        # that test_passes_on_reduced_config holds in this process, where
+        # OpenBLAS runs at the host's count (numpy loads before the command
+        # can set one).  On a one-core host both are one thread, and this
+        # passes trivially.  It runs REDUCED, because OpenBLAS splits only
+        # long vectors: with numpy 2.4.6 on 2 cores, np.vdot's bits differed
+        # between one thread and two at 16,384 and 131,072 points, but not at
+        # 4,096 or 8,192, so SMALL's 4096 points would pass a BLAS dot.
         (tmp_path / "reduced.cfg").write_text(REDUCED)
         code = "import sys; from kickscope.cli import main; sys.exit(main(sys.argv[1:]))"
-        outs = []
-        for threads in ("1", "2"):
-            argv = ["-c", code, "verify", "--config", str(tmp_path / "reduced.cfg")]
-            done = run_python(*argv, env={"OPENBLAS_NUM_THREADS": threads})
-            assert done.returncode == 0, done.stderr
-            outs.append(done.stdout)
-        assert outs[0] == outs[1]
+        argv = ["-c", code, "verify", "--config", str(tmp_path / "reduced.cfg")]
+        done = run_python(*argv, env={"OPENBLAS_NUM_THREADS": "1"})
+        assert done.returncode == 0, done.stderr
+        assert hashlib.sha256(done.stdout.encode()).hexdigest() == REDUCED_VERIFY_SHA256
 
     def test_skips_kick_checks_at_full_overlap(self, tmp_path):
         out = run_cli(tmp_path, "verify", _with(REDUCED, "detector.c = 1.0\n")).stdout
@@ -1326,13 +1352,7 @@ def test_run_and_scan_build_no_cell_edges(small_calls):
 
 def test_kick_displacement_transforms_the_unkicked_state_once(monkeypatch):
     calls = []
-    real = verify_module.to_momentum
-
-    def counting(psi, hbar):
-        calls.append(psi)
-        return real(psi, hbar=hbar)
-
-    monkeypatch.setattr(verify_module, "to_momentum", counting)
+    monkeypatch.setattr(np.fft, "fft", _count_calls(calls, "fft", np.fft.fft))
     check = dict(_CHECKS)["wavepacket.kick_displacement"]
     tol = TOLERANCES["wavepacket.kick_displacement"]
     assert check(_Run(parse_config_text(REDUCED)), tol).status == "PASS"

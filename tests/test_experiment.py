@@ -9,7 +9,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from comb_oracle import _comb_projection, _comb_shift, apply_kick, momentum_shift
+from comb_oracle import (
+    _comb_projection,
+    _comb_shift,
+    apply_kick,
+    branch_densities,
+    centered_spectrum,
+    momentum_shift,
+)
 from conftest import traced_peak
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -33,7 +40,6 @@ from kickscope import (
     gaussian_state,
     phase_kick_shift,
     propagate_analytic,
-    propagate_fft,
     read,
     relative_kick,
     sample_events,
@@ -42,11 +48,10 @@ from kickscope import (
     screen_goodness_of_fit,
     slit_state,
     tilted,
-    to_momentum,
 )
 from kickscope import experiment, wavepacket
 from kickscope.experiment import SlitPair, _comb_offset
-from kickscope.wavepacket import inner
+from kickscope.wavepacket import check_headroom, fly, inner
 
 # Frozen closed forms.  The identity residual is
 # sqrt(2*(1 - exp(-pi^2 (sigma/d)^2 / 2))), evaluated independently.
@@ -66,6 +71,12 @@ def state_on(pair, c, theta=0.0, basis=SYMMETRIC):
 
 def make_state(geom, grid, units, c, theta=0.0, basis=SYMMETRIC):
     return state_on(SlitPair.emit(geom, grid, units), c, theta, basis)
+
+
+def branch(state, i):
+    """Branch ``i`` on the screen as one array: ``coeffs[i] @ (psi1_t, psi2_t)``."""
+    (a, b), (psi1, psi2) = state.coeffs[i], state.pair.screen
+    return a * psi1.amplitudes + b * psi2.amplitudes
 
 
 def draw(state, count, seed):
@@ -122,9 +133,7 @@ class TestAssembly:
         state = assemble(SlitPair.emit(geom, grid, units), DetectorConfig(c=0.36, theta=0.9))
         back = change_basis(change_basis(state, tilted(0.7)), state.basis)
         for i in range(3):
-            assert_allclose(
-                back.branch(i).amplitudes, state.branch(i).amplitudes, rtol=0, atol=1e-12
-            )
+            assert_allclose(branch(back, i), branch(state, i), rtol=0, atol=1e-12)
 
     def test_branches_must_share_grid(self, geom, grid, units):
         # Every branch is built from one slit pair, so the pair carries the
@@ -161,20 +170,21 @@ class TestSlitPairOracle:
             Wavefunction(grid, m[i, 0] * comp[0] + m[i, 1] * comp[1] + m[i, 2] * comp[2])
             for i in range(3)
         ]
-        landed = [propagate_fft(b, geom, units) for b in emitted]
+        check_headroom(grid, geom, units)
+        landed = fly([np.fft.fft(b.amplitudes) for b in emitted], grid, units)
 
         state = change_basis(assemble(SlitPair.emit(geom, grid, units), detector), basis)
         assert_allclose(
             state.branch_probabilities(), [b.norm() for b in emitted], rtol=0, atol=1e-12
         )
-        for i, branch in enumerate(landed):
-            assert_allclose(state.branch(i).amplitudes, branch.amplitudes, rtol=0, atol=1e-12)
-        assert_allclose(
-            screen_density(state), sum(b.density() for b in landed), rtol=0, atol=1e-12
-        )
-        for got, branch in zip(state.pair.spectra(state.coeffs), emitted):
-            want = to_momentum(branch, hbar=units.hbar).amplitudes
-            assert_allclose(got.amplitudes, want, rtol=0, atol=1e-12)
+        for i, b in enumerate(landed):
+            assert_allclose(branch(state, i), b.amplitudes, rtol=0, atol=1e-12)
+        landed_density = sum(np.abs(b.amplitudes) ** 2 for b in landed)
+        assert_allclose(screen_density(state), landed_density, rtol=0, atol=1e-12)
+        blocks = list(state.pair.spectral_densities(state.coeffs))
+        for i, b in enumerate(emitted):
+            got = np.concatenate([rho[i] for _, rho in blocks])
+            assert_allclose(got, np.abs(centered_spectrum(b, units.hbar)) ** 2, rtol=0, atol=1e-12)
 
 
 class TestScreenDensity:
@@ -269,7 +279,7 @@ class TestFringes:
         # Window ends drawn over three box widths, so some windows lie wholly
         # outside the grid, or, with on_points, exactly on grid points.
         grid = GridSpec(n=n, x_min=x_min, x_max=x_min + span)
-        x = grid.x
+        x = grid.points(0, n)
         if on_points:
             lo, hi = sorted(float(x[int(abs(e) / 3.0 * (n - 1))]) for e in ends)
         else:
@@ -331,7 +341,7 @@ class TestChunkSkipping:
         gram = np.array([[inner(a, a), inner(a, b)], [inner(b, a), inner(b, b)]]) * grid.dx
         assert pair.gram.tobytes() == gram.tobytes()
         # The residual's loop over every chunk, kept as the oracle.
-        s, x, squared = 1.0 / math.sqrt(2.0), grid.x, 0j
+        s, x, squared = 1.0 / math.sqrt(2.0), grid.points(0, grid.n), 0j
         for lo, hi in grid.sum_chunks():
             p1, p2 = a[lo:hi], b[lo:hi]
             phase = np.exp(1j * math.pi * x[lo:hi] / pair.geom.d)
@@ -342,31 +352,26 @@ class TestChunkSkipping:
 
 class TestMomentumShift:
     def test_recovers_whole_bin_shifts(self, geom, grid):
-        psi = slit_state(geom, grid, 1)
-        spec = to_momentum(psi, hbar=1.0)
+        psi, p, dp = slit_state(geom, grid, 1), grid.momenta(1.0, 0, grid.n), grid.dp(1.0)
+        rho = np.abs(centered_spectrum(psi, hbar=1.0)) ** 2
         for bins in (7, -4, 0):
-            kicked = to_momentum(apply_kick(psi, bins * spec.dp, hbar=1.0), hbar=1.0)
-            assert_allclose(
-                momentum_shift(kicked, spec), bins * spec.dp, rtol=0, atol=1e-12
-            )
+            kicked = np.abs(centered_spectrum(apply_kick(psi, bins * dp, hbar=1.0), 1.0)) ** 2
+            assert_allclose(momentum_shift(p, kicked, rho), bins * dp, rtol=0, atol=1e-12)
 
     def test_half_turn_tie_breaks_non_negative(self, geom, grid):
         # A shift of exactly half the box is its own mirror image; the
         # estimator must pick the non-negative candidate, deterministically.
-        psi = slit_state(geom, grid, 1)
-        spec = to_momentum(psi, hbar=1.0)
-        kicked = to_momentum(apply_kick(psi, (grid.n // 2) * spec.dp, hbar=1.0), hbar=1.0)
-        assert_allclose(
-            momentum_shift(kicked, spec), (grid.n // 2) * spec.dp, rtol=0, atol=1e-12
-        )
+        psi, p, dp = slit_state(geom, grid, 1), grid.momenta(1.0, 0, grid.n), grid.dp(1.0)
+        rho = np.abs(centered_spectrum(psi, hbar=1.0)) ** 2
+        half = apply_kick(psi, (grid.n // 2) * dp, hbar=1.0)
+        kicked = np.abs(centered_spectrum(half, hbar=1.0)) ** 2
+        assert_allclose(momentum_shift(p, kicked, rho), (grid.n // 2) * dp, rtol=0, atol=1e-12)
 
     def test_empty_spectrum_raises(self, geom, grid):
-        from kickscope import Wavefunction
-
-        psi = slit_state(geom, grid, 1)
-        zero = to_momentum(Wavefunction(grid, np.zeros(grid.n, dtype=complex)), hbar=1.0)
+        psi, p = slit_state(geom, grid, 1), grid.momenta(1.0, 0, grid.n)
+        rho = np.abs(centered_spectrum(psi, hbar=1.0)) ** 2
         with pytest.raises(EmptyBranchError):
-            momentum_shift(to_momentum(psi, hbar=1.0), zero)
+            momentum_shift(p, rho, np.zeros(grid.n))
 
 
 # The (c, theta, basis) grid the comb forms are held to; tilt 0.0 is the
@@ -384,21 +389,21 @@ class TestCombForms:
     @pytest.mark.parametrize("c", ORACLE_C)
     def test_kicks_match_the_full_grid_oracle(self, geom, grid, units, c, theta):
         state = make_state(geom, grid, units, c=c, theta=theta)
-        d, s = geom.d, 1.0 / math.sqrt(2.0)
-        q_plus, q_minus, _ = state.pair.spectra(state.coeffs)
-        assert abs(relative_kick(state) - _comb_shift(q_minus, q_plus, d)) <= 1e-12
+        d, s, hbar = geom.d, 1.0 / math.sqrt(2.0), units.hbar
+        p, (q_plus, q_minus, _) = branch_densities(state.pair, state.coeffs)
+        assert abs(relative_kick(state) - _comb_shift(p, q_minus, q_plus, d, hbar)) <= 1e-12
         for tilt in ORACLE_TILTS:
             rotated = change_basis(state, tilted(tilt))
-            q_plus, q_minus, _ = rotated.pair.spectra(rotated.coeffs)
+            _, (q_plus, q_minus, _) = branch_densities(rotated.pair, rotated.coeffs)
             shift = relative_kick(rotated)
-            assert abs(shift - _comb_shift(q_minus, q_plus, d)) <= 1e-12
+            assert abs(shift - _comb_shift(p, q_minus, q_plus, d, hbar)) <= 1e-12
             if c == 0.0:
                 with pytest.raises(EmptyBranchError):
                     phase_kick_shift(rotated)
                 continue
-            q3, phase_free = rotated.pair.spectra([rotated.coeffs[2], (s, s)])
+            _, (q3, phase_free) = branch_densities(rotated.pair, [rotated.coeffs[2], (s, s)])
             shift = phase_kick_shift(rotated)
-            assert abs(shift - _comb_shift(q3, phase_free, d)) <= 1e-12
+            assert abs(shift - _comb_shift(p, q3, phase_free, d, hbar)) <= 1e-12
 
     @settings(max_examples=60, deadline=None)
     @given(a=ROW_AMPLITUDE, b=ROW_AMPLITUDE)
@@ -408,7 +413,8 @@ class TestCombForms:
         pair = make_state(geom, grid, PhysicalUnits(t=0.05), c=0.5).pair
         row = np.array([a, b])
         form = np.vdot(row, pair.comb @ row)
-        oracle = _comb_projection(pair.spectra([row])[0], geom.d)
+        p, (rho,) = branch_densities(pair, [row])
+        oracle = _comb_projection(p, rho, geom.d, pair.units.hbar)
         assert abs(form - oracle) <= 1e-12 * abs(oracle)
 
     def test_comb_is_the_closed_form_overlap_at_lag_d(self):
@@ -432,13 +438,13 @@ class TestCombForms:
 
     @pytest.mark.parametrize("n", [wavepacket._SUM_CHUNK, 4 * wavepacket._SUM_CHUNK])
     def test_comb_is_the_sum_over_whole_spectra_bit_for_bit(self, units, n):
-        # The comb summed over to_momentum's whole spectra, kept as the
-        # oracle; the pair reads it off the screen's raw transforms, in one
-        # chunk across the FFT's halves at _SUM_CHUNK points.
+        # The comb summed over the oracle's whole spectra; the pair reads it
+        # off the screen's raw transforms, in one chunk across the FFT's
+        # halves at _SUM_CHUNK points.
         geom = SlitGeometry(d=1.0, sigma=0.02)
         grid = GridSpec(n=n, x_min=0.5 - n * 0.0025, x_max=0.5 + n * 0.0025)
         pair = SlitPair.emit(geom, grid, units)
-        phis = [to_momentum(psi, hbar=units.hbar).amplitudes for psi in (pair.psi1, pair.psi2)]
+        phis = [centered_spectrum(psi, hbar=units.hbar) for psi in (pair.psi1, pair.psi2)]
         want = np.zeros((2, 2), dtype=np.complex128)
         for lo, hi in grid.sum_chunks():
             w = np.exp(-1j * grid.momenta(units.hbar, lo, hi) * (geom.d / units.hbar))
@@ -461,7 +467,7 @@ class TestKickReport:
     def test_report_against_theory(self, geom, grid, units):
         c = 0.36
         state = make_state(geom, grid, units, c=c, theta=math.pi / 3)
-        dp = to_momentum(state.branch(0), hbar=units.hbar).dp
+        dp = grid.dp(units.hbar)
         assert_allclose(state.branch_probabilities()[1], 0.32, rtol=0, atol=1e-12)
         assert abs(relative_kick(state) - math.pi) <= dp
         assert state.pair.kick_identity_residual > 0.0
@@ -512,16 +518,18 @@ class TestStateCarriesItsSetup:
         state = make_state(SlitGeometry(d=d, sigma=0.02), grid, units, c=0.5, theta=theta)
         hbar, tol = units.hbar, 1e-9 * grid.dp(units.hbar)
         kick = relative_kick(state)
-        q_plus, q_minus, q3, phase_free = state.pair.spectra([*state.coeffs, (s, s)])
-        assert abs(kick - _comb_shift(q_minus, q_plus, d)) <= tol
+        p, (q_plus, q_minus, q3, phase_free) = branch_densities(
+            state.pair, [*state.coeffs, (s, s)]
+        )
+        assert abs(kick - _comb_shift(p, q_minus, q_plus, d, hbar)) <= tol
         assert abs(kick - math.pi * hbar / d) <= tol
-        assert abs(phase_kick_shift(state) - _comb_shift(q3, phase_free, d)) <= tol
+        assert abs(phase_kick_shift(state) - _comb_shift(p, q3, phase_free, d, hbar)) <= tol
         assert abs(phase_kick_shift(state) - theta * hbar / d) <= tol
         for tilt in (math.pi / 4, 1.0):
             rotated = change_basis(state, tilted(tilt))
-            t_plus, t_minus, _ = rotated.pair.spectra(rotated.coeffs)
+            _, (t_plus, t_minus, _) = branch_densities(rotated.pair, rotated.coeffs)
             shift = relative_kick(rotated)
-            assert abs(shift - _comb_shift(t_minus, t_plus, d)) <= tol
+            assert abs(shift - _comb_shift(p, t_minus, t_plus, d, hbar)) <= tol
 
     def test_kick_and_fringes_read_the_pairs_units(self, geom, grid):
         # hbar = 2 doubles the kick, p0 = 2*pi/d, and t = 0.025 keeps the
@@ -609,10 +617,10 @@ class TestTiltedKick:
         state = change_basis(make_state(geom, grid, units, c=0.5), tilted(theta_prime))
         # The detector-free superposition (psi1 + psi2)/sqrt2.
         psi1, psi2 = (slit_state(geom, grid, s).amplitudes for s in (1, 2))
-        ref = to_momentum(Wavefunction(grid, (psi1 + psi2) / math.sqrt(2.0)), hbar=units.hbar)
-        shift = momentum_shift(state.pair.spectra(state.coeffs[:1])[0], ref)
-        dp = ref.dp
-        assert abs(shift + theta_prime) <= dp
+        ref = centered_spectrum(Wavefunction(grid, (psi1 + psi2) / math.sqrt(2.0)), units.hbar)
+        p, (rho,) = branch_densities(state.pair, state.coeffs[:1])
+        shift = momentum_shift(p, rho, np.abs(ref) ** 2)
+        assert abs(shift + theta_prime) <= grid.dp(units.hbar)
 
     def test_empty_branches_raise(self, geom, grid, units):
         with pytest.raises(EmptyBranchError):
@@ -770,7 +778,7 @@ class TestSampling:
         cdf, edges = _cell_cdf([rho], grid), grid._edges
         quantiles = (np.arange(1000) + 0.5) / 1000
         mean = np.interp(quantiles, cdf, edges).mean()
-        want = np.sum(grid.x * rho) / np.sum(rho)
+        want = np.sum(grid.points(0, grid.n) * rho) / np.sum(rho)
         assert abs(mean - want) <= 0.01 * grid.dx
 
     @pytest.mark.parametrize("count", [0, 1, 7, 8, 1000])
@@ -794,7 +802,7 @@ class TestSampling:
         for i in range(3):
             mask = want_codes == i
             if mask.any():
-                cdf = _cell_cdf([state.branch(i).density()], grid)
+                cdf = _cell_cdf([np.abs(branch(state, i)) ** 2], grid)
                 want_xs[mask] = np.interp(u[mask, 1], cdf, grid._edges)
         monkeypatch.setattr(experiment, "_SAMPLE_BLOCK", 7)
         sizes = [len(xs) for _, xs in sample_events(state, count, seed=9)]

@@ -2,7 +2,9 @@
 
 import ast
 import sys
+from functools import cached_property
 from pathlib import Path
+from types import FunctionType
 
 import kickscope
 from kickscope import errors, experiment, hilbert, wavepacket
@@ -14,7 +16,6 @@ MODULES = (errors, hilbert, wavepacket, experiment)
 # each with the reason it stays public.
 USED_ONLY_BY_TESTS = {
     "gaussian_state": "the state slit_state builds, at any center and width",
-    "propagate_fft": "one state's flight through the routine the pair's screen takes",
 }
 
 # Third-party modules the tests and demos may import: the runtime dependency
@@ -44,15 +45,21 @@ def test_package_exports_the_union_of_the_module_lists():
             assert getattr(kickscope, name) is getattr(module, name), name
 
 
+def _user_sources() -> dict[Path, str]:
+    """The source of each package module, each demo and the README's Library block."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    library = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    sources = {Path("README.md"): library}
+    package = Path(kickscope.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")) + sorted((ROOT / "demos").glob("*.py")):
+        sources[path] = path.read_text(encoding="utf-8")
+    return sources
+
+
 def test_every_public_name_is_used_outside_the_tests():
     # A user is another package module, a demo, or the README's Library
     # block; a name's own module and the tests do not count.
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    library = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
-    users = {Path("README.md"): _identifiers(library)}
-    package = Path(kickscope.__file__).resolve().parent
-    for path in sorted(package.glob("*.py")) + sorted((ROOT / "demos").glob("*.py")):
-        users[path] = _identifiers(path.read_text(encoding="utf-8"))
+    users = {path: _identifiers(source) for path, source in _user_sources().items()}
     unused = {
         name
         for module in MODULES
@@ -64,6 +71,28 @@ def test_every_public_name_is_used_outside_the_tests():
         )
     }
     assert unused == set(USED_ONLY_BY_TESTS)
+
+
+def test_every_public_method_and_property_is_used_outside_the_tests():
+    # The methods and properties of every exported class.  One counts as
+    # used where its name is looked up as an attribute in a package module,
+    # its own included, in a demo or in the README's Library block.
+    looked_up = {
+        node.attr
+        for source in _user_sources().values()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+    }
+    kinds = (FunctionType, property, cached_property, classmethod, staticmethod)
+    members = {
+        (cls.__name__, name)
+        for module in MODULES
+        for cls in (getattr(module, export) for export in module.__all__)
+        if isinstance(cls, type)
+        for name, value in vars(cls).items()
+        if not name.startswith("_") and isinstance(value, kinds)
+    }
+    assert {f"{cls}.{name}" for cls, name in members if name not in looked_up} == set()
 
 
 def _imports(path: Path) -> set[str]:
