@@ -24,12 +24,12 @@ the grid runs in fixed-size blocks.  The emitted slits are written only
 on their support, the blocks where the Gaussian is not exactly zero, so
 RSS counts only those pages of them: a few blocks for a slit much
 narrower than the box.  The grid's cell edges, half an array, exist only
-where sampling reads them.  ``run`` holds at most 7.0 arrays
-(``momentum.csv``'s two raw slit transforms are its largest stage),
-``scan`` 4.5, ``sample`` 6.5 (the cell edges and three cell CDFs) and
-``verify`` 6.5 (the ``kick_displacement`` row's kicked state and its
-transform),
-beside fixed-size blocks and the interpreter.
+where sampling reads them.  ``run`` holds at most 4.5 arrays and
+``scan`` 4.5, neither with a full-grid stage of its own (``run`` writes
+``momentum.csv`` off the two raw slit transforms that then fly in place
+into the screen), and ``sample`` 6.5 and ``verify`` 6.5, whose largest
+stage is the sampler's cell edges and three cell CDFs, beside fixed-size
+blocks and the interpreter.
 
 At start-up, before numpy loads, the module sets ``OPENBLAS_NUM_THREADS=1``
 unless the environment chose a BLAS thread count, so OpenBLAS starts no
@@ -38,7 +38,7 @@ worker threads; only ``verify`` loads `kickscope.verify`.
 Exit codes: 0 on success, 1 when verification fails, 2 on a configuration
 or usage error (from every command, ``verify`` included), when a config
 value overflows a float, or when the configured arrays do not fit in
-memory.
+memory.  Each guard's error names the config keys that set what it checks.
 """
 
 from __future__ import annotations
@@ -74,6 +74,7 @@ from .experiment import (
     SlitPair,
     assemble,
     change_basis,
+    check_readable,
     read,
     sample_events,
     screen_bins,
@@ -376,43 +377,23 @@ def _write_blocks(fh, header: list[str], blocks: Iterable[list[np.ndarray]]) -> 
 
 
 def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
-    """Simulate once; write pattern.csv, momentum.csv, and summary.txt.
+    """Simulate once; write momentum.csv, pattern.csv, and summary.txt, in that order.
 
-    summary.txt is the setting's `read`, which does not depend on
+    momentum.csv is read off the pair's two raw slit transforms, which its
+    pass then hands back to the pair; pattern.csv flies those same arrays
+    in place into the screen, so the run takes one forward FFT per slit
+    and never holds the screen beside them.  summary.txt is the setting's
+    `read`, taken when its writer runs, which does not depend on
     ``basis``: the basis picks only the branch columns of pattern.csv and
-    momentum.csv.
+    momentum.csv.  `read`'s guards run first, so a config that cannot be
+    read fails before the output directory is made.
     """
     pair = SlitPair.emit(cfg.geometry, cfg.grid, cfg.units)
-    reading = read(pair, cfg.detector)
+    check_readable(pair)
     state = change_basis(assemble(pair, cfg.detector), cfg.basis)
-    # Theory from the config, each beside what the state measures.
-    det, hbar, d = cfg.detector, cfg.units.hbar, cfg.geometry.d
-    lines = [
-        ("V_theory", _fmt(det.c)),
-        ("V_measured", _fmt(reading.visibility)),
-        ("fringe_period", _fmt(reading.fringe_period)),
-        ("central_fringe_shift", _fmt(reading.central_fringe_shift)),
-        ("F_k_theory", _fmt((1.0 - det.c) / 2.0)),
-        ("F_k_branch", _fmt(reading.kick_fraction)),
-        ("p0", _fmt(math.pi * hbar / d)),
-        ("p0_measured", _fmt(reading.kick)),
-        ("kick_identity_residual", _fmt(pair.kick_identity_residual)),
-        ("p_e", _fmt(det.theta * hbar / d)),
-        ("storey_lhs", _fmt(reading.kick * d / hbar)),
-        ("storey_rhs", _fmt(1.0 - reading.visibility)),
-    ]
 
     # Each table's columns are formed one grid block at a time, inside its
-    # writer: from the screen amplitudes, or from the two slit transforms.
-    def write_pattern(fh) -> None:
-        grid = pair.screen[0].grid
-        branches = zip(grid.blocks(), *(state.density_blocks(i) for i in range(3)))
-        _write_blocks(
-            fh,
-            ["x", "rho_total", "rho_branch1", "rho_branch2", "rho_branch3"],
-            ([grid.points(lo, hi), rho[0] + rho[1] + rho[2], *rho] for (lo, hi), *rho in branches),
-        )
-
+    # writer: from the two slit transforms, or from the screen amplitudes.
     def write_momentum(fh) -> None:
         # Spectra are reported at emission time; free flight only changes
         # the phases, not these densities.
@@ -422,12 +403,41 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
             ([p, *rho] for p, rho in pair.spectral_densities(state.coeffs)),
         )
 
+    def write_pattern(fh) -> None:
+        grid = pair.screen[0].grid
+        branches = zip(grid.blocks(), *(state.density_blocks(i) for i in range(3)))
+        _write_blocks(
+            fh,
+            ["x", "rho_total", "rho_branch1", "rho_branch2", "rho_branch3"],
+            ([grid.points(lo, hi), rho[0] + rho[1] + rho[2], *rho] for (lo, hi), *rho in branches),
+        )
+
+    def write_summary(fh) -> None:
+        # Theory from the config, each beside what the state measures.
+        reading = read(pair, cfg.detector)
+        det, hbar, d = cfg.detector, cfg.units.hbar, cfg.geometry.d
+        lines = [
+            ("V_theory", _fmt(det.c)),
+            ("V_measured", _fmt(reading.visibility)),
+            ("fringe_period", _fmt(reading.fringe_period)),
+            ("central_fringe_shift", _fmt(reading.central_fringe_shift)),
+            ("F_k_theory", _fmt((1.0 - det.c) / 2.0)),
+            ("F_k_branch", _fmt(reading.kick_fraction)),
+            ("p0", _fmt(math.pi * hbar / d)),
+            ("p0_measured", _fmt(reading.kick)),
+            ("kick_identity_residual", _fmt(pair.kick_identity_residual)),
+            ("p_e", _fmt(det.theta * hbar / d)),
+            ("storey_lhs", _fmt(reading.kick * d / hbar)),
+            ("storey_rhs", _fmt(1.0 - reading.visibility)),
+        ]
+        fh.writelines(f"{k}={v}\n" for k, v in lines)
+
     _commit(
         out_dir,
         {
-            "pattern.csv": write_pattern,
             "momentum.csv": write_momentum,
-            "summary.txt": lambda fh: fh.writelines(f"{k}={v}\n" for k, v in lines),
+            "pattern.csv": write_pattern,
+            "summary.txt": write_summary,
         },
     )
     return 0

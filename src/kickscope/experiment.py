@@ -99,6 +99,13 @@ class SlitPair:
     detector setting on it; the pair keeps its `screen` and comb matrix,
     so those settings share one of each.  Both come from one forward FFT
     per slit, made when either is first read.
+
+    Those two raw transforms are held by one reader at a time.  A
+    `spectral_densities` pass takes the ones the pair holds, or makes its
+    own, and once exhausted hands them back unless the pair has flown; the
+    flight takes the held ones, or makes its own, and flies them in place.
+    So a pass read before the flight leaves the flight no transform to
+    make, and no array is read by one holder while another flies it.
     """
 
     psi1: Wavefunction
@@ -144,15 +151,24 @@ class SlitPair:
         g.setflags(write=False)  # shared by every state built on the pair
         return g
 
+    def _take_transforms(self) -> list[np.ndarray]:
+        """The raw slit transforms the pair holds, which pass to the caller, or two fresh ones."""
+        raw = self.__dict__.pop("_transforms", None)
+        if raw is None:
+            raw = [np.fft.fft(psi.amplitudes) for psi in (self.psi1, self.psi2)]
+        return raw
+
     @cached_property
     def _flight(self) -> tuple[np.ndarray, tuple[Wavefunction, Wavefunction]]:
         """``(comb, screen)`` from one forward FFT of each slit.
 
-        The comb is read off the two raw spectra chunk by chunk; then both
-        fly in place and become the screen.  The headroom is checked first.
+        The headroom is checked first.  The transforms are those a finished
+        `spectral_densities` pass handed back, or fresh ones.  The comb is
+        read off the two raw spectra chunk by chunk; then both fly in place
+        and become the screen.
         """
         check_headroom(self.grid, self.geom, self.units)
-        raw = [np.fft.fft(psi.amplitudes) for psi in (self.psi1, self.psi2)]
+        raw = self._take_transforms()
         hbar, grid = self.units.hbar, self.grid
         a = np.zeros((2, 2), dtype=np.complex128)
         for _, _, p, chunks in momentum_chunks(raw, grid, hbar):
@@ -213,11 +229,16 @@ class SlitPair:
 
         ``phi_i`` is slit ``i``'s momentum spectrum, read off a forward FFT
         of the emitted slit by `momentum_chunks`; only the two raw
-        transforms are held whole.
+        transforms are held whole.  The pass takes the transforms the pair
+        holds, or makes its own, and once exhausted hands them back to the
+        pair unless it has flown meanwhile, so a flight after the pass takes
+        no transform of its own.
         """
-        raw = [np.fft.fft(psi.amplitudes) for psi in (self.psi1, self.psi2)]
+        raw = self._take_transforms()
         for _, _, p, (phi1, phi2) in momentum_chunks(raw, self.grid, self.units.hbar):
             yield p, [np.abs(a * phi1 + b * phi2) ** 2 for a, b in rows]
+        if "_flight" not in self.__dict__:
+            self.__dict__["_transforms"] = raw
 
 
 @dataclass(frozen=True, eq=False)
@@ -383,6 +404,20 @@ def _window(pair: SlitPair, grid: GridSpec) -> tuple[float, float, int, int]:
     return lo, hi, i0, i1
 
 
+def check_readable(pair: SlitPair) -> tuple[float, float, int, int]:
+    """`read`'s two guards on ``pair``, in its order, and its fringe `_window`.
+
+    The window must hold the fringes on the emission grid that the screen
+    keeps, and the box must have the wraparound headroom
+    (`check_headroom`); either raises ``ConfigurationError``.  Neither
+    takes a transform, so a command that writes before it reads runs them
+    first and fails before any output.
+    """
+    window = _window(pair, pair.grid)
+    check_headroom(pair.grid, pair.geom, pair.units)
+    return window
+
+
 def _median(values: list[float]) -> float:
     """``np.median(values)`` bit for bit, without the ``numpy.ma`` import it brings.
 
@@ -521,11 +556,11 @@ def read(pair: SlitPair, detector: DetectorConfig) -> Reading:
     The fringes are read on ``pair.screen``, computed once however many
     settings are read; the kick fraction and the kicks on the emitted slits,
     the kicks off ``pair.comb``.  The comb and the screen share one forward
-    FFT per slit, made at the first read of either.  The fringe window is
-    found before both, on the emission grid that the screen keeps, so
-    a config that cannot hold it fails before any transform.
+    FFT per slit, made at the first read of either.  Its guards
+    (`check_readable`) run before both, so a config that cannot hold the
+    fringe window or the flight fails before any transform.
     """
-    window = _window(pair, pair.grid)
+    window = check_readable(pair)
     sym = change_basis(assemble(pair, detector), SYMMETRIC)
     kick, phase_kick = _or_nan(relative_kick, sym), _or_nan(phase_kick_shift, sym)
     visibility, period, shift = _fringe_analysis(sym, window)

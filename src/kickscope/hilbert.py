@@ -57,10 +57,13 @@ class DetectorConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.c <= 1.0:
-            raise DomainError(f"overlap magnitude c must lie in [0, 1], got {self.c}")
+            raise DomainError(
+                f"overlap magnitude c must lie in [0, 1], got {self.c}; check detector.c"
+            )
         if not -math.pi < self.theta <= math.pi:
             raise DomainError(
-                f"overlap phase theta must lie in (-pi, pi], got {self.theta}"
+                f"overlap phase theta must lie in (-pi, pi], got {self.theta}; "
+                "check detector.theta"
             )
 
     @property

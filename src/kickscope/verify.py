@@ -271,9 +271,9 @@ def _chk_wp_kick(run: _Run, tol: float) -> tuple[bool, str]:
     # exactly p (the spectrum translates rigidly), for whole and fractional
     # numbers of bins alike.  The error is counted in bins, like the kick
     # rows', so it does not scale with the unit of momentum.  The kicked
-    # amplitudes are formed block by block and the terms p*|phi|^2 chunk by
-    # chunk, the kicked state is dropped once it is transformed, and the
-    # terms are summed once over the whole grid.
+    # amplitudes are formed block by block and transformed in place, the
+    # terms p*|phi|^2 are formed chunk by chunk, and the terms are summed
+    # once over the whole grid.
     psi, hbar = run.pair.psi1, run.pair.units.hbar
     grid, boost = psi.grid, 12.25 * run.dp
 
@@ -281,7 +281,7 @@ def _chk_wp_kick(run: _Run, tol: float) -> tuple[bool, str]:
         kicked = np.empty_like(psi.amplitudes)
         for lo, hi in grid.blocks():
             kicked[lo:hi] = psi.amplitudes[lo:hi] * np.exp(1j * (p / hbar) * grid.points(lo, hi))
-        return np.fft.fft(kicked)
+        return np.fft.fft(kicked, out=kicked)
 
     def mean_momentum(raw):
         terms = np.empty(grid.n)

@@ -110,9 +110,14 @@ class SlitGeometry:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.d) and self.d > 0):
-            raise DomainError(f"slit separation d must be positive and finite, got {self.d}")
+            raise DomainError(
+                f"slit separation d must be positive and finite, got {self.d}; check geometry.d"
+            )
         if not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise DomainError(f"slit width sigma must be positive and finite, got {self.sigma}")
+            raise DomainError(
+                f"slit width sigma must be positive and finite, got {self.sigma}; "
+                "check geometry.sigma"
+            )
         if self.sigma / self.d > NARROW_SLIT_RATIO:
             warnings.warn(
                 "sigma/d = %.3g exceeds %.2g; the narrow-slit (half-fringe kick) "
@@ -141,11 +146,14 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         if self.n < 16 or (self.n & (self.n - 1)) != 0:
-            raise ConfigurationError(f"grid size must be a power of two >= 16, got {self.n}")
+            raise ConfigurationError(
+                f"grid size must be a power of two >= 16, got {self.n}; check grid.n"
+            )
         finite = math.isfinite(self.x_min) and math.isfinite(self.x_max)
         if not (finite and self.x_max > self.x_min):
             raise ConfigurationError(
-                f"grid extent [{self.x_min}, {self.x_max}) must be finite and non-empty"
+                f"grid extent [{self.x_min}, {self.x_max}) must be finite and non-empty; "
+                "check grid.x_min and grid.x_max"
             )
 
     @property
@@ -203,9 +211,13 @@ class PhysicalUnits:
     def __post_init__(self) -> None:
         for name, value in (("hbar", self.hbar), ("mass", self.mass)):
             if not (math.isfinite(value) and value > 0):
-                raise DomainError(f"{name} must be positive and finite, got {value}")
+                raise DomainError(
+                    f"{name} must be positive and finite, got {value}; check units.{name}"
+                )
         if not (math.isfinite(self.t) and self.t >= 0):
-            raise DomainError(f"flight time t must be non-negative and finite, got {self.t}")
+            raise DomainError(
+                f"flight time t must be non-negative and finite, got {self.t}; check units.t"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,12 +277,16 @@ def slit_state(geom: SlitGeometry, grid: GridSpec, slit: int) -> Wavefunction:
         raise DomainError(f"slit must be 1 or 2, got {slit}")
     if grid.dx > geom.sigma / 4.0 * (1.0 + 1e-12):
         raise ConfigurationError(
-            "grid too coarse for the slit: dx = %.4g > sigma/4 = %.4g"
+            "grid too coarse for the slit: dx = %.4g > sigma/4 = %.4g; check grid.n, "
+            "grid.x_min and grid.x_max, which set dx, and geometry.sigma"
             % (grid.dx, geom.sigma / 4.0)
         )
     center = geom.centers[slit - 1]
     if not grid.x_min <= center < grid.x_max:
-        raise ConfigurationError(f"slit center {center} lies outside the grid extent")
+        raise ConfigurationError(
+            f"slit center {center} lies outside the grid extent; "
+            "check geometry.d, grid.x_min and grid.x_max"
+        )
     return gaussian_state(grid, center, geom.sigma)
 
 
@@ -317,7 +333,9 @@ def check_headroom(grid: GridSpec, geom: SlitGeometry, units: PhysicalUnits) -> 
     if grid.x_min > lo or grid.x_max < hi:
         raise ConfigurationError(
             "grid extent [%g, %g] cannot hold the evolved state: need [%g, %g]; "
-            "wraparound would corrupt the pattern" % (grid.x_min, grid.x_max, lo, hi)
+            "wraparound would corrupt the pattern; check grid.x_min and grid.x_max, "
+            "or units.t, units.hbar, units.mass, geometry.sigma and geometry.d, "
+            "which set the need" % (grid.x_min, grid.x_max, lo, hi)
         )
 
 

@@ -30,7 +30,7 @@ from conftest import run_python, traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kickscope import cli, experiment, wavepacket
+from kickscope import cli, config, experiment, wavepacket
 from kickscope import verify as verify_module
 from kickscope.cli import main
 from kickscope.config import parse_config_text
@@ -567,7 +567,7 @@ class TestCommitAsASet:
     @pytest.mark.parametrize(
         "command,target,name",
         [
-            # run fails while building momentum.csv, after pattern.csv.
+            # run fails while building momentum.csv, before pattern.csv.
             ("run", experiment.SlitPair, "spectral_densities"),
             # sample fails in the summary's fit, after every event is
             # drawn, written to the temporary events.csv and binned.
@@ -590,16 +590,16 @@ class TestCommitAsASet:
         assert self._contents(out) == before
 
     def test_a_directory_in_a_files_place_renames_nothing(self, tmp_path):
-        # momentum.csv is a directory: os.replace would move pattern.csv into
+        # pattern.csv is a directory: os.replace would move momentum.csv into
         # place and then fail, leaving a mixed set.  The target is refused first.
         out = run_cli(tmp_path, "run", SMALL).out
-        (out / "momentum.csv").unlink()
-        (out / "momentum.csv").mkdir()
-        before = {name: (out / name).read_bytes() for name in ("pattern.csv", "summary.txt")}
+        (out / "pattern.csv").unlink()
+        (out / "pattern.csv").mkdir()
+        before = {name: (out / name).read_bytes() for name in ("momentum.csv", "summary.txt")}
         rerun = run_cli(tmp_path, "run", _with(SMALL, "detector.c = 0.25\n"), expect=2)
-        assert "out/momentum.csv" in rerun.stderr and "wrote" not in rerun.stdout
-        assert sorted(p.name for p in out.iterdir()) == ["momentum.csv", *sorted(before)]
-        assert (out / "momentum.csv").is_dir()
+        assert "out/pattern.csv" in rerun.stderr and "wrote" not in rerun.stdout
+        assert sorted(p.name for p in out.iterdir()) == sorted(["pattern.csv", *before])
+        assert (out / "pattern.csv").is_dir()
         assert {name: (out / name).read_bytes() for name in before} == before
 
 
@@ -717,6 +717,35 @@ class TestFailureModes:
         assert run.stdout == "" and not run.out.exists()
         assert run.stderr.startswith("error:") and run.stderr.count("\n") == 1, run.stderr
         assert all(key in run.stderr for key in keys), run.stderr
+
+    @pytest.mark.parametrize(
+        "extra,words,key",
+        [
+            ("grid.x_min = -1\ngrid.x_max = 2\n", "cannot hold the evolved state", "grid.x_min"),
+            ("grid.n = 1024\n", "grid too coarse for the slit", "grid.n"),
+            ("geometry.d = 20\n", "lies outside the grid extent", "geometry.d"),
+            ("grid.n = 4000\n", "grid size must be a power of two", "grid.n"),
+            ("grid.x_max = -5\n", "must be finite and non-empty", "grid.x_max"),
+            ("detector.c = 1.5\n", "overlap magnitude c must lie in", "detector.c"),
+            ("detector.theta = 4\n", "overlap phase theta must lie in", "detector.theta"),
+            ("geometry.d = -1\n", "slit separation d must be positive", "geometry.d"),
+            ("geometry.sigma = -0.01\n", "slit width sigma must be positive", "geometry.sigma"),
+            ("units.hbar = 0\n", "hbar must be positive", "units.hbar"),
+            ("units.mass = -1\n", "mass must be positive", "units.mass"),
+            ("units.t = -1\n", "flight time t must be non-negative", "units.t"),
+        ],
+        ids=[
+            "wraparound", "coarse-grid", "slit-center", "power-of-two", "extent",
+            "detector-c", "detector-theta", "d", "sigma", "hbar", "mass", "t",
+        ],
+    )
+    def test_every_config_error_names_its_key(self, tmp_path, extra, words, key):
+        # Each guard keeps its own words and adds the config key to change.
+        assert key in config._DEFAULTS
+        run = run_cli(tmp_path, "run", _with(SMALL, extra), expect=2)
+        assert run.stdout == "" and not run.out.exists()
+        assert run.stderr.startswith("error: ") and words in run.stderr, run.stderr
+        assert key in run.stderr, run.stderr
 
     def test_sample_without_headroom_exits_2_with_no_out_dir(self, tmp_path):
         # Ten events are too few for the fit, so only the sampler reads the
@@ -1247,15 +1276,15 @@ def _desk(n):
 # Full-grid arrays each command may hold per grid point, counted in n-point
 # complex arrays.  The emitted pair and its screen are 4 of them:
 # tracemalloc counts the zero-filled slits in full, though RSS holds only
-# their written pages.  The rest is the largest stage's own arrays: run's
-# two slit spectra for momentum.csv, none for scan (its comb is read off
-# the screen's own transforms, and the comb and kick-identity sums go by
-# chunk), the sampler's cell edges and three cell CDFs, and verify's
-# kick_displacement row (a kicked state and its spectrum; the state is
-# dropped before the momentum terms are formed).  Measured: run 5.99,
-# scan 4.00, sample 6.01 and verify 5.99; 6.50, 4.50, 6.00 and 6.49 when
-# every command built the cell edges.
-MEMORY_BUDGET = {"run": 7.0, "scan": 4.5, "sample": 6.5, "verify": 6.5}
+# their written pages.  The rest is the largest stage's own arrays: none
+# for run (momentum.csv is read off the two slit transforms that then fly
+# in place into the screen) or scan (its comb is read off the screen's own
+# transforms, and the comb and kick-identity sums go by chunk), and the
+# sampler's cell edges and three cell CDFs for sample and verify (verify's
+# kick_displacement row transforms its kicked state in place, one array).
+# Measured: run 3.99, scan 4.00, sample 6.00 and verify 5.99; run 5.99
+# when momentum.csv took two transforms of its own beside the screen.
+MEMORY_BUDGET = {"run": 4.5, "scan": 4.5, "sample": 6.5, "verify": 6.5}
 
 
 @pytest.mark.parametrize("command", MEMORY_BUDGET)
@@ -1286,7 +1315,7 @@ def _count_calls(calls, name, real):
 
 @pytest.fixture(scope="module")
 def small_calls(tmp_path_factory):
-    """``{command: Counter}`` of counted calls in one SMALL run each of scan, verify and run.
+    """``{command: Counter}`` of counted calls in one SMALL run of each command.
 
     Every counter is installed for every run: forward FFTs, the pair's
     kick-identity residual, fringe analyses and builds of a grid's cell
@@ -1310,7 +1339,7 @@ def small_calls(tmp_path_factory):
         )
         for owner, name in ((experiment.SlitPair, "kick_identity_residual"), (GridSpec, "_edges")):
             patch.setattr(owner, name, counted(name, owner))
-        for command in ("scan", "verify", "run"):
+        for command in ("scan", "verify", "run", "sample"):
             calls.clear()
             run_cli(tmp_path_factory.mktemp(command), command, SMALL)
             counts[command] = collections.Counter(calls)
@@ -1329,9 +1358,28 @@ def test_scan_and_verify_propagate_the_slit_pair_once(small_calls):
 def test_kick_analysis_transforms_the_slit_pair_once(small_calls):
     # Kicks are read off the pair's comb matrix, which takes no transform
     # beyond the screen's one per slit, so no detector setting adds a
-    # full-grid FFT of its own (scan's count above).  run adds one per slit
-    # for momentum.csv.
-    assert small_calls["run"]["fft"] == 2 + 2
+    # full-grid FFT of its own (scan's count above).  run reads momentum.csv
+    # off those same two transforms before they fly, and sample flies the
+    # pair once for its screen.
+    assert small_calls["run"]["fft"] == 2
+    assert small_calls["sample"]["fft"] == 2
+
+
+@pytest.mark.parametrize(
+    "extra,cause",
+    [(LATE_WINDOW, "analysis window"), ("grid.x_min = -1\ngrid.x_max = 2\n", "wraparound")],
+    ids=["window", "headroom"],
+)
+def test_run_that_cannot_be_read_takes_no_transform_and_makes_no_directory(
+    tmp_path, monkeypatch, extra, cause
+):
+    # run writes momentum.csv before it reads, so read's two guards run
+    # before the output directory is made and before any transform.
+    calls = []
+    monkeypatch.setattr(np.fft, "fft", _count_calls(calls, "fft", np.fft.fft))
+    run = run_cli(tmp_path, "run", _with(SMALL, extra), expect=2)
+    assert cause in run.stderr and run.stdout == ""
+    assert calls == [] and not run.out.exists()
 
 
 def test_scan_computes_the_kick_identity_residual_once(small_calls):

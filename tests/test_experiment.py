@@ -187,6 +187,74 @@ class TestSlitPairOracle:
             assert_allclose(got, np.abs(centered_spectrum(b, units.hbar)) ** 2, rtol=0, atol=1e-12)
 
 
+def _joined(blocks):
+    """The densities of a `SlitPair.spectral_densities` pass, each joined from its chunks."""
+    return [np.concatenate(rows) for rows in zip(*(rho for _, rho in blocks))]
+
+
+def _bits(arrays):
+    return [a.tobytes() for a in arrays]
+
+
+class TestTransformHandOver:
+    # A spectral_densities pass hands its two raw slit transforms to a
+    # pair that has not flown, and the flight flies those in place.  In
+    # every order the densities, screen and comb are those of a pair that
+    # only reads them, bit for bit; only the forward FFT count differs.
+    # Once flown, the pair holds no transforms: a last pass makes two.
+    # 2^15 points make four of inner's chunks, so a pass can stop half way.
+
+    ROWS = np.array([[0.5, 0.5j], [0.3, -0.2], [0.1 + 0.4j, 0.6]])
+
+    @staticmethod
+    def _cut_by_flight(pair):
+        # A pass with the flight taken after its first two chunks.
+        blocks = pair.spectral_densities(TestTransformHandOver.ROWS)
+        head = [next(blocks), next(blocks)]
+        screen = pair.screen
+        return _joined(head + list(blocks)), screen
+
+    @pytest.mark.parametrize(
+        "order,ffts",
+        [
+            ("pass-then-flight", 2),
+            ("flight-mid-pass", 4),
+            ("pass-after-flight", 4),
+            ("flight-mid-second-pass", 4),
+        ],
+    )
+    def test_every_order_reads_the_same_bits(self, geom, units, monkeypatch, order, ffts):
+        wide = GridSpec(n=2**15, x_min=0.5 - 81.92, x_max=0.5 + 81.92)
+        want = _joined(SlitPair.emit(geom, wide, units).spectral_densities(self.ROWS))
+        flown = SlitPair.emit(geom, wide, units)
+        want_screen, want_comb = flown.screen, flown.comb
+
+        pair = SlitPair.emit(geom, wide, units)
+        monkeypatch.setattr(np.fft, "fft", mock.Mock(wraps=np.fft.fft))
+        if order == "pass-then-flight":
+            densities = _joined(pair.spectral_densities(self.ROWS))
+            screen = pair.screen
+        elif order == "flight-mid-pass":
+            densities, screen = self._cut_by_flight(pair)
+        elif order == "pass-after-flight":
+            screen = pair.screen
+            densities = _joined(pair.spectral_densities(self.ROWS))
+        else:
+            # The first pass hands its transforms over and the second takes
+            # them, so the flight that cuts into the second makes its own.
+            assert _bits(_joined(pair.spectral_densities(self.ROWS))) == _bits(want)
+            densities, screen = self._cut_by_flight(pair)
+        assert np.fft.fft.call_count == ffts
+        assert _bits(densities) == _bits(want)
+        assert _bits(psi.amplitudes for psi in screen) == _bits(
+            psi.amplitudes for psi in want_screen
+        )
+        assert pair.comb.tobytes() == want_comb.tobytes()
+        last = _joined(pair.spectral_densities(self.ROWS))
+        assert np.fft.fft.call_count == ffts + 2
+        assert _bits(last) == _bits(want)
+
+
 class TestScreenDensity:
     @pytest.mark.parametrize("c,theta", [(0.0, 0.0), (0.5, 0.0), (0.5, 2.0), (1.0, 0.0)])
     def test_matches_direct_formula(self, geom, grid, units, c, theta):
