@@ -1282,8 +1282,7 @@ def _desk(n):
 # transforms, and the comb and kick-identity sums go by chunk), and the
 # sampler's cell edges and three cell CDFs for sample and verify (verify's
 # kick_displacement row transforms its kicked state in place, one array).
-# Measured: run 3.99, scan 4.00, sample 6.00 and verify 5.99; run 5.99
-# when momentum.csv took two transforms of its own beside the screen.
+# Measured: run 3.99, scan 4.00, sample 6.00 and verify 5.99.
 MEMORY_BUDGET = {"run": 4.5, "scan": 4.5, "sample": 6.5, "verify": 6.5}
 
 
