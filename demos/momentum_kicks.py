@@ -43,15 +43,17 @@ def main() -> None:
     state = change_basis(assemble(SlitPair.emit(GEOM, GRID, UNITS), DETECTOR), SYMMETRIC)
     p0 = math.pi * UNITS.hbar / GEOM.d
     f_k = state.branch_probabilities()[1]
+    # The q+ and q- momentum densities, joined from their chunks, read
+    # before the first kick flies the pair, so the flight takes the pass's
+    # two transforms.
+    columns = zip(*([p, *rho] for p, rho in state.pair.spectral_densities(state.coeffs[:2])))
+    p, plus, minus = (np.concatenate(column) for column in columns)
 
     print(f"expected kick   p0 = pi*hbar/d = {p0:.6f}")
     print(f"measured kick        q- vs q+  = {relative_kick(state):.6f}")
     print(f"kicked fraction                = {f_k:.4f}  (theory {(1.0 - DETECTOR.c) / 2.0})")
     print()
 
-    # The q+ and q- momentum densities, joined from their chunks.
-    columns = zip(*([p, *rho] for p, rho in state.pair.spectral_densities(state.coeffs[:2])))
-    p, plus, minus = (np.concatenate(column) for column in columns)
     plus_peaks = comb_peaks(p, plus)
     minus_peaks = comb_peaks(p, minus)
     print("first momentum-comb maxima at p >= 0 (comb period 2*p0):")

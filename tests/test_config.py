@@ -148,11 +148,6 @@ class TestParsing:
         with pytest.raises(ConfigurationError, match="line 3"):
             parse_config_text("detector.c = 0.5\n# fine\ngrid.m = 4\n")
 
-    def test_repeated_key_is_an_error(self):
-        # Two values for one key are ambiguous; neither may win silently.
-        with pytest.raises(ConfigurationError, match=r"line 3: config key 'grid\.n' repeats line 1"):
-            parse_config_text("grid.n = 4096\n# fine\ngrid.n = 131072\n")
-
     def test_physics_validation_still_applies(self):
         with pytest.raises(DomainError):
             parse_config_text("detector.c = 1.5")

@@ -1,16 +1,13 @@
 """Branch bookkeeping, screen patterns, kick estimates, and sampling."""
 
-import bisect
 import cmath
 import math
-import sys
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
 from comb_oracle import (
-    _comb_projection,
     _comb_shift,
     apply_kick,
     branch_densities,
@@ -18,7 +15,7 @@ from comb_oracle import (
     momentum_shift,
 )
 from conftest import traced_peak
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -102,33 +99,6 @@ def exact_chi2_sf(dof, stat):
 
 
 class TestAssembly:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        basis=st.one_of(
-            st.just(COMPUTATIONAL),
-            st.builds(tilted, st.floats(allow_nan=False, allow_infinity=False)),
-        ),
-        c=st.floats(0.0, 1.0),
-        theta=st.floats(-math.pi, math.pi, exclude_min=True),
-    )
-    @example(basis=COMPUTATIONAL, c=0.36, theta=0.0)
-    @example(basis=SYMMETRIC, c=0.36, theta=0.0)
-    @example(basis=SYMMETRIC, c=0.36, theta=math.pi / 3)
-    @example(basis=SYMMETRIC, c=0.36, theta=-1.0)
-    @example(basis=COMPUTATIONAL, c=0.0, theta=0.0)
-    @example(basis=COMPUTATIONAL, c=0.25, theta=0.0)
-    @example(basis=COMPUTATIONAL, c=0.7, theta=0.0)
-    @example(basis=COMPUTATIONAL, c=1.0, theta=0.0)
-    def test_branch_probabilities_in_any_basis(self, basis, c, theta):
-        # The conftest grid; the packets do not overlap, so every basis
-        # splits the success sector into two equal halves.
-        geom = SlitGeometry(d=1.0, sigma=0.02)
-        grid = GridSpec(n=8192, x_min=0.5 - 20.48, x_max=0.5 + 20.48)
-        state = make_state(geom, grid, PhysicalUnits(t=0.05), c=c, theta=theta, basis=basis)
-        want = [(1.0 - c) / 2.0, (1.0 - c) / 2.0, c]
-        assert_allclose(state.branch_probabilities(), want, rtol=0, atol=1e-12)
-        assert_allclose(state.branch_probabilities().sum(), 1.0, rtol=0, atol=1e-12)
-
     def test_basis_round_trip(self, geom, grid, units):
         state = assemble(SlitPair.emit(geom, grid, units), DetectorConfig(c=0.36, theta=0.9))
         back = change_basis(change_basis(state, tilted(0.7)), state.basis)
@@ -447,7 +417,6 @@ class TestMomentumShift:
 ORACLE_C = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9)
 ORACLE_THETA = (0.0, 1.0, math.pi / 4, math.pi / 2, math.pi, -2.5)
 ORACLE_TILTS = (0.0, math.pi / 4, math.pi / 2, 1.0)
-ROW_AMPLITUDE = st.builds(cmath.rect, st.floats(0.1, 1.0), st.floats(-math.pi, math.pi))
 
 
 class TestCombForms:
@@ -472,37 +441,6 @@ class TestCombForms:
             _, (q3, phase_free) = branch_densities(rotated.pair, [rotated.coeffs[2], (s, s)])
             shift = phase_kick_shift(rotated)
             assert abs(shift - _comb_shift(p, q3, phase_free, d, hbar)) <= 1e-12
-
-    @settings(max_examples=60, deadline=None)
-    @given(a=ROW_AMPLITUDE, b=ROW_AMPLITUDE)
-    def test_comb_phase_form_matches_full_grid_projection(self, a, b):
-        geom = SlitGeometry(d=1.0, sigma=0.02)
-        grid = GridSpec(n=8192, x_min=0.5 - 20.48, x_max=0.5 + 20.48)
-        pair = make_state(geom, grid, PhysicalUnits(t=0.05), c=0.5).pair
-        row = np.array([a, b])
-        form = np.vdot(row, pair.comb @ row)
-        p, (rho,) = branch_densities(pair, [row])
-        oracle = _comb_projection(p, rho, geom.d, pair.units.hbar)
-        assert abs(form - oracle) <= 1e-12 * abs(oracle)
-
-    def test_comb_is_the_closed_form_overlap_at_lag_d(self):
-        # For Gaussian slits at x = (0, d), A_ij = <psi_i|psi_j(. - d)>/dp =
-        # exp(-(x_j + d - x_i)^2/8sigma^2)/dp, on the demos' 2^17 grid.  The
-        # tolerance is 100x the worst error measured, 3.1e-13 of max|A|.
-        geom, units = SlitGeometry(d=1.0, sigma=0.02), PhysicalUnits(t=1.0)
-        grid = GridSpec(n=2**17, x_min=-327.18, x_max=328.18)
-        dp = grid.dp(units.hbar)
-        x = np.array([0.0, geom.d])
-        lag = x[None, :] + geom.d - x[:, None]
-        closed = np.exp(-(lag**2) / (8.0 * geom.sigma**2)) / dp
-        tol = 3e-11 * np.abs(closed).max()
-        psi1, psi2 = (slit_state(geom, grid, slit) for slit in (1, 2))
-        assert np.abs(SlitPair(psi1, psi2, geom, units).comb - closed).max() <= tol
-        # Boosting slit 2 by 1e-4 bin only rotates A_10, by the same phase
-        # for every row, so every kick read stays exact; the closed form
-        # sees it at 9.6e-7 of max|A|.
-        boosted = SlitPair(psi1, apply_kick(psi2, 1e-4 * dp, hbar=units.hbar), geom, units)
-        assert np.abs(boosted.comb - closed).max() > tol
 
     @pytest.mark.parametrize("n", [wavepacket._SUM_CHUNK, 4 * wavepacket._SUM_CHUNK])
     def test_comb_is_the_sum_over_whole_spectra_bit_for_bit(self, units, n):
@@ -546,38 +484,8 @@ class TestKickReport:
             relative_kick(state)
         assert state.branch_probabilities()[1] == pytest.approx(0.0, abs=1e-12)
 
-    @pytest.mark.parametrize(
-        "basis",
-        [COMPUTATIONAL, tilted(0.3), tilted(-0.0)],
-        ids=["computational", "tilted", "tilted-zero"],
-    )
-    def test_reads_any_basis_as_the_symmetric_one(self, geom, grid, units, basis):
-        # tilted(-0.0) is the symmetric basis under another name.
-        sym = make_state(geom, grid, units, c=0.36, theta=1.0)
-        s_b = make_state(geom, grid, units, c=0.36, theta=1.0, basis=basis)
-        want = (relative_kick(sym), sym.branch_probabilities()[1])
-        back = change_basis(s_b, SYMMETRIC)
-        got = (relative_kick(back), back.branch_probabilities()[1])
-        if basis == COMPUTATIONAL:
-            assert got == want  # the same basis change, so the same bits
-        else:
-            assert_allclose(got, want, rtol=0, atol=1e-12)
-
-
 class TestStateCarriesItsSetup:
     """Analyses read the geometry and units off the state's pair."""
-
-    def test_wraparound_guard_reads_the_pairs_width(self):
-        # At t = 1 a sigma = 0.01 packet spreads to a width of 50, which this
-        # 2^17-point box cannot hold; a sigma = 0.04 pair fits on the same grid.
-        grid = GridSpec(n=2**17, x_min=0.5 - 163.84, x_max=0.5 + 163.84)
-        units = PhysicalUnits(t=1.0)
-        # The guard fires at the first screen read.
-        narrow = make_state(SlitGeometry(d=1.0, sigma=0.01), grid, units, c=0.5)
-        with pytest.raises(ConfigurationError, match="wraparound"):
-            screen_density(narrow)
-        wide = make_state(SlitGeometry(d=1.0, sigma=0.04), grid, units, c=0.5)
-        assert screen_density(wide).shape == (grid.n,)
 
     def test_kicks_read_the_pairs_separation(self, units):
         # A pair built at d = 2 has its fringe comb at d/hbar = 2.
@@ -599,16 +507,6 @@ class TestStateCarriesItsSetup:
             shift = relative_kick(rotated)
             assert abs(shift - _comb_shift(p, t_minus, t_plus, d, hbar)) <= tol
 
-    def test_kick_and_fringes_read_the_pairs_units(self, geom, grid):
-        # hbar = 2 doubles the kick, p0 = 2*pi/d, and t = 0.025 keeps the
-        # conftest flight's fringe period 2*pi*hbar*t/(m*d) = pi/10.
-        units = PhysicalUnits(hbar=2.0, t=0.025)
-        pair = SlitPair.emit(geom, grid, units)
-        kick = relative_kick(state_on(pair, c=0.5))
-        assert abs(kick - 2.0 * math.pi / geom.d) <= 1e-9 * grid.dp(units.hbar)
-        period = 2.0 * math.pi * units.hbar * units.t / (units.mass * geom.d)
-        assert_allclose(read(pair, DetectorConfig(c=0.5)).fringe_period, period, rtol=0.01)
-
     @pytest.mark.parametrize("hbar", [1e-20, 1.0, 1e14, 1e15, 1e20])
     def test_kicks_do_not_depend_on_the_unit_of_momentum(self, geom, grid, hbar):
         # The conftest physics at t = 0.05/hbar: the same packets in other
@@ -618,18 +516,6 @@ class TestStateCarriesItsSetup:
         tol = 1e-9 * grid.dp(hbar)
         assert abs(r.kick - math.pi * hbar / geom.d) <= tol, r.kick
         assert abs(r.phase_kick - 0.5 * hbar / geom.d) <= tol, r.phase_kick
-
-    def test_residual_is_the_pairs_own(self, units):
-        # Slit 2 built 1.05 from slit 1 under d = 1.  With g = exp(-pi^2
-        # sigma^2/2) its residual is sqrt(2 - g*(1 - cos(1.05*pi))), about
-        # 0.1274, where the pair that d = 1 describes has sqrt(2*(1 - g)).
-        geom = SlitGeometry(d=1.0, sigma=0.02)
-        grid = GridSpec(n=2**17, x_min=-327.18, x_max=328.18)
-        stray = slit_state(SlitGeometry(d=1.05, sigma=0.02), grid, 2)
-        state = state_on(SlitPair(slit_state(geom, grid, 1), stray, geom, units), c=0.5)
-        g = math.exp(-(math.pi**2) * geom.sigma**2 / 2.0)
-        want = math.sqrt(2.0 - g * (1.0 - math.cos(1.05 * math.pi)))
-        assert_allclose(state.pair.kick_identity_residual, want, rtol=1e-9)
 
     @pytest.mark.xfail(
         raises=AssertionError, reason="kicks are read at geom.d, not at the slits' separation"
@@ -645,20 +531,6 @@ class TestStateCarriesItsSetup:
             off = relative_kick(state) - math.pi * units.hbar / d_true
             bins[d_true] = off / grid.dp(units.hbar)
         assert all(abs(b) <= 1e-9 for b in bins.values()), bins
-
-
-class TestPatternCarriesItsFlight:
-    """A screen pattern reads d and (hbar, m, t) off the pair that made it."""
-
-    def test_fringes_read_the_pairs_separation(self):
-        # The demos' 2^17 grid at t = 1, with the slits 1.05 apart.
-        d, units = 1.05, PhysicalUnits(t=1.0)
-        grid = GridSpec(n=2**17, x_min=-327.18, x_max=328.18)
-        pair = SlitPair.emit(SlitGeometry(d=d, sigma=0.02), grid, units)
-        r = read(pair, DetectorConfig(c=0.5))
-        assert abs(r.central_fringe_shift) <= 2 * grid.dx
-        period = 2.0 * math.pi * units.hbar * units.t / (units.mass * d)
-        assert_allclose(r.fringe_period, period, rtol=0.01)
 
 
 class TestPhaseKick:
@@ -720,13 +592,6 @@ class TestSampling:
         _, xs_b = draw(state, 2000, seed=12)
         assert not np.array_equal(xs_a, xs_b)
 
-    def test_events_are_outcome_indices_and_positions(self, geom, grid, units):
-        state = make_state(geom, grid, units, c=0.5)
-        codes, xs = draw(state, 2000, seed=11)
-        assert codes.shape == xs.shape == (2000,)
-        assert codes.dtype.kind == "i" and xs.dtype == np.float64
-        assert set(np.unique(codes).tolist()) == {0, 1, 2}
-
     def test_outcome_frequencies(self, geom, grid, units):
         state = make_state(geom, grid, units, c=0.5)
         count = 20000
@@ -735,32 +600,6 @@ class TestSampling:
             freq = np.count_nonzero(codes == i) / count
             sigma = math.sqrt(prob * (1.0 - prob) / count)
             assert abs(freq - prob) <= 4.0 * sigma
-
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(
-        basis=st.one_of(
-            st.just(COMPUTATIONAL),
-            st.builds(tilted, st.floats(allow_nan=False, allow_infinity=False)),
-        ),
-        c=st.floats(0.0, 1.0),
-        theta=st.floats(-math.pi, math.pi, exclude_min=True),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_outcome_frequencies_in_any_basis(self, basis, c, theta, seed):
-        geom = SlitGeometry(d=1.0, sigma=0.02)
-        grid = GridSpec(n=8192, x_min=0.5 - 20.48, x_max=0.5 + 20.48)
-        state = make_state(geom, grid, PhysicalUnits(t=0.05), c=c, theta=theta, basis=basis)
-        count = 20000
-        codes, _ = draw(state, count, seed)
-        counts = np.bincount(codes, minlength=3)
-        assert counts.sum() == count
-        for n, prob in zip(counts, state.branch_probabilities()):
-            if prob < experiment.EMPTY_BRANCH_TOL:
-                assert n == 0
-            else:
-                # A certain branch has sigma = 0; 1e-12 absorbs rounding in prob.
-                sigma = math.sqrt(max(prob * (1.0 - prob), 0.0) / count)
-                assert abs(n / count - prob) <= 5.0 * sigma + 1e-12
 
     def test_positions_stay_on_grid(self, geom, grid, units):
         state = make_state(geom, grid, units, c=0.5)
@@ -788,33 +627,6 @@ class TestSampling:
         # One total is not GOF_BINS counts, though it holds every sample.
         with pytest.raises(DomainError, match="50 bin counts"):
             screen_goodness_of_fit([1000], 1000)
-
-    def test_goodness_of_fit_matches_an_independent_count(self, geom, grid, units):
-        # The oracle counts the 50 equal-probability bins, half-open but for
-        # the last, with bisect, and sums Pearson's terms exactly with
-        # math.fsum.  The terms are positive, so a 50-term float sum is within
-        # 50 eps of it.  The p-value is held to the exact tail.
-        from kickscope.experiment import _cell_cdf
-
-        state = make_state(geom, grid, units, c=0.5)
-        misfit = make_state(geom, grid, units, c=0.7)
-        cdf, edges = _cell_cdf([screen_density(state)], grid), grid._edges
-        for seed in (1, 2, 3):
-            rng = np.random.default_rng(seed)
-            # Draws from the c = 0.7 pattern push p down to ~1e-30.
-            for source in (state, misfit):
-                source_cdf = _cell_cdf([screen_density(source)], grid)
-                for count in (2000, 20000):
-                    xs = np.interp(rng.random(count), source_cdf, edges)
-                    bins = np.interp(np.linspace(0.0, 1.0, 51), cdf, edges).tolist()
-                    observed = [0] * 50
-                    for x in xs.tolist():
-                        observed[min(bisect.bisect_right(bins, x), 50) - 1] += 1
-                    expected = count / 50
-                    oracle = math.fsum((o - expected) ** 2 / expected for o in observed)
-                    stat, pvalue = fit(xs, state)
-                    assert abs(stat - oracle) <= 50 * sys.float_info.epsilon * oracle
-                    assert pvalue == pytest.approx(exact_chi2_sf(49, stat), rel=4e-15, abs=0)
 
     @pytest.mark.parametrize("dof", [48, 49])
     def test_chi2_tail_is_exact_to_a_few_ulp(self, dof):

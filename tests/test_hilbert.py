@@ -4,8 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from kickscope import (
@@ -25,11 +23,6 @@ ALPHA_REF = 0.8  # sqrt(1 - 0.36)
 BETA_REF = 0.6  # sqrt(0.36)
 DELTA_REF = 0.30000000000000004 + 0.5196152422706631j  # 0.6 * exp(i*pi/3)
 OVERLAP_REF = 0.18000000000000002 + 0.31176914536239786j  # 0.36 * exp(i*pi/3)
-
-# COMPUTATIONAL or any finite tilt.
-ANY_BASIS = st.one_of(
-    st.just(COMPUTATIONAL), st.builds(tilted, st.floats(allow_nan=False, allow_infinity=False))
-)
 
 
 class TestDetectorConfig:
@@ -109,18 +102,6 @@ class TestBases:
     def test_tilted_zero_is_symmetric(self):
         assert tilted(0.0) == tilted(-0.0) == SYMMETRIC
         assert hash(tilted(-0.0)) == hash(SYMMETRIC)
-
-    @settings(max_examples=60, deadline=None)
-    @given(a=ANY_BASIS, b=ANY_BASIS)
-    @example(a=COMPUTATIONAL, b=tilted(0.0))
-    @example(a=COMPUTATIONAL, b=tilted(0.3))
-    @example(a=COMPUTATIONAL, b=tilted(math.pi / 2))
-    @example(a=COMPUTATIONAL, b=tilted(-1.2))
-    @example(a=tilted(0.7), b=SYMMETRIC)
-    def test_basis_matrix_is_unitary_and_inverts(self, a, b):
-        m = basis_matrix(a, b)
-        assert_allclose(m @ m.conj().T, np.eye(3), rtol=0, atol=1e-15)
-        assert_allclose(basis_matrix(b, a) @ m, np.eye(3), rtol=0, atol=1e-15)
 
     def test_basis_matrix_from_computational(self):
         m = basis_matrix(COMPUTATIONAL, SYMMETRIC)

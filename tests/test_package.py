@@ -7,6 +7,7 @@ from pathlib import Path
 from types import FunctionType
 
 import kickscope
+import mutate
 from kickscope import errors, experiment, hilbert, wavepacket
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -124,3 +125,16 @@ def test_only_conftest_starts_child_processes():
     # PYTHONPATH, environment and timeout.
     tests = sorted((ROOT / "tests").glob("*.py"))
     assert [path.name for path in tests if "subprocess" in _imports(path)] == ["conftest.py"]
+
+
+def test_mutants_are_repeatable_single_node_changes():
+    # tests/mutate.py's mutants of one module: the same ids in the same
+    # order on every run, and each one node away from the source.
+    path = Path(hilbert.__file__)
+    mutants = mutate.mutants(path)
+    assert [m for m, _, _ in mutants] == [m for m, _, _ in mutate.mutants(path)] != []
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for mutant, source, _ in mutants:
+        changed = ast.parse(source)
+        assert len(mutate.node_diffs(tree, changed)) == 1, mutant
+        assert mutate.docstrings(changed) == mutate.docstrings(tree), mutant

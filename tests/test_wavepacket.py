@@ -18,7 +18,7 @@ from kickscope import (
     slit_state,
 )
 from kickscope import wavepacket
-from kickscope.wavepacket import WRAPAROUND_TOL, gaussian_state, inner
+from kickscope.wavepacket import gaussian_state, inner
 
 # Independent closed forms, frozen:
 GAUSSIAN_OVERLAP_D1_S005 = 1.9287498479639315e-22  # exp(-1/(8*0.05^2))
@@ -260,31 +260,6 @@ class TestPropagation:
         with pytest.raises(ConfigurationError):
             propagate_analytic(geom, grid, PhysicalUnits(t=0.4), slit=1)
 
-    def test_guard_rejects_a_box_four_widths_out(self, geom):
-        # W = hbar*t/(2*m*sigma) = 10: an edge at 4W leaves exp(-4) of the
-        # peak amplitude to fold back, a 1.8% error against the closed form.
-        box = GridSpec(n=16384, x_min=-40.0, x_max=41.0)
-        units = PhysicalUnits(t=0.4)
-        with pytest.raises(ConfigurationError):
-            SlitPair.emit(geom, box, units).screen
-        with pytest.raises(ConfigurationError):
-            propagate_analytic(geom, box, units, slit=1)
-
-    def test_error_at_the_guard_margin_is_bounded(self, geom):
-        # The smallest box the guard accepts keeps the aliasing error at the
-        # amplitude it lets reach the edge, WRAPAROUND_TOL of the peak (the
-        # factor 2 is room for rounding, not for aliasing).
-        units = PhysicalUnits(t=0.4)
-        margin = 2.0 * math.sqrt(math.log(1.0 / WRAPAROUND_TOL)) * math.hypot(0.02, 10.0)
-        box = GridSpec(n=65536, x_min=-margin - 0.01, x_max=1.0 + margin + 0.01)
-        for slit, via_fft in zip((1, 2), SlitPair.emit(geom, box, units).screen):
-            closed = propagate_analytic(geom, box, units, slit=slit).amplitudes
-            rel = np.max(np.abs(via_fft.amplitudes - closed)) / np.max(np.abs(closed))
-            assert rel <= 2.0 * WRAPAROUND_TOL
-        narrower = GridSpec(n=65536, x_min=-margin + 0.5, x_max=1.0 + margin + 0.01)
-        with pytest.raises(ConfigurationError):
-            SlitPair.emit(geom, narrower, units).screen
-
 
 class TestKicks:
     def test_kick_moves_mean_momentum(self, geom, grid):
@@ -309,16 +284,6 @@ class TestKicks:
 
 
 class TestInner:
-    def test_is_the_exact_sum_to_rounding(self):
-        # Against the exactly summed products (fsum), a sum of n terms errs
-        # by at most n*eps*sum|terms|, here with a last chunk cut short.
-        rng = np.random.default_rng(3)
-        n = 3 * wavepacket._SUM_CHUNK + 5
-        a, b = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(2))
-        terms = np.conj(a) * b
-        exact = complex(math.fsum(terms.real), math.fsum(terms.imag))
-        assert abs(inner(a, b) - exact) <= n * np.finfo(float).eps * np.abs(terms).sum()
-
     def test_chunk_sums_added_in_order_give_the_same_bits(self):
         # The comb and the kick-identity residual form their terms chunk by
         # chunk and rely on this.
