@@ -29,7 +29,8 @@ where sampling reads them.  ``run`` holds at most 4.5 arrays and
 ``momentum.csv`` off the two raw slit transforms that then fly in place
 into the screen), and ``sample`` 6.5 and ``verify`` 6.5, whose largest
 stage is the sampler's cell edges and three cell CDFs, beside fixed-size
-blocks and the interpreter.
+blocks and the interpreter; ``sample``'s draw then holds them alone, 2
+arrays, since it lets go of the pair that ``verify`` keeps for its rows.
 
 At start-up, before numpy loads, the module sets ``OPENBLAS_NUM_THREADS=1``
 unless the environment chose a BLAS thread count, so OpenBLAS starts no
@@ -461,20 +462,22 @@ def cmd_scan(cfg: RunConfig, out_dir: Path, c_values: list[float]) -> int:
 def cmd_sample(cfg: RunConfig, out_dir: Path) -> int:
     """Draw detection events; write events.csv and sample_summary.txt.
 
-    events.csv's writer takes the events one `sample_events` block at a
-    time: it writes each block, adds it to the outcome counts and the fit's
-    bin counts, and drops it.  The summary is written from those counts.
+    The fit's bins, then `sample_events`' cell CDFs, are built before the
+    pair is dropped.  events.csv's writer then takes the events one block
+    at a time: it writes each block, adds it to the outcome counts and the
+    fit's bin counts, and drops it.  The summary is written from those counts.
     """
     pair = SlitPair.emit(cfg.geometry, cfg.grid, cfg.units)
     state = change_basis(assemble(pair, cfg.detector), cfg.basis)
     count = cfg.sample_count
     # The pair's screen is read here, so a box without the wraparound
     # headroom fails before any output.
-    blocks = sample_events(state, count, cfg.seed)
     bins = screen_bins(state) if count >= GOF_MIN_SAMPLES else None
+    blocks = sample_events(state, count, cfg.seed)
+    outcomes, probs = state.basis.outcomes, state.branch_probabilities()
+    del pair, state  # the draw holds its CDFs, not the pair
     counts = np.zeros(3, dtype=np.int64)
     observed = np.zeros(GOF_BINS, dtype=np.int64)
-    outcomes = state.basis.outcomes
 
     def write_events(fh) -> None:
         fh.write("outcome,x\n")
@@ -486,7 +489,7 @@ def cmd_sample(cfg: RunConfig, out_dir: Path) -> int:
 
     def write_summary(fh) -> None:
         lines = [f"count={count}\n", f"seed={cfg.seed}\n"]
-        for o, n, p in zip(outcomes, counts.tolist(), state.branch_probabilities()):
+        for o, n, p in zip(outcomes, counts.tolist(), probs):
             freq = n / count if count else 0.0
             lines.append(f"{o}: n={n} freq={freq:.6f} prob={_fmt(p)}\n")
         if bins is not None:

@@ -84,9 +84,9 @@ GOF_BINS = 50
 #: Fewest samples `screen_goodness_of_fit` accepts: ten expected per bin.
 GOF_MIN_SAMPLES = 10 * GOF_BINS
 
-#: Events `sample_events` draws per block: 512 KiB of uniforms, and about
-#: 1.6 MiB with the block's sort and interpolation temporaries, whatever
-#: the event count.
+#: Events `sample_events` draws per block: 512 KiB of uniforms, and 1.25
+#: MiB with the temporaries of the block's one sort or of its interpolation,
+#: whatever the event count.
 _SAMPLE_BLOCK = 1 << 15
 
 
@@ -609,10 +609,16 @@ def sample_events(
     Each block takes two uniforms per event.  PCG64 hands out its doubles
     in order, so the blocks, joined, are the stream a single ``(count,
     2)`` draw gives, and a caller that writes, counts or bins each block
-    before asking for the next holds one block, whatever ``count``.  A
-    block's position uniforms are inverted in ascending order, so each
-    interpolation walks its CDF forwards.  A branch's cell CDF is built
-    when its first event is drawn, on cell edges that all branches share.
+    before asking for the next holds one block, whatever ``count``.  One
+    sort groups a block's events by branch, each branch's position
+    uniforms ascending, so each interpolation walks its CDF forwards.
+
+    The call builds the cell CDF of each branch that can fire, on cell
+    edges all branches share; one whose density integrates to zero raises
+    `EmptyBranchError` only when one of its events is drawn.  The blocks
+    hold the CDFs, the cumulative branch probabilities and the edges, never
+    ``state``, and make the generator when the first is drawn; a ``count``
+    of 0 builds and makes neither.
 
     Raises
     ------
@@ -625,33 +631,44 @@ def sample_events(
     if count < 0:
         raise DomainError(f"event count must be non-negative, got {count}")
     grid = state.pair.screen[0].grid
+    if not count:
+        return iter(())
     cum = np.cumsum(state.branch_probabilities())
-    rng = np.random.default_rng(seed)
-    cdfs: dict[int, np.ndarray] = {}
+    # Branch i fires for the uniforms in [0, 1) from bounds[i] up to bounds[i + 1].
+    bounds = [0.0, *np.clip(cum[:2], 0.0, 1.0), 1.0]
+    cdfs: dict[int, np.ndarray | EmptyBranchError] = {}
+    for i in range(3):
+        if bounds[i] < bounds[i + 1]:
+            try:
+                cdfs[i] = _cell_cdf(state.density_blocks(i), grid)
+            except EmptyBranchError as exc:
+                cdfs[i] = exc
     edges = grid._edges
 
-    def block(n: int) -> tuple[np.ndarray, np.ndarray]:
-        # One block's events; its uniforms and their sort die when it returns.
-        u = rng.random((n, 2))
-        codes = np.searchsorted(cum, u[:, 0], side="right")
-        np.minimum(codes, 2, out=codes)
-        # Position uniforms in ascending order, so each branch's np.interp
-        # walks its CDF forwards.
-        order = np.argsort(u[:, 1])
-        v = u[order, 1]
-        del u
-        sorted_codes = codes[order]
-        xs = np.empty(n)
-        for i in range(3):
-            mask = sorted_codes == i
-            if not mask.any():
-                continue
-            if i not in cdfs:
-                cdfs[i] = _cell_cdf(state.density_blocks(i), grid)
-            xs[order[mask]] = np.interp(v[mask], cdfs[i], edges)
-        return codes, xs
+    def draw() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        # Reads no state, so the pair can go; a block's temporaries die before it is yielded.
+        rng = np.random.default_rng(seed)
+        for lo in range(0, count, _SAMPLE_BLOCK):
+            u = rng.random((min(_SAMPLE_BLOCK, count - lo), 2))
+            codes = np.searchsorted(cum, u[:, 0], side="right")
+            np.minimum(codes, 2, out=codes)
+            # Sorted by 2*code + v, each branch's uniforms v are one ascending
+            # slice.  code + v would not do: 1 + nextafter(1, 0) rounds to 2.
+            order = np.argsort(codes * 2.0 + u[:, 1])
+            v = u[order, 1]
+            del u
+            xs = np.empty(len(v))
+            ends = np.cumsum(np.bincount(codes, minlength=3))
+            for i, (a, b) in enumerate(zip((0, *ends[:2]), ends)):
+                if a == b:
+                    continue
+                if isinstance(cdfs[i], EmptyBranchError):
+                    raise cdfs[i]
+                xs[order[a:b]] = np.interp(v[a:b], cdfs[i], edges)
+            del order, v
+            yield codes, xs
 
-    return (block(min(_SAMPLE_BLOCK, count - lo)) for lo in range(0, count, _SAMPLE_BLOCK))
+    return draw()
 
 
 def screen_bins(state: BranchState) -> np.ndarray:

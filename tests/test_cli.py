@@ -17,7 +17,9 @@ import itertools
 import json
 import math
 import os
+import re
 import stat
+import weakref
 from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
@@ -215,6 +217,11 @@ class TestRun:
         assert abs(summary["p0_measured"] - math.pi) <= dp
         assert summary["storey_lhs"] >= summary["storey_rhs"]
 
+    def test_reports_each_file_in_the_order_written(self, reduced_run):
+        assert reduced_run.stdout.splitlines() == [
+            "wrote out/momentum.csv", "wrote out/pattern.csv", "wrote out/summary.txt"
+        ]
+
     def test_full_overlap_leaves_storey_lhs_unmeasured(self, tmp_path):
         # At c = 1 no branch is kicked, so there is no kick to bound.
         out = run_cli(tmp_path, "run", _with(SMALL, "detector.c = 1.0\n")).out
@@ -268,6 +275,14 @@ class TestScan:
             {"scan.csv": "421a526977a755a3dd656550243d2c21d84764c35e814ef2d84bc3dee63542d0"},
         )
 
+    def test_prints_one_line_per_c(self, reduced_scan):
+        *rows, last = reduced_scan.stdout.splitlines()
+        assert [row.split(":")[0] for row in rows] == [
+            f"c = {float(c):.4g}" for c in NINE_C.split(",")
+        ]
+        assert all(re.fullmatch(r"c = .*: V = -?\d\.\d{4}, F_k = \d\.\d{4}", row) for row in rows)
+        assert last == "wrote out/scan.csv"
+
     def test_rejects_bad_c_list(self, tmp_path):
         run = run_cli(tmp_path, "scan", REDUCED, "--c-values", "0,2", expect=2)
         assert "outside [0, 1]" in run.stderr
@@ -319,6 +334,26 @@ class TestSample:
             _, peak = traced_peak(run_cli, tmp_path / str(count), "sample", text)
             peaks.append(peak)
         assert peaks[1] - peaks[0] <= 2**19, peaks
+
+    def test_frees_the_slit_pair_before_the_first_event(self, tmp_path, monkeypatch):
+        # The draw holds its cell CDFs, not the pair: by the time the first
+        # block is written, the pair and its screen are gone.
+        pairs, alive = [], []
+        emit, write_rows = experiment.SlitPair.emit.__func__, cli._write_rows
+
+        def watched_emit(cls, *args):
+            pair = emit(cls, *args)
+            pairs.append(weakref.ref(pair))
+            return pair
+
+        def watched_write_rows(*args, **kwargs):
+            alive.append(pairs[0]() is not None)
+            write_rows(*args, **kwargs)
+
+        monkeypatch.setattr(experiment.SlitPair, "emit", classmethod(watched_emit))
+        monkeypatch.setattr(cli, "_write_rows", watched_write_rows)
+        run_cli(tmp_path, "sample", SMALL)
+        assert len(pairs) == 1 and alive[:1] == [False]
 
     def test_outputs_honour_the_umask(self, reduced_sample):
         for name in ("events.csv", "sample_summary.txt"):

@@ -47,7 +47,7 @@ from kickscope import (
     tilted,
 )
 from kickscope import experiment, wavepacket
-from kickscope.experiment import SlitPair, _comb_offset
+from kickscope.experiment import BranchState, SlitPair, _comb_offset
 from kickscope.wavepacket import check_headroom, fly, inner
 
 # Frozen closed forms.  The identity residual is
@@ -706,3 +706,49 @@ class TestSampling:
         with pytest.raises(DomainError):
             sample_events(state, -5, seed=1)
         assert list(sample_events(state, 0, seed=1)) == []
+
+    def test_no_events_build_no_cdf(self, geom, grid, units, monkeypatch):
+        built = []
+        monkeypatch.setattr(experiment, "_cell_cdf", lambda *args: built.append(args))
+        state = make_state(geom, grid, units, c=0.5)
+        assert list(sample_events(state, 0, seed=1)) == [] and built == []
+
+    def test_the_generator_is_made_at_the_first_block(self, geom, grid, units, monkeypatch):
+        made, make = [], np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: made.append(seed) or make(seed))
+        blocks = sample_events(make_state(geom, grid, units, c=0.5), 10, seed=3)
+        assert made == []
+        next(blocks)
+        assert made == [3]
+
+    def test_a_uniform_next_to_one_stays_on_its_branch(self, geom, grid, units, monkeypatch):
+        # Code-2 events at v = 0 and code-1 events at v = nextafter(1, 0):
+        # a sort key of code + v puts both at 2.0, since 1 + nextafter(1, 0)
+        # rounds up, and would invert some of them on the other's CDF.
+        from kickscope.experiment import _cell_cdf
+
+        state = make_state(geom, grid, units, c=0.5)
+        cum = np.cumsum(state.branch_probabilities())
+        u = np.array([[cum[1], 0.0]] * 4 + [[cum[0], np.nextafter(1.0, 0.0)]] * 4)
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: mock.Mock(random=lambda _: u))
+        codes, xs = draw(state, len(u), seed=0)
+        assert codes.tolist() == [2] * 4 + [1] * 4
+        for i in (1, 2):
+            cdf = _cell_cdf(state.density_blocks(i), grid)
+            want = np.interp(u[codes == i, 1], cdf, grid._edges)
+            assert xs[codes == i].tobytes() == want.tobytes(), i
+
+    def test_an_empty_branch_raises_only_when_drawn(self, geom, grid, units, monkeypatch):
+        # Rows 0 and 1 carry just under 1 in all, so a uniform past their sum
+        # would fire row 2, which is empty: the call and 1,000 events pass,
+        # and only an event on row 2 raises.
+        a, pair = (1.0 - 1e-12) / math.sqrt(2.0), SlitPair.emit(geom, grid, units)
+        state = BranchState(COMPUTATIONAL, [[a, 0], [0, a], [0, 0]], pair)
+        assert np.cumsum(state.branch_probabilities())[1] < 1.0
+        codes, _ = draw(state, 1000, seed=4)
+        assert set(codes.tolist()) == {0, 1}
+        u = np.array([[np.nextafter(1.0, 0.0), 0.5]])
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: mock.Mock(random=lambda _: u))
+        blocks = sample_events(state, 1, seed=0)
+        with pytest.raises(EmptyBranchError, match="integrates to zero"):
+            next(blocks)

@@ -63,3 +63,20 @@ def test_a_thread_count_the_user_set_is_kept(name):
 )
 def test_importing_the_library_or_numpy_first_sets_nothing(snippet):
     assert _start(snippet)["env"] == dict.fromkeys(THREAD_VARS)
+
+
+def test_a_draw_of_no_events_loads_no_random_generator(tmp_path):
+    # sample makes its PCG64 generator when the first block is drawn, so a
+    # draw of none never imports numpy.random.
+    from test_cli import SMALL, _with
+
+    cfg, out = tmp_path / "small.cfg", tmp_path / "out"
+    cfg.write_text(_with(SMALL, "sampling.count = 0\n"))
+    report = _start(
+        "import contextlib, io\n"
+        "from kickscope.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['sample', '--config', {str(cfg)!r}, '--out', {str(out)!r}]) == 0\n"
+    )
+    assert (out / "events.csv").read_text() == "outcome,x\n"
+    assert "numpy.random" not in report["modules"]
